@@ -3,10 +3,10 @@
 
 GO ?= go
 
-.PHONY: help build lint test race fuzz-smoke chaos-smoke cover bench bench-smoke
+.PHONY: help build lint test race fuzz-smoke chaos-smoke cover bench bench-smoke bench-e2e bench-e2e-smoke
 
 help: ## list targets
-	@awk -F':.*## ' '/^[a-z-]+:.*## /{printf "  %-12s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
+	@awk -F':.*## ' '/^[a-z0-9-]+:.*## /{printf "  %-16s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
 
 build: ## compile everything
 	$(GO) build ./...
@@ -50,3 +50,9 @@ bench-smoke: ## CI-sized perf suite + schema validation of the committed report
 	$(GO) run ./cmd/aicbench -json -short -out /tmp/bench-smoke.json
 	$(GO) run ./cmd/aicbench -check /tmp/bench-smoke.json
 	$(GO) run ./cmd/aicbench -check BENCH_9.json
+
+bench-e2e: ## the repo benchmark (bench/, BENCHMARK.json): both facades end to end, untraced then traced
+	bash bench/run.sh
+
+bench-e2e-smoke: ## vet + smoke-test the nested bench module at tiny counts, as CI runs it
+	cd bench && $(GO) vet ./... && $(GO) test ./...

@@ -58,8 +58,8 @@ type ClientConfig struct {
 	// JitterSeed pins the per-peer backoff-jitter RNG (peer i is seeded
 	// JitterSeed+i); 0 keeps wall-clock seeding.
 	JitterSeed int64
-	// Metrics instruments the peer clients and the rebalancer against
-	// this registry.
+	// Metrics instruments the peer clients, the replica fan-outs and the
+	// rebalancer against this registry.
 	Metrics *MetricsRegistry
 }
 
@@ -89,6 +89,7 @@ type Client struct {
 	remotes map[string]*remote.RemoteStore
 	rebal   *ring.Rebalancer
 	closed  bool
+	fan     storage.FanOut // the replica-set fan-out ReplicatedStore shares
 }
 
 // NewClient connects a ring-aware client to the given peer set. At least
@@ -138,6 +139,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.settled = c.ring
 	c.rebal = &ring.Rebalancer{Replicas: cfg.Replicas, Store: c.lookupStore}
 	c.rebal.SetMetrics(cfg.Metrics)
+	c.fan.SetMetrics(cfg.Metrics)
 	return c, nil
 }
 
@@ -299,19 +301,32 @@ func (ns *Namespace) key(proc string) (string, error) {
 	return storage.Qualify(ns.tenant, proc), nil
 }
 
-// placement snapshots the ring view an operation runs against.
-func (c *Client) placement(key string) ([]string, map[string]storage.Store, error) {
+// snapshot resolves the peers pick names on the current ring to their
+// stores, index-aligned: the view one operation runs against.
+func (c *Client) snapshot(pick func(*ring.Ring) []string) ([]string, []storage.Store, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
 		return nil, nil, fmt.Errorf("aic: client is closed")
 	}
-	peers := c.ring.Place(key, c.cfg.Replicas)
-	stores := make(map[string]storage.Store, len(peers))
-	for _, p := range peers {
-		stores[p] = c.stores[p]
+	peers := pick(c.ring)
+	stores := make([]storage.Store, len(peers))
+	for i, p := range peers {
+		stores[i] = c.stores[p]
 	}
 	return peers, stores, nil
+}
+
+// placement is key's replica set, in placement order.
+func (c *Client) placement(key string) ([]string, []storage.Store, error) {
+	return c.snapshot(func(r *ring.Ring) []string { return r.Place(key, c.cfg.Replicas) })
+}
+
+// allPeers is the whole ring, sorted by name. Maintenance walks it instead
+// of a placement: mid-churn, a chain can sit on peers its current placement
+// no longer names, and must be found there too.
+func (c *Client) allPeers() ([]string, []storage.Store, error) {
+	return c.snapshot((*ring.Ring).Peers)
 }
 
 // quorum returns the ack count a write needs.
@@ -326,57 +341,70 @@ func (c *Client) quorum(replicas int) int {
 	return q
 }
 
-// putElement fans one chain element out to key's replica set, requiring
-// the write quorum. Quorum met with stragglers failed is a DegradedError;
-// quorum missed wraps ErrNoQuorum (the element is not committed).
-func (c *Client) putElement(ctx context.Context, key string, seq int, data []byte) error {
-	peers, stores, err := c.placement(key)
-	if err != nil {
-		return err
-	}
+// putElements fans a batch of seq's elements (keys[e], data[e]) out to their
+// replica sets, all in flight together, and returns one verdict per element
+// once every Put has returned: nil, a DegradedError when quorum held but a
+// straggler failed, or ErrNoQuorum (the element is not committed) wrapping
+// every peer's cause, so terminal ones stay matchable — a quota rejection is
+// errors.Is ErrQuotaExceeded through here. A stale-seq rejection acks only
+// when the peer verifiably holds these bytes. A peer on several replica
+// sets writes its share of the batch one Put at a time: its one connection
+// would only queue a second call behind the first, out of sight.
+func (c *Client) putElements(ctx context.Context, seq int, keys []string, data [][]byte) []error {
+	type put struct{ elem, replica int }
 	var (
-		acks    int
-		lastErr error
+		names    []string
+		stores   []storage.Store
+		shares   [][]put // shares[i] is what names[i] writes, in batch order
+		slot     = make(map[string]int)
+		verdicts = make([]error, len(keys))
+		placed   = make([][]string, len(keys))
+		outcomes = make([][]error, len(keys)) // per element, per replica in placement order
 	)
-	for _, p := range peers {
-		st := stores[p]
-		if st == nil {
-			lastErr = fmt.Errorf("aic: no store for ring peer %q", p)
+	for e, key := range keys {
+		peers, sts, err := c.placement(key)
+		if err != nil {
+			verdicts[e] = err
 			continue
 		}
-		if err := st.Put(ctx, key, seq, data); err != nil {
-			// An already-stored duplicate (retry, or rebalance raced us)
-			// counts as an ack: the bytes are on the peer.
-			if errors.Is(err, storage.ErrStaleSeq) {
-				acks++
-				continue
+		placed[e], outcomes[e] = peers, make([]error, len(peers))
+		for r, p := range peers {
+			i, ok := slot[p]
+			if !ok {
+				i, slot[p] = len(names), len(names)
+				names, stores, shares = append(names, p), append(stores, sts[r]), append(shares, nil)
 			}
-			lastErr = err
+			shares[i] = append(shares[i], put{e, r})
+		}
+	}
+	storage.JoinAll(len(names), func(i int) error {
+		for _, pu := range shares[i] {
+			outcomes[pu.elem][pu.replica] = storage.PutVerified(ctx, stores[i], keys[pu.elem], seq, data[pu.elem])
+		}
+		return nil
+	})
+	for e, key := range keys {
+		if verdicts[e] != nil {
 			continue
 		}
-		acks++
-	}
-	if q := c.quorum(len(peers)); acks < q {
-		if lastErr != nil {
-			// Wrap the peer failure too, so terminal causes stay matchable:
-			// a quota rejection is errors.Is ErrQuotaExceeded through here.
-			return fmt.Errorf("%w: %d of %d acks (need %d) for %s seq %d: %w",
-				ErrNoQuorum, acks, len(peers), q, key, seq, lastErr)
+		n := len(placed[e])
+		q := c.quorum(n)
+		if acks, failed := c.fan.Tally("put", q, placed[e], outcomes[e]); acks < q {
+			verdicts[e] = fmt.Errorf("%w: %d of %d acks (need %d) for %s seq %d: %w",
+				ErrNoQuorum, acks, n, q, key, seq, errors.Join(failed...))
+		} else if len(failed) > 0 {
+			verdicts[e] = &DegradedError{Op: "checkpoint", Err: errors.Join(failed...)}
 		}
-		return fmt.Errorf("%w: %d of %d acks (need %d) for %s seq %d",
-			ErrNoQuorum, acks, len(peers), q, key, seq)
 	}
-	if lastErr != nil {
-		return &DegradedError{Op: "checkpoint", Err: lastErr}
-	}
-	return nil
+	return verdicts
 }
 
 // Checkpoint stores an encoded checkpoint under the tenant's proc chain,
-// fanned out to the chain's replica set on the ring. Checkpoints larger
-// than the stripe threshold are split across distinct peers and committed
-// by a manifest written after every stripe holds quorum — a restorable
-// manifest therefore implies restorable stripes. Like
+// fanned out to the chain's replica set on the ring; it returns when the
+// slowest replica has answered. Checkpoints larger than the stripe
+// threshold are split across distinct peers, all stripes in flight
+// together, and committed by a manifest written after every stripe holds
+// quorum — a restorable manifest therefore implies restorable stripes. Like
 // CheckpointDir.Append, a label that disagrees with the frame's own
 // sequence number is rejected. Quota rejections surface as
 // ErrQuotaExceeded (match with errors.Is).
@@ -388,28 +416,26 @@ func (ns *Namespace) Checkpoint(ctx context.Context, proc string, seq int, encod
 	if emb, err := ckpt.PeekSeq(encoded); err == nil && emb != seq {
 		return fmt.Errorf("aic: checkpoint %s: label seq %d but the frame itself is seq %d", proc, seq, emb)
 	}
-	thr := ns.c.cfg.StripeThreshold
-	if thr <= 0 || len(encoded) <= thr {
-		return ns.c.putElement(ctx, key, seq, encoded)
-	}
-	manifest, parts, err := ckpt.SplitStripes(seq, encoded, ns.c.cfg.StripeCount)
-	if err != nil {
-		return err
-	}
 	var degraded error
-	for i, part := range parts {
-		label := storage.StripeLabel(i, len(parts))
-		err := ns.c.putElement(ctx, key+storage.StripeSep+label, seq, part)
+	if thr := ns.c.cfg.StripeThreshold; thr > 0 && len(encoded) > thr {
+		manifest, parts, err := ckpt.SplitStripes(seq, encoded, ns.c.cfg.StripeCount)
 		if err != nil {
-			var de *DegradedError
-			if errors.As(err, &de) {
-				degraded = err
-				continue
-			}
-			return fmt.Errorf("aic: stripe %s of %s: %w", label, proc, err)
+			return err
 		}
+		keys := make([]string, len(parts))
+		for i := range parts {
+			keys[i] = key + storage.StripeSep + storage.StripeLabel(i, len(parts))
+		}
+		for i, err := range ns.c.putElements(ctx, seq, keys, parts) {
+			if errors.Is(err, ErrDegraded) {
+				degraded = err
+			} else if err != nil {
+				return fmt.Errorf("aic: stripe %s of %s: %w", storage.StripeLabel(i, len(parts)), proc, err)
+			}
+		}
+		encoded = manifest
 	}
-	if err := ns.c.putElement(ctx, key, seq, manifest); err != nil {
+	if err := ns.c.putElements(ctx, seq, []string{key}, [][]byte{encoded})[0]; err != nil {
 		return err
 	}
 	return degraded
@@ -466,66 +492,80 @@ func (ns *Namespace) Restore(ctx context.Context, proc string) (*Image, *Restore
 	return &Image{as: as}, out, nil
 }
 
+// replicaChain is one replica's answer to a whole-chain Get; the zero value
+// is a replica that did not answer.
+type replicaChain struct {
+	stored  []storage.Stored // in sequence order
+	missing []int
+}
+
+// fetchChains Gets key's chain from every replica concurrently; the result
+// is in placement order, so a merge over it stays deterministic. It fails
+// only when no replica answered.
+func (c *Client) fetchChains(ctx context.Context, key string) ([]replicaChain, error) {
+	peers, stores, err := c.placement(key)
+	if err != nil {
+		return nil, err
+	}
+	chains := make([]replicaChain, len(peers))
+	answered, failed := c.fan.Run(ctx, "get", 1, peers, stores, func(ctx context.Context, i int, st storage.Store) error {
+		stored, missing, err := st.Get(ctx, key)
+		if err == nil {
+			chains[i] = replicaChain{stored, missing}
+		}
+		return err
+	})
+	if answered == 0 {
+		return nil, fmt.Errorf("aic: no replica of %s reachable: %w", key, errors.Join(failed...))
+	}
+	return chains, nil
+}
+
 // bestChain assembles the most complete per-seq view of key's chain across
 // its replica set: for every sequence number any replica holds, the first
-// intact copy wins, and striped elements are reassembled from their stripe
-// chains. damaged lists seqs seen somewhere but readable nowhere.
+// intact copy in placement order wins, and striped elements are reassembled
+// from their stripe chains. damaged lists seqs seen somewhere but readable
+// nowhere.
 func (c *Client) bestChain(ctx context.Context, key string) (chain []storage.Stored, damaged []int, err error) {
-	peers, stores, err := c.placement(key)
+	replicas, err := c.fetchChains(ctx, key)
 	if err != nil {
 		return nil, nil, err
 	}
+	// Every striped element of the chain reads the same few stripe chains;
+	// each is fetched once per call, on first use.
+	stripes := make(map[string][]replicaChain)
 	elems := make(map[int][]byte)
 	seen := make(map[int]bool)
-	reachable := 0
-	for _, p := range peers {
-		st := stores[p]
-		if st == nil {
-			continue
-		}
-		stored, missing, err := st.Get(ctx, key)
-		if err != nil {
-			continue
-		}
-		reachable++
-		for _, m := range missing {
+	for _, r := range replicas {
+		for _, m := range r.missing {
 			seen[m] = true
 		}
-		for _, el := range stored {
+		for _, el := range r.stored {
 			seen[el.Seq] = true
 			if _, have := elems[el.Seq]; have {
 				continue
 			}
-			data, ok := c.materialize(ctx, key, el)
-			if ok {
+			if data, ok := c.materialize(ctx, key, el, stripes); ok {
 				elems[el.Seq] = data
 			}
 		}
 	}
-	if reachable == 0 {
-		return nil, nil, fmt.Errorf("aic: no replica of %s reachable", key)
-	}
-	seqs := make([]int, 0, len(elems))
-	for seq := range elems {
-		seqs = append(seqs, seq)
-	}
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		chain = append(chain, storage.Stored{Seq: seq, Data: elems[seq]})
-	}
 	for seq := range seen {
-		if _, have := elems[seq]; !have {
+		if data, have := elems[seq]; have {
+			chain = append(chain, storage.Stored{Seq: seq, Data: data})
+		} else {
 			damaged = append(damaged, seq)
 		}
 	}
+	sort.Slice(chain, func(i, j int) bool { return chain[i].Seq < chain[j].Seq })
 	sort.Ints(damaged)
 	return chain, damaged, nil
 }
 
 // materialize turns one stored element into restorable checkpoint bytes:
 // plain elements pass through, stripe manifests trigger reassembly from
-// the stripe chains (each fetched from its own replica set).
-func (c *Client) materialize(ctx context.Context, key string, el storage.Stored) ([]byte, bool) {
+// the stripe chains (each fetched from its own replica set, into stripes).
+func (c *Client) materialize(ctx context.Context, key string, el storage.Stored, stripes map[string][]replicaChain) ([]byte, bool) {
 	if !ckpt.IsStripe(el.Data) {
 		return el.Data, true
 	}
@@ -537,7 +577,7 @@ func (c *Client) materialize(ctx context.Context, key string, el storage.Stored)
 	}
 	parts := make([]*ckpt.StripeFrame, 0, man.Count)
 	for i := 0; i < man.Count; i++ {
-		sf, ok := c.fetchStripe(ctx, key, man, i)
+		sf, ok := c.fetchStripe(ctx, key, man, i, stripes)
 		if !ok {
 			return nil, false
 		}
@@ -552,70 +592,49 @@ func (c *Client) materialize(ctx context.Context, key string, el storage.Stored)
 
 // fetchStripe reads stripe i of the manifest's object from the first
 // replica of the stripe chain that holds it intact.
-func (c *Client) fetchStripe(ctx context.Context, key string, man *ckpt.StripeFrame, i int) (*ckpt.StripeFrame, bool) {
+func (c *Client) fetchStripe(ctx context.Context, key string, man *ckpt.StripeFrame, i int, stripes map[string][]replicaChain) (*ckpt.StripeFrame, bool) {
 	stripeKey := key + storage.StripeSep + storage.StripeLabel(i, man.Count)
-	peers, stores, err := c.placement(stripeKey)
-	if err != nil {
-		return nil, false
+	replicas, fetched := stripes[stripeKey]
+	if !fetched {
+		replicas, _ = c.fetchChains(ctx, stripeKey) // unreachable reads as held nowhere
+		stripes[stripeKey] = replicas
 	}
-	for _, p := range peers {
-		st := stores[p]
-		if st == nil {
+	for _, r := range replicas {
+		j := sort.Search(len(r.stored), func(j int) bool { return r.stored[j].Seq >= man.Seq })
+		if j == len(r.stored) || r.stored[j].Seq != man.Seq {
 			continue
 		}
-		stored, _, err := st.Get(ctx, stripeKey)
-		if err != nil {
-			continue
-		}
-		for _, el := range stored {
-			if el.Seq != man.Seq {
-				continue
-			}
-			sf, err := ckpt.DecodeStripe(el.Data)
-			if err == nil && !sf.Manifest && sf.Index == i {
-				return sf, true
-			}
+		sf, err := ckpt.DecodeStripe(r.stored[j].Data)
+		if err == nil && !sf.Manifest && sf.Index == i {
+			return sf, true
 		}
 	}
 	return nil, false
 }
 
-// forEachHolding visits every (peer, chainKey) pair across the whole ring
-// whose chain belongs to the proc key — the base chain and any stripe
-// chains — by listing each peer. Ring placement is deliberately not
-// consulted: mid-churn, a chain can sit on peers its current placement no
-// longer names, and maintenance must find it there too.
-func (c *Client) forEachHolding(ctx context.Context, key string, visit func(st storage.Store, chainKey string) error) error {
-	c.mu.RLock()
-	stores := make(map[string]storage.Store, len(c.stores))
-	for name, st := range c.stores {
-		stores[name] = st
+// forEachHolding visits, on every peer of the ring concurrently, each chain
+// belonging to the proc key — the base chain and any stripe chains — found
+// by listing the peer, and reports every peer that failed. Every holder
+// must apply housekeeping, so the fan-out's quorum is the whole ring.
+func (c *Client) forEachHolding(ctx context.Context, name, key string, visit func(st storage.Store, chainKey string) error) error {
+	peers, stores, err := c.allPeers()
+	if err != nil {
+		return err
 	}
-	closed := c.closed
-	c.mu.RUnlock()
-	if closed {
-		return fmt.Errorf("aic: client is closed")
-	}
-	var lastErr error
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
+	_, failed := c.fan.Run(ctx, name, len(peers), peers, stores, func(ctx context.Context, _ int, st storage.Store) error {
 		names, err := st.List(ctx)
 		if err != nil {
-			lastErr = err
-			continue
+			return err
 		}
-		for _, name := range names {
-			if name != key && !strings.HasPrefix(name, key+storage.StripeSep) {
-				continue
-			}
-			if err := visit(st, name); err != nil {
-				lastErr = err
+		var errs []error
+		for _, chainKey := range names {
+			if chainKey == key || strings.HasPrefix(chainKey, key+storage.StripeSep) {
+				errs = append(errs, visit(st, chainKey))
 			}
 		}
-	}
-	return lastErr
+		return errors.Join(errs...)
+	})
+	return errors.Join(failed...)
 }
 
 // Truncate drops checkpoints before fullSeq on every replica, stripe
@@ -625,7 +644,7 @@ func (ns *Namespace) Truncate(ctx context.Context, proc string, fullSeq int) err
 	if err != nil {
 		return err
 	}
-	return ns.c.forEachHolding(ctx, key, func(st storage.Store, chainKey string) error {
+	return ns.c.forEachHolding(ctx, "truncate", key, func(st storage.Store, chainKey string) error {
 		return st.Truncate(ctx, chainKey, fullSeq)
 	})
 }
@@ -637,7 +656,7 @@ func (ns *Namespace) Remove(ctx context.Context, proc string) error {
 	if err != nil {
 		return err
 	}
-	return ns.c.forEachHolding(ctx, key, func(st storage.Store, chainKey string) error {
+	return ns.c.forEachHolding(ctx, "delete", key, func(st storage.Store, chainKey string) error {
 		return st.Delete(ctx, chainKey)
 	})
 }
@@ -648,16 +667,9 @@ func (ns *Namespace) Procs(ctx context.Context) ([]string, error) {
 	if ns.err != nil {
 		return nil, ns.err
 	}
-	c := ns.c
-	c.mu.RLock()
-	stores := make([]storage.Store, 0, len(c.stores))
-	for _, st := range c.stores {
-		stores = append(stores, st)
-	}
-	closed := c.closed
-	c.mu.RUnlock()
-	if closed {
-		return nil, fmt.Errorf("aic: client is closed")
+	_, stores, err := ns.c.allPeers()
+	if err != nil {
+		return nil, err
 	}
 	set := make(map[string]bool)
 	reachable := 0
@@ -702,8 +714,8 @@ func (ns *Namespace) Scrub(ctx context.Context, proc string, repair bool) (map[s
 	}
 	out := make(map[string]*ScrubReport)
 	var lastErr error
-	for _, p := range peers {
-		st := stores[p]
+	for i, p := range peers {
+		st := stores[i]
 		if st == nil {
 			continue
 		}

@@ -3,7 +3,12 @@ package aic
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"aic/internal/storage"
 )
@@ -209,6 +214,10 @@ func TestClientRebalanceAfterJoin(t *testing.T) {
 	if v, ok := reg.Value("aic_ring_rebalance_total"); !ok || v != 1 {
 		t.Fatalf("aic_ring_rebalance_total = (%v, %v)", v, ok)
 	}
+	// Ring fan-outs report through the counters ReplicatedStore's do.
+	if v, _ := reg.Value("aic_replicated_fanout_total", "put"); v != float64(2*8*len(chain)) {
+		t.Fatalf("aic_replicated_fanout_total{put} = %v, want one per checkpoint (%d)", v, 2*8*len(chain))
+	}
 	// Every chain restores byte-identically on the new membership, and every
 	// current replica holds its full chain.
 	for _, tenant := range []string{"acme", "globex"} {
@@ -263,4 +272,205 @@ func (brokenStore) Truncate(context.Context, string, int) error { return errDark
 func (brokenStore) Target() StoreTarget                         { return StoreTarget{} }
 func (brokenStore) Scrub(context.Context, string, bool) (*StoreScrubReport, error) {
 	return nil, errDark
+}
+
+// probeStore is a ring peer that records what a fan-out does to it: every
+// Put's start and end go to a log shared by the ring, inflight counts the
+// Puts that have not returned, and peak is the most it ever saw at once.
+type probeStore struct {
+	Store
+	name     string
+	log      *putLog
+	delay    time.Duration          // every Put takes at least this long
+	fail     func(key string) error // non-nil result fails the Put instead of storing
+	hang     bool                   // Put blocks until its ctx is cancelled, then takes delay to unwind
+	inflight atomic.Int32
+	peak     atomic.Int32
+}
+
+type putLog struct {
+	mu     sync.Mutex
+	events []string // "start <key>" / "end <key>"
+}
+
+func (l *putLog) add(ev, key string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, ev+" "+key)
+}
+
+func (l *putLog) count(ev string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, e := range l.events {
+		if strings.HasPrefix(e, ev+" ") {
+			n++
+		}
+	}
+	return n
+}
+
+func (p *probeStore) Put(ctx context.Context, key string, seq int, data []byte) error {
+	if n := p.inflight.Add(1); n > p.peak.Load() {
+		p.peak.Store(n) // racing updates can only under-report; any value > 1 fails
+	}
+	p.log.add("start", key)
+	defer func() {
+		p.log.add("end", key)
+		p.inflight.Add(-1)
+	}()
+	if p.hang {
+		<-ctx.Done()
+	}
+	time.Sleep(p.delay)
+	if p.hang {
+		return ctx.Err()
+	}
+	if p.fail != nil {
+		if err := p.fail(key); err != nil {
+			return err
+		}
+	}
+	return p.Store.Put(ctx, key, seq, data)
+}
+
+// probeRing builds n probe peers sharing one log, each set up by tune.
+func probeRing(n int, tune func(i int, p *probeStore)) (map[string]Store, []*probeStore, *putLog) {
+	log := &putLog{}
+	stores := make(map[string]Store, n)
+	probes := make([]*probeStore, n)
+	for i := range probes {
+		name := fmt.Sprintf("peer-%d", i)
+		probes[i] = &probeStore{Store: storage.NewLevelStore(storage.Target{Name: name}), name: name, log: log}
+		tune(i, probes[i])
+		stores[name] = probes[i]
+	}
+	return stores, probes, log
+}
+
+// assertJoined fails unless every Put the fan-out started has returned, and
+// no peer was ever handed a second Put while its first was in flight.
+func assertJoined(t *testing.T, probes []*probeStore, log *putLog, wantPuts int) {
+	t.Helper()
+	for _, p := range probes {
+		if n := p.inflight.Load(); n != 0 {
+			t.Errorf("%s: %d Puts still in flight after Checkpoint returned", p.name, n)
+		}
+		if n := p.peak.Load(); n > 1 {
+			t.Errorf("%s: served %d Puts at once, want one at a time", p.name, n)
+		}
+	}
+	if s, e := log.count("start"), log.count("end"); s != wantPuts || e != wantPuts {
+		t.Errorf("%d Puts started, %d returned, want %d of each", s, e, wantPuts)
+	}
+}
+
+func TestClientCheckpointAcksAtSlowestReplica(t *testing.T) {
+	stores, probes, log := probeRing(3, func(_ int, p *probeStore) { p.delay = 50 * time.Millisecond })
+	c := newTestClient(t, ClientConfig{Stores: stores, Replicas: 3})
+	start := time.Now()
+	if err := c.Namespace("acme").Checkpoint(context.Background(), "web", 0, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	// Three 50 ms replicas: the sum is 150 ms, the slowest is 50 ms.
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Errorf("Checkpoint took %v: replicas were not written concurrently", took)
+	}
+	assertJoined(t, probes, log, 3)
+}
+
+func TestClientStripedManifestFollowsEveryStripe(t *testing.T) {
+	errStripe := errors.New("stripe refused")
+	failStripes := func(key string) error {
+		if strings.Contains(key, storage.StripeSep) {
+			return errStripe
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name    string
+		failing int   // peers refusing every stripe part
+		want    error // nil, ErrDegraded, ErrNoQuorum
+	}{
+		{"healthy", 0, nil},
+		{"one stripe replica fails, quorum holds", 1, ErrDegraded},
+		{"two stripe replicas fail, quorum missed", 2, ErrNoQuorum},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stores, probes, log := probeRing(3, func(i int, p *probeStore) {
+				// Uneven peers, so stripe Puts finish at different times.
+				p.delay = time.Duration(i) * 10 * time.Millisecond
+				if i < tc.failing {
+					p.fail = failStripes
+				}
+			})
+			c := newTestClient(t, ClientConfig{Stores: stores, Replicas: 3, StripeThreshold: 64, StripeCount: 2})
+			err := c.Namespace("acme").Checkpoint(context.Background(), "big", 0, make([]byte, 1024))
+			if tc.want == nil && err != nil || tc.want != nil && !errors.Is(err, tc.want) {
+				t.Fatalf("Checkpoint = %v, want %v", err, tc.want)
+			}
+			if tc.failing > 0 && !errors.Is(err, errStripe) {
+				t.Errorf("%v does not wrap the stripe replica's cause", err)
+			}
+			manifestPuts := 0
+			for i, ev := range log.events {
+				if strings.Contains(ev, storage.StripeSep) {
+					continue
+				}
+				manifestPuts++
+				for _, later := range log.events[i:] {
+					if strings.Contains(later, storage.StripeSep) {
+						t.Fatalf("manifest event %q precedes stripe event %q", ev, later)
+					}
+				}
+			}
+			wantManifest := 2 * 3 // start+end on three replicas
+			if errors.Is(tc.want, ErrNoQuorum) {
+				wantManifest = 0 // the commit point is never reached
+			}
+			if manifestPuts != wantManifest {
+				t.Errorf("%d manifest Put events, want %d", manifestPuts, wantManifest)
+			}
+			assertJoined(t, probes, log, 2*3+wantManifest/2)
+		})
+	}
+}
+
+func TestClientNoQuorumWrapsEveryPeerCause(t *testing.T) {
+	errDisk := errors.New("disk on fire")
+	reg := NewMetricsRegistry()
+	stores, _, _ := probeRing(3, func(i int, p *probeStore) {
+		switch i {
+		case 0:
+			p.fail = func(string) error { return errDisk }
+		case 1:
+			p.fail = func(string) error { return fmt.Errorf("tenant acme: %w", ErrQuotaExceeded) }
+		}
+	})
+	c := newTestClient(t, ClientConfig{Stores: stores, Replicas: 3, Metrics: reg})
+	err := c.Namespace("acme").Checkpoint(context.Background(), "web", 0, []byte("payload"))
+	for _, want := range []error{ErrNoQuorum, errDisk, ErrQuotaExceeded} {
+		if !errors.Is(err, want) {
+			t.Errorf("%v is not errors.Is %v", err, want)
+		}
+	}
+	if v, _ := reg.Value("aic_replicated_quorum_miss_total", "put"); v != 1 {
+		t.Errorf("aic_replicated_quorum_miss_total{put} = %v, want 1", v)
+	}
+}
+
+func TestClientCancelledCheckpointJoinsEveryPeer(t *testing.T) {
+	stores, probes, log := probeRing(3, func(_ int, p *probeStore) {
+		p.hang, p.delay = true, 20*time.Millisecond
+	})
+	c := newTestClient(t, ClientConfig{Stores: stores, Replicas: 3})
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	err := c.Namespace("acme").Checkpoint(ctx, "web", 0, []byte("payload"))
+	if !errors.Is(err, ErrNoQuorum) || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Checkpoint = %v, want ErrNoQuorum wrapping context.Canceled", err)
+	}
+	// Every peer was still unwinding when the ctx fired; all have returned.
+	assertJoined(t, probes, log, 3)
 }

@@ -3,6 +3,7 @@ package aic
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -220,6 +221,73 @@ func TestDifferentialStripedRingDedup(t *testing.T) {
 	}
 	if !shared {
 		t.Fatal("no ring store shows cross-tenant chunk sharing")
+	}
+}
+
+// Both facades write through one fan-out, so they must agree on when a
+// peer's stale-seq rejection is an ack: only when the peer verifiably holds
+// the very bytes being written (a retry after a lost ack), never when it
+// holds something else at that (key, seq).
+func TestDifferentialStaleSeqAck(t *testing.T) {
+	ctx := context.Background()
+	data := []byte("the checkpoint being written")
+	facades := map[string]func(t *testing.T, peers []Store, reg *MetricsRegistry) (key string, write func() error){
+		"ring": func(t *testing.T, peers []Store, reg *MetricsRegistry) (string, func() error) {
+			stores := make(map[string]Store, len(peers))
+			for i, p := range peers {
+				stores[fmt.Sprintf("peer-%d", i)] = p
+			}
+			c := newTestClient(t, ClientConfig{Stores: stores, Replicas: len(peers), Metrics: reg})
+			return storage.Qualify("acme", "web"), func() error {
+				return c.Namespace("acme").Checkpoint(ctx, "web", 0, data)
+			}
+		},
+		"dir": func(t *testing.T, peers []Store, reg *MetricsRegistry) (string, func() error) {
+			d, err := OpenCheckpointDir("", WithStore(storage.NewLevelStore(storage.Target{Name: "local"})),
+				WithReplication(Replication{Stores: peers}), WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			return "web", func() error { return d.Append(ctx, "web", 0, data) }
+		},
+	}
+	for _, tc := range []struct {
+		name             string
+		peers            int
+		held             []byte // what peer 0 already holds at seq 0
+		ringErr, dirErr  error  // dir: a held quorum with a failed peer is not an error
+		misses, partials float64
+	}{
+		{"identical retry", 2, data, nil, nil, 0, 0},
+		{"diverged peer of 2", 2, []byte("something else"), ErrNoQuorum, ErrDegraded, 1, 0},
+		{"diverged peer of 3", 3, []byte("something else"), ErrDegraded, nil, 0, 1},
+	} {
+		for facade, open := range facades {
+			t.Run(tc.name+"/"+facade, func(t *testing.T) {
+				peers := make([]Store, tc.peers)
+				for i := range peers {
+					peers[i] = storage.NewLevelStore(storage.Target{Name: fmt.Sprintf("peer-%d", i)})
+				}
+				reg := NewMetricsRegistry()
+				key, write := open(t, peers, reg)
+				if err := peers[0].Put(ctx, key, 0, tc.held); err != nil {
+					t.Fatal(err)
+				}
+				want := tc.ringErr
+				if facade == "dir" {
+					want = tc.dirErr
+				}
+				if err := write(); want == nil && err != nil || want != nil && !errors.Is(err, want) {
+					t.Fatalf("write = %v, want %v", err, want)
+				}
+				misses, _ := reg.Value("aic_replicated_quorum_miss_total", "put")
+				partials, _ := reg.Value("aic_replicated_partial_ack_total", "put")
+				if misses != tc.misses || partials != tc.partials {
+					t.Fatalf("quorum misses %v, partial acks %v; want %v, %v", misses, partials, tc.misses, tc.partials)
+				}
+			})
+		}
 	}
 }
 

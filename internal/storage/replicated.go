@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -18,8 +19,9 @@ import (
 // the fan-out degrades gracefully as long as Quorum peers still answer.
 type ReplicatedStore struct {
 	peers  []Store
+	names  []string // "0", "1", …: how a fan-out labels each peer's failure
 	quorum int
-	met    *replMetrics // nil unless SetMetrics instrumented the store
+	fan    FanOut
 }
 
 // NewReplicatedStore builds a quorum store over the peers. quorum ≤ 0
@@ -34,7 +36,11 @@ func NewReplicatedStore(quorum int, peers ...Store) (*ReplicatedStore, error) {
 	if quorum > len(peers) {
 		return nil, fmt.Errorf("storage: quorum %d exceeds %d peers", quorum, len(peers))
 	}
-	return &ReplicatedStore{peers: append([]Store(nil), peers...), quorum: quorum}, nil
+	names := make([]string, len(peers))
+	for i := range names {
+		names[i] = strconv.Itoa(i)
+	}
+	return &ReplicatedStore{peers: append([]Store(nil), peers...), names: names, quorum: quorum}, nil
 }
 
 // Peers returns the underlying stores (shared, not copies) — recovery walks
@@ -70,31 +76,67 @@ func (e *QuorumError) Error() string {
 // Unwrap exposes the per-peer errors to errors.Is/As.
 func (e *QuorumError) Unwrap() []error { return e.Errs }
 
-// fanOut runs op against every peer concurrently and returns nil once at
-// least quorum succeeded.
-func (r *ReplicatedStore) fanOut(ctx context.Context, name string, op func(ctx context.Context, peer Store) error) error {
-	errs := make([]error, len(r.peers))
+// errNoStore is the outcome of a replica that placement names but no store
+// backs: it fails its share of a fan-out without being called.
+var errNoStore = errors.New("no store")
+
+// JoinAll runs op(0..n-1) concurrently and returns only after every call
+// has returned, so nothing it started outlives it; errs[i] is op(i)'s result.
+func JoinAll(n int, op func(i int) error) []error {
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for i, peer := range r.peers {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
-		go func(i int, peer Store) {
+		go func(i int) {
 			defer wg.Done()
-			if err := op(ctx, peer); err != nil {
-				errs[i] = fmt.Errorf("peer %d: %w", i, err)
-			}
-		}(i, peer)
+			errs[i] = op(i)
+		}(i)
 	}
 	wg.Wait()
-	acked := 0
-	var failed []error
-	for _, err := range errs {
-		if err == nil {
-			acked++
-		} else {
-			failed = append(failed, err)
+	return errs
+}
+
+// FanOut is the one replica-set fan-out both facades consume: placement (a
+// fixed peer list, or a ring walk) produces the set, Run does the op on it;
+// a caller that batches several sets' calls per peer joins them with JoinAll
+// and settles each set with Tally. The zero value is ready to use and
+// reports nothing.
+type FanOut struct {
+	met *replMetrics // nil unless SetMetrics instrumented the fan-out
+}
+
+// Run runs op on every replica concurrently and joins all of them before
+// returning — no goroutine, Put or byte on disk outlives the call, so a
+// caller's counts are exact the moment it is acked — then closes the account
+// with Tally. A nil peer fails without running op.
+func (f *FanOut) Run(ctx context.Context, name string, quorum int, names []string, peers []Store, op func(ctx context.Context, i int, peer Store) error) (acked int, failed []error) {
+	return f.Tally(name, quorum, names, JoinAll(len(peers), func(i int) error {
+		if peers[i] == nil {
+			return errNoStore
+		}
+		return op(ctx, i, peers[i])
+	}))
+}
+
+// Tally closes one fan-out's account from its per-replica outcomes (nil =
+// ack): how many replicas acked, and the failures in replica order, each
+// labelled with its peer's name. It counts the fan-out under name against
+// quorum.
+func (f *FanOut) Tally(name string, quorum int, names []string, outcomes []error) (acked int, failed []error) {
+	for i, err := range outcomes {
+		if err != nil {
+			failed = append(failed, fmt.Errorf("peer %s: %w", names[i], err))
 		}
 	}
-	r.met.observeFanOut(name, acked, len(r.peers), r.quorum)
+	acked = len(outcomes) - len(failed)
+	f.met.observeFanOut(name, acked, len(outcomes), quorum)
+	return acked, failed
+}
+
+// fanOut runs op against every peer concurrently and returns nil once at
+// least quorum succeeded.
+func (r *ReplicatedStore) fanOut(ctx context.Context, name string, op func(ctx context.Context, i int, peer Store) error) error {
+	acked, failed := r.fan.Run(ctx, name, r.quorum, r.names, r.peers, op)
 	if acked >= r.quorum {
 		return nil
 	}
@@ -102,22 +144,27 @@ func (r *ReplicatedStore) fanOut(ctx context.Context, name string, op func(ctx c
 }
 
 // Put replicates the checkpoint to every peer, acknowledging on quorum.
-// A peer rejecting the Put with ErrStaleSeq counts as an ack only when it
-// verifiably holds identical bytes at that sequence (a retry after a lost
-// ack); a stale-seq from a diverged chain — same seq with different
-// content, or a higher last seq after the chain restarted elsewhere — is a
-// failure, because the peer did not store the checkpoint.
 func (r *ReplicatedStore) Put(ctx context.Context, proc string, seq int, data []byte) error {
-	return r.fanOut(ctx, "put", func(ctx context.Context, peer Store) error {
-		err := peer.Put(ctx, proc, seq, data)
-		if err == nil || !errors.Is(err, ErrStaleSeq) {
-			return err
-		}
-		if holdsIdentical(ctx, peer, proc, seq, data) {
-			return nil
-		}
-		return err
+	return r.fanOut(ctx, "put", func(ctx context.Context, _ int, peer Store) error {
+		return PutVerified(ctx, peer, proc, seq, data)
 	})
+}
+
+// PutVerified is one replica's share of a fanned-out Put. A peer rejecting
+// the Put with ErrStaleSeq counts as an ack only when it verifiably holds
+// identical bytes at that sequence (a retry after a lost ack); a stale-seq
+// from a diverged chain — same seq with different content, or a higher last
+// seq after the chain restarted elsewhere — is a failure, because the peer
+// did not store the checkpoint.
+func PutVerified(ctx context.Context, peer Store, proc string, seq int, data []byte) error {
+	if peer == nil {
+		return errNoStore
+	}
+	err := peer.Put(ctx, proc, seq, data)
+	if errors.Is(err, ErrStaleSeq) && holdsIdentical(ctx, peer, proc, seq, data) {
+		return nil
+	}
+	return err
 }
 
 // holdsIdentical reports whether the peer's stored chain contains exactly
@@ -142,7 +189,7 @@ func holdsIdentical(ctx context.Context, peer Store, proc string, seq int, data 
 
 // Delete removes proc's chain from every peer, acknowledging on quorum.
 func (r *ReplicatedStore) Delete(ctx context.Context, proc string) error {
-	return r.fanOut(ctx, "delete", func(ctx context.Context, peer Store) error {
+	return r.fanOut(ctx, "delete", func(ctx context.Context, _ int, peer Store) error {
 		return peer.Delete(ctx, proc)
 	})
 }
@@ -150,7 +197,7 @@ func (r *ReplicatedStore) Delete(ctx context.Context, proc string) error {
 // Truncate applies the housekeeping cut on every peer, acknowledging on
 // quorum.
 func (r *ReplicatedStore) Truncate(ctx context.Context, proc string, fullSeq int) error {
-	return r.fanOut(ctx, "truncate", func(ctx context.Context, peer Store) error {
+	return r.fanOut(ctx, "truncate", func(ctx context.Context, _ int, peer Store) error {
 		return peer.Truncate(ctx, proc, fullSeq)
 	})
 }

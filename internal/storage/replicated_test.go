@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // flakyStore wraps a Store, failing selected operations.
@@ -162,5 +165,32 @@ func TestNewReplicatedStoreValidation(t *testing.T) {
 	rs, err := NewReplicatedStore(0, NewLevelStore(Target{}), NewLevelStore(Target{}), NewLevelStore(Target{}))
 	if err != nil || rs.Quorum() != 2 {
 		t.Fatalf("default quorum = %d, %v; want majority 2", rs.Quorum(), err)
+	}
+}
+
+func TestFanOutRunJoinsAndReportsInPeerOrder(t *testing.T) {
+	mem := func(name string) Store { return NewLevelStore(Target{Name: name}) }
+	peers := []Store{mem("a"), nil, mem("c"), mem("d")}
+	var fan FanOut // the zero value reports nothing and must still work
+	var returned atomic.Int32
+	names := []string{"a", "b", "c", "d"}
+	acked, failed := fan.Run(context.Background(), "put", 2, names, peers, func(ctx context.Context, i int, peer Store) error {
+		defer returned.Add(1)
+		time.Sleep(time.Duration(len(peers)-i) * 5 * time.Millisecond) // later peers finish first
+		if i == 2 {
+			return errDown
+		}
+		return peer.Put(ctx, "p", 0, []byte("x"))
+	})
+	if returned.Load() != 3 {
+		t.Fatalf("Run returned with %d of 3 ops finished", returned.Load())
+	}
+	if acked != 2 || len(failed) != 2 {
+		t.Fatalf("acked %d, failed %v; want 2 acks and 2 failures", acked, failed)
+	}
+	// Failures come back in peers order whatever order the ops finished in,
+	// labelled: the store-less replica b, then c's own error.
+	if !strings.HasPrefix(failed[0].Error(), "peer b: ") || !strings.HasPrefix(failed[1].Error(), "peer c: ") || !errors.Is(failed[1], errDown) {
+		t.Fatalf("failures mislabelled or out of peer order: %v", failed)
 	}
 }

@@ -14,13 +14,17 @@ type replMetrics struct {
 
 // SetMetrics instruments the quorum store against reg (DESIGN.md §14
 // documents the surface). Call before sharing the store across goroutines.
-func (r *ReplicatedStore) SetMetrics(reg *metrics.Registry) {
+func (r *ReplicatedStore) SetMetrics(reg *metrics.Registry) { r.fan.SetMetrics(reg) }
+
+// SetMetrics instruments the fan-out against reg; a nil reg leaves it
+// silent. Call before sharing the fan-out across goroutines.
+func (f *FanOut) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
-	r.met = &replMetrics{
+	f.met = &replMetrics{
 		fanouts: reg.CounterVec("aic_replicated_fanout_total",
-			"Mutations fanned out to the peer group.", "op"),
+			"Operations fanned out to the peer group.", "op"),
 		quorumMisses: reg.CounterVec("aic_replicated_quorum_miss_total",
 			"Fan-outs acknowledged by fewer than quorum peers.", "op"),
 		partialAcks: reg.CounterVec("aic_replicated_partial_ack_total",
