@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -144,9 +145,10 @@ type RestoreReport struct {
 	Restored  []int // elements replayed, in order
 	Discarded []int // elements present but not replayed
 	Corrupt   []int // subset of Discarded that failed integrity checks
-	// Replica identifies the store the restore came from when replicas were
-	// consulted (RestoreBestReplica: 0 = local, then peers in configuration
-	// order); -1 for single-chain restores.
+	// Replica is the one replica every replayed element was read from
+	// (RestoreBestReplica: 0 = local, then peers in configuration order;
+	// Namespace.Restore: an index into the chain's ring placement); -1 when
+	// the replay drew on several replicas, and for single-chain restores.
 	Replica int
 	// CPUState is the replayed prefix's final execution state — the blob a
 	// resumed process loads to continue from the restored image exactly.
@@ -227,10 +229,11 @@ func (p *Process) Seq() int { return p.builder.Seq() }
 // With replication configured, mutations (Append, Truncate, Remove) land on
 // the local store first and then fan out to the peer group; reads (Chain,
 // Procs, Scrub, RestoreLatestGood) consult only the local replica —
-// RestoreBestReplica is the path that consults the peers.
+// RestoreBestReplica is the path that reads local and peers as one set.
 type CheckpointDir struct {
 	local  storage.Store            // every operation's first (and reads' only) stop
 	peers  *storage.ReplicatedStore // nil unless replication is configured
+	fan    storage.FanOut           // RestoreBestReplica's replica-set fetch
 	closer func() error
 
 	reg  *metrics.Registry   // nil unless opened WithMetrics/WithAdaptiveControl
@@ -418,6 +421,11 @@ func (d *CheckpointDir) Scrub(ctx context.Context, proc string, repair bool) (*S
 	if err != nil {
 		return nil, err
 	}
+	return scrubReportFromStore(rep), nil
+}
+
+// scrubReportFromStore is the one storage → facade report conversion.
+func scrubReportFromStore(rep *storage.ScrubReport) *ScrubReport {
 	return &ScrubReport{
 		Proc:            rep.Proc,
 		ManifestRebuilt: rep.ManifestRebuilt,
@@ -428,7 +436,7 @@ func (d *CheckpointDir) Scrub(ctx context.Context, proc string, repair bool) (*S
 		SizeFixed:       rep.SizeFixed,
 		StrayRemoved:    rep.StrayRemoved,
 		Repaired:        rep.Repaired,
-	}, nil
+	}
 }
 
 // RestoreLatestGood restores proc from the newest intact
@@ -453,18 +461,23 @@ func (d *CheckpointDir) RestoreLatestGood(ctx context.Context, proc string) (*Im
 	return &Image{as: as}, out, nil
 }
 
-// RestoreBestReplica restores proc from the best surviving replica across
-// the local store and every replication peer: each replica's readable chain
-// is replayed with the last-good-prefix rules, and the one whose intact
-// prefix reaches the highest sequence wins. Without replication it behaves
-// like RestoreLatestGood. This is the disaster path — it succeeds as long as
-// any single replica still holds a restorable prefix.
+// RestoreBestReplica restores proc from the replica set local store + every
+// replication peer, in that order (DESIGN.md §15): the newest intact full
+// checkpoint any replica holds, then the longest contiguous verifiable run
+// of deltas, each seq from the first replica whose copy verifies. This is
+// the disaster path — it succeeds as long as the replicas between them
+// still hold a restorable prefix.
 func (d *CheckpointDir) RestoreBestReplica(ctx context.Context, proc string) (*Image, *RestoreReport, error) {
-	stores := []storage.Store{d.local}
+	names, stores := []string{"local"}, []storage.Store{d.local}
 	if d.peers != nil {
-		stores = append(stores, d.peers.Peers()...)
+		for i, p := range d.peers.Peers() {
+			names, stores = append(names, strconv.Itoa(i)), append(stores, p)
+		}
 	}
-	as, rep, _, err := recovery.RestoreLatestGoodStores(ctx, proc, stores...)
+	set := recovery.ReplicaSet{Fan: &d.fan, Place: func(string) ([]string, []storage.Store, error) {
+		return names, stores, nil
+	}}
+	as, rep, err := set.Restore(ctx, proc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("aic: %w", err)
 	}

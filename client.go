@@ -441,187 +441,66 @@ func (ns *Namespace) Checkpoint(ctx context.Context, proc string, seq int, encod
 	return degraded
 }
 
+// replicaSet is the read side of the ring: key's placement, fetched through
+// the same fan-out the writes use.
+func (c *Client) replicaSet() recovery.ReplicaSet {
+	return recovery.ReplicaSet{Fan: &c.fan, Place: c.placement}
+}
+
 // Chain returns the proc's chain in sequence order, ready for
-// RestoreImage, reading each element from the first replica that holds it
-// intact and reassembling striped checkpoints transparently. It fails when
-// elements are unreadable on every replica; use Restore to salvage.
+// RestoreImage: each element read from the first replica in placement order
+// whose copy verifies, striped checkpoints reassembled transparently. It
+// fails when an element verifies on no replica; use Restore to salvage.
 func (ns *Namespace) Chain(ctx context.Context, proc string) ([][]byte, error) {
 	key, err := ns.key(proc)
 	if err != nil {
 		return nil, err
 	}
-	stored, damaged, err := ns.c.bestChain(ctx, key)
+	elems, damaged, err := ns.c.replicaSet().Chain(ctx, key)
 	if err != nil {
 		return nil, err
 	}
-	if len(damaged) > 0 {
-		return nil, fmt.Errorf("aic: chain for %s is damaged: seqs %v unreadable", proc, damaged)
+	out := make([][]byte, len(elems))
+	for i, e := range elems {
+		out[i] = e.Data
+		if e.Ckpt == nil {
+			damaged = append(damaged, e.Seq)
+		}
 	}
-	out := make([][]byte, len(stored))
-	for i, s := range stored {
-		out[i] = s.Data
+	if len(damaged) > 0 {
+		sort.Ints(damaged)
+		return nil, fmt.Errorf("aic: chain for %s is damaged: seqs %v unreadable", proc, damaged)
 	}
 	return out, nil
 }
 
-// Restore restores proc from the best surviving replica set: every
-// replica's readable chain is reassembled (striped elements fetched from
-// their own replica sets) and replayed with the last-good-prefix rules,
-// and the prefix reaching the highest sequence wins. This is the disaster
-// path — it succeeds as long as any replica still holds a restorable
-// prefix of every needed element.
+// Restore restores proc from its replica set (DESIGN.md §15): the newest
+// intact full checkpoint any replica holds, then the longest contiguous
+// verifiable run of deltas, each seq from the first replica in placement
+// order whose copy verifies. This is the disaster path — it succeeds as long
+// as the replicas between them still hold a restorable prefix.
 func (ns *Namespace) Restore(ctx context.Context, proc string) (*Image, *RestoreReport, error) {
 	key, err := ns.key(proc)
 	if err != nil {
 		return nil, nil, err
 	}
-	stored, damaged, err := ns.c.bestChain(ctx, key)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(stored) == 0 {
-		return nil, nil, fmt.Errorf("aic: no readable checkpoints for %s", proc)
-	}
-	as, rep, err := recovery.RestoreLatestGood(stored)
+	as, rep, err := ns.c.replicaSet().Restore(ctx, key)
 	if err != nil {
 		return nil, nil, fmt.Errorf("aic: %w", err)
 	}
-	out := goodReportToRestore(rep)
-	out.Discarded = append(out.Discarded, damaged...)
-	sort.Ints(out.Discarded)
-	return &Image{as: as}, out, nil
-}
-
-// replicaChain is one replica's answer to a whole-chain Get; the zero value
-// is a replica that did not answer.
-type replicaChain struct {
-	stored  []storage.Stored // in sequence order
-	missing []int
-}
-
-// fetchChains Gets key's chain from every replica concurrently; the result
-// is in placement order, so a merge over it stays deterministic. It fails
-// only when no replica answered.
-func (c *Client) fetchChains(ctx context.Context, key string) ([]replicaChain, error) {
-	peers, stores, err := c.placement(key)
-	if err != nil {
-		return nil, err
-	}
-	chains := make([]replicaChain, len(peers))
-	answered, failed := c.fan.Run(ctx, "get", 1, peers, stores, func(ctx context.Context, i int, st storage.Store) error {
-		stored, missing, err := st.Get(ctx, key)
-		if err == nil {
-			chains[i] = replicaChain{stored, missing}
-		}
-		return err
-	})
-	if answered == 0 {
-		return nil, fmt.Errorf("aic: no replica of %s reachable: %w", key, errors.Join(failed...))
-	}
-	return chains, nil
-}
-
-// bestChain assembles the most complete per-seq view of key's chain across
-// its replica set: for every sequence number any replica holds, the first
-// intact copy in placement order wins, and striped elements are reassembled
-// from their stripe chains. damaged lists seqs seen somewhere but readable
-// nowhere.
-func (c *Client) bestChain(ctx context.Context, key string) (chain []storage.Stored, damaged []int, err error) {
-	replicas, err := c.fetchChains(ctx, key)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Every striped element of the chain reads the same few stripe chains;
-	// each is fetched once per call, on first use.
-	stripes := make(map[string][]replicaChain)
-	elems := make(map[int][]byte)
-	seen := make(map[int]bool)
-	for _, r := range replicas {
-		for _, m := range r.missing {
-			seen[m] = true
-		}
-		for _, el := range r.stored {
-			seen[el.Seq] = true
-			if _, have := elems[el.Seq]; have {
-				continue
-			}
-			if data, ok := c.materialize(ctx, key, el, stripes); ok {
-				elems[el.Seq] = data
-			}
-		}
-	}
-	for seq := range seen {
-		if data, have := elems[seq]; have {
-			chain = append(chain, storage.Stored{Seq: seq, Data: data})
-		} else {
-			damaged = append(damaged, seq)
-		}
-	}
-	sort.Slice(chain, func(i, j int) bool { return chain[i].Seq < chain[j].Seq })
-	sort.Ints(damaged)
-	return chain, damaged, nil
-}
-
-// materialize turns one stored element into restorable checkpoint bytes:
-// plain elements pass through, stripe manifests trigger reassembly from
-// the stripe chains (each fetched from its own replica set, into stripes).
-func (c *Client) materialize(ctx context.Context, key string, el storage.Stored, stripes map[string][]replicaChain) ([]byte, bool) {
-	if !ckpt.IsStripe(el.Data) {
-		return el.Data, true
-	}
-	man, err := ckpt.DecodeStripe(el.Data)
-	if err != nil || !man.Manifest {
-		// A bare stripe part at the base key is junk; a broken manifest is
-		// unreadable. Either way the element cannot restore.
-		return nil, false
-	}
-	parts := make([]*ckpt.StripeFrame, 0, man.Count)
-	for i := 0; i < man.Count; i++ {
-		sf, ok := c.fetchStripe(ctx, key, man, i, stripes)
-		if !ok {
-			return nil, false
-		}
-		parts = append(parts, sf)
-	}
-	obj, err := ckpt.ReassembleStripes(man, parts)
-	if err != nil {
-		return nil, false
-	}
-	return obj, true
-}
-
-// fetchStripe reads stripe i of the manifest's object from the first
-// replica of the stripe chain that holds it intact.
-func (c *Client) fetchStripe(ctx context.Context, key string, man *ckpt.StripeFrame, i int, stripes map[string][]replicaChain) (*ckpt.StripeFrame, bool) {
-	stripeKey := key + storage.StripeSep + storage.StripeLabel(i, man.Count)
-	replicas, fetched := stripes[stripeKey]
-	if !fetched {
-		replicas, _ = c.fetchChains(ctx, stripeKey) // unreachable reads as held nowhere
-		stripes[stripeKey] = replicas
-	}
-	for _, r := range replicas {
-		j := sort.Search(len(r.stored), func(j int) bool { return r.stored[j].Seq >= man.Seq })
-		if j == len(r.stored) || r.stored[j].Seq != man.Seq {
-			continue
-		}
-		sf, err := ckpt.DecodeStripe(r.stored[j].Data)
-		if err == nil && !sf.Manifest && sf.Index == i {
-			return sf, true
-		}
-	}
-	return nil, false
+	return &Image{as: as}, goodReportToRestore(rep), nil
 }
 
 // forEachHolding visits, on every peer of the ring concurrently, each chain
 // belonging to the proc key — the base chain and any stripe chains — found
 // by listing the peer, and reports every peer that failed. Every holder
 // must apply housekeeping, so the fan-out's quorum is the whole ring.
-func (c *Client) forEachHolding(ctx context.Context, name, key string, visit func(st storage.Store, chainKey string) error) error {
+func (c *Client) forEachHolding(ctx context.Context, name, key string, visit func(peer string, st storage.Store, chainKey string) error) error {
 	peers, stores, err := c.allPeers()
 	if err != nil {
 		return err
 	}
-	_, failed := c.fan.Run(ctx, name, len(peers), peers, stores, func(ctx context.Context, _ int, st storage.Store) error {
+	_, failed := c.fan.Run(ctx, name, len(peers), peers, stores, func(ctx context.Context, i int, st storage.Store) error {
 		names, err := st.List(ctx)
 		if err != nil {
 			return err
@@ -629,7 +508,7 @@ func (c *Client) forEachHolding(ctx context.Context, name, key string, visit fun
 		var errs []error
 		for _, chainKey := range names {
 			if chainKey == key || strings.HasPrefix(chainKey, key+storage.StripeSep) {
-				errs = append(errs, visit(st, chainKey))
+				errs = append(errs, visit(peers[i], st, chainKey))
 			}
 		}
 		return errors.Join(errs...)
@@ -644,7 +523,7 @@ func (ns *Namespace) Truncate(ctx context.Context, proc string, fullSeq int) err
 	if err != nil {
 		return err
 	}
-	return ns.c.forEachHolding(ctx, "truncate", key, func(st storage.Store, chainKey string) error {
+	return ns.c.forEachHolding(ctx, "truncate", key, func(_ string, st storage.Store, chainKey string) error {
 		return st.Truncate(ctx, chainKey, fullSeq)
 	})
 }
@@ -656,7 +535,7 @@ func (ns *Namespace) Remove(ctx context.Context, proc string) error {
 	if err != nil {
 		return err
 	}
-	return ns.c.forEachHolding(ctx, "delete", key, func(st storage.Store, chainKey string) error {
+	return ns.c.forEachHolding(ctx, "delete", key, func(_ string, st storage.Store, chainKey string) error {
 		return st.Delete(ctx, chainKey)
 	})
 }
@@ -667,77 +546,58 @@ func (ns *Namespace) Procs(ctx context.Context) ([]string, error) {
 	if ns.err != nil {
 		return nil, ns.err
 	}
-	_, stores, err := ns.c.allPeers()
+	peers, stores, err := ns.c.allPeers()
 	if err != nil {
 		return nil, err
 	}
-	set := make(map[string]bool)
-	reachable := 0
-	for _, st := range stores {
-		if st == nil {
-			continue
-		}
-		names, err := st.List(ctx)
-		if err != nil {
-			continue
-		}
-		reachable++
-		for _, name := range names {
-			tenant, proc, stripe := storage.ParseKey(name)
-			if tenant == ns.tenant && stripe == "" {
-				set[proc] = true
-			}
+	if len(peers) == 0 {
+		return nil, nil
+	}
+	names, err := ns.c.fan.List(ctx, peers, stores)
+	if err != nil {
+		return nil, fmt.Errorf("aic: no ring peer reachable: %w", err)
+	}
+	procs := []string{}
+	for _, name := range names { // sorted and distinct, so the procs are too
+		tenant, proc, stripe := storage.ParseKey(name)
+		if tenant == ns.tenant && stripe == "" {
+			procs = append(procs, proc)
 		}
 	}
-	if reachable == 0 && len(stores) > 0 {
-		return nil, fmt.Errorf("aic: no ring peer reachable")
-	}
-	procs := make([]string, 0, len(set))
-	for p := range set {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
 	return procs, nil
 }
 
-// Scrub runs an integrity scrub of the proc's chain on every replica peer
-// currently placed for it, returning one report per peer. With repair set
-// each peer restores its own manifest/directory agreement.
+// Scrub runs an integrity scrub of the proc's chains — base and stripe
+// chains, which are placed independently — on every peer holding any of
+// them, returning one merged report per such peer. With repair set each peer
+// restores its own manifest/directory agreement. Peers that cannot answer
+// are skipped; Scrub fails only when no peer produced a report.
 func (ns *Namespace) Scrub(ctx context.Context, proc string, repair bool) (map[string]*ScrubReport, error) {
 	key, err := ns.key(proc)
 	if err != nil {
 		return nil, err
 	}
-	peers, stores, err := ns.c.placement(key)
-	if err != nil {
+	var mu sync.Mutex // forEachHolding visits peers concurrently
+	merged := make(map[string]*storage.ScrubReport)
+	err = ns.c.forEachHolding(ctx, "scrub", key, func(peer string, st storage.Store, chainKey string) error {
+		rep, err := st.Scrub(ctx, chainKey, repair)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if merged[peer] == nil {
+			merged[peer] = &storage.ScrubReport{Proc: proc}
+		}
+		merged[peer].Merge(rep)
+		return nil
+	})
+	if len(merged) == 0 && err != nil {
 		return nil, err
 	}
-	out := make(map[string]*ScrubReport)
-	var lastErr error
-	for i, p := range peers {
-		st := stores[i]
-		if st == nil {
-			continue
-		}
-		rep, err := st.Scrub(ctx, key, repair)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		out[p] = &ScrubReport{
-			Proc:            proc,
-			ManifestRebuilt: rep.ManifestRebuilt,
-			Missing:         rep.Missing,
-			Corrupt:         rep.Corrupt,
-			Orphaned:        rep.Orphaned,
-			Adopted:         rep.Adopted,
-			SizeFixed:       rep.SizeFixed,
-			StrayRemoved:    rep.StrayRemoved,
-			Repaired:        rep.Repaired,
-		}
-	}
-	if len(out) == 0 && lastErr != nil {
-		return nil, lastErr
+	out := make(map[string]*ScrubReport, len(merged))
+	for peer, rep := range merged {
+		out[peer] = scrubReportFromStore(rep)
 	}
 	return out, nil
 }

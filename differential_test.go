@@ -5,6 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"aic/internal/storage"
@@ -363,5 +367,353 @@ func TestDedupRequiresDirectoryStore(t *testing.T) {
 	}
 	if d.comp == nil {
 		t.Fatal("compactor not armed")
+	}
+}
+
+// damageStore is one replica whose reads can be damaged after the fact: a
+// dark replica fails every Get, a dropped seq moves to the missing list, a
+// flipped seq comes back with one bit inverted. It counts its Gets per key.
+type damageStore struct {
+	Store
+	dark       bool
+	drop, flip seqSet
+	mu         sync.Mutex
+	gets       map[string]int
+}
+
+// seqSet marks (chain key, seq) pairs.
+type seqSet map[string]map[int]bool
+
+func (s seqSet) add(key string, seqs ...int) {
+	if s[key] == nil {
+		s[key] = map[int]bool{}
+	}
+	for _, seq := range seqs {
+		s[key][seq] = true
+	}
+}
+
+func newDamageStore(name string) *damageStore {
+	return &damageStore{
+		Store: storage.NewLevelStore(storage.Target{Name: name}),
+		drop:  seqSet{}, flip: seqSet{}, gets: map[string]int{},
+	}
+}
+
+func (d *damageStore) Get(ctx context.Context, key string) ([]Stored, []int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.gets[key]++
+	if d.dark {
+		return nil, nil, errors.New("replica dark")
+	}
+	chain, missing, err := d.Store.Get(ctx, key)
+	var kept []Stored
+	for _, el := range chain {
+		switch {
+		case d.drop[key][el.Seq]:
+			missing = append(missing, el.Seq)
+		case d.flip[key][el.Seq]:
+			data := append([]byte(nil), el.Data...)
+			data[len(data)/2] ^= 0x40
+			kept = append(kept, Stored{Seq: el.Seq, Data: data})
+		default:
+			kept = append(kept, el)
+		}
+	}
+	return kept, missing, err
+}
+
+// replicaSetFacade is one facade over three damageable replicas holding the
+// same chain: what the damage differential drives identically.
+type replicaSetFacade struct {
+	name    string
+	base    string                          // the chain's base key, as the replicas store it
+	keys    []string                        // base key, then any stripe keys
+	order   func(key string) []*damageStore // key's replica set, in placement order
+	restore func() (*Image, *RestoreReport, error)
+}
+
+func openReplicaSetFacades(t *testing.T, chain [][]byte) []*replicaSetFacade {
+	t.Helper()
+	ctx := context.Background()
+	trio := func() []*damageStore {
+		return []*damageStore{newDamageStore("r0"), newDamageStore("r1"), newDamageStore("r2")}
+	}
+
+	dirStores := trio()
+	d, err := OpenCheckpointDir("", WithStore(dirStores[0]),
+		WithReplication(Replication{Stores: []Store{dirStores[1], dirStores[2]}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	for seq, enc := range chain {
+		if err := d.Append(ctx, "web", seq, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	facades := []*replicaSetFacade{{
+		name: "dir", base: "web", keys: []string{"web"},
+		order:   func(string) []*damageStore { return dirStores },
+		restore: func() (*Image, *RestoreReport, error) { return d.RestoreBestReplica(ctx, "web") },
+	}}
+
+	for _, ring := range []struct {
+		name            string
+		stripeThreshold int
+	}{{"ring", 0}, {"ring-striped", 512}} {
+		byName := map[string]*damageStore{}
+		stores := map[string]Store{}
+		for i, st := range trio() {
+			name := fmt.Sprintf("peer-%d", i)
+			byName[name], stores[name] = st, st
+		}
+		c := newTestClient(t, ClientConfig{Stores: stores, Replicas: 3, StripeThreshold: ring.stripeThreshold})
+		ns := c.Namespace("acme")
+		for seq, enc := range chain {
+			if err := ns.Checkpoint(ctx, "web", seq, enc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		base := storage.Qualify("acme", "web")
+		held, err := byName["peer-0"].List(ctx) // Replicas = ring size: every peer holds every key
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := []string{base}
+		for _, key := range held {
+			if strings.HasPrefix(key, base+storage.StripeSep) {
+				keys = append(keys, key)
+			}
+		}
+		if striped := len(keys) > 1; striped != (ring.stripeThreshold > 0) {
+			t.Fatalf("%s: stripe keys %v", ring.name, keys[1:])
+		}
+		facades = append(facades, &replicaSetFacade{
+			name: ring.name, base: base, keys: keys,
+			order: func(key string) []*damageStore {
+				peers, _, err := c.placement(key)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := make([]*damageStore, len(peers))
+				for i, p := range peers {
+					out[i] = byName[p]
+				}
+				return out
+			},
+			restore: func() (*Image, *RestoreReport, error) { return ns.Restore(ctx, "web") },
+		})
+	}
+	return facades
+}
+
+// imageBytes flattens a restored image for byte comparison across facades.
+func imageBytes(im *Image) []byte {
+	var out []byte
+	for _, idx := range im.PageIndexes() {
+		out = append(out, byte(idx))
+		out = append(out, im.Page(idx)...)
+	}
+	return out
+}
+
+// Both facades read a replica set through one fetch, one per-seq union and
+// one replay (DESIGN.md §15), so the same damage must cost them the same:
+// identical LastSeq and a byte-identical image, whichever facade — and
+// whether or not the anchor is striped. At the commit before the shared read
+// path, "gap split across replicas" failed through the directory facade
+// (whole-replica selection) and "newest seq flipped on the first replica"
+// through the ring (first copy taken unverified, rewound at replay).
+func TestReplicaSetDamageDifferential(t *testing.T) {
+	const last = 6 // buildBigProcessChain: a full at seq 0, deltas 1..6
+	for _, row := range []struct {
+		name    string
+		damage  func(f *replicaSetFacade)
+		lastSeq int // -1: the restore must fail
+		// replica is the report's Replica where every facade must agree on it
+		// (the base key's placement index); -2 skips the check.
+		replica int
+	}{
+		{"clean", func(*replicaSetFacade) {}, last, 0},
+		{"gap split across replicas", func(f *replicaSetFacade) {
+			r := f.order(f.base)
+			r[0].drop.add(f.base, 4)
+			r[1].drop.add(f.base, 3)
+			r[2].drop.add(f.base, 3, 4)
+		}, last, -1},
+		{"newest seq flipped on the first replica", func(f *replicaSetFacade) {
+			r := f.order(f.base)
+			r[0].flip.add(f.base, last)
+		}, last, -1},
+		{"anchor and every stripe part flipped on its first holder", func(f *replicaSetFacade) {
+			for _, key := range f.keys {
+				r := f.order(key)
+				r[0].flip.add(key, 0)
+			}
+		}, last, -1},
+		{"first replica lost entirely", func(f *replicaSetFacade) {
+			f.order(f.base)[0].dark = true
+		}, last, 1},
+		{"anchor intact on one replica only", func(f *replicaSetFacade) {
+			for _, key := range f.keys {
+				r := f.order(key)
+				r[0].flip.add(key, 0)
+				r[1].flip.add(key, 0)
+			}
+		}, last, -1},
+		{"newest seq unreadable on every replica", func(f *replicaSetFacade) {
+			for _, r := range f.order(f.base) {
+				r.flip.add(f.base, last)
+			}
+		}, last - 1, 0},
+		{"every replica dark", func(f *replicaSetFacade) {
+			for _, r := range f.order(f.base) {
+				r.dark = true
+			}
+		}, -1, -2},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			p, chain := buildBigProcessChain(t)
+			var first []byte
+			for _, f := range openReplicaSetFacades(t, chain) {
+				row.damage(f)
+				im, rep, err := f.restore()
+				if row.lastSeq < 0 {
+					if err == nil {
+						t.Errorf("%s: restore with every replica dark succeeded", f.name)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%s: %v", f.name, err)
+					continue
+				}
+				if rep.LastSeq != row.lastSeq {
+					t.Errorf("%s: LastSeq %d, want %d (report %+v)", f.name, rep.LastSeq, row.lastSeq, rep)
+				}
+				if row.replica != -2 && rep.Replica != row.replica {
+					t.Errorf("%s: Replica %d, want %d", f.name, rep.Replica, row.replica)
+				}
+				if row.lastSeq == last && !im.Matches(p) {
+					t.Errorf("%s: restored image differs from the live process", f.name)
+				}
+				if got := imageBytes(im); first == nil {
+					first = got
+				} else if !bytes.Equal(got, first) {
+					t.Errorf("%s: image differs from the first facade's", f.name)
+				}
+				// One Get per replica per chain key, however many elements
+				// and manifests read it.
+				for _, key := range f.keys {
+					for i, r := range f.order(key) {
+						if r.gets[key] != 1 {
+							t.Errorf("%s: replica %d served %d Gets of %s, want 1", f.name, i, r.gets[key], key)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// A flipped stripe part is on a stripe chain, placed independently of the
+// base chain: Scrub must find it there, and with repair remove it.
+func TestReplicaSetScrubReachesStripeChains(t *testing.T) {
+	ctx := context.Background()
+	stores := map[string]Store{}
+	dirs := map[string]string{}
+	for i := 0; i < 3; i++ {
+		name := fmt.Sprintf("peer-%d", i)
+		dirs[name] = t.TempDir()
+		fs, err := storage.NewFSStore(dirs[name], storage.Target{Name: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[name] = fs
+	}
+	c := newTestClient(t, ClientConfig{Stores: stores, Replicas: 2, StripeThreshold: 512})
+	ns := c.Namespace("acme")
+	_, chain := buildBigProcessChain(t)
+	for seq, enc := range chain {
+		if err := ns.Checkpoint(ctx, "web", seq, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	base := storage.Qualify("acme", "web")
+	stripeKey := base + storage.StripeSep + storage.StripeLabel(0, 2)
+	holding := map[string]bool{}
+	for _, key := range []string{base, stripeKey, base + storage.StripeSep + storage.StripeLabel(1, 2)} {
+		peers, _, err := c.placement(key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range peers {
+			holding[p] = true
+		}
+	}
+	clean, err := ns.Scrub(ctx, "web", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(clean) != len(holding) {
+		t.Fatalf("scrub reported %d peers, want one per peer holding any part (%v)", len(clean), holding)
+	}
+	for peer, rep := range clean {
+		if !holding[peer] || rep.Proc != "web" || !rep.Clean() {
+			t.Fatalf("undamaged %s: %+v", peer, rep)
+		}
+	}
+
+	// Flip one byte of one element of stripe 0 on its first holder.
+	holders, _, err := c.placement(stripeKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dirs[holders[0]], "*", "ckpt-*.aic"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for _, f := range files {
+		if flipped || !strings.Contains(filepath.Base(filepath.Dir(f)), "s0of2") {
+			continue
+		}
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[len(data)/2] ^= 0x40
+		if err := os.WriteFile(f, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipped = true
+	}
+	if !flipped {
+		t.Fatalf("no stripe file under %s among %v", dirs[holders[0]], files)
+	}
+
+	found, err := ns.Scrub(ctx, "web", true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for peer, rep := range found {
+		if want := peer == holders[0]; want != (len(rep.Corrupt) == 1 && rep.Repaired) {
+			t.Fatalf("%s (flipped holder %s): %+v", peer, holders[0], rep)
+		}
+	}
+	again, err := ns.Scrub(ctx, "web", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for peer, rep := range again {
+		if len(rep.Corrupt) != 0 {
+			t.Fatalf("%s still corrupt after repair: %+v", peer, rep)
+		}
+	}
+	// The second holder's copy still restores the proc.
+	if _, rep, err := ns.Restore(ctx, "web"); err != nil || rep.LastSeq != len(chain)-1 {
+		t.Fatalf("restore after scrub repair: %+v, %v", rep, err)
 	}
 }

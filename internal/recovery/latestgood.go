@@ -29,9 +29,19 @@ type GoodReport struct {
 	CPUState []byte
 	// Bytes counts the bytes of the replayed prefix.
 	Bytes int64
-	// Replica identifies which store the restore came from when the chain
-	// was selected across replicas (RestoreLatestGoodStores's store index);
-	// -1 for single-chain restores.
+	// Replica is the one replica every replayed element was read from (an
+	// index into the chain key's placement, see ReplicaSet); -1 when the
+	// replayed prefix draws on several, and for single-chain restores.
+	Replica int
+}
+
+// Element is one chain element ready to replay: the sequence number it was
+// stored under, its bytes, the decoded frame (nil: no copy verified) and the
+// replica it was read from (-1 outside a replica-set read).
+type Element struct {
+	Seq     int
+	Data    []byte
+	Ckpt    *ckpt.Checkpoint
 	Replica int
 }
 
@@ -44,44 +54,45 @@ type GoodReport struct {
 // fail-hard contract cannot handle. It fails only when no full checkpoint
 // in the chain survives.
 func RestoreLatestGood(chain []storage.Stored) (*memsim.AddressSpace, *GoodReport, error) {
-	if len(chain) == 0 {
+	elems := make([]Element, len(chain))
+	for i, s := range chain {
+		c, _ := ckpt.Decode(s.Data) // a frame that fails to decode replays as corrupt
+		elems[i] = Element{Seq: s.Seq, Data: s.Data, Ckpt: c, Replica: -1}
+	}
+	sort.SliceStable(elems, func(i, j int) bool { return elems[i].Seq < elems[j].Seq })
+	return replayLatestGood(elems)
+}
+
+// replayLatestGood is RestoreLatestGood over elements already decoded and in
+// sequence order: a replica-set read verified each frame to choose its copy.
+func replayLatestGood(elems []Element) (*memsim.AddressSpace, *GoodReport, error) {
+	if len(elems) == 0 {
 		return nil, nil, fmt.Errorf("recovery: empty chain")
 	}
-	elems := append([]storage.Stored(nil), chain...)
-	sort.SliceStable(elems, func(i, j int) bool { return elems[i].Seq < elems[j].Seq })
-
-	rep := &GoodReport{Replica: -1}
-	decoded := make([]*ckpt.Checkpoint, len(elems))
-	for i, s := range elems {
-		c, err := ckpt.Decode(s.Data)
-		if err != nil {
-			rep.Corrupt = append(rep.Corrupt, s.Seq)
-			continue
-		}
-		decoded[i] = c
-	}
-
 	// Anchor at the newest intact full checkpoint: any earlier anchor's run
 	// is cut short at (or before) this one, so later always wins.
+	rep := &GoodReport{}
 	anchor := -1
-	for i := len(elems) - 1; i >= 0; i-- {
-		if decoded[i] != nil && decoded[i].Kind == ckpt.Full {
+	for i, e := range elems {
+		if e.Ckpt == nil {
+			rep.Corrupt = append(rep.Corrupt, e.Seq)
+		} else if e.Ckpt.Kind == ckpt.Full {
 			anchor = i
-			break
 		}
 	}
 	if anchor < 0 {
 		return nil, nil, fmt.Errorf("recovery: no intact full checkpoint anchors the chain")
 	}
+	prefix := []*ckpt.Checkpoint{elems[anchor].Ckpt}
 	end := anchor
-	for end+1 < len(elems) &&
-		decoded[end+1] != nil &&
-		decoded[end+1].Kind != ckpt.Full &&
-		decoded[end+1].Seq == decoded[end].Seq+1 {
+	for end+1 < len(elems) {
+		next := elems[end+1].Ckpt
+		if next == nil || next.Kind == ckpt.Full || next.Seq != prefix[len(prefix)-1].Seq+1 {
+			break
+		}
+		prefix = append(prefix, next)
 		end++
 	}
-
-	prefix := decoded[anchor : end+1]
 	as, err := ckpt.Restore(prefix)
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: intact prefix failed to replay: %w", err)
@@ -89,12 +100,16 @@ func RestoreLatestGood(chain []storage.Stored) (*memsim.AddressSpace, *GoodRepor
 	rep.AnchorSeq = elems[anchor].Seq
 	rep.LastSeq = elems[end].Seq
 	rep.CPUState = prefix[len(prefix)-1].CPUState
-	for i, s := range elems {
+	rep.Replica = elems[anchor].Replica
+	for i, e := range elems {
 		if i >= anchor && i <= end {
-			rep.Restored = append(rep.Restored, s.Seq)
-			rep.Bytes += int64(len(s.Data))
-		} else if decoded[i] != nil {
-			rep.Discarded = append(rep.Discarded, s.Seq)
+			rep.Restored = append(rep.Restored, e.Seq)
+			rep.Bytes += int64(len(e.Data))
+			if e.Replica != rep.Replica {
+				rep.Replica = -1
+			}
+		} else if e.Ckpt != nil {
+			rep.Discarded = append(rep.Discarded, e.Seq)
 		}
 	}
 	// Corrupt elements are discarded by definition.

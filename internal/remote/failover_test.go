@@ -14,8 +14,8 @@ import (
 // TestReplicationSurvivesPeerDeathAndReset is the acceptance scenario: a
 // checkpoint chain replicated to three peers (durable FSStore backends)
 // survives the permanent death of one peer plus a mid-transfer connection
-// reset on another, and RestoreLatestGood across the survivors returns a
-// byte-identical image.
+// reset on another, and a replica-set restore across the survivors returns
+// a byte-identical image.
 func TestReplicationSurvivesPeerDeathAndReset(t *testing.T) {
 	chain, images := buildChain(t)
 
@@ -94,17 +94,19 @@ func TestReplicationSurvivesPeerDeathAndReset(t *testing.T) {
 		t.Fatalf("put below quorum = %v, want QuorumError wrapping ErrPeerDark", err)
 	}
 
-	// Restore from the best surviving replica, over the wire: peer 2 is
-	// dark, peer 1's client was closed — reopen it as a recovering node
-	// would. The image must be byte-identical to the source.
+	// Restore from the surviving replicas, over the wire: peer 2 is dark,
+	// peer 1's client was closed — reopen it as a recovering node would. The
+	// image must be byte-identical to the source, read from a live peer.
 	reopened := NewStore(addrs[1], testConfig())
 	defer reopened.Close()
-	as, rep, idx, err := recovery.RestoreLatestGoodStores(ctx, "p0",
-		clients[0], reopened, clients[2])
+	set := recovery.ReplicaSet{Fan: new(storage.FanOut), Place: func(string) ([]string, []storage.Store, error) {
+		return []string{"0", "1", "2"}, []storage.Store{clients[0], reopened, clients[2]}, nil
+	}}
+	as, rep, err := set.Restore(ctx, "p0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if idx == 2 {
+	if rep.Replica == 2 {
 		t.Fatal("restore picked the dead peer")
 	}
 	if rep.LastSeq != chain[len(chain)-1].Seq {

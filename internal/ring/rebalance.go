@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 
 	"aic/internal/metrics"
 	"aic/internal/storage"
@@ -28,6 +27,7 @@ type Rebalancer struct {
 	// Logf, when set, narrates chain migrations.
 	Logf func(format string, args ...any)
 
+	fan    storage.FanOut   // every replica-set read goes through it
 	runs   *metrics.Counter // nil-safe when SetMetrics was not called
 	moves  *metrics.Counter
 	copied *metrics.Counter
@@ -47,6 +47,7 @@ func (rb *Rebalancer) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return
 	}
+	rb.fan.SetMetrics(reg)
 	rb.runs = reg.Counter("aic_ring_rebalance_total",
 		"Completed ring rebalance rounds.")
 	rb.moves = reg.Counter("aic_ring_chain_moves_total",
@@ -85,44 +86,18 @@ func (rb *Rebalancer) Rebalance(ctx context.Context, old, next *Ring) (*Report, 
 
 // discover lists every chain on every reachable peer of both rings.
 func (rb *Rebalancer) discover(ctx context.Context, old, next *Ring) ([]string, error) {
+	var peers []string
 	seen := map[string]bool{}
-	peers := map[string]bool{}
-	for _, p := range old.Peers() {
-		peers[p] = true
-	}
-	for _, p := range next.Peers() {
-		peers[p] = true
-	}
-	reachable := 0
-	var firstErr error
-	for p := range peers {
-		st := rb.Store(p)
-		if st == nil {
-			continue
-		}
-		names, err := st.List(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("ring: list %s: %w", p, err)
-			}
-			continue
-		}
-		reachable++
-		for _, n := range names {
-			seen[n] = true
+	for _, p := range append(append([]string(nil), old.Peers()...), next.Peers()...) {
+		if !seen[p] {
+			seen[p] = true
+			peers = append(peers, p)
 		}
 	}
-	if reachable == 0 {
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		return nil, errors.New("ring: no reachable peers to rebalance")
+	keys, err := rb.fan.List(ctx, peers, rb.stores(peers))
+	if err != nil {
+		return nil, fmt.Errorf("ring: no reachable peers to rebalance: %w", err)
 	}
-	keys := make([]string, 0, len(seen))
-	for k := range seen {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	return keys, nil
 }
 
@@ -136,7 +111,9 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 	// could never re-converge after a membership change (the data was
 	// admitted when first written; the loser's release returns the bytes).
 	ctx = storage.WithMigration(ctx)
-	chain, err := rb.mergedChain(ctx, next, m)
+	newSet := next.Place(m.Key, rb.Replicas)
+	newStores := rb.stores(newSet)
+	chain, err := rb.mergedChain(ctx, m, newSet)
 	if err != nil {
 		return err
 	}
@@ -149,7 +126,6 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 	for _, p := range m.Gained {
 		gained[p] = true
 	}
-	newSet := next.Place(m.Key, rb.Replicas)
 	// Copy to every new-set peer missing elements, not just the gaining
 	// ones: a peer that kept its placement across an outage lacks the
 	// committed tail written while it was down, and releasing the losers
@@ -157,8 +133,8 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 	// Stores append chains in sequence order, so a peer whose copy has an
 	// interior hole cannot be back-filled (the Put is stale to it) — such
 	// elements survive on the rest of the set, which verify checks below.
-	for _, peer := range newSet {
-		st := rb.Store(peer)
+	for i, peer := range newSet {
+		st := newStores[i]
 		if st == nil {
 			return fmt.Errorf("new-set peer %s unreachable", peer)
 		}
@@ -183,37 +159,25 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 		rep.CopiedBytes += copied
 		rb.logf("ring: copied %s →%s (%d bytes)", m.Key, peer, copied)
 	}
-	// Verify before releasing anything: every merged element must be held
-	// byte-identically by at least one new-set peer, and no new-set peer may
-	// hold a conflicting copy.
-	held := make(map[int]int, len(chain))
-	want := make(map[int][]byte, len(chain))
-	for _, el := range chain {
-		want[el.Seq] = el.Data
+	// Verify before releasing anything: every new-set peer answers, no two
+	// of them hold conflicting copies, and every merged element is held
+	// byte-identically by at least one of them.
+	have, err := rb.fan.Fetch(ctx, m.Key, newSet, newStores)
+	if err != nil {
+		return fmt.Errorf("verify %s: %w", m.Key, err)
 	}
-	for _, peer := range newSet {
-		st := rb.Store(peer)
-		if st == nil {
-			return fmt.Errorf("new-set peer %s unreachable at verify", peer)
-		}
-		have, _, err := st.Get(ctx, m.Key)
-		if err != nil {
-			return fmt.Errorf("verify %s on %s: %w", m.Key, peer, err)
-		}
-		for _, el := range have {
-			data, ok := want[el.Seq]
-			if !ok {
-				continue
-			}
-			if !bytes.Equal(data, el.Data) {
-				return fmt.Errorf("verify %s on %s: seq %d differs", m.Key, peer, el.Seq)
-			}
-			held[el.Seq]++
+	for i, replica := range have {
+		if replica.Err != nil {
+			return fmt.Errorf("verify %s on %s: %w", m.Key, newSet[i], replica.Err)
 		}
 	}
+	placed, err := agreed(m.Key, have)
+	if err != nil {
+		return fmt.Errorf("verify: %w", err)
+	}
 	for _, el := range chain {
-		if held[el.Seq] == 0 {
-			return fmt.Errorf("verify %s: seq %d not placed on the new set", m.Key, el.Seq)
+		if data, ok := placed[el.Seq]; !ok || !bytes.Equal(data, el.Data) {
+			return fmt.Errorf("verify %s: seq %d not placed intact on the new set", m.Key, el.Seq)
 		}
 	}
 	for _, peer := range m.Lost {
@@ -230,54 +194,52 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 	return nil
 }
 
-// mergedChain unions the chain's elements across every reachable peer that
-// may hold any of them — the new replica set and the losers — taking the
-// first intact copy of each sequence. Merging, rather than electing one
-// source replica, is what preserves elements a partial outage or partial
-// admission left on only some replicas: a single replica's copy can have
-// holes another replica fills. Conflicting bytes for the same sequence
-// defer the move (no safe choice exists).
-func (rb *Rebalancer) mergedChain(ctx context.Context, next *Ring, m Move) ([]storage.Stored, error) {
-	candidates := map[string]bool{}
-	for _, p := range next.Place(m.Key, rb.Replicas) {
-		candidates[p] = true
+// stores resolves peer names to their stores (nil = unreachable),
+// index-aligned: the shape a fan-out runs over.
+func (rb *Rebalancer) stores(peers []string) []storage.Store {
+	out := make([]storage.Store, len(peers))
+	for i, p := range peers {
+		out[i] = rb.Store(p)
 	}
-	for _, p := range m.Lost {
-		candidates[p] = true
-	}
-	order := make([]string, 0, len(candidates))
-	for p := range candidates {
-		order = append(order, p)
-	}
-	sort.Strings(order)
-	elems := map[int][]byte{}
-	for _, p := range order {
-		st := rb.Store(p)
-		if st == nil {
+	return out
+}
+
+// agreed maps every seq the answering replicas store to its bytes, and fails
+// when two of them hold different bytes at one seq.
+func agreed(key string, chains []storage.ReplicaChain) (map[int][]byte, error) {
+	held := map[int][]byte{}
+	for _, replica := range chains {
+		if replica.Err != nil {
 			continue
 		}
-		chain, _, err := st.Get(ctx, m.Key)
-		if err != nil {
-			continue
-		}
-		for _, el := range chain {
-			if prior, ok := elems[el.Seq]; ok {
-				if !bytes.Equal(prior, el.Data) {
-					return nil, fmt.Errorf("replicas of %s disagree at seq %d", m.Key, el.Seq)
-				}
-				continue
+		for _, el := range replica.Stored {
+			if prior, ok := held[el.Seq]; !ok {
+				held[el.Seq] = el.Data
+			} else if !bytes.Equal(prior, el.Data) {
+				return nil, fmt.Errorf("replicas of %s disagree at seq %d", key, el.Seq)
 			}
-			elems[el.Seq] = el.Data
 		}
 	}
-	seqs := make([]int, 0, len(elems))
-	for seq := range elems {
-		seqs = append(seqs, seq)
+	return held, nil
+}
+
+// mergedChain unions the chain's elements across every reachable peer that
+// may hold any of them — the new replica set and the losers — with the same
+// fetch and per-seq union every restore reads through. Merging, rather than
+// electing one source replica, is what preserves elements a partial outage
+// or partial admission left on only some replicas: a single replica's copy
+// can have holes another replica fills. The rebalancer moves opaque bytes,
+// so the union admits every copy — and the move is deferred first when two
+// replicas hold different bytes at one sequence (no safe choice exists).
+func (rb *Rebalancer) mergedChain(ctx context.Context, m Move, newSet []string) ([]storage.Stored, error) {
+	candidates := append(append([]string(nil), newSet...), m.Lost...) // disjoint by definition
+	chains, err := rb.fan.Fetch(ctx, m.Key, candidates, rb.stores(candidates))
+	if err != nil {
+		return nil, err
 	}
-	sort.Ints(seqs)
-	merged := make([]storage.Stored, 0, len(seqs))
-	for _, seq := range seqs {
-		merged = append(merged, storage.Stored{Seq: seq, Data: elems[seq]})
+	if _, err := agreed(m.Key, chains); err != nil {
+		return nil, err
 	}
+	merged, _, _ := storage.Union(chains, nil)
 	return merged, nil
 }

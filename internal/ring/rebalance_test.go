@@ -156,3 +156,67 @@ func TestRebalanceUnreachableGainerDefers(t *testing.T) {
 	// Every chain is still fully present on its OLD replica set.
 	verifyPlacement(t, fleet, old, keys, replicas, seqs)
 }
+
+// TestRebalanceMergesSplitGapAndDefersOnDisagreement pins what mergedChain
+// keeps of its own around the shared fetch and union: a chain whose seqs
+// survive on different replicas moves whole, and two replicas holding
+// different bytes at one seq defer the move — the union's first-copy rule
+// must never pick a side for the rebalancer.
+func TestRebalanceMergesSplitGapAndDefersOnDisagreement(t *testing.T) {
+	const replicas = 2
+	ctx := context.Background()
+	oldPeers := peersN(3)
+	old := New(oldPeers, 0)
+	next := old.Add("10.0.0.9:4700")
+	// A key whose replica set changes when the joiner arrives.
+	var key string
+	for _, k := range testKeys(200) {
+		if moves := Diff(old, next, []string{k}, replicas); len(moves) == 1 && len(moves[0].Lost) > 0 {
+			key = k
+			break
+		}
+	}
+	if key == "" {
+		t.Fatal("no test key moves when the joiner arrives")
+	}
+	holders := old.Place(key, replicas)
+
+	for _, tc := range []struct {
+		name     string
+		seed     func(f testFleet)
+		deferred bool
+	}{
+		{"split gap", func(f testFleet) {
+			f[holders[0]].Put(ctx, key, 1, []byte("one"))
+			f[holders[1]].Put(ctx, key, 2, []byte("two"))
+		}, false},
+		{"same seq, different bytes", func(f testFleet) {
+			f[holders[0]].Put(ctx, key, 1, []byte("one"))
+			f[holders[1]].Put(ctx, key, 1, []byte("uno"))
+		}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fleet := newFleet(append(oldPeers, "10.0.0.9:4700"))
+			tc.seed(fleet)
+			rb := &Rebalancer{Replicas: replicas, Store: fleet.store}
+			rep, err := rb.Rebalance(ctx, old, next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.deferred {
+				if len(rep.Deferred) != 1 || rep.Deferred[0] != key || rep.Released != 0 {
+					t.Fatalf("disagreeing replicas were not deferred untouched: %+v", rep)
+				}
+				return
+			}
+			if len(rep.Deferred) != 0 {
+				t.Fatalf("deferred: %v", rep.Deferred)
+			}
+			// Both seqs now sit on a new-set peer that held neither before.
+			chain, _, err := fleet["10.0.0.9:4700"].Get(ctx, key)
+			if err != nil || len(chain) != 2 || string(chain[0].Data) != "one" || string(chain[1].Data) != "two" {
+				t.Fatalf("joiner's chain = %v, %v; want both halves of the split chain", chain, err)
+			}
+		})
+	}
+}

@@ -14,9 +14,10 @@ import (
 // ReplicatedStore fans every mutation out to N peer stores concurrently and
 // acknowledges once a quorum of them has — the paper's L2 RAID-5 peer-node
 // group generalized to any Store implementations (typically RemoteStores
-// speaking the replication protocol, but any mix works). Reads pick the
-// best surviving replica. A peer that stays dark does not block the quorum:
-// the fan-out degrades gracefully as long as Quorum peers still answer.
+// speaking the replication protocol, but any mix works). Reads return the
+// per-sequence union of the answering peers (Fetch, Union). A peer that
+// stays dark does not block the quorum: the fan-out degrades gracefully as
+// long as Quorum peers still answer.
 type ReplicatedStore struct {
 	peers  []Store
 	names  []string // "0", "1", …: how a fan-out labels each peer's failure
@@ -43,8 +44,8 @@ func NewReplicatedStore(quorum int, peers ...Store) (*ReplicatedStore, error) {
 	return &ReplicatedStore{peers: append([]Store(nil), peers...), names: names, quorum: quorum}, nil
 }
 
-// Peers returns the underlying stores (shared, not copies) — recovery walks
-// them individually to restore from the best surviving replica.
+// Peers returns the underlying stores (shared, not copies) — CheckpointDir
+// restores from them and its local store as one replica set.
 func (r *ReplicatedStore) Peers() []Store { return append([]Store(nil), r.peers...) }
 
 // Quorum returns the acknowledgement threshold.
@@ -133,19 +134,115 @@ func (f *FanOut) Tally(name string, quorum int, names []string, outcomes []error
 	return acked, failed
 }
 
+// ReplicaChain is one replica's answer to a whole-chain Get. A non-nil Err
+// is a replica that did not answer; it contributes nothing to a Union.
+type ReplicaChain struct {
+	Stored  []Stored // in sequence order
+	Missing []int
+	Err     error
+}
+
+// Fetch Gets key's whole chain from every replica concurrently — the one
+// place a replica set is read. The result is index-aligned to peers, so a
+// merge over it stays deterministic; it fails only when no replica answered.
+func (f *FanOut) Fetch(ctx context.Context, key string, names []string, peers []Store) ([]ReplicaChain, error) {
+	chains := make([]ReplicaChain, len(peers))
+	for i := range chains {
+		chains[i].Err = errNoStore // stands for a replica Run never asks
+	}
+	answered, failed := f.Run(ctx, "get", 1, names, peers, func(ctx context.Context, i int, peer Store) error {
+		c := &chains[i]
+		c.Stored, c.Missing, c.Err = peer.Get(ctx, key)
+		return c.Err
+	})
+	if answered == 0 {
+		return nil, &QuorumError{Op: "get", Quorum: 1, Errs: failed}
+	}
+	return chains, nil
+}
+
+// Union merges fetched replica chains per sequence number: for every seq
+// any answering replica lists — stored or missing — the first stored copy in
+// replica order that admit accepts wins (nil admits every copy: a Store
+// carries opaque bytes). merged is in sequence order, source[i] the replica
+// merged[i] was read from, unreadable the seqs admitted nowhere.
+func Union(chains []ReplicaChain, admit func(Stored) bool) (merged []Stored, source, unreadable []int) {
+	type winner struct {
+		el      Stored
+		replica int
+	}
+	won := make(map[int]winner)
+	listed := make(map[int]bool)
+	for r, c := range chains {
+		if c.Err != nil {
+			continue
+		}
+		for _, seq := range c.Missing {
+			listed[seq] = true
+		}
+		for _, el := range c.Stored {
+			listed[el.Seq] = true
+			if _, ok := won[el.Seq]; !ok && (admit == nil || admit(el)) {
+				won[el.Seq] = winner{el, r}
+			}
+		}
+	}
+	seqs := make([]int, 0, len(listed))
+	for seq := range listed {
+		seqs = append(seqs, seq)
+	}
+	sort.Ints(seqs)
+	for _, seq := range seqs {
+		if w, ok := won[seq]; ok {
+			merged, source = append(merged, w.el), append(source, w.replica)
+		} else {
+			unreadable = append(unreadable, seq)
+		}
+	}
+	return merged, source, unreadable
+}
+
+// List returns the sorted union of the chain names the peers hold, asking
+// all of them concurrently. Like Fetch it fails only when no peer answered.
+func (f *FanOut) List(ctx context.Context, names []string, peers []Store) ([]string, error) {
+	lists := make([][]string, len(peers))
+	answered, failed := f.Run(ctx, "list", 1, names, peers, func(ctx context.Context, i int, peer Store) error {
+		held, err := peer.List(ctx)
+		if err == nil {
+			lists[i] = held
+		}
+		return err
+	})
+	if answered == 0 {
+		return nil, &QuorumError{Op: "list", Quorum: 1, Errs: failed}
+	}
+	seen := map[string]bool{}
+	for _, held := range lists {
+		for _, name := range held {
+			seen[name] = true
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for name := range seen {
+		out = append(out, name)
+	}
+	sort.Strings(out)
+	return out, nil
+}
+
 // fanOut runs op against every peer concurrently and returns nil once at
-// least quorum succeeded.
-func (r *ReplicatedStore) fanOut(ctx context.Context, name string, op func(ctx context.Context, i int, peer Store) error) error {
-	acked, failed := r.fan.Run(ctx, name, r.quorum, r.names, r.peers, op)
-	if acked >= r.quorum {
+// least quorum succeeded (a read any answering peer can serve needs one).
+func (r *ReplicatedStore) fanOut(ctx context.Context, name string, quorum int, op func(ctx context.Context, i int, peer Store) error) error {
+	acked, failed := r.fan.Run(ctx, name, quorum, r.names, r.peers, op)
+	if acked >= quorum {
 		return nil
 	}
-	return &QuorumError{Op: name, Acked: acked, Quorum: r.quorum, Errs: failed}
+	return &QuorumError{Op: name, Acked: acked, Quorum: quorum, Errs: failed}
 }
 
 // Put replicates the checkpoint to every peer, acknowledging on quorum.
 func (r *ReplicatedStore) Put(ctx context.Context, proc string, seq int, data []byte) error {
-	return r.fanOut(ctx, "put", func(ctx context.Context, _ int, peer Store) error {
+	return r.fanOut(ctx, "put", r.quorum, func(ctx context.Context, _ int, peer Store) error {
 		return PutVerified(ctx, peer, proc, seq, data)
 	})
 }
@@ -189,7 +286,7 @@ func holdsIdentical(ctx context.Context, peer Store, proc string, seq int, data 
 
 // Delete removes proc's chain from every peer, acknowledging on quorum.
 func (r *ReplicatedStore) Delete(ctx context.Context, proc string) error {
-	return r.fanOut(ctx, "delete", func(ctx context.Context, _ int, peer Store) error {
+	return r.fanOut(ctx, "delete", r.quorum, func(ctx context.Context, _ int, peer Store) error {
 		return peer.Delete(ctx, proc)
 	})
 }
@@ -197,106 +294,46 @@ func (r *ReplicatedStore) Delete(ctx context.Context, proc string) error {
 // Truncate applies the housekeeping cut on every peer, acknowledging on
 // quorum.
 func (r *ReplicatedStore) Truncate(ctx context.Context, proc string, fullSeq int) error {
-	return r.fanOut(ctx, "truncate", func(ctx context.Context, _ int, peer Store) error {
+	return r.fanOut(ctx, "truncate", r.quorum, func(ctx context.Context, _ int, peer Store) error {
 		return peer.Truncate(ctx, proc, fullSeq)
 	})
 }
 
-// Get returns the chain of the best surviving replica: the peer whose
-// readable chain reaches the highest sequence number, with the longest
-// chain breaking ties. Peers that cannot answer are skipped; Get fails only
-// when no peer answers at all.
+// Get returns the per-sequence union of the answering peers' chains; it
+// fails only when no peer answers at all.
 func (r *ReplicatedStore) Get(ctx context.Context, proc string) ([]Stored, []int, error) {
-	var (
-		bestChain   []Stored
-		bestMissing []int
-		answered    bool
-		errs        []error
-	)
-	for i, peer := range r.peers {
-		chain, missing, err := peer.Get(ctx, proc)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("peer %d: %w", i, err))
-			continue
-		}
-		if !answered || betterChain(chain, bestChain) {
-			bestChain, bestMissing = chain, missing
-		}
-		answered = true
+	chains, err := r.fan.Fetch(ctx, proc, r.names, r.peers)
+	if err != nil {
+		return nil, nil, err
 	}
-	if !answered {
-		return nil, nil, &QuorumError{Op: "get", Acked: 0, Quorum: 1, Errs: errs}
-	}
-	return bestChain, bestMissing, nil
-}
-
-// betterChain prefers the higher last sequence number, then the longer
-// chain.
-func betterChain(a, b []Stored) bool {
-	lastSeq := func(c []Stored) int {
-		if len(c) == 0 {
-			return -1 << 62
-		}
-		return c[len(c)-1].Seq
-	}
-	if la, lb := lastSeq(a), lastSeq(b); la != lb {
-		return la > lb
-	}
-	return len(a) > len(b)
+	merged, _, missing := Union(chains, nil)
+	return merged, missing, nil
 }
 
 // List returns the union of process names across the answering peers.
 func (r *ReplicatedStore) List(ctx context.Context) ([]string, error) {
-	seen := map[string]bool{}
-	var answered bool
-	var errs []error
-	for i, peer := range r.peers {
-		procs, err := peer.List(ctx)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("peer %d: %w", i, err))
-			continue
-		}
-		answered = true
-		for _, p := range procs {
-			seen[p] = true
-		}
-	}
-	if !answered {
-		return nil, &QuorumError{Op: "list", Acked: 0, Quorum: 1, Errs: errs}
-	}
-	out := make([]string, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out, nil
+	return r.fan.List(ctx, r.names, r.peers)
 }
 
-// Scrub scrubs every answering peer and merges the findings into one
-// report (seq lists are unions; Repaired is set when any peer repaired).
+// Scrub scrubs every answering peer and merges the findings, in peer order,
+// into one report.
 func (r *ReplicatedStore) Scrub(ctx context.Context, proc string, repair bool) (*ScrubReport, error) {
-	merged := &ScrubReport{Proc: proc}
-	var answered bool
-	var errs []error
-	for i, peer := range r.peers {
+	reports := make([]*ScrubReport, len(r.peers))
+	err := r.fanOut(ctx, "scrub", 1, func(ctx context.Context, i int, peer Store) error {
 		rep, err := peer.Scrub(ctx, proc, repair)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("peer %d: %w", i, err))
-			continue
+		if err == nil {
+			reports[i] = rep
 		}
-		answered = true
-		merged.ManifestRebuilt = merged.ManifestRebuilt || rep.ManifestRebuilt
-		merged.Missing = append(merged.Missing, rep.Missing...)
-		merged.Corrupt = append(merged.Corrupt, rep.Corrupt...)
-		merged.Orphaned = append(merged.Orphaned, rep.Orphaned...)
-		merged.Adopted = append(merged.Adopted, rep.Adopted...)
-		merged.SizeFixed = append(merged.SizeFixed, rep.SizeFixed...)
-		merged.StrayRemoved = append(merged.StrayRemoved, rep.StrayRemoved...)
-		merged.Unknown = append(merged.Unknown, rep.Unknown...)
-		merged.Repaired = merged.Repaired || rep.Repaired
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if !answered {
-		return nil, &QuorumError{Op: "scrub", Acked: 0, Quorum: 1, Errs: errs}
+	merged := &ScrubReport{Proc: proc}
+	for _, rep := range reports {
+		if rep != nil {
+			merged.Merge(rep)
+		}
 	}
 	return merged, nil
 }

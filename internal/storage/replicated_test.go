@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"aic/internal/metrics"
 )
 
 // flakyStore wraps a Store, failing selected operations.
@@ -38,6 +40,13 @@ func (f *flakyStore) List(ctx context.Context) ([]string, error) {
 		return nil, errDown
 	}
 	return f.Store.List(ctx)
+}
+
+func (f *flakyStore) Scrub(ctx context.Context, proc string, repair bool) (*ScrubReport, error) {
+	if f.dark {
+		return nil, errDown
+	}
+	return f.Store.Scrub(ctx, proc, repair)
 }
 
 func newReplicatedTrio(t *testing.T) (*ReplicatedStore, []*flakyStore) {
@@ -105,10 +114,104 @@ func TestReplicatedGetPicksBestReplica(t *testing.T) {
 		t.Fatalf("best replica chain = %v", chain)
 	}
 
-	// Every peer dark: Get fails.
+	// "Best" is per seq, not per replica: a seq only the lagging peer holds
+	// joins the chain.
+	peers[1].Store.Put(ctx, "p", 3, []byte{3})
+	chain, missing, err := rs.Get(ctx, "p")
+	if err != nil || len(chain) != 4 || chain[3].Seq != 3 || len(missing) != 0 {
+		t.Fatalf("union chain = %v missing %v err %v", chain, missing, err)
+	}
+
+	// Every peer dark: Get fails, wrapping the peers' causes.
 	peers[0].dark, peers[1].dark = true, true
-	if _, _, err := rs.Get(ctx, "p"); err == nil {
-		t.Fatal("Get with every peer dark must fail")
+	var qe *QuorumError
+	if _, _, err := rs.Get(ctx, "p"); !errors.As(err, &qe) || !errors.Is(err, errDown) {
+		t.Fatalf("Get with every peer dark = %v, want a QuorumError wrapping the causes", err)
+	}
+}
+
+func TestReplicaSetFetchIsIndexAlignedAndCounted(t *testing.T) {
+	ctx := context.Background()
+	held := NewLevelStore(Target{Name: "held"})
+	held.Put(ctx, "p", 0, []byte("x"))
+	reg := metrics.NewRegistry()
+	var fan FanOut
+	fan.SetMetrics(reg)
+	names := []string{"dark", "none", "held"}
+	chains, err := fan.Fetch(ctx, "p", names, []Store{&flakyStore{dark: true}, nil, held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(chains[0].Err, errDown) || chains[1].Err == nil || chains[2].Err != nil || len(chains[2].Stored) != 1 {
+		t.Fatalf("chains = %+v, want dark / store-less / answered, in replica order", chains)
+	}
+	if v, _ := reg.Value("aic_replicated_fanout_total", "get"); v != 1 {
+		t.Fatalf("aic_replicated_fanout_total{get} = %v, want 1", v)
+	}
+	if v, _ := reg.Value("aic_replicated_partial_ack_total", "get"); v != 1 {
+		t.Fatalf("aic_replicated_partial_ack_total{get} = %v, want 1", v)
+	}
+	// No replica answered — every one dark, or none at all — is the only error.
+	if _, err := fan.Fetch(ctx, "p", names[:2], []Store{&flakyStore{dark: true}, nil}); !errors.Is(err, errDown) {
+		t.Fatalf("fetch from dark replicas = %v", err)
+	}
+	if _, err := fan.Fetch(ctx, "p", nil, nil); err == nil {
+		t.Fatal("fetch from an empty replica set succeeded")
+	}
+}
+
+func TestReplicaSetUnion(t *testing.T) {
+	el := func(seq int, data string) Stored { return Stored{Seq: seq, Data: []byte(data)} }
+	chains := []ReplicaChain{
+		{Stored: []Stored{el(0, "a0"), el(1, "BAD"), el(3, "a3")}, Missing: []int{2}},
+		{Err: errDown, Stored: []Stored{el(9, "never read")}},
+		{Stored: []Stored{el(0, "c0"), el(1, "c1"), el(4, "BAD")}, Missing: []int{5}},
+	}
+	var asked []string
+	merged, source, unreadable := Union(chains, func(s Stored) bool {
+		asked = append(asked, string(s.Data))
+		return string(s.Data) != "BAD"
+	})
+	var got []string
+	for i, s := range merged {
+		got = append(got, fmt.Sprintf("%d=%s@%d", s.Seq, s.Data, source[i]))
+	}
+	// Seq 0: the first replica's copy wins and the third's is never asked
+	// about. Seq 1: the first copy is refused, the next replica's taken.
+	// Seqs 2 and 5 are listed only as missing, seq 4's one copy is refused.
+	if want := "[0=a0@0 1=c1@2 3=a3@0]"; fmt.Sprint(got) != want {
+		t.Fatalf("merged = %v, want %s", got, want)
+	}
+	if fmt.Sprint(unreadable) != "[2 4 5]" {
+		t.Fatalf("unreadable = %v, want [2 4 5]", unreadable)
+	}
+	if want := "[a0 BAD a3 c1 BAD]"; fmt.Sprint(asked) != want {
+		t.Fatalf("admit asked about %v, want %s (each winner once, no copy of a seq already won)", asked, want)
+	}
+	// A nil admit takes every first copy.
+	merged, _, unreadable = Union(chains, nil)
+	if len(merged) != 4 || string(merged[1].Data) != "BAD" || fmt.Sprint(unreadable) != "[2 5]" {
+		t.Fatalf("admit-any union = %v, unreadable %v", merged, unreadable)
+	}
+}
+
+func TestReplicatedScrubMergesPeerReports(t *testing.T) {
+	ctx := context.Background()
+	rs, peers := newReplicatedTrio(t)
+	peers[2].dark = true
+	rep, err := rs.Scrub(ctx, "p", false)
+	if err != nil || rep.Proc != "p" || !rep.Clean() {
+		t.Fatalf("scrub with one dark peer = %+v, %v", rep, err)
+	}
+	peers[0].dark, peers[1].dark = true, true
+	if _, err := rs.Scrub(ctx, "p", false); !errors.Is(err, errDown) {
+		t.Fatalf("scrub with every peer dark = %v", err)
+	}
+
+	a := &ScrubReport{Proc: "p", Corrupt: []int{1}, Unknown: []string{"x"}}
+	a.Merge(&ScrubReport{Proc: "p#s0of2", ManifestRebuilt: true, Corrupt: []int{4}, Missing: []int{2}, Repaired: true})
+	if a.Proc != "p" || !a.ManifestRebuilt || !a.Repaired || fmt.Sprint(a.Corrupt, a.Missing, a.Unknown) != "[1 4] [2] [x]" {
+		t.Fatalf("merged report = %+v", a)
 	}
 }
 

@@ -52,6 +52,20 @@ func (r *ScrubReport) Clean() bool {
 		len(r.StrayRemoved) == 0
 }
 
+// Merge folds o's findings into r (lists concatenate, flags OR): one report
+// for a peer group's replicas, or for a peer's base and stripe chains.
+func (r *ScrubReport) Merge(o *ScrubReport) {
+	r.ManifestRebuilt = r.ManifestRebuilt || o.ManifestRebuilt
+	r.Missing = append(r.Missing, o.Missing...)
+	r.Corrupt = append(r.Corrupt, o.Corrupt...)
+	r.Orphaned = append(r.Orphaned, o.Orphaned...)
+	r.Adopted = append(r.Adopted, o.Adopted...)
+	r.SizeFixed = append(r.SizeFixed, o.SizeFixed...)
+	r.StrayRemoved = append(r.StrayRemoved, o.StrayRemoved...)
+	r.Unknown = append(r.Unknown, o.Unknown...)
+	r.Repaired = r.Repaired || o.Repaired
+}
+
 // String renders the report in fsck style.
 func (r *ScrubReport) String() string {
 	if r.Clean() {

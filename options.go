@@ -246,6 +246,7 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 		c.metrics = metrics.NewRegistry()
 	}
 	d := &CheckpointDir{local: local}
+	d.fan.SetMetrics(c.metrics)
 	if c.metrics != nil {
 		if fs, ok := local.(*storage.FSStore); ok {
 			fs.SetMetrics(c.metrics)
