@@ -276,12 +276,13 @@ func (brokenStore) Scrub(context.Context, string, bool) (*StoreScrubReport, erro
 
 // probeStore is a ring peer that records what a fan-out does to it: every
 // Put's start and end go to a log shared by the ring, inflight counts the
-// Puts that have not returned, and peak is the most it ever saw at once.
+// calls — Puts and reads — that have not returned, and peak is the most it
+// ever saw at once.
 type probeStore struct {
 	Store
 	name     string
 	log      *putLog
-	delay    time.Duration          // every Put takes at least this long
+	delay    time.Duration          // every Put and read takes at least this long
 	fail     func(key string) error // non-nil result fails the Put instead of storing
 	hang     bool                   // Put blocks until its ctx is cancelled, then takes delay to unwind
 	inflight atomic.Int32
@@ -311,14 +312,32 @@ func (l *putLog) count(ev string) int {
 	return n
 }
 
-func (p *probeStore) Put(ctx context.Context, key string, seq int, data []byte) error {
+// enter counts a call in flight until the returned func runs.
+func (p *probeStore) enter() (leave func()) {
 	if n := p.inflight.Add(1); n > p.peak.Load() {
 		p.peak.Store(n) // racing updates can only under-report; any value > 1 fails
 	}
+	return func() { p.inflight.Add(-1) }
+}
+
+func (p *probeStore) Get(ctx context.Context, key string) ([]Stored, []int, error) {
+	defer p.enter()()
+	time.Sleep(p.delay)
+	return p.Store.Get(ctx, key)
+}
+
+func (p *probeStore) GetSeqs(ctx context.Context, key string, want []int) ([]int, []Stored, []int, error) {
+	defer p.enter()()
+	time.Sleep(p.delay)
+	return storage.ReadSeqs(ctx, p.Store, key, want)
+}
+
+func (p *probeStore) Put(ctx context.Context, key string, seq int, data []byte) error {
+	leave := p.enter()
 	p.log.add("start", key)
 	defer func() {
 		p.log.add("end", key)
-		p.inflight.Add(-1)
+		leave()
 	}()
 	if p.hang {
 		<-ctx.Done()
@@ -363,6 +382,38 @@ func assertJoined(t *testing.T, probes []*probeStore, log *putLog, wantPuts int)
 	}
 	if s, e := log.count("start"), log.count("end"); s != wantPuts || e != wantPuts {
 		t.Errorf("%d Puts started, %d returned, want %d of each", s, e, wantPuts)
+	}
+}
+
+// A striped restore reads the base chain, then every stripe key as one
+// batch; stripe sets overlap (3 stripes × 2 replicas on 3 peers), and still
+// no peer is handed a second read while its first is in flight.
+func TestReplicaSetStripedRestoreOneCallPerPeer(t *testing.T) {
+	ctx := context.Background()
+	stores, probes, _ := probeRing(3, func(int, *probeStore) {})
+	c := newTestClient(t, ClientConfig{Stores: stores, Replicas: 2, StripeThreshold: 512, StripeCount: 3})
+	ns := c.Namespace("acme")
+	proc, chain := buildBigProcessChain(t)
+	for seq, enc := range chain {
+		if err := ns.Checkpoint(ctx, "web", seq, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range probes {
+		p.peak.Store(0)
+		p.delay = 5 * time.Millisecond
+	}
+	im, rep, err := ns.Restore(ctx, "web")
+	if err != nil || rep.LastSeq != len(chain)-1 || !im.Matches(proc) {
+		t.Fatalf("striped restore: %+v, %v", rep, err)
+	}
+	for _, p := range probes {
+		if n := p.peak.Load(); n != 1 {
+			t.Errorf("%s: at most %d reads in flight at once, want exactly one", p.name, n)
+		}
+		if n := p.inflight.Load(); n != 0 {
+			t.Errorf("%s: %d reads still in flight after Restore returned", p.name, n)
+		}
 	}
 }
 

@@ -371,14 +371,18 @@ func TestDedupRequiresDirectoryStore(t *testing.T) {
 }
 
 // damageStore is one replica whose reads can be damaged after the fact: a
-// dark replica fails every Get, a dropped seq moves to the missing list, a
-// flipped seq comes back with one bit inverted. It counts its Gets per key.
+// dark replica fails every read, a dropped seq moves to the missing list, a
+// flipped seq comes back with one bit inverted. It serves partial reads over
+// the same damaged view, and counts per key its whole reads, its list-only
+// reads, and how often each seq's body was asked for.
 type damageStore struct {
 	Store
 	dark       bool
 	drop, flip seqSet
 	mu         sync.Mutex
 	gets       map[string]int
+	listings   map[string]int
+	asked      map[string]map[int]int
 }
 
 // seqSet marks (chain key, seq) pairs.
@@ -396,14 +400,13 @@ func (s seqSet) add(key string, seqs ...int) {
 func newDamageStore(name string) *damageStore {
 	return &damageStore{
 		Store: storage.NewLevelStore(storage.Target{Name: name}),
-		drop:  seqSet{}, flip: seqSet{}, gets: map[string]int{},
+		drop:  seqSet{}, flip: seqSet{},
+		gets: map[string]int{}, listings: map[string]int{}, asked: map[string]map[int]int{},
 	}
 }
 
-func (d *damageStore) Get(ctx context.Context, key string) ([]Stored, []int, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.gets[key]++
+// view is the damaged chain. Callers hold d.mu.
+func (d *damageStore) view(ctx context.Context, key string) ([]Stored, []int, error) {
 	if d.dark {
 		return nil, nil, errors.New("replica dark")
 	}
@@ -422,6 +425,41 @@ func (d *damageStore) Get(ctx context.Context, key string) ([]Stored, []int, err
 		}
 	}
 	return kept, missing, err
+}
+
+// ask counts a request for the bodies of seqs. Callers hold d.mu.
+func (d *damageStore) ask(key string, seqs []int) {
+	if d.asked[key] == nil {
+		d.asked[key] = map[int]int{}
+	}
+	for _, seq := range seqs {
+		d.asked[key][seq]++
+	}
+}
+
+func (d *damageStore) Get(ctx context.Context, key string) ([]Stored, []int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.gets[key]++
+	chain, missing, err := d.view(ctx, key)
+	listed, _, _ := storage.FilterSeqs(chain, missing, nil)
+	d.ask(key, listed)
+	return chain, missing, err
+}
+
+func (d *damageStore) GetSeqs(ctx context.Context, key string, want []int) ([]int, []Stored, []int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(want) == 0 {
+		d.listings[key]++
+	}
+	d.ask(key, want)
+	chain, missing, err := d.view(ctx, key)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	listed, kept, lost := storage.FilterSeqs(chain, missing, want)
+	return listed, kept, lost, nil
 }
 
 // replicaSetFacade is one facade over three damageable replicas holding the
@@ -604,15 +642,82 @@ func TestReplicaSetDamageDifferential(t *testing.T) {
 				} else if !bytes.Equal(got, first) {
 					t.Errorf("%s: image differs from the first facade's", f.name)
 				}
-				// One Get per replica per chain key, however many elements
-				// and manifests read it.
+				// Per chain key, however many elements and manifests read
+				// it: one whole read from the first replica, one listing from
+				// every other, and no body asked of a replica twice.
 				for _, key := range f.keys {
 					for i, r := range f.order(key) {
-						if r.gets[key] != 1 {
-							t.Errorf("%s: replica %d served %d Gets of %s, want 1", f.name, i, r.gets[key], key)
+						if whole, lists := r.gets[key], r.listings[key]; i == 0 && (whole != 1 || lists != 0) || i > 0 && (whole != 0 || lists != 1) {
+							t.Errorf("%s: replica %d served %d whole reads and %d listings of %s", f.name, i, whole, lists, key)
+						}
+						for seq, n := range r.asked[key] {
+							if n > 1 {
+								t.Errorf("%s: replica %d asked %d times for seq %d of %s", f.name, i, n, seq, key)
+							}
 						}
 					}
 				}
+			}
+		})
+	}
+}
+
+// On a clean restore a replica-set read downloads each element once: the
+// body bytes it counts equal the bytes it replays, through both facades.
+func TestReplicaSetReadBytesMatchReplayedBytes(t *testing.T) {
+	ctx := context.Background()
+	_, chain := buildBigProcessChain(t)
+	trio := func() []Store {
+		return []Store{
+			storage.NewLevelStore(storage.Target{Name: "r0"}),
+			storage.NewLevelStore(storage.Target{Name: "r1"}),
+			storage.NewLevelStore(storage.Target{Name: "r2"}),
+		}
+	}
+	facades := map[string]func(t *testing.T, reg *MetricsRegistry) func() (*Image, *RestoreReport, error){
+		"dir": func(t *testing.T, reg *MetricsRegistry) func() (*Image, *RestoreReport, error) {
+			st := trio()
+			d, err := OpenCheckpointDir("", WithStore(st[0]), WithReplication(Replication{Stores: st[1:]}), WithMetrics(reg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { d.Close() })
+			for seq, enc := range chain {
+				if err := d.Append(ctx, "web", seq, enc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return func() (*Image, *RestoreReport, error) { return d.RestoreBestReplica(ctx, "web") }
+		},
+		"ring": func(t *testing.T, reg *MetricsRegistry) func() (*Image, *RestoreReport, error) {
+			stores := map[string]Store{}
+			for i, st := range trio() {
+				stores[fmt.Sprintf("peer-%d", i)] = st
+			}
+			ns := newTestClient(t, ClientConfig{Stores: stores, Replicas: 3, Metrics: reg}).Namespace("acme")
+			for seq, enc := range chain {
+				if err := ns.Checkpoint(ctx, "web", seq, enc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return func() (*Image, *RestoreReport, error) { return ns.Restore(ctx, "web") }
+		},
+	}
+	for name, open := range facades {
+		t.Run(name, func(t *testing.T) {
+			reg := NewMetricsRegistry()
+			restore := open(t, reg)
+			before, _ := reg.Value("aic_replicated_read_bytes_total", "get")
+			_, rep, err := restore()
+			if err != nil || rep.LastSeq != len(chain)-1 {
+				t.Fatalf("clean restore: %+v, %v", rep, err)
+			}
+			var replayed float64
+			for _, seq := range rep.Restored {
+				replayed += float64(len(chain[seq]))
+			}
+			if after, _ := reg.Value("aic_replicated_read_bytes_total", "get"); after-before != replayed {
+				t.Fatalf("read %v body bytes to replay %v", after-before, replayed)
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // ReplicaSet reads chains back from a replica set, behind both facades —
-// the read-side twin of the storage.FanOut its fetches run through. Its one
+// the read-side twin of the storage.FanOut its reads run through. Its one
 // guarantee (DESIGN.md §15): a restore anchors at the newest intact full
 // checkpoint any replica holds, then replays the longest contiguous
 // verifiable run of deltas, each seq from the first replica in placement
@@ -23,37 +23,59 @@ type ReplicaSet struct {
 	Place func(key string) (names []string, stores []storage.Store, err error)
 }
 
-func (rs ReplicaSet) fetch(ctx context.Context, key string) ([]storage.ReplicaChain, error) {
-	names, stores, err := rs.Place(key)
-	if err != nil {
-		return nil, err
+// read reads keys from their replica sets as one batch (storage.FanOut.Read).
+// A key Place cannot resolve reads as no replica answering.
+func (rs ReplicaSet) read(ctx context.Context, keys []string, admit func(k int, el storage.Stored) bool) []storage.ChainResult {
+	out := make([]storage.ChainResult, len(keys))
+	var reads []storage.ChainRead
+	var placed []int // placed[j] is reads[j]'s index in keys
+	for k, key := range keys {
+		names, stores, err := rs.Place(key)
+		if err != nil {
+			out[k].Err = err
+			continue
+		}
+		reads, placed = append(reads, storage.ChainRead{Key: key, Names: names, Peers: stores}), append(placed, k)
 	}
-	return rs.Fan.Fetch(ctx, key, names, stores)
+	for j, res := range rs.Fan.Read(ctx, reads, func(j int, el storage.Stored) bool { return admit(placed[j], el) }) {
+		out[placed[j]] = res
+	}
+	return out
 }
 
 // Chain returns the per-seq union of key's chain across its replica set, in
 // sequence order: one Element for every seq some replica stores, read from
 // the first replica whose copy verifies (nil Ckpt: none did), striped
 // elements reassembled. missing lists the seqs replicas list but none
-// stores. Every chain key, base or stripe, is fetched once per call.
+// stores. The base chain is read first — a stripe manifest is admitted when
+// it decodes as a manifest under its own label — then every stripe key the
+// admitted manifests name, as one batch; each element is downloaded once.
 func (rs ReplicaSet) Chain(ctx context.Context, key string) (elems []Element, missing []int, err error) {
-	chains, err := rs.fetch(ctx, key)
-	if err != nil {
-		return nil, nil, err
-	}
-	stripes := make(map[string]map[int]*ckpt.StripeFrame)
 	found := make(map[int]Element) // by seq, for every seq some replica stores
-	merged, source, unreadable := storage.Union(chains, func(el storage.Stored) bool {
-		e, err := rs.verify(ctx, key, el, stripes)
+	manifests := make(map[int]*ckpt.StripeFrame)
+	base := rs.read(ctx, []string{key}, func(_ int, el storage.Stored) bool {
+		e, man, err := verify(key, el)
 		found[el.Seq] = e
+		if man != nil {
+			manifests[el.Seq] = man
+		}
 		return err == nil
-	})
-	for i, el := range merged {
+	})[0]
+	if base.Err != nil {
+		return nil, nil, base.Err
+	}
+	parts := rs.stripeParts(ctx, key, base.Merged, manifests)
+	for i, el := range base.Merged {
 		e := found[el.Seq]
-		e.Replica = source[i]
+		if man := manifests[el.Seq]; man != nil {
+			e = reassemble(key, man, parts)
+		}
+		if e.Ckpt != nil {
+			e.Replica = base.Source[i]
+		}
 		elems = append(elems, e)
 	}
-	for _, seq := range unreadable {
+	for _, seq := range base.Unreadable {
 		if e, stored := found[seq]; stored {
 			elems = append(elems, e)
 		} else {
@@ -64,72 +86,88 @@ func (rs ReplicaSet) Chain(ctx context.Context, key string) (elems []Element, mi
 	return elems, missing, nil
 }
 
-// verify decodes one stored copy into a replayable element — reassembled
-// first when it is a stripe manifest — whose frame carries the label's seq;
-// a copy that fails comes back with a nil Ckpt.
-func (rs ReplicaSet) verify(ctx context.Context, key string, el storage.Stored, stripes map[string]map[int]*ckpt.StripeFrame) (Element, error) {
-	bad, data := Element{Seq: el.Seq, Replica: -1}, el.Data
-	if ckpt.IsStripe(data) {
-		var err error
-		if data, err = rs.reassemble(ctx, key, data, stripes); err != nil {
-			return bad, err
+// verify admits one stored base-chain copy: a frame that decodes and carries
+// the label's seq, or a stripe manifest under its own label (returned for
+// reassembly). A copy that fails comes back with a nil Ckpt.
+func verify(key string, el storage.Stored) (Element, *ckpt.StripeFrame, error) {
+	bad := Element{Seq: el.Seq, Replica: -1}
+	if ckpt.IsStripe(el.Data) {
+		man, err := ckpt.DecodeStripe(el.Data)
+		switch {
+		case err != nil:
+			return bad, nil, err
+		case !man.Manifest:
+			return bad, nil, fmt.Errorf("recovery: bare stripe part stored at base key %s", key)
+		case man.Seq != el.Seq:
+			return bad, nil, fmt.Errorf("recovery: %s seq %d holds the manifest of seq %d", key, el.Seq, man.Seq)
 		}
+		return bad, man, nil
 	}
-	c, err := ckpt.Decode(data)
+	c, err := ckpt.Decode(el.Data)
 	if err != nil {
-		return bad, err
+		return bad, nil, err
 	}
 	if c.Seq != el.Seq {
-		return bad, fmt.Errorf("recovery: %s seq %d holds the frame of seq %d", key, el.Seq, c.Seq)
+		return bad, nil, fmt.Errorf("recovery: %s seq %d holds the frame of seq %d", key, el.Seq, c.Seq)
 	}
-	return Element{Seq: el.Seq, Data: data, Ckpt: c}, nil
+	return Element{Seq: el.Seq, Data: el.Data, Ckpt: c}, nil, nil
 }
 
-// reassemble rebuilds a striped element from its base-key manifest. stripes
-// caches each stripe key's verified parts by seq, one fetch per call.
-func (rs ReplicaSet) reassemble(ctx context.Context, key string, manifest []byte, stripes map[string]map[int]*ckpt.StripeFrame) ([]byte, error) {
-	man, err := ckpt.DecodeStripe(manifest)
-	if err != nil {
-		return nil, err
-	}
-	if !man.Manifest {
-		return nil, fmt.Errorf("recovery: bare stripe part stored at base key %s", key)
-	}
-	var parts []*ckpt.StripeFrame
-	for i := 0; i < man.Count; i++ {
-		stripeKey := key + storage.StripeSep + storage.StripeLabel(i, man.Count)
-		held, fetched := stripes[stripeKey]
-		if !fetched {
-			held = rs.stripeParts(ctx, stripeKey, i, man.Count)
-			stripes[stripeKey] = held
+// stripeParts reads every stripe key the admitted manifests name, as one
+// batch: a copy is admitted when it decodes as a part, at its key's index of
+// its key's count, under its own label. parts[stripeKey][seq] is the part.
+func (rs ReplicaSet) stripeParts(ctx context.Context, key string, merged []storage.Stored, manifests map[int]*ckpt.StripeFrame) map[string]map[int]*ckpt.StripeFrame {
+	type slot struct{ index, count int }
+	var keys []string
+	slots := make(map[string]slot)
+	for _, el := range merged {
+		man := manifests[el.Seq]
+		if man == nil {
+			continue
 		}
-		part := held[man.Seq]
-		if part == nil {
-			return nil, fmt.Errorf("recovery: no replica of %s holds an intact seq %d", stripeKey, man.Seq)
+		for i := 0; i < man.Count; i++ {
+			stripeKey := key + storage.StripeSep + storage.StripeLabel(i, man.Count)
+			if _, ok := slots[stripeKey]; !ok {
+				slots[stripeKey] = slot{i, man.Count}
+				keys = append(keys, stripeKey)
+			}
 		}
-		parts = append(parts, part)
 	}
-	return ckpt.ReassembleStripes(man, parts)
-}
-
-// stripeParts is the base chain's fetch and union over one stripe key: a
-// copy is admitted when it decodes as a part, at this index of this count,
-// under its own label. An unreachable replica set reads as holding nothing.
-func (rs ReplicaSet) stripeParts(ctx context.Context, stripeKey string, index, count int) map[int]*ckpt.StripeFrame {
-	held := make(map[int]*ckpt.StripeFrame)
-	chains, err := rs.fetch(ctx, stripeKey)
-	if err != nil {
-		return held
-	}
-	storage.Union(chains, func(el storage.Stored) bool {
+	parts := make(map[string]map[int]*ckpt.StripeFrame, len(keys))
+	rs.read(ctx, keys, func(k int, el storage.Stored) bool {
+		want := slots[keys[k]]
 		sf, err := ckpt.DecodeStripe(el.Data)
-		if err != nil || sf.Manifest || sf.Index != index || sf.Count != count || sf.Seq != el.Seq {
+		if err != nil || sf.Manifest || sf.Index != want.index || sf.Count != want.count || sf.Seq != el.Seq {
 			return false
 		}
-		held[el.Seq] = sf
+		if parts[keys[k]] == nil {
+			parts[keys[k]] = make(map[int]*ckpt.StripeFrame)
+		}
+		parts[keys[k]][el.Seq] = sf
 		return true
 	})
-	return held
+	return parts
+}
+
+// reassemble rebuilds a striped element from its manifest and the batch's
+// parts; one that cannot be rebuilt, or does not verify, has a nil Ckpt.
+func reassemble(key string, man *ckpt.StripeFrame, parts map[string]map[int]*ckpt.StripeFrame) Element {
+	bad := Element{Seq: man.Seq, Replica: -1}
+	held := make([]*ckpt.StripeFrame, man.Count)
+	for i := range held {
+		if held[i] = parts[key+storage.StripeSep+storage.StripeLabel(i, man.Count)][man.Seq]; held[i] == nil {
+			return bad
+		}
+	}
+	data, err := ckpt.ReassembleStripes(man, held)
+	if err != nil {
+		return bad
+	}
+	c, err := ckpt.Decode(data)
+	if err != nil || c.Seq != man.Seq {
+		return bad
+	}
+	return Element{Seq: man.Seq, Data: data, Ckpt: c}
 }
 
 // Restore replays Chain's union once, with RestoreLatestGood's rules; the

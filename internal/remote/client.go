@@ -158,7 +158,10 @@ type RemoteStore struct {
 	putBuf []byte
 }
 
-var _ storage.Store = (*RemoteStore)(nil)
+var (
+	_ storage.Store     = (*RemoteStore)(nil)
+	_ storage.SeqGetter = (*RemoteStore)(nil)
+)
 
 // NewStore creates a client for the peer at addr. No connection is made
 // until the first operation.
@@ -536,22 +539,50 @@ func readPutAck(br *bufio.Reader, maxFrame int) (int64, error) {
 }
 
 // Get implements storage.Store.
-func (r *RemoteStore) Get(ctx context.Context, proc string) (chain []storage.Stored, missing []int, err error) {
-	err = r.timedDo(ctx, "get", func(conn net.Conn, br *bufio.Reader) error {
-		chain, missing = nil, nil
+func (r *RemoteStore) Get(ctx context.Context, proc string) ([]storage.Stored, []int, error) {
+	hdr, chain, err := r.get(ctx, "get", proc, false, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return chain, hdr.Missing, nil
+}
+
+// GetSeqs implements storage.SeqGetter: one round trip carrying the listing
+// and only the wanted bodies. A peer that predates partial reads answers
+// with its whole chain, filtered here. A partial answer is outside input: an
+// element that was not wanted or not listed, or a listing out of order,
+// fails the call as this peer's — no retry would make it honest.
+func (r *RemoteStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []storage.Stored, []int, error) {
+	hdr, chain, err := r.get(ctx, "get_seqs", proc, true, want)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if !hdr.Only {
+		listed, chain, missing := storage.FilterSeqs(chain, hdr.Missing, want)
+		return listed, chain, missing, nil
+	}
+	if err := checkPartial(hdr.Listed, chain, want); err != nil {
+		return nil, nil, nil, fmt.Errorf("remote: peer %s: partial read of %s: %w", r.addr, proc, err)
+	}
+	return hdr.Listed, chain, hdr.Missing, nil
+}
+
+// get runs one kindGet exchange: the reply header and its elements.
+func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want []int) (hdr chainMsg, chain []storage.Stored, err error) {
+	err = r.timedDo(ctx, op, func(conn net.Conn, br *bufio.Reader) error {
+		hdr, chain = chainMsg{}, nil
 		p, tenant, stripe := r.splitWireLocked(proc)
-		if err := writeJSON(conn, kindGet, procMsg{Proc: p, Tenant: tenant, Stripe: stripe}); err != nil {
+		msg := getMsg{procMsg: procMsg{Proc: p, Tenant: tenant, Stripe: stripe}, Only: only, Want: want}
+		if err := writeJSON(conn, kindGet, msg); err != nil {
 			return err
 		}
 		payload, err := expect(br, r.cfg.MaxFrame, kindChain)
 		if err != nil {
 			return err
 		}
-		var hdr chainMsg
 		if err := decodeJSON(payload, &hdr); err != nil {
 			return err
 		}
-		missing = hdr.Missing
 		for i := 0; i < hdr.Count; i++ {
 			payload, err := expect(br, r.cfg.MaxFrame, kindElem)
 			if err != nil {
@@ -565,10 +596,36 @@ func (r *RemoteStore) Get(ctx context.Context, proc string) (chain []storage.Sto
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, nil, err
+	return hdr, chain, err
+}
+
+// checkPartial vets a partial read's answer: listed strictly ascending, and
+// every element wanted, listed and sent once, in sequence order.
+func checkPartial(listed []int, chain []storage.Stored, want []int) error {
+	for i := 1; i < len(listed); i++ {
+		if listed[i] <= listed[i-1] {
+			return fmt.Errorf("listing not strictly ascending at seq %d", listed[i])
+		}
 	}
-	return chain, missing, nil
+	inListing := make(map[int]bool, len(listed))
+	for _, seq := range listed {
+		inListing[seq] = true
+	}
+	wanted := make(map[int]bool, len(want))
+	for _, seq := range want {
+		wanted[seq] = true
+	}
+	for i, el := range chain {
+		switch {
+		case !wanted[el.Seq]:
+			return fmt.Errorf("seq %d sent but not requested", el.Seq)
+		case !inListing[el.Seq]:
+			return fmt.Errorf("seq %d sent but not listed", el.Seq)
+		case i > 0 && el.Seq <= chain[i-1].Seq:
+			return fmt.Errorf("seq %d sent out of order or twice", el.Seq)
+		}
+	}
+	return nil
 }
 
 // List implements storage.Store.

@@ -1,0 +1,189 @@
+package remote
+
+import (
+	"bytes"
+	"errors"
+	"net"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"aic/internal/storage"
+)
+
+// plainStore hides a store's optional refinements: the server must answer a
+// partial read through the Get-and-filter fallback.
+type plainStore struct{ storage.Store }
+
+// scriptedPeer speaks just enough of the protocol to answer every kindGet
+// with reply(request) — an old peer, or a hostile one. It counts the Gets.
+func scriptedPeer(t *testing.T, reply func(req getMsg) (chainMsg, []storage.Stored)) (addr string, gets *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets = new(atomic.Int32)
+	var (
+		wg    sync.WaitGroup
+		mu    sync.Mutex
+		conns []net.Conn
+	)
+	serve := func(conn net.Conn) {
+		defer conn.Close()
+		if _, _, err := readFrame(conn, DefaultMaxFrame); err != nil {
+			return
+		}
+		if writeJSON(conn, kindHelloOK, helloMsg{Version: protocolVersion}) != nil {
+			return
+		}
+		for {
+			kind, payload, err := readFrame(conn, DefaultMaxFrame)
+			if err != nil || kind != kindGet {
+				return
+			}
+			gets.Add(1)
+			var req getMsg
+			if decodeJSON(payload, &req) != nil {
+				return
+			}
+			hdr, chain := reply(req)
+			hdr.Count = len(chain)
+			if writeJSON(conn, kindChain, hdr) != nil {
+				return
+			}
+			for _, el := range chain {
+				if writeFrame(conn, kindElem, elemFrame(el.Seq, el.Data)) != nil {
+					return
+				}
+			}
+		}
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				serve(conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		for _, c := range conns {
+			c.Close()
+		}
+		mu.Unlock()
+		wg.Wait()
+	})
+	return ln.Addr().String(), gets
+}
+
+// A partial read over the wire answers exactly like Get filtered to want,
+// whether the peer's store has the refinement, lacks it (the server
+// filters), or the peer predates partial reads and sends its whole chain
+// (the client filters). Only the old peer ships unwanted bodies.
+func TestReplicationGetSeqsOverWire(t *testing.T) {
+	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	body := bytes.Repeat([]byte("b"), 4096)
+	for seq := 0; seq < 5; seq++ {
+		if err := back.Put(ctx, "p", seq, append([]byte{byte(seq)}, body...)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, _, err := back.Get(ctx, "p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []int{3, 1, 1, 9}
+	wantListed, wantChain, wantMissing := storage.FilterSeqs(all, nil, want)
+	var oldReq getMsg
+	oldAddr, _ := scriptedPeer(t, func(req getMsg) (chainMsg, []storage.Stored) {
+		oldReq = req
+		return chainMsg{}, all // no Only echo: the whole chain, as before partial reads
+	})
+	for _, tc := range []struct {
+		name    string
+		addr    string
+		shipped func(n int64) bool // bytes the client read, hello included
+	}{
+		{"refined store", startServer(t, back), func(n int64) bool { return n < 3*4096 }},
+		{"store without the refinement", startServer(t, plainStore{back}), func(n int64) bool { return n < 3*4096 }},
+		{"peer that ignores only", oldAddr, func(n int64) bool { return n > 5*4096 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig()
+			dialer := &countingDialer{}
+			cfg.Dialer = dialer
+			rs := NewStore(tc.addr, cfg)
+			defer rs.Close()
+			listed, chain, missing, err := rs.GetSeqs(ctx, "p", want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(listed, wantListed) || !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(missing, wantMissing) {
+				t.Fatalf("GetSeqs = %v, %d elems, %v; want %v, %d elems, %v", listed, len(chain), missing, wantListed, len(wantChain), wantMissing)
+			}
+			if n := dialer.Total(); !tc.shipped(n) {
+				t.Fatalf("%d bytes crossed the wire", n)
+			}
+		})
+	}
+	if !oldReq.Only || !reflect.DeepEqual(oldReq.Want, want) || oldReq.Proc != "p" {
+		t.Fatalf("request on the wire = %+v, want only=true and want=%v", oldReq, want)
+	}
+}
+
+// A partial answer is outside input: anything but wanted, listed elements
+// sent once in order, under a strictly ascending listing, fails the call as
+// the peer's — at once, without retrying a peer that answered.
+func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
+	el := func(seq int) storage.Stored { return storage.Stored{Seq: seq, Data: []byte{byte(seq)}} }
+	want := []int{1, 3}
+	for _, tc := range []struct {
+		name   string
+		listed []int
+		chain  []storage.Stored
+		ok     bool
+	}{
+		{"honest", []int{0, 1, 2, 3}, []storage.Stored{el(1), el(3)}, true},
+		{"element not requested", []int{0, 1, 2, 3}, []storage.Stored{el(1), el(2)}, false},
+		{"element not listed", []int{0, 1, 2}, []storage.Stored{el(1), el(3)}, false},
+		{"listing out of order", []int{0, 2, 1, 3}, []storage.Stored{el(1), el(3)}, false},
+		{"listing repeats a seq", []int{0, 1, 1, 3}, []storage.Stored{el(1), el(3)}, false},
+		{"element sent twice", []int{0, 1, 2, 3}, []storage.Stored{el(1), el(1)}, false},
+		{"elements out of order", []int{0, 1, 2, 3}, []storage.Stored{el(3), el(1)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, gets := scriptedPeer(t, func(getMsg) (chainMsg, []storage.Stored) {
+				return chainMsg{Only: true, Listed: tc.listed}, tc.chain
+			})
+			rs := NewStore(addr, testConfig())
+			defer rs.Close()
+			listed, chain, _, err := rs.GetSeqs(ctx, "p", want)
+			if tc.ok {
+				if err != nil || !reflect.DeepEqual(listed, tc.listed) || !reflect.DeepEqual(chain, tc.chain) {
+					t.Fatalf("honest reply: %v %v %v", listed, chain, err)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatalf("accepted %v / %v", tc.listed, tc.chain)
+			}
+			if errors.Is(err, ErrPeerDark) || gets.Load() != 1 {
+				t.Fatalf("err = %v after %d Gets; want one terminal failure", err, gets.Load())
+			}
+		})
+	}
+}

@@ -40,7 +40,7 @@ const (
 	kindPutBegin  byte = 0x02 // JSON putBeginMsg
 	kindPutData   byte = 0x03 // uvarint offset ++ raw bytes
 	kindPutCommit byte = 0x04 // empty
-	kindGet       byte = 0x05 // JSON procMsg
+	kindGet       byte = 0x05 // JSON getMsg
 	kindList      byte = 0x06 // empty
 	kindDelete    byte = 0x07 // JSON procMsg
 	kindTruncate  byte = 0x08 // JSON truncateMsg
@@ -121,6 +121,15 @@ type procMsg struct {
 	Stripe string `json:"stripe,omitempty"`
 }
 
+// getMsg asks for one chain. Only makes it a partial read: the chain's
+// listing plus the bodies of just the Want seqs. A server that predates the
+// fields ignores them and sends the whole chain, without the Only echo.
+type getMsg struct {
+	procMsg
+	Only bool  `json:"only,omitempty"`
+	Want []int `json:"want,omitempty"`
+}
+
 type putBeginMsg struct {
 	Proc   string `json:"proc"`
 	Tenant string `json:"tenant,omitempty"`
@@ -161,6 +170,10 @@ type scrubMsg struct {
 type chainMsg struct {
 	Count   int   `json:"count"`
 	Missing []int `json:"missing,omitempty"`
+	// Only echoes a partial read's request: Listed is then every seq the
+	// chain lists, ascending, and the Count elements are wanted, listed ones.
+	Only   bool  `json:"only,omitempty"`
+	Listed []int `json:"listed,omitempty"`
 }
 
 type procsMsg struct {

@@ -355,7 +355,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			}
 
 		case kindGet:
-			var m procMsg
+			var m getMsg
 			if err := decodeJSON(payload, &m); err != nil {
 				return err
 			}
@@ -366,14 +366,22 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 				}
 				continue
 			}
-			chain, missing, err := s.store.Get(ctx, name)
+			var reply chainMsg
+			var chain []storage.Stored
+			if m.Only {
+				reply.Only = true
+				reply.Listed, chain, reply.Missing, err = storage.ReadSeqs(ctx, s.store, name, m.Want)
+			} else {
+				chain, reply.Missing, err = s.store.Get(ctx, name)
+			}
 			if err != nil {
 				if e := s.sendStoreErr(conn, err); e != nil {
 					return e
 				}
 				continue
 			}
-			hdr, err := json.Marshal(chainMsg{Count: len(chain), Missing: missing})
+			reply.Count = len(chain)
+			hdr, err := json.Marshal(reply)
 			if err != nil {
 				return err
 			}

@@ -505,33 +505,56 @@ func (fs *FSStore) commitProc(st *procState, proc string, reqs []*putReq) {
 // what the gaps cost. It fails only when the manifest itself is unreadable
 // (run Scrub first to rebuild it from the surviving files).
 func (fs *FSStore) Get(ctx context.Context, proc string) (chain []Stored, missing []int, err error) {
+	_, chain, missing, err = fs.read(ctx, proc, func(int) bool { return true })
+	return chain, missing, err
+}
+
+// GetSeqs implements SeqGetter: one manifest load plus the wanted files.
+func (fs *FSStore) GetSeqs(ctx context.Context, proc string, want []int) (listed []int, chain []Stored, missing []int, err error) {
+	wanted := wantSet(want)
+	return fs.read(ctx, proc, func(seq int) bool { return wanted[seq] })
+}
+
+// read lists proc's manifest and reads the listed elements wanted reports,
+// in sequence order; an unreadable one is missing.
+func (fs *FSStore) read(ctx context.Context, proc string, wanted func(seq int) bool) (listed []int, chain []Stored, missing []int, err error) {
 	if err := ctx.Err(); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	if err := ValidateProcName(proc); err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	m, err := fs.loadManifest(proc)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	seqs := append([]int(nil), m.Seqs...)
-	sort.Ints(seqs)
-	for _, seq := range seqs {
-		data, err := fs.fsys.ReadFile(filepath.Join(fs.procDir(proc), ckptFile(seq)))
-		if err != nil {
-			missing = append(missing, seq)
+	listed = append([]int(nil), m.Seqs...)
+	sort.Ints(listed)
+	for _, seq := range listed {
+		if !wanted(seq) {
 			continue
 		}
-		// Recipes resolve back to the exact payload bytes; one whose chunks
-		// are damaged or gone classifies as missing, like a lost file.
-		if data, err = fs.resolveData(data); err != nil {
+		if data, ok := fs.readElem(proc, seq); ok {
+			chain = append(chain, Stored{Seq: seq, Data: data})
+		} else {
 			missing = append(missing, seq)
-			continue
 		}
-		chain = append(chain, Stored{Seq: seq, Data: data})
 	}
-	return chain, missing, nil
+	return listed, chain, missing, nil
+}
+
+// readElem reads one manifest-listed element's payload. Recipes resolve back
+// to the exact payload bytes; a lost file, or a recipe whose chunks are
+// damaged or gone, reports ok=false — what Get classifies as missing.
+func (fs *FSStore) readElem(proc string, seq int) ([]byte, bool) {
+	data, err := fs.fsys.ReadFile(filepath.Join(fs.procDir(proc), ckptFile(seq)))
+	if err != nil {
+		return nil, false
+	}
+	if data, err = fs.resolveData(data); err != nil {
+		return nil, false
+	}
+	return data, true
 }
 
 // GetElem returns the single stored element for (proc, seq) — one manifest
@@ -550,17 +573,10 @@ func (fs *FSStore) GetElem(ctx context.Context, proc string, seq int) ([]byte, b
 		return nil, false, err
 	}
 	for _, s := range m.Seqs {
-		if s != seq {
-			continue
+		if s == seq {
+			data, ok := fs.readElem(proc, seq)
+			return data, ok, nil
 		}
-		data, err := fs.fsys.ReadFile(filepath.Join(fs.procDir(proc), ckptFile(seq)))
-		if err != nil {
-			return nil, false, nil
-		}
-		if data, err = fs.resolveData(data); err != nil {
-			return nil, false, nil
-		}
-		return data, true, nil
 	}
 	return nil, false, nil
 }

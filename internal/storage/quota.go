@@ -69,6 +69,7 @@ type QuotaStore struct {
 var (
 	_ Store      = (*QuotaStore)(nil)
 	_ ElemGetter = (*QuotaStore)(nil)
+	_ SeqGetter  = (*QuotaStore)(nil)
 )
 
 // NewQuotaStore wraps inner with the given default per-tenant quota.
@@ -331,6 +332,12 @@ func (q *QuotaStore) GetElem(ctx context.Context, name string, seq int) ([]byte,
 		}
 	}
 	return nil, false, nil
+}
+
+// GetSeqs implements the partial read when the inner store does, else
+// filters its Get.
+func (q *QuotaStore) GetSeqs(ctx context.Context, name string, want []int) ([]int, []Stored, []int, error) {
+	return ReadSeqs(ctx, q.inner, name, want)
 }
 
 // List implements Store.

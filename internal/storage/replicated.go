@@ -15,7 +15,7 @@ import (
 // acknowledges once a quorum of them has — the paper's L2 RAID-5 peer-node
 // group generalized to any Store implementations (typically RemoteStores
 // speaking the replication protocol, but any mix works). Reads return the
-// per-sequence union of the answering peers (Fetch, Union). A peer that
+// per-sequence union of the answering peers (Read). A peer that
 // stays dark does not block the quorum: the fan-out degrades gracefully as
 // long as Quorum peers still answer.
 type ReplicatedStore struct {
@@ -142,9 +142,11 @@ type ReplicaChain struct {
 	Err     error
 }
 
-// Fetch Gets key's whole chain from every replica concurrently — the one
-// place a replica set is read. The result is index-aligned to peers, so a
-// merge over it stays deterministic; it fails only when no replica answered.
+// Fetch Gets key's whole chain from every replica concurrently, for a caller
+// that needs every copy (the rebalancer's "replicas disagree" check); Read
+// gives Union's answer while downloading each element once. The result is
+// index-aligned to peers, so a merge over it stays deterministic; it fails
+// only when no replica answered.
 func (f *FanOut) Fetch(ctx context.Context, key string, names []string, peers []Store) ([]ReplicaChain, error) {
 	chains := make([]ReplicaChain, len(peers))
 	for i := range chains {
@@ -155,6 +157,11 @@ func (f *FanOut) Fetch(ctx context.Context, key string, names []string, peers []
 		c.Stored, c.Missing, c.Err = peer.Get(ctx, key)
 		return c.Err
 	})
+	var n int
+	for _, c := range chains {
+		n += bodyBytes(c.Stored)
+	}
+	f.met.observeReadBytes("get", n)
 	if answered == 0 {
 		return nil, &QuorumError{Op: "get", Quorum: 1, Errs: failed}
 	}
@@ -167,10 +174,6 @@ func (f *FanOut) Fetch(ctx context.Context, key string, names []string, peers []
 // carries opaque bytes). merged is in sequence order, source[i] the replica
 // merged[i] was read from, unreadable the seqs admitted nowhere.
 func Union(chains []ReplicaChain, admit func(Stored) bool) (merged []Stored, source, unreadable []int) {
-	type winner struct {
-		el      Stored
-		replica int
-	}
 	won := make(map[int]winner)
 	listed := make(map[int]bool)
 	for r, c := range chains {
@@ -299,15 +302,11 @@ func (r *ReplicatedStore) Truncate(ctx context.Context, proc string, fullSeq int
 	})
 }
 
-// Get returns the per-sequence union of the answering peers' chains; it
-// fails only when no peer answers at all.
+// Get returns the per-sequence union of the answering peers' chains, each
+// element downloaded once (Read); it fails only when no peer answers at all.
 func (r *ReplicatedStore) Get(ctx context.Context, proc string) ([]Stored, []int, error) {
-	chains, err := r.fan.Fetch(ctx, proc, r.names, r.peers)
-	if err != nil {
-		return nil, nil, err
-	}
-	merged, _, missing := Union(chains, nil)
-	return merged, missing, nil
+	res := r.fan.Read(ctx, []ChainRead{{Key: proc, Names: r.names, Peers: r.peers}}, nil)[0]
+	return res.Merged, res.Unreadable, res.Err
 }
 
 // List returns the union of process names across the answering peers.

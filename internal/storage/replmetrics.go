@@ -10,6 +10,7 @@ type replMetrics struct {
 	fanouts      *metrics.CounterVec // aic_replicated_fanout_total{op}
 	quorumMisses *metrics.CounterVec // aic_replicated_quorum_miss_total{op}
 	partialAcks  *metrics.CounterVec // aic_replicated_partial_ack_total{op}
+	readBytes    *metrics.CounterVec // aic_replicated_read_bytes_total{op}
 }
 
 // SetMetrics instruments the quorum store against reg (DESIGN.md §14
@@ -29,6 +30,8 @@ func (f *FanOut) SetMetrics(reg *metrics.Registry) {
 			"Fan-outs acknowledged by fewer than quorum peers.", "op"),
 		partialAcks: reg.CounterVec("aic_replicated_partial_ack_total",
 			"Fan-outs that met quorum but lost at least one peer.", "op"),
+		readBytes: reg.CounterVec("aic_replicated_read_bytes_total",
+			"Element body bytes replica-set reads downloaded.", "op"),
 	}
 }
 
@@ -44,4 +47,13 @@ func (m *replMetrics) observeFanOut(op string, acked, total, quorum int) {
 	} else if acked < total {
 		m.partialAcks.With(op).Inc()
 	}
+}
+
+// observeReadBytes records n element body bytes a replica-set read
+// downloaded.
+func (m *replMetrics) observeReadBytes(op string, n int) {
+	if m == nil {
+		return
+	}
+	m.readBytes.With(op).Add(float64(n))
 }

@@ -197,6 +197,16 @@ func (ls *LevelStore) Get(ctx context.Context, proc string) ([]Stored, []int, er
 	return out, nil, nil
 }
 
+// GetSeqs implements SeqGetter.
+func (ls *LevelStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []Stored, []int, error) {
+	chain, _, err := ls.Get(ctx, proc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	listed, kept, _ := FilterSeqs(chain, nil, want)
+	return listed, kept, nil, nil
+}
+
 // GetElem returns the single stored element for (proc, seq).
 func (ls *LevelStore) GetElem(ctx context.Context, proc string, seq int) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {

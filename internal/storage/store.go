@@ -69,6 +69,19 @@ type ElemGetter interface {
 	GetElem(ctx context.Context, proc string, seq int) (data []byte, ok bool, err error)
 }
 
+// SeqGetter is an optional refinement of Store for reading part of a chain:
+// what a replica set's read plan (FanOut.Read) asks of every replica but the
+// first. Stores that do not implement it are read through ReadSeqs's
+// Get-and-filter fallback.
+type SeqGetter interface {
+	// GetSeqs lists key's chain — every seq Get would report, stored or
+	// missing, strictly ascending — and returns the bodies of only the
+	// listed seqs in want, in sequence order; a wanted seq whose body is
+	// unreadable comes back in missing. Wanted seqs the chain does not list,
+	// and duplicates, are ignored; a nil want lists only.
+	GetSeqs(ctx context.Context, key string, want []int) (listed []int, chain []Stored, missing []int, err error)
+}
+
 // Compile-time checks: every store in the package satisfies the contract.
 var (
 	_ Store = (*LevelStore)(nil)
@@ -77,4 +90,7 @@ var (
 
 	_ ElemGetter = (*LevelStore)(nil)
 	_ ElemGetter = (*FSStore)(nil)
+
+	_ SeqGetter = (*LevelStore)(nil)
+	_ SeqGetter = (*FSStore)(nil)
 )

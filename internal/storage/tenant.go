@@ -136,6 +136,12 @@ type NamespacedStore struct {
 	tenant string
 }
 
+var (
+	_ Store      = (*NamespacedStore)(nil)
+	_ ElemGetter = (*NamespacedStore)(nil)
+	_ SeqGetter  = (*NamespacedStore)(nil)
+)
+
 // Namespaced returns the tenant's view of inner. The default tenant's view
 // is still wrapped (not returned as inner itself): the view's List filters
 // out other tenants' qualified names, which the raw store would leak.
@@ -190,6 +196,16 @@ func (ns *NamespacedStore) GetElem(ctx context.Context, proc string, seq int) ([
 		return nil, false, err
 	}
 	return eg.GetElem(ctx, q, seq)
+}
+
+// GetSeqs implements the partial read when the inner store does, else
+// filters its Get.
+func (ns *NamespacedStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []Stored, []int, error) {
+	q, err := ns.qualify(proc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ReadSeqs(ctx, ns.inner, q, want)
 }
 
 // List implements Store: only this tenant's user-visible procs, with the
