@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: help build lint test race fuzz-smoke chaos-smoke cover bench bench-smoke bench-e2e bench-e2e-smoke
+.PHONY: help build lint test race fuzz-smoke chaos-smoke cover bench-e2e bench-e2e-smoke
 
 help: ## list targets
 	@awk -F':.*## ' '/^[a-z0-9-]+:.*## /{printf "  %-16s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -41,15 +41,6 @@ chaos-smoke: ## compaction-racing-faults chaos scenario under the race detector
 cover: ## coverage profile + per-function summary
 	$(GO) test -shuffle=on -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
-
-bench: ## full pinned perf suite; writes BENCH_9.json against the BENCH_7.json baseline
-	$(GO) run ./cmd/aicbench -json -out BENCH_9.json -baseline-from BENCH_7.json
-	$(GO) run ./cmd/aicbench -check BENCH_9.json -max-regress 25
-
-bench-smoke: ## CI-sized perf suite + schema validation of the committed report
-	$(GO) run ./cmd/aicbench -json -short -out /tmp/bench-smoke.json
-	$(GO) run ./cmd/aicbench -check /tmp/bench-smoke.json
-	$(GO) run ./cmd/aicbench -check BENCH_9.json
 
 bench-e2e: ## the repo benchmark (bench/, BENCHMARK.json): both facades end to end, untraced then traced
 	bash bench/run.sh

@@ -235,7 +235,8 @@ func BenchmarkXOREncode4KiB(b *testing.B) {
 
 // benchUpdates builds a dirty set with the AIC steady-state mix: 70% hot
 // lightly-edited pages (delta pays off), 10% hot rewritten pages (raw
-// fallback), 20% fresh pages.
+// fallback), 20% fresh pages. It is the one synthetic dirty-set generator
+// the codec benchmarks share.
 func benchUpdates(pages int) []delta.PageUpdate {
 	rng := numeric.NewRNG(4)
 	updates := make([]delta.PageUpdate, pages)
@@ -276,6 +277,34 @@ func BenchmarkPageAlignedEncodeParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				delta.EncodePageAlignedParallel(updates, delta.DefaultBlockSize, workers)
+			}
+		})
+	}
+}
+
+// BenchmarkPageAlignedDecodeParallel is the restore-side counterpart: the
+// same dirty set, encoded once, decoded at 1/2/4/8 workers. Throughput is
+// relative to the decoded image size, as for the encoder.
+func BenchmarkPageAlignedDecodeParallel(b *testing.B) {
+	const pages = 2048
+	updates := benchUpdates(pages)
+	stream := delta.EncodePageAligned(updates, delta.DefaultBlockSize)
+	olds := make(map[uint64][]byte, pages)
+	for _, u := range updates {
+		if u.Old != nil {
+			olds[u.Index] = u.Old
+		}
+	}
+	fetch := func(idx uint64) []byte { return olds[idx] }
+	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(pages) * 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := delta.DecodePageAlignedParallel(stream, fetch, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -59,11 +59,11 @@ func NewProcess(pageSize int, opts ...Option) *Process {
 // PageSize returns the image's page size.
 func (p *Process) PageSize() int { return p.as.PageSize() }
 
-// SetParallelism mutates the delta-encoder worker knob after construction.
-//
-// Deprecated: pass WithParallelism to NewProcess instead; the option form
-// keeps a Process's configuration fixed for its lifetime.
-func (p *Process) SetParallelism(n int) { p.builder.SetParallelism(n) }
+// SetParallelism changes the delta-encoder worker count of a live process
+// (0 = GOMAXPROCS, 1 = serial). WithParallelism sets it at construction;
+// this is how an application applies the adaptive controller's
+// serial-encode rung (CheckpointDir.EncodeParallelism) afterwards.
+func (p *Process) SetParallelism(n int) { ckpt.WithParallelism(n)(p.builder) }
 
 // Write stores data into the page at index starting at offset, allocating
 // on demand. Writes must stay within one page.

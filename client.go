@@ -55,8 +55,9 @@ type ClientConfig struct {
 	DialTimeout time.Duration
 	OpTimeout   time.Duration
 	Retries     int
-	// JitterSeed pins the per-peer backoff-jitter RNG (peer i is seeded
-	// JitterSeed+i); 0 keeps wall-clock seeding.
+	// JitterSeed pins the per-peer backoff-jitter RNG (the i-th peer dialed,
+	// AddPeer joins included, is seeded JitterSeed+i); 0 keeps wall-clock
+	// seeding.
 	JitterSeed int64
 	// Metrics instruments the peer clients, the replica fan-outs and the
 	// rebalancer against this registry.
@@ -90,6 +91,7 @@ type Client struct {
 	rebal   *ring.Rebalancer
 	closed  bool
 	fan     storage.FanOut // the replica-set fan-out ReplicatedStore shares
+	dialed  int            // peers dialed so far: the next one's jitter offset
 }
 
 // NewClient connects a ring-aware client to the given peer set. At least
@@ -103,23 +105,11 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		remotes: make(map[string]*remote.RemoteStore),
 	}
 	var names []string
-	for i, addr := range cfg.Peers {
+	for _, addr := range cfg.Peers {
 		if _, dup := c.stores[addr]; dup {
 			return nil, fmt.Errorf("aic: duplicate ring peer %q", addr)
 		}
-		jitter := cfg.JitterSeed
-		if jitter != 0 {
-			jitter += int64(i)
-		}
-		rs := remote.NewStore(addr, remote.Config{
-			DialTimeout: cfg.DialTimeout,
-			OpTimeout:   cfg.OpTimeout,
-			Retries:     cfg.Retries,
-			JitterSeed:  jitter,
-			Metrics:     cfg.Metrics,
-		})
-		c.remotes[addr] = rs
-		c.stores[addr] = rs
+		c.dialPeer(addr)
 		names = append(names, addr)
 	}
 	for name, st := range cfg.Stores {
@@ -166,16 +156,35 @@ func (c *Client) AddPeer(addr string) error {
 	if _, dup := c.stores[addr]; dup {
 		return fmt.Errorf("aic: ring already contains %q", addr)
 	}
-	rs := remote.NewStore(addr, remote.Config{
+	c.dialPeer(addr)
+	c.ring = c.ring.Add(addr)
+	return nil
+}
+
+// dialPeer creates addr's peer client under the configured robustness
+// envelope and registers it; the caller holds mu or owns c exclusively.
+func (c *Client) dialPeer(addr string) {
+	rs := remote.NewStore(addr, peerConfig(remote.Config{
 		DialTimeout: c.cfg.DialTimeout,
 		OpTimeout:   c.cfg.OpTimeout,
 		Retries:     c.cfg.Retries,
+		JitterSeed:  c.cfg.JitterSeed,
 		Metrics:     c.cfg.Metrics,
-	})
+	}, c.dialed))
+	c.dialed++
 	c.remotes[addr] = rs
 	c.stores[addr] = rs
-	c.ring = c.ring.Add(addr)
-	return nil
+}
+
+// peerConfig is the remote.Config of the n-th peer a facade dials (n counts
+// from 0 over the facade's lifetime, later joins included). A zero
+// JitterSeed keeps wall-clock jitter; any other seed is offset by n, so no
+// two peers of one facade share a retry schedule.
+func peerConfig(env remote.Config, n int) remote.Config {
+	if env.JitterSeed != 0 {
+		env.JitterSeed += int64(n)
+	}
+	return env
 }
 
 // AddStore joins a pre-built store to the ring under name (tests, custom

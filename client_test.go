@@ -1,15 +1,18 @@
 package aic
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"aic/internal/remote"
 	"aic/internal/storage"
 )
 
@@ -242,6 +245,116 @@ func TestClientRebalanceAfterJoin(t *testing.T) {
 	}
 	if rep2.Moves != 0 {
 		t.Fatalf("settled ring still moved %d chains", rep2.Moves)
+	}
+}
+
+// TestClientAddPeerRebalanceOverWire joins a live wire peer through AddPeer
+// (the join that dials, unlike AddStore), rebalances onto it, and then
+// restores from that peer alone.
+func TestClientAddPeerRebalanceOverWire(t *testing.T) {
+	ctx := context.Background()
+	c := newTestClient(t, ClientConfig{
+		Stores: ringStores(2), Replicas: 3, JitterSeed: 7,
+		DialTimeout: time.Second, OpTimeout: 5 * time.Second, Retries: 1,
+	})
+	p, chain := buildProcessChain(t)
+	ns := c.Namespace("acme")
+	procs := []string{"web", "db", "cache"}
+	for _, proc := range procs {
+		for seq, enc := range chain {
+			if err := ns.Checkpoint(ctx, proc, seq, enc); err != nil {
+				t.Fatalf("%s checkpoint %d: %v", proc, seq, err)
+			}
+		}
+	}
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := storage.NewLevelStore(storage.Target{Name: "joiner"})
+	srv := remote.NewServer(backing, remote.ServerConfig{})
+	go srv.Serve(ctx, ln)
+	t.Cleanup(func() { srv.Close() })
+	addr := ln.Addr().String()
+
+	if err := c.AddPeer(addr); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AddPeer(addr); err == nil {
+		t.Fatal("second AddPeer of the same address accepted")
+	}
+	if c.dialed != 1 {
+		t.Fatalf("dialed = %d after one join, want 1", c.dialed)
+	}
+	// Three replicas over three peers: every chain gains the joiner.
+	rep, err := c.Rebalance(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Deferred) != 0 || rep.Moves != len(procs) {
+		t.Fatalf("rebalance = %+v, want %d moves and nothing deferred", rep, len(procs))
+	}
+	if keys, err := backing.List(ctx); err != nil || len(keys) != len(procs) {
+		t.Fatalf("joiner holds %v (%v), want %d chains", keys, err, len(procs))
+	}
+
+	// With the in-process peers gone, the wire peer alone serves restores.
+	for _, name := range []string{"a-peer", "b-peer"} {
+		if err := c.RemovePeer(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, proc := range procs {
+		raw, err := ns.Chain(ctx, proc)
+		if err != nil {
+			t.Fatalf("%s chain from the joiner: %v", proc, err)
+		}
+		if len(raw) != len(chain) {
+			t.Fatalf("%s chain has %d elements, want %d", proc, len(raw), len(chain))
+		}
+		for i := range raw {
+			if !bytes.Equal(raw[i], chain[i]) {
+				t.Fatalf("%s element %d differs on the joiner", proc, i)
+			}
+		}
+		im, rrep, err := ns.Restore(ctx, proc)
+		if err != nil {
+			t.Fatalf("%s restore from the joiner: %v", proc, err)
+		}
+		if !im.Matches(p) || rrep.LastSeq != len(chain)-1 {
+			t.Fatalf("%s restore from the joiner incomplete: lastSeq %d", proc, rrep.LastSeq)
+		}
+	}
+}
+
+// TestPeerConfigJitterSeeding pins the one seeding rule both facades dial
+// peers with: a zero seed stays wall-clock for every peer, any other seed is
+// offset by the peer's dial index, and the rest of the envelope is copied.
+func TestPeerConfigJitterSeeding(t *testing.T) {
+	reg := NewMetricsRegistry()
+	env := remote.Config{DialTimeout: time.Second, OpTimeout: 2 * time.Second, Retries: 3, Metrics: reg}
+	for _, tc := range []struct {
+		seed int64
+		n    int
+		want int64
+	}{
+		{seed: 0, n: 0, want: 0},
+		{seed: 0, n: 5, want: 0},
+		{seed: 42, n: 0, want: 42},
+		{seed: 42, n: 3, want: 45},
+		{seed: -10, n: 4, want: -6},
+	} {
+		in := env
+		in.JitterSeed = tc.seed
+		got := peerConfig(in, tc.n)
+		if got.JitterSeed != tc.want {
+			t.Errorf("seed %d, peer %d: JitterSeed = %d, want %d", tc.seed, tc.n, got.JitterSeed, tc.want)
+		}
+		got.JitterSeed = in.JitterSeed
+		if got != in {
+			t.Errorf("seed %d, peer %d: envelope changed: %+v", tc.seed, tc.n, got)
+		}
 	}
 }
 

@@ -1,26 +1,19 @@
-// Command aicbench regenerates the paper's tables and figures, and runs the
-// pinned performance suite behind the repo's BENCH_*.json trajectory.
+// Command aicbench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	aicbench -experiment all            # every table and figure
 //	aicbench -experiment fig11 -seed 7  # one experiment, custom seed
-//	aicbench -json -out BENCH_9.json    # machine-readable perf suite
-//	aicbench -json -short               # CI-smoke-sized perf suite
-//	aicbench -check BENCH_9.json        # schema-validate an existing report
+//	aicbench -experiment fig7 -format csv
 //
 // Experiments: fig2, fig5, fig6, fig7, fig11, fig12, table1, table3,
 // ablations.
 //
-// The -json mode runs the fixed internal/perfbench suite and writes a
-// schema-validated report. -baseline-from merges a previous report's
-// current run in as the new report's baseline, which is how a PR pins the
-// pre-change numbers next to the post-change ones in one artifact.
+// Performance is measured elsewhere: `bash bench/run.sh` for the end-to-end
+// and per-layer numbers, `go test -bench` for the codec microbenchmarks.
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -28,28 +21,13 @@ import (
 
 	"aic"
 	"aic/internal/exp"
-	"aic/internal/perfbench"
 )
 
 func main() {
 	experiment := flag.String("experiment", "all", "experiment to run (all or one of: fig2 fig5 fig6 fig7 fig11 fig12 table1 table3 ablations extensions studies)")
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	format := flag.String("format", "text", "text | csv (csv supports the figure/table experiments)")
-	jsonMode := flag.Bool("json", false, "run the pinned perf suite and write a machine-readable report")
-	short := flag.Bool("short", false, "with -json: CI-smoke-sized suite")
-	out := flag.String("out", "BENCH_9.json", "with -json: report output path")
-	baselineFrom := flag.String("baseline-from", "", "with -json: prior report whose current run becomes this report's baseline")
-	runLabel := flag.String("run-label", "", "with -json: label for the current run (default: timestamped)")
-	check := flag.String("check", "", "schema-validate an existing report and exit")
-	maxRegress := flag.Float64("max-regress", 0, "with -check: fail when any metric regressed versus the report's baseline by more than this percentage (0 disables)")
 	flag.Parse()
-
-	switch {
-	case *check != "":
-		os.Exit(runCheck(*check, *maxRegress))
-	case *jsonMode:
-		os.Exit(runPerfSuite(*short, *seed, *out, *baselineFrom, *runLabel))
-	}
 
 	names := aic.Experiments()
 	if *experiment != "all" {
@@ -73,96 +51,4 @@ func main() {
 			fmt.Printf("[%s finished in %.1fs]\n\n", name, time.Since(start).Seconds())
 		}
 	}
-}
-
-// runCheck validates a report file against the perfbench schema and, with
-// maxRegress > 0, gates its deltas against the recorded baseline.
-func runCheck(path string, maxRegress float64) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "aicbench: %v\n", err)
-		return 1
-	}
-	if err := perfbench.Validate(data); err != nil {
-		fmt.Fprintf(os.Stderr, "aicbench: %s: %v\n", path, err)
-		return 1
-	}
-	fmt.Printf("aicbench: %s: schema ok\n", path)
-	if maxRegress <= 0 {
-		return 0
-	}
-	var rep perfbench.Report
-	if err := json.Unmarshal(data, &rep); err != nil {
-		fmt.Fprintf(os.Stderr, "aicbench: %s: %v\n", path, err)
-		return 1
-	}
-	regs := rep.Regressions(maxRegress)
-	for _, d := range regs {
-		fmt.Fprintf(os.Stderr, "aicbench: %s: %s regressed %.1f%% (%.3f -> %.3f %s, tolerance %.0f%%)\n",
-			path, d.Name, d.ChangePct, d.Baseline, d.Current, d.Unit, maxRegress)
-	}
-	if len(regs) > 0 {
-		return 1
-	}
-	fmt.Printf("aicbench: %s: all deltas within %.0f%% of baseline\n", path, maxRegress)
-	return 0
-}
-
-// runPerfSuite executes the perfbench suite and writes the report.
-func runPerfSuite(short bool, seed uint64, out, baselineFrom, runLabel string) int {
-	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "aicbench: %v\n", err)
-		return 1
-	}
-	cfg := perfbench.Config{Short: short, Seed: seed}
-	label := runLabel
-	if label == "" {
-		label = "run " + time.Now().UTC().Format(time.RFC3339)
-	}
-
-	var baseline *perfbench.Run
-	if baselineFrom != "" {
-		data, err := os.ReadFile(baselineFrom)
-		if err != nil {
-			return fail(err)
-		}
-		var prior perfbench.Report
-		if err := json.Unmarshal(data, &prior); err != nil {
-			return fail(fmt.Errorf("parse %s: %w", baselineFrom, err))
-		}
-		if len(prior.Current.Metrics) == 0 {
-			return fail(fmt.Errorf("%s has no current run to use as baseline", baselineFrom))
-		}
-		baseline = &prior.Current
-	}
-
-	fmt.Fprintf(os.Stderr, "aicbench: running perf suite (short=%v)...\n", short)
-	run, err := perfbench.RunSuite(context.Background(), cfg, label)
-	if err != nil {
-		return fail(err)
-	}
-	rep := perfbench.NewReport(cfg, baseline, run)
-
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return fail(err)
-	}
-	data = append(data, '\n')
-	if err := perfbench.Validate(data); err != nil {
-		return fail(fmt.Errorf("generated report fails its own schema: %w", err))
-	}
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		return fail(err)
-	}
-
-	for _, m := range run.Metrics {
-		fmt.Printf("  %-32s %12.3f %s\n", m.Name, m.Value, m.Unit)
-	}
-	if baseline != nil {
-		improved := rep.Improved()
-		fmt.Printf("aicbench: %d/%d metrics improved vs baseline %q\n",
-			len(improved), len(rep.Deltas), baseline.Label)
-	}
-	fmt.Printf("aicbench: wrote %s\n", out)
-	return 0
 }

@@ -1,35 +1,24 @@
 // Command deltabench runs the compression-focused experiments: the Fig. 2
-// delta-dynamics study, the Table 3 compressor characterization, the
-// compressor ablation (Xdelta3-PA vs whole-file Xdelta3 vs XOR+RLE), and a
-// throughput/allocation microbenchmark of the serial vs parallel
-// page-aligned encode pipeline.
+// delta-dynamics study, the Table 3 compressor characterization, and the
+// compressor ablation (Xdelta3-PA vs whole-file Xdelta3 vs XOR+RLE).
 //
-// The throughput experiment supports -json for machine-readable output:
-// per-pass timings, throughput relative to the input image size, and
-// go-test-benchmem-style allocation counters.
+// Encode/decode throughput and allocations of the page-aligned pipeline are
+// Go benchmarks: go test -run '^$' -bench 'PageAligned|EncodeAllocs' -benchmem .
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
-	"aic/internal/delta"
 	"aic/internal/exp"
-	"aic/internal/perfbench"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig2 | table3 | ablation | throughput | all")
+	experiment := flag.String("experiment", "all", "fig2 | table3 | ablation | all")
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	benches := flag.String("benchmarks", "", "comma-separated benchmark subset (fig2/ablation)")
-	parallel := flag.Int("parallel", 0, "encode workers for the throughput experiment (0 = GOMAXPROCS)")
-	dirtyMiB := flag.Int("dirty-mib", 64, "dirty-set size in MiB for the throughput experiment")
-	jsonOut := flag.Bool("json", false, "with -experiment throughput: emit machine-readable JSON")
 	flag.Parse()
 
 	var subset []string
@@ -71,134 +60,7 @@ func main() {
 		}
 		fmt.Print(exp.RenderAblations(rows, nil, nil))
 	}
-	if run["throughput"] {
-		runThroughput(*seed, *dirtyMiB, *parallel, *jsonOut)
-	}
-	if !run["fig2"] && !run["table3"] && !run["ablation"] && !run["throughput"] {
+	if !run["fig2"] && !run["table3"] && !run["ablation"] {
 		die(fmt.Errorf("unknown experiment %q", *experiment))
 	}
-}
-
-// passResult is one measured encode or decode pass. MiBps is relative to the
-// input image size (the dirty-set bytes fed in), not the stream produced —
-// the number that tells you how fast a checkpoint interval drains.
-type passResult struct {
-	Name        string  `json:"name"`
-	PerOpNanos  int64   `json:"per_op_ns"`
-	MiBps       float64 `json:"mibps"`
-	BytesPerOp  uint64  `json:"bytes_per_op"`
-	AllocsPerOp uint64  `json:"allocs_per_op"`
-}
-
-// throughputReport is the -json document for the throughput experiment.
-type throughputReport struct {
-	Bench       string       `json:"bench"`
-	DirtyMiB    int          `json:"dirty_mib"`
-	Pages       int          `json:"pages"`
-	Workers     int          `json:"workers"`
-	GoMaxProcs  int          `json:"gomaxprocs"`
-	Passes      []passResult `json:"passes"`
-	StreamBytes int          `json:"stream_bytes"`
-	Ratio       float64      `json:"ratio"`
-}
-
-// measurePass times fn over reps passes and samples allocation counters via
-// runtime.MemStats, mirroring go test -benchmem.
-func measurePass(name string, bytesPerOp int64, reps int, fn func()) passResult {
-	fn() // warm the encoder pools so steady-state allocations are measured
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	start := time.Now()
-	for i := 0; i < reps; i++ {
-		fn()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&after)
-
-	perOp := elapsed / time.Duration(reps)
-	return passResult{
-		Name:        name,
-		PerOpNanos:  perOp.Nanoseconds(),
-		MiBps:       float64(bytesPerOp) / perOp.Seconds() / (1 << 20),
-		BytesPerOp:  (after.TotalAlloc - before.TotalAlloc) / uint64(reps),
-		AllocsPerOp: (after.Mallocs - before.Mallocs) / uint64(reps),
-	}
-}
-
-func (p passResult) render() string {
-	return fmt.Sprintf("  %-14s %10v/op  %8.1f MiB/s  %9d B/op  %7d allocs/op\n",
-		p.Name, time.Duration(p.PerOpNanos).Round(time.Microsecond), p.MiBps, p.BytesPerOp, p.AllocsPerOp)
-}
-
-// runThroughput benchmarks the serial and parallel page-aligned encoders
-// (and decoders) over a synthetic dirty set, reporting throughput relative
-// to the input image, speedup, and allocation counts.
-func runThroughput(seed uint64, dirtyMiB, parallelism int, jsonOut bool) {
-	if dirtyMiB <= 0 {
-		dirtyMiB = 64
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	totalBytes := int64(dirtyMiB) << 20
-	updates := perfbench.SyntheticUpdates(seed, int(totalBytes))
-	reps := 3
-
-	rep := throughputReport{
-		Bench:      "deltabench-throughput",
-		DirtyMiB:   dirtyMiB,
-		Pages:      len(updates),
-		Workers:    workers,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
-
-	serial := measurePass("encode_serial", totalBytes, reps, func() {
-		delta.EncodePageAlignedParallel(updates, delta.DefaultBlockSize, 1)
-	})
-	par := measurePass(fmt.Sprintf("encode_par%d", workers), totalBytes, reps, func() {
-		delta.EncodePageAlignedParallel(updates, delta.DefaultBlockSize, workers)
-	})
-
-	stream := delta.EncodePageAlignedParallel(updates, delta.DefaultBlockSize, workers)
-	olds := make(map[uint64][]byte, len(updates))
-	for _, u := range updates {
-		if u.Old != nil {
-			olds[u.Index] = u.Old
-		}
-	}
-	fetch := func(idx uint64) []byte { return olds[idx] }
-	dserial := measurePass("decode_serial", totalBytes, reps, func() {
-		if _, err := delta.DecodePageAlignedParallel(stream, fetch, 1); err != nil {
-			panic(err)
-		}
-	})
-	dpar := measurePass(fmt.Sprintf("decode_par%d", workers), totalBytes, reps, func() {
-		if _, err := delta.DecodePageAlignedParallel(stream, fetch, workers); err != nil {
-			panic(err)
-		}
-	})
-	rep.Passes = []passResult{serial, par, dserial, dpar}
-	rep.StreamBytes = len(stream)
-	rep.Ratio = float64(len(stream)) / float64(totalBytes)
-
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "deltabench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	fmt.Printf("Throughput — page-aligned delta pipeline, %d MiB dirty set (%d pages, GOMAXPROCS=%d)\n",
-		dirtyMiB, len(updates), rep.GoMaxProcs)
-	fmt.Print(serial.render(), par.render())
-	fmt.Printf("  encode speedup ×%.2f at %d workers\n", par.MiBps/serial.MiBps, workers)
-	fmt.Print(dserial.render(), dpar.render())
-	fmt.Printf("  decode speedup ×%.2f at %d workers\n", dpar.MiBps/dserial.MiBps, workers)
-	fmt.Printf("  stream: %d bytes (ratio %.4f)\n", rep.StreamBytes, rep.Ratio)
 }

@@ -64,12 +64,6 @@ func NewBuilder(pageSize, blockSize, cpuStateBytes int, opts ...Option) *Builder
 // Seq returns the sequence number the next checkpoint will carry.
 func (b *Builder) Seq() int { return b.seq }
 
-// SetParallelism mutates the worker knob after construction.
-//
-// Deprecated: pass WithParallelism to NewBuilder instead; builders are
-// otherwise immutable configuration-wise, and the option form keeps them so.
-func (b *Builder) SetParallelism(n int) { WithParallelism(n)(b) }
-
 // Parallelism reports the configured worker knob (0 = GOMAXPROCS).
 func (b *Builder) Parallelism() int { return b.parallelism }
 

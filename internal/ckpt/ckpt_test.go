@@ -317,8 +317,7 @@ func TestParallelismProducesIdenticalCheckpoints(t *testing.T) {
 	run := func(parallelism int) [][]byte {
 		rng := numeric.NewRNG(99)
 		as := memsim.New(0)
-		b := NewBuilder(as.PageSize(), 0, 64)
-		b.SetParallelism(parallelism)
+		b := NewBuilder(as.PageSize(), 0, 64, WithParallelism(parallelism))
 		writeRandomPages(as, rng, []uint64{0, 1, 2, 3, 4, 5, 6, 7}, 0)
 		out := [][]byte{b.FullCheckpoint(as).Encode()}
 		for step := 1; step <= 4; step++ {
@@ -360,12 +359,10 @@ func TestSetParallelismClampsNegative(t *testing.T) {
 	if b.Parallelism() != 0 {
 		t.Fatal("default parallelism must be 0 (GOMAXPROCS)")
 	}
-	b.SetParallelism(-3)
-	if b.Parallelism() != 0 {
+	if b := NewBuilder(0, 0, 0, WithParallelism(-3)); b.Parallelism() != 0 {
 		t.Fatal("negative parallelism must clamp to the default")
 	}
-	b.SetParallelism(4)
-	if b.Parallelism() != 4 {
+	if b := NewBuilder(0, 0, 0, WithParallelism(4)); b.Parallelism() != 4 {
 		t.Fatal("explicit parallelism lost")
 	}
 }

@@ -287,18 +287,15 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 		peers   []storage.Store
 		remotes []*remote.RemoteStore
 	)
+	env := remote.Config{
+		DialTimeout: c.repl.DialTimeout,
+		OpTimeout:   c.repl.OpTimeout,
+		Retries:     c.repl.Retries,
+		JitterSeed:  c.repl.JitterSeed,
+		Metrics:     c.metrics,
+	}
 	for i, addr := range c.repl.Peers {
-		jitter := c.repl.JitterSeed
-		if jitter != 0 {
-			jitter += int64(i)
-		}
-		rs := remote.NewStore(addr, remote.Config{
-			DialTimeout: c.repl.DialTimeout,
-			OpTimeout:   c.repl.OpTimeout,
-			Retries:     c.repl.Retries,
-			JitterSeed:  jitter,
-			Metrics:     c.metrics,
-		})
+		rs := remote.NewStore(addr, peerConfig(env, i))
 		remotes = append(remotes, rs)
 		peers = append(peers, rs)
 	}

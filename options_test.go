@@ -73,7 +73,7 @@ func TestProgramSpecValidate(t *testing.T) {
 }
 
 func TestNewProcessWithParallelism(t *testing.T) {
-	// The option and the deprecated setter configure the same knob, and the
+	// The option and the runtime setter configure the same knob, and the
 	// encoded stream is identical regardless of worker count.
 	mk := func(opts ...aic.Option) *aic.Process {
 		p := aic.NewProcess(512, opts...)
