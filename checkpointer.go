@@ -393,29 +393,24 @@ func (d *CheckpointDir) Close() error {
 // ScrubReport summarizes a CheckpointDir.Scrub pass; see the field comments
 // on the identically-shaped storage report for classification semantics.
 type ScrubReport struct {
-	Proc            string
-	ManifestRebuilt bool     // manifest was unreadable and was reconstructed
-	Missing         []int    // manifest seqs whose files are gone
-	Corrupt         []int    // files failing per-frame CRC/decode checks
-	Orphaned        []int    // unacknowledged files the manifest never committed
-	Adopted         []int    // files re-listed into a rebuilt manifest
-	SizeFixed       []int    // manifest sizes corrected
-	StrayRemoved    []string // leftover temp files cleared
-	Repaired        bool
+	Proc         string
+	Missing      []int    // committed seqs whose files are gone
+	Corrupt      []int    // files failing per-frame CRC/decode checks
+	Orphaned     []int    // files in the directory this handle never committed
+	StrayRemoved []string // leftover temp files (and old manifest files) cleared
+	Repaired     bool
 }
 
-// Clean reports whether the manifest and directory agreed exactly.
+// Clean reports whether the committed chain and directory agreed exactly.
 func (r *ScrubReport) Clean() bool {
-	return !r.ManifestRebuilt && len(r.Missing) == 0 && len(r.Corrupt) == 0 &&
-		len(r.Orphaned) == 0 && len(r.Adopted) == 0 && len(r.SizeFixed) == 0 &&
+	return len(r.Missing) == 0 && len(r.Corrupt) == 0 && len(r.Orphaned) == 0 &&
 		len(r.StrayRemoved) == 0
 }
 
-// Scrub cross-checks proc's manifest against its on-disk files and their
-// per-frame CRCs, classifying missing, orphaned and corrupt entries. With
-// repair set it restores manifest/directory agreement: dead entries are
-// dropped, corrupt files and unacknowledged orphans deleted, stray temp
-// files cleared, and a destroyed manifest rebuilt from the surviving files.
+// Scrub cross-checks proc's committed chain against its on-disk files and
+// their per-frame CRCs, classifying missing, orphaned and corrupt entries.
+// With repair set it restores chain/directory agreement: dead entries are
+// dropped, and corrupt files, orphans and stray temp files deleted.
 func (d *CheckpointDir) Scrub(ctx context.Context, proc string, repair bool) (*ScrubReport, error) {
 	rep, err := d.local.Scrub(ctx, proc, repair)
 	if err != nil {
@@ -427,15 +422,12 @@ func (d *CheckpointDir) Scrub(ctx context.Context, proc string, repair bool) (*S
 // scrubReportFromStore is the one storage → facade report conversion.
 func scrubReportFromStore(rep *storage.ScrubReport) *ScrubReport {
 	return &ScrubReport{
-		Proc:            rep.Proc,
-		ManifestRebuilt: rep.ManifestRebuilt,
-		Missing:         rep.Missing,
-		Corrupt:         rep.Corrupt,
-		Orphaned:        rep.Orphaned,
-		Adopted:         rep.Adopted,
-		SizeFixed:       rep.SizeFixed,
-		StrayRemoved:    rep.StrayRemoved,
-		Repaired:        rep.Repaired,
+		Proc:         rep.Proc,
+		Missing:      rep.Missing,
+		Corrupt:      rep.Corrupt,
+		Orphaned:     rep.Orphaned,
+		StrayRemoved: rep.StrayRemoved,
+		Repaired:     rep.Repaired,
 	}
 }
 

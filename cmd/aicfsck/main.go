@@ -1,8 +1,8 @@
 // Command aicfsck is the checkpoint-store consistency checker: it scrubs a
-// checkpoint store, cross-checking each process's manifest against its
-// on-disk files and per-frame CRCs, optionally repairing the manifest, and
-// optionally proving each chain still restores via the last-good-prefix
-// path.
+// checkpoint store, cross-checking each process's committed chain against
+// its on-disk files and per-frame CRCs, optionally repairing the
+// disagreements, and optionally proving each chain still restores via the
+// last-good-prefix path.
 //
 // The store may be a local CheckpointDir/FSStore root (-dir) or a running
 // aicd replication peer (-peer host:port); every check runs through the
@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	dir := fl.String("dir", "", "checkpoint store root (this or -peer is required)")
 	peer := fl.String("peer", "", "check a running aicd peer at host:port instead of a local directory")
 	proc := fl.String("proc", "", "check a single process (default: all)")
-	repair := fl.Bool("repair", false, "repair manifests: drop dead entries, delete corrupt/orphaned files, rebuild destroyed manifests")
+	repair := fl.Bool("repair", false, "repair chains: drop dead entries, delete corrupt/orphaned files and stray temp or old manifest files")
 	restoreCheck := fl.Bool("restore-check", false, "additionally replay each chain's newest intact prefix and report what a restore would discard")
 	timeout := fl.Duration("timeout", time.Minute, "overall deadline for peer operations")
 	if err := fl.Parse(args); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -81,6 +82,42 @@ func TestRunRepairReturnsToZero(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-dir", dir, "-repair"}, &out, &errb); code != 0 {
 		t.Fatalf("exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+}
+
+// TestRunRepairsLegacyLayout: a store in the older layout — a manifest.json
+// per proc that omits the newest element, a stray temp file and a chunk
+// refcount index — restores whole, reports the leftovers until -repair
+// clears them, and then checks clean.
+func TestRunRepairsLegacyLayout(t *testing.T) {
+	dir := t.TempDir()
+	seedStore(t, dir)
+	legacy := map[string]string{
+		filepath.Join(dir, "p0", "manifest.json"):         `{"proc":"p0","seqs":[0,1,2]}`,
+		filepath.Join(dir, "p0", "ckpt-00000004.aic.tmp"): "torn",
+		filepath.Join(dir, "chunks!", "index.json"):       `{"chunks":{}}`,
+	}
+	for path, body := range legacy {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"-dir", dir, "-restore-check"}, &out, &errb); code != 1 ||
+		!strings.Contains(out.String(), "restore-check: ok anchor=0 last=3") {
+		t.Fatalf("exit = %d, want 1 with the whole chain restorable\nstdout:\n%s\nstderr:\n%s", code, out.String(), errb.String())
+	}
+	for _, args := range [][]string{{"-dir", dir, "-repair"}, {"-dir", dir}} {
+		out.Reset()
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", args, code, out.String(), errb.String())
+		}
+	}
+	if got := strings.TrimSpace(out.String()); got != "p0: clean" {
+		t.Fatalf("after repair: %q, want p0: clean", got)
 	}
 }
 

@@ -12,7 +12,8 @@
 //     calls whose transitive effect summaries add up to the durable
 //     sequence: fsync + rename + dir-fsync. The durability almost never
 //     happens in the acking function itself; the engine's summaries carry
-//     it up from stageWrite/atomicWrite through Store.Put and the FS shim.
+//     it up from stageWrite and the commit's SyncDir through Store.Put and
+//     the FS shim.
 //
 //  2. Store.Put contract. Every concrete implementation of the storage
 //     Store interface must reach the durable sequence from its Put method
@@ -23,8 +24,9 @@
 //     the server, a deliberately volatile test store).
 //
 // Dedup recipe commits are covered by rule 1: the recipe encode (chunk
-// bodies + ref persistence) precedes the staged write, which precedes the
-// ack, so any reordering breaks the source-order domination and reports.
+// bodies pinned, refs bumped) precedes the staged write, which precedes
+// the ack, so any reordering breaks the source-order domination and
+// reports.
 package durableflow
 
 import (

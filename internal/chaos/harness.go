@@ -294,9 +294,9 @@ func (h *harness) apply(e Event) {
 	h.transcript("event kind=%s peer=%d n=%d bit=%d", e.Kind, e.Peer, e.N, e.Bit)
 	switch e.Kind {
 	case KindTornWrite:
-		// Crash inside the next local Put's write protocol: the first
-		// WriteFile is the checkpoint data file, the second the manifest.
-		h.ffs.Arm(storage.OpWriteFile, 1+(e.N&1), e.N%4096)
+		// Crash inside the next local Put's write protocol, tearing its
+		// data file's temp write — the only file a Put writes.
+		h.ffs.Arm(storage.OpWriteFile, 1, e.N%4096)
 	case KindLostRename:
 		// Crash on the next directory fsync; with LoseUnsyncedRenames set
 		// every rename the platter had not pinned rolls back.

@@ -30,8 +30,8 @@ type Kind string
 // constant.
 const (
 	// KindTornWrite arms the local FaultFS to crash on an upcoming
-	// WriteFile inside the next checkpoint Put, leaving N%PageSize torn
-	// bytes on disk. N's low bit picks the data-file or manifest window.
+	// WriteFile inside the next checkpoint Put — its data file's temp
+	// write — leaving N%PageSize torn bytes on disk.
 	KindTornWrite Kind = "torn-write"
 	// KindLostRename arms the local FaultFS to crash on the next directory
 	// fsync, rolling back every rename the platter had not pinned (N's low

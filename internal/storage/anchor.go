@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 )
 
@@ -31,18 +30,19 @@ var (
 // anchorSeq with full — a checkpoint that must restore to exactly the
 // state the chain's prefix through anchorSeq restores to — and drop every
 // element below it. drop is the compactor's view of the seqs strictly
-// below anchorSeq; if the manifest disagrees (a writer truncated or
+// below anchorSeq; if the committed chain disagrees (a writer truncated or
 // deleted concurrently) nothing is changed and ErrCompactRaced is
 // returned.
 //
 // The flip is crash-safe at every step because RestoreLatestGood anchors
-// at the NEWEST intact full checkpoint: once the equivalent full is
-// renamed over the old element, restores anchor there whether or not the
-// manifest rewrite or the prefix deletions ever happen, and until the
-// rename lands the old chain restores as before. The heavy work (reading
-// the prefix, synthesizing full) happens before this call, outside the
-// chain's commit token — writers only wait for the rename + manifest
-// rewrite below, the same cost as one group commit.
+// at the NEWEST intact full checkpoint: the equivalent full is renamed
+// over the old element and pinned by a directory fsync before any prefix
+// element is unlinked, so a crash leaves either the old chain or the new
+// anchor (with or without the prefix below it) — never the prefix gone
+// and the old delta still at anchorSeq. The prefix then goes through the
+// common removal protocol. The heavy work (reading the prefix,
+// synthesizing full) happens before this call, outside the chain's commit
+// token — writers only wait for the rename and unlinks below.
 func (fs *FSStore) ReplaceAnchor(ctx context.Context, proc string, anchorSeq int, full []byte, drop []int) error {
 	if err := ValidateProcName(proc); err != nil {
 		return err
@@ -52,22 +52,17 @@ func (fs *FSStore) ReplaceAnchor(ctx context.Context, proc string, anchorSeq int
 		return err
 	}
 	defer st.unlock()
-	m, err := fs.loadManifest(proc)
+	view, err := fs.loadView(st, proc)
 	if err != nil {
 		return err
 	}
-	have := false
-	below := map[int]bool{}
-	for _, seq := range m.Seqs {
-		if seq == anchorSeq {
-			have = true
-		}
-		if seq < anchorSeq {
-			below[seq] = true
-		}
-	}
+	at, have := view.find(anchorSeq)
 	if !have {
 		return fmt.Errorf("%w: seq %d no longer in %s's chain", ErrCompactRaced, anchorSeq, proc)
+	}
+	below := map[int]bool{}
+	for _, el := range view.elems[:at] {
+		below[el.seq] = true
 	}
 	if len(drop) != len(below) {
 		return fmt.Errorf("%w: %s has %d elements below %d, compactor saw %d", ErrCompactRaced, proc, len(below), anchorSeq, len(drop))
@@ -106,37 +101,24 @@ func (fs *FSStore) ReplaceAnchor(ctx context.Context, proc string, anchorSeq int
 	dir := fs.procDir(proc)
 	if err := stageWrite(fs.fsys, filepath.Join(dir, ckptFile(anchorSeq)), fileData, 0o644); err != nil {
 		release()
+		st.invalidate()
 		return err
 	}
 	if err := fs.fsys.SyncDir(dir); err != nil {
-		release()
+		// The rename may or may not have landed, and either file restores
+		// the same image; the next listing decides which one is committed.
+		// Both recipes' references stay counted — releasing the new one's
+		// could let GC take the chunks of a durable anchor.
+		st.invalidate()
 		return fmt.Errorf("storage: %w", err)
 	}
-	var kept []int
-	for _, seq := range m.Seqs {
-		if seq >= anchorSeq {
-			kept = append(kept, seq)
-			continue
-		}
-		delete(m.Sizes, ckptFile(seq))
-	}
-	m.Seqs = kept
-	m.Sizes[ckptFile(anchorSeq)] = len(fileData)
-	if err := fs.saveManifest(st, proc, m); err != nil {
-		// The new anchor file is already in place; that alone is
-		// restore-equivalent (it is the newest full), and Scrub reconciles
-		// the stale size entry. Only the new recipe's refs are unwound —
-		// the file will be adopted or scrubbed like any crash leftover.
-		release()
-		return err
-	}
+	next := &chainView{elems: append([]viewElem(nil), view.elems[at:]...)}
+	next.elems[0].size = len(fileData)
+	names := make([]string, 0, len(drop))
 	for _, seq := range drop {
-		if err := fs.fsys.Remove(filepath.Join(dir, ckptFile(seq))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("storage: %w", err)
-		}
+		names = append(names, ckptFile(seq))
 	}
-	fs.dedupRelease(dead)
-	return nil
+	return fs.removeCommitted(st, proc, names, next, dead)
 }
 
 // ReplaceAnchor implements AnchorReplacer for the in-memory store, with

@@ -154,9 +154,7 @@ func TestDedupTruncateDeleteReleaseAndGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() != chunkIndexName {
-			t.Fatalf("chunk dir still holds %s after full GC", e.Name())
-		}
+		t.Fatalf("chunk dir still holds %s after full GC", e.Name())
 	}
 }
 
@@ -182,9 +180,10 @@ func TestDedupReopenRebuildsIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Destroy the persisted index: reopen must rebuild from recipes.
-	if err := os.Remove(filepath.Join(dir, chunkDirName, chunkIndexName)); err != nil {
-		t.Fatal(err)
+	// No index is ever written: the recipes are the only record, and
+	// reopen must rebuild the counts from them.
+	if _, err := os.Stat(filepath.Join(dir, chunkDirName, legacyIndexName)); !os.IsNotExist(err) {
+		t.Fatalf("a refcount index file was written (stat err=%v)", err)
 	}
 	fs2, err := NewFSStore(dir, Target{})
 	if err != nil {
@@ -426,6 +425,177 @@ func TestDedupDifferentialLocal(t *testing.T) {
 	}
 	if st.Ratio() <= 1.0 {
 		t.Fatalf("dedup ratio %.2f on near-identical checkpoints, want > 1", st.Ratio())
+	}
+}
+
+// TestCrashSafeRemovalOrder records the FS calls of every removal path on a
+// dedup store and checks the ordering that keeps chunk GC safe across a
+// crash: the last unlink is followed by a directory fsync with no chunk
+// reference given back in between, and the references are given back
+// only after that fsync.
+func TestCrashSafeRemovalOrder(t *testing.T) {
+	ctx := context.Background()
+	payload := make([]byte, 4<<10)
+	rand.New(rand.NewSource(11)).Read(payload)
+	cases := []struct {
+		name string
+		op   func(fs *FSStore) error
+	}{
+		{"delete", func(fs *FSStore) error { return fs.Delete(ctx, "p") }},
+		{"truncate", func(fs *FSStore) error { return fs.Truncate(ctx, "p", 2) }},
+		{"replace anchor", func(fs *FSStore) error {
+			return fs.ReplaceAnchor(ctx, "p", 2, fullFrame(2, payload), []int{0, 1})
+		}},
+		{"scrub repair", func(fs *FSStore) error {
+			_, err := fs.Scrub(ctx, "p", true)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := &recFS{FS: OSFS{}}
+			fs, err := NewFSStoreFS(t.TempDir(), Target{}, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.EnableDedup(ctx, testDedupConfig()); err != nil {
+				t.Fatal(err)
+			}
+			// Seq 3 is an intact recipe of bytes that are not a frame:
+			// Scrub classifies it corrupt yet knows which references it
+			// holds.
+			for seq := 0; seq < 4; seq++ {
+				enc := frame(seq, append(payload, byte(seq)))
+				switch seq {
+				case 0:
+					enc = fullFrame(seq, payload)
+				case 3:
+					enc = append(payload, byte(seq))
+				}
+				if err := fs.Put(ctx, "p", seq, enc); err != nil {
+					t.Fatal(err)
+				}
+			}
+			logical := func() int64 { return fs.dedup.logical }
+			rec.probe = logical
+			rec.recorded()
+			if err := tc.op(fs); err != nil {
+				t.Fatal(err)
+			}
+			ops := rec.recorded()
+			last := -1
+			for i, o := range ops {
+				if o.op == "remove" || o.op == "removeall" {
+					last = i
+				}
+			}
+			if last < 0 {
+				t.Fatalf("no unlink recorded: %v", ops)
+			}
+			sync := last + 1
+			for sync < len(ops) && ops[sync].op != "syncdir" {
+				sync++
+			}
+			if sync == len(ops) {
+				t.Fatalf("no directory fsync after the last unlink: %v", ops)
+			}
+			if ops[sync].probe != ops[last].probe {
+				t.Fatalf("chunk references given back before the unlinks were pinned: %v", ops)
+			}
+			if after := logical(); after >= ops[sync].probe {
+				t.Fatalf("logical bytes %d after the removal, %d at its fsync: nothing released", after, ops[sync].probe)
+			}
+		})
+	}
+}
+
+// TestDedupCrashLostRecipeChunksReclaimed: a dedup miss whose recipe name
+// is lost in a crash leaves its freshly pinned chunk bodies unreferenced.
+// The reopened store rebuilds refcounts from the surviving recipes alone,
+// so GCChunks reclaims exactly those chunks and the acknowledged element
+// still resolves.
+func TestDedupCrashLostRecipeChunksReclaimed(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fault := &FaultFS{Inner: OSFS{}, LoseUnsyncedRenames: true}
+	fs, err := NewFSStoreFS(dir, Target{}, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.EnableDedup(ctx, testDedupConfig()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(12))
+	acked, lost := make([]byte, 4<<10), make([]byte, 4<<10)
+	rng.Read(acked)
+	rng.Read(lost)
+	if err := fs.Put(ctx, "p", 0, acked); err != nil {
+		t.Fatal(err)
+	}
+	// The miss pins its new chunks (first SyncDir), then its recipe's name
+	// (second): crash there, losing the recipe rename.
+	fault.Arm(OpSyncDir, 2, -1)
+	if err := fs.Put(ctx, "p", 1, lost); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Put = %v, want simulated crash", err)
+	}
+
+	reopened, err := NewFSStore(dir, Target{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reopened.EnableDedup(ctx, testDedupConfig()); err != nil {
+		t.Fatal(err)
+	}
+	n, reclaimed, err := reopened.GCChunks(ctx)
+	if err != nil || n == 0 || reclaimed != int64(len(lost)) {
+		t.Fatalf("GC removed %d chunks, %d bytes (err=%v); want the lost recipe's %d bytes", n, reclaimed, err, len(lost))
+	}
+	chain, missing, err := reopened.Get(ctx, "p")
+	if err != nil || len(missing) != 0 || len(chain) != 1 || !bytes.Equal(chain[0].Data, acked) {
+		t.Fatalf("after GC: chain=%d missing=%v err=%v", len(chain), missing, err)
+	}
+}
+
+// TestReplaceAnchorCrashKeepsAnchorChunks: when the flip's directory fsync
+// fails after its rename landed, the new anchor may be the committed
+// element, so its chunk references must stay counted — GC taking them
+// would leave the anchor, and every seq above it, unrestorable.
+func TestReplaceAnchorCrashKeepsAnchorChunks(t *testing.T) {
+	ctx := context.Background()
+	fault := &FaultFS{Inner: OSFS{}}
+	fs, err := NewFSStoreFS(t.TempDir(), Target{}, fault)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.EnableDedup(ctx, testDedupConfig()); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(13))
+	payload, image := make([]byte, 4<<10), make([]byte, 4<<10)
+	rng.Read(payload)
+	rng.Read(image)
+	for seq := 0; seq < 4; seq++ {
+		enc := frame(seq, payload)
+		if seq == 0 {
+			enc = fullFrame(seq, payload)
+		}
+		if err := fs.Put(ctx, "p", seq, enc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The flip pins its new chunks (first SyncDir), renames the anchor,
+	// then fails the fsync that would pin the rename.
+	fault.Transient = true
+	fault.Arm(OpSyncDir, 2, -1)
+	full := fullFrame(2, image)
+	if err := fs.ReplaceAnchor(ctx, "p", 2, full, []int{0, 1}); err == nil {
+		t.Fatal("flip succeeded through a failed directory fsync")
+	}
+	if _, _, err := fs.GCChunks(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if data, ok, err := fs.GetElem(ctx, "p", 2); err != nil || !ok || !bytes.Equal(data, full) {
+		t.Fatalf("anchor after the failed flip and GC: ok=%v err=%v", ok, err)
 	}
 }
 

@@ -32,9 +32,9 @@ const (
 //   - a SyncFile crash truncates the just-written file to PartialBytes,
 //     modelling page-cache contents lost before reaching the platter;
 //   - a Rename crash leaves the rename unapplied;
-//   - a SyncDir crash with LoseUnsyncedRenames undoes every rename not yet
-//     covered by a successful SyncDir — the exact hazard fsyncless rename
-//     protocols have on power loss.
+//   - a crash with LoseUnsyncedRenames undoes every rename and unlink not
+//     yet covered by a successful SyncDir of its directory — the exact
+//     hazard fsyncless rename and unlink protocols have on power loss.
 //
 // After the crash fires, every subsequent call returns ErrCrashed with no
 // side effects — unless Transient is set, in which case only the targeted
@@ -50,10 +50,12 @@ type FaultFS struct {
 	Transient           bool // fail the op but leave the FS alive
 
 	counts  map[Op]int
-	pending []renameRecord // renames not yet pinned by SyncDir
+	pending []renameRecord // renames and unlinks not yet pinned by SyncDir
 	crashed bool
 }
 
+// renameRecord is one directory change a crash can still undo: a rename
+// of oldpath to newpath, or (oldpath empty) an unlink of newpath.
 type renameRecord struct {
 	oldpath, newpath string
 	overwritten      []byte // prior newpath content, for crash rollback
@@ -120,14 +122,16 @@ func (f *FaultFS) inner() FS {
 	return f.Inner
 }
 
-// dropUnsyncedRenames rolls back renames that never became durable: the
-// new name reverts to the old one, and a target the rename had clobbered
-// reappears — the directory state a power failure before the fsync would
-// have preserved.
+// dropUnsyncedRenames rolls back renames and unlinks that never became
+// durable: a renamed name reverts to the old one, and a target the rename
+// had clobbered — or an unlinked file — reappears: the directory state a
+// power failure before the fsync would have preserved.
 func (f *FaultFS) dropUnsyncedRenames() {
 	for i := len(f.pending) - 1; i >= 0; i-- {
 		r := f.pending[i]
-		_ = f.inner().Rename(r.newpath, r.oldpath)
+		if r.oldpath != "" {
+			_ = f.inner().Rename(r.newpath, r.oldpath)
+		}
 		if r.hadOld {
 			_ = f.inner().WriteFile(r.newpath, r.overwritten, 0o644)
 		}
@@ -260,16 +264,30 @@ func (f *FaultFS) SyncDir(name string) error {
 	return nil
 }
 
-// Remove passes through, or crashes without unlinking.
+// Remove unlinks (tracked as volatile until SyncDir), or crashes without
+// unlinking.
 func (f *FaultFS) Remove(name string) error {
 	crashNow, dead := f.hit(OpRemove)
 	if dead {
 		return ErrCrashed
 	}
 	if crashNow {
+		if f.LoseUnsyncedRenames {
+			f.dropUnsyncedRenames()
+		}
 		return ErrCrashed
 	}
-	return f.inner().Remove(name)
+	rec := renameRecord{newpath: name}
+	if prior, err := f.inner().ReadFile(name); err == nil {
+		rec.overwritten, rec.hadOld = prior, true
+	}
+	if err := f.inner().Remove(name); err != nil {
+		return err
+	}
+	if rec.hadOld {
+		f.pending = append(f.pending, rec)
+	}
+	return nil
 }
 
 // RemoveAll passes through until the crash.

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 )
 
 // FS abstracts the filesystem primitives FSStore composes into its durable
@@ -85,10 +84,13 @@ func isSyncUnsupported(err error) bool {
 	return ok && (errors.Is(pe.Err, os.ErrInvalid) || pe.Err.Error() == "invalid argument")
 }
 
-// stageWrite is atomicWrite minus the directory fsync: write a temp file,
-// fsync it, rename it over the destination. The rename is applied but not
-// yet pinned — the caller owes a SyncDir before relying on it, and group
-// commit amortizes that one SyncDir across a whole batch of staged files.
+// stageWrite is the first half of the durable-write protocol every FSStore
+// file goes through: write a temp file, fsync it, rename it over the
+// destination. A crash at any step leaves either the old content or the
+// new — never a torn file under the final name. The rename is applied but
+// not yet pinned — the caller owes a SyncDir before relying on it, and
+// group commit amortizes that one SyncDir across a whole batch of staged
+// files.
 func stageWrite(fsys FS, path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	if err := fsys.WriteFile(tmp, data, perm); err != nil {
@@ -98,20 +100,6 @@ func stageWrite(fsys FS, path string, data []byte, perm os.FileMode) error {
 		return fmt.Errorf("storage: %w", err)
 	}
 	if err := fsys.Rename(tmp, path); err != nil {
-		return fmt.Errorf("storage: %w", err)
-	}
-	return nil
-}
-
-// atomicWrite is the durable-write protocol every FSStore mutation uses:
-// write a temp file, fsync it, rename it over the destination, fsync the
-// directory. A crash at any step leaves either the old content or the new —
-// never a torn file — and the rename is durable once SyncDir returns.
-func atomicWrite(fsys FS, path string, data []byte, perm os.FileMode) error {
-	if err := stageWrite(fsys, path, data, perm); err != nil {
-		return err
-	}
-	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("storage: %w", err)
 	}
 	return nil

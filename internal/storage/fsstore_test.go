@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -126,15 +127,38 @@ func TestFSStoreMissingFileReported(t *testing.T) {
 	}
 }
 
+// TestFSStoreCorruptManifestDetected: the directory listing is the chain,
+// so a manifest file — here a corrupt one, as a store written before the
+// listing became the chain could leave — carries no authority. Reads go
+// on through it, and Scrub detects it as a stray that repair removes.
 func TestFSStoreCorruptManifestDetected(t *testing.T) {
 	ctx := context.Background()
-	fs := newFS(t)
-	fs.Put(ctx, "p", 0, []byte{1})
-	if err := os.WriteFile(fs.manifestPath("p"), []byte("{not json"), 0o644); err != nil {
+	dir := t.TempDir()
+	fs, err := NewFSStore(dir, Target{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := fs.Get(ctx, "p"); err == nil {
-		t.Fatal("corrupt manifest not detected")
+	if err := fs.Put(ctx, "p", 0, fullFrame(0, []byte("one"))); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(fs.procDir("p"), legacyManifestName)
+	if err := os.WriteFile(manifest, []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewFSStore(dir, Target{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain, missing, err := reopened.Get(ctx, "p")
+	if err != nil || len(missing) != 0 || len(chain) != 1 {
+		t.Fatalf("Get beside a corrupt manifest: chain=%d missing=%v err=%v", len(chain), missing, err)
+	}
+	rep, err := reopened.Scrub(ctx, "p", true)
+	if err != nil || rep.Clean() || fmt.Sprint(rep.StrayRemoved) != "["+legacyManifestName+"]" || !rep.Repaired {
+		t.Fatalf("scrub = %v, %v; want the manifest removed as a stray", rep, err)
+	}
+	if _, err := os.Stat(manifest); !os.IsNotExist(err) {
+		t.Fatalf("manifest survived repair (stat err=%v)", err)
 	}
 }
 

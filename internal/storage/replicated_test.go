@@ -209,8 +209,8 @@ func TestReplicatedScrubMergesPeerReports(t *testing.T) {
 	}
 
 	a := &ScrubReport{Proc: "p", Corrupt: []int{1}, Unknown: []string{"x"}}
-	a.Merge(&ScrubReport{Proc: "p#s0of2", ManifestRebuilt: true, Corrupt: []int{4}, Missing: []int{2}, Repaired: true})
-	if a.Proc != "p" || !a.ManifestRebuilt || !a.Repaired || fmt.Sprint(a.Corrupt, a.Missing, a.Unknown) != "[1 4] [2] [x]" {
+	a.Merge(&ScrubReport{Proc: "p#s0of2", Orphaned: []int{5}, Corrupt: []int{4}, Missing: []int{2}, Repaired: true})
+	if a.Proc != "p" || !a.Repaired || fmt.Sprint(a.Corrupt, a.Missing, a.Orphaned, a.Unknown) != "[1 4] [2] [5] [x]" {
 		t.Fatalf("merged report = %+v", a)
 	}
 }
