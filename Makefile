@@ -22,8 +22,9 @@ lint: ## the CI static gates: gofmt, vet, staticcheck (if installed), aiclint
 	fi
 	timeout 120 $(GO) run ./cmd/aiclint ./...
 
-test: ## full test suite
+test: ## full test suite, plus the nested bench module's (root ./... does not reach it)
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 
 race: ## full suite under the race detector, shuffled, as CI runs it
 	$(GO) test -race -shuffle=on ./...

@@ -2,9 +2,9 @@ package aic
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -220,20 +220,28 @@ func DeltaDecode(source, stream []byte) ([]byte, error) {
 func (p *Process) Seq() int { return p.builder.Seq() }
 
 // CheckpointDir is a durable checkpoint store for the Process facade. By
-// default it is directory-backed — each checkpoint becomes one file plus a
-// JSON manifest, so chains survive the writing process and can be restored
-// later (or by another program) — but it programs only against the
-// storage.Store contract, so WithStore can swap in any backend and
-// WithReplication fans every append out to remote peers.
+// default it is directory-backed — each checkpoint becomes one file in its
+// process's directory, and those file names are the chain, so chains
+// survive the writing process and can be restored later (or by another
+// program) — but it programs only against the storage.Store contract, so
+// WithStore can swap in any backend and WithReplication adds remote peers.
 //
-// With replication configured, mutations (Append, Truncate, Remove) land on
-// the local store first and then fan out to the peer group; reads (Chain,
-// Procs, Scrub, RestoreLatestGood) consult only the local replica —
-// RestoreBestReplica is the path that reads local and peers as one set.
+// The local store and the peers are one replica set, in that order.
+// Mutations (Append, Truncate, Remove) run on every replica at once and
+// return when the slowest has answered; reads (Chain, Procs, Scrub,
+// RestoreLatestGood) consult only the local replica — RestoreBestReplica
+// is the path that reads the whole set.
 type CheckpointDir struct {
-	local  storage.Store            // every operation's first (and reads' only) stop
-	peers  *storage.ReplicatedStore // nil unless replication is configured
-	fan    storage.FanOut           // RestoreBestReplica's replica-set fetch
+	// The replica set, built once at open: stores[0] is the local store,
+	// whose outcome decides every mutation and which alone serves the
+	// local reads; stores[1:] are the peers, of which quorum must ack a
+	// mutation for it not to be degraded. names labels them "local", "0",
+	// "1", …; fan counts the peers' share of every fan-out and serves
+	// RestoreBestReplica's reads.
+	names  []string
+	stores []storage.Store
+	quorum int
+	fan    storage.FanOut
 	closer func() error
 
 	reg  *metrics.Registry   // nil unless opened WithMetrics/WithAdaptiveControl
@@ -258,41 +266,61 @@ type CheckpointDir struct {
 // with the frame's own sequence number — a mislabelled frame restores
 // today but is condemned by every future Scrub, the worst kind of rot.
 //
-// With replication configured, Append first lands the checkpoint locally and
-// then fans it out to the peer group. A local failure fails the append; a
-// local success with a missed peer quorum returns an error wrapping
-// ErrDegraded — the checkpoint is safe locally and callers may continue in
-// degraded local-only mode or treat the loss of redundancy as fatal. While
-// an adaptive controller has shed replication (SetReplication(false)), the
-// fan-out is skipped deliberately and Append succeeds local-only without
-// an error; the skip is counted in aic_ckptdir_append_shed_total.
+// With replication configured, Append writes the local store and every peer
+// at once and returns when the slowest has answered. A local failure fails
+// the append; a local success with a missed peer quorum returns an error
+// wrapping ErrDegraded — the checkpoint is safe locally and callers may
+// continue in degraded local-only mode or treat the loss of redundancy as
+// fatal. A replica that already holds these very bytes at seq (a retry
+// after a lost ack) acks. While an adaptive controller has shed
+// replication (SetReplication(false)), the replica set shrinks to the local
+// store deliberately and Append succeeds local-only without an error; the
+// skip is counted in aic_ckptdir_append_shed_total.
 func (d *CheckpointDir) Append(ctx context.Context, proc string, seq int, encoded []byte) error {
 	if emb, err := ckpt.PeekSeq(encoded); err == nil && emb != seq {
 		return fmt.Errorf("aic: append %s: label seq %d but the checkpoint itself is seq %d (label with Process.Seq before the checkpoint, or Seq-1 after)", proc, seq, emb)
 	}
-	if err := d.local.Put(ctx, proc, seq, encoded); err != nil {
-		return err
+	shed := len(d.stores) > 1 && d.replShed.Load()
+	err := d.mutate(ctx, "append", "put", shed, func(ctx context.Context, s storage.Store) error {
+		return storage.PutVerified(ctx, s, proc, seq, encoded)
+	})
+	if err == nil || errors.Is(err, ErrDegraded) {
+		d.met.observeAppend(err != nil, shed)
 	}
-	if d.peers != nil {
-		if d.replShed.Load() {
-			d.met.observeAppend(false, true)
-			return nil
-		}
-		if err := d.peers.Put(ctx, proc, seq, encoded); err != nil {
-			d.met.observeAppend(true, false)
-			return &DegradedError{Op: "append", Err: err}
-		}
-	}
-	d.met.observeAppend(false, false)
-	return nil
+	return err
 }
+
+// mutate runs do on every replica at once — on the local store alone when
+// localOnly — and returns once all of them have, so nothing it started
+// outlives the call. The local outcome decides: its error comes back
+// unwrapped. The peers' outcomes are tallied as the fan-out fanOp, and a
+// local success that fewer than quorum peers acked returns a DegradedError
+// for op.
+func (d *CheckpointDir) mutate(ctx context.Context, op, fanOp string, localOnly bool, do func(ctx context.Context, s storage.Store) error) error {
+	set := d.stores
+	if localOnly {
+		set = set[:1]
+	}
+	outcomes := storage.JoinAll(len(set), func(i int) error { return do(ctx, set[i]) })
+	if len(set) == 1 {
+		return outcomes[0]
+	}
+	acked, failed := d.fan.Tally(fanOp, d.quorum, d.names[1:], outcomes[1:])
+	if outcomes[0] == nil && acked < d.quorum {
+		return &DegradedError{Op: op, Err: &storage.QuorumError{Op: fanOp, Acked: acked, Quorum: d.quorum, Errs: failed}}
+	}
+	return outcomes[0]
+}
+
+// local is the replica set's first member, the node's own store.
+func (d *CheckpointDir) local() storage.Store { return d.stores[0] }
 
 // Chain returns the locally stored chain for proc in sequence order, ready
 // for RestoreImage. It fails when elements of the chain are unreadable; use
 // RestoreLatestGood to salvage a damaged chain (or RestoreBestReplica to
 // consult the replication peers too).
 func (d *CheckpointDir) Chain(ctx context.Context, proc string) ([][]byte, error) {
-	stored, missing, err := d.local.Get(ctx, proc)
+	stored, missing, err := d.local().Get(ctx, proc)
 	if err != nil {
 		return nil, err
 	}
@@ -307,40 +335,28 @@ func (d *CheckpointDir) Chain(ctx context.Context, proc string) ([][]byte, error
 }
 
 // Truncate drops checkpoints before fullSeq (housekeeping after a periodic
-// full checkpoint). Like Append, it applies locally first and then fans out
-// to the replication peers, so peer chains stay bounded along with the
+// full checkpoint). Like Append, it runs on the local store and every
+// replication peer at once, so peer chains stay bounded along with the
 // local one; a missed peer quorum returns a DegradedError after the local
 // truncate succeeded.
 func (d *CheckpointDir) Truncate(ctx context.Context, proc string, fullSeq int) error {
-	if err := d.local.Truncate(ctx, proc, fullSeq); err != nil {
-		return err
-	}
-	if d.peers != nil {
-		if err := d.peers.Truncate(ctx, proc, fullSeq); err != nil {
-			return &DegradedError{Op: "truncate", Err: err}
-		}
-	}
-	return nil
+	return d.mutate(ctx, "truncate", "truncate", false, func(ctx context.Context, s storage.Store) error {
+		return s.Truncate(ctx, proc, fullSeq)
+	})
 }
 
 // Remove deletes a process's chain — locally and, with replication
-// configured, on the peer group; a missed peer quorum returns a
-// DegradedError after the local delete succeeded.
+// configured, on the peers at the same time; a missed peer quorum returns
+// a DegradedError after the local delete succeeded.
 func (d *CheckpointDir) Remove(ctx context.Context, proc string) error {
-	if err := d.local.Delete(ctx, proc); err != nil {
-		return err
-	}
-	if d.peers != nil {
-		if err := d.peers.Delete(ctx, proc); err != nil {
-			return &DegradedError{Op: "remove", Err: err}
-		}
-	}
-	return nil
+	return d.mutate(ctx, "remove", "delete", false, func(ctx context.Context, s storage.Store) error {
+		return s.Delete(ctx, proc)
+	})
 }
 
 // Procs lists the process names with chains in the local store.
 func (d *CheckpointDir) Procs(ctx context.Context) ([]string, error) {
-	return d.local.List(ctx)
+	return d.local().List(ctx)
 }
 
 // Compact runs one compaction pass over every local chain: chains longer
@@ -349,6 +365,10 @@ func (d *CheckpointDir) Procs(ctx context.Context) ([]string, error) {
 // store is garbage-collected. Writers are never paused — a flip that loses
 // to a concurrent append or truncate is reported in the Raced list and
 // retried next pass. Requires WithCompaction at open.
+//
+// Compact folds local chains only. Replication peers compact under their
+// own policy (aicd -compact-interval); no wire operation replaces a peer's
+// anchor (DESIGN.md §16).
 func (d *CheckpointDir) Compact(ctx context.Context) (*CompactionReport, error) {
 	if d.comp == nil {
 		return nil, fmt.Errorf("aic: compaction not configured; open WithCompaction")
@@ -374,7 +394,7 @@ func (d *CheckpointDir) RunCompaction(ctx context.Context, interval time.Duratio
 // chunks, logical bytes referenced, physical bytes on disk. On a directory
 // opened without WithDedup the snapshot's Enabled field is false.
 func (d *CheckpointDir) DedupStats(ctx context.Context) (DedupStats, error) {
-	if fs, ok := d.local.(*storage.FSStore); ok {
+	if fs, ok := d.local().(*storage.FSStore); ok {
 		return fs.DedupStats(ctx)
 	}
 	return DedupStats{}, nil
@@ -412,7 +432,7 @@ func (r *ScrubReport) Clean() bool {
 // With repair set it restores chain/directory agreement: dead entries are
 // dropped, and corrupt files, orphans and stray temp files deleted.
 func (d *CheckpointDir) Scrub(ctx context.Context, proc string, repair bool) (*ScrubReport, error) {
-	rep, err := d.local.Scrub(ctx, proc, repair)
+	rep, err := d.local().Scrub(ctx, proc, repair)
 	if err != nil {
 		return nil, err
 	}
@@ -436,7 +456,7 @@ func scrubReportFromStore(rep *storage.ScrubReport) *ScrubReport {
 // truncated and corrupt elements. The report's values are stored sequence
 // numbers; missing files appear under Discarded.
 func (d *CheckpointDir) RestoreLatestGood(ctx context.Context, proc string) (*Image, *RestoreReport, error) {
-	chain, missing, err := d.local.Get(ctx, proc)
+	chain, missing, err := d.local().Get(ctx, proc)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -460,14 +480,8 @@ func (d *CheckpointDir) RestoreLatestGood(ctx context.Context, proc string) (*Im
 // the disaster path — it succeeds as long as the replicas between them
 // still hold a restorable prefix.
 func (d *CheckpointDir) RestoreBestReplica(ctx context.Context, proc string) (*Image, *RestoreReport, error) {
-	names, stores := []string{"local"}, []storage.Store{d.local}
-	if d.peers != nil {
-		for i, p := range d.peers.Peers() {
-			names, stores = append(names, strconv.Itoa(i)), append(stores, p)
-		}
-	}
 	set := recovery.ReplicaSet{Fan: &d.fan, Place: func(string) ([]string, []storage.Store, error) {
-		return names, stores, nil
+		return d.names, d.stores, nil
 	}}
 	as, rep, err := set.Restore(ctx, proc)
 	if err != nil {

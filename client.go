@@ -90,7 +90,7 @@ type Client struct {
 	remotes map[string]*remote.RemoteStore
 	rebal   *ring.Rebalancer
 	closed  bool
-	fan     storage.FanOut // the replica-set fan-out ReplicatedStore shares
+	fan     storage.FanOut // the replica-set fan-out CheckpointDir shares
 	dialed  int            // peers dialed so far: the next one's jitter offset
 }
 

@@ -217,7 +217,7 @@ func TestClientRebalanceAfterJoin(t *testing.T) {
 	if v, ok := reg.Value("aic_ring_rebalance_total"); !ok || v != 1 {
 		t.Fatalf("aic_ring_rebalance_total = (%v, %v)", v, ok)
 	}
-	// Ring fan-outs report through the counters ReplicatedStore's do.
+	// Ring fan-outs report through the counters the directory facade's do.
 	if v, _ := reg.Value("aic_replicated_fanout_total", "put"); v != float64(2*8*len(chain)) {
 		t.Fatalf("aic_replicated_fanout_total{put} = %v, want one per checkpoint (%d)", v, 2*8*len(chain))
 	}
@@ -541,6 +541,52 @@ func TestClientCheckpointAcksAtSlowestReplica(t *testing.T) {
 	if took := time.Since(start); took >= 100*time.Millisecond {
 		t.Errorf("Checkpoint took %v: replicas were not written concurrently", took)
 	}
+	assertJoined(t, probes, log, 3)
+}
+
+// openProbeDir opens a directory facade over probes: the first is its local
+// store, the others its replication peers.
+func openProbeDir(t *testing.T, probes []*probeStore) *CheckpointDir {
+	t.Helper()
+	peers := make([]Store, len(probes)-1)
+	for i, p := range probes[1:] {
+		peers[i] = p
+	}
+	d, err := OpenCheckpointDir("", WithStore(probes[0]), WithReplication(Replication{Stores: peers}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+func TestCheckpointDirAppendAcksAtSlowestReplica(t *testing.T) {
+	_, probes, log := probeRing(3, func(_ int, p *probeStore) { p.delay = 50 * time.Millisecond })
+	d := openProbeDir(t, probes)
+	start := time.Now()
+	if err := d.Append(context.Background(), "web", 0, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	// The local store and two peers at 50 ms each: the sum is 150 ms, the
+	// slowest is 50 ms.
+	if took := time.Since(start); took >= 100*time.Millisecond {
+		t.Errorf("Append took %v: the replicas were not written concurrently", took)
+	}
+	assertJoined(t, probes, log, 3)
+}
+
+func TestCheckpointDirCancelledAppendJoinsEveryReplica(t *testing.T) {
+	_, probes, log := probeRing(3, func(_ int, p *probeStore) {
+		p.hang, p.delay = true, 20*time.Millisecond
+	})
+	d := openProbeDir(t, probes)
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(10*time.Millisecond, cancel)
+	err := d.Append(ctx, "web", 0, []byte("payload"))
+	if !errors.Is(err, context.Canceled) || errors.Is(err, ErrDegraded) {
+		t.Fatalf("cancelled Append = %v, want the local store's own context.Canceled", err)
+	}
+	// Every replica was still unwinding when the ctx fired; all have returned.
 	assertJoined(t, probes, log, 3)
 }
 

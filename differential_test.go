@@ -229,43 +229,48 @@ func TestDifferentialStripedRingDedup(t *testing.T) {
 }
 
 // Both facades write through one fan-out, so they must agree on when a
-// peer's stale-seq rejection is an ack: only when the peer verifiably holds
-// the very bytes being written (a retry after a lost ack), never when it
-// holds something else at that (key, seq).
+// replica's stale-seq rejection is an ack: only when the replica verifiably
+// holds the very bytes being written (a retry after a lost ack), never when
+// it holds something else at that (key, seq). The directory facade's local
+// store is a replica like any other here.
 func TestDifferentialStaleSeqAck(t *testing.T) {
 	ctx := context.Background()
 	data := []byte("the checkpoint being written")
-	facades := map[string]func(t *testing.T, peers []Store, reg *MetricsRegistry) (key string, write func() error){
-		"ring": func(t *testing.T, peers []Store, reg *MetricsRegistry) (string, func() error) {
+	// Each facade returns its chain key, its local store (the ring has none:
+	// its first peer stands in) and its write.
+	facades := map[string]func(t *testing.T, peers []Store, reg *MetricsRegistry) (key string, local Store, write func() error){
+		"ring": func(t *testing.T, peers []Store, reg *MetricsRegistry) (string, Store, func() error) {
 			stores := make(map[string]Store, len(peers))
 			for i, p := range peers {
 				stores[fmt.Sprintf("peer-%d", i)] = p
 			}
 			c := newTestClient(t, ClientConfig{Stores: stores, Replicas: len(peers), Metrics: reg})
-			return storage.Qualify("acme", "web"), func() error {
+			return storage.Qualify("acme", "web"), peers[0], func() error {
 				return c.Namespace("acme").Checkpoint(ctx, "web", 0, data)
 			}
 		},
-		"dir": func(t *testing.T, peers []Store, reg *MetricsRegistry) (string, func() error) {
-			d, err := OpenCheckpointDir("", WithStore(storage.NewLevelStore(storage.Target{Name: "local"})),
-				WithReplication(Replication{Stores: peers}), WithMetrics(reg))
+		"dir": func(t *testing.T, peers []Store, reg *MetricsRegistry) (string, Store, func() error) {
+			local := storage.NewLevelStore(storage.Target{Name: "local"})
+			d, err := OpenCheckpointDir("", WithStore(local), WithReplication(Replication{Stores: peers}), WithMetrics(reg))
 			if err != nil {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { d.Close() })
-			return "web", func() error { return d.Append(ctx, "web", 0, data) }
+			return "web", local, func() error { return d.Append(ctx, "web", 0, data) }
 		},
 	}
 	for _, tc := range []struct {
 		name             string
 		peers            int
-		held             []byte // what peer 0 already holds at seq 0
+		held             []byte // what peer 0 (or the local store) already holds at seq 0
 		ringErr, dirErr  error  // dir: a held quorum with a failed peer is not an error
 		misses, partials float64
+		local            bool // the local store holds it, not peer 0
 	}{
-		{"identical retry", 2, data, nil, nil, 0, 0},
-		{"diverged peer of 2", 2, []byte("something else"), ErrNoQuorum, ErrDegraded, 1, 0},
-		{"diverged peer of 3", 3, []byte("something else"), ErrDegraded, nil, 0, 1},
+		{"identical retry", 2, data, nil, nil, 0, 0, false},
+		{"diverged peer of 2", 2, []byte("something else"), ErrNoQuorum, ErrDegraded, 1, 0, false},
+		{"diverged peer of 3", 3, []byte("something else"), ErrDegraded, nil, 0, 1, false},
+		{"identical retry held locally", 2, data, nil, nil, 0, 0, true},
 	} {
 		for facade, open := range facades {
 			t.Run(tc.name+"/"+facade, func(t *testing.T) {
@@ -274,8 +279,12 @@ func TestDifferentialStaleSeqAck(t *testing.T) {
 					peers[i] = storage.NewLevelStore(storage.Target{Name: fmt.Sprintf("peer-%d", i)})
 				}
 				reg := NewMetricsRegistry()
-				key, write := open(t, peers, reg)
-				if err := peers[0].Put(ctx, key, 0, tc.held); err != nil {
+				key, local, write := open(t, peers, reg)
+				holder := peers[0]
+				if tc.local {
+					holder = local
+				}
+				if err := holder.Put(ctx, key, 0, tc.held); err != nil {
 					t.Fatal(err)
 				}
 				want := tc.ringErr

@@ -1,8 +1,9 @@
 // Package chaos is the whole-stack correctness backstop: a seeded,
 // deterministic soak harness that drives a simulated workload through the
 // real production stack — the parallel page-aligned delta Builder, a
-// FaultFS-wrapped durable FSStore, and a three-peer ReplicatedStore over
-// real in-process TCP replication servers — while a replayable fault
+// FaultFS-wrapped durable FSStore, and the directory facade's replica set
+// of that store plus three peers over real in-process TCP replication
+// servers — while a replayable fault
 // schedule injects torn writes, lost renames, bit flips, connection cuts at
 // exact byte offsets, peer deaths and restarts, and process crashes between
 // and during checkpoints. After every failure the harness performs a full

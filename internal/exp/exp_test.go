@@ -21,11 +21,32 @@ func TestBenchmarkNamesAndLambda(t *testing.T) {
 	}
 }
 
-func TestFig2SeriesShape(t *testing.T) {
-	series, err := Fig2(42)
-	if err != nil {
-		t.Fatal(err)
+// fig2Memo holds Fig2(42, name)'s series per benchmark, computed once per
+// test binary. Each benchmark's series is independent of the others, so
+// the tests sweeping overlapping benchmark sets share the work.
+var fig2Memo = map[string]Fig2Series{}
+
+// fig2At42 is Fig2(42, names...) assembled from the memo.
+func fig2At42(t *testing.T, names ...string) []Fig2Series {
+	t.Helper()
+	out := make([]Fig2Series, len(names))
+	for i, name := range names {
+		s, ok := fig2Memo[name]
+		if !ok {
+			one, err := Fig2(42, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s = one[0]
+			fig2Memo[name] = s
+		}
+		out[i] = s
 	}
+	return out
+}
+
+func TestFig2SeriesShape(t *testing.T) {
+	series := fig2At42(t, "sjeng", "lbm", "bzip2") // Fig2's default set
 	if len(series) != 3 {
 		t.Fatalf("%d series", len(series))
 	}
@@ -286,12 +307,8 @@ func TestFiveOfSixBenchmarksSwing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("all six Fig. 2 curves")
 	}
-	series, err := Fig2(42, BenchmarkNames()...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wide := 0
-	for _, s := range series {
+	for _, s := range fig2At42(t, BenchmarkNames()...) {
 		if s.Swing() > 5 {
 			wide++
 		}

@@ -62,13 +62,22 @@ func TestReplicationSurvivesPeerDeathAndReset(t *testing.T) {
 	for _, c := range clients {
 		defer c.Close()
 	}
-	group, err := storage.NewReplicatedStore(2, clients[0], clients[1], clients[2])
-	if err != nil {
-		t.Fatal(err)
+	// put replicates one element to all three peers at once, each through
+	// the verified Put, and holds a quorum of two.
+	var fan storage.FanOut
+	put := func(proc string, seq int, data []byte) error {
+		acked, failed := fan.Run(ctx, "put", 2, []string{"0", "1", "2"}, []storage.Store{clients[0], clients[1], clients[2]},
+			func(ctx context.Context, _ int, peer storage.Store) error {
+				return storage.PutVerified(ctx, peer, proc, seq, data)
+			})
+		if acked < 2 {
+			return &storage.QuorumError{Op: "put", Acked: acked, Quorum: 2, Errs: failed}
+		}
+		return nil
 	}
 
 	// The full checkpoint replicates everywhere — through peer 1's reset.
-	if err := group.Put(ctx, "p0", chain[0].Seq, chain[0].Data); err != nil {
+	if err := put("p0", chain[0].Seq, chain[0].Data); err != nil {
 		t.Fatalf("replicating full checkpoint: %v", err)
 	}
 	if (resetCfg.Dialer.(*FaultDialer)).Dials() < 2 {
@@ -80,7 +89,7 @@ func TestReplicationSurvivesPeerDeathAndReset(t *testing.T) {
 
 	// The deltas keep replicating on the surviving quorum of two.
 	for _, el := range chain[1:] {
-		if err := group.Put(ctx, "p0", el.Seq, el.Data); err != nil {
+		if err := put("p0", el.Seq, el.Data); err != nil {
 			t.Fatalf("replicating seq %d with a dead peer: %v", el.Seq, err)
 		}
 	}
@@ -88,7 +97,7 @@ func TestReplicationSurvivesPeerDeathAndReset(t *testing.T) {
 	// Losing another peer breaks quorum: the failure is a QuorumError
 	// wrapping the dark peer, not a hang.
 	clients[1].Close()
-	err = group.Put(ctx, "other", 0, []byte("beyond quorum"))
+	err := put("other", 0, []byte("beyond quorum"))
 	var qe *storage.QuorumError
 	if !errors.As(err, &qe) || !errors.Is(err, ErrPeerDark) {
 		t.Fatalf("put below quorum = %v, want QuorumError wrapping ErrPeerDark", err)

@@ -4,8 +4,8 @@ import (
 	"aic/internal/metrics"
 )
 
-// replMetrics is the quorum store's instrument set; nil (metrics not
-// enabled) makes every observation a no-op branch.
+// replMetrics is the fan-out's instrument set; nil (metrics not enabled)
+// makes every observation a no-op branch.
 type replMetrics struct {
 	fanouts      *metrics.CounterVec // aic_replicated_fanout_total{op}
 	quorumMisses *metrics.CounterVec // aic_replicated_quorum_miss_total{op}
@@ -13,12 +13,9 @@ type replMetrics struct {
 	readBytes    *metrics.CounterVec // aic_replicated_read_bytes_total{op}
 }
 
-// SetMetrics instruments the quorum store against reg (DESIGN.md §14
-// documents the surface). Call before sharing the store across goroutines.
-func (r *ReplicatedStore) SetMetrics(reg *metrics.Registry) { r.fan.SetMetrics(reg) }
-
-// SetMetrics instruments the fan-out against reg; a nil reg leaves it
-// silent. Call before sharing the fan-out across goroutines.
+// SetMetrics instruments the fan-out against reg (DESIGN.md §14 documents
+// the surface); a nil reg leaves it silent. Call before sharing the fan-out
+// across goroutines.
 func (f *FanOut) SetMetrics(reg *metrics.Registry) {
 	if reg == nil {
 		return

@@ -14,7 +14,7 @@ var ErrStaleSeq = errors.New("stale checkpoint sequence")
 // Store is the single contract every checkpoint destination satisfies — the
 // in-memory level stores that model the paper's three levels, the durable
 // node-local FSStore, the networked RemoteStore speaking the replication
-// protocol, and the quorum-fanning ReplicatedStore. It is the only store
+// protocol, and the policy wrappers over any of them. It is the only store
 // type that crosses package boundaries: recovery, the aic facade and the
 // commands all program against it, so a chain can move between a local
 // directory and a peer group without the caller changing.
@@ -86,7 +86,6 @@ type SeqGetter interface {
 var (
 	_ Store = (*LevelStore)(nil)
 	_ Store = (*FSStore)(nil)
-	_ Store = (*ReplicatedStore)(nil)
 
 	_ ElemGetter = (*LevelStore)(nil)
 	_ ElemGetter = (*FSStore)(nil)

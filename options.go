@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"aic/internal/ckpt"
@@ -165,9 +166,10 @@ func WithStore(s Store) Option {
 	return func(c *config) { c.store = s }
 }
 
-// WithReplication fans every CheckpointDir.Append out to the configured
-// peer group after the local write succeeds. See Replication and
-// CheckpointDir.Append for the degraded-mode semantics.
+// WithReplication adds the configured peers to a CheckpointDir's replica
+// set: every Append, Truncate and Remove runs on the local store and the
+// peers at once. See Replication and CheckpointDir.Append for the
+// degraded-mode semantics.
 func WithReplication(r Replication) Option {
 	return func(c *config) { c.repl = &r }
 }
@@ -223,15 +225,15 @@ func buildConfig(opts []Option) config {
 }
 
 // OpenCheckpointDir opens (creating if needed) a checkpoint directory.
-// Options may replace the backing store (WithStore) and add peer
-// replication (WithReplication).
+// Options may replace the backing store (WithStore) and add replication
+// peers (WithReplication), which join the local store in one fixed replica
+// set.
 //
-// Deprecated: OpenCheckpointDir remains fully supported for single-node,
-// single-namespace deployments, but new multi-peer code should use
-// NewClient, which adds consistent-hash placement, tenant namespaces,
-// per-tenant quotas and striped large checkpoints on the same wire
-// protocol. A CheckpointDir maps onto the default tenant: chains it wrote
-// are readable through NewClient's Namespace("default") unchanged.
+// For multi-peer code that needs consistent-hash placement, tenant
+// namespaces, per-tenant quotas or striped large checkpoints, use
+// NewClient, which speaks the same wire protocol. A CheckpointDir maps onto
+// the default tenant: chains it wrote are readable through NewClient's
+// Namespace("default") unchanged.
 func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 	c := buildConfig(opts)
 	local := c.store
@@ -245,7 +247,7 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 	if c.adaptive != nil && c.metrics == nil {
 		c.metrics = metrics.NewRegistry()
 	}
-	d := &CheckpointDir{local: local}
+	d := &CheckpointDir{names: []string{"local"}, stores: []storage.Store{local}}
 	d.fan.SetMetrics(c.metrics)
 	if c.metrics != nil {
 		if fs, ok := local.(*storage.FSStore); ok {
@@ -283,10 +285,18 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 		finishAdaptive(d, c)
 		return d, nil
 	}
-	var (
-		peers   []storage.Store
-		remotes []*remote.RemoteStore
-	)
+	n := len(c.repl.Peers) + len(c.repl.Stores)
+	if n == 0 {
+		return nil, errors.New("aic: replication: storage: replicated store needs at least one peer")
+	}
+	d.quorum = c.repl.Quorum
+	if d.quorum <= 0 {
+		d.quorum = n/2 + 1
+	}
+	if d.quorum > n {
+		return nil, fmt.Errorf("aic: replication: storage: quorum %d exceeds %d peers", d.quorum, n)
+	}
+	var remotes []*remote.RemoteStore
 	env := remote.Config{
 		DialTimeout: c.repl.DialTimeout,
 		OpTimeout:   c.repl.OpTimeout,
@@ -297,20 +307,12 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 	for i, addr := range c.repl.Peers {
 		rs := remote.NewStore(addr, peerConfig(env, i))
 		remotes = append(remotes, rs)
-		peers = append(peers, rs)
+		d.stores = append(d.stores, rs)
 	}
-	for _, s := range c.repl.Stores {
-		peers = append(peers, s)
+	d.stores = append(d.stores, c.repl.Stores...)
+	for i := 0; i < n; i++ {
+		d.names = append(d.names, strconv.Itoa(i))
 	}
-	group, err := storage.NewReplicatedStore(c.repl.Quorum, peers...)
-	if err != nil {
-		for _, rs := range remotes {
-			rs.Close()
-		}
-		return nil, fmt.Errorf("aic: replication: %w", err)
-	}
-	group.SetMetrics(c.metrics)
-	d.peers = group
 	d.closer = func() error {
 		var first error
 		for _, rs := range remotes {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net"
 	"testing"
@@ -280,5 +281,111 @@ func TestReplicationQuorumDefaultsToMajority(t *testing.T) {
 		}
 	} else {
 		t.Fatal(err)
+	}
+}
+
+// darkablePeer is an in-memory replication peer whose Puts fail while dark.
+type darkablePeer struct {
+	*storage.LevelStore
+	dark bool
+}
+
+var errPeerDown = errors.New("peer down")
+
+func (p *darkablePeer) Put(ctx context.Context, proc string, seq int, data []byte) error {
+	if p.dark {
+		return errPeerDown
+	}
+	return p.LevelStore.Put(ctx, proc, seq, data)
+}
+
+// openDarkableTrio opens a directory facade replicating to three darkable
+// peers under quorum.
+func openDarkableTrio(t *testing.T, quorum int) (*aic.CheckpointDir, []*darkablePeer) {
+	t.Helper()
+	peers := make([]*darkablePeer, 3)
+	stores := make([]aic.Store, 3)
+	for i := range peers {
+		peers[i] = &darkablePeer{LevelStore: storage.NewLevelStore(storage.Target{Name: fmt.Sprintf("peer%d", i)})}
+		stores[i] = peers[i]
+	}
+	dir, err := aic.OpenCheckpointDir(t.TempDir(), aic.WithReplication(aic.Replication{Stores: stores, Quorum: quorum}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { dir.Close() })
+	return dir, peers
+}
+
+// An append holds its quorum of peers or degrades: fewer than Quorum peer
+// acks return ErrDegraded wrapping a QuorumError that carries the peers'
+// causes, and the checkpoint is in the local store either way. A peer
+// rejecting a stale seq acks only when it holds the very bytes written.
+func TestCheckpointDirPeerQuorum(t *testing.T) {
+	ctx := context.Background()
+	data := []byte("full")
+	for _, tc := range []struct {
+		name  string
+		setup func(p []*darkablePeer)
+		acked int   // peer acks of a missed quorum; -1 when the quorum holds
+		cause error // what the QuorumError wraps
+	}{
+		{"healthy", func([]*darkablePeer) {}, -1, nil},
+		{"one dark peer", func(p []*darkablePeer) { p[2].dark = true }, -1, nil},
+		{"two dark peers", func(p []*darkablePeer) { p[1].dark, p[2].dark = true, true }, 1, errPeerDown},
+		{"identical retry", func(p []*darkablePeer) { p[0].LevelStore.Put(ctx, "p", 0, data) }, -1, nil},
+		{"diverged chains", func(p []*darkablePeer) {
+			// Different bytes at the seq, and a higher last seq: both peers
+			// reject the Put without storing it, so neither may count.
+			p[0].LevelStore.Put(ctx, "p", 0, []byte("diverged"))
+			p[1].LevelStore.Put(ctx, "p", 5, []byte("newer"))
+		}, 1, storage.ErrStaleSeq},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, peers := openDarkableTrio(t, 2)
+			tc.setup(peers)
+			err := dir.Append(ctx, "p", 0, data)
+			if tc.acked < 0 {
+				if err != nil {
+					t.Fatalf("append = %v, want the quorum held", err)
+				}
+				for i, p := range peers {
+					if got, ok, _ := p.GetElem(ctx, "p", 0); !p.dark && (!ok || !bytes.Equal(got, data)) {
+						t.Fatalf("live peer %d does not hold the append", i)
+					}
+				}
+			} else {
+				var qe *storage.QuorumError
+				if !errors.Is(err, aic.ErrDegraded) || !errors.As(err, &qe) || qe.Acked != tc.acked || !errors.Is(err, tc.cause) {
+					t.Fatalf("append = %v, want ErrDegraded over a QuorumError with %d acks wrapping %v", err, tc.acked, tc.cause)
+				}
+			}
+			if chain, err := dir.Chain(ctx, "p"); err != nil || len(chain) != 1 || !bytes.Equal(chain[0], data) {
+				t.Fatalf("local chain = %q, %v", chain, err)
+			}
+		})
+	}
+}
+
+func TestOpenCheckpointDirValidatesReplication(t *testing.T) {
+	mem := func() aic.Store { return storage.NewLevelStore(storage.Target{}) }
+	for _, tc := range []struct {
+		repl aic.Replication
+		want string
+	}{
+		{aic.Replication{}, "aic: replication: storage: replicated store needs at least one peer"},
+		{aic.Replication{Stores: []aic.Store{mem(), mem()}, Quorum: 4}, "aic: replication: storage: quorum 4 exceeds 2 peers"},
+	} {
+		if _, err := aic.OpenCheckpointDir(t.TempDir(), aic.WithReplication(tc.repl)); err == nil || err.Error() != tc.want {
+			t.Errorf("open with %d stores, quorum %d = %v, want %q", len(tc.repl.Stores), tc.repl.Quorum, err, tc.want)
+		}
+	}
+	// Quorum 0 selects a majority of the peers: 2 of 3.
+	dir, peers := openDarkableTrio(t, 0)
+	peers[1].dark, peers[2].dark = true, true
+	var qe *storage.QuorumError
+	err := dir.Append(context.Background(), "p", 0, []byte("x"))
+	if !errors.As(err, &qe) || qe.Quorum != 2 || qe.Acked != 1 || len(qe.Errs) != 2 {
+		t.Fatalf("append with two of three peers dark = %v, want 1 of 3 peers short of a quorum of 2", err)
 	}
 }
