@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"path/filepath"
 	"time"
 
 	"aic/internal/remote"
@@ -100,12 +99,7 @@ func (p *peer) restart() error {
 	return p.start(p.addr)
 }
 
-// ckptPath is the on-disk location of one stored checkpoint — the bit-flip
-// events corrupt files directly, beneath every integrity layer.
-func (p *peer) ckptPath(proc string, seq int) string {
-	return filepath.Join(p.root, storage.ProcDirName(proc), ckptFileName(seq))
-}
-
 // ckptFileName mirrors the FSStore layout (ckpt-%08d.aic under the proc
-// directory); the harness needs raw paths to plant silent corruption.
+// directory); the bit-flip events corrupt files directly, beneath every
+// integrity layer, so the harness needs raw paths.
 func ckptFileName(seq int) string { return fmt.Sprintf("ckpt-%08d.aic", seq) }

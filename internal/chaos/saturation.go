@@ -170,7 +170,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		}
 	}
 	for s := shedStart; s < seq; s++ {
-		if _, ok, err := peer.GetElem(ctx, "sat", s); err == nil && !ok {
+		if _, ok, err := storage.ReadElem(ctx, peer, "sat", s); err == nil && !ok {
 			res.PeerGapSeqs = append(res.PeerGapSeqs, s)
 		}
 	}
@@ -199,7 +199,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	resumeSeq := seq
 	if err := append1(); err != nil {
 		res.violate("post-recovery append failed: %v", err)
-	} else if _, ok, gerr := peer.GetElem(ctx, "sat", resumeSeq); gerr != nil || !ok {
+	} else if _, ok, gerr := storage.ReadElem(ctx, peer, "sat", resumeSeq); gerr != nil || !ok {
 		res.violate("post-recovery append did not reach the peer (ok=%v err=%v)", ok, gerr)
 	}
 

@@ -40,8 +40,8 @@ type Fault struct {
 type FaultDialer struct {
 	// Base makes the real connections (nil selects net.Dialer).
 	Base Dialer
-	// Plan maps the connection ordinal (1-based) to its fault. It is read
-	// under the dialer's lock, so replacing it mid-run requires SetPlan.
+	// Plan maps the connection ordinal (1-based) to its fault. Set it before
+	// the first dial; runtime faults go through Enqueue.
 	Plan func(conn int) Fault
 
 	mu    sync.Mutex
@@ -65,14 +65,6 @@ func (d *FaultDialer) Enqueue(faults ...Fault) {
 	d.queue = append(d.queue, faults...)
 }
 
-// PendingFaults reports how many enqueued faults have not yet been consumed
-// by a dial — a schedule can verify its injected fault actually fired.
-func (d *FaultDialer) PendingFaults() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.queue)
-}
-
 // DrainFaults discards every queued fault, returning how many were dropped —
 // recovery's way of returning the network to health before a restore, so a
 // fault scheduled for an append that never happened cannot leak into the
@@ -83,13 +75,6 @@ func (d *FaultDialer) DrainFaults() int {
 	n := len(d.queue)
 	d.queue = nil
 	return n
-}
-
-// SetPlan replaces the static fault plan under the dialer's lock.
-func (d *FaultDialer) SetPlan(plan func(conn int) Fault) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.Plan = plan
 }
 
 // DialContext implements Dialer.

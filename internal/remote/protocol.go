@@ -22,8 +22,9 @@
 // object, so a client reconnecting after a cut resumes mid-object instead
 // of restarting. Data frames carry explicit offsets and are acknowledged
 // cumulatively; a bounded in-flight window provides backpressure. Commits
-// are idempotent — a retried commit of an object the server already wrote
-// acks instead of failing — which makes client retry loops safe.
+// are idempotent — a retried Put of an object the server's store already
+// holds acks at its commit, on the stored bytes, instead of failing — which
+// makes client retry loops safe.
 package remote
 
 import (
@@ -93,7 +94,6 @@ const (
 	codeStaleSeq = "stale-seq"     // storage.ErrStaleSeq on the server
 	codeBadProc  = "bad-proc-name" // storage.ErrBadProcName on the server
 	codeBadFrame = "bad-request"
-	codeConflict = "conflict" // same (proc, seq) committed with different bytes
 	codeInternal = "internal"
 	// codeQuota reports storage.ErrQuotaExceeded: the tenant is over its
 	// admission limits. Terminal — retrying cannot free quota.
@@ -145,8 +145,12 @@ type putBeginMsg struct {
 }
 
 type putOffsetMsg struct {
-	Offset    int64 `json:"offset"`    // resume point: bytes the server already staged
-	Committed bool  `json:"committed"` // object already durable; skip the transfer
+	Offset int64 `json:"offset"` // resume point: bytes the server already staged
+	// Committed means the object is already durable: skip the transfer.
+	// Only older servers set it, judging by the whole-object CRC, which
+	// cannot tell checkpoint frames apart (each ends in its own CRC-32C); a
+	// current server judges a stored object on its bytes at commit.
+	Committed bool `json:"committed"`
 }
 
 type putAckMsg struct {

@@ -1,0 +1,322 @@
+package remote
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"net"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"aic/internal/ckpt"
+	"aic/internal/storage"
+)
+
+// Put-protocol fuzz operations. Each is two input bytes, (op, arg).
+const (
+	opBegin     = iota // PutBegin of object arg: seq arg%5, content variant arg/5%3
+	opData             // next chunk: arg&3 picks its size, arg&4 corrupts it, arg&8 misplaces it
+	opCommit           // PutCommit, of the open transfer or of none
+	opCut              // sever the connection and reconnect
+	opDelete           // Delete the chain
+	opTruncate         // Truncate below seq arg%6
+	opFlipScrub        // flip a bit of stored seq arg%5 on disk, then Scrub(repair)
+	numOps
+)
+
+const fuzzProc = "p"
+
+// putObj is one object a PutBegin declares: its seq, its bytes and their CRC.
+type putObj struct {
+	seq  int
+	data []byte
+	crc  uint32
+}
+
+// fuzzObj is object arg: a real checkpoint frame of seq arg%5 in one of two
+// contents, or a frame cut short (which a Scrub then reports corrupt).
+func fuzzObj(arg byte) putObj {
+	seq, variant := int(arg%5), int(arg/5%3)
+	c := &ckpt.Checkpoint{Seq: seq, Kind: ckpt.Full, PageSize: 64,
+		Payload: bytes.Repeat([]byte{byte(seq)}, 160+48*seq)}
+	if variant == 1 {
+		c.Kind, c.Payload = ckpt.Incremental, bytes.Repeat([]byte{byte(seq), 0xa5}, 70+24*seq)
+	}
+	data := c.Encode()
+	if variant == 2 {
+		data = data[:len(data)/2]
+	}
+	return putObj{seq: seq, data: data, crc: crc32.Checksum(data, crcTable)}
+}
+
+// putHarness is one server over an FSStore, driven over two in-memory
+// connections, one request at a time.
+type putHarness struct {
+	t     *testing.T
+	dir   string
+	store *storage.FSStore
+	srv   *Server
+	conns [2]*putConn
+}
+
+// putConn is the client end of one connection. It mirrors the state the
+// server keeps for the connection: the transfer open on it.
+type putConn struct {
+	h      *putHarness
+	conn   net.Conn
+	served chan struct{} // closed when the server's side of conn returns
+
+	open   *putObj // the transfer the connection has open
+	staged int64   // the server's staged offset of open
+}
+
+func newPutHarness(t *testing.T) *putHarness {
+	dir := t.TempDir()
+	st, err := storage.NewFSStore(dir, storage.Target{Name: "fuzz"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A staging pool of a few objects, so interleaved cut transfers reach
+	// backpressure.
+	h := &putHarness{t: t, dir: dir, store: st, srv: NewServer(st, ServerConfig{MaxStagingBytes: 1 << 10})}
+	for i := range h.conns {
+		h.conns[i] = &putConn{h: h}
+		h.conns[i].connect()
+	}
+	return h
+}
+
+func (h *putHarness) close() {
+	for _, c := range h.conns {
+		c.disconnect()
+	}
+}
+
+func (c *putConn) connect() {
+	client, server := net.Pipe()
+	c.conn, c.served = client, make(chan struct{})
+	go func(done chan struct{}) {
+		defer close(done)
+		c.h.srv.serveConn(context.Background(), server)
+		server.Close()
+	}(c.served)
+	c.open = nil
+	c.send(kindHello, mustJSON(c.h.t, helloMsg{Version: protocolVersion}))
+	if kind, payload := c.reply(); kind != kindHelloOK {
+		c.h.t.Fatalf("hello answered 0x%02x %s", kind, payload)
+	}
+}
+
+func (c *putConn) disconnect() {
+	c.conn.Close()
+	<-c.served
+}
+
+func (c *putConn) send(kind byte, payload []byte) {
+	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeFrame(c.conn, kind, payload); err != nil {
+		c.h.t.Fatalf("send 0x%02x: %v", kind, err)
+	}
+}
+
+// reply reads the one frame the server answers every request with.
+func (c *putConn) reply() (byte, []byte) {
+	kind, payload, err := readFrame(c.conn, DefaultMaxFrame)
+	if err != nil {
+		c.h.t.Fatalf("reply: %v", err)
+	}
+	return kind, payload
+}
+
+func mustJSON(t *testing.T, msg any) []byte {
+	payload, err := json.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// mustHold is the ack invariant: an ack of obj means the store lists its
+// seq with exactly its bytes, now.
+func (h *putHarness) mustHold(obj *putObj, ack string) {
+	h.t.Helper()
+	listed, chain, _, err := h.store.GetSeqs(context.Background(), fuzzProc, []int{obj.seq})
+	if err != nil || len(chain) != 1 || !bytes.Equal(chain[0].Data, obj.data) {
+		h.t.Fatalf("%s for seq %d (crc %08x), but the store lists %v and holds %d matching copies (err %v)",
+			ack, obj.seq, obj.crc, listed, len(chain), err)
+	}
+}
+
+// checkStaging is the staging invariant: the declared reservation is the
+// sum of the staged transfers' sizes, so it is 0 once none is staged.
+func (h *putHarness) checkStaging() {
+	h.t.Helper()
+	h.srv.mu.Lock()
+	var sum int64
+	for _, st := range h.srv.staging {
+		sum += st.size
+	}
+	declared, n := h.srv.stagingDeclared, len(h.srv.staging)
+	h.srv.mu.Unlock()
+	if declared != sum {
+		h.t.Fatalf("staging pool declares %d bytes for %d staged transfers of %d bytes", declared, n, sum)
+	}
+}
+
+// step runs operation op%numOps on connection op/numOps%2.
+func (h *putHarness) step(op, arg byte) {
+	c := h.conns[op/numOps%2]
+	switch op % numOps {
+	case opBegin:
+		obj := fuzzObj(arg)
+		c.send(kindPutBegin, mustJSON(h.t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+		c.open = nil
+		kind, payload := c.reply()
+		if kind != kindPutOffset {
+			return
+		}
+		var off putOffsetMsg
+		if err := decodeJSON(payload, &off); err != nil {
+			h.t.Fatal(err)
+		}
+		if off.Committed {
+			h.mustHold(&obj, "PutBegin answered committed")
+			return
+		}
+		if off.Offset < 0 || off.Offset > int64(len(obj.data)) {
+			h.t.Fatalf("PutBegin offers offset %d of %d", off.Offset, len(obj.data))
+		}
+		c.open, c.staged = &obj, off.Offset
+	case opData:
+		var chunk []byte
+		offset := c.staged
+		if c.open != nil {
+			rest := c.open.data[c.staged:]
+			n := min(len(rest), []int{16, 64, 256, len(rest)}[arg&3])
+			chunk = append([]byte(nil), rest[:n]...)
+		}
+		if len(chunk) == 0 {
+			chunk = []byte{0} // past the declared size, or outside a transfer
+		}
+		if arg&4 != 0 {
+			chunk[0] ^= 0x80
+		}
+		if arg&8 != 0 {
+			offset++
+		}
+		c.send(kindPutData, dataFrame(offset, chunk))
+		kind, payload := c.reply()
+		if c.open == nil && kind != kindErr {
+			h.t.Fatalf("data outside a transfer answered 0x%02x", kind)
+		}
+		if kind == kindPutAck {
+			var ack putAckMsg
+			if err := decodeJSON(payload, &ack); err != nil {
+				h.t.Fatal(err)
+			}
+			c.staged = ack.Offset
+		}
+	case opCommit:
+		c.send(kindPutCommit, nil)
+		obj := c.open
+		c.open = nil
+		if kind, payload := c.reply(); kind == kindPutDone {
+			if obj == nil {
+				h.t.Fatalf("commit outside a transfer answered done")
+			}
+			h.mustHold(obj, "PutCommit answered done")
+		} else if kind != kindErr {
+			h.t.Fatalf("commit answered 0x%02x %s", kind, payload)
+		}
+	case opCut:
+		c.disconnect()
+		c.connect()
+	case opDelete:
+		c.send(kindDelete, mustJSON(h.t, procMsg{Proc: fuzzProc}))
+		c.reply()
+	case opTruncate:
+		c.send(kindTruncate, mustJSON(h.t, truncateMsg{Proc: fuzzProc, FullSeq: int(arg % 6)}))
+		c.reply()
+	case opFlipScrub:
+		path := filepath.Join(h.dir, storage.ProcDirName(fuzzProc), fmt.Sprintf("ckpt-%08d.aic", arg%5))
+		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
+			if err := storage.FlipBit(path, int(arg)%int(fi.Size()), uint(arg%8)); err != nil {
+				h.t.Fatal(err)
+			}
+		}
+		c.send(kindScrub, mustJSON(h.t, scrubMsg{Proc: fuzzProc, Repair: true}))
+		c.reply()
+	}
+}
+
+// fuzzOps encodes a sequence of (op, arg) pairs as fuzz input.
+func fuzzOps(pairs ...[2]byte) []byte {
+	var out []byte
+	for _, p := range pairs {
+		out = append(out, p[0], p[1])
+	}
+	return out
+}
+
+// FuzzServerPutProtocol drives one replication server through fuzz-chosen
+// sequences of put-protocol requests on two connections — begins, data,
+// commits, commits outside a transfer, cuts with resume, Delete, Truncate, and Scrub
+// repairs of flipped elements — and checks two invariants after every step:
+// every ack (a PutBegin answered committed, a commit answered done) means the
+// backing store lists that seq with exactly those bytes at that moment, and
+// the staging pool's declared bytes are the sum of the staged transfers.
+func FuzzServerPutProtocol(f *testing.F) {
+	all := byte(3) // opData arg: the whole rest of the object
+	put := func(seq byte) [][2]byte {
+		return [][2]byte{{opBegin, seq}, {opData, all}, {opCommit, 0}}
+	}
+	// The ghost ack: a Scrub repair drops the flipped tail, and the identical
+	// re-Put must store it again, not be acked from memory of the first commit.
+	var ghost [][2]byte
+	for seq := byte(0); seq < 4; seq++ {
+		ghost = append(ghost, put(seq)...)
+	}
+	ghost = append(ghost, [2]byte{opFlipScrub, 3})
+	ghost = append(ghost, put(3)...)
+	f.Add(fuzzOps(ghost...))
+	// A different frame at a held seq: every frame has the same whole-object
+	// CRC-32C, so only the bytes can tell it is not the one stored.
+	f.Add(fuzzOps(append(put(1), [2]byte{opBegin, 1 + 5}, [2]byte{opData, all}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0})...))
+	// A cut mid-transfer, the resume, and a second commit with no transfer open.
+	f.Add(fuzzOps([2]byte{opBegin, 0}, [2]byte{opData, 0}, [2]byte{opCut, 0},
+		[2]byte{opBegin, 0}, [2]byte{opData, all}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0}))
+	// Corrupted data fails its commit; a bare second commit must not ack it.
+	f.Add(fuzzOps([2]byte{opBegin, 1}, [2]byte{opData, all | 4}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0}))
+	// One connection's Delete orphans the other's open transfer, whose
+	// commit must not release the transfer the first connection stages next.
+	other := byte(numOps) // added to an op, runs it on the second connection
+	f.Add(fuzzOps([2]byte{opBegin, 2}, [2]byte{opData, all}, [2]byte{opDelete + other, 0},
+		[2]byte{opBegin + other, 2 + 5}, [2]byte{opCommit, 0}))
+	// Truncation and deletion under open transfers, and re-Puts below the cut.
+	f.Add(fuzzOps(append(append(put(0), put(1)...),
+		[2]byte{opBegin, 2}, [2]byte{opData, 1}, [2]byte{opTruncate, 1}, [2]byte{opBegin, 0},
+		[2]byte{opCut, 0}, [2]byte{opDelete, 0}, [2]byte{opBegin, 5}, [2]byte{opData, all}, [2]byte{opCommit, 0})...))
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 128 {
+			ops = ops[:128]
+		}
+		h := newPutHarness(t)
+		defer h.close()
+		for i := 0; i+1 < len(ops); i += 2 {
+			h.step(ops[i], ops[i+1])
+			h.checkStaging()
+		}
+		// Deleting the chain ends every transfer of it.
+		h.step(opDelete, 0)
+		h.srv.mu.Lock()
+		declared := h.srv.stagingDeclared
+		h.srv.mu.Unlock()
+		if declared != 0 {
+			t.Fatalf("staging pool declares %d bytes after the chain was deleted", declared)
+		}
+	})
+}

@@ -185,6 +185,9 @@ func TestRemotePutIdempotent(t *testing.T) {
 	}
 }
 
+// The server keeps no commit cache to invalidate any more — the store is its
+// only commit record — but a chain deleted through it must still be
+// rebuildable: re-Put, not acked, and not refused as a conflict.
 func TestDeleteInvalidatesCommittedCache(t *testing.T) {
 	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, backing), testConfig())
@@ -197,16 +200,16 @@ func TestDeleteInvalidatesCommittedCache(t *testing.T) {
 	if err := rs.Delete(ctx, "p0"); err != nil {
 		t.Fatal(err)
 	}
-	// Re-Put of the same (proc, seq, bytes) must actually write: a stale
-	// committed entry would ack it while the store holds nothing.
+	// Re-Put of the same (proc, seq, bytes) must actually write: the store
+	// holds nothing, so nothing may ack it.
 	if err := rs.Put(ctx, "p0", 0, data); err != nil {
 		t.Fatalf("re-put after delete: %v", err)
 	}
 	if got := mustGetBytes(t, rs, "p0", 0); !bytes.Equal(got, data) {
 		t.Fatal("re-put after delete stored wrong bytes")
 	}
-	// And a rebuilt chain with different content must not be condemned as
-	// a permanent conflict by the deleted chain's ghost.
+	// And a rebuilt chain with different content must not be condemned as a
+	// conflict with the deleted chain.
 	if err := rs.Delete(ctx, "p0"); err != nil {
 		t.Fatal(err)
 	}
@@ -219,6 +222,8 @@ func TestDeleteInvalidatesCommittedCache(t *testing.T) {
 	}
 }
 
+// A truncation through the server leaves no memory of the dropped seqs: the
+// store, which no longer lists them, decides what a re-Put gets.
 func TestTruncateInvalidatesCommittedCache(t *testing.T) {
 	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, backing), testConfig())
@@ -233,8 +238,7 @@ func TestTruncateInvalidatesCommittedCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The truncated seqs are gone from the store; a re-Put below the cut
-	// must be refused honestly (the chain tail is still seq 2), not acked
-	// out of the stale committed cache.
+	// must be refused honestly (the chain tail is still seq 2), not acked.
 	err := rs.Put(ctx, "p0", 1, bytes.Repeat([]byte{'b'}, 300))
 	if !errors.Is(err, storage.ErrStaleSeq) {
 		t.Fatalf("re-put below the truncation cut = %v, want ErrStaleSeq", err)

@@ -68,11 +68,10 @@ type staging struct {
 	migrate bool   // rebalance copy: exempt from quota admission at commit
 }
 
-// objKey identifies one checkpoint object in the staging and committed
-// maps. A typed struct key cannot be truncated, collided or misparsed the
-// way the old "proc\x00seq" string encoding could: a proc name containing
-// a NUL silently split the key, and a malformed key decoded to seq 0,
-// corrupting both maps.
+// objKey identifies one checkpoint object in the staging map. A typed
+// struct key cannot be truncated, collided or misparsed the way the old
+// "proc\x00seq" string encoding could: a proc name containing a NUL
+// silently split the key, and a malformed key decoded to seq 0.
 type objKey struct {
 	proc string
 	seq  int
@@ -80,16 +79,19 @@ type objKey struct {
 
 // Server accepts replication connections and applies their operations to a
 // backing store. One Server fronts one storage.Store; the store's own
-// locking serializes concurrent connections.
+// locking serializes concurrent connections. The store is the server's only
+// commit record: whether it already holds an object is asked of the store
+// itself, on the object's bytes (storage.HoldsIdentical), never of a cache
+// that a Scrub repair or a compaction run directly on the store could leave
+// stale.
 type Server struct {
 	store storage.Store
 	cfg   ServerConfig
 
 	met *serverMetrics // nil until SetMetrics; every observation is nil-safe
 
-	mu        sync.Mutex
-	staging   map[objKey]*staging // partial transfers awaiting commit
-	committed map[objKey]uint32   // object CRCs, for idempotent retries
+	mu      sync.Mutex
+	staging map[objKey]*staging // partial transfers awaiting commit
 	// stagingDeclared is the sum of declared sizes over s.staging — the
 	// reservation MaxStagingBytes bounds. Declared size, not staged bytes:
 	// admission happens at PutBegin, before any data arrives.
@@ -105,11 +107,10 @@ type Server struct {
 // NewServer creates a server over the backing store.
 func NewServer(store storage.Store, cfg ServerConfig) *Server {
 	return &Server{
-		store:     store,
-		cfg:       cfg.withDefaults(),
-		staging:   make(map[objKey]*staging),
-		committed: make(map[objKey]uint32),
-		conns:     make(map[net.Conn]struct{}),
+		store:   store,
+		cfg:     cfg.withDefaults(),
+		staging: make(map[objKey]*staging),
+		conns:   make(map[net.Conn]struct{}),
 	}
 }
 
@@ -216,14 +217,14 @@ const (
 	sendRetainCap = 1 << 20
 )
 
-// serveConn runs the request loop for one connection. cur tracks the
-// transfer the connection's last PutBegin opened; ctx is the server's
+// serveConn runs the request loop for one connection; ctx is the server's
 // lifetime context from Serve.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	var (
-		curKey  objKey
-		haveKey bool
-		cur     *staging
+		// curKey names the object of the connection's last PutBegin and
+		// cur is its transfer until the commit.
+		curKey objKey
+		cur    *staging
 		// connVer is the protocol version the hello exchange negotiated
 		// for this connection; until a hello arrives, v1 is assumed.
 		connVer = protocolVersionV1
@@ -263,29 +264,17 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			if err := decodeJSON(payload, &m); err != nil {
 				return err
 			}
+			var reply putOffsetMsg
 			name, err := wireKey(connVer, m.Proc, m.Tenant, m.Stripe)
+			if err == nil {
+				curKey, cur, reply, err = s.beginPut(name, m)
+			}
 			if err != nil {
+				cur = nil
 				if e := s.sendStoreErr(conn, err); e != nil {
 					return e
 				}
-				haveKey, cur = false, nil
 				continue
-			}
-			key, reply, err := s.beginPut(ctx, name, m)
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				haveKey, cur = false, nil
-				continue
-			}
-			if reply.Committed {
-				haveKey, cur = false, nil
-			} else {
-				curKey, haveKey = key, true
-				s.mu.Lock()
-				cur = s.staging[key]
-				s.mu.Unlock()
 			}
 			if err := writeJSON(conn, kindPutOffset, reply); err != nil {
 				return err
@@ -320,7 +309,9 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			}
 			cur.buf = append(cur.buf, chunk...)
 			staged := int64(len(cur.buf))
-			s.met.observeStaging(len(chunk))
+			if s.staging[curKey] == cur {
+				s.met.observeStaging(len(chunk)) // an orphaned transfer is not staged
+			}
 			s.mu.Unlock()
 			if err := writeJSON(conn, kindPutAck, putAckMsg{Offset: staged}); err != nil {
 				return err
@@ -328,15 +319,8 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 
 		case kindPutCommit:
 			if cur == nil {
-				// A retried commit after the ack was lost: if the object is
-				// already durable this is a success, not an error.
-				if haveKey && s.isCommitted(curKey) {
-					//aiclint:ignore durableflow retried commit: isCommitted proves an earlier commitPut already made these bytes durable; this reply re-acks that commit
-					if err := writeFrame(conn, kindPutDone, nil); err != nil {
-						return err
-					}
-					continue
-				}
+				// A client retries a Put from its PutBegin, never with a
+				// bare commit: the retry's commit is judged on its bytes.
 				if err := s.sendErr(conn, codeBadFrame, "commit outside a transfer"); err != nil {
 					return err
 				}
@@ -432,9 +416,8 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			}
 			delErr := s.store.Delete(ctx, name)
 			if delErr == nil {
-				// The store no longer holds the chain: stale committed and
-				// staging entries would otherwise ack a re-Put of a deleted
-				// checkpoint without writing anything.
+				// The store no longer holds the chain: a staged transfer of
+				// it would otherwise resume into a chain that is gone.
 				s.forget(name, func(int) bool { return true })
 			}
 			if err := s.reply(conn, delErr); err != nil {
@@ -528,63 +511,27 @@ func wireKey(ver int, proc, tenant, stripe string) (string, error) {
 var errBackpressure = errors.New("remote: staging pool full")
 
 // beginPut opens (or resumes) a transfer for the composed store key name,
-// answering with the offset the client should send from. The store probe
-// for a possibly-restarted server runs outside s.mu — it does real I/O,
-// and holding the mutex across it would serialize every other transfer
-// behind one disk read.
-func (s *Server) beginPut(ctx context.Context, name string, m putBeginMsg) (key objKey, reply putOffsetMsg, err error) {
+// answering with the offset the client should send from. It never answers
+// that the store already holds the object: the whole-object CRC is all it
+// has to judge by, and every checkpoint frame ends in its own CRC-32C, which
+// gives every frame the same whole-object CRC-32C. Whether the store holds
+// the object is judged on its bytes at commit.
+func (s *Server) beginPut(name string, m putBeginMsg) (key objKey, st *staging, reply putOffsetMsg, err error) {
 	if m.Seq < 0 || m.Size < 0 {
-		return key, reply, fmt.Errorf("remote: malformed put-begin %+v", m)
+		return key, nil, reply, fmt.Errorf("remote: malformed put-begin %+v", m)
 	}
 	if m.Size > s.cfg.MaxObject {
-		return key, reply, fmt.Errorf("remote: object of %d bytes exceeds limit %d", m.Size, s.cfg.MaxObject)
+		return key, nil, reply, fmt.Errorf("remote: object of %d bytes exceeds limit %d", m.Size, s.cfg.MaxObject)
 	}
 	if m.Size > s.cfg.MaxStagingBytes {
 		// Terminal, not backpressure: an object larger than the whole pool
 		// could never stage no matter how long the client waits.
-		return key, reply, fmt.Errorf("remote: object of %d bytes exceeds staging pool %d", m.Size, s.cfg.MaxStagingBytes)
+		return key, nil, reply, fmt.Errorf("remote: object of %d bytes exceeds staging pool %d", m.Size, s.cfg.MaxStagingBytes)
 	}
 	key = objKey{proc: name, seq: m.Seq}
 	s.mu.Lock()
-	if crc, ok := s.committed[key]; ok {
-		s.mu.Unlock()
-		if crc != m.CRC {
-			return key, reply, fmt.Errorf("%w: %s seq %d already committed with different content", errConflict, name, m.Seq)
-		}
-		return key, putOffsetMsg{Offset: m.Size, Committed: true}, nil
-	}
-	// A matching staging entry implies the object is not committed (commit
-	// removes the entry under the same lock), so a resume needs no store
-	// probe.
-	if st := s.staging[key]; st != nil && st.size == m.Size && st.crc == m.CRC {
-		st.migrate = st.migrate || m.Migrate
-		reply = putOffsetMsg{Offset: int64(len(st.buf))}
-		s.mu.Unlock()
-		return key, reply, nil
-	}
-	s.mu.Unlock()
-
-	// The server may have restarted since the object was committed: consult
-	// the store itself before treating this as a fresh transfer.
-	if crc, ok := s.storedCRC(ctx, name, m.Seq); ok {
-		if crc != m.CRC {
-			return key, reply, fmt.Errorf("%w: %s seq %d already committed with different content", errConflict, name, m.Seq)
-		}
-		s.mu.Lock()
-		s.committed[key] = crc
-		s.mu.Unlock()
-		return key, putOffsetMsg{Offset: m.Size, Committed: true}, nil
-	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if crc, ok := s.committed[key]; ok {
-		// Another connection committed the object while we probed the store.
-		if crc != m.CRC {
-			return key, reply, fmt.Errorf("%w: %s seq %d already committed with different content", errConflict, name, m.Seq)
-		}
-		return key, putOffsetMsg{Offset: m.Size, Committed: true}, nil
-	}
-	st := s.staging[key]
+	st = s.staging[key]
 	if st == nil || st.size != m.Size || st.crc != m.CRC {
 		prior := int64(0)
 		if st != nil {
@@ -593,61 +540,43 @@ func (s *Server) beginPut(ctx context.Context, name string, m putBeginMsg) (key 
 		// Admit against the bounded staging pool before allocating: the
 		// entry this transfer replaces returns its own reservation first.
 		if s.stagingDeclared-prior+m.Size > s.cfg.MaxStagingBytes {
-			return key, reply, fmt.Errorf("%w: %d of %d bytes reserved", errBackpressure, s.stagingDeclared, s.cfg.MaxStagingBytes)
+			return key, nil, reply, fmt.Errorf("%w: %d of %d bytes reserved", errBackpressure, s.stagingDeclared, s.cfg.MaxStagingBytes)
 		}
 		if st != nil {
-			s.met.observeStaging(-len(st.buf))
+			s.unstageLocked(key, st)
 		}
-		s.stagingDeclared += m.Size - prior
+		s.stagingDeclared += m.Size
 		st = &staging{size: m.Size, crc: m.CRC, buf: make([]byte, 0, m.Size)}
 		s.staging[key] = st
 	}
 	st.migrate = st.migrate || m.Migrate
-	return key, putOffsetMsg{Offset: int64(len(st.buf))}, nil
+	return key, st, putOffsetMsg{Offset: int64(len(st.buf))}, nil
 }
 
-// storedCRC looks up an already-stored element's CRC. It never touches s.mu
-// (the lookup does store I/O, so callers must not hold it); the underlying
-// store does its own locking. Stores exposing the single-element probe are
-// consulted in O(1 element) I/O; others pay a full chain Get.
-func (s *Server) storedCRC(ctx context.Context, proc string, seq int) (uint32, bool) {
-	if eg, ok := s.store.(storage.ElemGetter); ok {
-		data, found, err := eg.GetElem(ctx, proc, seq)
-		if err != nil || !found {
-			return 0, false
-		}
-		return crc32.Checksum(data, crcTable), true
-	}
-	chain, _, err := s.store.Get(ctx, proc)
-	if err != nil {
-		return 0, false
-	}
-	for _, el := range chain {
-		if el.Seq == seq {
-			return crc32.Checksum(el.Data, crcTable), true
-		}
-	}
-	return 0, false
-}
-
-// forget purges committed and staging entries for proc whose sequence
-// matches drop — Delete and Truncate change what the store holds, and a
-// stale committed entry would ack a later re-Put without storing anything.
+// forget purges the staged transfers for proc whose sequence matches drop:
+// Delete and Truncate removed those seqs from the store, so a partial
+// transfer of one must start over rather than resume.
 func (s *Server) forget(proc string, drop func(seq int) bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for key := range s.committed {
-		if key.proc == proc && drop(key.seq) {
-			delete(s.committed, key)
-		}
-	}
 	for key, st := range s.staging {
 		if key.proc == proc && drop(key.seq) {
-			s.met.observeStaging(-len(st.buf))
-			s.stagingDeclared -= st.size
-			delete(s.staging, key)
+			s.unstageLocked(key, st)
 		}
 	}
+}
+
+// unstageLocked drops st from the staging pool and returns its reservation,
+// if st is still the transfer staged at key: a Delete, a Truncate or another
+// connection's PutBegin may have replaced it since a connection opened it,
+// and the replacement keeps its own reservation. Caller holds s.mu.
+func (s *Server) unstageLocked(key objKey, st *staging) {
+	if s.staging[key] != st {
+		return
+	}
+	s.met.observeStaging(-len(st.buf))
+	s.stagingDeclared -= st.size
+	delete(s.staging, key)
 }
 
 // commitPut verifies the staged object and makes it durable.
@@ -658,11 +587,7 @@ func (s *Server) commitPut(ctx context.Context, key objKey, st *staging) error {
 		return fmt.Errorf("remote: commit of incomplete transfer: %d of %d bytes", len(st.buf), st.size)
 	}
 	if got := crc32.Checksum(st.buf, crcTable); got != st.crc {
-		if _, ok := s.staging[key]; ok {
-			s.stagingDeclared -= st.size
-		}
-		delete(s.staging, key) // poisoned; force a fresh transfer
-		s.met.observeStaging(-len(st.buf))
+		s.unstageLocked(key, st) // poisoned; force a fresh transfer
 		s.mu.Unlock()
 		return fmt.Errorf("remote: staged object CRC mismatch: %08x != %08x", got, st.crc)
 	}
@@ -674,32 +599,19 @@ func (s *Server) commitPut(ctx context.Context, key objKey, st *staging) error {
 		ctx = storage.WithMigration(ctx)
 	}
 	err := s.store.Put(ctx, key.proc, key.seq, buf)
-	if err != nil && errors.Is(err, storage.ErrStaleSeq) {
-		// A duplicate of an object the store already holds (retry after a
-		// lost ack) commits idempotently as long as the bytes match.
-		if crc, ok := s.storedCRC(ctx, key.proc, key.seq); ok && crc == st.crc {
-			err = nil
-		}
+	if err != nil && storage.HoldsIdentical(ctx, s.store, key.proc, key.seq, buf) {
+		// A duplicate of an object the store already holds (a retry after
+		// a lost ack, or after this server restarted) commits idempotently,
+		// whatever refused it: ErrStaleSeq, or a quota the first copy used.
+		err = nil
 	}
 	s.mu.Lock()
 	if err == nil {
-		s.committed[key] = st.crc
-		if _, ok := s.staging[key]; ok {
-			s.met.observeStaging(-len(st.buf))
-			s.stagingDeclared -= st.size
-			delete(s.staging, key)
-		}
+		s.unstageLocked(key, st)
 		s.met.observeCommit()
 	}
 	s.mu.Unlock()
 	return err
-}
-
-func (s *Server) isCommitted(key objKey) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.committed[key]
-	return ok
 }
 
 // reply sends kindOK or the mapped error frame.
@@ -719,8 +631,6 @@ func (s *Server) sendStoreErr(conn net.Conn, err error) error {
 		code = codeStaleSeq
 	} else if errors.Is(err, storage.ErrBadProcName) {
 		code = codeBadProc
-	} else if errors.Is(err, errConflict) {
-		code = codeConflict
 	} else if errors.Is(err, storage.ErrQuotaExceeded) {
 		code = codeQuota
 	} else if errors.Is(err, errBackpressure) {
@@ -732,5 +642,3 @@ func (s *Server) sendStoreErr(conn net.Conn, err error) error {
 func (s *Server) sendErr(conn net.Conn, code, msg string) error {
 	return writeJSON(conn, kindErr, errMsg{Code: code, Msg: msg})
 }
-
-var errConflict = errors.New("remote: content conflict")

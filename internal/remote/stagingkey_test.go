@@ -31,7 +31,7 @@ func TestNulProcRejectedOverWire(t *testing.T) {
 	if err := r.Put(ctx, "ok", 0, []byte("payload")); err != nil {
 		t.Fatalf("valid Put after rejections: %v", err)
 	}
-	if got, ok, err := back.GetElem(ctx, "ok", 0); err != nil || !ok || string(got) != "payload" {
+	if got, ok, err := storage.ReadElem(ctx, back, "ok", 0); err != nil || !ok || string(got) != "payload" {
 		t.Fatalf("committed object missing: %q ok=%v err=%v", got, ok, err)
 	}
 }
@@ -52,10 +52,10 @@ func TestStagingKeysDistinguishProcSeq(t *testing.T) {
 	if err := r.Put(ctx, "p", 0, []byte("beta")); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok, _ := back.GetElem(ctx, "p-1", 0); !ok || string(got) != "alpha" {
+	if got, ok, _ := storage.ReadElem(ctx, back, "p-1", 0); !ok || string(got) != "alpha" {
 		t.Fatalf("p-1/0 = %q ok=%v", got, ok)
 	}
-	if got, ok, _ := back.GetElem(ctx, "p", 0); !ok || string(got) != "beta" {
+	if got, ok, _ := storage.ReadElem(ctx, back, "p", 0); !ok || string(got) != "beta" {
 		t.Fatalf("p/0 = %q ok=%v", got, ok)
 	}
 }

@@ -131,7 +131,7 @@ func TestBackpressureAdmission(t *testing.T) {
 	s := NewServer(back, ServerConfig{MaxStagingBytes: 100})
 
 	begin := func(proc string, size int64) error {
-		_, _, err := s.beginPut(ctx, proc, putBeginMsg{Proc: proc, Size: size, Seq: 0})
+		_, _, _, err := s.beginPut(proc, putBeginMsg{Proc: proc, Size: size, Seq: 0})
 		return err
 	}
 	if err := begin("a", 80); err != nil {
@@ -159,7 +159,7 @@ func TestBackpressureRetry(t *testing.T) {
 	srv, addr := startServerCfg(t, back, ServerConfig{MaxStagingBytes: 100})
 
 	// Pin most of the pool with a dangling partial transfer.
-	if _, _, err := srv.beginPut(ctx, "hog", putBeginMsg{Proc: "hog", Size: 90, Seq: 0}); err != nil {
+	if _, _, _, err := srv.beginPut("hog", putBeginMsg{Proc: "hog", Size: 90, Seq: 0}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()

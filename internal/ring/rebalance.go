@@ -113,7 +113,7 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 	ctx = storage.WithMigration(ctx)
 	newSet := next.Place(m.Key, rb.Replicas)
 	newStores := rb.stores(newSet)
-	chain, err := rb.mergedChain(ctx, m, newSet)
+	chain, held, err := rb.mergedChain(ctx, m, newSet)
 	if err != nil {
 		return err
 	}
@@ -130,6 +130,8 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 	// ones: a peer that kept its placement across an outage lacks the
 	// committed tail written while it was down, and releasing the losers
 	// without healing that hole could leave elements under-replicated.
+	// What the merge saw a peer hold is not sent again: agreed proved those
+	// bytes equal to the merged copy, and verify below re-reads them.
 	// Stores append chains in sequence order, so a peer whose copy has an
 	// interior hole cannot be back-filled (the Put is stale to it) — such
 	// elements survive on the rest of the set, which verify checks below.
@@ -140,6 +142,9 @@ func (rb *Rebalancer) moveChain(ctx context.Context, next *Ring, m Move, rep *Re
 		}
 		var copied int64
 		for _, el := range chain {
+			if held[i][el.Seq] {
+				continue
+			}
 			err := st.Put(ctx, m.Key, el.Seq, el.Data)
 			if errors.Is(err, storage.ErrStaleSeq) {
 				continue // already holds this prefix (or cannot back-fill it)
@@ -231,15 +236,23 @@ func agreed(key string, chains []storage.ReplicaChain) (map[int][]byte, error) {
 // can have holes another replica fills. The rebalancer moves opaque bytes,
 // so the union admits every copy — and the move is deferred first when two
 // replicas hold different bytes at one sequence (no safe choice exists).
-func (rb *Rebalancer) mergedChain(ctx context.Context, m Move, newSet []string) ([]storage.Stored, error) {
+// held[i] is the seqs new-set peer i answered the fetch with.
+func (rb *Rebalancer) mergedChain(ctx context.Context, m Move, newSet []string) (merged []storage.Stored, held []map[int]bool, err error) {
 	candidates := append(append([]string(nil), newSet...), m.Lost...) // disjoint by definition
 	chains, err := rb.fan.Fetch(ctx, m.Key, candidates, rb.stores(candidates))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := agreed(m.Key, chains); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	merged, _, _ := storage.Union(chains, nil)
-	return merged, nil
+	held = make([]map[int]bool, len(newSet))
+	for i, replica := range chains[:len(newSet)] {
+		held[i] = make(map[int]bool, len(replica.Stored))
+		for _, el := range replica.Stored {
+			held[i][el.Seq] = true
+		}
+	}
+	merged, _, _ = storage.Union(chains, nil)
+	return merged, held, nil
 }

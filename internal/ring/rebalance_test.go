@@ -3,6 +3,10 @@ package ring
 import (
 	"context"
 	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"sync"
 	"testing"
 
 	"aic/internal/metrics"
@@ -76,6 +80,27 @@ func testKeys(n int) []string {
 	return keys
 }
 
+// sentLog records every Put that reaches a peer's store.
+type sentLog struct {
+	mu    sync.Mutex
+	puts  []string
+	bytes int64
+}
+
+type loggedStore struct {
+	storage.Store
+	peer string
+	log  *sentLog
+}
+
+func (s loggedStore) Put(ctx context.Context, key string, seq int, data []byte) error {
+	s.log.mu.Lock()
+	s.log.puts = append(s.log.puts, fmt.Sprintf("%s %s seq %d", s.peer, key, seq))
+	s.log.bytes += int64(len(data))
+	s.log.mu.Unlock()
+	return s.Store.Put(ctx, key, seq, data)
+}
+
 func TestRebalanceJoinAndLeave(t *testing.T) {
 	const replicas, seqs = 2, 3
 	ctx := context.Background()
@@ -88,7 +113,14 @@ func TestRebalanceJoinAndLeave(t *testing.T) {
 	// One peer joins, one leaves — both transitions in a single round.
 	next := old.Add("10.0.0.9:4700").Remove("10.0.0.2:4700")
 	reg := metrics.NewRegistry()
-	rb := &Rebalancer{Replicas: replicas, Store: fleet.store, Logf: t.Logf}
+	sent := &sentLog{}
+	store := func(peer string) storage.Store {
+		if st := fleet.store(peer); st != nil {
+			return loggedStore{Store: st, peer: peer, log: sent}
+		}
+		return nil
+	}
+	rb := &Rebalancer{Replicas: replicas, Store: store, Logf: t.Logf}
 	rb.SetMetrics(reg)
 	rep, err := rb.Rebalance(ctx, old, next)
 	if err != nil {
@@ -101,6 +133,28 @@ func TestRebalanceJoinAndLeave(t *testing.T) {
 		t.Fatalf("no movement recorded: %+v", rep)
 	}
 	verifyPlacement(t, fleet, next, keys, replicas, seqs)
+
+	// Only the gaining peers were sent anything: a peer that kept its
+	// placement already held every element, and the merge saw it.
+	var want []string
+	for _, key := range keys {
+		for _, peer := range next.Place(key, replicas) {
+			if !contains(old.Place(key, replicas), peer) {
+				for seq := 1; seq <= seqs; seq++ {
+					want = append(want, fmt.Sprintf("%s %s seq %d", peer, key, seq))
+				}
+			}
+		}
+	}
+	sort.Strings(sent.puts)
+	sort.Strings(want)
+	if !reflect.DeepEqual(sent.puts, want) {
+		t.Fatalf("rebalance Puts:\n%s\nwant only the gaining peers' elements:\n%s",
+			strings.Join(sent.puts, "\n"), strings.Join(want, "\n"))
+	}
+	if rep.CopiedBytes != sent.bytes {
+		t.Fatalf("CopiedBytes = %d, but %d bytes reached the stores", rep.CopiedBytes, sent.bytes)
+	}
 
 	// The departed peer released every chain it no longer owns.
 	names, err := fleet["10.0.0.2:4700"].List(ctx)

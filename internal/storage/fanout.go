@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -201,28 +200,8 @@ func PutVerified(ctx context.Context, peer Store, proc string, seq int, data []b
 		return errNoStore
 	}
 	err := peer.Put(ctx, proc, seq, data)
-	if errors.Is(err, ErrStaleSeq) && holdsIdentical(ctx, peer, proc, seq, data) {
+	if errors.Is(err, ErrStaleSeq) && HoldsIdentical(ctx, peer, proc, seq, data) {
 		return nil
 	}
 	return err
-}
-
-// holdsIdentical reports whether the peer's stored chain contains exactly
-// (proc, seq, data). It backs the stale-seq-as-ack decision, so it must
-// never report true on a read failure.
-func holdsIdentical(ctx context.Context, peer Store, proc string, seq int, data []byte) bool {
-	if eg, ok := peer.(ElemGetter); ok {
-		stored, found, err := eg.GetElem(ctx, proc, seq)
-		return err == nil && found && bytes.Equal(stored, data)
-	}
-	chain, _, err := peer.Get(ctx, proc)
-	if err != nil {
-		return false
-	}
-	for _, el := range chain {
-		if el.Seq == seq {
-			return bytes.Equal(el.Data, data)
-		}
-	}
-	return false
 }

@@ -62,14 +62,6 @@ type renameRecord struct {
 	hadOld           bool
 }
 
-// NewFaultFS builds a shim that crashes on the nth occurrence of op.
-func NewFaultFS(op Op, n int) *FaultFS {
-	return &FaultFS{Inner: OSFS{}, CrashOp: op, CrashN: n, PartialBytes: -1, counts: map[Op]int{}}
-}
-
-// Crashed reports whether the simulated crash has fired.
-func (f *FaultFS) Crashed() bool { return f.crashed }
-
 // Arm schedules the crash for the nth future occurrence of op (counting from
 // now, not from construction), with the given torn-write size. The chaos
 // harness uses it to plant crash windows mid-run on a long-lived shim whose

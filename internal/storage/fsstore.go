@@ -625,6 +625,8 @@ func (fs *FSStore) readElem(proc string, seq int) ([]byte, bool) {
 // GetElem returns the single stored element for (proc, seq) — one file
 // read, regardless of chain length. A committed element whose file is
 // unreadable reports ok=false, matching Get's missing classification.
+// Product code asks through ReadElem (GetSeqs for one seq); GetElem stays
+// for the benchmark's traced store wrapper, which calls it directly.
 func (fs *FSStore) GetElem(ctx context.Context, proc string, seq int) ([]byte, bool, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, false, err

@@ -67,9 +67,8 @@ type QuotaStore struct {
 }
 
 var (
-	_ Store      = (*QuotaStore)(nil)
-	_ ElemGetter = (*QuotaStore)(nil)
-	_ SeqGetter  = (*QuotaStore)(nil)
+	_ Store     = (*QuotaStore)(nil)
+	_ SeqGetter = (*QuotaStore)(nil)
 )
 
 // NewQuotaStore wraps inner with the given default per-tenant quota.
@@ -315,23 +314,6 @@ func (q *QuotaStore) Scrub(ctx context.Context, name string, repair bool) (*Scru
 // Get implements Store.
 func (q *QuotaStore) Get(ctx context.Context, name string) ([]Stored, []int, error) {
 	return q.inner.Get(ctx, name)
-}
-
-// GetElem implements the single-element probe when the inner store does.
-func (q *QuotaStore) GetElem(ctx context.Context, name string, seq int) ([]byte, bool, error) {
-	if eg, ok := q.inner.(ElemGetter); ok {
-		return eg.GetElem(ctx, name, seq)
-	}
-	chain, _, err := q.inner.Get(ctx, name)
-	if err != nil {
-		return nil, false, err
-	}
-	for _, el := range chain {
-		if el.Seq == seq {
-			return el.Data, true, nil
-		}
-	}
-	return nil, false, nil
 }
 
 // GetSeqs implements the partial read when the inner store does, else

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"context"
 	"sort"
 )
@@ -17,6 +18,26 @@ func ReadSeqs(ctx context.Context, st Store, key string, want []int) (listed []i
 	}
 	listed, chain, missing = FilterSeqs(all, lost, want)
 	return listed, chain, missing, nil
+}
+
+// ReadElem reads the element st holds at (key, seq): ReadSeqs for that one
+// seq. ok is false when the chain lists no readable element at seq; err
+// reports the chain's own metadata being unreadable.
+func ReadElem(ctx context.Context, st Store, key string, seq int) (data []byte, ok bool, err error) {
+	_, chain, _, err := ReadSeqs(ctx, st, key, []int{seq})
+	if err != nil || len(chain) == 0 {
+		return nil, false, err
+	}
+	return chain[0].Data, true, nil
+}
+
+// HoldsIdentical reports whether st holds exactly data at (key, seq) — the
+// one answer to "is this checkpoint already stored?" behind every
+// stale-seq-as-ack decision: PutVerified's, and the replication server's at
+// commit. A read failure reports not held.
+func HoldsIdentical(ctx context.Context, st Store, key string, seq int, data []byte) bool {
+	stored, ok, err := ReadElem(ctx, st, key, seq)
+	return err == nil && ok && bytes.Equal(stored, data)
 }
 
 // FilterSeqs answers GetSeqs from a whole chain as Get returns it (stored

@@ -225,21 +225,13 @@ func TestReplicaSetGetSeqsMatchesFilteredGet(t *testing.T) {
 	}
 	want := []int{4, 1, 3, 9, 1}
 	for name, st := range map[string]Store{"fs": fs, "level": level} {
-		ns, err := Namespaced(NewQuotaStore(st, Quota{}), "acme")
-		if err != nil {
-			t.Fatal(err)
-		}
 		all, lost, err := st.Get(ctx, Qualify("acme", "p"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantListed, wantChain, wantMissing := FilterSeqs(all, lost, want)
-		for via, sg := range map[string]SeqGetter{"direct": st.(SeqGetter), "wrapped": ns} {
-			key := Qualify("acme", "p")
-			if via == "wrapped" {
-				key = "p"
-			}
-			listed, chain, missing, err := sg.GetSeqs(ctx, key, want)
+		for via, sg := range map[string]SeqGetter{"direct": st.(SeqGetter), "wrapped": NewQuotaStore(st, Quota{})} {
+			listed, chain, missing, err := sg.GetSeqs(ctx, Qualify("acme", "p"), want)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -207,21 +207,6 @@ func (ls *LevelStore) GetSeqs(ctx context.Context, proc string, want []int) ([]i
 	return listed, kept, nil, nil
 }
 
-// GetElem returns the single stored element for (proc, seq).
-func (ls *LevelStore) GetElem(ctx context.Context, proc string, seq int) ([]byte, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	for _, s := range ls.chains[proc] {
-		if s.Seq == seq {
-			return s.Data, true, nil
-		}
-	}
-	return nil, false, nil
-}
-
 // List returns the process names with chains, sorted.
 func (ls *LevelStore) List(ctx context.Context) ([]string, error) {
 	if err := ctx.Err(); err != nil {

@@ -57,18 +57,6 @@ type Store interface {
 	Target() Target
 }
 
-// ElemGetter is an optional refinement of Store for fetching one chain
-// element without materializing the whole chain. The replication server and
-// the quorum fan-out probe it to answer "does this store already hold
-// (proc, seq)?" with O(1 element) I/O instead of a full Get; stores that do
-// not implement it are probed with Get.
-type ElemGetter interface {
-	// GetElem returns the stored element for (proc, seq). ok is false when
-	// the chain holds no readable element at that sequence; err reports the
-	// store's own metadata being unreadable.
-	GetElem(ctx context.Context, proc string, seq int) (data []byte, ok bool, err error)
-}
-
 // SeqGetter is an optional refinement of Store for reading part of a chain:
 // what a replica set's read plan (FanOut.Read) asks of every replica but the
 // first. Stores that do not implement it are read through ReadSeqs's
@@ -86,9 +74,6 @@ type SeqGetter interface {
 var (
 	_ Store = (*LevelStore)(nil)
 	_ Store = (*FSStore)(nil)
-
-	_ ElemGetter = (*LevelStore)(nil)
-	_ ElemGetter = (*FSStore)(nil)
 
 	_ SeqGetter = (*LevelStore)(nil)
 	_ SeqGetter = (*FSStore)(nil)

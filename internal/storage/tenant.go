@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"fmt"
 	"strings"
 )
@@ -126,136 +125,3 @@ func SplitQualified(name string) (tenant, proc string) {
 	}
 	return DefaultTenant, name
 }
-
-// NamespacedStore is a tenant-scoped view of an inner Store: every proc
-// name is qualified on the way in and stripped on the way out, so one flat
-// backing store holds many isolated namespaces. The view adds no locking —
-// it delegates straight to the inner store's own concurrency discipline.
-type NamespacedStore struct {
-	inner  Store
-	tenant string
-}
-
-var (
-	_ Store      = (*NamespacedStore)(nil)
-	_ ElemGetter = (*NamespacedStore)(nil)
-	_ SeqGetter  = (*NamespacedStore)(nil)
-)
-
-// Namespaced returns the tenant's view of inner. The default tenant's view
-// is still wrapped (not returned as inner itself): the view's List filters
-// out other tenants' qualified names, which the raw store would leak.
-func Namespaced(inner Store, tenant string) (*NamespacedStore, error) {
-	if err := ValidateTenantName(tenant); err != nil {
-		return nil, err
-	}
-	return &NamespacedStore{inner: inner, tenant: tenant}, nil
-}
-
-// Tenant returns the namespace this view is scoped to.
-func (ns *NamespacedStore) Tenant() string { return ns.tenant }
-
-// Inner returns the wrapped store.
-func (ns *NamespacedStore) Inner() Store { return ns.inner }
-
-// qualify validates the user-supplied proc name and maps it into the flat
-// key space.
-func (ns *NamespacedStore) qualify(proc string) (string, error) {
-	if err := ValidateUserProcName(proc); err != nil {
-		return "", err
-	}
-	return Qualify(ns.tenant, proc), nil
-}
-
-// Put implements Store.
-func (ns *NamespacedStore) Put(ctx context.Context, proc string, seq int, data []byte) error {
-	q, err := ns.qualify(proc)
-	if err != nil {
-		return err
-	}
-	return ns.inner.Put(ctx, q, seq, data)
-}
-
-// Get implements Store.
-func (ns *NamespacedStore) Get(ctx context.Context, proc string) ([]Stored, []int, error) {
-	q, err := ns.qualify(proc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return ns.inner.Get(ctx, q)
-}
-
-// GetElem implements the single-element probe when the inner store does.
-func (ns *NamespacedStore) GetElem(ctx context.Context, proc string, seq int) ([]byte, bool, error) {
-	eg, ok := ns.inner.(ElemGetter)
-	if !ok {
-		return nil, false, fmt.Errorf("storage: inner store has no element probe")
-	}
-	q, err := ns.qualify(proc)
-	if err != nil {
-		return nil, false, err
-	}
-	return eg.GetElem(ctx, q, seq)
-}
-
-// GetSeqs implements the partial read when the inner store does, else
-// filters its Get.
-func (ns *NamespacedStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []Stored, []int, error) {
-	q, err := ns.qualify(proc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return ReadSeqs(ctx, ns.inner, q, want)
-}
-
-// List implements Store: only this tenant's user-visible procs, with the
-// qualification stripped and library-derived stripe chains hidden.
-func (ns *NamespacedStore) List(ctx context.Context) ([]string, error) {
-	all, err := ns.inner.List(ctx)
-	if err != nil {
-		return nil, err
-	}
-	var procs []string
-	for _, name := range all {
-		tenant, proc, stripe := ParseKey(name)
-		if tenant == ns.tenant && stripe == "" {
-			procs = append(procs, proc)
-		}
-	}
-	return procs, nil
-}
-
-// Delete implements Store.
-func (ns *NamespacedStore) Delete(ctx context.Context, proc string) error {
-	q, err := ns.qualify(proc)
-	if err != nil {
-		return err
-	}
-	return ns.inner.Delete(ctx, q)
-}
-
-// Scrub implements Store.
-func (ns *NamespacedStore) Scrub(ctx context.Context, proc string, repair bool) (*ScrubReport, error) {
-	q, err := ns.qualify(proc)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := ns.inner.Scrub(ctx, q, repair)
-	if err != nil {
-		return nil, err
-	}
-	rep.Proc = proc
-	return rep, nil
-}
-
-// Truncate implements Store.
-func (ns *NamespacedStore) Truncate(ctx context.Context, proc string, fullSeq int) error {
-	q, err := ns.qualify(proc)
-	if err != nil {
-		return err
-	}
-	return ns.inner.Truncate(ctx, q, fullSeq)
-}
-
-// Target implements Store.
-func (ns *NamespacedStore) Target() Target { return ns.inner.Target() }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"errors"
 	"testing"
 )
@@ -80,93 +79,5 @@ func TestParseStripeLabel(t *testing.T) {
 		if _, _, ok := ParseStripeLabel(label); ok {
 			t.Errorf("ParseStripeLabel(%q) ok, want reject", label)
 		}
-	}
-}
-
-func TestNamespacedStoreIsolation(t *testing.T) {
-	ctx := context.Background()
-	inner := NewLevelStore(Target{Name: "mem"})
-	acme, err := Namespaced(inner, "acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	globex, err := Namespaced(inner, "globex")
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := Namespaced(inner, DefaultTenant)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := acme.Put(ctx, "db", 1, []byte("acme-db-1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := globex.Put(ctx, "db", 1, []byte("globex-db-1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := def.Put(ctx, "db", 1, []byte("default-db-1")); err != nil {
-		t.Fatal(err)
-	}
-	// A stripe chain written through the raw store stays hidden from List.
-	if err := inner.Put(ctx, ComposeKey("acme", "db", StripeLabel(0, 2)), 1, []byte("stripe")); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, tc := range []struct {
-		ns   *NamespacedStore
-		want string
-	}{{acme, "acme-db-1"}, {globex, "globex-db-1"}, {def, "default-db-1"}} {
-		chain, _, err := tc.ns.Get(ctx, "db")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(chain) != 1 || string(chain[0].Data) != tc.want {
-			t.Fatalf("tenant %s sees %+v, want one element %q", tc.ns.Tenant(), chain, tc.want)
-		}
-		procs, err := tc.ns.List(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(procs) != 1 || procs[0] != "db" {
-			t.Fatalf("tenant %s List = %v, want [db]", tc.ns.Tenant(), procs)
-		}
-	}
-
-	// The default tenant's chain is the bare legacy key.
-	if chain, _, _ := inner.Get(ctx, "db"); len(chain) != 1 || string(chain[0].Data) != "default-db-1" {
-		t.Fatalf("bare key holds %+v", chain)
-	}
-
-	// A proc name smuggling a separator is rejected before any I/O.
-	if err := acme.Put(ctx, "globex@db", 2, nil); !errors.Is(err, ErrBadProcName) {
-		t.Fatalf("cross-tenant Put = %v, want ErrBadProcName", err)
-	}
-
-	// Delete is tenant-scoped.
-	if err := acme.Delete(ctx, "db"); err != nil {
-		t.Fatal(err)
-	}
-	if chain, _, _ := globex.Get(ctx, "db"); len(chain) != 1 {
-		t.Fatalf("globex chain disturbed by acme delete: %+v", chain)
-	}
-}
-
-func TestNamespacedScrubReportsUserName(t *testing.T) {
-	ctx := context.Background()
-	inner := NewLevelStore(Target{Name: "mem"})
-	ns, err := Namespaced(inner, "acme")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ns.Put(ctx, "db", 1, []byte("not-a-ckpt")); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := ns.Scrub(ctx, "db", false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Proc != "db" {
-		t.Fatalf("Scrub report proc = %q, want user-visible name", rep.Proc)
 	}
 }

@@ -350,7 +350,7 @@ func TestCheckpointDirPeerQuorum(t *testing.T) {
 					t.Fatalf("append = %v, want the quorum held", err)
 				}
 				for i, p := range peers {
-					if got, ok, _ := p.GetElem(ctx, "p", 0); !p.dark && (!ok || !bytes.Equal(got, data)) {
+					if got, ok, _ := storage.ReadElem(ctx, p, "p", 0); !p.dark && (!ok || !bytes.Equal(got, data)) {
 						t.Fatalf("live peer %d does not hold the append", i)
 					}
 				}
