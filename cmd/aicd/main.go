@@ -22,7 +22,7 @@
 // replication, and unreferenced chunks are garbage-collected after each
 // pass. See DESIGN.md §16.
 //
-// A peer is multi-tenant: protocol-v2 clients address chains as
+// A peer is multi-tenant: clients address chains as
 // (tenant, proc), each tenant isolated in its own namespace of the one
 // backing store. -quota-bytes / -quota-chains cap every tenant's stored
 // bytes and chain count (rejections are terminal quota errors at the

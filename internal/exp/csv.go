@@ -23,20 +23,7 @@ func CSV(name string, seed uint64) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		header := []string{"time_s"}
-		for _, s := range series {
-			header = append(header, s.Benchmark+"_norm_latency", s.Benchmark+"_norm_size")
-		}
-		w.Write(header)
-		if len(series) > 0 {
-			for i := range series[0].Points {
-				row := []string{f(series[0].Points[i].Time)}
-				for _, s := range series {
-					row = append(row, f(s.Points[i].NormLatency), f(s.Points[i].NormSize))
-				}
-				w.Write(row)
-			}
-		}
+		return fig2CSV(series), nil
 	case "fig5", "fig6":
 		var rows []ScalingRow
 		var err error
@@ -128,4 +115,28 @@ func CSV(name string, seed uint64) (string, error) {
 		return "", err
 	}
 	return b.String(), nil
+}
+
+// fig2CSV renders Fig. 2 series: one row per second, a normalized latency
+// and size column pair per benchmark.
+func fig2CSV(series []Fig2Series) string {
+	var b strings.Builder
+	w := csv.NewWriter(&b)
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', 8, 64) }
+	header := []string{"time_s"}
+	for _, s := range series {
+		header = append(header, s.Benchmark+"_norm_latency", s.Benchmark+"_norm_size")
+	}
+	w.Write(header)
+	if len(series) > 0 {
+		for i := range series[0].Points {
+			row := []string{f(series[0].Points[i].Time)}
+			for _, s := range series {
+				row = append(row, f(s.Points[i].NormLatency), f(s.Points[i].NormSize))
+			}
+			w.Write(row)
+		}
+	}
+	w.Flush()
+	return b.String()
 }

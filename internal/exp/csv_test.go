@@ -40,12 +40,11 @@ func TestCSVFig7(t *testing.T) {
 	}
 }
 
+// TestCSVFig2 renders Fig2's default set from the shared memo: CSV("fig2")
+// is Fig2 then this renderer, and recomputing the series here would
+// duplicate the memo's work.
 func TestCSVFig2(t *testing.T) {
-	out, err := CSV("fig2", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, out)
+	rows := parseCSV(t, fig2CSV(fig2At42(t, "sjeng", "lbm", "bzip2")))
 	if len(rows) != 61 { // header + 60 seconds
 		t.Fatalf("%d rows", len(rows))
 	}

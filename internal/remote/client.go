@@ -5,10 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -42,13 +40,6 @@ type Config struct {
 	Window int
 	// ChunkSize is the data-frame payload size (0 selects DefaultChunkSize).
 	ChunkSize int
-	// MaxFrame bounds incoming frames (0 selects DefaultMaxFrame). Must be
-	// at least the server's, or large Get elements will be refused.
-	MaxFrame int
-	// Target is the bandwidth/latency model reported by Target() so a
-	// RemoteStore can stand in as a modelled level (zero value is fine for
-	// real replication).
-	Target storage.Target
 	// Dialer overrides how connections are made (fault injection); nil
 	// selects net.Dialer.
 	Dialer Dialer
@@ -88,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ChunkSize <= 0 {
 		c.ChunkSize = DefaultChunkSize
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
 	}
 	if c.Dialer == nil {
 		c.Dialer = &net.Dialer{}
@@ -145,13 +133,6 @@ type RemoteStore struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	closed bool
-	// negotiated is the protocol version of the live connection; proto is
-	// the version to offer on the next dial. Both guarded by mu. A server
-	// that refuses version 2 flips proto to v1 permanently — composed keys
-	// then travel verbatim as flat proc names, the old server mapping them
-	// onto its default (only) namespace.
-	negotiated int
-	proto      int
 
 	// putBuf is the reused frame-encode scratch for Put's pipelined window
 	// bursts. Guarded by mu (held for the whole operation by do).
@@ -174,25 +155,12 @@ func NewStore(addr string, cfg Config) *RemoteStore {
 		}
 		cfg.rng = rand.New(rand.NewSource(seed))
 	}
-	return &RemoteStore{addr: addr, cfg: cfg, proto: protocolVersion, met: newClientMetrics(cfg.Metrics, addr)}
+	return &RemoteStore{addr: addr, cfg: cfg, met: newClientMetrics(cfg.Metrics, addr)}
 }
 
-// ProtocolVersion returns the version of the live connection, or 0 when
-// not connected.
-func (r *RemoteStore) ProtocolVersion() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.conn == nil {
-		return 0
-	}
-	return r.negotiated
-}
-
-// Addr returns the peer address the store replicates to.
-func (r *RemoteStore) Addr() string { return r.addr }
-
-// Target implements storage.Store.
-func (r *RemoteStore) Target() storage.Target { return r.cfg.Target }
+// Target implements storage.Store. A peer is not a modelled level: its
+// target is the zero value.
+func (r *RemoteStore) Target() storage.Target { return storage.Target{} }
 
 // Close drops the connection. Further operations fail.
 func (r *RemoteStore) Close() error {
@@ -211,10 +179,10 @@ func (r *RemoteStore) dropLocked() error {
 	return err
 }
 
-// ensureConnLocked dials (with the hello exchange) if no connection is
-// up. A peer that refuses the offered version 2 triggers one immediate
-// redial speaking version 1 — capability downgrade instead of failing the
-// operation — and the downgrade sticks for the client's lifetime.
+// ensureConnLocked dials and runs the hello exchange if no connection is
+// up, installing the connection on success. The hello names exactly
+// protocolVersion; a peer that speaks another version refuses it, and the
+// refusal is terminal.
 func (r *RemoteStore) ensureConnLocked(ctx context.Context) error {
 	if r.closed {
 		return fmt.Errorf("remote: store for %s is closed", r.addr)
@@ -222,25 +190,6 @@ func (r *RemoteStore) ensureConnLocked(ctx context.Context) error {
 	if r.conn != nil {
 		return nil
 	}
-	err := r.dialHelloLocked(ctx, r.proto)
-	if err != nil && r.proto > protocolVersionV1 && isVersionRefusal(err) {
-		r.proto = protocolVersionV1
-		err = r.dialHelloLocked(ctx, r.proto)
-	}
-	return err
-}
-
-// isVersionRefusal recognizes a server's version rejection — the one
-// application error the hello exchange downgrades on instead of
-// surfacing.
-func isVersionRefusal(err error) bool {
-	var re *remoteError
-	return errors.As(err, &re) && re.Code == codeBadFrame && strings.Contains(re.Msg, "protocol version")
-}
-
-// dialHelloLocked dials and runs the hello exchange at the given version,
-// installing the connection on success.
-func (r *RemoteStore) dialHelloLocked(ctx context.Context, ver int) error {
 	dctx, cancel := context.WithTimeout(ctx, r.cfg.DialTimeout)
 	defer cancel()
 	conn, err := r.cfg.Dialer.DialContext(dctx, "tcp", r.addr)
@@ -249,50 +198,22 @@ func (r *RemoteStore) dialHelloLocked(ctx context.Context, ver int) error {
 	}
 	br := bufio.NewReader(conn)
 	conn.SetDeadline(time.Now().Add(r.cfg.DialTimeout))
-	hello := helloMsg{Version: ver}
-	if ver >= protocolVersion {
-		hello.Caps = clientCaps
-	}
-	if err := writeJSON(conn, kindHello, hello); err != nil {
+	if err := writeJSON(conn, kindHello, helloMsg{Version: protocolVersion}); err != nil {
 		conn.Close()
 		return err
 	}
-	kind, payload, err := readFrame(br, r.cfg.MaxFrame)
-	if err != nil {
+	if _, err := expect(br, kindHelloOK); err != nil {
 		conn.Close()
 		return err
-	}
-	if kind != kindHelloOK {
-		conn.Close()
-		if kind == kindErr {
-			return asRemoteErr(payload)
-		}
-		return fmt.Errorf("remote: unexpected hello reply 0x%02x", kind)
-	}
-	var ok helloMsg
-	if err := decodeJSON(payload, &ok); err != nil {
-		conn.Close()
-		return err
-	}
-	negotiated := ok.Version
-	if negotiated <= 0 || negotiated > ver {
-		negotiated = ver
 	}
 	conn.SetDeadline(time.Time{})
-	r.conn, r.br, r.negotiated = conn, br, negotiated
+	r.conn, r.br = conn, br
 	return nil
 }
 
-// splitWireLocked decomposes a flat store key into the addressing fields
-// for the live connection's version. A v2 connection ships (tenant, proc,
-// stripe) separately so the server can validate each part; a v1 connection
-// sends the composed key verbatim, which the old server stores as a plain
-// proc name in its only namespace. Callers hold r.mu (the op closures run
-// under do).
-func (r *RemoteStore) splitWireLocked(name string) (proc, tenant, stripe string) {
-	if r.negotiated < protocolVersion {
-		return name, "", ""
-	}
+// splitWire decomposes a flat store key into the addressing fields the
+// server validates part by part.
+func splitWire(name string) (proc, tenant, stripe string) {
 	tenant, proc, stripe = storage.ParseKey(name)
 	if tenant == storage.DefaultTenant {
 		tenant = "" // omitted on the wire; the server defaults it
@@ -393,8 +314,8 @@ func (r *RemoteStore) sleepLocked(ctx context.Context, d time.Duration) error {
 
 // expect reads one frame and requires the given kind, decoding error frames
 // into remoteError.
-func expect(br *bufio.Reader, maxFrame int, want byte) ([]byte, error) {
-	kind, payload, err := readFrame(br, maxFrame)
+func expect(br *bufio.Reader, want byte) ([]byte, error) {
+	kind, payload, err := readFrame(br, DefaultMaxFrame)
 	if err != nil {
 		return nil, err
 	}
@@ -412,9 +333,9 @@ func expect(br *bufio.Reader, maxFrame int, want byte) ([]byte, error) {
 //
 //aiclint:ignore durableflow the wire client cannot fsync the server's disk; durability lives behind the kindPutDone reply, which durableflow checks where the server emits it
 func (r *RemoteStore) Put(ctx context.Context, proc string, seq int, data []byte) error {
-	crc := crc32.Checksum(data, crcTable)
+	crc := objectCRC(data)
 	return r.timedDo(ctx, "put", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := r.splitWireLocked(proc)
+		p, tenant, stripe := splitWire(proc)
 		if err := writeJSON(conn, kindPutBegin, putBeginMsg{
 			Proc: p, Tenant: tenant, Stripe: stripe,
 			Seq: seq, Size: int64(len(data)), CRC: crc,
@@ -422,16 +343,13 @@ func (r *RemoteStore) Put(ctx context.Context, proc string, seq int, data []byte
 		}); err != nil {
 			return err
 		}
-		payload, err := expect(br, r.cfg.MaxFrame, kindPutOffset)
+		payload, err := expect(br, kindPutOffset)
 		if err != nil {
 			return err
 		}
 		var off putOffsetMsg
 		if err := decodeJSON(payload, &off); err != nil {
 			return err
-		}
-		if off.Committed {
-			return nil
 		}
 		if off.Offset < 0 || off.Offset > int64(len(data)) {
 			return fmt.Errorf("remote: peer offers offset %d of %d", off.Offset, len(data))
@@ -450,7 +368,7 @@ func (r *RemoteStore) Put(ctx context.Context, proc string, seq int, data []byte
 					r.met.windowStalls.Inc()
 				}
 				for inflight > r.cfg.Window/2 {
-					ackOff, err := readPutAck(br, r.cfg.MaxFrame)
+					ackOff, err := readPutAck(br)
 					if err != nil {
 						return err
 					}
@@ -490,7 +408,7 @@ func (r *RemoteStore) Put(ctx context.Context, proc string, seq int, data []byte
 		}
 		// Drain remaining acks; the commit answer ends the transfer.
 		for {
-			kind, payload, err := readFrame(br, r.cfg.MaxFrame)
+			kind, payload, err := readFrame(br, DefaultMaxFrame)
 			if err != nil {
 				return err
 			}
@@ -526,8 +444,8 @@ func (r *RemoteStore) timedDo(ctx context.Context, op string, fn func(conn net.C
 	return err
 }
 
-func readPutAck(br *bufio.Reader, maxFrame int) (int64, error) {
-	payload, err := expect(br, maxFrame, kindPutAck)
+func readPutAck(br *bufio.Reader) (int64, error) {
+	payload, err := expect(br, kindPutAck)
 	if err != nil {
 		return 0, err
 	}
@@ -548,20 +466,16 @@ func (r *RemoteStore) Get(ctx context.Context, proc string) ([]storage.Stored, [
 }
 
 // GetSeqs implements storage.SeqGetter: one round trip carrying the listing
-// and only the wanted bodies. A peer that predates partial reads answers
-// with its whole chain, filtered here. A partial answer is outside input: an
-// element that was not wanted or not listed, or a listing out of order,
-// fails the call as this peer's — no retry would make it honest.
+// and only the wanted bodies. A partial answer is outside input: a reply
+// without the Only echo, an element that was not wanted or not listed, or a
+// listing out of order, fails the call as this peer's — no retry would make
+// it honest.
 func (r *RemoteStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []storage.Stored, []int, error) {
 	hdr, chain, err := r.get(ctx, "get_seqs", proc, true, want)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if !hdr.Only {
-		listed, chain, missing := storage.FilterSeqs(chain, hdr.Missing, want)
-		return listed, chain, missing, nil
-	}
-	if err := checkPartial(hdr.Listed, chain, want); err != nil {
+	if err := checkPartial(hdr, chain, want); err != nil {
 		return nil, nil, nil, fmt.Errorf("remote: peer %s: partial read of %s: %w", r.addr, proc, err)
 	}
 	return hdr.Listed, chain, hdr.Missing, nil
@@ -571,12 +485,12 @@ func (r *RemoteStore) GetSeqs(ctx context.Context, proc string, want []int) ([]i
 func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want []int) (hdr chainMsg, chain []storage.Stored, err error) {
 	err = r.timedDo(ctx, op, func(conn net.Conn, br *bufio.Reader) error {
 		hdr, chain = chainMsg{}, nil
-		p, tenant, stripe := r.splitWireLocked(proc)
+		p, tenant, stripe := splitWire(proc)
 		msg := getMsg{procMsg: procMsg{Proc: p, Tenant: tenant, Stripe: stripe}, Only: only, Want: want}
 		if err := writeJSON(conn, kindGet, msg); err != nil {
 			return err
 		}
-		payload, err := expect(br, r.cfg.MaxFrame, kindChain)
+		payload, err := expect(br, kindChain)
 		if err != nil {
 			return err
 		}
@@ -584,7 +498,7 @@ func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want 
 			return err
 		}
 		for i := 0; i < hdr.Count; i++ {
-			payload, err := expect(br, r.cfg.MaxFrame, kindElem)
+			payload, err := expect(br, kindElem)
 			if err != nil {
 				return err
 			}
@@ -599,9 +513,14 @@ func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want 
 	return hdr, chain, err
 }
 
-// checkPartial vets a partial read's answer: listed strictly ascending, and
-// every element wanted, listed and sent once, in sequence order.
-func checkPartial(listed []int, chain []storage.Stored, want []int) error {
+// checkPartial vets a partial read's answer: the Only echo, listed strictly
+// ascending, and every element wanted, listed and sent once, in sequence
+// order.
+func checkPartial(hdr chainMsg, chain []storage.Stored, want []int) error {
+	if !hdr.Only {
+		return errors.New("reply is not a partial read")
+	}
+	listed := hdr.Listed
 	for i := 1; i < len(listed); i++ {
 		if listed[i] <= listed[i-1] {
 			return fmt.Errorf("listing not strictly ascending at seq %d", listed[i])
@@ -634,7 +553,7 @@ func (r *RemoteStore) List(ctx context.Context) (procs []string, err error) {
 		if err := writeFrame(conn, kindList, nil); err != nil {
 			return err
 		}
-		payload, err := expect(br, r.cfg.MaxFrame, kindProcs)
+		payload, err := expect(br, kindProcs)
 		if err != nil {
 			return err
 		}
@@ -654,11 +573,11 @@ func (r *RemoteStore) List(ctx context.Context) (procs []string, err error) {
 // Delete implements storage.Store.
 func (r *RemoteStore) Delete(ctx context.Context, proc string) error {
 	return r.timedDo(ctx, "delete", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := r.splitWireLocked(proc)
+		p, tenant, stripe := splitWire(proc)
 		if err := writeJSON(conn, kindDelete, procMsg{Proc: p, Tenant: tenant, Stripe: stripe}); err != nil {
 			return err
 		}
-		_, err := expect(br, r.cfg.MaxFrame, kindOK)
+		_, err := expect(br, kindOK)
 		return err
 	})
 }
@@ -666,11 +585,11 @@ func (r *RemoteStore) Delete(ctx context.Context, proc string) error {
 // Truncate implements storage.Store.
 func (r *RemoteStore) Truncate(ctx context.Context, proc string, fullSeq int) error {
 	return r.timedDo(ctx, "truncate", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := r.splitWireLocked(proc)
+		p, tenant, stripe := splitWire(proc)
 		if err := writeJSON(conn, kindTruncate, truncateMsg{Proc: p, Tenant: tenant, Stripe: stripe, FullSeq: fullSeq}); err != nil {
 			return err
 		}
-		_, err := expect(br, r.cfg.MaxFrame, kindOK)
+		_, err := expect(br, kindOK)
 		return err
 	})
 }
@@ -679,11 +598,11 @@ func (r *RemoteStore) Truncate(ctx context.Context, proc string, fullSeq int) er
 // own durable state.
 func (r *RemoteStore) Scrub(ctx context.Context, proc string, repair bool) (rep *storage.ScrubReport, err error) {
 	err = r.timedDo(ctx, "scrub", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := r.splitWireLocked(proc)
+		p, tenant, stripe := splitWire(proc)
 		if err := writeJSON(conn, kindScrub, scrubMsg{Proc: p, Tenant: tenant, Stripe: stripe, Repair: repair}); err != nil {
 			return err
 		}
-		payload, err := expect(br, r.cfg.MaxFrame, kindScrubRep)
+		payload, err := expect(br, kindScrubRep)
 		if err != nil {
 			return err
 		}

@@ -17,7 +17,7 @@ import (
 type plainStore struct{ storage.Store }
 
 // scriptedPeer speaks just enough of the protocol to answer every kindGet
-// with reply(request) — an old peer, or a hostile one. It counts the Gets.
+// with reply(request) — a hostile peer. It counts the Gets.
 func scriptedPeer(t *testing.T, reply func(req getMsg) (chainMsg, []storage.Stored)) (addr string, gets *atomic.Int32) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -91,9 +91,8 @@ func scriptedPeer(t *testing.T, reply func(req getMsg) (chainMsg, []storage.Stor
 }
 
 // A partial read over the wire answers exactly like Get filtered to want,
-// whether the peer's store has the refinement, lacks it (the server
-// filters), or the peer predates partial reads and sends its whole chain
-// (the client filters). Only the old peer ships unwanted bodies.
+// whether the peer's store has the refinement or lacks it (the server
+// filters), and ships no unwanted bodies either way.
 func TestReplicationGetSeqsOverWire(t *testing.T) {
 	back := storage.NewLevelStore(storage.Target{Name: "peer"})
 	body := bytes.Repeat([]byte("b"), 4096)
@@ -108,19 +107,12 @@ func TestReplicationGetSeqsOverWire(t *testing.T) {
 	}
 	want := []int{3, 1, 1, 9}
 	wantListed, wantChain, wantMissing := storage.FilterSeqs(all, nil, want)
-	var oldReq getMsg
-	oldAddr, _ := scriptedPeer(t, func(req getMsg) (chainMsg, []storage.Stored) {
-		oldReq = req
-		return chainMsg{}, all // no Only echo: the whole chain, as before partial reads
-	})
 	for _, tc := range []struct {
-		name    string
-		addr    string
-		shipped func(n int64) bool // bytes the client read, hello included
+		name string
+		addr string
 	}{
-		{"refined store", startServer(t, back), func(n int64) bool { return n < 3*4096 }},
-		{"store without the refinement", startServer(t, plainStore{back}), func(n int64) bool { return n < 3*4096 }},
-		{"peer that ignores only", oldAddr, func(n int64) bool { return n > 5*4096 }},
+		{"refined store", startServer(t, back)},
+		{"store without the refinement", startServer(t, plainStore{back})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := testConfig()
@@ -135,51 +127,54 @@ func TestReplicationGetSeqsOverWire(t *testing.T) {
 			if !reflect.DeepEqual(listed, wantListed) || !reflect.DeepEqual(chain, wantChain) || !reflect.DeepEqual(missing, wantMissing) {
 				t.Fatalf("GetSeqs = %v, %d elems, %v; want %v, %d elems, %v", listed, len(chain), missing, wantListed, len(wantChain), wantMissing)
 			}
-			if n := dialer.Total(); !tc.shipped(n) {
+			if n := dialer.Total(); n >= 3*4096 { // bytes the client read, hello included
 				t.Fatalf("%d bytes crossed the wire", n)
 			}
 		})
 	}
-	if !oldReq.Only || !reflect.DeepEqual(oldReq.Want, want) || oldReq.Proc != "p" {
-		t.Fatalf("request on the wire = %+v, want only=true and want=%v", oldReq, want)
-	}
 }
 
-// A partial answer is outside input: anything but wanted, listed elements
-// sent once in order, under a strictly ascending listing, fails the call as
-// the peer's — at once, without retrying a peer that answered.
+// A partial answer is outside input: anything but the Only echo over wanted,
+// listed elements sent once in order, under a strictly ascending listing,
+// fails the call as the peer's — at once, without retrying a peer that
+// answered.
 func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 	el := func(seq int) storage.Stored { return storage.Stored{Seq: seq, Data: []byte{byte(seq)}} }
+	only := func(listed ...int) chainMsg { return chainMsg{Only: true, Listed: listed} }
 	want := []int{1, 3}
 	for _, tc := range []struct {
-		name   string
-		listed []int
-		chain  []storage.Stored
-		ok     bool
+		name  string
+		hdr   chainMsg
+		chain []storage.Stored
+		ok    bool
 	}{
-		{"honest", []int{0, 1, 2, 3}, []storage.Stored{el(1), el(3)}, true},
-		{"element not requested", []int{0, 1, 2, 3}, []storage.Stored{el(1), el(2)}, false},
-		{"element not listed", []int{0, 1, 2}, []storage.Stored{el(1), el(3)}, false},
-		{"listing out of order", []int{0, 2, 1, 3}, []storage.Stored{el(1), el(3)}, false},
-		{"listing repeats a seq", []int{0, 1, 1, 3}, []storage.Stored{el(1), el(3)}, false},
-		{"element sent twice", []int{0, 1, 2, 3}, []storage.Stored{el(1), el(1)}, false},
-		{"elements out of order", []int{0, 1, 2, 3}, []storage.Stored{el(3), el(1)}, false},
+		{"honest", only(0, 1, 2, 3), []storage.Stored{el(1), el(3)}, true},
+		{"element not requested", only(0, 1, 2, 3), []storage.Stored{el(1), el(2)}, false},
+		{"element not listed", only(0, 1, 2), []storage.Stored{el(1), el(3)}, false},
+		{"listing out of order", only(0, 2, 1, 3), []storage.Stored{el(1), el(3)}, false},
+		{"listing repeats a seq", only(0, 1, 1, 3), []storage.Stored{el(1), el(3)}, false},
+		{"element sent twice", only(0, 1, 2, 3), []storage.Stored{el(1), el(1)}, false},
+		{"elements out of order", only(0, 1, 2, 3), []storage.Stored{el(3), el(1)}, false},
+		{"whole chain without the only echo", chainMsg{}, []storage.Stored{el(0), el(1), el(2), el(3)}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			addr, gets := scriptedPeer(t, func(getMsg) (chainMsg, []storage.Stored) {
-				return chainMsg{Only: true, Listed: tc.listed}, tc.chain
+			addr, gets := scriptedPeer(t, func(req getMsg) (chainMsg, []storage.Stored) {
+				if !req.Only || !reflect.DeepEqual(req.Want, want) || req.Proc != "p" {
+					t.Errorf("request on the wire = %+v, want only=true and want=%v", req, want)
+				}
+				return tc.hdr, tc.chain
 			})
 			rs := NewStore(addr, testConfig())
 			defer rs.Close()
 			listed, chain, _, err := rs.GetSeqs(ctx, "p", want)
 			if tc.ok {
-				if err != nil || !reflect.DeepEqual(listed, tc.listed) || !reflect.DeepEqual(chain, tc.chain) {
+				if err != nil || !reflect.DeepEqual(listed, tc.hdr.Listed) || !reflect.DeepEqual(chain, tc.chain) {
 					t.Fatalf("honest reply: %v %v %v", listed, chain, err)
 				}
 				return
 			}
 			if err == nil {
-				t.Fatalf("accepted %v / %v", tc.listed, tc.chain)
+				t.Fatalf("accepted %+v / %v", tc.hdr, tc.chain)
 			}
 			if errors.Is(err, ErrPeerDark) || gets.Load() != 1 {
 				t.Fatalf("err = %v after %d Gets; want one terminal failure", err, gets.Load())

@@ -17,6 +17,10 @@
 // payloads are JSON (small, introspectable, no schema compiler); bulk
 // checkpoint bytes ride in binary data frames.
 //
+// Every connection opens with a hello naming exactly protocolVersion; the
+// server refuses any other first frame, or any other version, and closes
+// the connection. There is one dialect: no downgrade, no capability list.
+//
 // Transfers are resumable: PutBegin names (proc, seq, size, crc) and the
 // server answers with the byte offset it already holds for that exact
 // object, so a client reconnecting after a cut resumes mid-object instead
@@ -59,26 +63,14 @@ const (
 	kindErr       byte = 0x7f // JSON errMsg
 )
 
-// Protocol versions negotiated by the hello exchange. Version 2 added
-// tenant namespacing: request messages carry (tenant, proc, stripe)
-// fields the server composes into flat store keys, plus the quota and
-// backpressure error codes. A v2 server still serves v1 clients (their
-// proc names map onto the default namespace), and a v2 client told
-// "version 2 unsupported" redials speaking v1 — sending its composed
-// keys verbatim, which a v1 server stores as plain default-namespace
-// proc names. Either direction degrades instead of failing mid-Put.
-const (
-	protocolVersion   = 2
-	protocolVersionV1 = 1
-)
+// protocolVersion is the one dialect the server speaks and the client
+// offers; a hello naming any other version is refused. Version 3 made the
+// PutBegin object checksum CRC-32 (IEEE), so a peer from before that fails
+// at the hello instead of at its first commit.
+const protocolVersion = 3
 
-// clientCaps are the capability strings a v2 client advertises in its
-// hello. The version number is what gates behavior today; the capability
-// list lets future revisions add features without another version bump.
-var clientCaps = []string{"tenancy", "stripes", "quota", "backpressure"}
-
-// DefaultMaxFrame bounds a single frame (and therefore a single stored
-// checkpoint element, which Get returns in one kindElem frame).
+// DefaultMaxFrame bounds a single frame on both sides (and therefore a
+// single stored checkpoint element, which Get returns in one kindElem frame).
 const DefaultMaxFrame = 64 << 20
 
 // DefaultChunkSize is the data-frame payload size Put slices objects into.
@@ -88,6 +80,13 @@ const DefaultChunkSize = 64 << 10
 const DefaultWindow = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// objectCRC is the whole-object checksum PutBegin declares and the commit
+// checks. It is CRC-32 (IEEE), not the frames' CRC-32C: every checkpoint
+// frame ends in its own CRC-32C, so the CRC-32C of any whole frame is the
+// same constant residue, while the IEEE CRC of it is not — resume and
+// commit really tell two frames of one size apart.
+func objectCRC(data []byte) uint32 { return crc32.ChecksumIEEE(data) }
 
 // Error codes carried by kindErr frames.
 const (
@@ -106,15 +105,10 @@ const (
 
 type helloMsg struct {
 	Version int `json:"v"`
-	// Caps advertises optional capabilities (v2+). Unknown strings are
-	// ignored by both sides; v1 peers never see the field.
-	Caps []string `json:"caps,omitempty"`
 }
 
-// procMsg names one chain. V2 splits the namespace out of the proc name:
-// Tenant "" means the default namespace, Stripe names a stripe chain of
-// the proc. V1 connections leave both empty and Proc is the flat store
-// key itself.
+// procMsg names one chain: Tenant "" means the default namespace, Stripe
+// names a stripe chain of the proc. The server composes the flat store key.
 type procMsg struct {
 	Proc   string `json:"proc"`
 	Tenant string `json:"tenant,omitempty"`
@@ -122,8 +116,7 @@ type procMsg struct {
 }
 
 // getMsg asks for one chain. Only makes it a partial read: the chain's
-// listing plus the bodies of just the Want seqs. A server that predates the
-// fields ignores them and sends the whole chain, without the Only echo.
+// listing plus the bodies of just the Want seqs.
 type getMsg struct {
 	procMsg
 	Only bool  `json:"only,omitempty"`
@@ -136,21 +129,15 @@ type putBeginMsg struct {
 	Stripe string `json:"stripe,omitempty"`
 	Seq    int    `json:"seq"`
 	Size   int64  `json:"size"`
-	CRC    uint32 `json:"crc"` // CRC-32C of the whole object
+	CRC    uint32 `json:"crc"` // objectCRC of the whole object
 	// Migrate marks a rebalance-migration copy of an already-committed
 	// element: the server exempts it from tenant quota admission (it was
-	// admitted when first written). V1 servers ignore the field — they
-	// have no quota layer to exempt it from.
+	// admitted when first written).
 	Migrate bool `json:"migrate,omitempty"`
 }
 
 type putOffsetMsg struct {
 	Offset int64 `json:"offset"` // resume point: bytes the server already staged
-	// Committed means the object is already durable: skip the transfer.
-	// Only older servers set it, judging by the whole-object CRC, which
-	// cannot tell checkpoint frames apart (each ends in its own CRC-32C); a
-	// current server judges a stored object on its bytes at commit.
-	Committed bool `json:"committed"`
 }
 
 type putAckMsg struct {

@@ -5,10 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -18,13 +18,14 @@ import (
 
 // Put-protocol fuzz operations. Each is two input bytes, (op, arg).
 const (
-	opBegin     = iota // PutBegin of object arg: seq arg%5, content variant arg/5%3
+	opBegin     = iota // PutBegin of object arg: seq arg%5, content variant arg/5%4
 	opData             // next chunk: arg&3 picks its size, arg&4 corrupts it, arg&8 misplaces it
 	opCommit           // PutCommit, of the open transfer or of none
 	opCut              // sever the connection and reconnect
 	opDelete           // Delete the chain
 	opTruncate         // Truncate below seq arg%6
 	opFlipScrub        // flip a bit of stored seq arg%5 on disk, then Scrub(repair)
+	opNoHello          // a connection whose first frame is PutBegin of object arg
 	numOps
 )
 
@@ -37,20 +38,27 @@ type putObj struct {
 	crc  uint32
 }
 
-// fuzzObj is object arg: a real checkpoint frame of seq arg%5 in one of two
-// contents, or a frame cut short (which a Scrub then reports corrupt).
+// fuzzObj is object arg: a real checkpoint frame of seq arg%5 in one of
+// three contents, or a frame cut short (which a Scrub then reports corrupt).
+// Variant 3 has variant 0's encoded size but other bytes, and — like every
+// checkpoint frame — the same whole-object CRC-32C, so only a checksum that
+// tells frames apart keeps a stale staging of one from committing as the
+// other.
 func fuzzObj(arg byte) putObj {
-	seq, variant := int(arg%5), int(arg/5%3)
+	seq, variant := int(arg%5), int(arg/5%4)
 	c := &ckpt.Checkpoint{Seq: seq, Kind: ckpt.Full, PageSize: 64,
 		Payload: bytes.Repeat([]byte{byte(seq)}, 160+48*seq)}
-	if variant == 1 {
+	switch variant {
+	case 1:
 		c.Kind, c.Payload = ckpt.Incremental, bytes.Repeat([]byte{byte(seq), 0xa5}, 70+24*seq)
+	case 3:
+		c.Payload = bytes.Repeat([]byte{^byte(seq)}, 160+48*seq)
 	}
 	data := c.Encode()
 	if variant == 2 {
 		data = data[:len(data)/2]
 	}
-	return putObj{seq: seq, data: data, crc: crc32.Checksum(data, crcTable)}
+	return putObj{seq: seq, data: data, crc: objectCRC(data)}
 }
 
 // putHarness is one server over an FSStore, driven over two in-memory
@@ -96,7 +104,8 @@ func (h *putHarness) close() {
 	}
 }
 
-func (c *putConn) connect() {
+// dial opens a connection to the server without a hello.
+func (c *putConn) dial() {
 	client, server := net.Pipe()
 	c.conn, c.served = client, make(chan struct{})
 	go func(done chan struct{}) {
@@ -105,6 +114,10 @@ func (c *putConn) connect() {
 		server.Close()
 	}(c.served)
 	c.open = nil
+}
+
+func (c *putConn) connect() {
+	c.dial()
 	c.send(kindHello, mustJSON(c.h.t, helloMsg{Version: protocolVersion}))
 	if kind, payload := c.reply(); kind != kindHelloOK {
 		c.h.t.Fatalf("hello answered 0x%02x %s", kind, payload)
@@ -183,10 +196,6 @@ func (h *putHarness) step(op, arg byte) {
 		if err := decodeJSON(payload, &off); err != nil {
 			h.t.Fatal(err)
 		}
-		if off.Committed {
-			h.mustHold(&obj, "PutBegin answered committed")
-			return
-		}
 		if off.Offset < 0 || off.Offset > int64(len(obj.data)) {
 			h.t.Fatalf("PutBegin offers offset %d of %d", off.Offset, len(obj.data))
 		}
@@ -250,7 +259,38 @@ func (h *putHarness) step(op, arg byte) {
 		}
 		c.send(kindScrub, mustJSON(h.t, scrubMsg{Proc: fuzzProc, Repair: true}))
 		c.reply()
+	case opNoHello:
+		// The request is refused and the connection closed; the store keeps
+		// what it held.
+		before := h.storeBytes()
+		c.disconnect()
+		c.dial()
+		obj := fuzzObj(arg)
+		c.send(kindPutBegin, mustJSON(h.t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+		if kind, payload := c.reply(); kind != kindErr {
+			h.t.Fatalf("PutBegin before the hello answered 0x%02x %s", kind, payload)
+		}
+		<-c.served
+		if after := h.storeBytes(); !reflect.DeepEqual(before, after) {
+			h.t.Fatalf("a connection without a hello changed the store: %v -> %v", before, after)
+		}
+		c.disconnect()
+		c.connect()
 	}
+}
+
+// storeBytes is the backing store's whole chain of fuzzProc, seq by seq.
+func (h *putHarness) storeBytes() map[int]string {
+	h.t.Helper()
+	chain, _, err := h.store.Get(context.Background(), fuzzProc)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	out := make(map[int]string, len(chain))
+	for _, el := range chain {
+		out[el.Seq] = string(el.Data)
+	}
+	return out
 }
 
 // fuzzOps encodes a sequence of (op, arg) pairs as fuzz input.
@@ -264,13 +304,15 @@ func fuzzOps(pairs ...[2]byte) []byte {
 
 // FuzzServerPutProtocol drives one replication server through fuzz-chosen
 // sequences of put-protocol requests on two connections — begins, data,
-// commits, commits outside a transfer, cuts with resume, Delete, Truncate, and Scrub
-// repairs of flipped elements — and checks two invariants after every step:
-// every ack (a PutBegin answered committed, a commit answered done) means the
-// backing store lists that seq with exactly those bytes at that moment, and
-// the staging pool's declared bytes are the sum of the staged transfers.
+// commits, commits outside a transfer, cuts with resume, Delete, Truncate,
+// Scrub repairs of flipped elements, and connections that skip the hello —
+// and checks two invariants after every step: every ack (a commit answered
+// done) means the backing store lists that seq with exactly those bytes at
+// that moment, and the staging pool's declared bytes are the sum of the
+// staged transfers.
 func FuzzServerPutProtocol(f *testing.F) {
-	all := byte(3) // opData arg: the whole rest of the object
+	all := byte(3)        // opData arg: the whole rest of the object
+	other := byte(numOps) // added to an op, runs it on the second connection
 	put := func(seq byte) [][2]byte {
 		return [][2]byte{{opBegin, seq}, {opData, all}, {opCommit, 0}}
 	}
@@ -286,6 +328,13 @@ func FuzzServerPutProtocol(f *testing.F) {
 	// A different frame at a held seq: every frame has the same whole-object
 	// CRC-32C, so only the bytes can tell it is not the one stored.
 	f.Add(fuzzOps(append(put(1), [2]byte{opBegin, 1 + 5}, [2]byte{opData, all}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0})...))
+	// A whole staged frame left uncommitted, then a different frame of the
+	// same size at its seq: the stale staging must not commit as the new one.
+	f.Add(fuzzOps([2]byte{opBegin, 0}, [2]byte{opData, all}, [2]byte{opCut, 0},
+		[2]byte{opBegin, 0 + 15}, [2]byte{opCommit, 0}))
+	// A connection that skips the hello, mid-transfer on the other one.
+	f.Add(fuzzOps([2]byte{opBegin, 1}, [2]byte{opData, all}, [2]byte{opNoHello + other, 1 + 15},
+		[2]byte{opCommit, 0}, [2]byte{opNoHello, 1}))
 	// A cut mid-transfer, the resume, and a second commit with no transfer open.
 	f.Add(fuzzOps([2]byte{opBegin, 0}, [2]byte{opData, 0}, [2]byte{opCut, 0},
 		[2]byte{opBegin, 0}, [2]byte{opData, all}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0}))
@@ -293,7 +342,6 @@ func FuzzServerPutProtocol(f *testing.F) {
 	f.Add(fuzzOps([2]byte{opBegin, 1}, [2]byte{opData, all | 4}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0}))
 	// One connection's Delete orphans the other's open transfer, whose
 	// commit must not release the transfer the first connection stages next.
-	other := byte(numOps) // added to an op, runs it on the second connection
 	f.Add(fuzzOps([2]byte{opBegin, 2}, [2]byte{opData, all}, [2]byte{opDelete + other, 0},
 		[2]byte{opBegin + other, 2 + 5}, [2]byte{opCommit, 0}))
 	// Truncation and deletion under open transfers, and re-Puts below the cut.

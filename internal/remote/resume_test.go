@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"aic/internal/ckpt"
 	"aic/internal/storage"
 )
 
@@ -62,7 +64,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // during commit and while the final ack is in flight — and requires the
 // retried Put to leave the peer holding the exact bytes.
 func TestPutResumesAtEveryCutPoint(t *testing.T) {
-	data := bytes.Repeat([]byte{0xa5, 0x5a, 0x01, 0xfe}, 256) // 1 KiB, 8 chunks
+	data := bytes.Repeat([]byte{0xa5, 0x5a, 0x01, 0xfe}, 288) // 1152 bytes, 9 chunks
 
 	// Pass 1: measure a clean run's total traffic.
 	counter := &countingDialer{}
@@ -149,5 +151,57 @@ func TestResumeContinuesAtStagedOffset(t *testing.T) {
 	}
 	if got := mustGetBytes(t, backing, "p0", 0); !bytes.Equal(got, data) {
 		t.Fatal("stored bytes differ")
+	}
+}
+
+// TestResumeNeverCommitsAnotherFramesBytes leaves a whole, uncommitted
+// staging of frame A at (key, seq) and then Puts a different frame B of the
+// same size there. Both frames have the same whole-object CRC-32C (each ends
+// in its own), so a resume matched on that checksum would skip B's transfer
+// and commit A's bytes as B's. The store must hold B.
+func TestResumeNeverCommitsAnotherFramesBytes(t *testing.T) {
+	frame := func(fill byte) []byte {
+		return (&ckpt.Checkpoint{Seq: 0, Kind: ckpt.Full, PageSize: 64, Payload: bytes.Repeat([]byte{fill}, 256)}).Encode()
+	}
+	a, b := frame(0x11), frame(0xee)
+	if len(a) != len(b) || bytes.Equal(a, b) {
+		t.Fatal("want two distinct frames of one size")
+	}
+	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	addr := startServer(t, backing)
+
+	// A raw connection stages all of A and drops without committing.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if err := writeJSON(conn, kindHello, helloMsg{Version: protocolVersion}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := expect(br, kindHelloOK); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeJSON(conn, kindPutBegin, putBeginMsg{Proc: "p0", Size: int64(len(a)), CRC: objectCRC(a)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := expect(br, kindPutOffset); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFrame(conn, kindPutData, dataFrame(0, a)); err != nil {
+		t.Fatal(err)
+	}
+	if staged, err := readPutAck(br); err != nil || staged != int64(len(a)) {
+		t.Fatalf("staged %d of %d bytes: %v", staged, len(a), err)
+	}
+	conn.Close()
+
+	rs := NewStore(addr, testConfig())
+	defer rs.Close()
+	if err := rs.Put(ctx, "p0", 0, b); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustGetBytes(t, backing, "p0", 0); !bytes.Equal(got, b) {
+		t.Fatalf("the store holds frame A's bytes after an acked Put of frame B")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"sync"
@@ -20,8 +19,6 @@ type ServerConfig struct {
 	// is disconnected (its staged partial transfers survive for resume).
 	// Zero selects 2 minutes; negative disables the deadline.
 	IdleTimeout time.Duration
-	// MaxFrame bounds incoming frames (0 selects DefaultMaxFrame).
-	MaxFrame int
 	// MaxObject bounds a single staged checkpoint object (0 selects 1 GiB).
 	MaxObject int64
 	// MaxStagingBytes bounds the sum of declared sizes across all partial
@@ -33,27 +30,17 @@ type ServerConfig struct {
 	MaxStagingBytes int64
 	// Logf, when set, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
-
-	// maxVersion caps the protocol version the server will negotiate;
-	// tests pin it to protocolVersionV1 to stand in for a legacy peer.
-	maxVersion int
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 2 * time.Minute
 	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
 	if c.MaxObject <= 0 {
 		c.MaxObject = 1 << 30
 	}
 	if c.MaxStagingBytes <= 0 {
 		c.MaxStagingBytes = 256 << 20
-	}
-	if c.maxVersion <= 0 {
-		c.maxVersion = protocolVersion
 	}
 	return c
 }
@@ -218,54 +205,35 @@ const (
 )
 
 // serveConn runs the request loop for one connection; ctx is the server's
-// lifetime context from Serve.
+// lifetime context from Serve. The first frame must be a hello naming
+// exactly protocolVersion: anything else is refused and the connection
+// closed, so every request the loop serves speaks the one dialect.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
+	if err := s.hello(conn); err != nil {
+		return err
+	}
 	var (
 		// curKey names the object of the connection's last PutBegin and
 		// cur is its transfer until the commit.
 		curKey objKey
 		cur    *staging
-		// connVer is the protocol version the hello exchange negotiated
-		// for this connection; until a hello arrives, v1 is assumed.
-		connVer = protocolVersionV1
 		// sendBuf batches a Get reply's element frames into few large
 		// writes; reused across requests, released if a big chain grew it.
 		sendBuf []byte
 	)
 	for {
-		if s.cfg.IdleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
-		}
-		kind, payload, err := readFrame(conn, s.cfg.MaxFrame)
+		kind, payload, err := s.readFrame(conn)
 		if err != nil {
 			return err
 		}
 		switch kind {
-		case kindHello:
-			var h helloMsg
-			if err := decodeJSON(payload, &h); err != nil {
-				return err
-			}
-			if h.Version < protocolVersionV1 || h.Version > s.cfg.maxVersion {
-				s.sendErr(conn, codeBadFrame, fmt.Sprintf("protocol version %d unsupported", h.Version))
-				return fmt.Errorf("remote: client speaks version %d", h.Version)
-			}
-			// Serve the client's version: a v1 peer keeps its flat proc
-			// names (the default namespace), a v2 peer gets tenancy. The
-			// reply echoes the negotiated version plus this server's
-			// capabilities; v1 clients ignore the extra field.
-			connVer = h.Version
-			if err := writeJSON(conn, kindHelloOK, helloMsg{Version: connVer, Caps: clientCaps}); err != nil {
-				return err
-			}
-
 		case kindPutBegin:
 			var m putBeginMsg
 			if err := decodeJSON(payload, &m); err != nil {
 				return err
 			}
 			var reply putOffsetMsg
-			name, err := wireKey(connVer, m.Proc, m.Tenant, m.Stripe)
+			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
 			if err == nil {
 				curKey, cur, reply, err = s.beginPut(name, m)
 			}
@@ -343,7 +311,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			if err := decodeJSON(payload, &m); err != nil {
 				return err
 			}
-			name, err := wireKey(connVer, m.Proc, m.Tenant, m.Stripe)
+			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
 			if err != nil {
 				if e := s.sendStoreErr(conn, err); e != nil {
 					return e
@@ -407,7 +375,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			if err := decodeJSON(payload, &m); err != nil {
 				return err
 			}
-			name, err := wireKey(connVer, m.Proc, m.Tenant, m.Stripe)
+			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
 			if err != nil {
 				if e := s.sendStoreErr(conn, err); e != nil {
 					return e
@@ -429,7 +397,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			if err := decodeJSON(payload, &m); err != nil {
 				return err
 			}
-			name, err := wireKey(connVer, m.Proc, m.Tenant, m.Stripe)
+			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
 			if err != nil {
 				if e := s.sendStoreErr(conn, err); e != nil {
 					return e
@@ -449,7 +417,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			if err := decodeJSON(payload, &m); err != nil {
 				return err
 			}
-			name, err := wireKey(connVer, m.Proc, m.Tenant, m.Stripe)
+			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
 			if err != nil {
 				if e := s.sendStoreErr(conn, err); e != nil {
 					return e
@@ -473,22 +441,39 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	}
 }
 
-// wireKey validates a request's addressing fields against the protocol
-// version its connection negotiated and composes the flat store key. V1
-// connections address flat keys directly under the raw store rule (the
-// proc name becomes a map-key field and a path component on the backing
-// store; NUL bytes in particular used to truncate the old string-encoded
-// staging key). V2 connections must pass the stricter user rule for the
-// proc part — the separators belong to the server — plus tenant and
-// stripe validation, so one tenant cannot smuggle a name that addresses
-// another tenant's chain.
-func wireKey(ver int, proc, tenant, stripe string) (string, error) {
-	if ver < protocolVersion {
-		if err := storage.ValidateProcName(proc); err != nil {
-			return "", err
-		}
-		return proc, nil
+// hello runs the opening exchange: one kindHello naming exactly
+// protocolVersion, answered with kindHelloOK. Any other first frame, or any
+// other version, is answered with an error frame and fails the connection.
+func (s *Server) hello(conn net.Conn) error {
+	kind, payload, err := s.readFrame(conn)
+	if err != nil {
+		return err
 	}
+	var h helloMsg
+	switch {
+	case kind != kindHello:
+		s.sendErr(conn, codeBadFrame, "hello required")
+		return fmt.Errorf("remote: frame 0x%02x before hello", kind)
+	case decodeJSON(payload, &h) != nil || h.Version != protocolVersion:
+		s.sendErr(conn, codeBadFrame, fmt.Sprintf("protocol version %d unsupported, want %d", h.Version, protocolVersion))
+		return fmt.Errorf("remote: client speaks version %d", h.Version)
+	}
+	return writeJSON(conn, kindHelloOK, helloMsg{Version: protocolVersion})
+}
+
+// readFrame reads the connection's next frame under the idle deadline.
+func (s *Server) readFrame(conn net.Conn) (byte, []byte, error) {
+	if s.cfg.IdleTimeout > 0 {
+		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+	}
+	return readFrame(conn, DefaultMaxFrame)
+}
+
+// wireKey validates a request's addressing fields and composes the flat
+// store key. The proc part must pass the user rule — the separators belong
+// to the server — and the tenant and stripe parts their own validation, so
+// one tenant cannot smuggle a name that addresses another tenant's chain.
+func wireKey(proc, tenant, stripe string) (string, error) {
 	if err := storage.ValidateUserProcName(proc); err != nil {
 		return "", err
 	}
@@ -511,11 +496,10 @@ func wireKey(ver int, proc, tenant, stripe string) (string, error) {
 var errBackpressure = errors.New("remote: staging pool full")
 
 // beginPut opens (or resumes) a transfer for the composed store key name,
-// answering with the offset the client should send from. It never answers
-// that the store already holds the object: the whole-object CRC is all it
-// has to judge by, and every checkpoint frame ends in its own CRC-32C, which
-// gives every frame the same whole-object CRC-32C. Whether the store holds
-// the object is judged on its bytes at commit.
+// answering with the offset the client should send from. A staged transfer
+// resumes only when its size and objectCRC match the new declaration.
+// Whether the store already holds the object is judged on its bytes at
+// commit, never here.
 func (s *Server) beginPut(name string, m putBeginMsg) (key objKey, st *staging, reply putOffsetMsg, err error) {
 	if m.Seq < 0 || m.Size < 0 {
 		return key, nil, reply, fmt.Errorf("remote: malformed put-begin %+v", m)
@@ -586,7 +570,7 @@ func (s *Server) commitPut(ctx context.Context, key objKey, st *staging) error {
 		s.mu.Unlock()
 		return fmt.Errorf("remote: commit of incomplete transfer: %d of %d bytes", len(st.buf), st.size)
 	}
-	if got := crc32.Checksum(st.buf, crcTable); got != st.crc {
+	if got := objectCRC(st.buf); got != st.crc {
 		s.unstageLocked(key, st) // poisoned; force a fresh transfer
 		s.mu.Unlock()
 		return fmt.Errorf("remote: staged object CRC mismatch: %08x != %08x", got, st.crc)

@@ -11,7 +11,7 @@ import (
 )
 
 // startServerCfg is startServer with a caller-controlled config, for
-// pinning maxVersion (legacy-peer stand-in) and MaxStagingBytes.
+// pinning MaxStagingBytes.
 func startServerCfg(t *testing.T, store storage.Store, cfg ServerConfig) (*Server, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -27,7 +27,7 @@ func startServerCfg(t *testing.T, store storage.Store, cfg ServerConfig) (*Serve
 	return srv, ln.Addr().String()
 }
 
-// TestV2TenantKeys drives composed (tenant@proc#stripe) keys through a v2
+// TestV2TenantKeys drives composed (tenant@proc#stripe) keys through a
 // client↔server pair and checks the backing store holds the same flat keys
 // the namespacing layer composed — the wire decomposition must be the
 // identity on ComposeKey∘ParseKey.
@@ -48,9 +48,6 @@ func TestV2TenantKeys(t *testing.T) {
 			t.Fatalf("Put(%s): %v", key, err)
 		}
 	}
-	if v := rs.ProtocolVersion(); v != protocolVersion {
-		t.Fatalf("negotiated version %d, want %d", v, protocolVersion)
-	}
 	for _, key := range keys {
 		// The flat key round-trips through the client...
 		chain, _, err := rs.Get(ctx, key)
@@ -64,38 +61,65 @@ func TestV2TenantKeys(t *testing.T) {
 		}
 	}
 
-	// A malformed stripe label is refused by the server's v2 validation.
+	// A malformed stripe label is refused by the server's validation.
 	err := rs.Put(ctx, "acme@web#bogus", 0, []byte("x"))
 	if !errors.Is(err, storage.ErrBadProcName) {
 		t.Fatalf("malformed stripe label: %v, want ErrBadProcName", err)
 	}
 }
 
-// TestV1Downgrade points a v2 client at a legacy (v1-only) server: the
-// hello is refused, the client redials speaking v1, and composed keys
-// travel verbatim as flat proc names into the old peer's only namespace.
-func TestV1Downgrade(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{Name: "legacy"})
-	_, addr := startServerCfg(t, back, ServerConfig{maxVersion: protocolVersionV1})
-	rs := NewStore(addr, testConfig())
-	defer rs.Close()
+// TestServerRefusesRequestsBeforeHello pins the one dialect: a connection
+// whose first frame is not a hello naming exactly protocolVersion is refused
+// and closed before any request reaches the store — here a whole transfer of
+// a key the server's own validation refuses.
+func TestServerRefusesRequestsBeforeHello(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		hello *helloMsg
+	}{
+		{"no hello", nil},
+		{"hello v1", &helloMsg{Version: 1}},
+		{"hello v2", &helloMsg{Version: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			back := storage.NewLevelStore(storage.Target{Name: "peer"})
+			_, addr := startServerCfg(t, back, ServerConfig{})
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			data := []byte("bogus")
+			var out []byte
+			if tc.hello != nil {
+				out = appendFrame(out, kindHello, mustJSON(t, tc.hello))
+			}
+			out = appendFrame(out, kindPutBegin, mustJSON(t, putBeginMsg{
+				Proc: "acme@web#bogus", Size: int64(len(data)), CRC: objectCRC(data)}))
+			out = appendDataFrame(out, 0, data)
+			out = appendFrame(out, kindPutCommit, nil)
+			conn.Write(out) // the server may close before it reads it all
 
-	key := "acme@web#s0of2"
-	if err := rs.Put(ctx, key, 0, []byte("striped bytes")); err != nil {
-		t.Fatalf("Put through downgraded connection: %v", err)
-	}
-	if v := rs.ProtocolVersion(); v != protocolVersionV1 {
-		t.Fatalf("negotiated version %d, want %d", v, protocolVersionV1)
-	}
-	// The old server stored the composed key verbatim.
-	chain, _, err := back.Get(ctx, key)
-	if err != nil || len(chain) != 1 || string(chain[0].Data) != "striped bytes" {
-		t.Fatalf("legacy store Get(%s) = (%v, %v)", key, chain, err)
-	}
-	// Reads through the same client stay symmetric.
-	chain, _, err = rs.Get(ctx, key)
-	if err != nil || len(chain) != 1 || string(chain[0].Data) != "striped bytes" {
-		t.Fatalf("client Get(%s) = (%v, %v)", key, chain, err)
+			// Every reply is a refusal, and the connection ends: a read that
+			// times out instead means the server kept serving it.
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			for {
+				kind, payload, err := readFrame(conn, DefaultMaxFrame)
+				if err != nil {
+					var ne net.Error
+					if errors.As(err, &ne) && ne.Timeout() {
+						t.Fatal("the connection stayed open")
+					}
+					break
+				}
+				if kind != kindErr {
+					t.Fatalf("answered 0x%02x %s before a valid hello", kind, payload)
+				}
+			}
+			if procs, err := back.List(ctx); err != nil || len(procs) != 0 {
+				t.Fatalf("store lists %v (err %v), want nothing", procs, err)
+			}
+		})
 	}
 }
 
