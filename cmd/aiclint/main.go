@@ -19,9 +19,10 @@
 // effect summaries and lock sets propagated to a fixpoint across every
 // loaded package:
 //
-//	durableflow  a commit ack (group-commit done-channel send, remote
-//	             kindPutDone reply) is dominated by fsync+rename+dir-fsync,
-//	             and every Store implementation's Put reaches durability
+//	durableflow  a commit ack (nil sent on an error channel, remote
+//	             kindPutDone reply, `return nil` from a Store's Put) is
+//	             dominated by fsync+rename+dir-fsync, and every Store
+//	             implementation's Put reaches durability
 //	lockorder    the global lock-acquisition-order graph is cycle-free;
 //	             cycles print their acquisition chains
 //	goroleak     goroutines have shutdown edges; tickers and timers are

@@ -5,15 +5,15 @@
 //
 // Two rules run over the whole program:
 //
-//  1. Ack ordering. An ack site — a send of nil on an error channel (the
-//     group-commit convention: req.done <- nil) or a protocol frame write
-//     whose kind constant is kindPutDone (the remote server's commit
-//     reply) — must be preceded, in source order within its function, by
-//     calls whose transitive effect summaries add up to the durable
-//     sequence: fsync + rename + dir-fsync. The durability almost never
-//     happens in the acking function itself; the engine's summaries carry
-//     it up from stageWrite and the commit's SyncDir through Store.Put and
-//     the FS shim.
+//  1. Ack ordering. An ack site — a send of nil on an error channel
+//     (done <- nil), a protocol frame write whose kind constant is
+//     kindPutDone (the remote server's commit reply), or a `return nil`
+//     in a Store implementation's Put method (the caller's success) —
+//     must be preceded, in source order within its function, by calls
+//     whose transitive effect summaries add up to the durable sequence:
+//     fsync + rename + dir-fsync, carried up from stageWrite and the
+//     commit's SyncDir through Store.Put and the FS shim. A `return nil`
+//     inside a function literal is the closure's, and is not an ack.
 //
 //  2. Store.Put contract. Every concrete implementation of the storage
 //     Store interface must reach the durable sequence from its Put method
@@ -21,12 +21,18 @@
 //     interface call fans out to all of them). A store that buffers in
 //     memory and acks violates the contract and must carry an audited
 //     suppression stating why (a wire client whose durability lives on
-//     the server, a deliberately volatile test store).
+//     the server, a deliberately volatile test store). Such a Put reports
+//     once, here; its `return nil` sites are not checked again.
 //
 // Dedup recipe commits are covered by rule 1: the recipe encode (chunk
 // bodies pinned, refs bumped) precedes the staged write, which precedes
-// the ack, so any reordering breaks the source-order domination and
-// reports.
+// the ack.
+//
+// Both rules are source-order and path-insensitive: every call before an
+// ack counts, on whichever path it runs. So an ack placed between the
+// staged write and the commit's directory fsync passes (the dedup encode
+// or the view listing before it carries a dir-fsync), and rule 2 only sums
+// effects over the whole of Put. Catching those needs control flow.
 package durableflow
 
 import (
@@ -75,36 +81,67 @@ func checkAckSites(pass *analysis.ProgramPass, prog *interproc.Program, fi *inte
 		return true
 	})
 	for _, ack := range acks {
-		var eff interproc.Effect
-		for _, call := range fi.Calls {
-			if call.Pos >= ack.Pos() {
-				break
-			}
-			// A deferred call's effects land at return, after the ack; a
-			// go-spawned call's effects are concurrent. Neither dominates.
-			if call.Deferred || call.Go {
-				continue
-			}
-			eff |= prog.CallEffect(info, call)
-		}
-		if !eff.Durable() {
-			what := "send of nil on an error channel"
-			if _, isCall := ack.(*ast.CallExpr); isCall {
-				what = "commit-reply frame write"
-			}
-			pass.Reportf(ack.Pos(),
-				"commit ack (%s) not dominated by durable effects: saw %s before it, need fsync+rename+dir-fsync; make the commit durable before acknowledging it",
-				what, eff)
-		}
+		checkAck(pass, prog, fi, ack)
 	}
 }
 
-// isNilErrorSend matches `ch <- nil` where ch is a chan error — the
-// group-commit success ack. Error-valued sends (failure notifications) do
-// not vouch for durability and are not acks.
+// checkAck requires the calls before ack in fi, in source order, to add up
+// to the durable sequence.
+func checkAck(pass *analysis.ProgramPass, prog *interproc.Program, fi *interproc.FuncInfo, ack ast.Node) {
+	var eff interproc.Effect
+	for _, call := range fi.Calls {
+		if call.Pos >= ack.Pos() {
+			break
+		}
+		// A deferred call's effects land at return, after the ack; a
+		// go-spawned call's effects are concurrent. Neither dominates.
+		if call.Deferred || call.Go {
+			continue
+		}
+		eff |= prog.CallEffect(fi.Pkg.Info, call)
+	}
+	if !eff.Durable() {
+		what := "send of nil on an error channel"
+		switch ack.(type) {
+		case *ast.CallExpr:
+			what = "commit-reply frame write"
+		case *ast.ReturnStmt:
+			what = "return nil from Put"
+		}
+		pass.Reportf(ack.Pos(),
+			"commit ack (%s) not dominated by durable effects: saw %s before it, need fsync+rename+dir-fsync; make the commit durable before acknowledging it",
+			what, eff)
+	}
+}
+
+// returnNils lists the `return nil` statements of body, skipping function
+// literals: a closure's return is its own, not the enclosing function's.
+func returnNils(body *ast.BlockStmt) []ast.Node {
+	var out []ast.Node
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.ReturnStmt:
+			if len(n.Results) == 1 && isNilIdent(n.Results[0]) {
+				out = append(out, n)
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func isNilIdent(e ast.Expr) bool {
+	id, ok := ast.Unparen(e).(*ast.Ident)
+	return ok && id.Name == "nil"
+}
+
+// isNilErrorSend matches `ch <- nil` where ch is a chan error — a success
+// ack handed to a waiting caller. Error-valued sends (failure
+// notifications) do not vouch for durability and are not acks.
 func isNilErrorSend(info *types.Info, send *ast.SendStmt) bool {
-	id, ok := ast.Unparen(send.Value).(*ast.Ident)
-	if !ok || id.Name != "nil" {
+	if !isNilIdent(send.Value) {
 		return false
 	}
 	t := info.TypeOf(send.Chan)
@@ -131,7 +168,7 @@ func isCommitFrameWrite(info *types.Info, call *ast.CallExpr) bool {
 }
 
 // checkStoreContract requires every Store implementation's Put to reach
-// the durable sequence.
+// the durable sequence, and each of its `return nil` sites to follow it.
 func checkStoreContract(pass *analysis.ProgramPass, prog *interproc.Program) {
 	for _, iface := range storeInterfaces(prog) {
 		for _, named := range prog.Implementers(iface) {
@@ -147,6 +184,10 @@ func checkStoreContract(pass *analysis.ProgramPass, prog *interproc.Program) {
 				pass.Reportf(fi.Decl.Pos(),
 					"Store implementation (*%s).Put acks without reaching durable effects (saw %s, need fsync+rename+dir-fsync); commit durably or delegate to a Store that does",
 					named.Obj().Name(), fi.Summary)
+				continue
+			}
+			for _, ret := range returnNils(fi.Decl.Body) {
+				checkAck(pass, prog, fi, ret)
 			}
 		}
 	}

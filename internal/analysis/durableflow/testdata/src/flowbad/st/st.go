@@ -1,5 +1,6 @@
 // Package st is the flagged durableflow fixture: a mem store acking
-// without durability, an ack emitted before the commit sequence, and a
+// without durability, a Put returning nil before any durable call on one
+// of its paths, an ack emitted before the commit sequence, and a
 // commit-reply frame written with no committed bytes behind it — each the
 // crash-consistency bug the analyzer exists to catch.
 package st
@@ -45,6 +46,32 @@ type Mem struct {
 // Put stores to the map only.
 func (m *Mem) Put(p string, b []byte) error { // want `Store implementation \(\*Mem\)\.Put acks without reaching durable effects`
 	m.m[p] = append([]byte(nil), b...)
+	return nil
+}
+
+// Cached is durable on one path and acks before any durable call on the
+// other: a Put that returns nil for a seq it merely remembers.
+type Cached struct {
+	fs   shim.FS
+	seen map[string]bool
+}
+
+// Put skips the commit for a remembered key — the returned nil vouches for
+// nothing on disk.
+func (c *Cached) Put(p string, b []byte) error {
+	if c.seen[p] {
+		return nil // want `commit ack \(return nil from Put\) not dominated by durable effects`
+	}
+	if err := c.fs.SyncFile(p); err != nil {
+		return err
+	}
+	if err := c.fs.Rename(p+".tmp", p); err != nil {
+		return err
+	}
+	if err := c.fs.SyncDir("."); err != nil {
+		return err
+	}
+	c.seen[p] = true
 	return nil
 }
 

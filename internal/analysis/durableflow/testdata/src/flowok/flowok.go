@@ -1,6 +1,6 @@
 // Package flowok is the clean durableflow fixture: acks dominated by the
-// durable sequence, failure sends that are not acks, and deferred work
-// correctly ignored.
+// durable sequence, failure sends that are not acks, a closure's return
+// that is not Put's ack, and deferred work correctly ignored.
 package flowok
 
 // FS carries the durability primitives.
@@ -15,7 +15,7 @@ type Store interface {
 	Put(p string, b []byte) error
 }
 
-// Group batches commits like the group-commit leader.
+// Group batches commits through a done channel per request.
 type Group struct {
 	fs FS
 }
@@ -61,4 +61,31 @@ func (g *Group) stage(p string, b []byte) error {
 		return err
 	}
 	return g.fs.Rename(p+".tmp", p)
+}
+
+// Solo commits one element per Put: its only `return nil` follows the
+// durable sequence.
+type Solo struct {
+	fs FS
+}
+
+// Put stages through a closure whose own `return nil` precedes the
+// directory fsync — the closure's result, not Put's ack.
+func (s *Solo) Put(p string, b []byte) error {
+	stage := func() error {
+		if err := s.fs.SyncFile(p + ".tmp"); err != nil {
+			return err
+		}
+		if err := s.fs.Rename(p+".tmp", p); err != nil {
+			return err
+		}
+		return nil
+	}
+	if err := stage(); err != nil {
+		return err
+	}
+	if err := s.fs.SyncDir("."); err != nil {
+		return err
+	}
+	return nil
 }

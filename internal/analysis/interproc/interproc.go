@@ -15,7 +15,7 @@
 //
 //   - Function literals are inlined into their enclosing declaration: a
 //     closure's effects and lock acquisitions count as the definer's.
-//     This matches how the group-commit and fan-out code uses closures
+//     This matches how the commit and fan-out code uses closures
 //     (defined and invoked within one protocol step).
 //   - Calls through plain function values are opaque (no targets); calls
 //     into packages outside the loaded program contribute only their

@@ -1,12 +1,12 @@
 // Package lockorder builds the program's global lock-acquisition-order
 // graph and reports any cycle as a potential deadlock, with the full
-// acquisition chain. The compactor, group-commit leaders, rebalancer and
-// metrics registry all take locks while calling across package
-// boundaries; a cycle between any two of those orders is a deadlock
+// acquisition chain. The compactor, the store's per-chain commits, the
+// rebalancer and the metrics registry all take locks while calling across
+// package boundaries; a cycle between any two of those orders is a deadlock
 // waiting for the right interleaving, which no finite soak run can prove
 // absent — the graph can.
 //
-// Locks are identified by declaration (every procState.mu is one node),
+// Locks are identified by declaration (every FSStore.mu is one node),
 // the conservative abstraction for order graphs. Within one function the
 // held set is simulated in source order with deferred unlocks pinned to
 // the end, exactly as lockio does; an edge A→B is recorded when B is

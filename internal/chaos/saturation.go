@@ -101,10 +101,9 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		aic.WithReplication(aic.Replication{Stores: []aic.Store{peer}, Quorum: 1}),
 		aic.WithMetrics(reg),
 		aic.WithAdaptiveControl(aic.AdaptiveControlConfig{
-			FsyncP99Threshold:   cfg.Threshold,
-			QueueDepthThreshold: 1 << 20, // fsync latency is the scenario's only signal
-			SaturateAfter:       2,
-			RecoverAfter:        2,
+			FsyncP99Threshold: cfg.Threshold,
+			SaturateAfter:     2,
+			RecoverAfter:      2,
 		}))
 	if err != nil {
 		return nil, err

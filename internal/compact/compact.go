@@ -8,8 +8,8 @@
 // read the chain, replay its prefix with recovery.RestoreLatestGood, and
 // synthesize an equivalent full checkpoint (ckpt.FullFromImage) at the
 // prefix's last element. The flip phase is the store's ReplaceAnchor —
-// one brief critical section under the same group-commit token writers
-// use, which re-verifies the prefix is unchanged and either installs the
+// one brief critical section under the same per-chain token writers use,
+// which re-verifies the prefix is unchanged and either installs the
 // anchor or reports storage.ErrCompactRaced, in which case the compactor
 // simply moves on (the next pass sees the fresh chain). Appends landing
 // during the copy phase are untouched: they sit above the anchor seq.

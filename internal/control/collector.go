@@ -6,19 +6,15 @@ import (
 	"aic/internal/metrics"
 )
 
-// Canonical series the registry collector samples. These are part of the
-// stable metric surface (DESIGN.md §14); the storage layer registers them
-// when instrumented with a registry.
-const (
-	fsyncHistName  = "aic_fsstore_sync_duration_seconds"
-	queueGaugeName = "aic_fsstore_queue_depth"
-)
+// fsyncHistName is the canonical series the registry collector samples. It
+// is part of the stable metric surface (DESIGN.md §14); the storage layer
+// registers it when instrumented with a registry.
+const fsyncHistName = "aic_fsstore_sync_duration_seconds"
 
 // RegistryCollector samples Signals from a metrics.Registry: the fsync p99
 // comes from the windowed delta of the fsync-duration histogram between
-// consecutive Collect calls, and the queue depth reads the group-commit
-// queue gauge directly. A series that does not exist yet (store not
-// instrumented, no traffic) reads as zero — below every threshold.
+// consecutive Collect calls. A series that does not exist yet (store not
+// instrumented, no traffic) reads as zero — below the threshold.
 type RegistryCollector struct {
 	reg *metrics.Registry
 
@@ -35,9 +31,6 @@ func NewRegistryCollector(reg *metrics.Registry) *RegistryCollector {
 // sample) reports FsyncP99 0: an idle tier is not a saturated tier.
 func (c *RegistryCollector) Collect() Signals {
 	var sig Signals
-	if depth, ok := c.reg.Value(queueGaugeName); ok {
-		sig.QueueDepth = depth
-	}
 	cur, ok := c.reg.HistogramSnapshot(fsyncHistName)
 	if !ok {
 		return sig

@@ -2,15 +2,14 @@
 // the storage stack exports. The paper's per-process interval decider
 // (sampler.Tuner) adapts one process to its own dirty-page rate; this
 // package adapts the fleet to the storage tier as a whole: when fsync
-// latency or the group-commit queue saturate for long enough, the
-// controller widens the checkpoint interval, then lowers encode
-// parallelism, then sheds the replication factor — and walks each step
-// back with hysteresis once headroom returns.
+// latency saturates for long enough, the controller widens the checkpoint
+// interval, then lowers encode parallelism, then sheds the replication
+// factor — and walks each step back with hysteresis once headroom returns.
 //
 // The pipeline is three small pieces so each is testable alone:
 //
-//	Collector  — samples Signals (fsync p99, queue depth) from a
-//	             metrics.Registry using windowed histogram deltas
+//	Collector  — samples Signals (fsync p99) from a metrics.Registry
+//	             using windowed histogram deltas
 //	Controller — the saturation analyzer: classifies each sample into
 //	             saturated / healthy / neutral bands and runs the
 //	             shed-ladder state machine with streak-based hysteresis
@@ -38,9 +37,6 @@ type Signals struct {
 	// FsyncP99 is the windowed 99th-percentile fsync latency in seconds
 	// (bucket upper-bound estimate) since the previous sample.
 	FsyncP99 float64 `json:"fsync_p99_seconds"`
-	// QueueDepth is the group-commit queue depth (waiters parked behind
-	// the per-proc commit leaders) at sample time.
-	QueueDepth float64 `json:"queue_depth"`
 }
 
 // Collector produces one Signals sample per call.
@@ -95,9 +91,6 @@ type Config struct {
 	// FsyncP99Threshold saturates the fsync signal at or above this many
 	// seconds. Default 0.05 (50ms — an order above a healthy local disk).
 	FsyncP99Threshold float64 `json:"fsync_p99_threshold_seconds"`
-	// QueueDepthThreshold saturates the queue signal at or above this
-	// many parked writers. Default 8.
-	QueueDepthThreshold float64 `json:"queue_depth_threshold"`
 	// SaturateAfter escalates one rung after this many consecutive
 	// saturated samples. Default 3.
 	SaturateAfter int `json:"saturate_after"`
@@ -106,7 +99,7 @@ type Config struct {
 	// shedding.
 	RecoverAfter int `json:"recover_after"`
 	// RecoverFactor defines the healthy band: a sample is healthy only
-	// when every signal is strictly below RecoverFactor×its threshold.
+	// when the fsync p99 is strictly below RecoverFactor×its threshold.
 	// Samples between the bands hold the current level and reset both
 	// streaks, which is what prevents oscillation. Default 0.5.
 	RecoverFactor float64 `json:"recover_factor"`
@@ -121,9 +114,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.FsyncP99Threshold <= 0 {
 		c.FsyncP99Threshold = 0.05
-	}
-	if c.QueueDepthThreshold <= 0 {
-		c.QueueDepthThreshold = 8
 	}
 	if c.SaturateAfter <= 0 {
 		c.SaturateAfter = 3
@@ -199,10 +189,8 @@ func (c *Controller) Step() Decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
-	saturated := sig.FsyncP99 >= c.cfg.FsyncP99Threshold ||
-		sig.QueueDepth >= c.cfg.QueueDepthThreshold
-	healthy := sig.FsyncP99 < c.cfg.RecoverFactor*c.cfg.FsyncP99Threshold &&
-		sig.QueueDepth < c.cfg.RecoverFactor*c.cfg.QueueDepthThreshold
+	saturated := sig.FsyncP99 >= c.cfg.FsyncP99Threshold
+	healthy := sig.FsyncP99 < c.cfg.RecoverFactor*c.cfg.FsyncP99Threshold
 
 	d := Decision{Signals: sig, Saturated: saturated, Healthy: healthy}
 	switch {

@@ -7,23 +7,21 @@ import (
 )
 
 // cfg used across the tests: escalate after 2 saturated samples, recover
-// after 3 healthy ones, healthy band below half the thresholds.
+// after 3 healthy ones, healthy band below half the threshold.
 func testCfg() Config {
 	return Config{
-		FsyncP99Threshold:   0.1,
-		QueueDepthThreshold: 10,
-		SaturateAfter:       2,
-		RecoverAfter:        3,
-		RecoverFactor:       0.5,
-		IntervalScale:       2,
+		FsyncP99Threshold: 0.1,
+		SaturateAfter:     2,
+		RecoverAfter:      3,
+		RecoverFactor:     0.5,
+		IntervalScale:     2,
 	}
 }
 
 var (
-	hot  = Signals{FsyncP99: 0.5, QueueDepth: 2}   // saturated via fsync
-	deep = Signals{FsyncP99: 0.01, QueueDepth: 50} // saturated via queue
-	mid  = Signals{FsyncP99: 0.07, QueueDepth: 2}  // dead band: ≥ recover, < saturate
-	cool = Signals{FsyncP99: 0.01, QueueDepth: 1}  // healthy
+	hot  = Signals{FsyncP99: 0.5}  // saturated
+	mid  = Signals{FsyncP99: 0.07} // dead band: ≥ recover, < saturate
+	cool = Signals{FsyncP99: 0.01} // healthy
 )
 
 // TestHysteresisLadder drives the full saturate→shed→recover arc through
@@ -39,7 +37,7 @@ func TestHysteresisLadder(t *testing.T) {
 		{hot, LevelNormal, false},  // saturated ×1 — below SaturateAfter
 		{hot, LevelWideInterval, true},
 		{hot, LevelWideInterval, false}, // streak restarts after a shed
-		{deep, LevelSerialEncode, true}, // either signal escalates
+		{hot, LevelSerialEncode, true},
 		{hot, LevelSerialEncode, false},
 		{hot, LevelLocalOnly, true},
 		{hot, LevelLocalOnly, false}, // MaxLevel: ladder pegged
@@ -151,8 +149,7 @@ func TestMaxLevelCap(t *testing.T) {
 }
 
 // TestRegistryCollectorWindows verifies the collector computes the p99
-// over the window between Collect calls, not cumulatively, and reads the
-// queue gauge live.
+// over the window between Collect calls, not cumulatively.
 func TestRegistryCollectorWindows(t *testing.T) {
 	reg := metrics.NewRegistry()
 	col := NewRegistryCollector(reg)
@@ -163,29 +160,25 @@ func TestRegistryCollectorWindows(t *testing.T) {
 	}
 
 	h := reg.Histogram(fsyncHistName, "fsync latency", []float64{0.001, 0.01, 0.1, 1})
-	g := reg.Gauge(queueGaugeName, "queue depth")
 	for i := 0; i < 100; i++ {
 		h.Observe(0.0005) // fast era
 	}
-	g.Set(3)
 	sig := col.Collect()
-	if sig.FsyncP99 != 0.001 || sig.QueueDepth != 3 {
-		t.Fatalf("fast-era sample = %+v, want p99=0.001 depth=3", sig)
+	if sig.FsyncP99 != 0.001 {
+		t.Fatalf("fast-era sample = %+v, want p99=0.001", sig)
 	}
 
 	for i := 0; i < 100; i++ {
 		h.Observe(0.5) // slow era
 	}
-	g.Set(12)
 	sig = col.Collect()
-	if sig.FsyncP99 != 1 || sig.QueueDepth != 12 {
-		t.Fatalf("slow-era sample = %+v, want p99=1 depth=12 (window must exclude the fast era)", sig)
+	if sig.FsyncP99 != 1 {
+		t.Fatalf("slow-era sample = %+v, want p99=1 (window must exclude the fast era)", sig)
 	}
 
 	// Idle window: no new observations → p99 reads 0, not the last value.
-	g.Set(0)
 	sig = col.Collect()
-	if sig.FsyncP99 != 0 || sig.QueueDepth != 0 {
-		t.Fatalf("idle sample = %+v, want zeros", sig)
+	if sig.FsyncP99 != 0 {
+		t.Fatalf("idle sample = %+v, want zero", sig)
 	}
 }

@@ -55,10 +55,6 @@ var DefBuckets = []float64{
 	0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
-// SizeBuckets are the default size/count buckets (powers of four from 1),
-// for batch sizes and byte counts.
-var SizeBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536}
-
 // Registry holds a set of metric families and renders them in Prometheus
 // text exposition format. The zero value is not usable; call NewRegistry.
 // All methods are safe for concurrent use.
@@ -428,9 +424,8 @@ func checkBuckets(name string, buckets []float64) []float64 {
 }
 
 // Value returns the current value of a counter or gauge series by name and
-// label values; ok is false when the family or series does not exist. The
-// control collector reads gauges through this without holding instrument
-// handles.
+// label values; ok is false when the family or series does not exist.
+// Callers read series through this without holding instrument handles.
 func (r *Registry) Value(name string, labelVals ...string) (float64, bool) {
 	f := r.lookup(name)
 	if f == nil || f.typ == kindHistogram {

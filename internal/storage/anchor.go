@@ -87,16 +87,9 @@ func (fs *FSStore) ReplaceAnchor(ctx context.Context, proc string, anchorSeq int
 		}
 	}
 
-	fileData, release := full, func() {}
-	if fs.dedup != nil {
-		var err error
-		fileData, release, err = fs.dedupEncode(full)
-		if err != nil {
-			return err
-		}
-		if release == nil {
-			release = func() {}
-		}
+	fileData, release, err := fs.dedupEncode(full)
+	if err != nil {
+		return err
 	}
 	dir := fs.procDir(proc)
 	if err := stageWrite(fs.fsys, filepath.Join(dir, ckptFile(anchorSeq)), fileData, 0o644); err != nil {

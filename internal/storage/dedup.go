@@ -330,17 +330,18 @@ func (fs *FSStore) observeDedup() {
 	}
 }
 
-// dedupEncode turns a payload into its committed file form. Payloads below
-// MinPayload pass through raw. Otherwise the payload is chunked, new chunk
-// bodies are staged and pinned with one directory fsync, and refcounts are
-// bumped — all before the returned recipe bytes are staged into any chain,
-// per ordering invariant (1) above. The returned release func undoes the
-// reference bumps if the caller's commit subsequently fails (the chunk
-// bodies stay behind for GC).
+// dedupEncode turns a payload into its committed file form. With dedup
+// off, or below MinPayload, that is the payload itself. Otherwise the
+// payload is chunked, new chunk bodies are staged and pinned with one
+// directory fsync, and refcounts are bumped — all before the returned
+// recipe bytes are staged into any chain, per ordering invariant (1)
+// above. The returned release func (never nil) undoes the reference bumps
+// if the caller's commit subsequently fails (the chunk bodies stay behind
+// for GC).
 func (fs *FSStore) dedupEncode(data []byte) ([]byte, func(), error) {
 	ix := fs.dedup
-	if len(data) < ix.cfg.MinPayload {
-		return data, nil, nil
+	if ix == nil || len(data) < ix.cfg.MinPayload {
+		return data, func() {}, nil
 	}
 	chunks := delta.Chunks(data, ix.cfg.chunkConfig())
 	lens := make([]int, len(chunks))

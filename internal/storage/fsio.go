@@ -88,9 +88,7 @@ func isSyncUnsupported(err error) bool {
 // file goes through: write a temp file, fsync it, rename it over the
 // destination. A crash at any step leaves either the old content or the
 // new — never a torn file under the final name. The rename is applied but
-// not yet pinned — the caller owes a SyncDir before relying on it, and
-// group commit amortizes that one SyncDir across a whole batch of staged
-// files.
+// not yet pinned — the caller owes a SyncDir before relying on it.
 func stageWrite(fsys FS, path string, data []byte, perm os.FileMode) error {
 	tmp := path + ".tmp"
 	if err := fsys.WriteFile(tmp, data, perm); err != nil {

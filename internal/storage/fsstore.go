@@ -21,16 +21,15 @@ import (
 //
 // A name in the directory is a commit: the chain is the set of checkpoint
 // files in the proc's directory, and there is no separate manifest. Put
-// stages each element (write temp, fsync, rename) and pins the new names
-// with one directory fsync before acknowledging — two flushes for a batch
-// of one, plus a root fsync for a chain's first commit, which may have
-// created its directory. Because the data fsync precedes the rename, a
-// crash anywhere inside Put leaves either the old listing or a listing
-// whose every name points at fully durable bytes; a name whose rename
-// survived the crash without an ack is simply adopted (its bytes were safe
-// before the name existed). Removals mirror it: unlink, one directory
-// fsync, and only then are the removed elements' chunk references given
-// back.
+// stages its element (write temp, fsync, rename) and pins the new name
+// with one directory fsync before acknowledging — two flushes, plus a root
+// fsync for a chain's first commit, which may have created its directory.
+// Because the data fsync precedes the rename, a crash anywhere inside Put
+// leaves either the old listing or a listing whose every name points at
+// fully durable bytes; a name whose rename survived the crash without an
+// ack is simply adopted (its bytes were safe before the name existed).
+// Removals mirror it: unlink, one directory fsync, and only then are the
+// removed elements' chunk references given back.
 //
 // Each handle keeps the committed chain of every proc it has touched in
 // memory: listed from the directory under the proc's token on first touch,
@@ -40,15 +39,11 @@ import (
 // durable. The view is per handle, so a directory has one open FSStore at
 // a time: a second handle does not see the first's later commits.
 //
-// Concurrent Puts to the same process group-commit: each caller enqueues its
-// checkpoint and one caller at a time becomes that process's commit leader,
-// draining the queue and committing the whole batch with a single directory
-// fsync for all its staged files. That amortizes the flush cost across
-// same-chain writers without weakening the guarantee — a Put only returns
-// nil after the name of its data is durable, and a batch of one produces
-// exactly the op sequence of a solo Put, so every crash window of the serial
-// protocol exists unchanged. Different processes share nothing on disk
-// (disjoint directories), so their commits proceed in parallel.
+// Every mutation of a chain holds that chain's token, so one process's
+// commits are serial — the paper's chain is one process's serial history,
+// each checkpoint delta-encoded against the one before. Different processes
+// share nothing on disk (disjoint directories), so their commits proceed in
+// parallel.
 type FSStore struct {
 	root   string
 	target Target
@@ -67,19 +62,13 @@ type FSStore struct {
 	procs map[string]*procState
 }
 
-// procState is the group-commit machinery and committed view for one
-// process's chain. States are created on demand and never removed — a
-// deleted chain keeps its (empty) state so a later re-append reuses the same
-// token.
+// procState is the commit token and committed view for one process's
+// chain. States are created on demand and never removed — a deleted chain
+// keeps its (empty) state so a later re-append reuses the same token.
 type procState struct {
-	mu    sync.Mutex // guards queue only; never held across I/O
-	queue []*putReq
-
 	// tok is a capacity-1 token serializing every mutation of this
-	// process's chain. The Put that acquires it is the commit leader for
-	// whatever requests are queued at that moment; Truncate, Delete,
-	// ReplaceAnchor and Scrub take the same token so repairs never
-	// interleave with a batch commit.
+	// process's chain: Put, Truncate, Delete, ReplaceAnchor and Scrub all
+	// take it, so repairs never interleave with a commit.
 	tok chan struct{}
 
 	// view is the committed chain, nil until first listed or after a
@@ -116,16 +105,6 @@ func (v *chainView) last() (int, bool) {
 func (v *chainView) find(seq int) (int, bool) {
 	i := sort.Search(len(v.elems), func(i int) bool { return v.elems[i].seq >= seq })
 	return i, i < len(v.elems) && v.elems[i].seq == seq
-}
-
-// putReq is one queued checkpoint append awaiting a group commit. done is
-// buffered and receives exactly one result from whichever leader claims the
-// request.
-type putReq struct {
-	proc string
-	seq  int
-	data []byte
-	done chan error
 }
 
 // NewFSStore opens (creating if needed) a file-backed store rooted at dir.
@@ -166,7 +145,7 @@ func (fs *FSStore) state(proc string) *procState {
 }
 
 // lockProc acquires proc's mutation token, serializing the caller with any
-// in-flight group commit on that chain. ctx cancellation aborts the wait.
+// in-flight mutation of that chain. ctx cancellation aborts the wait.
 func (fs *FSStore) lockProc(ctx context.Context, proc string) (*procState, error) {
 	st := fs.state(proc)
 	select {
@@ -355,9 +334,10 @@ func (fs *FSStore) List(ctx context.Context) ([]string, error) {
 
 // Put appends a checkpoint for proc. Sequence numbers must be strictly
 // increasing. The checkpoint is durable — data file fsynced, its name
-// pinned by a directory fsync — before Put returns nil. Concurrent Puts to
-// the same process coalesce into one group commit; the caller's result
-// always reflects its own request's fate, never a batchmate's.
+// pinned by a directory fsync — before Put returns nil. Put holds proc's
+// token for the whole commit: a Put cancelled while it waits for the token
+// is withdrawn; once it holds the token the caller hears the commit's real
+// outcome.
 func (fs *FSStore) Put(ctx context.Context, proc string, seq int, data []byte) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -365,204 +345,59 @@ func (fs *FSStore) Put(ctx context.Context, proc string, seq int, data []byte) e
 	if err := ValidateProcName(proc); err != nil {
 		return err
 	}
-	var t0 time.Time
 	if fs.met != nil {
-		t0 = time.Now()
+		defer func(t0 time.Time) { fs.met.putDur.Observe(time.Since(t0).Seconds()) }(time.Now())
 	}
-	st := fs.state(proc)
-	req := &putReq{proc: proc, seq: seq, data: data, done: make(chan error, 1)}
-	st.mu.Lock()
-	st.queue = append(st.queue, req)
-	st.mu.Unlock()
-	if fs.met != nil {
-		fs.met.queueDepth.Inc()
+	st, err := fs.lockProc(ctx, proc)
+	if err != nil {
+		return err
 	}
-	err := fs.awaitCommit(ctx, st, proc, req)
-	if fs.met != nil {
-		fs.met.putDur.Observe(time.Since(t0).Seconds())
-	}
-	return err
-}
-
-// awaitCommit drives a queued request to its result: the caller either
-// hears its outcome from a commit leader, volunteers as the leader itself,
-// or cancels. Cancellation semantics are exact — a cancelled Put is
-// withdrawn iff no leader has claimed its request yet; once a leader holds
-// it the commit is in flight and its real outcome (possibly a durable
-// success) is what the caller hears. The explicit ctx.Err probe at the top
-// of each spin keeps an already-cancelled Put from volunteering as leader
-// through the select's random case choice and committing work its caller
-// revoked.
-func (fs *FSStore) awaitCommit(ctx context.Context, st *procState, proc string, req *putReq) error {
-	for {
-		select {
-		case err := <-req.done:
-			return err
-		default:
-		}
-		if ctx.Err() != nil {
-			return fs.withdraw(st, req, ctx.Err())
-		}
-		select {
-		case err := <-req.done:
-			return err
-		case st.tok <- struct{}{}:
-			// We are the leader: commit everything queued for this chain
-			// (including, in the common case, our own request) and re-check
-			// at the top of the loop.
-			fs.drainAndCommit(st, proc)
-			<-st.tok
-		case <-ctx.Done():
-			return fs.withdraw(st, req, ctx.Err())
-		}
-	}
-}
-
-// withdraw resolves a cancelled Put: if req is still in the unclaimed
-// queue no leader owns it, so it is removed and the cancellation cause
-// returned; if a leader has already claimed it the commit's genuine result
-// is awaited. The queue scan and a leader's claim (drainAndCommit) both
-// hold st.mu, so exactly one of the two sides wins.
-func (fs *FSStore) withdraw(st *procState, req *putReq, cause error) error {
-	st.mu.Lock()
-	for i, q := range st.queue {
-		if q == req {
-			st.queue = append(st.queue[:i], st.queue[i+1:]...)
-			st.mu.Unlock()
-			if fs.met != nil {
-				fs.met.queueDepth.Dec()
-			}
-			return cause
-		}
-	}
-	st.mu.Unlock()
-	return <-req.done
-}
-
-// drainAndCommit claims proc's queued requests and commits them as one
-// batch. Caller holds proc's commit token. The batch commits in sequence
-// order rather than arrival order — concurrent appenders sharing a process
-// (seqs handed out by an external counter) may enqueue out of order, and
-// sorting keeps the strictly-increasing check about actual staleness instead
-// of scheduling luck.
-func (fs *FSStore) drainAndCommit(st *procState, proc string) {
-	st.mu.Lock()
-	batch := st.queue
-	st.queue = nil
-	st.mu.Unlock()
-	if len(batch) == 0 {
-		return
-	}
-	if fs.met != nil {
-		fs.met.queueDepth.Add(-float64(len(batch)))
-		fs.met.batchSize.Observe(float64(len(batch)))
-	}
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].seq < batch[j].seq })
-	fs.commitProc(st, proc, batch)
-}
-
-// commitProc commits one process's batched appends: stage every data file
-// (write temp, fsync, rename), then pin all the new names with a single
-// directory fsync. Ack ordering is the invariant the crash tests pin down:
-// no request's done fires nil, and no reader's view lists its seq, until
-// that fsync has returned. A batch of one performs exactly the op sequence
-// of a serial Put.
-func (fs *FSStore) commitProc(st *procState, proc string, reqs []*putReq) {
-	fail := func(reqs []*putReq, err error) {
-		for _, r := range reqs {
-			r.done <- err
-		}
-	}
+	defer st.unlock()
 	dir := fs.procDir(proc)
 	view, err := fs.loadView(st, proc)
 	if err != nil {
-		fail(reqs, err)
-		return
+		return err
 	}
 	if err := fs.fsys.MkdirAll(dir, 0o755); err != nil {
-		fail(reqs, fmt.Errorf("storage: %w", err))
-		return
+		return fmt.Errorf("storage: %w", err)
 	}
-	last, haveLast := view.last()
-	var staged []*putReq
-	var added []viewElem
-	var releases []func() // dedup reference unwinds, aligned with staged
-	failed := false
-	for _, req := range reqs {
-		if haveLast && req.seq <= last {
-			req.done <- fmt.Errorf("storage: %s: %w: seq %d not after %d", proc, ErrStaleSeq, req.seq, last)
-			continue
-		}
-		// With dedup on, the committed file is a recipe whose chunk bodies
-		// are made durable (and referenced) first — a name in the
-		// directory never points at a recipe whose chunks are not on disk.
-		fileData, release := req.data, func() {}
-		if fs.dedup != nil {
-			var err error
-			fileData, release, err = fs.dedupEncode(req.data)
-			if err != nil {
-				failed = true
-				req.done <- err
-				continue
-			}
-			if release == nil {
-				release = func() {}
-			}
-		}
-		if err := stageWrite(fs.fsys, filepath.Join(dir, ckptFile(req.seq)), fileData, 0o644); err != nil {
-			failed = true
-			release()
-			req.done <- err
-			continue
-		}
-		last, haveLast = req.seq, true
-		staged = append(staged, req)
-		added = append(added, viewElem{seq: req.seq, size: len(fileData)})
-		releases = append(releases, release)
-		if fs.met != nil {
-			fs.met.stagedBytes.Add(float64(len(req.data)))
-		}
+	if last, ok := view.last(); ok && seq <= last {
+		return fmt.Errorf("storage: %s: %w: seq %d not after %d", proc, ErrStaleSeq, seq, last)
 	}
-	if failed {
+	// With dedup on, the committed file is a recipe whose chunk bodies are
+	// made durable (and referenced) first — a name in the directory never
+	// points at a recipe whose chunks are not on disk.
+	fileData, release, err := fs.dedupEncode(data)
+	if err != nil {
 		st.invalidate()
+		return err
 	}
-	if len(staged) == 0 {
-		return
+	name := ckptFile(seq)
+	if err := stageWrite(fs.fsys, filepath.Join(dir, name), fileData, 0o644); err != nil {
+		release()
+		st.invalidate()
+		return err
+	}
+	if fs.met != nil {
+		fs.met.stagedBytes.Add(float64(len(data)))
 	}
 	err = fs.fsys.SyncDir(dir)
 	if err == nil && len(view.elems) == 0 {
-		// A chain's first commit may have just created its directory: pin
-		// the directory's own entry in the root before acknowledging.
 		err = fs.fsys.SyncDir(fs.root)
 	}
 	if err != nil {
-		// The staged names may or may not be durable: unwind them with the
+		// The staged name may or may not be durable: unwind it with the
 		// removal protocol, so the chain reads as before and the chunk
-		// references come back only once the unlinks are pinned. After a
-		// real crash the unwind fails too; the references then stay
-		// counted and whatever names survive are adopted by the next
-		// listing.
-		names := make([]string, len(staged))
-		for i, req := range staged {
-			names[i] = ckptFile(req.seq)
+		// references come back only once the unlink is pinned. After a real
+		// crash the unwind fails too; the references then stay counted and
+		// a surviving name is adopted by the next listing.
+		if fs.removeCommitted(st, proc, []string{name}, view, nil) == nil {
+			release()
 		}
-		if fs.removeCommitted(st, proc, names, view, nil) == nil {
-			for _, release := range releases {
-				release()
-			}
-		}
-		if failed {
-			st.invalidate()
-		}
-		fail(staged, fmt.Errorf("storage: %w", err))
-		return
+		return fmt.Errorf("storage: %w", err)
 	}
-	if !failed {
-		st.view.Store(&chainView{elems: append(slices.Clip(view.elems), added...)})
-	}
-	for _, req := range staged {
-		req.done <- nil
-	}
+	st.view.Store(&chainView{elems: append(slices.Clip(view.elems), viewElem{seq: seq, size: len(fileData)})})
+	return nil
 }
 
 // Get returns whatever committed checkpoints are still readable, in

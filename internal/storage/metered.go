@@ -12,9 +12,7 @@ import (
 // uninstrumented hot path at its benchmarked cost.
 type fsMetrics struct {
 	putDur      *metrics.Histogram // aic_fsstore_put_duration_seconds
-	batchSize   *metrics.Histogram // aic_fsstore_commit_batch_size
 	stagedBytes *metrics.Counter   // aic_fsstore_staged_bytes_total
-	queueDepth  *metrics.Gauge     // aic_fsstore_queue_depth
 	fsyncTotal  *metrics.Counter   // aic_fsstore_fsync_total
 	syncDur     *metrics.Histogram // aic_fsstore_sync_duration_seconds
 
@@ -27,13 +25,9 @@ type fsMetrics struct {
 func newFSMetrics(reg *metrics.Registry) *fsMetrics {
 	return &fsMetrics{
 		putDur: reg.Histogram("aic_fsstore_put_duration_seconds",
-			"Wall time of FSStore.Put, enqueue to acknowledged commit.", nil),
-		batchSize: reg.Histogram("aic_fsstore_commit_batch_size",
-			"Appends coalesced into one group commit.", metrics.SizeBuckets),
+			"Wall time of FSStore.Put, call to acknowledged commit.", nil),
 		stagedBytes: reg.Counter("aic_fsstore_staged_bytes_total",
 			"Checkpoint bytes staged for commit."),
-		queueDepth: reg.Gauge("aic_fsstore_queue_depth",
-			"Appends enqueued and not yet claimed by a commit leader."),
 		fsyncTotal: reg.Counter("aic_fsstore_fsync_total",
 			"File and directory fsyncs issued."),
 		syncDur: reg.Histogram("aic_fsstore_sync_duration_seconds",

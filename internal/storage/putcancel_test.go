@@ -3,61 +3,50 @@ package storage
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 )
 
-// The gateFS from groupcommit_test.go blocks the first SyncDir until
-// released — exactly the hook needed to hold a commit leader mid-batch at
-// a deterministic point: after it has claimed the queue, before any
-// request's done fires.
+// waitingCtx reports through waiting when a caller first selects on Done —
+// for Put, the moment it starts waiting for its chain's token.
+type waitingCtx struct {
+	context.Context
+	once    sync.Once
+	waiting chan struct{}
+}
 
-func waitQueueLen(t *testing.T, st *procState, n int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st.mu.Lock()
-		l := len(st.queue)
-		st.mu.Unlock()
-		if l == n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("queue length never reached %d (at %d)", n, l)
-		}
-		time.Sleep(time.Millisecond)
-	}
+func (c *waitingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
 }
 
 // TestPutCancelBeforeClaim pins the withdraw side of the cancellation
-// contract: a Put cancelled while its request is still queued — no leader
-// has claimed it — returns ctx.Err() immediately (without waiting for the
-// token holder) and leaves no trace in the store.
+// contract: a Put cancelled while it is still waiting for its chain's token
+// returns ctx.Err() while the token is still held elsewhere, and leaves no
+// trace in the store.
 func TestPutCancelBeforeClaim(t *testing.T) {
 	fs := newFS(t)
 	st := fs.state("p")
 
-	// Hold the commit token so the Put cannot volunteer as its own leader:
-	// its request stays claimable but unclaimed.
+	// Hold the token so the Put has to wait for it.
 	st.tok <- struct{}{}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	base, cancel := context.WithCancel(context.Background())
+	ctx := &waitingCtx{Context: base, waiting: make(chan struct{})}
 	errCh := make(chan error, 1)
 	go func() { errCh <- fs.Put(ctx, "p", 0, []byte("doomed")) }()
-	waitQueueLen(t, st, 1)
+	<-ctx.waiting
 
 	cancel()
-	// The withdraw must complete while the token is still held — it only
-	// needs st.mu, never the token.
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("cancelled unclaimed Put = %v, want context.Canceled", err)
+			t.Fatalf("cancelled waiting Put = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("withdrawn Put did not return while the leader token was held")
+		t.Fatal("cancelled Put did not return while the token was held")
 	}
-	waitQueueLen(t, st, 0) // the request was removed, not abandoned
 
 	<-st.tok
 	// The withdrawn seq was never stored: a fresh Put at the same seq
@@ -68,33 +57,20 @@ func TestPutCancelBeforeClaim(t *testing.T) {
 	}
 }
 
-// TestPutCancelAfterClaim pins the other side: once a leader has claimed
-// the request, cancellation is too late — the commit is in flight and the
-// caller hears its real outcome (here a durable success), never ctx.Err().
+// TestPutCancelAfterClaim pins the other side: once a Put holds the token,
+// cancellation is too late — the commit is in flight and the caller hears
+// its real outcome (here a durable success), never ctx.Err().
 func TestPutCancelAfterClaim(t *testing.T) {
 	gate := &gateFS{FS: OSFS{}, entered: make(chan struct{}), release: make(chan struct{})}
 	fs, err := NewFSStoreFS(t.TempDir(), Target{}, gate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := fs.state("p")
-
-	// Act as the commit leader ourselves: hold the token, then drain once
-	// the Put is queued.
-	st.tok <- struct{}{}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() { errCh <- fs.Put(ctx, "p", 0, []byte("committed")) }()
-	waitQueueLen(t, st, 1)
-
-	leaderDone := make(chan struct{})
-	go func() {
-		fs.drainAndCommit(st, "p")
-		close(leaderDone)
-	}()
-	<-gate.entered         // the leader claimed the batch and is mid-commit
-	waitQueueLen(t, st, 0) // claim happened: the queue is empty
+	<-gate.entered // the Put holds the token and is parked in its dir fsync
 
 	// Cancel strictly after the claim, strictly before the outcome.
 	cancel()
@@ -106,13 +82,16 @@ func TestPutCancelAfterClaim(t *testing.T) {
 	}
 
 	close(gate.release)
-	<-leaderDone
-	<-st.tok
 	if err := <-errCh; err != nil {
 		t.Fatalf("claimed Put must report the commit's real outcome (nil), got %v", err)
 	}
-	// And the data really is durable under the cancelled caller's seq.
-	data, ok, err := fs.GetElem(context.Background(), "p", 0)
+	// And the data really is durable under the cancelled caller's seq: a
+	// handle opened now reads it.
+	reader, err := NewFSStore(fs.root, Target{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, ok, err := reader.GetElem(context.Background(), "p", 0)
 	if err != nil || !ok || string(data) != "committed" {
 		t.Fatalf("committed element missing: %q ok=%v err=%v", data, ok, err)
 	}

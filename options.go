@@ -175,7 +175,7 @@ func WithReplication(r Replication) Option {
 }
 
 // WithMetrics instruments the CheckpointDir and every layer beneath it —
-// the directory store's group commit and fsyncs, the replication clients,
+// the directory store's commits and fsyncs, the replication clients,
 // the quorum fan-out — against reg. DESIGN.md §14 documents the metric
 // surface; serve reg.Handler() at /metrics for Prometheus scraping.
 func WithMetrics(reg *MetricsRegistry) Option {
@@ -206,8 +206,8 @@ func WithCompaction(cfg CompactionConfig) Option {
 }
 
 // WithAdaptiveControl installs a saturation controller over the directory:
-// it watches fsync latency and group-commit queue depth and walks the shed
-// ladder (wider interval → serial encode → local-only) with hysteresis.
+// it watches fsync latency and walks the shed ladder (wider interval →
+// serial encode → local-only) with hysteresis.
 // The CheckpointDir itself is the actuator — see IntervalScale,
 // EncodeParallelism and the Append fan-out gate. Implies WithMetrics (a
 // private registry is created when none was supplied); the controller is
