@@ -31,6 +31,7 @@ race: ## full suite under the race detector, shuffled, as CI runs it
 
 fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedParallel -fuzztime=20s ./internal/delta
+	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedFastPath -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzChunker -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=20s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzServerPutProtocol -fuzztime=20s ./internal/remote

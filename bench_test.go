@@ -235,8 +235,8 @@ func BenchmarkXOREncode4KiB(b *testing.B) {
 
 // benchUpdates builds a dirty set with the AIC steady-state mix: 70% hot
 // lightly-edited pages (delta pays off), 10% hot rewritten pages (raw
-// fallback), 20% fresh pages. It is the one synthetic dirty-set generator
-// the codec benchmarks share.
+// fallback), 20% fresh pages. It is the synthetic dirty-set generator the
+// codec benchmarks share; hotEditUpdates is the hot-only shape beside it.
 func benchUpdates(pages int) []delta.PageUpdate {
 	rng := numeric.NewRNG(4)
 	updates := make([]delta.PageUpdate, pages)
@@ -271,6 +271,43 @@ func BenchmarkPageAlignedEncodeParallel(b *testing.B) {
 	const pages = 2048
 	updates := benchUpdates(pages)
 	for _, workers := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(pages) * 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				delta.EncodePageAlignedParallel(updates, delta.DefaultBlockSize, workers)
+			}
+		})
+	}
+}
+
+// hotEditUpdates builds a dirty set of hot pages only, each old page edited
+// in place by four random 64 B writes — the shape of the end-to-end
+// benchmark's hot set, and the case the page-aligned encoder's aligned
+// fast path is for.
+func hotEditUpdates(pages int) []delta.PageUpdate {
+	rng := numeric.NewRNG(5)
+	updates := make([]delta.PageUpdate, pages)
+	for i := range updates {
+		old := make([]byte, 4096)
+		rng.Bytes(old)
+		newPage := append([]byte(nil), old...)
+		for k := 0; k < 4; k++ {
+			rng.Bytes(newPage[rng.Intn(4096-64):][:64])
+		}
+		updates[i] = delta.PageUpdate{Index: uint64(i), Old: old, New: newPage}
+	}
+	return updates
+}
+
+// BenchmarkPageAlignedEncodeHotEdit tracks the aligned fast path: the
+// page-aligned encoder over 1 MiB of lightly edited hot pages at 1 and 2
+// workers.
+func BenchmarkPageAlignedEncodeHotEdit(b *testing.B) {
+	const pages = 256
+	updates := hotEditUpdates(pages)
+	for _, workers := range []int{1, 2} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(pages) * 4096)
 			b.ReportAllocs()

@@ -211,8 +211,24 @@ func (b *Builder) XORCheckpoint(as *memsim.AddressSpace) (*Checkpoint, delta.Sta
 	return c, st
 }
 
+// ElementError reports the chain element a restore failed to replay, so a
+// caller can rewind to the prefix before it. Err wraps the cause, which is
+// ErrBadCheckpoint for a payload that decodes but is not a valid page set.
+type ElementError struct {
+	Elem int // index into the restored chain
+	Err  error
+}
+
+func (e *ElementError) Error() string {
+	return fmt.Sprintf("ckpt: chain element %d: %v", e.Elem, e.Err)
+}
+
+func (e *ElementError) Unwrap() error { return e.Err }
+
 // Restore replays a checkpoint chain — one full checkpoint followed by its
-// incrementals in sequence order — into a fresh address space.
+// incrementals in sequence order — into a fresh address space. Every page
+// an element carries must decode to exactly the chain's page size; an
+// element that fails to replay is reported as an *ElementError.
 func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("ckpt: empty restore chain")
@@ -247,8 +263,16 @@ func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 		default:
 			err = fmt.Errorf("%w: kind %v", ErrBadCheckpoint, c.Kind)
 		}
+		if err == nil {
+			for idx, content := range pages {
+				if len(content) != c.PageSize {
+					err = fmt.Errorf("%w: page %d decodes to %d bytes, page size %d", ErrBadCheckpoint, idx, len(content), c.PageSize)
+					break
+				}
+			}
+		}
 		if err != nil {
-			return nil, fmt.Errorf("ckpt: chain element %d: %w", i, err)
+			return nil, &ElementError{Elem: i, Err: err}
 		}
 		for idx, content := range pages {
 			as.Write(idx, 0, content, 0)

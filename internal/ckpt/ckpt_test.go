@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"aic/internal/delta"
 	"aic/internal/memsim"
 	"aic/internal/numeric"
 )
@@ -364,5 +365,41 @@ func TestSetParallelismClampsNegative(t *testing.T) {
 	}
 	if b := NewBuilder(0, 0, 0, WithParallelism(4)); b.Parallelism() != 4 {
 		t.Fatal("explicit parallelism lost")
+	}
+}
+
+// wrongSizePage is a CRC-valid delta checkpoint following full (page size
+// 4096) whose one page decodes to n bytes: a raw frame when n exceeds the
+// page, a delta frame against page 0 when it falls short.
+func wrongSizePage(t *testing.T, full *Checkpoint, as *memsim.AddressSpace, n int) *Checkpoint {
+	t.Helper()
+	u := delta.PageUpdate{Index: 0, New: make([]byte, n)}
+	if n < full.PageSize {
+		u.Old = as.Page(0)
+		u.New = append([]byte(nil), u.Old[:n]...)
+	}
+	c := &Checkpoint{Seq: full.Seq + 1, Kind: IncrementalDelta, PageSize: full.PageSize,
+		Payload: delta.EncodePageAligned([]delta.PageUpdate{u}, 0)}
+	decoded, err := Decode(c.Encode())
+	if err != nil {
+		t.Fatalf("wrong-size element does not pass Decode: %v", err)
+	}
+	return decoded
+}
+
+// TestRestoreRejectsWrongSizePages: an element whose page decodes longer
+// than the page size must fail (not panic in the address space), and one
+// that decodes short must fail rather than keep the previous image's tail.
+func TestRestoreRejectsWrongSizePages(t *testing.T) {
+	rng := numeric.NewRNG(25)
+	as := memsim.New(4096)
+	writeRandomPages(as, rng, []uint64{0, 1}, 0)
+	full := NewBuilder(4096, 0, 0).FullCheckpoint(as)
+	for _, n := range []int{5000, 100} {
+		_, err := Restore([]*Checkpoint{full, wrongSizePage(t, full, as, n)})
+		var elemErr *ElementError
+		if !errors.Is(err, ErrBadCheckpoint) || !errors.As(err, &elemErr) || elemErr.Elem != 1 {
+			t.Fatalf("page decoding to %d bytes: err = %v, want ErrBadCheckpoint at element 1", n, err)
+		}
 	}
 }

@@ -4,7 +4,10 @@
 // extension, COPY/ADD instruction stream), an XOR+run-length baseline as
 // used by earlier compressed-difference checkpointing, and the page-aligned
 // wrapper (Xdelta3-PA) that differences each hot page against its previous
-// checkpointed version.
+// checkpointed version. The wrapper codes an equal-length page with an
+// aligned fast path: a word-at-a-time compare copies equal runs at their own
+// offsets and hash-searches only long differing spans, emitting the same
+// stream format, so the decoder is shared.
 package delta
 
 import (
@@ -201,50 +204,26 @@ func (e *Encoder) AppendEncode(dst, source, target []byte, blockSize int) []byte
 	if blockSize <= 0 {
 		blockSize = DefaultBlockSize
 	}
-	out := dst
-	out = binary.AppendUvarint(out, uint64(len(target)))
-
+	out := binary.AppendUvarint(dst, uint64(len(target)))
 	if len(target) == 0 {
-		out = append(out, opEnd)
-		return out
+		return append(out, opEnd)
 	}
-
 	e.indexSource(source, blockSize)
+	out = e.appendMatched(out, source, target, 0, blockSize)
+	return append(out, opEnd)
+}
 
-	emitPlain := func(lit []byte) {
-		if len(lit) == 0 {
-			return
-		}
-		out = append(out, opAdd)
-		out = binary.AppendUvarint(out, uint64(len(lit)))
-		out = append(out, lit...)
-	}
-	// emitAdd splits literal stretches around long same-byte runs, coding
-	// the runs with opRun (zeroed or constant-filled regions are common in
-	// freshly allocated pages).
-	emitAdd := func(lit []byte) {
-		start := 0
-		i := 0
-		for i < len(lit) {
-			j := i + 1
-			for j < len(lit) && lit[j] == lit[i] {
-				j++
-			}
-			if j-i >= runThreshold {
-				emitPlain(lit[start:i])
-				out = append(out, opRun)
-				out = binary.AppendUvarint(out, uint64(j-i))
-				out = append(out, lit[i])
-				start = j
-			}
-			i = j
-		}
-		emitPlain(lit[start:])
-	}
-
-	pos, litStart := 0, 0
-	if len(e.chain) > 0 && len(target) >= blockSize {
-		h := newWeakHash(target[:blockSize])
+// appendMatched appends the instructions rebuilding target[lo:] from source:
+// a rolling weak hash over the span finds candidate source blocks in the
+// index (built by indexSource over the same source and blockSize), matches
+// extend forward and backward byte-exactly within the span, and what no
+// match covers becomes literals. It is the one match loop behind both the
+// general encoder (the whole target) and the aligned fast path (one long
+// differing span, target cut at the span's end).
+func (e *Encoder) appendMatched(out, source, target []byte, lo, blockSize int) []byte {
+	pos, litStart := lo, lo
+	if len(e.chain) > 0 && len(target)-lo >= blockSize {
+		h := newWeakHash(target[pos : pos+blockSize])
 		for pos+blockSize <= len(target) {
 			match := -1
 			if head, ok := e.heads[h.sum()]; ok {
@@ -274,10 +253,8 @@ func (e *Encoder) AppendEncode(dst, source, target []byte, blockSize int) []byte
 				target[pos-back-1] == source[match-back-1] {
 				back++
 			}
-			emitAdd(target[litStart : pos-back])
-			out = append(out, opCopy)
-			out = binary.AppendUvarint(out, uint64(match-back))
-			out = binary.AppendUvarint(out, uint64(length+back))
+			out = appendLiteral(out, target[litStart:pos-back])
+			out = appendCopy(out, match-back, length+back)
 			pos += length
 			litStart = pos
 			if pos+blockSize <= len(target) {
@@ -285,9 +262,45 @@ func (e *Encoder) AppendEncode(dst, source, target []byte, blockSize int) []byte
 			}
 		}
 	}
-	emitAdd(target[litStart:])
-	out = append(out, opEnd)
-	return out
+	return appendLiteral(out, target[litStart:])
+}
+
+func appendCopy(out []byte, offset, length int) []byte {
+	out = append(out, opCopy)
+	out = binary.AppendUvarint(out, uint64(offset))
+	return binary.AppendUvarint(out, uint64(length))
+}
+
+// appendLiteral emits lit, splitting literal stretches around long
+// same-byte runs and coding the runs with opRun (zeroed or constant-filled
+// regions are common in freshly allocated pages).
+func appendLiteral(out, lit []byte) []byte {
+	start := 0
+	i := 0
+	for i < len(lit) {
+		j := i + 1
+		for j < len(lit) && lit[j] == lit[i] {
+			j++
+		}
+		if j-i >= runThreshold {
+			out = appendPlain(out, lit[start:i])
+			out = append(out, opRun)
+			out = binary.AppendUvarint(out, uint64(j-i))
+			out = append(out, lit[i])
+			start = j
+		}
+		i = j
+	}
+	return appendPlain(out, lit[start:])
+}
+
+func appendPlain(out, lit []byte) []byte {
+	if len(lit) == 0 {
+		return out
+	}
+	out = append(out, opAdd)
+	out = binary.AppendUvarint(out, uint64(len(lit)))
+	return append(out, lit...)
 }
 
 // Reset drops the Encoder's retained index and buffers, releasing memory
@@ -314,6 +327,29 @@ func commonPrefixLen(a, b []byte) int {
 	}
 	for ; i < n; i++ {
 		if a[i] != b[i] {
+			break
+		}
+	}
+	return i
+}
+
+// diffPrefixLen returns the length of the longest prefix over which a and b
+// differ at every byte — the counterpart of commonPrefixLen. Eight bytes are
+// XORed per step; the first zero byte of the XOR, the first equal byte, is
+// found with the classic has-zero-byte bit trick, whose lowest flagged byte
+// is always exact.
+func diffPrefixLen(a, b []byte) int {
+	const lows, highs = 0x0101010101010101, 0x8080808080808080
+	n := min(len(a), len(b))
+	i := 0
+	for ; i+8 <= n; i += 8 {
+		x := binary.LittleEndian.Uint64(a[i:]) ^ binary.LittleEndian.Uint64(b[i:])
+		if z := (x - lows) &^ x & highs; z != 0 {
+			return i + bits.TrailingZeros64(z)/8
+		}
+	}
+	for ; i < n; i++ {
+		if a[i] == b[i] {
 			break
 		}
 	}

@@ -104,6 +104,73 @@ func FuzzPageAlignedParallel(f *testing.F) {
 	})
 }
 
+// FuzzPageAlignedFastPath derives an equal-length old/new page pair from
+// the fuzz input — the old page, then an edit list of in-place overwrites
+// and right/left shifts — and checks the aligned fast path end to end: the
+// page's stream round-trips through Decode and through both page-aligned
+// decoders, and a page frame is never larger than the raw frame of the same
+// page.
+func FuzzPageAlignedFastPath(f *testing.F) {
+	f.Add(bytes.Repeat([]byte("0123456789abcdef"), 16), []byte{0, 0, 40, 9, 1, 0, 100, 7, 2, 0, 200, 3}, uint8(15))
+	f.Add(make([]byte, 300), []byte{0, 0, 10, 64}, uint8(63))
+	f.Add([]byte("short"), []byte{1, 0, 1, 2}, uint8(0))
+	f.Fuzz(func(t *testing.T, old, edits []byte, bsRaw uint8) {
+		bs := int(bsRaw%64) + 1
+		n := len(old)
+		page := append([]byte(nil), old...)
+		for ; n > 0 && len(edits) >= 4; edits = edits[4:] {
+			op, pos, k := edits[0]%3, (int(edits[1])<<8|int(edits[2]))%n, int(edits[3])
+			k = min(k, n-pos)
+			switch op {
+			case 0: // overwrite in place
+				for i := 0; i < k; i++ {
+					page[pos+i] ^= byte(i + 1)
+				}
+			case 1: // insert k bytes at pos, shifting the rest right
+				copy(page[pos+k:], page[pos:])
+				for i := 0; i < k; i++ {
+					page[pos+i] = byte(i * 7)
+				}
+			case 2: // delete k bytes at pos, shifting the rest left
+				copy(page[pos:], page[pos+k:])
+			}
+		}
+		var e Encoder
+		got, err := Decode(old, e.encodeAligned(old, page, bs))
+		if err != nil {
+			t.Fatalf("fast-path stream rejected: %v", err)
+		}
+		if !bytes.Equal(got, page) {
+			t.Fatal("fast-path stream does not decode to the new page")
+		}
+		u := PageUpdate{Index: 3, Old: old, New: page}
+		frame, _ := appendPageFrame(&e, nil, u, bs)
+		raw, _ := appendPageFrame(&e, nil, PageUpdate{Index: 3, New: page}, bs)
+		if len(frame) > len(raw) {
+			t.Fatalf("page frame %d B exceeds its raw frame %d B", len(frame), len(raw))
+		}
+		// The reverse edit as a second page gives the parallel decoder two
+		// frames to fan out.
+		stream := EncodePageAligned([]PageUpdate{u, {Index: 5, Old: page, New: old}}, bs)
+		fetch := func(idx uint64) []byte {
+			if idx == 3 {
+				return old
+			}
+			return page
+		}
+		serial, serr := DecodePageAligned(stream, fetch)
+		parallel, perr := DecodePageAlignedParallel(stream, fetch, 2)
+		if serr != nil || perr != nil {
+			t.Fatalf("own page-aligned stream rejected: serial %v, parallel %v", serr, perr)
+		}
+		for _, pages := range []map[uint64][]byte{serial, parallel} {
+			if !bytes.Equal(pages[3], page) || !bytes.Equal(pages[5], old) {
+				t.Fatal("page-aligned round trip mismatch")
+			}
+		}
+	})
+}
+
 // FuzzDecodePageAligned feeds arbitrary streams to both decoders: neither
 // may panic, and they must agree on acceptance and content.
 func FuzzDecodePageAligned(f *testing.F) {

@@ -37,7 +37,12 @@ func sortUpdates(updates []PageUpdate) []PageUpdate {
 func appendPageFrame(e *Encoder, dst []byte, u PageUpdate, blockSize int) ([]byte, byte) {
 	dst = binary.AppendUvarint(dst, u.Index)
 	if u.Old != nil {
-		d := e.Encode(u.Old, u.New, blockSize)
+		var d []byte
+		if len(u.Old) == len(u.New) {
+			d = e.encodeAligned(u.Old, u.New, blockSize)
+		} else {
+			d = e.Encode(u.Old, u.New, blockSize)
+		}
 		if len(d) < len(u.New) {
 			dst = append(dst, PageDelta)
 			dst = binary.AppendUvarint(dst, uint64(len(d)))
@@ -49,6 +54,54 @@ func appendPageFrame(e *Encoder, dst []byte, u PageUpdate, blockSize int) ([]byt
 	dst = append(dst, PageRaw)
 	dst = binary.AppendUvarint(dst, uint64(len(u.New)))
 	return append(dst, u.New...), PageRaw
+}
+
+// alignedGap is the shortest equal run the aligned fast path codes as a
+// copy at its own offset. A copy of a page offset costs at most four bytes
+// and splits the surrounding literal (two more), so from eight equal bytes
+// on it is cheaper than carrying the run inside the literal.
+const alignedGap = 8
+
+// encodeAligned is the page-aligned fast path for a source and target page
+// of equal length: it produces a stream in Encode's format into the
+// Encoder's buffer, valid until the next call. Both versions share offsets,
+// so a word-at-a-time compare finds the byte-exact differing spans; equal
+// runs of at least alignedGap become copies at the same offset, and only
+// the literal stretches between them are coded — short ones as literals,
+// long ones (shifted or inserted content) through the general block
+// matcher, whose source index is built at most once, on the first long
+// stretch.
+func (e *Encoder) encodeAligned(source, target []byte, blockSize int) []byte {
+	if blockSize <= 0 {
+		blockSize = DefaultBlockSize
+	}
+	out := binary.AppendUvarint(e.buf[:0], uint64(len(target)))
+	indexed := false
+	// flush codes the pending literal stretch target[lo:hi].
+	flush := func(lo, hi int) {
+		if hi-lo < 2*blockSize {
+			out = appendLiteral(out, target[lo:hi])
+			return
+		}
+		if !indexed {
+			e.indexSource(source, blockSize)
+			indexed = true
+		}
+		out = e.appendMatched(out, source, target[:hi], lo, blockSize)
+	}
+	litStart := 0
+	for i := 0; i < len(target); {
+		eq := i + commonPrefixLen(target[i:], source[i:])
+		if eq-i >= alignedGap {
+			flush(litStart, i)
+			out = appendCopy(out, i, eq-i)
+			litStart = eq
+		}
+		i = eq + diffPrefixLen(target[eq:], source[eq:])
+	}
+	flush(litStart, len(target))
+	e.buf = append(out, opEnd)
+	return e.buf
 }
 
 // EncodePageAligned produces the Xdelta3-PA stream for the given page

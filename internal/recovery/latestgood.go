@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -22,7 +23,8 @@ type GoodReport struct {
 	// before the anchor.
 	Discarded []int
 	// Corrupt is the subset of Discarded that failed ckpt.Decode (torn
-	// write, bit flip caught by the CRC trailer, truncation).
+	// write, bit flip caught by the CRC trailer, truncation) or decoded
+	// but failed to replay.
 	Corrupt []int
 	// CPUState is the replayed prefix's final execution state — the blob a
 	// resumed process must load to match the restored image.
@@ -65,6 +67,8 @@ func RestoreLatestGood(chain []storage.Stored) (*memsim.AddressSpace, *GoodRepor
 
 // replayLatestGood is RestoreLatestGood over elements already decoded and in
 // sequence order: a replica-set read verified each frame to choose its copy.
+// An element that decodes but fails to replay is marked corrupt in elems
+// (its Ckpt set to nil).
 func replayLatestGood(elems []Element) (*memsim.AddressSpace, *GoodReport, error) {
 	if len(elems) == 0 {
 		return nil, nil, fmt.Errorf("recovery: empty chain")
@@ -94,6 +98,14 @@ func replayLatestGood(elems []Element) (*memsim.AddressSpace, *GoodReport, error
 		end++
 	}
 	as, err := ckpt.Restore(prefix)
+	var bad *ckpt.ElementError
+	if errors.As(err, &bad) {
+		// The frame passed its checksum but does not replay (a page that
+		// decodes to the wrong size): it is as corrupt as a torn frame, so
+		// mark it and replay again, which rewinds past it.
+		elems[anchor+bad.Elem].Ckpt = nil
+		return replayLatestGood(elems)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("recovery: intact prefix failed to replay: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"aic/internal/ckpt"
+	"aic/internal/delta"
 	"aic/internal/failure"
 	"aic/internal/memsim"
 	"aic/internal/numeric"
@@ -210,5 +211,27 @@ func TestRecoverPartialPrefersLeastWorkLost(t *testing.T) {
 	}
 	if !as.Equal(images[2]) {
 		t.Fatal("image mismatch")
+	}
+}
+
+// TestRestoreLatestGoodRewindsPastWrongSizePage: a checksum-valid element
+// whose page decodes to the wrong size is corrupt, so the replay stops
+// before it instead of panicking or restoring a stale page tail.
+func TestRestoreLatestGoodRewindsPastWrongSizePage(t *testing.T) {
+	for _, n := range []int{600, 100} { // page size 512
+		chain, images := buildStoredChain(t)
+		bad := &ckpt.Checkpoint{Seq: 2, Kind: ckpt.IncrementalDelta, PageSize: 512,
+			Payload: delta.EncodePageAligned([]delta.PageUpdate{{Index: 0, New: make([]byte, n)}}, 0)}
+		chain[2].Data = bad.Encode()
+		as, rep, err := RestoreLatestGood(chain)
+		if err != nil {
+			t.Fatalf("page of %d bytes: %v", n, err)
+		}
+		if rep.LastSeq != 1 || len(rep.Corrupt) != 1 || rep.Corrupt[0] != 2 {
+			t.Fatalf("page of %d bytes: report = %+v", n, rep)
+		}
+		if !as.Equal(images[1]) {
+			t.Fatalf("page of %d bytes: restore did not rewind to seq 1", n)
+		}
 	}
 }
