@@ -19,6 +19,8 @@ import (
 	"aic/internal/model"
 	"aic/internal/numeric"
 	"aic/internal/predictor"
+	"aic/internal/recovery"
+	"aic/internal/storage"
 	"aic/internal/workload"
 )
 
@@ -524,4 +526,107 @@ func BenchmarkStudies(b *testing.B) {
 			b.Log("\n" + exp.RenderAccuracy(acc, lam))
 		}
 	}
+}
+
+// restoreChain builds an encoded chain: an anchor of anchorPages random
+// 4 KiB pages, then deltas elements that each dirty pagesPerDelta pages.
+// hot deltas edit the same pages with four 64 B writes each, so every page
+// is delta-coded; cold deltas rewrite a quarter of the image with fresh
+// bytes, a different quarter each time, so every page is stored raw.
+func restoreChain(anchorPages, deltas, pagesPerDelta int, hot bool) [][]byte {
+	rng := numeric.NewRNG(6)
+	as := memsim.New(4096)
+	page := make([]byte, 4096)
+	for i := 0; i < anchorPages; i++ {
+		rng.Bytes(page)
+		as.Write(uint64(i), 0, page, 0)
+	}
+	b := ckpt.NewBuilder(4096, 0, 64)
+	chain := [][]byte{b.FullCheckpoint(as).Encode()}
+	for d := 0; d < deltas; d++ {
+		for i := 0; i < pagesPerDelta; i++ {
+			if hot {
+				for k := 0; k < 4; k++ {
+					rng.Bytes(page[:64])
+					as.Write(uint64(i), rng.Intn(4096-64), page[:64], 0)
+				}
+			} else {
+				rng.Bytes(page)
+				as.Write(uint64((d%4)*pagesPerDelta+i), 0, page, 0)
+			}
+		}
+		c, _ := b.DeltaCheckpoint(as)
+		chain = append(chain, c.Encode())
+	}
+	return chain
+}
+
+// BenchmarkRestoreChain times restore-to-image below the network: decode
+// and replay, plus stripe reassembly for the cold shape.
+//   - hot: an 8 MiB anchor and 15 deltas of 256 lightly edited pages,
+//     replayed through recovery.RestoreLatestGood;
+//   - cold: a 16 MiB anchor and 7 raw 4 MiB deltas, every element split
+//     into 2 stripes, each stripe decoded, the element reassembled and
+//     decoded, then the chain replayed by ckpt.Restore.
+func BenchmarkRestoreChain(b *testing.B) {
+	size := func(chain [][]byte) (n int64) {
+		for _, el := range chain {
+			n += int64(len(el))
+		}
+		return n
+	}
+	b.Run("hot", func(b *testing.B) {
+		chain := restoreChain(2048, 15, 256, true)
+		stored := make([]storage.Stored, len(chain))
+		for i, el := range chain {
+			stored[i] = storage.Stored{Seq: i, Data: el}
+		}
+		b.SetBytes(size(chain))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, rep, err := recovery.RestoreLatestGood(stored); err != nil || rep.LastSeq != len(chain)-1 {
+				b.Fatalf("restore: %v", err)
+			}
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		chain := restoreChain(4096, 7, 1024, false)
+		type striped struct {
+			man   []byte
+			parts [][]byte
+		}
+		sets := make([]striped, len(chain))
+		for i, el := range chain {
+			man, parts, err := ckpt.SplitStripes(i, el, 2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sets[i] = striped{man, parts}
+		}
+		b.SetBytes(size(chain))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			decoded := make([]*ckpt.Checkpoint, len(sets))
+			for j, set := range sets {
+				man, err := ckpt.DecodeStripe(set.man)
+				if err != nil {
+					b.Fatal(err)
+				}
+				parts := make([]*ckpt.StripeFrame, len(set.parts))
+				for k, p := range set.parts {
+					if parts[k], err = ckpt.DecodeStripe(p); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if _, decoded[j], err = ckpt.DecodeStriped(man, parts); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := ckpt.Restore(decoded); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

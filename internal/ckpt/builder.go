@@ -249,33 +249,17 @@ func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 		if c.PageSize != as.PageSize() {
 			return nil, fmt.Errorf("ckpt: page size changed mid-chain at %d", i)
 		}
-		var pages map[uint64][]byte
 		var err error
 		switch c.Kind {
 		case Full, Incremental:
-			pages, err = decodeRawPages(c.Payload, c.PageSize)
+			err = installRawPages(as, c.Payload)
 		case IncrementalDelta:
-			// Page fetches are pure reads of the already-restored state, so
-			// the payloads can decode on all cores.
-			pages, err = delta.DecodePageAlignedParallel(c.Payload, func(idx uint64) []byte {
-				return as.Page(idx)
-			}, 0)
+			err = installDeltaPages(as, c.Payload)
 		default:
 			err = fmt.Errorf("%w: kind %v", ErrBadCheckpoint, c.Kind)
 		}
-		if err == nil {
-			for idx, content := range pages {
-				if len(content) != c.PageSize {
-					err = fmt.Errorf("%w: page %d decodes to %d bytes, page size %d", ErrBadCheckpoint, idx, len(content), c.PageSize)
-					break
-				}
-			}
-		}
 		if err != nil {
 			return nil, &ElementError{Elem: i, Err: err}
-		}
-		for idx, content := range pages {
-			as.Write(idx, 0, content, 0)
 		}
 		for _, idx := range c.Freed {
 			as.Free(idx)
@@ -283,6 +267,25 @@ func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 	}
 	as.ResetDirty()
 	return as, nil
+}
+
+// installDeltaPages decodes a page-aligned delta stream against the image
+// replayed so far and installs each decoded page by ownership: a raw page
+// is the decoder's one copy out of the payload, a delta page its fresh
+// output. Page fetches are pure reads of the image, so the payload decodes
+// on all cores before any page is installed.
+func installDeltaPages(as *memsim.AddressSpace, payload []byte) error {
+	pages, err := delta.DecodePageAlignedParallel(payload, as.Page, 0)
+	if err != nil {
+		return err
+	}
+	for idx, content := range pages {
+		if len(content) != as.PageSize() {
+			return fmt.Errorf("%w: page %d decodes to %d bytes, page size %d", ErrBadCheckpoint, idx, len(content), as.PageSize())
+		}
+		as.Install(idx, content, 0)
+	}
+	return nil
 }
 
 // RestoreLatest replays the suffix of a checkpoint chain starting at its

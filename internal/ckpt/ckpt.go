@@ -6,10 +6,13 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+
+	"aic/internal/memsim"
 )
 
 // Kind is the checkpoint flavour.
@@ -92,6 +95,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 var ErrChecksum = errors.New("ckpt: checksum mismatch")
 
 // Decode parses a serialized checkpoint, verifying its CRC trailer.
+//
+// The returned Checkpoint's Payload aliases data: the caller must not
+// modify data while the Checkpoint is in use. CPUState and Freed are
+// copies, so a value taken from them (a restore report's CPU state) never
+// keeps data alive. Restore copies every page out of the payload, so the
+// image it returns shares no bytes with data.
 func Decode(data []byte) (*Checkpoint, error) {
 	if len(data) < len(magic)+1+4 || string(data[:8]) != string(magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
@@ -100,7 +109,15 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(trailer) {
 		return nil, ErrChecksum
 	}
-	data = body
+	return decodeBody(body)
+}
+
+// decodeBody parses a frame body — everything before the CRC trailer, which
+// the caller has already checked against it.
+func decodeBody(data []byte) (*Checkpoint, error) {
+	if len(data) < len(magic)+1 || string(data[:8]) != string(magic[:]) {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
+	}
 	c := &Checkpoint{Kind: Kind(data[8])}
 	if c.Kind != Full && c.Kind != Incremental && c.Kind != IncrementalDelta && c.Kind != Stripe {
 		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadCheckpoint, data[8])
@@ -155,7 +172,7 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if payLen != uint64(len(p)) {
 		return nil, fmt.Errorf("%w: payload length %d, have %d", ErrBadCheckpoint, payLen, len(p))
 	}
-	c.Payload = append([]byte(nil), p...)
+	c.Payload = p[:len(p):len(p)]
 	return c, nil
 }
 
@@ -188,28 +205,29 @@ func encodeRawPages(idxs []uint64, fetch func(uint64) []byte, pageSize int) []by
 	return out
 }
 
-// decodeRawPages parses a raw page list.
-func decodeRawPages(payload []byte, pageSize int) (map[uint64][]byte, error) {
+// installRawPages parses a raw page list and installs each page into as,
+// copied once out of the payload.
+func installRawPages(as *memsim.AddressSpace, payload []byte) error {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return nil, fmt.Errorf("%w: missing page count", ErrBadCheckpoint)
+		return fmt.Errorf("%w: missing page count", ErrBadCheckpoint)
 	}
 	payload = payload[n:]
-	pages := make(map[uint64][]byte, count)
+	pageSize := as.PageSize()
 	for i := uint64(0); i < count; i++ {
 		idx, n := binary.Uvarint(payload)
 		if n <= 0 {
-			return nil, fmt.Errorf("%w: bad page index", ErrBadCheckpoint)
+			return fmt.Errorf("%w: bad page index", ErrBadCheckpoint)
 		}
 		payload = payload[n:]
 		if len(payload) < pageSize {
-			return nil, fmt.Errorf("%w: short page %d", ErrBadCheckpoint, idx)
+			return fmt.Errorf("%w: short page %d", ErrBadCheckpoint, idx)
 		}
-		pages[idx] = append([]byte(nil), payload[:pageSize]...)
+		as.Install(idx, bytes.Clone(payload[:pageSize]), 0)
 		payload = payload[pageSize:]
 	}
 	if len(payload) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(payload))
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(payload))
 	}
-	return pages, nil
+	return nil
 }

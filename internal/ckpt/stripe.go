@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -14,12 +15,19 @@ import (
 // included — handles them like any other element.
 type StripeFrame struct {
 	Seq      int
-	Manifest bool   // true: reassembly descriptor at the base key
-	Index    int    // stripe position (parts only)
-	Count    int    // total stripes of the object
-	Total    int64  // reassembled object size in bytes
-	Sum      uint32 // CRC-32C of the reassembled object
-	Part     []byte // this stripe's slice (parts only)
+	Manifest bool  // true: reassembly descriptor at the base key
+	Index    int   // stripe position (parts only)
+	Count    int   // total stripes of the object
+	Total    int64 // reassembled object size in bytes
+	// Sum is the CRC-32C of the reassembled object. The object is a
+	// checkpoint frame, which ends in the CRC-32C of everything before it,
+	// so for every well-formed object Sum is one fixed residue: it confirms
+	// that the reassembled bytes end in a matching trailer and cannot tell
+	// two well-formed frames apart. A stripe set mixed from two frames of
+	// one seq and size is caught by that trailer check (DecodeStriped), not
+	// by a Sum that differs.
+	Sum  uint32
+	Part []byte // this stripe's slice (parts only), aliasing the decoded frame
 }
 
 // stripe header records, stored in the frame's CPUState field.
@@ -123,35 +131,73 @@ func DecodeStripe(data []byte) (*StripeFrame, error) {
 
 // ReassembleStripes concatenates the parts of one seq's stripe set (given
 // in any order) and verifies the result against the manifest. Every part
-// must be present exactly once and agree on the geometry.
+// must be present exactly once and agree on the geometry. The object need
+// not be a checkpoint frame; DecodeStriped is the restore path's entry.
 func ReassembleStripes(man *StripeFrame, parts []*StripeFrame) ([]byte, error) {
+	out, _, err := assemble(man, parts)
+	return out, err
+}
+
+// DecodeStriped reassembles one seq's stripe set and decodes the object as
+// a checkpoint frame, with one CRC pass over its bytes: the CRC of the body
+// is checked against the frame's trailer, and the same CRC extended over
+// the trailer against the manifest's Sum. The Checkpoint's Payload aliases
+// data, the one buffer the parts are copied into (Decode's contract).
+func DecodeStriped(man *StripeFrame, parts []*StripeFrame) (data []byte, c *Checkpoint, err error) {
+	data, body, err := assemble(man, parts)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(data) < len(magic)+1+4 {
+		return nil, nil, fmt.Errorf("%w: reassembled object of %d bytes is not a frame", ErrBadCheckpoint, len(data))
+	}
+	if body != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return nil, nil, fmt.Errorf("%w: reassembled frame fails its trailer", ErrChecksum)
+	}
+	if c, err = decodeBody(data[:len(data)-4]); err != nil {
+		return nil, nil, err
+	}
+	return data, c, nil
+}
+
+// assemble is the reassembly both entries share. It checks the parts
+// against the manifest, copies them in order into one buffer of the
+// manifest's size, and runs the one CRC pass: body is the CRC-32C of all but
+// the last 4 bytes (what a frame's trailer covers), and body extended over
+// those 4 bytes must equal the manifest's Sum.
+func assemble(man *StripeFrame, parts []*StripeFrame) (out []byte, body uint32, err error) {
 	if !man.Manifest {
-		return nil, fmt.Errorf("%w: reassembly needs a manifest frame", ErrBadCheckpoint)
+		return nil, 0, fmt.Errorf("%w: reassembly needs a manifest frame", ErrBadCheckpoint)
 	}
 	if len(parts) != man.Count {
-		return nil, fmt.Errorf("%w: have %d of %d stripes", ErrBadCheckpoint, len(parts), man.Count)
+		return nil, 0, fmt.Errorf("%w: have %d of %d stripes", ErrBadCheckpoint, len(parts), man.Count)
 	}
 	ordered := make([]*StripeFrame, man.Count)
 	for _, p := range parts {
 		if p.Manifest || p.Count != man.Count || p.Seq != man.Seq || p.Total != man.Total || p.Sum != man.Sum {
-			return nil, fmt.Errorf("%w: stripe disagrees with manifest", ErrBadCheckpoint)
+			return nil, 0, fmt.Errorf("%w: stripe disagrees with manifest", ErrBadCheckpoint)
 		}
 		if p.Index < 0 || p.Index >= man.Count || ordered[p.Index] != nil {
-			return nil, fmt.Errorf("%w: duplicate or out-of-range stripe %d", ErrBadCheckpoint, p.Index)
+			return nil, 0, fmt.Errorf("%w: duplicate or out-of-range stripe %d", ErrBadCheckpoint, p.Index)
 		}
 		ordered[p.Index] = p
 	}
-	out := make([]byte, 0, man.Total)
-	for _, p := range ordered {
-		out = append(out, p.Part...)
+	var total int64
+	pieces := make([][]byte, man.Count)
+	for i, p := range ordered {
+		pieces[i] = p.Part
+		total += int64(len(p.Part))
 	}
-	if int64(len(out)) != man.Total {
-		return nil, fmt.Errorf("%w: reassembled %d bytes, manifest says %d", ErrBadCheckpoint, len(out), man.Total)
+	if total != man.Total {
+		return nil, 0, fmt.Errorf("%w: reassembled %d bytes, manifest says %d", ErrBadCheckpoint, total, man.Total)
 	}
-	if got := crc32.Checksum(out, crcTable); got != man.Sum {
-		return nil, fmt.Errorf("%w: reassembled object CRC %08x, manifest says %08x", ErrChecksum, got, man.Sum)
+	out = bytes.Join(pieces, nil) // sized once, and not zeroed before the copy
+	split := max(len(out)-4, 0)
+	body = crc32.Checksum(out[:split], crcTable)
+	if got := crc32.Update(body, crcTable, out[split:]); got != man.Sum {
+		return nil, 0, fmt.Errorf("%w: reassembled object CRC %08x, manifest says %08x", ErrChecksum, got, man.Sum)
 	}
-	return out, nil
+	return out, body, nil
 }
 
 // SplitStripes slices an encoded object into count near-equal parts, each

@@ -98,6 +98,19 @@ func (as *AddressSpace) Write(index uint64, offset int, data []byte, now float64
 	copy(p[offset:], data)
 }
 
+// Install maps page at index by ownership, replacing any page there: the
+// address space keeps page itself, not a copy, so the caller must not touch
+// it afterwards. It is a whole-page Write without the copy — the write
+// barrier fires the same way — and it panics unless page is exactly one
+// page long.
+func (as *AddressSpace) Install(index uint64, page []byte, now float64) {
+	if len(page) != as.pageSize {
+		panic(fmt.Sprintf("memsim: install of %d bytes into a page of %d", len(page), as.pageSize))
+	}
+	as.pages[index] = page[:as.pageSize:as.pageSize]
+	as.touch(index, now)
+}
+
 // Page returns the live page bytes at index (nil when unmapped). The caller
 // must not retain the slice across writes; use PageCopy for snapshots.
 func (as *AddressSpace) Page(index uint64) []byte { return as.pages[index] }

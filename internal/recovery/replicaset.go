@@ -159,11 +159,7 @@ func reassemble(key string, man *ckpt.StripeFrame, parts map[string]map[int]*ckp
 			return bad
 		}
 	}
-	data, err := ckpt.ReassembleStripes(man, held)
-	if err != nil {
-		return bad
-	}
-	c, err := ckpt.Decode(data)
+	data, c, err := ckpt.DecodeStriped(man, held)
 	if err != nil || c.Seq != man.Seq {
 		return bad
 	}

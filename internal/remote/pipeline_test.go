@@ -12,7 +12,8 @@ import (
 
 // TestAppendFrameMatchesWriteFrame pins the batched encoders to the wire
 // format byte-for-byte: a pipelined burst must be indistinguishable from the
-// same frames written one Write each.
+// same frames written one Write each. The Get reply's encoder, writeChain,
+// has its own golden test (getreply_test.go).
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	payload := []byte("payload bytes")
 	var solo bytes.Buffer
@@ -30,14 +31,6 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	}
 	if got := appendDataFrame(nil, 1<<20, chunk); !bytes.Equal(got, dataSolo.Bytes()) {
 		t.Fatal("appendDataFrame diverges from dataFrame+writeFrame")
-	}
-
-	var elemSolo bytes.Buffer
-	if err := writeFrame(&elemSolo, kindElem, elemFrame(42, chunk)); err != nil {
-		t.Fatal(err)
-	}
-	if got := appendElemFrame(nil, 42, chunk); !bytes.Equal(got, elemSolo.Bytes()) {
-		t.Fatal("appendElemFrame diverges from elemFrame+writeFrame")
 	}
 
 	// Two frames appended to one buffer parse back as two frames.

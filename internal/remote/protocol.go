@@ -37,6 +37,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
+
+	"aic/internal/storage"
 )
 
 // Frame kinds. Requests run client→server, replies server→client.
@@ -177,9 +180,7 @@ type errMsg struct {
 }
 
 // appendFrame appends one encoded frame (length prefix, kind, payload, CRC)
-// to dst. The hot transfer paths batch several frames into one buffer this
-// way and hand the kernel a single Write, instead of a syscall and an
-// allocation per frame.
+// to dst.
 func appendFrame(dst []byte, kind byte, payload []byte) []byte {
 	n := 1 + len(payload)
 	var word [4]byte
@@ -209,21 +210,30 @@ func appendDataFrame(dst []byte, offset int64, chunk []byte) []byte {
 	return append(dst, word[:]...)
 }
 
-// appendElemFrame appends an encoded kindElem frame (uvarint seq ++
-// checkpoint bytes) to dst.
-func appendElemFrame(dst []byte, seq int, data []byte) []byte {
-	var uv [binary.MaxVarintLen64]byte
-	un := binary.PutUvarint(uv[:], uint64(seq))
-	n := 1 + un + len(data)
-	var word [4]byte
-	binary.LittleEndian.PutUint32(word[:], uint32(n))
-	dst = append(dst, word[:]...)
-	body := len(dst)
-	dst = append(dst, kindElem)
-	dst = append(dst, uv[:un]...)
-	dst = append(dst, data...)
-	binary.LittleEndian.PutUint32(word[:], crc32.Update(0, crcTable, dst[body:]))
-	return append(dst, word[:]...)
+// writeChain sends a Get reply — the kindChain header frame, then one
+// kindElem frame (uvarint seq ++ checkpoint bytes) per element — in one
+// vectored write. Only the framing is built, in one scratch buffer; each
+// element's bytes go out as they are, never copied. The bytes are exactly
+// appendFrame's for the header and for each elemFrame.
+func writeChain(w io.Writer, hdr []byte, chain []storage.Stored) error {
+	const elemFraming = 4 + 1 + binary.MaxVarintLen64 + 4
+	scratch := appendFrame(make([]byte, 0, 4+1+len(hdr)+4+len(chain)*elemFraming), kindChain, hdr)
+	bufs := make(net.Buffers, 0, 2*len(chain)+1)
+	from := 0 // scratch[from:] is framing not yet queued
+	for _, el := range chain {
+		head := len(scratch)
+		scratch = binary.LittleEndian.AppendUint32(scratch, 0)
+		scratch = append(scratch, kindElem)
+		scratch = binary.AppendUvarint(scratch, uint64(el.Seq))
+		binary.LittleEndian.PutUint32(scratch[head:], uint32(len(scratch)-head-4+len(el.Data)))
+		sum := crc32.Update(crc32.Update(0, crcTable, scratch[head+4:]), crcTable, el.Data)
+		bufs = append(bufs, scratch[from:], el.Data)
+		from = len(scratch)
+		scratch = binary.LittleEndian.AppendUint32(scratch, sum)
+	}
+	bufs = append(bufs, scratch[from:])
+	_, err := bufs.WriteTo(w)
+	return err
 }
 
 // writeFrame sends one frame in a single Write call (fault injection and the

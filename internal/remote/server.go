@@ -195,15 +195,6 @@ func (s *Server) Close() error {
 	return nil
 }
 
-const (
-	// sendFlushSize is the batching threshold for pipelined reply streams:
-	// past this many buffered bytes the batch goes to the kernel.
-	sendFlushSize = 256 << 10
-	// sendRetainCap bounds how much reply scratch a connection keeps
-	// between requests.
-	sendRetainCap = 1 << 20
-)
-
 // serveConn runs the request loop for one connection; ctx is the server's
 // lifetime context from Serve. The first frame must be a hello naming
 // exactly protocolVersion: anything else is refused and the connection
@@ -217,9 +208,6 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 		// cur is its transfer until the commit.
 		curKey objKey
 		cur    *staging
-		// sendBuf batches a Get reply's element frames into few large
-		// writes; reused across requests, released if a big chain grew it.
-		sendBuf []byte
 	)
 	for {
 		kind, payload, err := s.readFrame(conn)
@@ -337,25 +325,8 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			if err != nil {
 				return err
 			}
-			// Pipeline the chain: header and element frames accumulate in
-			// one buffer and flush in large writes, not one per element.
-			sendBuf = appendFrame(sendBuf[:0], kindChain, hdr)
-			for _, el := range chain {
-				sendBuf = appendElemFrame(sendBuf, el.Seq, el.Data)
-				if len(sendBuf) >= sendFlushSize {
-					if _, err := conn.Write(sendBuf); err != nil {
-						return err
-					}
-					sendBuf = sendBuf[:0]
-				}
-			}
-			if len(sendBuf) > 0 {
-				if _, err := conn.Write(sendBuf); err != nil {
-					return err
-				}
-			}
-			if cap(sendBuf) > sendRetainCap {
-				sendBuf = nil // a giant element grew the scratch; let it go
+			if err := writeChain(conn, hdr, chain); err != nil {
+				return err
 			}
 
 		case kindList:
