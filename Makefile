@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: help build lint test race fuzz-smoke chaos-smoke cover bench-e2e bench-e2e-smoke
+.PHONY: help build lint test race fuzz-smoke chaos-smoke cover loc bench-e2e bench-e2e-smoke
 
 help: ## list targets
 	@awk -F':.*## ' '/^[a-z0-9-]+:.*## /{printf "  %-16s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -45,6 +45,14 @@ chaos-smoke: ## compaction-racing-faults chaos scenario under the race detector
 cover: ## coverage profile + per-function summary
 	$(GO) test -shuffle=on -coverprofile=coverage.out -coverpkg=./... ./...
 	$(GO) tool cover -func=coverage.out | tail -1
+
+loc: ## report only, no gate: non-test Go lines outside bench/ and testdata/, per top-level package and in total
+	@find . \( -path ./bench -o -name testdata -o -name '.?*' \) -prune -o \
+		-name '*.go' ! -name '*_test.go' -print | xargs wc -l | awk '$$2 != "total" { \
+		n = split($$2, p, "/"); pkg = n == 2 ? "." : n == 3 ? p[2] : p[2] "/" p[3]; \
+		lines[pkg] += $$1; total += $$1 } \
+		END { for (k in lines) printf "%7d  %s\n", lines[k], k | "sort -k2"; close("sort -k2"); \
+		printf "%7d  total\n", total }'
 
 bench-e2e: ## the repo benchmark (bench/, BENCHMARK.json): both facades end to end, untraced then traced
 	bash bench/run.sh

@@ -232,17 +232,13 @@ func (p *Process) Seq() int { return p.builder.Seq() }
 // RestoreLatestGood) consult only the local replica — RestoreBestReplica
 // is the path that reads the whole set.
 type CheckpointDir struct {
-	// The replica set, built once at open: stores[0] is the local store,
-	// whose outcome decides every mutation and which alone serves the
-	// local reads; stores[1:] are the peers, of which quorum must ack a
-	// mutation for it not to be degraded. names labels them "local", "0",
-	// "1", …; fan counts the peers' share of every fan-out and serves
-	// RestoreBestReplica's reads.
+	// The placement, fixed at open: stores[0] is the local store, the
+	// write core's must-ack member and the one replica the local reads
+	// consult; stores[1:] are the peers. names labels them "local", "0",
+	// "1", ….
 	names  []string
 	stores []storage.Store
-	quorum int
-	fan    storage.FanOut
-	closer func() error
+	set    *replicaSet // the write core Client shares; owns the dialed peers
 
 	reg  *metrics.Registry   // nil unless opened WithMetrics/WithAdaptiveControl
 	met  *dirMetrics         // nil unless instrumented
@@ -280,36 +276,20 @@ func (d *CheckpointDir) Append(ctx context.Context, proc string, seq int, encode
 	if emb, err := ckpt.PeekSeq(encoded); err == nil && emb != seq {
 		return fmt.Errorf("aic: append %s: label seq %d but the checkpoint itself is seq %d (label with Process.Seq before the checkpoint, or Seq-1 after)", proc, seq, emb)
 	}
-	shed := len(d.stores) > 1 && d.replShed.Load()
-	err := d.mutate(ctx, "append", "put", shed, func(ctx context.Context, s storage.Store) error {
-		return storage.PutVerified(ctx, s, proc, seq, encoded)
-	})
+	n := len(d.stores)
+	shed := n > 1 && d.replShed.Load()
+	if shed {
+		n = 1
+	}
+	err := d.set.apply(ctx, "append", "put", []write{{key: proc, seq: seq, names: d.names[:n], stores: d.stores[:n],
+		do: func(ctx context.Context, s storage.Store) error {
+			return storage.PutVerified(ctx, s, proc, seq, encoded)
+		},
+	}})[0]
 	if err == nil || errors.Is(err, ErrDegraded) {
 		d.met.observeAppend(err != nil, shed)
 	}
 	return err
-}
-
-// mutate runs do on every replica at once — on the local store alone when
-// localOnly — and returns once all of them have, so nothing it started
-// outlives the call. The local outcome decides: its error comes back
-// unwrapped. The peers' outcomes are tallied as the fan-out fanOp, and a
-// local success that fewer than quorum peers acked returns a DegradedError
-// for op.
-func (d *CheckpointDir) mutate(ctx context.Context, op, fanOp string, localOnly bool, do func(ctx context.Context, s storage.Store) error) error {
-	set := d.stores
-	if localOnly {
-		set = set[:1]
-	}
-	outcomes := storage.JoinAll(len(set), func(i int) error { return do(ctx, set[i]) })
-	if len(set) == 1 {
-		return outcomes[0]
-	}
-	acked, failed := d.fan.Tally(fanOp, d.quorum, d.names[1:], outcomes[1:])
-	if outcomes[0] == nil && acked < d.quorum {
-		return &DegradedError{Op: op, Err: &storage.QuorumError{Op: fanOp, Acked: acked, Quorum: d.quorum, Errs: failed}}
-	}
-	return outcomes[0]
 }
 
 // local is the replica set's first member, the node's own store.
@@ -319,6 +299,10 @@ func (d *CheckpointDir) local() storage.Store { return d.stores[0] }
 // for RestoreImage. It fails when elements of the chain are unreadable; use
 // RestoreLatestGood to salvage a damaged chain (or RestoreBestReplica to
 // consult the replication peers too).
+//
+// Chain and RestoreLatestGood read the local store, not the replica set's
+// verified read: a CheckpointDir stores opaque payloads too, which
+// recovery.ReplicaSet's frame verification would reject.
 func (d *CheckpointDir) Chain(ctx context.Context, proc string) ([][]byte, error) {
 	stored, missing, err := d.local().Get(ctx, proc)
 	if err != nil {
@@ -340,18 +324,18 @@ func (d *CheckpointDir) Chain(ctx context.Context, proc string) ([][]byte, error
 // local one; a missed peer quorum returns a DegradedError after the local
 // truncate succeeded.
 func (d *CheckpointDir) Truncate(ctx context.Context, proc string, fullSeq int) error {
-	return d.mutate(ctx, "truncate", "truncate", false, func(ctx context.Context, s storage.Store) error {
-		return s.Truncate(ctx, proc, fullSeq)
-	})
+	return d.set.apply(ctx, "truncate", "truncate", []write{{key: proc, names: d.names, stores: d.stores,
+		do: func(ctx context.Context, s storage.Store) error { return s.Truncate(ctx, proc, fullSeq) },
+	}})[0]
 }
 
 // Remove deletes a process's chain — locally and, with replication
 // configured, on the peers at the same time; a missed peer quorum returns
 // a DegradedError after the local delete succeeded.
 func (d *CheckpointDir) Remove(ctx context.Context, proc string) error {
-	return d.mutate(ctx, "remove", "delete", false, func(ctx context.Context, s storage.Store) error {
-		return s.Delete(ctx, proc)
-	})
+	return d.set.apply(ctx, "remove", "delete", []write{{key: proc, names: d.names, stores: d.stores,
+		do: func(ctx context.Context, s storage.Store) error { return s.Delete(ctx, proc) },
+	}})[0]
 }
 
 // Procs lists the process names with chains in the local store.
@@ -403,12 +387,7 @@ func (d *CheckpointDir) DedupStats(ctx context.Context) (DedupStats, error) {
 // Close releases resources held by the backing store (network connections to
 // replication peers, in particular). The zero-configuration directory-backed
 // CheckpointDir holds none; Close is then a no-op.
-func (d *CheckpointDir) Close() error {
-	if d.closer != nil {
-		return d.closer()
-	}
-	return nil
-}
+func (d *CheckpointDir) Close() error { return d.set.close() }
 
 // ScrubReport summarizes a CheckpointDir.Scrub pass; see the field comments
 // on the identically-shaped storage report for classification semantics.
@@ -480,12 +459,5 @@ func (d *CheckpointDir) RestoreLatestGood(ctx context.Context, proc string) (*Im
 // the disaster path — it succeeds as long as the replicas between them
 // still hold a restorable prefix.
 func (d *CheckpointDir) RestoreBestReplica(ctx context.Context, proc string) (*Image, *RestoreReport, error) {
-	set := recovery.ReplicaSet{Fan: &d.fan, Place: func(string) ([]string, []storage.Store, error) {
-		return d.names, d.stores, nil
-	}}
-	as, rep, err := set.Restore(ctx, proc)
-	if err != nil {
-		return nil, nil, fmt.Errorf("aic: %w", err)
-	}
-	return &Image{as: as}, goodReportToRestore(rep), nil
+	return d.set.restore(ctx, proc, func(string) ([]string, []storage.Store, error) { return d.names, d.stores, nil })
 }

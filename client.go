@@ -42,7 +42,8 @@ type ClientConfig struct {
 	Vnodes int
 	// WriteQuorum is how many replica peers must acknowledge an element
 	// before Checkpoint reports it committed; 0 selects a majority of
-	// Replicas. Quorum met with some peers failed returns a DegradedError.
+	// Replicas, and NewClient rejects more than Replicas. Quorum met with
+	// some peers failed returns a DegradedError.
 	WriteQuorum int
 	// StripeThreshold stripes checkpoints larger than this many bytes
 	// across StripeCount peers (0 disables striping).
@@ -87,11 +88,9 @@ type Client struct {
 	ring    *ring.Ring
 	settled *ring.Ring // membership as of the last completed rebalance
 	stores  map[string]storage.Store
-	remotes map[string]*remote.RemoteStore
 	rebal   *ring.Rebalancer
 	closed  bool
-	fan     storage.FanOut // the replica-set fan-out CheckpointDir shares
-	dialed  int            // peers dialed so far: the next one's jitter offset
+	set     *replicaSet // the write core CheckpointDir shares; owns the dialed peers
 }
 
 // NewClient connects a ring-aware client to the given peer set. At least
@@ -99,24 +98,24 @@ type Client struct {
 // first operation.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
-	c := &Client{
-		cfg:     cfg,
-		stores:  make(map[string]storage.Store),
-		remotes: make(map[string]*remote.RemoteStore),
+	set, err := newReplicaSet(false, cfg.WriteQuorum, cfg.Replicas, remote.Config{DialTimeout: cfg.DialTimeout,
+		OpTimeout: cfg.OpTimeout, Retries: cfg.Retries, JitterSeed: cfg.JitterSeed, Metrics: cfg.Metrics})
+	if err != nil {
+		return nil, fmt.Errorf("aic: write %w", err)
 	}
+	c := &Client{cfg: cfg, stores: make(map[string]storage.Store), set: set}
 	var names []string
 	for _, addr := range cfg.Peers {
 		if _, dup := c.stores[addr]; dup {
+			set.close()
 			return nil, fmt.Errorf("aic: duplicate ring peer %q", addr)
 		}
-		c.dialPeer(addr)
+		c.stores[addr] = set.dial(addr, addr)
 		names = append(names, addr)
 	}
 	for name, st := range cfg.Stores {
 		if _, dup := c.stores[name]; dup {
-			for _, rs := range c.remotes {
-				rs.Close()
-			}
+			set.close()
 			return nil, fmt.Errorf("aic: ring name %q used by both a peer and a store", name)
 		}
 		c.stores[name] = st
@@ -129,7 +128,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	c.settled = c.ring
 	c.rebal = &ring.Rebalancer{Replicas: cfg.Replicas, Store: c.lookupStore}
 	c.rebal.SetMetrics(cfg.Metrics)
-	c.fan.SetMetrics(cfg.Metrics)
 	return c, nil
 }
 
@@ -151,51 +149,24 @@ func (c *Client) Peers() []string {
 // AddPeer joins an aicd peer to the placement ring. New chains place onto
 // it immediately; existing chains move only when Rebalance runs.
 func (c *Client) AddPeer(addr string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.stores[addr]; dup {
-		return fmt.Errorf("aic: ring already contains %q", addr)
-	}
-	c.dialPeer(addr)
-	c.ring = c.ring.Add(addr)
-	return nil
-}
-
-// dialPeer creates addr's peer client under the configured robustness
-// envelope and registers it; the caller holds mu or owns c exclusively.
-func (c *Client) dialPeer(addr string) {
-	rs := remote.NewStore(addr, peerConfig(remote.Config{
-		DialTimeout: c.cfg.DialTimeout,
-		OpTimeout:   c.cfg.OpTimeout,
-		Retries:     c.cfg.Retries,
-		JitterSeed:  c.cfg.JitterSeed,
-		Metrics:     c.cfg.Metrics,
-	}, c.dialed))
-	c.dialed++
-	c.remotes[addr] = rs
-	c.stores[addr] = rs
-}
-
-// peerConfig is the remote.Config of the n-th peer a facade dials (n counts
-// from 0 over the facade's lifetime, later joins included). A zero
-// JitterSeed keeps wall-clock jitter; any other seed is offset by n, so no
-// two peers of one facade share a retry schedule.
-func peerConfig(env remote.Config, n int) remote.Config {
-	if env.JitterSeed != 0 {
-		env.JitterSeed += int64(n)
-	}
-	return env
+	return c.join(addr, func() Store { return c.set.dial(addr, addr) })
 }
 
 // AddStore joins a pre-built store to the ring under name (tests, custom
 // transports).
 func (c *Client) AddStore(name string, st Store) error {
+	return c.join(name, func() Store { return st })
+}
+
+// join adds the store st makes to the ring under name, unless name is taken
+// (then st is never called: nothing is dialed).
+func (c *Client) join(name string, st func() Store) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, dup := c.stores[name]; dup {
 		return fmt.Errorf("aic: ring already contains %q", name)
 	}
-	c.stores[name] = st
+	c.stores[name] = st()
 	c.ring = c.ring.Add(name)
 	return nil
 }
@@ -206,20 +177,11 @@ func (c *Client) AddStore(name string, st Store) error {
 func (c *Client) RemovePeer(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	found := false
-	for _, p := range c.ring.Peers() {
-		if p == name {
-			found = true
-		}
-	}
-	if !found {
+	if _, ok := c.stores[name]; !ok { // stores holds exactly the ring's members
 		return fmt.Errorf("aic: ring does not contain %q", name)
 	}
 	c.ring = c.ring.Remove(name)
-	if rs, ok := c.remotes[name]; ok {
-		rs.Close()
-		delete(c.remotes, name)
-	}
+	c.set.hangUp(name)
 	delete(c.stores, name)
 	return nil
 }
@@ -269,13 +231,7 @@ func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	var first error
-	for _, rs := range c.remotes {
-		if err := rs.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return c.set.close()
 }
 
 // Namespace returns the tenant's view of the service. An invalid tenant
@@ -338,74 +294,12 @@ func (c *Client) allPeers() ([]string, []storage.Store, error) {
 	return c.snapshot((*ring.Ring).Peers)
 }
 
-// quorum returns the ack count a write needs.
-func (c *Client) quorum(replicas int) int {
-	q := c.cfg.WriteQuorum
-	if q <= 0 {
-		q = replicas/2 + 1
-	}
-	if q > replicas {
-		q = replicas
-	}
-	return q
-}
-
-// putElements fans a batch of seq's elements (keys[e], data[e]) out to their
-// replica sets, all in flight together, and returns one verdict per element
-// once every Put has returned: nil, a DegradedError when quorum held but a
-// straggler failed, or ErrNoQuorum (the element is not committed) wrapping
-// every peer's cause, so terminal ones stay matchable — a quota rejection is
-// errors.Is ErrQuotaExceeded through here. A stale-seq rejection acks only
-// when the peer verifiably holds these bytes. A peer on several replica
-// sets writes its share of the batch one Put at a time: its one connection
-// would only queue a second call behind the first, out of sight.
-func (c *Client) putElements(ctx context.Context, seq int, keys []string, data [][]byte) []error {
-	type put struct{ elem, replica int }
-	var (
-		names    []string
-		stores   []storage.Store
-		shares   [][]put // shares[i] is what names[i] writes, in batch order
-		slot     = make(map[string]int)
-		verdicts = make([]error, len(keys))
-		placed   = make([][]string, len(keys))
-		outcomes = make([][]error, len(keys)) // per element, per replica in placement order
-	)
-	for e, key := range keys {
-		peers, sts, err := c.placement(key)
-		if err != nil {
-			verdicts[e] = err
-			continue
-		}
-		placed[e], outcomes[e] = peers, make([]error, len(peers))
-		for r, p := range peers {
-			i, ok := slot[p]
-			if !ok {
-				i, slot[p] = len(names), len(names)
-				names, stores, shares = append(names, p), append(stores, sts[r]), append(shares, nil)
-			}
-			shares[i] = append(shares[i], put{e, r})
-		}
-	}
-	storage.JoinAll(len(names), func(i int) error {
-		for _, pu := range shares[i] {
-			outcomes[pu.elem][pu.replica] = storage.PutVerified(ctx, stores[i], keys[pu.elem], seq, data[pu.elem])
-		}
-		return nil
-	})
-	for e, key := range keys {
-		if verdicts[e] != nil {
-			continue
-		}
-		n := len(placed[e])
-		q := c.quorum(n)
-		if acks, failed := c.fan.Tally("put", q, placed[e], outcomes[e]); acks < q {
-			verdicts[e] = fmt.Errorf("%w: %d of %d acks (need %d) for %s seq %d: %w",
-				ErrNoQuorum, acks, n, q, key, seq, errors.Join(failed...))
-		} else if len(failed) > 0 {
-			verdicts[e] = &DegradedError{Op: "checkpoint", Err: errors.Join(failed...)}
-		}
-	}
-	return verdicts
+// put is the write of seq's data under key, on key's placement.
+func (c *Client) put(key string, seq int, data []byte) write {
+	names, stores, err := c.placement(key)
+	return write{key: key, seq: seq, names: names, stores: stores, err: err, do: func(ctx context.Context, st storage.Store) error {
+		return storage.PutVerified(ctx, st, key, seq, data)
+	}}
 }
 
 // Checkpoint stores an encoded checkpoint under the tenant's proc chain,
@@ -431,11 +325,11 @@ func (ns *Namespace) Checkpoint(ctx context.Context, proc string, seq int, encod
 		if err != nil {
 			return err
 		}
-		keys := make([]string, len(parts))
-		for i := range parts {
-			keys[i] = key + storage.StripeSep + storage.StripeLabel(i, len(parts))
+		writes := make([]write, len(parts))
+		for i, part := range parts {
+			writes[i] = ns.c.put(key+storage.StripeSep+storage.StripeLabel(i, len(parts)), seq, part)
 		}
-		for i, err := range ns.c.putElements(ctx, seq, keys, parts) {
+		for i, err := range ns.c.set.apply(ctx, "checkpoint", "put", writes) {
 			if errors.Is(err, ErrDegraded) {
 				degraded = err
 			} else if err != nil {
@@ -444,16 +338,10 @@ func (ns *Namespace) Checkpoint(ctx context.Context, proc string, seq int, encod
 		}
 		encoded = manifest
 	}
-	if err := ns.c.putElements(ctx, seq, []string{key}, [][]byte{encoded})[0]; err != nil {
+	if err := ns.c.set.apply(ctx, "checkpoint", "put", []write{ns.c.put(key, seq, encoded)})[0]; err != nil {
 		return err
 	}
 	return degraded
-}
-
-// replicaSet is the read side of the ring: key's placement, fetched through
-// the same fan-out the writes use.
-func (c *Client) replicaSet() recovery.ReplicaSet {
-	return recovery.ReplicaSet{Fan: &c.fan, Place: c.placement}
 }
 
 // Chain returns the proc's chain in sequence order, ready for
@@ -465,7 +353,7 @@ func (ns *Namespace) Chain(ctx context.Context, proc string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	elems, damaged, err := ns.c.replicaSet().Chain(ctx, key)
+	elems, damaged, err := recovery.ReplicaSet{Fan: &ns.c.set.fan, Place: ns.c.placement}.Chain(ctx, key)
 	if err != nil {
 		return nil, err
 	}
@@ -493,23 +381,21 @@ func (ns *Namespace) Restore(ctx context.Context, proc string) (*Image, *Restore
 	if err != nil {
 		return nil, nil, err
 	}
-	as, rep, err := ns.c.replicaSet().Restore(ctx, key)
-	if err != nil {
-		return nil, nil, fmt.Errorf("aic: %w", err)
-	}
-	return &Image{as: as}, goodReportToRestore(rep), nil
+	return ns.c.set.restore(ctx, key, ns.c.placement)
 }
 
 // forEachHolding visits, on every peer of the ring concurrently, each chain
 // belonging to the proc key — the base chain and any stripe chains — found
 // by listing the peer, and reports every peer that failed. Every holder
-// must apply housekeeping, so the fan-out's quorum is the whole ring.
+// must apply housekeeping, so the fan-out's quorum is the whole ring. It
+// walks the ring rather than going through the write core: mid-churn a
+// stripe chain can sit on peers its placement no longer names.
 func (c *Client) forEachHolding(ctx context.Context, name, key string, visit func(peer string, st storage.Store, chainKey string) error) error {
 	peers, stores, err := c.allPeers()
 	if err != nil {
 		return err
 	}
-	_, failed := c.fan.Run(ctx, name, len(peers), peers, stores, func(ctx context.Context, i int, st storage.Store) error {
+	_, failed := c.set.fan.Run(ctx, name, len(peers), peers, stores, func(ctx context.Context, i int, st storage.Store) error {
 		names, err := st.List(ctx)
 		if err != nil {
 			return err
@@ -562,7 +448,7 @@ func (ns *Namespace) Procs(ctx context.Context) ([]string, error) {
 	if len(peers) == 0 {
 		return nil, nil
 	}
-	names, err := ns.c.fan.List(ctx, peers, stores)
+	names, err := ns.c.set.fan.List(ctx, peers, stores)
 	if err != nil {
 		return nil, fmt.Errorf("aic: no ring peer reachable: %w", err)
 	}

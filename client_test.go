@@ -284,8 +284,8 @@ func TestClientAddPeerRebalanceOverWire(t *testing.T) {
 	if err := c.AddPeer(addr); err == nil {
 		t.Fatal("second AddPeer of the same address accepted")
 	}
-	if c.dialed != 1 {
-		t.Fatalf("dialed = %d after one join, want 1", c.dialed)
+	if c.set.dialed != 1 {
+		t.Fatalf("dialed = %d after one join, want 1", c.set.dialed)
 	}
 	// Three replicas over three peers: every chain gains the joiner.
 	rep, err := c.Rebalance(ctx)

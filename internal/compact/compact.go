@@ -58,8 +58,6 @@ type Config struct {
 	// Keep-1 elements above it, so a restore rewinds at most Keep-1
 	// deltas. Default 8; clamped to [1, MaxChain].
 	Keep int
-	// DisableGC skips the chunk-store garbage collection after each pass.
-	DisableGC bool
 	// Metrics instruments the compactor when non-nil.
 	Metrics *metrics.Registry
 }
@@ -178,14 +176,12 @@ func (c *Compactor) RunOnce(ctx context.Context) (*Report, error) {
 			}
 		}
 	}
-	if !c.cfg.DisableGC {
-		if gc, ok := c.store.(chunkGC); ok {
-			n, b, err := gc.GCChunks(ctx)
-			if err != nil {
-				return rep, err
-			}
-			rep.ChunksReclaimed, rep.BytesReclaimed = n, b
+	if gc, ok := c.store.(chunkGC); ok {
+		n, b, err := gc.GCChunks(ctx)
+		if err != nil {
+			return rep, err
 		}
+		rep.ChunksReclaimed, rep.BytesReclaimed = n, b
 	}
 	if c.met != nil {
 		c.met.dur.Observe(time.Since(t0).Seconds())

@@ -52,11 +52,32 @@ func JoinAll(n int, op func(i int) error) []error {
 	return errs
 }
 
+// JoinByPeer is the one-call-per-peer rule (DESIGN.md §15): calls 0..n-1
+// grouped by peer name, each peer's in order on its own goroutine, all
+// joined before it returns.
+func JoinByPeer(n int, peer func(i int) string, call func(i int)) {
+	var order []string
+	shares := make(map[string][]int)
+	for i := 0; i < n; i++ {
+		p := peer(i)
+		if shares[p] == nil {
+			order = append(order, p)
+		}
+		shares[p] = append(shares[p], i)
+	}
+	JoinAll(len(order), func(s int) error {
+		for _, i := range shares[order[s]] {
+			call(i)
+		}
+		return nil
+	})
+}
+
 // FanOut is the one replica-set fan-out both facades consume: placement (a
 // fixed local + peers list, or a ring walk) produces the set, Run does the
 // op on it; a caller that batches several sets' calls per peer, or settles
 // one replica's outcome itself (the directory facade's local store), joins
-// the calls with JoinAll and settles the rest with Tally. The zero value is
+// the calls with JoinByPeer and settles them with Tally. The zero value is
 // ready to use and reports nothing.
 type FanOut struct {
 	met *replMetrics // nil unless SetMetrics instrumented the fan-out

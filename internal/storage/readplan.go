@@ -110,10 +110,9 @@ type ChainResult struct {
 // list. Every seq the first replica did not give an admitted copy of is then
 // requested from its next holder in placement order, round by round, until
 // it is admitted or no holder is left — so every seq comes from the first
-// replica whose copy admit accepts (nil admits any), as in Union. A peer
-// serves its share of each round one call at a time, on its own goroutine,
-// and every goroutine is joined before the round ends. admit runs on the
-// caller's goroutine; read is the chain's index in reads.
+// replica whose copy admit accepts (nil admits any), as in Union. Each
+// round runs through JoinByPeer. admit runs on the caller's goroutine;
+// read is the chain's index in reads.
 func (f *FanOut) Read(ctx context.Context, reads []ChainRead, admit func(read int, el Stored) bool) []ChainResult {
 	out := make([]ChainResult, len(reads))
 	plans := make([]chainPlan, len(reads))
@@ -170,27 +169,12 @@ type readCall struct {
 	err           error
 }
 
-// runCalls runs one round: calls grouped by peer name, each peer's share in
-// order on its own goroutine, all joined before it returns. It counts the
-// body bytes the round downloaded.
+// runCalls runs one round through JoinByPeer and counts the body bytes it
+// downloaded.
 func (f *FanOut) runCalls(ctx context.Context, reads []ChainRead, calls []*readCall) {
-	slot := make(map[string]int)
-	var shares [][]*readCall
-	for _, c := range calls {
-		name := reads[c.read].Names[c.replica]
-		i, ok := slot[name]
-		if !ok {
-			i, slot[name] = len(shares), len(shares)
-			shares = append(shares, nil)
-		}
-		shares[i] = append(shares[i], c)
-	}
-	JoinAll(len(shares), func(i int) error {
-		for _, c := range shares[i] {
-			c.do(ctx, reads[c.read])
-		}
-		return nil
-	})
+	JoinByPeer(len(calls), func(i int) string {
+		return reads[calls[i].read].Names[calls[i].replica]
+	}, func(i int) { calls[i].do(ctx, reads[calls[i].read]) })
 	var n int
 	for _, c := range calls {
 		n += bodyBytes(c.chain)

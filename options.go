@@ -120,9 +120,6 @@ type CompactionConfig struct {
 	// Interval is the period of the background loop RunCompaction drives
 	// when called with a non-positive interval; 0 selects one minute.
 	Interval time.Duration
-	// DisableGC skips the chunk-store garbage collection that normally
-	// follows each compaction pass on a dedup-enabled directory store.
-	DisableGC bool
 }
 
 // CompactionReport summarizes one compaction pass: chains examined,
@@ -144,7 +141,8 @@ type Option func(*config)
 type config struct {
 	parallelism int
 	store       Store
-	repl        *Replication
+	repl        Replication
+	replicated  bool // WithReplication was given
 	metrics     *metrics.Registry
 	adaptive    *control.Config
 	dedup       *storage.DedupConfig
@@ -171,7 +169,7 @@ func WithStore(s Store) Option {
 // peers at once. See Replication and CheckpointDir.Append for the
 // degraded-mode semantics.
 func WithReplication(r Replication) Option {
-	return func(c *config) { c.repl = &r }
+	return func(c *config) { c.repl, c.replicated = r, true }
 }
 
 // WithMetrics instruments the CheckpointDir and every layer beneath it —
@@ -247,8 +245,16 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 	if c.adaptive != nil && c.metrics == nil {
 		c.metrics = metrics.NewRegistry()
 	}
-	d := &CheckpointDir{names: []string{"local"}, stores: []storage.Store{local}}
-	d.fan.SetMetrics(c.metrics)
+	repl := c.repl
+	if c.replicated && len(repl.Peers)+len(repl.Stores) == 0 {
+		return nil, errors.New("aic: replication: storage: replicated store needs at least one peer")
+	}
+	set, err := newReplicaSet(true, repl.Quorum, len(repl.Peers)+len(repl.Stores), remote.Config{DialTimeout: repl.DialTimeout,
+		OpTimeout: repl.OpTimeout, Retries: repl.Retries, JitterSeed: repl.JitterSeed, Metrics: c.metrics})
+	if err != nil {
+		return nil, fmt.Errorf("aic: replication: storage: %w", err)
+	}
+	d := &CheckpointDir{names: []string{"local"}, stores: []storage.Store{local}, set: set}
 	if c.metrics != nil {
 		if fs, ok := local.(*storage.FSStore); ok {
 			fs.SetMetrics(c.metrics)
@@ -274,66 +280,25 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 			return nil, fmt.Errorf("aic: WithCompaction requires a store with anchor replacement, got %T", local)
 		}
 		d.comp = compact.New(cs, compact.Config{
-			MaxChain:  c.compaction.MaxChain,
-			Keep:      c.compaction.Keep,
-			DisableGC: c.compaction.DisableGC,
-			Metrics:   c.metrics,
+			MaxChain: c.compaction.MaxChain,
+			Keep:     c.compaction.Keep,
+			Metrics:  c.metrics,
 		})
 		d.compInterval = c.compaction.Interval
 	}
-	if c.repl == nil {
-		finishAdaptive(d, c)
-		return d, nil
+	for i, addr := range repl.Peers {
+		d.stores = append(d.stores, set.dial(strconv.Itoa(i), addr))
 	}
-	n := len(c.repl.Peers) + len(c.repl.Stores)
-	if n == 0 {
-		return nil, errors.New("aic: replication: storage: replicated store needs at least one peer")
-	}
-	d.quorum = c.repl.Quorum
-	if d.quorum <= 0 {
-		d.quorum = n/2 + 1
-	}
-	if d.quorum > n {
-		return nil, fmt.Errorf("aic: replication: storage: quorum %d exceeds %d peers", d.quorum, n)
-	}
-	var remotes []*remote.RemoteStore
-	env := remote.Config{
-		DialTimeout: c.repl.DialTimeout,
-		OpTimeout:   c.repl.OpTimeout,
-		Retries:     c.repl.Retries,
-		JitterSeed:  c.repl.JitterSeed,
-		Metrics:     c.metrics,
-	}
-	for i, addr := range c.repl.Peers {
-		rs := remote.NewStore(addr, peerConfig(env, i))
-		remotes = append(remotes, rs)
-		d.stores = append(d.stores, rs)
-	}
-	d.stores = append(d.stores, c.repl.Stores...)
-	for i := 0; i < n; i++ {
+	d.stores = append(d.stores, repl.Stores...)
+	for i := range d.stores[1:] {
 		d.names = append(d.names, strconv.Itoa(i))
 	}
-	d.closer = func() error {
-		var first error
-		for _, rs := range remotes {
-			if err := rs.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+	// The directory is the controller's actuator, so the controller comes
+	// last, once the peers and metrics are wired.
+	if c.adaptive != nil {
+		d.ctrl = control.New(*c.adaptive, control.NewRegistryCollector(c.metrics), d, c.metrics)
 	}
-	finishAdaptive(d, c)
 	return d, nil
-}
-
-// finishAdaptive installs the saturation controller once the directory is
-// fully assembled (the CheckpointDir is the controller's actuator, so its
-// peers/metrics wiring must be complete first).
-func finishAdaptive(d *CheckpointDir, c config) {
-	if c.adaptive == nil {
-		return
-	}
-	d.ctrl = control.New(*c.adaptive, control.NewRegistryCollector(c.metrics), d, c.metrics)
 }
 
 // applyProcessOptions wires constructor options into a Process.

@@ -284,7 +284,8 @@ func TestReplicationQuorumDefaultsToMajority(t *testing.T) {
 	}
 }
 
-// darkablePeer is an in-memory replication peer whose Puts fail while dark.
+// darkablePeer is an in-memory replica whose Puts, Truncates and Deletes
+// fail while dark.
 type darkablePeer struct {
 	*storage.LevelStore
 	dark bool
@@ -299,9 +300,24 @@ func (p *darkablePeer) Put(ctx context.Context, proc string, seq int, data []byt
 	return p.LevelStore.Put(ctx, proc, seq, data)
 }
 
+func (p *darkablePeer) Truncate(ctx context.Context, proc string, fullSeq int) error {
+	if p.dark {
+		return errPeerDown
+	}
+	return p.LevelStore.Truncate(ctx, proc, fullSeq)
+}
+
+func (p *darkablePeer) Delete(ctx context.Context, proc string) error {
+	if p.dark {
+		return errPeerDown
+	}
+	return p.LevelStore.Delete(ctx, proc)
+}
+
 // openDarkableTrio opens a directory facade replicating to three darkable
-// peers under quorum.
-func openDarkableTrio(t *testing.T, quorum int) (*aic.CheckpointDir, []*darkablePeer) {
+// peers under quorum; opts may add others, such as a darkable local store
+// through WithStore.
+func openDarkableTrio(t *testing.T, quorum int, opts ...aic.Option) (*aic.CheckpointDir, []*darkablePeer) {
 	t.Helper()
 	peers := make([]*darkablePeer, 3)
 	stores := make([]aic.Store, 3)
@@ -309,7 +325,7 @@ func openDarkableTrio(t *testing.T, quorum int) (*aic.CheckpointDir, []*darkable
 		peers[i] = &darkablePeer{LevelStore: storage.NewLevelStore(storage.Target{Name: fmt.Sprintf("peer%d", i)})}
 		stores[i] = peers[i]
 	}
-	dir, err := aic.OpenCheckpointDir(t.TempDir(), aic.WithReplication(aic.Replication{Stores: stores, Quorum: quorum}))
+	dir, err := aic.OpenCheckpointDir(t.TempDir(), append(opts, aic.WithReplication(aic.Replication{Stores: stores, Quorum: quorum}))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +381,48 @@ func TestCheckpointDirPeerQuorum(t *testing.T) {
 			}
 		})
 	}
+
+	// The local store is the must-ack member: its failure is the op's own
+	// error, unwrapped and never ErrDegraded, even when the peers ack or
+	// miss quorum, and every peer is still called.
+	for _, tc := range []struct {
+		name  string
+		dark  int                            // peers dark besides the local store
+		op    func(*aic.CheckpointDir) error // run on a chain holding seqs 0 and 1
+		holds []int                          // seqs every live peer holds afterwards
+	}{
+		{"local fails append", 0, func(d *aic.CheckpointDir) error { return d.Append(ctx, "p", 2, []byte("two")) }, []int{0, 1, 2}},
+		{"local fails truncate", 0, func(d *aic.CheckpointDir) error { return d.Truncate(ctx, "p", 1) }, []int{1}},
+		{"local fails remove", 0, func(d *aic.CheckpointDir) error { return d.Remove(ctx, "p") }, nil},
+		{"local fails append, quorum missed", 2, func(d *aic.CheckpointDir) error { return d.Append(ctx, "p", 2, []byte("two")) }, []int{0, 1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			local := &darkablePeer{LevelStore: storage.NewLevelStore(storage.Target{Name: "local"})}
+			dir, peers := openDarkableTrio(t, 2, aic.WithStore(local))
+			for seq, data := range []string{"zero", "one"} {
+				if err := dir.Append(ctx, "p", seq, []byte(data)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			local.dark = true
+			for _, p := range peers[3-tc.dark:] {
+				p.dark = true
+			}
+			if err := tc.op(dir); err != errPeerDown {
+				t.Fatalf("op with the local store dark = %v, want the local %v unwrapped", err, errPeerDown)
+			}
+			for i, p := range peers[:3-tc.dark] {
+				chain, _, _ := p.Get(ctx, "p")
+				var seqs []int
+				for _, el := range chain {
+					seqs = append(seqs, el.Seq)
+				}
+				if fmt.Sprint(seqs) != fmt.Sprint(tc.holds) {
+					t.Errorf("live peer %d holds seqs %v, want %v: not every replica was called", i, seqs, tc.holds)
+				}
+			}
+		})
+	}
 }
 
 func TestOpenCheckpointDirValidatesReplication(t *testing.T) {
@@ -387,5 +445,33 @@ func TestOpenCheckpointDirValidatesReplication(t *testing.T) {
 	err := dir.Append(context.Background(), "p", 0, []byte("x"))
 	if !errors.As(err, &qe) || qe.Quorum != 2 || qe.Acked != 1 || len(qe.Errs) != 2 {
 		t.Fatalf("append with two of three peers dark = %v, want 1 of 3 peers short of a quorum of 2", err)
+	}
+}
+
+// NewClient rejects a WriteQuorum above Replicas through the same quorum
+// rule as OpenCheckpointDir, rather than acking with fewer replicas than
+// asked for; a ring smaller than Replicas still clamps at write time.
+func TestNewClientValidatesWriteQuorum(t *testing.T) {
+	ring := func(n int) map[string]aic.Store {
+		out := make(map[string]aic.Store, n)
+		for i := 0; i < n; i++ {
+			out[fmt.Sprintf("peer-%d", i)] = storage.NewLevelStore(storage.Target{})
+		}
+		return out
+	}
+	const want = "aic: write quorum 3 exceeds 2 peers"
+	if c, err := aic.NewClient(aic.ClientConfig{Stores: ring(3), Replicas: 2, WriteQuorum: 3}); err == nil || err.Error() != want {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("NewClient with WriteQuorum 3 over 2 replicas = %v, want %q", err, want)
+	}
+	c, err := aic.NewClient(aic.ClientConfig{Stores: ring(1), Replicas: 3, WriteQuorum: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Namespace("acme").Checkpoint(context.Background(), "web", 0, []byte("x")); err != nil {
+		t.Fatalf("quorum 3 of 3 replicas on a one-peer ring = %v, want it clamped to the ring", err)
 	}
 }
