@@ -561,6 +561,66 @@ func restoreChain(anchorPages, deltas, pagesPerDelta int, hot bool) [][]byte {
 	return chain
 }
 
+// BenchmarkCheckpointWrite times the write path below the network: a
+// delta checkpoint encoded into its frame, plus the stripe split for the
+// cold shape. Page writes between checkpoints are not timed; throughput is
+// relative to the dirty bytes.
+//   - hot: 256 pages of a 2,048-page image, each edited in place by four
+//     64 B writes per interval, so every page is delta-coded;
+//   - cold: 1,024 pages of a 4,096-page image rewritten with fresh bytes, a
+//     different quarter each interval, so every page is stored raw; the
+//     frame is then split into 2 stripes.
+func BenchmarkCheckpointWrite(b *testing.B) {
+	run := func(b *testing.B, imagePages, dirtyPages int, dirty func(p *aic.Process, i int), stripes int) {
+		rng := numeric.NewRNG(7)
+		p := aic.NewProcess(4096)
+		page := make([]byte, 4096)
+		for i := 0; i < imagePages; i++ {
+			rng.Bytes(page)
+			p.Write(uint64(i), 0, page)
+		}
+		p.FullCheckpoint()
+		dirty(p, 0) // the full checkpoint saved every page: one interval to settle
+		p.DeltaCheckpoint()
+		b.SetBytes(int64(dirtyPages) * 4096)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			dirty(p, i+1)
+			b.StartTimer()
+			frame, _ := p.DeltaCheckpoint()
+			if stripes > 1 {
+				if _, _, err := ckpt.SplitStripes(p.Seq()-1, frame, stripes); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.Run("hot", func(b *testing.B) {
+		rng := numeric.NewRNG(8)
+		edit := make([]byte, 64)
+		run(b, 2048, 256, func(p *aic.Process, _ int) {
+			for pg := 0; pg < 256; pg++ {
+				for k := 0; k < 4; k++ {
+					rng.Bytes(edit)
+					p.Write(uint64(pg), rng.Intn(4096-64), edit)
+				}
+			}
+		}, 1)
+	})
+	b.Run("cold", func(b *testing.B) {
+		fresh := make([]byte, 2*1024*4096) // two rounds of fresh pages, reused in turn
+		numeric.NewRNG(9).Bytes(fresh)
+		run(b, 4096, 1024, func(p *aic.Process, i int) {
+			src := fresh[(i/4)%2*1024*4096:]
+			for pg := 0; pg < 1024; pg++ {
+				p.Write(uint64(i%4*1024+pg), 0, src[pg*4096:(pg+1)*4096])
+			}
+		}, 2)
+	})
+}
+
 // BenchmarkRestoreChain times restore-to-image below the network: decode
 // and replay, plus stripe reassembly for the cold shape.
 //   - hot: an 8 MiB anchor and 15 deltas of 256 lightly edited pages,

@@ -3,8 +3,13 @@ package aic
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
+
+	"aic/internal/numeric"
 )
 
 func TestProcessCheckpointRestoreRoundTrip(t *testing.T) {
@@ -186,5 +191,66 @@ func TestCheckpointDirTruncate(t *testing.T) {
 	im, err := RestoreImage(chain)
 	if err != nil || !im.Matches(p) {
 		t.Fatalf("truncated chain restore: %v", err)
+	}
+}
+
+// processFrames drives a Process through a fixed write stream — hot edits
+// (delta pages), rewrites (deltas that fall back to raw), fresh pages and a
+// freed page per step — taking full, delta and incremental checkpoints in
+// turn. It returns the SHA-256 of every frame it emitted, and the page
+// counts its delta checkpoints coded as deltas and stored raw.
+func processFrames(parallelism int) (sum string, hot, raw int) {
+	rng := numeric.NewRNG(2026)
+	p := NewProcess(0, WithParallelism(parallelism))
+	page := make([]byte, 4096)
+	for i := uint64(0); i < 48; i++ {
+		rng.Bytes(page)
+		p.Write(i, 0, page)
+	}
+	h := sha256.New()
+	emit := func(frame []byte) {
+		h.Write(binary.AppendUvarint(nil, uint64(len(frame))))
+		h.Write(frame)
+	}
+	for step := 0; step < 10; step++ {
+		if step > 0 {
+			for k := 0; k < 12; k++ {
+				rng.Bytes(page[:40])
+				p.Write(uint64(rng.Intn(48)), rng.Intn(4096-40), page[:40])
+			}
+			rng.Bytes(page)
+			p.Write(uint64(step*5%48), 0, page)
+			p.Write(uint64(60+step), 100, []byte("fresh"))
+			p.Free(uint64(60 + step - 1))
+		}
+		switch step % 5 {
+		case 0:
+			emit(p.FullCheckpoint())
+		case 4:
+			emit(p.IncrementalCheckpoint())
+		default:
+			enc, st := p.DeltaCheckpoint()
+			emit(enc)
+			hot += st.HotPages
+			raw += st.RawPages
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil)), hot, raw
+}
+
+// TestProcessFramesGolden pins every frame a Process emits to the bytes
+// the two-pass encoder (page frames assembled into a payload, then the
+// payload copied into the frame) emitted for the same write stream, at 1,
+// 2 and 4 encode workers: the digest below was taken from that encoder.
+func TestProcessFramesGolden(t *testing.T) {
+	const golden = "e960a2420c259e41f56141f4401ef125fb366054ba0d3eab5a589c7b9deba70f"
+	for _, par := range []int{1, 2, 4} {
+		sum, hot, raw := processFrames(par)
+		if sum != golden {
+			t.Fatalf("parallelism %d: frames digest %s, want %s", par, sum, golden)
+		}
+		if hot == 0 || raw == 0 {
+			t.Fatalf("parallelism %d: the stream coded %d delta and %d raw pages; it must cover both", par, hot, raw)
+		}
 	}
 }

@@ -154,6 +154,57 @@ func TestClientStripedCheckpointRestore(t *testing.T) {
 	}
 }
 
+// TestClientStripedRoundTripSizes: a striped checkpoint round-trips
+// through a namespace whatever its size against the stripe geometry —
+// including a frame too short to give every stripe ⌈size/count⌉ bytes,
+// which used to panic the split.
+func TestClientStripedRoundTripSizes(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name             string
+		threshold, count int
+		chain            func(p *Process) [][]byte
+	}{
+		{"full and deltas into 3", 64, 3, func(p *Process) [][]byte {
+			p.Write(0, 0, []byte("base page"))
+			chain := [][]byte{p.FullCheckpoint()}
+			p.Write(0, 9, []byte("edit"))
+			enc, _ := p.DeltaCheckpoint()
+			return append(chain, enc)
+		}},
+		{"an empty delta into 8", 16, 8, func(p *Process) [][]byte {
+			p.Write(0, 0, []byte("x"))
+			chain := [][]byte{p.FullCheckpoint()}
+			enc, _ := p.DeltaCheckpoint() // 20 bytes: no pages, no CPU state
+			return append(chain, enc)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newTestClient(t, ClientConfig{Stores: ringStores(3), Replicas: 2, StripeThreshold: tc.threshold, StripeCount: tc.count})
+			p := NewProcess(0)
+			chain := tc.chain(p)
+			ns := c.Namespace("acme")
+			for seq, enc := range chain {
+				if err := ns.Checkpoint(ctx, "web", seq, enc); err != nil {
+					t.Fatalf("checkpoint %d: %v", seq, err)
+				}
+			}
+			got, err := ns.Chain(ctx, "web")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range chain {
+				if !bytes.Equal(got[i], chain[i]) {
+					t.Fatalf("element %d differs after reassembly", i)
+				}
+			}
+			if im, _, err := ns.Restore(ctx, "web"); err != nil || !im.Matches(p) {
+				t.Fatalf("restore: %v", err)
+			}
+		})
+	}
+}
+
 func TestClientRestoreSurvivesPeerLoss(t *testing.T) {
 	ctx := context.Background()
 	stores := ringStores(3)

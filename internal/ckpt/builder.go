@@ -2,6 +2,7 @@ package ckpt
 
 import (
 	"fmt"
+	"slices"
 
 	"aic/internal/delta"
 	"aic/internal/memsim"
@@ -20,6 +21,7 @@ type Builder struct {
 	parallelism int               // delta-encode workers: 0 = GOMAXPROCS, 1 = serial
 	prevPages   map[uint64][]byte // pages stored in the previous checkpoint
 	prevMapped  map[uint64]bool   // full mapped set at the previous checkpoint
+	spare       [][]byte          // prevPages buffers finish refills
 }
 
 // Option configures a Builder at construction.
@@ -69,7 +71,8 @@ func (b *Builder) Parallelism() int { return b.parallelism }
 
 // PrevPage returns the page's content as of the previous checkpoint, or nil
 // when the page was not part of it. Hot-page classification and JD
-// computation both use this.
+// computation both use this. The slice is valid until the next checkpoint,
+// which refills the buffer with another page.
 func (b *Builder) PrevPage(idx uint64) []byte { return b.prevPages[idx] }
 
 // IsHot reports whether a currently-dirty page was also modified during the
@@ -98,19 +101,40 @@ func (b *Builder) cpuBlob() []byte {
 	return blob
 }
 
-func (b *Builder) finish(as *memsim.AddressSpace, saved []uint64) {
-	b.prevPages = make(map[uint64][]byte, len(saved))
-	for _, idx := range saved {
-		b.prevPages[idx] = as.PageCopy(idx)
+// finish records what checkpoint c saved for the next one: the saved
+// pages' contents, copied into the previous checkpoint's buffers, and the
+// mapped set, updated by c's freed and saved pages — every page mapped since
+// the previous checkpoint was written, so it is among the saved ones. A
+// full checkpoint saves the whole mapped set.
+func (b *Builder) finish(as *memsim.AddressSpace, c *Checkpoint, saved []uint64) {
+	for _, buf := range b.prevPages {
+		b.spare = append(b.spare, buf)
 	}
-	b.prevMapped = make(map[uint64]bool, as.NumPages())
-	for _, idx := range as.MappedPages() {
+	clear(b.prevPages)
+	for _, idx := range saved {
+		var buf []byte
+		if n := len(b.spare); n > 0 {
+			buf, b.spare = b.spare[n-1][:0], b.spare[:n-1]
+		}
+		b.prevPages[idx] = append(buf, as.Page(idx)...)
+	}
+	clear(b.spare) // buffers this checkpoint did not need go to the collector
+	b.spare = b.spare[:0]
+	if c.Kind == Full {
+		clear(b.prevMapped)
+	}
+	for _, idx := range c.Freed {
+		delete(b.prevMapped, idx)
+	}
+	for _, idx := range saved {
 		b.prevMapped[idx] = true
 	}
 	b.seq++
 	as.ResetDirty()
 }
 
+// freedSince lists, in ascending order, the pages mapped at the previous
+// checkpoint and unmapped since.
 func (b *Builder) freedSince(as *memsim.AddressSpace) []uint64 {
 	var freed []uint64
 	for idx := range b.prevMapped {
@@ -118,6 +142,7 @@ func (b *Builder) freedSince(as *memsim.AddressSpace) []uint64 {
 			freed = append(freed, idx)
 		}
 	}
+	slices.Sort(freed)
 	return freed
 }
 
@@ -130,9 +155,9 @@ func (b *Builder) FullCheckpoint(as *memsim.AddressSpace) *Checkpoint {
 		Kind:     Full,
 		PageSize: b.pageSize,
 		CPUState: b.cpuBlob(),
-		Payload:  encodeRawPages(idxs, as.Page, b.pageSize),
 	}
-	b.finish(as, idxs)
+	c.rawPagesFrame(as, idxs)
+	b.finish(as, c, idxs)
 	return c
 }
 
@@ -147,9 +172,9 @@ func (b *Builder) IncrementalCheckpoint(as *memsim.AddressSpace) *Checkpoint {
 		PageSize: b.pageSize,
 		CPUState: b.cpuBlob(),
 		Freed:    b.freedSince(as),
-		Payload:  encodeRawPages(idxs, as.Page, b.pageSize),
 	}
-	b.finish(as, idxs)
+	c.rawPagesFrame(as, idxs)
+	b.finish(as, c, idxs)
 	return c
 }
 
@@ -167,16 +192,17 @@ func (b *Builder) DeltaCheckpoint(as *memsim.AddressSpace) (*Checkpoint, delta.S
 			New:   as.Page(idx),
 		})
 	}
-	payload, st := delta.EncodePageAlignedParallelStats(updates, b.blockSize, b.parallelism)
 	c := &Checkpoint{
 		Seq:      b.seq,
 		Kind:     IncrementalDelta,
 		PageSize: b.pageSize,
 		CPUState: b.cpuBlob(),
 		Freed:    b.freedSince(as),
-		Payload:  payload,
 	}
-	b.finish(as, idxs)
+	header := func(n int) []byte { return c.appendHeader(nil, n) }
+	frame, st := delta.EncodePageAlignedInto(updates, b.blockSize, b.parallelism, header, 4)
+	c.seal(frame, st.OutputBytes)
+	b.finish(as, c, idxs)
 	return c, st
 }
 
@@ -207,7 +233,7 @@ func (b *Builder) XORCheckpoint(as *memsim.AddressSpace) (*Checkpoint, delta.Sta
 		Freed:    b.freedSince(as),
 		Payload:  payload,
 	}
-	b.finish(as, idxs)
+	b.finish(as, c, idxs)
 	return c, st
 }
 

@@ -54,6 +54,11 @@ var ErrBadCheckpoint = errors.New("ckpt: malformed checkpoint")
 // Checkpoint is one checkpoint instance. CPUState models the registers,
 // process linkage and descriptor blob that the paper notes is a minor,
 // uncompressed fraction of the file.
+//
+// A Checkpoint a Builder (or FullFromImage) returns is already encoded: the
+// pages were written once, straight into its frame, Payload aliases that
+// frame, and Encode returns it. Such a checkpoint's fields and encoding
+// must not be modified.
 type Checkpoint struct {
 	Seq      int
 	Kind     Kind
@@ -61,18 +66,46 @@ type Checkpoint struct {
 	CPUState []byte
 	Freed    []uint64 // pages unmapped since the previous checkpoint
 	Payload  []byte   // raw page list or page-aligned delta stream
+
+	frame []byte // the encoding, when written at construction
 }
 
 // Size returns the serialized size in bytes, the quantity that drives every
-// bandwidth cost in the models (checkpoint size ≈ ds).
-func (c *Checkpoint) Size() int { return len(c.Encode()) }
+// bandwidth cost in the models (checkpoint size ≈ ds). It is computed from
+// the header fields, without encoding.
+func (c *Checkpoint) Size() int {
+	return c.headerLen(len(c.Payload)) + len(c.Payload) + 4
+}
 
 // Encode serializes the checkpoint. The stream ends with a CRC-32C of
 // everything before it, so silent corruption in any storage level is
 // detected at decode time (and the recovery manager falls through to the
-// next level).
+// next level). A checkpoint written at construction returns its frame,
+// which the caller must not modify; any other is encoded afresh into a new
+// slice on every call.
 func (c *Checkpoint) Encode() []byte {
-	out := make([]byte, 0, len(c.Payload)+len(c.CPUState)+64)
+	if c.frame != nil {
+		return c.frame
+	}
+	out := append(c.appendHeader(make([]byte, 0, c.Size()), len(c.Payload)), c.Payload...)
+	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
+}
+
+// headerLen is the length of the frame header — everything before the
+// payload bytes — for a payload of n bytes.
+func (c *Checkpoint) headerLen(n int) int {
+	h := len(magic) + 1 + uvarintLen(uint64(c.Seq)) + uvarintLen(uint64(c.PageSize)) +
+		uvarintLen(uint64(len(c.CPUState))) + len(c.CPUState) + uvarintLen(uint64(len(c.Freed)))
+	for _, idx := range c.Freed {
+		h += uvarintLen(idx)
+	}
+	return h + uvarintLen(uint64(n))
+}
+
+// appendHeader appends the frame header for a payload of n bytes to out.
+// It is the one header writer: Encode, every frame written at
+// construction and every stripe frame use it.
+func (c *Checkpoint) appendHeader(out []byte, n int) []byte {
 	out = append(out, magic[:]...)
 	out = append(out, byte(c.Kind))
 	out = binary.AppendUvarint(out, uint64(c.Seq))
@@ -83,10 +116,22 @@ func (c *Checkpoint) Encode() []byte {
 	for _, idx := range c.Freed {
 		out = binary.AppendUvarint(out, idx)
 	}
-	out = binary.AppendUvarint(out, uint64(len(c.Payload)))
-	out = append(out, c.Payload...)
-	sum := crc32.Checksum(out, crcTable)
-	return binary.LittleEndian.AppendUint32(out, sum)
+	return binary.AppendUvarint(out, uint64(n))
+}
+
+// seal finishes a frame holding c's header and its n payload bytes, with
+// room for the trailer: one CRC pass appends the trailer, and the frame
+// becomes c's encoding, with Payload aliasing it.
+func (c *Checkpoint) seal(frame []byte, n int) {
+	body := len(frame)
+	c.frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, crcTable))
+	c.Payload = frame[body-n : body : body]
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	var buf [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(buf[:], v)
 }
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -194,15 +239,21 @@ func PeekSeq(data []byte) (int, error) {
 	return int(seq), nil
 }
 
-// encodeRawPages serializes (index, content) pairs.
-func encodeRawPages(idxs []uint64, fetch func(uint64) []byte, pageSize int) []byte {
-	out := make([]byte, 0, len(idxs)*(pageSize+4)+8)
+// rawPagesFrame writes c's frame around the raw page list of idxs — the
+// count, then each index and its page — copying each page once, from as
+// into the frame.
+func (c *Checkpoint) rawPagesFrame(as *memsim.AddressSpace, idxs []uint64) {
+	n := uvarintLen(uint64(len(idxs)))
+	for _, idx := range idxs {
+		n += uvarintLen(idx) + len(as.Page(idx))
+	}
+	out := c.appendHeader(make([]byte, 0, c.headerLen(n)+n+4), n)
 	out = binary.AppendUvarint(out, uint64(len(idxs)))
 	for _, idx := range idxs {
 		out = binary.AppendUvarint(out, idx)
-		out = append(out, fetch(idx)...)
+		out = append(out, as.Page(idx)...)
 	}
-	return out
+	c.seal(out, n)
 }
 
 // installRawPages parses a raw page list and installs each page into as,

@@ -61,10 +61,24 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeEncodedSizeMatchesSize pins Size, which is computed from the
+// header fields, to the encoded length: every kind, and every field
+// straddling a uvarint length boundary.
 func TestDecodeEncodedSizeMatchesSize(t *testing.T) {
-	c := &Checkpoint{Seq: 1, Kind: Full, PageSize: 64, Payload: []byte{1, 2}}
-	if c.Size() != len(c.Encode()) {
-		t.Fatal("Size must equal encoded length")
+	for _, kind := range []Kind{Full, Incremental, IncrementalDelta, Stripe} {
+		for _, n := range []int{0, 1, 127, 128, 16383, 16384} {
+			c := &Checkpoint{
+				Seq:      n << 7,
+				Kind:     kind,
+				PageSize: n,
+				CPUState: make([]byte, n%300),
+				Freed:    []uint64{uint64(n), 1 << 63},
+				Payload:  make([]byte, n),
+			}
+			if c.Size() != len(c.Encode()) {
+				t.Fatalf("%v, n=%d: Size %d, encoded %d", kind, n, c.Size(), len(c.Encode()))
+			}
+		}
 	}
 }
 

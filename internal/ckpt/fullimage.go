@@ -10,11 +10,12 @@ import "aic/internal/memsim"
 // state as the original chain — the equivalence the differential
 // compaction tests pin byte-for-byte.
 func FullFromImage(as *memsim.AddressSpace, seq int, cpuState []byte) *Checkpoint {
-	return &Checkpoint{
+	c := &Checkpoint{
 		Seq:      seq,
 		Kind:     Full,
 		PageSize: as.PageSize(),
 		CPUState: append([]byte(nil), cpuState...),
-		Payload:  encodeRawPages(as.MappedPages(), as.Page, as.PageSize()),
 	}
+	c.rawPagesFrame(as, as.MappedPages())
+	return c
 }

@@ -39,24 +39,27 @@ const (
 // EncodeStripeManifest builds the base-key manifest frame for a striped
 // object: count stripes reassembling to total bytes with CRC-32C sum.
 func EncodeStripeManifest(seq, count int, total int64, sum uint32) []byte {
-	return encodeStripe(seq, stripeRecManifest, 0, count, total, sum, nil)
+	return stripeHeader(seq, stripeRecManifest, 0, count, total, sum).Encode()
 }
 
 // EncodeStripePart wraps stripe index of count (slice part of an object of
 // total bytes, whole-object CRC sum) as a storable frame.
 func EncodeStripePart(seq, index, count int, total int64, sum uint32, part []byte) []byte {
-	return encodeStripe(seq, stripeRecPart, index, count, total, sum, part)
+	c := stripeHeader(seq, stripeRecPart, index, count, total, sum)
+	c.Payload = part
+	return c.Encode()
 }
 
-func encodeStripe(seq, rec, index, count int, total int64, sum uint32, part []byte) []byte {
+// stripeHeader is a stripe frame's checkpoint without its payload: the
+// stripe header record rides in the CPUState field.
+func stripeHeader(seq, rec, index, count int, total int64, sum uint32) *Checkpoint {
 	hdr := make([]byte, 0, 24)
 	hdr = append(hdr, byte(rec))
 	hdr = binary.AppendUvarint(hdr, uint64(index))
 	hdr = binary.AppendUvarint(hdr, uint64(count))
 	hdr = binary.AppendUvarint(hdr, uint64(total))
 	hdr = binary.AppendUvarint(hdr, uint64(sum))
-	c := &Checkpoint{Seq: seq, Kind: Stripe, CPUState: hdr, Payload: part}
-	return c.Encode()
+	return &Checkpoint{Seq: seq, Kind: Stripe, CPUState: hdr}
 }
 
 // IsStripe cheaply reports whether an encoded frame is Stripe-kind, without
@@ -202,7 +205,12 @@ func assemble(man *StripeFrame, parts []*StripeFrame) (out []byte, body uint32, 
 
 // SplitStripes slices an encoded object into count near-equal parts, each
 // wrapped as a storable stripe frame, plus the manifest frame. count must
-// be ≥ 2 (one stripe is just the object).
+// be ≥ 2 (one stripe is just the object). Parts are ⌈len/count⌉ bytes, the
+// last ones shorter — empty when the object runs out first.
+//
+// Each part's bytes are read by one CRC pass and copied once, into its
+// stripe frame: the object's Sum and every stripe trailer are combined
+// from the per-part CRCs.
 func SplitStripes(seq int, encoded []byte, count int) (manifest []byte, parts [][]byte, err error) {
 	if count < 2 {
 		return nil, nil, fmt.Errorf("ckpt: stripe count %d (want ≥ 2)", count)
@@ -210,17 +218,56 @@ func SplitStripes(seq int, encoded []byte, count int) (manifest []byte, parts []
 	if len(encoded) < count {
 		return nil, nil, fmt.Errorf("ckpt: %d bytes cannot split into %d stripes", len(encoded), count)
 	}
-	total := int64(len(encoded))
-	sum := crc32.Checksum(encoded, crcTable)
-	parts = make([][]byte, count)
 	per := (len(encoded) + count - 1) / count
-	for i := 0; i < count; i++ {
-		lo := i * per
-		hi := lo + per
-		if hi > len(encoded) {
-			hi = len(encoded)
-		}
-		parts[i] = EncodeStripePart(seq, i, count, total, sum, encoded[lo:hi])
+	part := func(i int) []byte { return encoded[min(i*per, len(encoded)):min((i+1)*per, len(encoded))] }
+	crcs := make([]uint32, count)
+	var sum uint32
+	for i := range crcs {
+		p := part(i)
+		crcs[i] = crc32.Checksum(p, crcTable)
+		sum = crc32Combine(sum, crcs[i], len(p))
+	}
+	total := int64(len(encoded))
+	parts = make([][]byte, count)
+	for i := range parts {
+		p := part(i)
+		hdr := stripeHeader(seq, stripeRecPart, i, count, total, sum).appendHeader(nil, len(p))
+		trailer := binary.LittleEndian.AppendUint32(nil, crc32Combine(crc32.Checksum(hdr, crcTable), crcs[i], len(p)))
+		parts[i] = bytes.Join([][]byte{hdr, p, trailer}, nil) // sized once, and not zeroed before the copy
 	}
 	return EncodeStripeManifest(seq, count, total, sum), parts, nil
+}
+
+// crc32Combine returns the CRC-32C of A‖B from crcA = CRC-32C(A), crcB =
+// CRC-32C(B) and lenB = len(B) — zlib's crc32_combine over the Castagnoli
+// polynomial. Appending lenB zero bytes to A multiplies its CRC register by
+// x^(8·lenB) modulo the polynomial, a product of repeated squares of x^8.
+func crc32Combine(crcA, crcB uint32, lenB int) uint32 {
+	p := uint32(1) << 31  // x^0, in the reflected bit order of the register
+	sq := uint32(1) << 23 // x^8: one zero byte
+	for ; lenB > 0; lenB >>= 1 {
+		if lenB&1 != 0 {
+			p = multModP(sq, p)
+		}
+		sq = multModP(sq, sq)
+	}
+	return multModP(p, crcA) ^ crcB
+}
+
+// multModP multiplies a and b modulo the Castagnoli polynomial, both in the
+// reflected bit order of the CRC register.
+func multModP(a, b uint32) uint32 {
+	var p uint32
+	for m := uint32(1) << 31; m != 0 && a != 0; m >>= 1 {
+		if a&m != 0 {
+			p ^= b
+			a ^= m
+		}
+		if b&1 != 0 {
+			b = b>>1 ^ crc32.Castagnoli
+		} else {
+			b >>= 1
+		}
+	}
+	return p
 }

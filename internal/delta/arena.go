@@ -6,15 +6,17 @@ import "sync"
 // than this get a dedicated chunk.
 const arenaChunkMin = 256 << 10
 
-// frameArena hands out stable frame buffers carved from large pooled
-// chunks, so the parallel encoder's one-copy-per-page stops hitting the
-// allocator once warm. A chunk is never grown in place — every slice handed
-// out stays valid until the arena is released — which is the property that
-// lets workers publish frames into the shared assembly slice while the
-// arena keeps allocating.
+// frameArena hands out stable buffers carved from large pooled chunks for
+// the encoder's page heads — each page's index, mode and length, plus a
+// delta page's delta — so a worker's per-page copy stops hitting the
+// allocator once warm. A raw page's bytes never pass through it: the
+// assembler copies them straight from the update into the stream. A chunk
+// is never grown in place — every slice handed out stays valid until the
+// arena is released — which is the property that lets workers publish
+// heads into the shared assembly slice while the arena keeps allocating.
 //
 // A frameArena is not safe for concurrent use; the encoder draws one per
-// worker and releases them only after stream assembly has copied the frames
+// worker and releases them only after stream assembly has copied the heads
 // out.
 type frameArena struct {
 	chunks [][]byte

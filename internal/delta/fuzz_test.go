@@ -144,10 +144,8 @@ func FuzzPageAlignedFastPath(f *testing.F) {
 			t.Fatal("fast-path stream does not decode to the new page")
 		}
 		u := PageUpdate{Index: 3, Old: old, New: page}
-		frame, _ := appendPageFrame(&e, nil, u, bs)
-		raw, _ := appendPageFrame(&e, nil, PageUpdate{Index: 3, New: page}, bs)
-		if len(frame) > len(raw) {
-			t.Fatalf("page frame %d B exceeds its raw frame %d B", len(frame), len(raw))
+		if frame, raw := pageFrameLen(&e, u, bs), pageFrameLen(&e, PageUpdate{Index: 3, New: page}, bs); frame > raw {
+			t.Fatalf("page frame %d B exceeds its raw frame %d B", frame, raw)
 		}
 		// The reverse edit as a second page gives the parallel decoder two
 		// frames to fan out.
@@ -224,4 +222,14 @@ func FuzzXORRoundTrip(f *testing.F) {
 			t.Fatal("XOR round trip mismatch")
 		}
 	})
+}
+
+// pageFrameLen is the length of u's frame in the page-aligned stream: its
+// head, plus the page itself when it is stored raw.
+func pageFrameLen(e *Encoder, u PageUpdate, blockSize int) int {
+	head, mode := appendPageHead(e, nil, u, blockSize)
+	if mode == PageRaw {
+		return len(head) + len(u.New)
+	}
+	return len(head)
 }

@@ -1,9 +1,10 @@
 package delta
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Page payload modes of the page-aligned stream.
@@ -22,19 +23,25 @@ type PageUpdate struct {
 	New   []byte
 }
 
-// sortUpdates returns a copy of updates in ascending index order — the
-// order both encoders emit and the decoder enforces.
+// sortUpdates returns updates in ascending index order — the order the
+// encoder emits and the decoder enforces. Updates already in that order (a
+// dirty-page list is) come back as they are; others are sorted in a copy.
 func sortUpdates(updates []PageUpdate) []PageUpdate {
-	sorted := append([]PageUpdate(nil), updates...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Index < sorted[j].Index })
+	less := func(a, b PageUpdate) int { return cmp.Compare(a.Index, b.Index) }
+	if slices.IsSortedFunc(updates, less) {
+		return updates
+	}
+	sorted := slices.Clone(updates)
+	slices.SortFunc(sorted, less)
 	return sorted
 }
 
-// appendPageFrame encodes one page update — index, mode byte, payload — to
-// dst and reports the mode actually emitted. It is the unit of work both
-// the serial and the parallel encoder share, which is what keeps their
-// streams byte-identical.
-func appendPageFrame(e *Encoder, dst []byte, u PageUpdate, blockSize int) ([]byte, byte) {
+// appendPageHead codes one page update and appends its frame to dst —
+// index, mode byte, payload length, and for a delta page the delta — all
+// but a raw page's payload, which is u.New itself: the assembler copies it
+// straight into the stream. It reports the mode emitted, and is the unit of
+// work every encode shares, whatever its worker count.
+func appendPageHead(e *Encoder, dst []byte, u PageUpdate, blockSize int) ([]byte, byte) {
 	dst = binary.AppendUvarint(dst, u.Index)
 	if u.Old != nil {
 		var d []byte
@@ -52,8 +59,7 @@ func appendPageFrame(e *Encoder, dst []byte, u PageUpdate, blockSize int) ([]byt
 		// fall back to raw storage, as real delta compressors do.
 	}
 	dst = append(dst, PageRaw)
-	dst = binary.AppendUvarint(dst, uint64(len(u.New)))
-	return append(dst, u.New...), PageRaw
+	return binary.AppendUvarint(dst, uint64(len(u.New))), PageRaw
 }
 
 // alignedGap is the shortest equal run the aligned fast path codes as a
@@ -110,26 +116,8 @@ func (e *Encoder) encodeAligned(source, target []byte, blockSize int) []byte {
 // predictor relies on. Pages are emitted in ascending index order. Page
 // indexes must be unique (duplicates would be rejected on decode).
 func EncodePageAligned(updates []PageUpdate, blockSize int) []byte {
-	out, _ := encodePageAlignedSerial(sortUpdates(updates), blockSize)
+	out, _ := EncodePageAlignedInto(updates, blockSize, 1, nil, 0)
 	return out
-}
-
-// encodePageAlignedSerial encodes the already-sorted updates on the calling
-// goroutine, tracking the per-page modes actually emitted.
-func encodePageAlignedSerial(sorted []PageUpdate, blockSize int) ([]byte, Stats) {
-	e := GetEncoder()
-	defer PutEncoder(e)
-
-	out := make([]byte, 0, 64)
-	out = binary.AppendUvarint(out, uint64(len(sorted)))
-	var st Stats
-	for _, u := range sorted {
-		var mode byte
-		out, mode = appendPageFrame(e, out, u, blockSize)
-		st.count(u, mode)
-	}
-	st.OutputBytes = len(out)
-	return out, st
 }
 
 // EncodePageAlignedXOR is the simple-compressor ablation: hot pages are
@@ -292,5 +280,5 @@ func (s Stats) Ratio() float64 {
 // Page counts reflect the modes actually emitted: a page with a previous
 // version whose delta fell back to raw storage is counted as raw.
 func EncodePageAlignedStats(updates []PageUpdate, blockSize int) ([]byte, Stats) {
-	return encodePageAlignedSerial(sortUpdates(updates), blockSize)
+	return EncodePageAlignedInto(updates, blockSize, 1, nil, 0)
 }

@@ -1,6 +1,7 @@
 package delta
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"sync"
@@ -11,9 +12,11 @@ import (
 // design runs checkpoint compression on dedicated cores of a multicore node
 // (Section III), and because every page of the page-aligned stream is
 // delta-coded independently, the encode fans out embarrassingly. Workers
-// encode pages into per-page frames; a single assembler stitches them in
-// ascending index order, so the parallel stream is byte-identical to the
-// serial one — checkpoints stay portable across both paths.
+// code each page's frame head (and a delta page's delta) into their arenas;
+// one assembler writes the stream in ascending index order, copying a raw
+// page's bytes once, straight from the update into the output — so the
+// stream is byte-identical whatever the worker count, and the serial encode
+// is the same assembler with its one worker run inline.
 
 // resolveParallelism normalizes a worker-count knob: n ≤ 0 selects
 // GOMAXPROCS, and the count never exceeds the number of work items.
@@ -35,7 +38,7 @@ func resolveParallelism(n, items int) int {
 // the serial path). Page updates may alias shared memory: workers only read
 // them.
 func EncodePageAlignedParallel(updates []PageUpdate, blockSize, parallelism int) []byte {
-	out, _ := encodePageAligned(updates, blockSize, parallelism)
+	out, _ := EncodePageAlignedInto(updates, blockSize, parallelism, nil, 0)
 	return out
 }
 
@@ -43,62 +46,81 @@ func EncodePageAlignedParallel(updates []PageUpdate, blockSize, parallelism int)
 // per-operation statistics of EncodePageAlignedStats (identical numbers —
 // the modes emitted do not depend on the worker count).
 func EncodePageAlignedParallelStats(updates []PageUpdate, blockSize, parallelism int) ([]byte, Stats) {
-	return encodePageAligned(updates, blockSize, parallelism)
+	return EncodePageAlignedInto(updates, blockSize, parallelism, nil, 0)
 }
 
-// encodePageAligned dispatches between the serial and worker-pool encoders.
-func encodePageAligned(updates []PageUpdate, blockSize, parallelism int) ([]byte, Stats) {
+// EncodePageAlignedInto is EncodePageAlignedParallelStats writing the stream
+// into an enclosing frame: once the stream's length n is known, head(n)
+// returns the bytes that precede it (a nil head: none), and the result is
+// those bytes and the stream in one buffer, allocated once with room for
+// tail more bytes and not zeroed first. Stats.OutputBytes is n, so the
+// stream is the result's last OutputBytes bytes.
+func EncodePageAlignedInto(updates []PageUpdate, blockSize, parallelism int, head func(n int) []byte, tail int) ([]byte, Stats) {
 	sorted := sortUpdates(updates)
+	heads := make([]pageHead, len(sorted))
 	parallelism = resolveParallelism(parallelism, len(sorted))
-	if parallelism <= 1 {
-		return encodePageAlignedSerial(sorted, blockSize)
-	}
-
-	frames := make([][]byte, len(sorted))
-	modes := make([]byte, len(sorted))
 	arenas := make([]*frameArena, parallelism)
 	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		arenas[w] = getArena()
-		go func(ar *frameArena) {
-			defer wg.Done()
-			e := GetEncoder()
-			defer PutEncoder(e)
-			var scratch []byte // reused frame buffer; frames get arena copies
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sorted) {
-					return
-				}
-				scratch, modes[i] = appendPageFrame(e, scratch[:0], sorted[i], blockSize)
-				frames[i] = ar.copyFrame(scratch)
+	work := func(ar *frameArena) {
+		e := GetEncoder()
+		defer PutEncoder(e)
+		var scratch []byte // reused head buffer; heads get arena copies
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(sorted) {
+				return
 			}
-		}(arenas[w])
+			scratch, heads[i].mode = appendPageHead(e, scratch[:0], sorted[i], blockSize)
+			heads[i].head = ar.copyFrame(scratch)
+		}
 	}
+	var wg sync.WaitGroup
+	for w := range arenas {
+		arenas[w] = getArena()
+		if w > 0 {
+			wg.Add(1)
+			go func(ar *frameArena) {
+				defer wg.Done()
+				work(ar)
+			}(arenas[w])
+		}
+	}
+	work(arenas[0]) // the calling goroutine is the first worker
 	wg.Wait()
 
-	// Assemble: count header + frames in ascending index order, exactly as
-	// the serial encoder writes them.
-	total := binary.MaxVarintLen64
-	for _, f := range frames {
-		total += len(f)
-	}
-	out := make([]byte, 0, total)
-	out = binary.AppendUvarint(out, uint64(len(sorted)))
+	// Assemble: the head, the count, then each page's head and — for a raw
+	// page — its bytes, in ascending index order, joined into one buffer.
+	pieces := make([][]byte, 2, 2*len(sorted)+3)
+	pieces[1] = binary.AppendUvarint(nil, uint64(len(sorted)))
+	n := len(pieces[1])
 	var st Stats
-	for i, f := range frames {
-		out = append(out, f...)
-		st.count(sorted[i], modes[i])
+	for i, h := range heads {
+		pieces = append(pieces, h.head)
+		n += len(h.head)
+		if h.mode == PageRaw {
+			pieces = append(pieces, sorted[i].New)
+			n += len(sorted[i].New)
+		}
+		st.count(sorted[i], h.mode)
 	}
-	// Frames are copied out; the arenas (and their chunks) can be recycled
-	// for the next encode run.
+	if head != nil {
+		pieces[0] = head(n)
+	}
+	out := bytes.Join(append(pieces, make([]byte, tail)), nil)
+	// The heads are copied out; the arenas (and their chunks) can be
+	// recycled for the next encode run.
 	for _, ar := range arenas {
 		putArena(ar)
 	}
-	st.OutputBytes = len(out)
-	return out, st
+	st.OutputBytes = n
+	return out[:len(out)-tail], st
+}
+
+// pageHead is a worker's output for one page: the frame head
+// appendPageHead coded, in the worker's arena, and the mode it emitted.
+type pageHead struct {
+	head []byte
+	mode byte
 }
 
 // DecodePageAlignedParallel reverses EncodePageAligned using up to

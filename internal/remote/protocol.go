@@ -256,6 +256,21 @@ func writeJSON(w io.Writer, kind byte, msg any) error {
 // readFrame reads one frame, verifying its CRC. maxFrame guards allocation
 // against a corrupt or hostile length prefix.
 func readFrame(r io.Reader, maxFrame int) (kind byte, payload []byte, err error) {
+	var buf []byte
+	return readFrameInto(r, maxFrame, &buf)
+}
+
+// maxRetainedFrame bounds the read buffer a connection keeps between
+// frames: a data frame of up to four default chunks, and every control
+// frame, reuse it; a larger frame is read into a buffer of its own, which
+// is dropped after it, so one hostile frame does not stay pinned.
+const maxRetainedFrame = 4 * DefaultChunkSize
+
+// readFrameInto is readFrame reading into *buf when the frame fits its
+// capacity. A frame that does not is read into a new buffer, which replaces
+// *buf when it is at most maxRetainedFrame bytes. The payload aliases the
+// buffer: it is valid until the next read into it.
+func readFrameInto(r io.Reader, maxFrame int, buf *[]byte) (kind byte, payload []byte, err error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -264,7 +279,14 @@ func readFrame(r io.Reader, maxFrame int) (kind byte, payload []byte, err error)
 	if n < 1 || n > maxFrame {
 		return 0, nil, fmt.Errorf("remote: frame length %d outside (0, %d]", n, maxFrame)
 	}
-	body := make([]byte, n+4)
+	body := *buf
+	if cap(body) < n+4 {
+		body = make([]byte, n+4)
+		if n+4 <= maxRetainedFrame {
+			*buf = body
+		}
+	}
+	body = body[:n+4]
 	if _, err := io.ReadFull(r, body); err != nil {
 		return 0, nil, err
 	}

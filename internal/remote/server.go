@@ -199,8 +199,13 @@ func (s *Server) Close() error {
 // lifetime context from Serve. The first frame must be a hello naming
 // exactly protocolVersion: anything else is refused and the connection
 // closed, so every request the loop serves speaks the one dialect.
+//
+// Every frame is read into the connection's one read buffer, so each case
+// consumes its payload — decodes it, or copies a data frame's chunk into
+// the staging buffer — before the next read overwrites it.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
-	if err := s.hello(conn); err != nil {
+	var rbuf []byte
+	if err := s.hello(conn, &rbuf); err != nil {
 		return err
 	}
 	var (
@@ -210,7 +215,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 		cur    *staging
 	)
 	for {
-		kind, payload, err := s.readFrame(conn)
+		kind, payload, err := s.readFrame(conn, &rbuf)
 		if err != nil {
 			return err
 		}
@@ -415,8 +420,8 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 // hello runs the opening exchange: one kindHello naming exactly
 // protocolVersion, answered with kindHelloOK. Any other first frame, or any
 // other version, is answered with an error frame and fails the connection.
-func (s *Server) hello(conn net.Conn) error {
-	kind, payload, err := s.readFrame(conn)
+func (s *Server) hello(conn net.Conn, rbuf *[]byte) error {
+	kind, payload, err := s.readFrame(conn, rbuf)
 	if err != nil {
 		return err
 	}
@@ -432,12 +437,13 @@ func (s *Server) hello(conn net.Conn) error {
 	return writeJSON(conn, kindHelloOK, helloMsg{Version: protocolVersion})
 }
 
-// readFrame reads the connection's next frame under the idle deadline.
-func (s *Server) readFrame(conn net.Conn) (byte, []byte, error) {
+// readFrame reads the connection's next frame under the idle deadline,
+// into the connection's read buffer (readFrameInto).
+func (s *Server) readFrame(conn net.Conn, rbuf *[]byte) (byte, []byte, error) {
 	if s.cfg.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
 	}
-	return readFrame(conn, DefaultMaxFrame)
+	return readFrameInto(conn, DefaultMaxFrame, rbuf)
 }
 
 // wireKey validates a request's addressing fields and composes the flat
