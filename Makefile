@@ -39,7 +39,9 @@ fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=FuzzParseRecipe -fuzztime=20s ./internal/storage
 	$(GO) test -run=^$$ -fuzz=FuzzFSStoreOps -fuzztime=20s ./internal/storage
 
-chaos-smoke: ## compaction-racing-faults chaos scenario under the race detector
+chaos-smoke: ## the three chaos smoke steps CI runs, under the race detector: soak seeds, ring churn, compaction chaos
+	$(GO) test -race -run 'TestChaosShort|TestChaosSmokeSeeds|TestChaosKnownBad' ./internal/chaos
+	$(GO) test -race -run 'TestRingChurn' ./internal/chaos
 	$(GO) test -race -short -run 'TestCompactionChaos' ./internal/chaos
 
 cover: ## coverage profile + per-function summary

@@ -265,7 +265,11 @@ func (r *Report) Validate(trials int, seed uint64) (analytic, empirical float64,
 
 // Experiments lists the reproducible tables and figures by name.
 func Experiments() []string {
-	return []string{"fig2", "fig5", "fig6", "fig7", "fig11", "fig12", "table1", "table3", "ablations", "extensions", "studies"}
+	names := make([]string, len(exp.Experiments))
+	for i, e := range exp.Experiments {
+		names[i] = e.Name
+	}
+	return names
 }
 
 // RunExperiment reproduces one table or figure of the paper and returns its
@@ -274,99 +278,11 @@ func RunExperiment(name string, seed uint64) (string, error) {
 	if seed == 0 {
 		seed = 42
 	}
-	switch name {
-	case "fig2":
-		s, err := exp.Fig2(seed)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderFig2(s), nil
-	case "fig5":
-		rows, err := exp.Fig5(nil)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderScaling("Fig. 5 — NET² of pF3D (MPI scaling) vs system size", rows), nil
-	case "fig6":
-		rows, err := exp.Fig6(nil)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderScaling("Fig. 6 — NET² of RMS vs system size", rows), nil
-	case "fig7":
-		rows, err := exp.Fig7(nil, nil)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderFig7(rows), nil
-	case "fig11":
-		rows, err := exp.Fig11(seed)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderFig11(rows), nil
-	case "fig12":
-		rows, err := exp.Fig12(seed, nil)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderFig12(rows), nil
-	case "table1":
-		rows, err := exp.Table1Rows(0, seed)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderTable1(rows), nil
-	case "table3":
-		rows, err := exp.Table3(seed)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderTable3(rows), nil
-	case "studies":
-		acc, err := exp.PredictorAccuracy(seed)
-		if err != nil {
-			return "", err
-		}
-		lam, err := exp.LambdaSensitivity(seed, "milc", nil)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderAccuracy(acc, lam), nil
-	case "extensions":
-		sharing, err := exp.SharingEmpirical(seed, nil)
-		if err != nil {
-			return "", err
-		}
-		mpiRows, err := exp.MPIScaling(seed, nil)
-		if err != nil {
-			return "", err
-		}
-		weibull, err := exp.WeibullSensitivity(seed, nil, 0)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderExtensions(sharing, mpiRows, weibull), nil
-	case "ablations":
-		comp, err := exp.AblationCompressor(seed)
-		if err != nil {
-			return "", err
-		}
-		pred, err := exp.AblationPredictor(seed)
-		if err != nil {
-			return "", err
-		}
-		samp, err := exp.AblationSampler(seed)
-		if err != nil {
-			return "", err
-		}
-		bs, err := exp.AblationBlockSize(seed, nil)
-		if err != nil {
-			return "", err
-		}
-		return exp.RenderAblations(comp, pred, samp) + exp.RenderBlockSize(bs), nil
+	e, ok := exp.Lookup(name)
+	if !ok {
+		return "", fmt.Errorf("aic: unknown experiment %q (want one of %v)", name, Experiments())
 	}
-	return "", fmt.Errorf("aic: unknown experiment %q (want one of %v)", name, Experiments())
+	return e.Text(seed)
 }
 
 // Benchmarks lists the built-in SPEC-like benchmark names.

@@ -278,7 +278,7 @@ func BenchmarkPageAlignedEncodeParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				delta.EncodePageAlignedParallel(updates, delta.DefaultBlockSize, workers)
+				delta.EncodePageAlignedParallelStats(updates, delta.DefaultBlockSize, workers)
 			}
 		})
 	}
@@ -315,7 +315,7 @@ func BenchmarkPageAlignedEncodeHotEdit(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				delta.EncodePageAlignedParallel(updates, delta.DefaultBlockSize, workers)
+				delta.EncodePageAlignedParallelStats(updates, delta.DefaultBlockSize, workers)
 			}
 		})
 	}
@@ -327,7 +327,7 @@ func BenchmarkPageAlignedEncodeHotEdit(b *testing.B) {
 func BenchmarkPageAlignedDecodeParallel(b *testing.B) {
 	const pages = 2048
 	updates := benchUpdates(pages)
-	stream := delta.EncodePageAligned(updates, delta.DefaultBlockSize)
+	stream, _ := delta.EncodePageAlignedParallelStats(updates, delta.DefaultBlockSize, 1)
 	olds := make(map[uint64][]byte, pages)
 	for _, u := range updates {
 		if u.Old != nil {
@@ -375,7 +375,7 @@ func BenchmarkEncodeAllocs(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			delta.EncodePageAligned(updates, delta.DefaultBlockSize)
+			delta.EncodePageAlignedParallelStats(updates, delta.DefaultBlockSize, 1)
 		}
 	})
 }

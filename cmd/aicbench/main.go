@@ -7,7 +7,8 @@
 //	aicbench -experiment fig7 -format csv
 //
 // Experiments: fig2, fig5, fig6, fig7, fig11, fig12, table1, table3,
-// ablations.
+// ablations, extensions, studies. All but the last three have a CSV form;
+// -format csv with -experiment all runs the ones that do.
 //
 // Performance is measured elsewhere: `bash bench/run.sh` for the end-to-end
 // and per-layer numbers, `go test -bench` for the codec microbenchmarks.
@@ -17,6 +18,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"aic"
@@ -24,20 +26,26 @@ import (
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "experiment to run (all or one of: fig2 fig5 fig6 fig7 fig11 fig12 table1 table3 ablations extensions studies)")
+	experiment := flag.String("experiment", "all", "experiment to run (all or one of: "+strings.Join(aic.Experiments(), " ")+")")
 	seed := flag.Uint64("seed", 42, "deterministic seed")
 	format := flag.String("format", "text", "text | csv (csv supports the figure/table experiments)")
 	flag.Parse()
 
-	names := aic.Experiments()
-	if *experiment != "all" {
-		names = []string{*experiment}
+	csv := *format == "csv"
+	names := []string{*experiment}
+	if *experiment == "all" {
+		names = nil
+		for _, e := range exp.Experiments {
+			if !csv || e.CSV != nil {
+				names = append(names, e.Name)
+			}
+		}
 	}
 	for _, name := range names {
 		start := time.Now()
 		var o string
 		var err error
-		if *format == "csv" {
+		if csv {
 			o, err = exp.CSV(name, *seed)
 		} else {
 			o, err = aic.RunExperiment(name, *seed)
@@ -47,7 +55,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(o)
-		if *format != "csv" {
+		if !csv {
 			fmt.Printf("[%s finished in %.1fs]\n\n", name, time.Since(start).Seconds())
 		}
 	}

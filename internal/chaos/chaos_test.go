@@ -2,6 +2,8 @@ package chaos
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
 )
@@ -149,11 +151,25 @@ func TestScheduleParseErrors(t *testing.T) {
 	}
 }
 
+// transcriptDigest is the SHA-256 of a transcript's lines joined by
+// newlines: the golden tests pin a whole run's behaviour in one value.
+func transcriptDigest(lines []string) string {
+	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
+	return hex.EncodeToString(sum[:])
+}
+
 // TestChaosSmokeSeeds is the CI chaos smoke: several generated seeds soaked
-// back to back, each required to be violation-free.
+// back to back, each required to be violation-free and to reproduce its
+// golden transcript byte for byte. A digest changes only when the soak's
+// behaviour does; a deliberate change re-pins it and says why.
 func TestChaosSmokeSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-seed smoke skipped in -short (TestChaosShort covers one seed)")
+	}
+	golden := map[uint64]string{
+		1: "090288ce42ed1cd0492b29bba3cc65e2ce0351128c58862c5c3547c4b78176f4",
+		2: "43119b0f4b75d310fc123f4e57f12079b4de113bc431b478eb92daf4afafc638",
+		3: "f617ba13f16f48ba49fcf325a94f1d15e9c5ef61dda1313f8d09e54fb3f07ce6",
 	}
 	for _, seed := range []uint64{1, 2, 3} {
 		cfg := shortConfig(seed, t)
@@ -164,6 +180,10 @@ func TestChaosSmokeSeeds(t *testing.T) {
 		if r.Failed() {
 			t.Fatalf("seed %d violated invariants:\n%s\ntranscript:\n%s",
 				seed, r.FailureReport(), strings.Join(r.Transcript, "\n"))
+		}
+		if got := transcriptDigest(r.Transcript); got != golden[seed] {
+			t.Errorf("seed %d transcript digest %s, golden %s\ntranscript:\n%s",
+				seed, got, golden[seed], strings.Join(r.Transcript, "\n"))
 		}
 	}
 }

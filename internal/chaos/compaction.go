@@ -1,14 +1,11 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -63,9 +60,7 @@ func (c CompactionChaosConfig) withDefaults() CompactionChaosConfig {
 //     compact+GC pass every chain still restores to its writer's image;
 //   - the store scrubs clean once repair has run.
 type CompactionChaosResult struct {
-	Transcript []string
-	Violations []string
-
+	RunLog
 	Appends      int // checkpoints acknowledged (clean or degraded)
 	Degraded     int // appends acknowledged while the peer was dead
 	Compactions  int // chains folded by the background compactor
@@ -74,9 +69,6 @@ type CompactionChaosResult struct {
 	Restores     int // concurrent restore probes that ran
 	ElemsDropped int // chain elements folded away in total
 }
-
-// Failed reports whether the run missed any expectation.
-func (r *CompactionChaosResult) Failed() bool { return len(r.Violations) > 0 }
 
 // flakyPeer is a replication peer that can be killed and revived: while
 // dead every operation fails, the way a crashed aicd looks to the client.
@@ -104,64 +96,6 @@ func (f *flakyPeer) Truncate(ctx context.Context, proc string, fullSeq int) erro
 	return f.LevelStore.Truncate(ctx, proc, fullSeq)
 }
 
-// committedState is one writer's ledger of acknowledged checkpoints: the
-// exact image and CPU state every committed seq must restore to.
-type committedState struct {
-	mu       sync.Mutex
-	images   map[int]*memsim.AddressSpace
-	cpu      map[int][]byte
-	lastFull int
-	lastSeq  int
-}
-
-func (cs *committedState) record(seq int, as *memsim.AddressSpace, cpu []byte, full bool) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.images[seq] = as
-	cs.cpu[seq] = cpu
-	cs.lastSeq = seq
-	if full {
-		cs.lastFull = seq
-	}
-}
-
-// verify checks a restore outcome against the ledger: the landed seq must
-// be committed, and its bytes must match exactly.
-func (cs *committedState) verify(proc string, rep *recovery.GoodReport, as *memsim.AddressSpace, res *chaosCollector) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	want, ok := cs.images[rep.LastSeq]
-	if !ok {
-		res.violate("%s: restore landed on seq %d, which was never committed", proc, rep.LastSeq)
-		return
-	}
-	if !as.Equal(want) {
-		res.violate("%s: seq %d restored to a different image than was committed", proc, rep.LastSeq)
-	}
-	if !bytes.Equal(rep.CPUState, cs.cpu[rep.LastSeq]) {
-		res.violate("%s: seq %d restored different CPU state than was committed", proc, rep.LastSeq)
-	}
-}
-
-// chaosCollector accumulates violations and transcript lines from every
-// goroutine in the run.
-type chaosCollector struct {
-	mu  sync.Mutex
-	res *CompactionChaosResult
-}
-
-func (c *chaosCollector) violate(format string, args ...any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.res.Violations = append(c.res.Violations, fmt.Sprintf(format, args...))
-}
-
-func (c *chaosCollector) transcript(format string, args ...any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.res.Transcript = append(c.res.Transcript, fmt.Sprintf(format, args...))
-}
-
 // RunCompactionChaos drives the online compactor through the production
 // stack under concurrent faults. Setup: a dedup-enabled FSStore behind the
 // aic facade with compaction armed, replicating to an in-process peer.
@@ -172,8 +106,7 @@ func (c *chaosCollector) transcript(format string, args ...any) {
 // restore probe and at the end of the run.
 func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*CompactionChaosResult, error) {
 	cfg = cfg.withDefaults()
-	res := &CompactionChaosResult{}
-	col := &chaosCollector{res: res}
+	res := &CompactionChaosResult{RunLog: RunLog{name: "compaction", at: fmt.Sprintf(" at seed=%d", cfg.Seed)}}
 
 	scratch, err := os.MkdirTemp(cfg.Dir, "aic-compaction-chaos-*")
 	if err != nil {
@@ -198,13 +131,9 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 
 	const pageSize = 512
 	procName := func(i int) string { return fmt.Sprintf("victim-%d", i) }
-	ledgers := make(map[string]*committedState, cfg.Procs)
+	ledgers := make(map[string]*ledger, cfg.Procs)
 	for i := 0; i < cfg.Procs; i++ {
-		ledgers[procName(i)] = &committedState{
-			images:   map[int]*memsim.AddressSpace{},
-			cpu:      map[int][]byte{},
-			lastFull: -1, lastSeq: -1,
-		}
+		ledgers[procName(i)] = newLedger(procName(i))
 	}
 
 	var (
@@ -259,7 +188,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 				case errors.Is(err, aic.ErrDegraded):
 					degr.Add(1)
 				case err != nil:
-					col.violate("%s: append seq %d failed outright: %v", proc, c.Seq, err)
+					res.violate(step, "append-refused", "%s: append seq %d failed outright: %v", proc, c.Seq, err)
 					return
 				}
 				appends.Add(1)
@@ -279,14 +208,13 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 			}
 			rep, err := dir.Compact(ctx)
 			if err != nil {
-				col.violate("compaction pass failed: %v", err)
+				res.violate(0, "compact-error", "compaction pass failed: %v", err)
 				return
 			}
-			col.mu.Lock()
+			// Only this goroutine writes the tallies; wg.Wait orders the read.
 			res.Compactions += len(rep.Compacted)
 			res.Raced += len(rep.Raced)
 			res.ElemsDropped += rep.ElemsDropped
-			col.mu.Unlock()
 		}
 	}()
 
@@ -308,21 +236,17 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 			case 0: // peer churn
 				peer.down.Store(!peer.down.Load())
 			case 1: // bit flip in a committed chain file
-				if flipRandomChainFile(scratch, proc, rng) {
+				if flipRandomElem(ctx, fs, scratch, proc, rng) {
 					flips.Add(1)
 				}
 			case 2: // concurrent scrub with repair
 				if _, err := dir.Scrub(ctx, proc, true); err != nil {
-					col.violate("scrub %s: %v", proc, err)
+					res.violate(0, "scrub-error", "scrub %s: %v", proc, err)
 				}
 			case 3: // truncate at the newest full (retention housekeeping)
-				led := ledgers[proc]
-				led.mu.Lock()
-				fullSeq := led.lastFull
-				led.mu.Unlock()
-				if fullSeq > 0 {
+				if _, fullSeq, _ := ledgers[proc].newest(); fullSeq > 0 {
 					if err := dir.Truncate(ctx, proc, fullSeq); err != nil && !errors.Is(err, aic.ErrDegraded) {
-						col.violate("truncate %s@%d: %v", proc, fullSeq, err)
+						res.violate(0, "truncate-error", "truncate %s@%d: %v", proc, fullSeq, err)
 					}
 				}
 			}
@@ -351,7 +275,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 				continue // no intact full yet, or damage ate the whole chain
 			}
 			probes.Add(1)
-			ledgers[proc].verify(proc, rep, as, col)
+			ledgers[proc].check(&res.RunLog, 0, rep.LastSeq, as, rep.CPUState)
 		}
 	}()
 
@@ -371,57 +295,53 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 	for i := 0; i < cfg.Procs; i++ {
 		proc := procName(i)
 		led := ledgers[proc]
-		led.mu.Lock()
-		lastSeq := led.lastSeq
-		img := led.images[lastSeq]
-		cpu := led.cpu[lastSeq]
-		led.mu.Unlock()
+		lastSeq, _, last := led.newest()
 		if lastSeq < 0 {
-			col.violate("%s: writer committed nothing", proc)
+			res.violate(cfg.Steps, "writer-idle", "%s: writer committed nothing", proc)
 			continue
 		}
 		reseq := lastSeq + 1
-		full := ckpt.FullFromImage(img, reseq, cpu)
-		led.record(reseq, img.Clone(), cpu, true)
+		full := ckpt.FullFromImage(last.image, reseq, last.cpu)
+		led.record(reseq, last.image.Clone(), last.cpu, true)
 		if err := dir.Append(ctx, proc, reseq, full.Encode()); err != nil && !errors.Is(err, aic.ErrDegraded) {
-			col.violate("%s: re-anchor append: %v", proc, err)
+			res.violate(cfg.Steps, "re-anchor", "%s: re-anchor append: %v", proc, err)
 			continue
 		}
 		for pass := 0; pass < 2; pass++ {
 			if _, err := dir.Scrub(ctx, proc, true); err != nil {
-				col.violate("final scrub %s: %v", proc, err)
+				res.violate(cfg.Steps, "scrub-error", "final scrub %s: %v", proc, err)
 			}
 		}
 	}
 	if _, err := dir.Compact(ctx); err != nil {
-		col.violate("final compaction: %v", err)
+		res.violate(cfg.Steps, "compact-error", "final compaction: %v", err)
 	}
 	for i := 0; i < cfg.Procs; i++ {
 		proc := procName(i)
 		rep, err := dir.Scrub(ctx, proc, false)
 		if err != nil {
-			col.violate("post-repair scrub %s: %v", proc, err)
+			res.violate(cfg.Steps, "scrub-clean", "post-repair scrub %s: %v", proc, err)
 		} else if len(rep.Missing)+len(rep.Corrupt) != 0 {
-			col.violate("%s does not scrub clean after repair: %+v", proc, rep)
+			res.violate(cfg.Steps, "scrub-clean", "%s does not scrub clean after repair: %+v", proc, rep)
 		}
 		chain, _, err := fs.Get(ctx, proc)
 		if err != nil || len(chain) == 0 {
-			col.violate("final chain %s unreadable: %v", proc, err)
+			res.violate(cfg.Steps, "restore-failed", "final chain %s unreadable: %v", proc, err)
 			continue
 		}
 		as, grep, err := recovery.RestoreLatestGood(chain)
 		if err != nil {
-			col.violate("final restore %s: %v", proc, err)
+			res.violate(cfg.Steps, "restore-failed", "final restore %s: %v", proc, err)
 			continue
 		}
-		ledgers[proc].verify(proc, grep, as, col)
-		col.transcript("%s: final restore at seq %d over %d elements", proc, grep.LastSeq, len(chain))
+		ledgers[proc].check(&res.RunLog, cfg.Steps, grep.LastSeq, as, grep.CPUState)
+		res.logf("%s: final restore at seq %d over %d elements", proc, grep.LastSeq, len(chain))
 	}
 	st, err := fs.DedupStats(ctx)
 	if err != nil {
-		col.violate("dedup stats: %v", err)
+		res.violate(cfg.Steps, "dedup-stats", "dedup stats: %v", err)
 	}
-	col.transcript("dedup: %d chunks, logical %d, physical %d, ratio %.2f",
+	res.logf("dedup: %d chunks, logical %d, physical %d, ratio %.2f",
 		st.Chunks, st.LogicalBytes, st.PhysicalBytes, st.Ratio())
 
 	res.Appends = int(appends.Load())
@@ -431,30 +351,15 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 	return res, nil
 }
 
-// flipRandomChainFile flips one bit in a random committed chain file under
-// proc's directory, returning whether a flip landed. The chunk store
-// ("chunks!") is never touched here — chunk damage is exercised separately
-// — and manifests are left alone so every flip is a frame/recipe flip.
-func flipRandomChainFile(root, proc string, rng *rand.Rand) bool {
-	dir := filepath.Join(root, proc)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
+// flipRandomElem flips one bit in a random committed element of proc's
+// chain, returning whether a flip landed. Only the element files are
+// touched: chunk damage is exercised separately, so every flip is a frame
+// or recipe flip.
+func flipRandomElem(ctx context.Context, fs *storage.FSStore, root, proc string, rng *rand.Rand) bool {
+	listed, _, _, err := fs.GetSeqs(ctx, proc, nil)
+	if err != nil || len(listed) == 0 {
 		return false
 	}
-	var files []string
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "ckpt-") && strings.HasSuffix(e.Name(), ".aic") {
-			files = append(files, e.Name())
-		}
-	}
-	if len(files) == 0 {
-		return false
-	}
-	path := filepath.Join(dir, files[rng.Intn(len(files))])
-	data, err := os.ReadFile(path)
-	if err != nil || len(data) == 0 {
-		return false
-	}
-	data[rng.Intn(len(data))] ^= 1 << rng.Intn(8)
-	return os.WriteFile(path, data, 0o644) == nil
+	_, ok, err := flipStored(root, proc, listed[rng.Intn(len(listed))], rng.Intn, uint(rng.Intn(8)))
+	return ok && err == nil
 }

@@ -25,8 +25,7 @@ func TestCompactionChaos(t *testing.T) {
 				t.Fatal(err)
 			}
 			if res.Failed() {
-				t.Fatalf("invariants violated:\n  %s\ntranscript:\n  %s",
-					strings.Join(res.Violations, "\n  "), strings.Join(res.Transcript, "\n  "))
+				t.Fatalf("%s\ntranscript:\n  %s", res.FailureReport(), strings.Join(res.Transcript, "\n  "))
 			}
 			if res.Appends == 0 {
 				t.Fatal("no appends committed; scenario did not run")
@@ -50,7 +49,7 @@ func TestCompactionChaosExercisesCompactor(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Failed() {
-			t.Fatalf("seed %d: %v", seed, res.Violations)
+			t.Fatalf("seed %d: %s", seed, res.FailureReport())
 		}
 		total += res.Compactions + res.ElemsDropped
 	}

@@ -7,7 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
+	"slices"
 
 	"aic"
 	"aic/internal/ckpt"
@@ -59,46 +59,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Violation is one failed cross-layer invariant.
-type Violation struct {
-	Step      int
-	Invariant string // short invariant name, stable across runs
-	Detail    string
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("step=%d invariant=%s: %s", v.Step, v.Invariant, v.Detail)
-}
-
 // Result reports a soak run. Transcript lines are deterministic functions
 // of (Config, Schedule): they never contain ports, paths, durations or raw
 // error strings, so two runs of the same seed produce identical transcripts
 // — the property the determinism test pins.
 type Result struct {
+	RunLog
 	Seed        uint64
 	Schedule    Schedule
-	Transcript  []string
-	Violations  []Violation
 	Checkpoints int
 	Recoveries  int
 	Eras        int
 	Degraded    int // appends that survived locally but missed quorum
 }
 
-// Failed reports whether any invariant was violated.
-func (r *Result) Failed() bool { return len(r.Violations) > 0 }
-
 // FailureReport renders the violations with everything needed to replay
 // them: the seed and the exact fault schedule.
 func (r *Result) FailureReport() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "chaos: %d invariant violation(s) at seed=%d\n", len(r.Violations), r.Seed)
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "  %s\n", v)
-	}
-	b.WriteString("fault schedule (replay with cmd/aicsoak -schedule):\n")
-	b.WriteString(r.Schedule.String())
-	return b.String()
+	return r.RunLog.FailureReport() + "fault schedule (replay with cmd/aicsoak -schedule):\n" + r.Schedule.String()
 }
 
 // Run generates the fault schedule from cfg.Seed and soaks it. ctx bounds
@@ -120,7 +98,11 @@ func RunSchedule(ctx context.Context, cfg Config, sched Schedule) (*Result, erro
 		return nil, err
 	}
 	defer os.RemoveAll(scratch)
-	h := &harness{ctx: ctx, cfg: cfg, sched: sched, res: &Result{Seed: cfg.Seed, Schedule: sched}}
+	h := &harness{ctx: ctx, cfg: cfg, sched: sched}
+	h.res = &Result{Seed: cfg.Seed, Schedule: sched, RunLog: RunLog{
+		name: "chaos", at: fmt.Sprintf(" at seed=%d", cfg.Seed), sink: cfg.Log,
+		prefix: func() string { return fmt.Sprintf("%03d e%d ", h.step, h.era) },
+	}}
 	if err := h.setup(scratch); err != nil {
 		return nil, err
 	}
@@ -184,7 +166,8 @@ type harness struct {
 	ffs       *storage.FaultFS
 	local     *storage.FSStore
 	localRoot string
-	peers     []*peer
+	peers     []*node
+	dialers   []*remote.FaultDialer // peers[i]'s client dials through dialers[i]
 
 	prog    *workload.Synthetic
 	as      *memsim.AddressSpace
@@ -201,7 +184,7 @@ type harness struct {
 	lastQuorum int // newest quorum-committed seq (-1 none)
 	truncSeq   int // newest truncation anchor (-1 none)
 	localTrunc bool
-	shadows    map[int]*memsim.AddressSpace // seq → golden in-memory image
+	ledger     *ledger // the era chain's golden images
 }
 
 func (h *harness) setup(scratch string) error {
@@ -214,12 +197,14 @@ func (h *harness) setup(scratch string) error {
 	h.local = local
 	stores := make([]aic.Store, 0, h.cfg.Peers)
 	for i := 0; i < h.cfg.Peers; i++ {
-		p, err := newPeer(h.ctx, i, filepath.Join(scratch, fmt.Sprintf("peer%d", i)), h.cfg.Seed)
+		name := fmt.Sprintf("peer%d", i)
+		n, err := startNode(h.ctx, name, filepath.Join(scratch, name), nil)
 		if err != nil {
 			return err
 		}
-		h.peers = append(h.peers, p)
-		stores = append(stores, p.client)
+		d := &remote.FaultDialer{}
+		h.peers, h.dialers = append(h.peers, n), append(h.dialers, d)
+		stores = append(stores, n.dial(remote.Config{Retries: 4, Dialer: d, JitterSeed: int64(h.cfg.Seed)*31 + int64(i) + 1}))
 	}
 	h.dir, err = aic.OpenCheckpointDir("", aic.WithStore(local),
 		aic.WithReplication(aic.Replication{Stores: stores, Quorum: h.cfg.Quorum}))
@@ -244,9 +229,8 @@ func (h *harness) setup(scratch string) error {
 
 func (h *harness) teardown() {
 	h.dir.Close()
-	for _, p := range h.peers {
-		p.client.Close()
-		p.kill()
+	for _, n := range h.peers {
+		n.close()
 	}
 }
 
@@ -268,21 +252,7 @@ func (h *harness) run() {
 	h.recover("final-audit")
 }
 
-func (h *harness) transcript(format string, args ...any) {
-	line := fmt.Sprintf("%03d e%d ", h.step, h.era) + fmt.Sprintf(format, args...)
-	h.res.Transcript = append(h.res.Transcript, line)
-	if h.cfg.Log != nil {
-		fmt.Fprintln(h.cfg.Log, line)
-	}
-}
-
-func (h *harness) violation(invariant, detail string) {
-	v := Violation{Step: h.step, Invariant: invariant, Detail: detail}
-	h.res.Violations = append(h.res.Violations, v)
-	h.transcript("VIOLATION %s: %s", invariant, detail)
-}
-
-func (h *harness) peerAt(i int) *peer {
+func (h *harness) peerAt(i int) *node {
 	if i < 0 || i >= len(h.peers) {
 		return nil
 	}
@@ -291,7 +261,7 @@ func (h *harness) peerAt(i int) *peer {
 
 // apply fires one scheduled event.
 func (h *harness) apply(e Event) {
-	h.transcript("event kind=%s peer=%d n=%d bit=%d", e.Kind, e.Peer, e.N, e.Bit)
+	h.res.logf("event kind=%s peer=%d n=%d bit=%d", e.Kind, e.Peer, e.N, e.Bit)
 	switch e.Kind {
 	case KindTornWrite:
 		// Crash inside the next local Put's write protocol, tearing its
@@ -308,14 +278,14 @@ func (h *harness) apply(e Event) {
 			if p.alive {
 				p.srv.CloseConns()
 			}
-			p.dialer.Enqueue(remote.Fault{CutAfterBytes: int64(1 + e.N%4096)})
+			h.dialers[e.Peer].Enqueue(remote.Fault{CutAfterBytes: int64(1 + e.N%4096)})
 		}
 	case KindDialFail:
 		if p := h.peerAt(e.Peer); p != nil {
 			if p.alive {
 				p.srv.CloseConns()
 			}
-			p.dialer.Enqueue(remote.Fault{FailDial: true})
+			h.dialers[e.Peer].Enqueue(remote.Fault{FailDial: true})
 		}
 	case KindPeerDeath:
 		if p := h.peerAt(e.Peer); p != nil {
@@ -324,7 +294,7 @@ func (h *harness) apply(e Event) {
 	case KindPeerRestart:
 		if p := h.peerAt(e.Peer); p != nil {
 			if err := p.restart(); err != nil {
-				h.violation("infra", fmt.Sprintf("peer %d restart failed", p.idx))
+				h.res.violate(h.step, "infra", "peer %d restart failed", e.Peer)
 			}
 		}
 	case KindCrash:
@@ -332,7 +302,7 @@ func (h *harness) apply(e Event) {
 	case KindFlipAll:
 		h.flipAll(e.N, e.Bit)
 	default:
-		h.transcript("event-unknown kind=%s", e.Kind)
+		h.res.logf("event-unknown kind=%s", e.Kind)
 	}
 }
 
@@ -346,20 +316,18 @@ func (h *harness) flip(peerIdx, n, bit int) {
 		root = p.root
 	}
 	for seq := h.lastSeq; seq >= 0; seq-- {
-		path := filepath.Join(root, storage.ProcDirName(h.proc), ckptFileName(seq))
-		fi, err := os.Stat(path)
-		if err != nil || fi.Size() == 0 {
+		off, ok, err := flipStored(root, h.proc, seq, func(size int) int { return n % size }, uint(bit%8))
+		switch {
+		case !ok:
 			continue
+		case err != nil:
+			h.res.logf("bit-flip peer=%d seq=%d failed", peerIdx, seq)
+		default:
+			h.res.logf("bit-flip peer=%d seq=%d off=%d bit=%d", peerIdx, seq, off, bit%8)
 		}
-		off := n % int(fi.Size())
-		if err := storage.FlipBit(path, off, uint(bit%8)); err != nil {
-			h.transcript("bit-flip peer=%d seq=%d failed", peerIdx, seq)
-			return
-		}
-		h.transcript("bit-flip peer=%d seq=%d off=%d bit=%d", peerIdx, seq, off, bit%8)
 		return
 	}
-	h.transcript("bit-flip peer=%d no-target", peerIdx)
+	h.res.logf("bit-flip peer=%d no-target", peerIdx)
 }
 
 // flipAll corrupts the newest quorum-committed checkpoint on every replica
@@ -367,7 +335,7 @@ func (h *harness) flip(peerIdx, n, bit int) {
 func (h *harness) flipAll(n, bit int) {
 	seq := h.lastQuorum
 	if seq < 0 {
-		h.transcript("flip-all no-target")
+		h.res.logf("flip-all no-target")
 		return
 	}
 	roots := []string{h.localRoot}
@@ -376,16 +344,11 @@ func (h *harness) flipAll(n, bit int) {
 	}
 	hit := 0
 	for _, root := range roots {
-		path := filepath.Join(root, storage.ProcDirName(h.proc), ckptFileName(seq))
-		fi, err := os.Stat(path)
-		if err != nil || fi.Size() == 0 {
-			continue
-		}
-		if storage.FlipBit(path, n%int(fi.Size()), uint(bit%8)) == nil {
+		if _, ok, err := flipStored(root, h.proc, seq, func(size int) int { return n % size }, uint(bit%8)); ok && err == nil {
 			hit++
 		}
 	}
-	h.transcript("flip-all seq=%d stores=%d", seq, hit)
+	h.res.logf("flip-all seq=%d stores=%d", seq, hit)
 }
 
 // checkpoint takes and stores the next checkpoint in the chain, handling
@@ -395,7 +358,8 @@ func (h *harness) flipAll(n, bit int) {
 func (h *harness) checkpoint() {
 	seq := h.builder.Seq()
 	full := h.ckptCount%h.cfg.FullEvery == 0
-	h.builder.SetCPUState(faultsim.PackCPUState(h.prog, h.workNow))
+	cpu := faultsim.PackCPUState(h.prog, h.workNow)
+	h.builder.SetCPUState(cpu)
 	var enc []byte
 	kind := "delta"
 	if full {
@@ -406,22 +370,22 @@ func (h *harness) checkpoint() {
 		enc = c.Encode()
 	}
 	h.ckptCount++
-	h.shadows[seq] = h.as.Clone()
+	h.ledger.record(seq, h.as.Clone(), cpu, full)
 	h.res.Checkpoints++
 	err := h.dir.Append(h.ctx, h.proc, seq, enc)
 	switch {
 	case err == nil:
 		h.lastSeq, h.lastQuorum = seq, seq
-		h.transcript("ckpt seq=%d kind=%s bytes=%d ok", seq, kind, len(enc))
+		h.res.logf("ckpt seq=%d kind=%s bytes=%d ok", seq, kind, len(enc))
 	case errors.Is(err, aic.ErrDegraded):
 		h.lastSeq = seq
 		h.res.Degraded++
-		h.transcript("ckpt seq=%d kind=%s bytes=%d degraded", seq, kind, len(enc))
+		h.res.logf("ckpt seq=%d kind=%s bytes=%d degraded", seq, kind, len(enc))
 	default:
 		// The local store died mid-write: the simulated node crashed. The
 		// peers were written at the same time and may hold seq, so the
-		// restore may legitimately land on it: its shadow stays.
-		h.transcript("ckpt seq=%d kind=%s bytes=%d crashed", seq, kind, len(enc))
+		// restore may legitimately land on it: its ledger entry stays.
+		h.res.logf("ckpt seq=%d kind=%s bytes=%d crashed", seq, kind, len(enc))
 		h.recover("crash-during-checkpoint")
 		return
 	}
@@ -429,31 +393,22 @@ func (h *harness) checkpoint() {
 		switch terr := h.dir.Truncate(h.ctx, h.proc, seq); {
 		case terr == nil:
 			h.localTrunc, h.truncSeq = true, seq
-			h.transcript("truncate seq=%d ok", seq)
+			h.res.logf("truncate seq=%d ok", seq)
 		case errors.Is(terr, aic.ErrDegraded):
 			h.localTrunc, h.truncSeq = true, seq
-			h.transcript("truncate seq=%d degraded", seq)
+			h.res.logf("truncate seq=%d degraded", seq)
 		default:
-			h.transcript("truncate seq=%d crashed", seq)
+			h.res.logf("truncate seq=%d crashed", seq)
 			h.recover("crash-during-truncate")
 			return
 		}
-		h.pruneShadows()
-	}
-}
-
-// pruneShadows drops golden images below every sequence a restore can still
-// legally land on: the truncation anchor, lowered to the last
-// quorum-committed sequence when a degraded append left quorum behind it.
-func (h *harness) pruneShadows() {
-	keep := h.truncSeq
-	if h.lastQuorum >= 0 && h.lastQuorum < keep {
-		keep = h.lastQuorum
-	}
-	for seq := range h.shadows {
-		if seq < keep {
-			delete(h.shadows, seq)
+		// The restore floor: the truncation anchor, lowered to the last
+		// quorum-committed seq when a degraded append left quorum behind it.
+		floor := h.truncSeq
+		if h.lastQuorum >= 0 && h.lastQuorum < floor {
+			floor = h.lastQuorum
 		}
+		h.ledger.prune(floor)
 	}
 }
 
@@ -461,8 +416,8 @@ func (h *harness) pruneShadows() {
 // cluster heals, every replica is scrubbed, the process is restored through
 // the production disaster path, and the cross-layer invariants are checked:
 //
-//	I1 image-match:   restored memory is byte-identical to the golden
-//	                  in-memory shadow of the restored sequence
+//	I1 image-match:   restored memory (and CPU state) is byte-identical to
+//	                  what the ledger recorded for the restored sequence
 //	I2 seq-regress:   the restored sequence never regresses past the last
 //	                  quorum-committed checkpoint
 //	I3 scrub-clean:   after scrub-repair, a second scrub of every replica
@@ -478,22 +433,20 @@ func (h *harness) pruneShadows() {
 // at seq 0, and the old era's chain is removed cluster-wide.
 func (h *harness) recover(reason string) {
 	h.res.Recoveries++
-	h.transcript("recover reason=%s", reason)
+	h.res.logf("recover reason=%s", reason)
 
 	// The cluster heals for recovery: reboot the node, restart dead peers,
 	// drop scheduled network faults that never fired.
 	h.ffs.Reboot()
 	dropped := 0
-	for _, p := range h.peers {
-		dropped += p.dialer.DrainFaults()
-		if !p.alive {
-			if err := p.restart(); err != nil {
-				h.violation("infra", fmt.Sprintf("peer %d restart failed", p.idx))
-			}
+	for i, p := range h.peers {
+		dropped += h.dialers[i].DrainFaults()
+		if err := p.restart(); err != nil {
+			h.res.violate(h.step, "infra", "peer %d restart failed", i)
 		}
 	}
 	if dropped > 0 {
-		h.transcript("drained-faults n=%d", dropped)
+		h.res.logf("drained-faults n=%d", dropped)
 	}
 
 	h.scrubAll()
@@ -501,37 +454,32 @@ func (h *harness) recover(reason string) {
 
 	im, rep, err := h.dir.RestoreBestReplica(h.ctx, h.proc)
 	if err != nil {
-		h.violation("restore-failed", fmt.Sprintf("no replica restorable: %v", err))
+		h.res.violate(h.step, "restore-failed", "no replica restorable: %v", err)
 		// The soak continues from the live image so later schedule events
 		// still execute; the run is already failed.
 		h.rotateEra(h.as)
 		return
 	}
-	h.transcript("restored replica=%d anchor=%d last=%d n=%d discarded=%d",
+	h.res.logf("restored replica=%d anchor=%d last=%d n=%d discarded=%d",
 		rep.Replica, rep.AnchorSeq, rep.LastSeq, len(rep.Restored), len(rep.Discarded))
 
 	if rep.LastSeq < h.lastQuorum {
-		h.violation("seq-regress",
-			fmt.Sprintf("restored seq %d regressed past last quorum-committed seq %d", rep.LastSeq, h.lastQuorum))
+		h.res.violate(h.step, "seq-regress",
+			"restored seq %d regressed past last quorum-committed seq %d", rep.LastSeq, h.lastQuorum)
 	}
 	if h.localTrunc && rep.AnchorSeq < h.truncSeq && rep.LastSeq >= h.truncSeq {
-		h.violation("trunc-leak",
-			fmt.Sprintf("restore anchored at %d below truncation point %d", rep.AnchorSeq, h.truncSeq))
+		h.res.violate(h.step, "trunc-leak",
+			"restore anchored at %d below truncation point %d", rep.AnchorSeq, h.truncSeq)
 	}
 
 	restored := rebuildAddressSpace(im)
-	if sh, ok := h.shadows[rep.LastSeq]; !ok {
-		h.violation("image-mismatch", fmt.Sprintf("no golden shadow for restored seq %d", rep.LastSeq))
-	} else if !restored.Equal(sh) {
-		h.violation("image-mismatch",
-			fmt.Sprintf("restored memory differs from golden shadow at seq %d", rep.LastSeq))
-	}
+	h.ledger.check(&h.res.RunLog, h.step, rep.LastSeq, restored, rep.CPUState)
 
 	// Resume execution exactly where the restored checkpoint left it.
 	if workNow, progState, perr := faultsim.ParseCPUState(rep.CPUState); perr != nil {
-		h.violation("cpu-state", fmt.Sprintf("unparseable CPU state at seq %d", rep.LastSeq))
+		h.res.violate(h.step, "cpu-state", "unparseable CPU state at seq %d", rep.LastSeq)
 	} else if lerr := h.prog.LoadState(progState); lerr != nil {
-		h.violation("cpu-state", fmt.Sprintf("unloadable program state at seq %d", rep.LastSeq))
+		h.res.violate(h.step, "cpu-state", "unloadable program state at seq %d", rep.LastSeq)
 	} else {
 		h.workNow = workNow
 	}
@@ -555,38 +503,38 @@ func (h *harness) scrubAll() {
 		return // era never landed a checkpoint locally; nothing to scrub
 	}
 	if rep, err := h.dir.Scrub(h.ctx, h.proc, true); err != nil {
-		h.violation("scrub-clean", "local scrub-repair failed")
+		h.res.violate(h.step, "scrub-clean", "local scrub-repair failed")
 	} else {
 		if !rep.Clean() {
-			h.transcript("scrub local repaired corrupt=%d missing=%d orphaned=%d stray=%d",
+			h.res.logf("scrub local repaired corrupt=%d missing=%d orphaned=%d stray=%d",
 				len(rep.Corrupt), len(rep.Missing), len(rep.Orphaned), len(rep.StrayRemoved))
 		}
 		if rep2, err := h.dir.Scrub(h.ctx, h.proc, false); err != nil || !rep2.Clean() {
-			h.violation("scrub-clean", "local store dirty after scrub-repair")
+			h.res.violate(h.step, "scrub-clean", "local store dirty after scrub-repair")
 		}
 	}
 	ctx := h.ctx
-	for _, p := range h.peers {
+	for i, p := range h.peers {
 		procs, err := p.client.List(ctx)
 		if err != nil {
-			h.violation("infra", fmt.Sprintf("peer %d unreachable after heal", p.idx))
+			h.res.violate(h.step, "infra", "peer %d unreachable after heal", i)
 			continue
 		}
-		if !contains(procs, h.proc) {
-			h.transcript("scrub peer=%d skip-absent", p.idx)
+		if !slices.Contains(procs, h.proc) {
+			h.res.logf("scrub peer=%d skip-absent", i)
 			continue
 		}
 		rep, err := p.client.Scrub(ctx, h.proc, true)
 		if err != nil {
-			h.violation("scrub-clean", fmt.Sprintf("peer %d scrub-repair failed", p.idx))
+			h.res.violate(h.step, "scrub-clean", "peer %d scrub-repair failed", i)
 			continue
 		}
 		if !rep.Clean() {
-			h.transcript("scrub peer=%d repaired corrupt=%d missing=%d orphaned=%d stray=%d",
-				p.idx, len(rep.Corrupt), len(rep.Missing), len(rep.Orphaned), len(rep.StrayRemoved))
+			h.res.logf("scrub peer=%d repaired corrupt=%d missing=%d orphaned=%d stray=%d",
+				i, len(rep.Corrupt), len(rep.Missing), len(rep.Orphaned), len(rep.StrayRemoved))
 		}
 		if rep2, err := p.client.Scrub(ctx, h.proc, false); err != nil || !rep2.Clean() {
-			h.violation("scrub-clean", fmt.Sprintf("peer %d dirty after scrub-repair", p.idx))
+			h.res.violate(h.step, "scrub-clean", "peer %d dirty after scrub-repair", i)
 		}
 	}
 }
@@ -602,28 +550,28 @@ func (h *harness) checkChains() {
 
 	if stored, _, err := h.local.Get(ctx, h.proc); err == nil && len(stored) > 0 {
 		if len(stored) > bound {
-			h.violation("chain-bound", fmt.Sprintf("local chain holds %d elements (bound %d)", len(stored), bound))
+			h.res.violate(h.step, "chain-bound", "local chain holds %d elements (bound %d)", len(stored), bound)
 		}
 		if h.localTrunc && stored[0].Seq < h.truncSeq {
-			h.violation("trunc-leak", fmt.Sprintf("local chain retains seq %d below truncation point %d", stored[0].Seq, h.truncSeq))
+			h.res.violate(h.step, "trunc-leak", "local chain retains seq %d below truncation point %d", stored[0].Seq, h.truncSeq)
 		}
 	}
 	truncOK := 0
-	for _, p := range h.peers {
+	for i, p := range h.peers {
 		stored, _, err := p.client.Get(ctx, h.proc)
 		if err != nil {
 			continue // unreachable peers are scrubAll's problem
 		}
 		if len(stored) > bound {
-			h.violation("chain-bound", fmt.Sprintf("peer %d chain holds %d elements (bound %d)", p.idx, len(stored), bound))
+			h.res.violate(h.step, "chain-bound", "peer %d chain holds %d elements (bound %d)", i, len(stored), bound)
 		}
 		if len(stored) == 0 || stored[0].Seq >= h.truncSeq {
 			truncOK++
 		}
 	}
 	if h.localTrunc && truncOK < h.cfg.Quorum {
-		h.violation("trunc-leak",
-			fmt.Sprintf("only %d peers dropped seqs below truncation point %d (quorum %d)", truncOK, h.truncSeq, h.cfg.Quorum))
+		h.res.violate(h.step, "trunc-leak",
+			"only %d peers dropped seqs below truncation point %d (quorum %d)", truncOK, h.truncSeq, h.cfg.Quorum)
 	}
 }
 
@@ -637,29 +585,31 @@ func (h *harness) rotateEra(live *memsim.AddressSpace) {
 	h.proc = fmt.Sprintf("p-e%d", h.era)
 	h.as = live
 	h.builder = ckpt.NewBuilder(h.as.PageSize(), 0, 0, ckpt.WithParallelism(h.cfg.Parallelism))
-	h.shadows = map[int]*memsim.AddressSpace{}
-	h.ckptCount = 0
+	h.ledger = newLedger(h.proc)
 	h.lastSeq, h.lastQuorum = -1, -1
 	h.truncSeq, h.localTrunc = -1, false
 
 	// Bootstrap the era's chain. The cluster is healthy here (recovery just
 	// healed it, or we are at setup), so the append must replicate.
-	h.builder.SetCPUState(faultsim.PackCPUState(h.prog, h.workNow))
+	cpu := faultsim.PackCPUState(h.prog, h.workNow)
+	h.builder.SetCPUState(cpu)
 	enc := h.builder.FullCheckpoint(h.as).Encode()
 	h.ckptCount = 1
-	h.shadows[0] = h.as.Clone()
 	h.res.Checkpoints++
-	switch err := h.dir.Append(h.ctx, h.proc, 0, enc); {
+	err := h.dir.Append(h.ctx, h.proc, 0, enc)
+	if err == nil || errors.Is(err, aic.ErrDegraded) {
+		h.ledger.record(0, h.as.Clone(), cpu, true)
+	}
+	switch {
 	case err == nil:
 		h.lastSeq, h.lastQuorum = 0, 0
-		h.transcript("bootstrap seq=0 bytes=%d ok", len(enc))
+		h.res.logf("bootstrap seq=0 bytes=%d ok", len(enc))
 	case errors.Is(err, aic.ErrDegraded):
 		h.lastSeq = 0
 		h.res.Degraded++
-		h.violation("bootstrap", "era bootstrap append missed quorum on a healthy cluster")
+		h.res.violate(h.step, "bootstrap", "era bootstrap append missed quorum on a healthy cluster")
 	default:
-		delete(h.shadows, 0)
-		h.violation("bootstrap", "era bootstrap append failed on a healthy cluster")
+		h.res.violate(h.step, "bootstrap", "era bootstrap append failed on a healthy cluster")
 	}
 
 	if oldProc == "" {
@@ -667,31 +617,21 @@ func (h *harness) rotateEra(live *memsim.AddressSpace) {
 	}
 	switch err := h.dir.Remove(h.ctx, oldProc); {
 	case err == nil:
-		h.transcript("removed old chain")
+		h.res.logf("removed old chain")
 	case errors.Is(err, aic.ErrDegraded):
-		h.transcript("removed old chain degraded")
+		h.res.logf("removed old chain degraded")
 	default:
-		h.violation("remove-leak", "removing the previous era's chain failed locally")
+		h.res.violate(h.step, "remove-leak", "removing the previous era's chain failed locally")
 	}
 	leaks := 0
-	ctx := h.ctx
 	for _, p := range h.peers {
-		procs, err := p.client.List(ctx)
-		if err == nil && contains(procs, oldProc) {
+		procs, err := p.client.List(h.ctx)
+		if err == nil && slices.Contains(procs, oldProc) {
 			leaks++
 		}
 	}
 	if leaks > len(h.peers)-h.cfg.Quorum {
-		h.violation("remove-leak",
-			fmt.Sprintf("previous era's chain survives on %d peers (max %d)", leaks, len(h.peers)-h.cfg.Quorum))
+		h.res.violate(h.step, "remove-leak",
+			"previous era's chain survives on %d peers (max %d)", leaks, len(h.peers)-h.cfg.Quorum)
 	}
-}
-
-func contains(list []string, s string) bool {
-	for _, v := range list {
-		if v == s {
-			return true
-		}
-	}
-	return false
 }

@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
+	"path/filepath"
 	"sort"
-	"strings"
-	"time"
 
 	"aic"
 	"aic/internal/metrics"
@@ -67,97 +65,14 @@ func (c RingChurnConfig) withDefaults() RingChurnConfig {
 //   - the metric trail agrees (aic_ring_rebalance_total counts the rounds,
 //     aic_tenant_quota_rejects_total counts the hog's rejections).
 type RingChurnResult struct {
+	RunLog
 	Seed         uint64
-	Transcript   []string
-	Violations   []Violation
 	Checkpoints  int // committed (tenant, proc, seq) elements
 	Degraded     int // commits that missed full replication
 	QuotaRejects int // typed terminal quota rejections observed
 	Rebalances   int // rebalance rounds run
 	Moves        int // chains moved across all rounds
 	DeferredMax  int // most chains deferred by any single round
-}
-
-// Failed reports whether any invariant was violated.
-func (r *RingChurnResult) Failed() bool { return len(r.Violations) > 0 }
-
-// FailureReport renders the violations with the seed that replays them.
-func (r *RingChurnResult) FailureReport() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ringchurn: %d invariant violation(s) at seed=%d\n", len(r.Violations), r.Seed)
-	for _, v := range r.Violations {
-		fmt.Fprintf(&b, "  %s\n", v)
-	}
-	return b.String()
-}
-
-// churnPeer is one ring member: a durable FSStore wrapped in per-tenant
-// quota admission, served over the real TCP wire protocol. Killing a peer
-// stops the server but leaves the store on disk — a reboot, not a disk
-// loss — and restart rebinds the original address.
-type churnPeer struct {
-	ctx   context.Context
-	name  string // fixed ring name, decoupled from the ephemeral port
-	addr  string
-	fs    *storage.FSStore
-	quota *storage.QuotaStore
-	reg   *metrics.Registry
-	srv   *remote.Server
-	alive bool
-}
-
-func newChurnPeer(ctx context.Context, name, root string, def storage.Quota) (*churnPeer, error) {
-	fs, err := storage.NewFSStore(root, storage.Target{Name: name})
-	if err != nil {
-		return nil, err
-	}
-	p := &churnPeer{ctx: ctx, name: name, fs: fs, reg: metrics.NewRegistry()}
-	p.quota = storage.NewQuotaStore(fs, def)
-	p.quota.SetMetrics(p.reg)
-	if err := p.start(""); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
-func (p *churnPeer) start(addr string) error {
-	bind := addr
-	if bind == "" {
-		bind = "127.0.0.1:0"
-	}
-	var (
-		ln  net.Listener
-		err error
-	)
-	for i := 0; i < 200; i++ { // a just-closed listener's port can linger briefly
-		ln, err = net.Listen("tcp", bind)
-		if err == nil {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err != nil {
-		return fmt.Errorf("chaos: %s listen: %w", p.name, err)
-	}
-	p.addr = ln.Addr().String()
-	p.srv = remote.NewServer(p.quota, remote.ServerConfig{})
-	go p.srv.Serve(p.ctx, ln)
-	p.alive = true
-	return nil
-}
-
-func (p *churnPeer) kill() {
-	if p.alive {
-		p.srv.Close()
-		p.alive = false
-	}
-}
-
-func (p *churnPeer) restart() error {
-	if p.alive {
-		return nil
-	}
-	return p.start(p.addr)
 }
 
 // churnProc is one workload process: a facade Process plus the shadow of
@@ -179,7 +94,9 @@ const hogTenant = "hog"
 // infrastructure failures; invariant violations land in the result.
 func RunRingChurn(ctx context.Context, cfg RingChurnConfig) (*RingChurnResult, error) {
 	cfg = cfg.withDefaults()
-	res := &RingChurnResult{Seed: cfg.Seed}
+	res := &RingChurnResult{Seed: cfg.Seed, RunLog: RunLog{
+		name: "ringchurn", at: fmt.Sprintf(" at seed=%d", cfg.Seed), sink: cfg.Log,
+	}}
 	scratch, err := os.MkdirTemp(cfg.Dir, "aic-ringchurn-*")
 	if err != nil {
 		return nil, err
@@ -206,58 +123,44 @@ type churnRun struct {
 	rng     *rand.Rand
 	scratch string
 
-	peers   []*churnPeer // initial members; peers[victim] is killed/restarted
-	joiner  *churnPeer
-	remotes []*remote.RemoteStore // owned by the run, not the client
-	client  *aic.Client
-	reg     *aic.MetricsRegistry
-	procs   []*churnProc
-	victim  int
+	nodes  []*node // every member started; nodes[victim] is killed/restarted
+	regs   []*metrics.Registry
+	client *aic.Client
+	reg    *aic.MetricsRegistry
+	procs  []*churnProc
+	victim int
 }
 
-func (r *churnRun) logf(format string, args ...any) {
-	line := fmt.Sprintf(format, args...)
-	r.res.Transcript = append(r.res.Transcript, line)
-	if r.cfg.Log != nil {
-		fmt.Fprintln(r.cfg.Log, line)
-	}
-}
-
-func (r *churnRun) violate(step int, invariant, format string, args ...any) {
-	v := Violation{Step: step, Invariant: invariant, Detail: fmt.Sprintf(format, args...)}
-	r.res.Violations = append(r.res.Violations, v)
-	r.logf("VIOLATION %s", v)
-}
-
-// remoteFor dials one peer under a pinned jitter seed; the tight backoff
-// keeps loopback retries fast so a run stays in the seconds.
-func (r *churnRun) remoteFor(addr string, idx int) *remote.RemoteStore {
-	rs := remote.NewStore(addr, remote.Config{
-		DialTimeout: 2 * time.Second,
-		OpTimeout:   20 * time.Second,
-		Retries:     3,
-		BackoffBase: time.Millisecond,
-		BackoffMax:  8 * time.Millisecond,
-		JitterSeed:  int64(r.cfg.Seed)*37 + int64(idx) + 1,
+// startMember starts the idx-th ring member: an FSStore wrapped in
+// per-tenant quota admission, whose rejections count on its own registry,
+// dialed under a pinned jitter seed.
+func (r *churnRun) startMember(name string, idx int) (*remote.RemoteStore, error) {
+	n, err := startNode(r.ctx, name, filepath.Join(r.scratch, name), func(fs *storage.FSStore) storage.Store {
+		q := storage.NewQuotaStore(fs, storage.Quota{MaxBytes: r.cfg.QuotaBytes})
+		reg := metrics.NewRegistry()
+		q.SetMetrics(reg)
+		r.regs = append(r.regs, reg)
+		return q
 	})
-	r.remotes = append(r.remotes, rs)
-	return rs
+	if err != nil {
+		return nil, err
+	}
+	r.nodes = append(r.nodes, n)
+	return n.dial(remote.Config{Retries: 3, JitterSeed: int64(r.cfg.Seed)*37 + int64(idx) + 1}), nil
 }
 
 func (r *churnRun) setup() error {
-	quota := storage.Quota{MaxBytes: r.cfg.QuotaBytes}
 	stores := make(map[string]aic.Store, r.cfg.Peers)
 	for i := 0; i < r.cfg.Peers; i++ {
 		name := fmt.Sprintf("peer%d", i)
-		p, err := newChurnPeer(r.ctx, name, fmt.Sprintf("%s/%s", r.scratch, name), quota)
+		rs, err := r.startMember(name, i)
 		if err != nil {
 			return err
 		}
-		r.peers = append(r.peers, p)
 		// The ring name is the fixed peer name, not the ephemeral address:
 		// placement — and therefore the whole churn schedule — depends only
 		// on (Seed, config), never on which ports the OS handed out.
-		stores[name] = r.remoteFor(p.addr, i)
+		stores[name] = rs
 	}
 	r.reg = aic.NewMetricsRegistry()
 	client, err := aic.NewClient(aic.ClientConfig{
@@ -302,14 +205,8 @@ func (r *churnRun) teardown() {
 	if r.client != nil {
 		r.client.Close()
 	}
-	for _, rs := range r.remotes {
-		rs.Close()
-	}
-	for _, p := range r.peers {
-		p.kill()
-	}
-	if r.joiner != nil {
-		r.joiner.kill()
+	for _, n := range r.nodes {
+		n.close()
 	}
 }
 
@@ -354,12 +251,12 @@ func (r *churnRun) checkpointOne(cp *churnProc, round int) (committed, degraded,
 		return true, true, false
 	case errors.Is(err, aic.ErrQuotaExceeded):
 		if cp.tenant != hogTenant {
-			r.violate(round, "quota-crosstalk",
+			r.res.violate(round, "quota-crosstalk",
 				"tenant %s proc %s rejected by quota the hog consumed: %v", cp.tenant, cp.name, err)
 		}
 		return false, false, true
 	default:
-		r.violate(round, "commit-refused",
+		r.res.violate(round, "commit-refused",
 			"%s/%s seq %d: %v (one dead peer must not block commits)", cp.tenant, cp.name, round, err)
 		return false, false, false
 	}
@@ -368,7 +265,7 @@ func (r *churnRun) checkpointOne(cp *churnProc, round int) (committed, degraded,
 func (r *churnRun) rebalance(round int, label string) *aic.RebalanceReport {
 	rep, err := r.client.Rebalance(r.ctx)
 	if err != nil {
-		r.violate(round, "rebalance-error", "%s: %v", label, err)
+		r.res.violate(round, "rebalance-error", "%s: %v", label, err)
 		return nil
 	}
 	r.res.Rebalances++
@@ -376,7 +273,7 @@ func (r *churnRun) rebalance(round int, label string) *aic.RebalanceReport {
 	if len(rep.Deferred) > r.res.DeferredMax {
 		r.res.DeferredMax = len(rep.Deferred)
 	}
-	r.logf("rebalance %s: keys=%d moves=%d released=%d deferred=%d",
+	r.res.logf("rebalance %s: keys=%d moves=%d released=%d deferred=%d",
 		label, rep.Keys, rep.Moves, rep.Released, len(rep.Deferred))
 	return rep
 }
@@ -390,26 +287,25 @@ func (r *churnRun) run() {
 			// and the victim dies before the rebalance can finish — moves that
 			// need the victim defer, and the protocol must hold its
 			// never-drop-a-committed-seq guarantee in that half-migrated state.
-			j, err := newChurnPeer(r.ctx, "joiner", r.scratch+"/joiner", storage.Quota{MaxBytes: r.cfg.QuotaBytes})
+			rs, err := r.startMember("joiner", r.cfg.Peers)
 			if err != nil {
-				r.violate(round, "harness", "joiner: %v", err)
+				r.res.violate(round, "harness", "joiner: %v", err)
 				return
 			}
-			r.joiner = j
-			if err := r.client.AddStore(j.name, r.remoteFor(j.addr, r.cfg.Peers)); err != nil {
-				r.violate(round, "harness", "join: %v", err)
+			if err := r.client.AddStore("joiner", rs); err != nil {
+				r.res.violate(round, "harness", "join: %v", err)
 				return
 			}
-			r.peers[r.victim].kill()
-			r.logf("churn: join=joiner kill=peer%d", r.victim)
+			r.nodes[r.victim].kill()
+			r.res.logf("churn: join=joiner kill=peer%d", r.victim)
 			r.rebalance(round, "mid-churn")
 		}
 		if round == restartRound {
-			if err := r.peers[r.victim].restart(); err != nil {
-				r.violate(round, "harness", "restart: %v", err)
+			if err := r.nodes[r.victim].restart(); err != nil {
+				r.res.violate(round, "harness", "restart: %v", err)
 				return
 			}
-			r.logf("churn: restart=peer%d", r.victim)
+			r.res.logf("churn: restart=peer%d", r.victim)
 			// Heal: with every member back, rebalancing must drain the
 			// deferred backlog in bounded rounds.
 			healed := false
@@ -418,7 +314,7 @@ func (r *churnRun) run() {
 				healed = rep != nil && len(rep.Deferred) == 0
 			}
 			if !healed {
-				r.violate(round, "rebalance-converge",
+				r.res.violate(round, "rebalance-converge",
 					"deferred chains remain after 4 heal rounds with all peers alive")
 			}
 		}
@@ -444,7 +340,7 @@ func (r *churnRun) run() {
 				}
 			}
 		}
-		r.logf("round=%d committed=%d degraded=%d rejected=%d", round, committed, degraded, rejected)
+		r.res.logf("round=%d committed=%d degraded=%d rejected=%d", round, committed, degraded, rejected)
 	}
 }
 
@@ -454,7 +350,7 @@ func (r *churnRun) verify() {
 	// find nothing to move and nothing deferred.
 	if rep := r.rebalance(r.cfg.Rounds, "settle"); rep != nil {
 		if rep.Moves != 0 || len(rep.Deferred) != 0 {
-			r.violate(r.cfg.Rounds, "placement-converge",
+			r.res.violate(r.cfg.Rounds, "placement-converge",
 				"settled ring still moved %d chains (deferred %d)", rep.Moves, len(rep.Deferred))
 		}
 	}
@@ -463,34 +359,34 @@ func (r *churnRun) verify() {
 		ns := r.client.Namespace(cp.tenant)
 		chain, err := ns.Chain(r.ctx, cp.name)
 		if err != nil {
-			r.violate(r.cfg.Rounds, "chain-read", "%s/%s: %v", cp.tenant, cp.name, err)
+			r.res.violate(r.cfg.Rounds, "chain-read", "%s/%s: %v", cp.tenant, cp.name, err)
 			continue
 		}
 		if len(chain) != len(cp.frames) {
-			r.violate(r.cfg.Rounds, "chain-lost",
+			r.res.violate(r.cfg.Rounds, "chain-lost",
 				"%s/%s: %d elements stored, %d committed", cp.tenant, cp.name, len(chain), len(cp.frames))
 			continue
 		}
 		for i := range chain {
 			if !bytes.Equal(chain[i], cp.frames[i]) {
-				r.violate(r.cfg.Rounds, "chain-bytes",
+				r.res.violate(r.cfg.Rounds, "chain-bytes",
 					"%s/%s seq %d differs from the committed frame", cp.tenant, cp.name, i)
 			}
 		}
 		im, rep, err := ns.Restore(r.ctx, cp.name)
 		if err != nil {
-			r.violate(r.cfg.Rounds, "restore", "%s/%s: %v", cp.tenant, cp.name, err)
+			r.res.violate(r.cfg.Rounds, "restore", "%s/%s: %v", cp.tenant, cp.name, err)
 			continue
 		}
 		if want := len(cp.frames) - 1; rep.LastSeq != want || len(rep.Discarded) != 0 {
-			r.violate(r.cfg.Rounds, "restore-seq",
+			r.res.violate(r.cfg.Rounds, "restore-seq",
 				"%s/%s restored through seq %d (want %d), discarded %v", cp.tenant, cp.name, rep.LastSeq, want, rep.Discarded)
 		}
 		// The hog's live image ran ahead of its last committed frame (its
 		// writes after the quota cut were never checkpointed), so the
 		// image-identity check applies to well-behaved tenants only.
 		if !cp.stopped && !im.Matches(cp.p) {
-			r.violate(r.cfg.Rounds, "restore-bytes", "%s/%s restored image differs", cp.tenant, cp.name)
+			r.res.violate(r.cfg.Rounds, "restore-bytes", "%s/%s restored image differs", cp.tenant, cp.name)
 		}
 	}
 
@@ -498,27 +394,23 @@ func (r *churnRun) verify() {
 	// the peers agrees; rebalancing was counted on the client registry.
 	hog := r.procs[len(r.procs)-1]
 	if !hog.stopped || r.res.QuotaRejects == 0 {
-		r.violate(r.cfg.Rounds, "quota-unenforced",
+		r.res.violate(r.cfg.Rounds, "quota-unenforced",
 			"hog tenant was never terminally rejected (rejects=%d)", r.res.QuotaRejects)
 	}
 	var metricRejects float64
-	peers := append(append([]*churnPeer{}, r.peers...), r.joiner)
-	for _, p := range peers {
-		if p == nil {
-			continue
-		}
-		if v, ok := p.reg.Value("aic_tenant_quota_rejects_total", hogTenant); ok {
+	for _, reg := range r.regs {
+		if v, ok := reg.Value("aic_tenant_quota_rejects_total", hogTenant); ok {
 			metricRejects += v
 		}
 	}
 	if metricRejects == 0 {
-		r.violate(r.cfg.Rounds, "quota-metric", "aic_tenant_quota_rejects_total{tenant=hog} never advanced")
+		r.res.violate(r.cfg.Rounds, "quota-metric", "aic_tenant_quota_rejects_total{tenant=hog} never advanced")
 	}
 	if v, ok := r.reg.Value("aic_ring_rebalance_total"); !ok || int(v) != r.res.Rebalances {
-		r.violate(r.cfg.Rounds, "rebalance-metric",
+		r.res.violate(r.cfg.Rounds, "rebalance-metric",
 			"aic_ring_rebalance_total = %v (ok=%v), ran %d rounds", v, ok, r.res.Rebalances)
 	}
-	sort.Slice(r.res.Violations, func(i, j int) bool {
+	sort.SliceStable(r.res.Violations, func(i, j int) bool {
 		return r.res.Violations[i].Step < r.res.Violations[j].Step
 	})
 }

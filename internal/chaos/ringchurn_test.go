@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +17,12 @@ func TestRingChurn(t *testing.T) {
 	}
 	if res.Failed() {
 		t.Fatal(res.FailureReport())
+	}
+	// The seed-1 transcript is golden: it changes only when the soak's
+	// behaviour does.
+	const golden = "d48d047ead513e716d511db7f3816b9581a9bb57f01d498584bce9b63fb7ef07"
+	if got := transcriptDigest(res.Transcript); got != golden {
+		t.Errorf("transcript digest %s, golden %s\ntranscript:\n%s", got, golden, strings.Join(res.Transcript, "\n"))
 	}
 	// The schedule must actually have exercised what it claims to: degraded
 	// commits while the victim was down, real chain movement on the join,

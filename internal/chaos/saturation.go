@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -45,25 +46,14 @@ func (c SaturationConfig) withDefaults() SaturationConfig {
 
 // SaturationResult reports the scenario: the shed arc the controller
 // walked, what replication did at the bottom of it, and the final
-// /metrics exposition for end-to-end assertions.
+// /metrics exposition for end-to-end assertions. A violation's step is the
+// phase (1 healthy, 2 saturated, 3 recovering, 4 the final tallies).
 type SaturationResult struct {
-	Transcript  []string
+	RunLog
 	ShedArc     []control.Level // level after every ladder movement, in order
 	ShedSkips   float64         // appends that skipped the fan-out while shed
 	PeerGapSeqs []int           // seqs the peer never received (shed while appended)
 	MetricsText string          // final Prometheus exposition
-	Violations  []string
-}
-
-// Failed reports whether the scenario missed any expectation.
-func (r *SaturationResult) Failed() bool { return len(r.Violations) > 0 }
-
-func (r *SaturationResult) violate(format string, args ...any) {
-	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-}
-
-func (r *SaturationResult) transcript(format string, args ...any) {
-	r.Transcript = append(r.Transcript, fmt.Sprintf(format, args...))
 }
 
 // RunSaturation drives the adaptive-control loop end to end through the
@@ -81,7 +71,7 @@ func (r *SaturationResult) transcript(format string, args ...any) {
 // reproducible; the only real time in the run is the injected stall itself.
 func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult, error) {
 	cfg = cfg.withDefaults()
-	res := &SaturationResult{}
+	res := &SaturationResult{RunLog: RunLog{name: "saturation"}}
 
 	scratch, err := os.MkdirTemp(cfg.Dir, "aic-saturation-*")
 	if err != nil {
@@ -127,13 +117,13 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		}
 		d := ctrl.Step()
 		if d.Changed {
-			res.violate("healthy sample moved the ladder to %v", d.Level)
+			res.violate(1, "healthy-hold", "healthy sample moved the ladder to %v", d.Level)
 		}
 	}
 	if lvl := ctrl.Level(); lvl != control.LevelNormal {
-		res.violate("level %v after healthy phase, want normal", lvl)
+		res.violate(1, "healthy-hold", "level %v after healthy phase, want normal", lvl)
 	}
-	res.transcript("healthy held level=%v", ctrl.Level())
+	res.logf("healthy held level=%v", ctrl.Level())
 
 	// Phase 2: sustained stall. Each round appends (so the sample window
 	// holds stalled fsyncs) and steps once; the ladder must reach
@@ -145,27 +135,27 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		}
 		if d := ctrl.Step(); d.Changed {
 			res.ShedArc = append(res.ShedArc, d.Level)
-			res.transcript("shed to level=%v p99=%.3fs", d.Level, d.Signals.FsyncP99)
+			res.logf("shed to level=%v p99=%.3fs", d.Level, d.Signals.FsyncP99)
 		}
 	}
 	if lvl := ctrl.Level(); lvl != control.LevelLocalOnly {
-		res.violate("ladder stuck at %v under sustained saturation", lvl)
+		res.violate(2, "shed-stuck", "ladder stuck at %v under sustained saturation", lvl)
 	}
 	if s := dir.IntervalScale(); s <= 1 {
-		res.violate("interval scale %v while shed, want >1", s)
+		res.violate(2, "shed-knobs", "interval scale %v while shed, want >1", s)
 	}
 	if p := dir.EncodeParallelism(); p != 1 {
-		res.violate("encode parallelism %d while shed, want 1", p)
+		res.violate(2, "shed-knobs", "encode parallelism %d while shed, want 1", p)
 	}
 	if dir.ReplicationEnabled() {
-		res.violate("replication still enabled at local-only")
+		res.violate(2, "shed-knobs", "replication still enabled at local-only")
 	}
 
 	// While shed, appends commit locally and verifiably skip the peer.
 	shedStart := seq
 	for i := 0; i < 2; i++ {
 		if err := append1(); err != nil {
-			res.violate("shed append failed: %v", err)
+			res.violate(2, "shed-append", "shed append failed: %v", err)
 		}
 	}
 	for s := shedStart; s < seq; s++ {
@@ -174,7 +164,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		}
 	}
 	if len(res.PeerGapSeqs) != seq-shedStart {
-		res.violate("shed appends reached the peer anyway (gaps %v)", res.PeerGapSeqs)
+		res.violate(2, "shed-leak", "shed appends reached the peer anyway (gaps %v)", res.PeerGapSeqs)
 	}
 
 	// Phase 3: the stall clears. Idle samples read healthy (an empty fsync
@@ -183,38 +173,31 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	for i := 0; i < cfg.MaxRounds && ctrl.Level() > control.LevelNormal; i++ {
 		if d := ctrl.Step(); d.Changed {
 			res.ShedArc = append(res.ShedArc, d.Level)
-			res.transcript("restored to level=%v", d.Level)
+			res.logf("restored to level=%v", d.Level)
 		}
 	}
 	if lvl := ctrl.Level(); lvl != control.LevelNormal {
-		res.violate("ladder never recovered: level %v", lvl)
+		res.violate(3, "recover-stuck", "ladder never recovered: level %v", lvl)
 	}
 	if !dir.ReplicationEnabled() || dir.IntervalScale() != 1 || dir.EncodeParallelism() != 0 {
-		res.violate("knobs not restored: repl=%v scale=%v par=%d",
+		res.violate(3, "recover-knobs", "knobs not restored: repl=%v scale=%v par=%d",
 			dir.ReplicationEnabled(), dir.IntervalScale(), dir.EncodeParallelism())
 	}
 
 	// Replication resumes: the first post-recovery append reaches the peer.
 	resumeSeq := seq
 	if err := append1(); err != nil {
-		res.violate("post-recovery append failed: %v", err)
+		res.violate(3, "resume", "post-recovery append failed: %v", err)
 	} else if _, ok, gerr := storage.ReadElem(ctx, peer, "sat", resumeSeq); gerr != nil || !ok {
-		res.violate("post-recovery append did not reach the peer (ok=%v err=%v)", ok, gerr)
+		res.violate(3, "resume", "post-recovery append did not reach the peer (ok=%v err=%v)", ok, gerr)
 	}
 
 	wantArc := []control.Level{
 		control.LevelWideInterval, control.LevelSerialEncode, control.LevelLocalOnly,
 		control.LevelSerialEncode, control.LevelWideInterval, control.LevelNormal,
 	}
-	if len(res.ShedArc) != len(wantArc) {
-		res.violate("shed arc %v, want %v", res.ShedArc, wantArc)
-	} else {
-		for i := range wantArc {
-			if res.ShedArc[i] != wantArc[i] {
-				res.violate("shed arc %v, want %v", res.ShedArc, wantArc)
-				break
-			}
-		}
+	if !slices.Equal(res.ShedArc, wantArc) {
+		res.violate(4, "shed-arc", "shed arc %v, want %v", res.ShedArc, wantArc)
 	}
 
 	if v, ok := reg.Value("aic_ckptdir_append_shed_total"); ok {
@@ -228,7 +211,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		"aic_ckptdir_append_shed_total 2",
 	} {
 		if !strings.Contains(res.MetricsText, want) {
-			res.violate("/metrics missing %q", want)
+			res.violate(4, "metrics", "/metrics missing %q", want)
 		}
 	}
 	return res, nil

@@ -15,8 +15,7 @@ func TestSaturationShedRecover(t *testing.T) {
 		t.Fatalf("scenario infrastructure: %v", err)
 	}
 	if res.Failed() {
-		t.Fatalf("scenario expectations missed:\n  %s\ntranscript:\n  %s",
-			strings.Join(res.Violations, "\n  "), strings.Join(res.Transcript, "\n  "))
+		t.Fatalf("%s\ntranscript:\n  %s", res.FailureReport(), strings.Join(res.Transcript, "\n  "))
 	}
 	if res.ShedSkips != 2 {
 		t.Fatalf("shed skips = %v, want 2", res.ShedSkips)

@@ -8,8 +8,10 @@
 // exact byte offsets, peer deaths and restarts, and process crashes between
 // and during checkpoints. After every failure the harness performs a full
 // recovery through the aic facade and asserts cross-layer invariants (see
-// Harness.recover); a run is identified entirely by its seed, so any
-// failure reproduces with the same seed and schedule.
+// harness.recover); a run is identified entirely by its seed, so any
+// failure reproduces with the same seed and schedule. Three more scenarios
+// — ring churn, compaction chaos and saturation — run on the same core
+// (core.go): one replication node, one run log, one acked-state ledger.
 package chaos
 
 import (

@@ -313,15 +313,3 @@ func installDeltaPages(as *memsim.AddressSpace, payload []byte) error {
 	}
 	return nil
 }
-
-// RestoreLatest replays the suffix of a checkpoint chain starting at its
-// most recent full checkpoint — the normal restart path when the chain
-// contains periodic fulls.
-func RestoreLatest(chain []*Checkpoint) (*memsim.AddressSpace, error) {
-	for i := len(chain) - 1; i >= 0; i-- {
-		if chain[i].Kind == Full {
-			return Restore(chain[i:])
-		}
-	}
-	return nil, fmt.Errorf("ckpt: chain contains no full checkpoint")
-}

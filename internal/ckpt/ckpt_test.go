@@ -392,8 +392,8 @@ func wrongSizePage(t *testing.T, full *Checkpoint, as *memsim.AddressSpace, n in
 		u.Old = as.Page(0)
 		u.New = append([]byte(nil), u.Old[:n]...)
 	}
-	c := &Checkpoint{Seq: full.Seq + 1, Kind: IncrementalDelta, PageSize: full.PageSize,
-		Payload: delta.EncodePageAligned([]delta.PageUpdate{u}, 0)}
+	payload, _ := delta.EncodePageAlignedParallelStats([]delta.PageUpdate{u}, 0, 1)
+	c := &Checkpoint{Seq: full.Seq + 1, Kind: IncrementalDelta, PageSize: full.PageSize, Payload: payload}
 	decoded, err := Decode(c.Encode())
 	if err != nil {
 		t.Fatalf("wrong-size element does not pass Decode: %v", err)

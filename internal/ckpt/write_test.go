@@ -106,7 +106,7 @@ func TestBuilderFramesMatchTwoPassEncode(t *testing.T) {
 					for _, idx := range dirty {
 						updates = append(updates, delta.PageUpdate{Index: idx, Old: saved[idx], New: shadow[idx]})
 					}
-					payload = delta.EncodePageAligned(updates, 0)
+					payload, _ = delta.EncodePageAlignedParallelStats(updates, 0, 1)
 				}
 				if kind != Full {
 					for _, idx := range mapped {

@@ -393,12 +393,16 @@ func TestFullEveryBoundsRestoreChain(t *testing.T) {
 		t.Fatalf("full %d not above delta %d", lastFull, lastDelta)
 	}
 	// Restoring from the most recent full reproduces the final image.
-	restored, err := ckpt.RestoreLatest(chain)
+	latest := len(chain) - 1
+	for chain[latest].Kind != ckpt.Full {
+		latest--
+	}
+	restored, err := ckpt.Restore(chain[latest:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !restored.Equal(rt.AddressSpace()) {
-		t.Fatal("RestoreLatest mismatch")
+		t.Fatal("restore from the latest full mismatch")
 	}
 	_ = res
 }

@@ -82,8 +82,8 @@ func FuzzPageAlignedParallel(f *testing.F) {
 			}
 			updates = append(updates, u)
 		}
-		serial := EncodePageAligned(updates, 16)
-		parallel := EncodePageAlignedParallel(updates, 16, workers)
+		serial := encodePA(updates, 16, 1)
+		parallel := encodePA(updates, 16, workers)
 		if !bytes.Equal(serial, parallel) {
 			t.Fatalf("parallel stream differs from serial (%d vs %d bytes)", len(parallel), len(serial))
 		}
@@ -149,7 +149,7 @@ func FuzzPageAlignedFastPath(f *testing.F) {
 		}
 		// The reverse edit as a second page gives the parallel decoder two
 		// frames to fan out.
-		stream := EncodePageAligned([]PageUpdate{u, {Index: 5, Old: page, New: old}}, bs)
+		stream := encodePA([]PageUpdate{u, {Index: 5, Old: page, New: old}}, bs, 1)
 		fetch := func(idx uint64) []byte {
 			if idx == 3 {
 				return old
@@ -172,10 +172,10 @@ func FuzzPageAlignedFastPath(f *testing.F) {
 // FuzzDecodePageAligned feeds arbitrary streams to both decoders: neither
 // may panic, and they must agree on acceptance and content.
 func FuzzDecodePageAligned(f *testing.F) {
-	good := EncodePageAligned([]PageUpdate{
+	good := encodePA([]PageUpdate{
 		{Index: 1, New: []byte("raw page")},
 		{Index: 4, Old: bytes.Repeat([]byte{3}, 64), New: bytes.Repeat([]byte{3}, 64)},
-	}, 16)
+	}, 16, 1)
 	f.Add(good)
 	f.Add([]byte{0x02, 0x04, PageRaw, 0x01, 0xFF, 0x04, PageRaw, 0x00}) // duplicate index
 	f.Add([]byte{0x01})

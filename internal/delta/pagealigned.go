@@ -110,20 +110,10 @@ func (e *Encoder) encodeAligned(source, target []byte, blockSize int) []byte {
 	return e.buf
 }
 
-// EncodePageAligned produces the Xdelta3-PA stream for the given page
-// updates: each hot page (Old present) is delta-compressed against its old
-// version independently, enabling the per-page cost estimation the AIC
-// predictor relies on. Pages are emitted in ascending index order. Page
-// indexes must be unique (duplicates would be rejected on decode).
-func EncodePageAligned(updates []PageUpdate, blockSize int) []byte {
-	out, _ := EncodePageAlignedInto(updates, blockSize, 1, nil, 0)
-	return out
-}
-
 // EncodePageAlignedXOR is the simple-compressor ablation: hot pages are
 // XOR+RLE-coded against their previous versions (as in earlier compressed-
 // difference checkpointing) instead of rsync-delta-coded; the framing is
-// identical to EncodePageAligned.
+// identical to EncodePageAlignedParallelStats.
 func EncodePageAlignedXOR(updates []PageUpdate) []byte {
 	sorted := sortUpdates(updates)
 	out := make([]byte, 0, 64)
@@ -227,7 +217,7 @@ func decodeFrame(f pageFrame, fetchOld func(index uint64) []byte) ([]byte, error
 	}
 }
 
-// DecodePageAligned reverses EncodePageAligned. fetchOld must return the
+// DecodePageAligned reverses EncodePageAlignedParallelStats. fetchOld must return the
 // previous version of a page stored in delta mode; returning nil reports
 // the page as unavailable and fails decoding. Streams whose page indexes
 // are not strictly ascending are rejected as corrupt.
@@ -236,6 +226,12 @@ func DecodePageAligned(stream []byte, fetchOld func(index uint64) []byte) (map[u
 	if err != nil {
 		return nil, err
 	}
+	return decodeFrames(frames, fetchOld)
+}
+
+// decodeFrames decodes scanned frames one after another: the serial
+// decoder, and the parallel one at one worker.
+func decodeFrames(frames []pageFrame, fetchOld func(index uint64) []byte) (map[uint64][]byte, error) {
 	pages := make(map[uint64][]byte, len(frames))
 	for _, f := range frames {
 		decoded, err := decodeFrame(f, fetchOld)
@@ -274,11 +270,4 @@ func (s Stats) Ratio() float64 {
 		return 0
 	}
 	return float64(s.OutputBytes) / float64(s.InputBytes)
-}
-
-// EncodePageAlignedStats encodes and also reports per-operation statistics.
-// Page counts reflect the modes actually emitted: a page with a previous
-// version whose delta fell back to raw storage is counted as raw.
-func EncodePageAlignedStats(updates []PageUpdate, blockSize int) ([]byte, Stats) {
-	return EncodePageAlignedInto(updates, blockSize, 1, nil, 0)
 }

@@ -28,7 +28,7 @@ func TestPageAlignedRoundTrip(t *testing.T) {
 		{Index: 3, Old: old[3], New: makePages(rng, 1)[0]},     // hot, full rewrite
 		{Index: 2, Old: old[2], New: mutate(old[2], 500, rng)}, // hot, heavy edit
 	}
-	stream := EncodePageAligned(updates, DefaultBlockSize)
+	stream := encodePA(updates, DefaultBlockSize, 1)
 	got, err := DecodePageAligned(stream, func(idx uint64) []byte {
 		for _, u := range updates {
 			if u.Index == idx {
@@ -67,7 +67,7 @@ func TestPageAlignedLightEditsCompressWell(t *testing.T) {
 		updates[i] = PageUpdate{Index: uint64(i), Old: p, New: mutate(p, 3, rng)}
 		input += testPageSize
 	}
-	stream, st := EncodePageAlignedStats(updates, DefaultBlockSize)
+	stream, st := EncodePageAlignedParallelStats(updates, DefaultBlockSize, 1)
 	if st.InputBytes != input {
 		t.Fatalf("input accounting: %d != %d", st.InputBytes, input)
 	}
@@ -86,7 +86,7 @@ func TestPageAlignedRewrittenPageFallsBackToRaw(t *testing.T) {
 	rng := numeric.NewRNG(12)
 	old := makePages(rng, 1)[0]
 	rewritten := makePages(rng, 1)[0]
-	stream := EncodePageAligned([]PageUpdate{{Index: 0, Old: old, New: rewritten}}, DefaultBlockSize)
+	stream := encodePA([]PageUpdate{{Index: 0, Old: old, New: rewritten}}, DefaultBlockSize, 1)
 	// Raw fallback bounds the stream near one page.
 	if len(stream) > testPageSize+32 {
 		t.Fatalf("rewritten page stream is %d bytes", len(stream))
@@ -103,14 +103,14 @@ func TestPageAlignedRewrittenPageFallsBackToRaw(t *testing.T) {
 func TestPageAlignedMissingOldVersion(t *testing.T) {
 	rng := numeric.NewRNG(13)
 	old := makePages(rng, 1)[0]
-	stream := EncodePageAligned([]PageUpdate{{Index: 5, Old: old, New: mutate(old, 2, rng)}}, DefaultBlockSize)
+	stream := encodePA([]PageUpdate{{Index: 5, Old: old, New: mutate(old, 2, rng)}}, DefaultBlockSize, 1)
 	if _, err := DecodePageAligned(stream, func(uint64) []byte { return nil }); err == nil {
 		t.Fatal("decode without old page must fail")
 	}
 }
 
 func TestPageAlignedEmpty(t *testing.T) {
-	stream := EncodePageAligned(nil, DefaultBlockSize)
+	stream := encodePA(nil, DefaultBlockSize, 1)
 	got, err := DecodePageAligned(stream, func(uint64) []byte { return nil })
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +149,7 @@ func TestPageAlignedRoundTripProperty(t *testing.T) {
 			}
 			updates[i] = u
 		}
-		stream := EncodePageAligned(updates, DefaultBlockSize)
+		stream := encodePA(updates, DefaultBlockSize, 1)
 		got, err := DecodePageAligned(stream, func(idx uint64) []byte { return olds[idx] })
 		if err != nil {
 			return false

@@ -33,18 +33,17 @@ func resolveParallelism(n, items int) int {
 	return n
 }
 
-// EncodePageAlignedParallel produces exactly the stream EncodePageAligned
-// produces, using up to parallelism workers (≤ 0 selects GOMAXPROCS; 1 is
-// the serial path). Page updates may alias shared memory: workers only read
-// them.
-func EncodePageAlignedParallel(updates []PageUpdate, blockSize, parallelism int) []byte {
-	out, _ := EncodePageAlignedInto(updates, blockSize, parallelism, nil, 0)
-	return out
-}
-
-// EncodePageAlignedParallelStats is EncodePageAlignedParallel plus the
-// per-operation statistics of EncodePageAlignedStats (identical numbers —
-// the modes emitted do not depend on the worker count).
+// EncodePageAlignedParallelStats produces the Xdelta3-PA stream for the
+// given page updates: each hot page (Old present) is delta-compressed
+// against its old version independently, enabling the per-page cost
+// estimation the AIC predictor relies on. Pages are emitted in ascending
+// index order; page indexes must be unique (duplicates would be rejected on
+// decode). Up to parallelism workers encode (≤ 0 selects GOMAXPROCS; 1 is
+// the serial path), and the stream is byte-identical at every worker count.
+// Page updates may alias shared memory: workers only read them. The stats
+// count the modes actually emitted — a page with a previous version whose
+// delta fell back to raw storage counts as raw — and do not depend on the
+// worker count either.
 func EncodePageAlignedParallelStats(updates []PageUpdate, blockSize, parallelism int) ([]byte, Stats) {
 	return EncodePageAlignedInto(updates, blockSize, parallelism, nil, 0)
 }
@@ -123,7 +122,7 @@ type pageHead struct {
 	mode byte
 }
 
-// DecodePageAlignedParallel reverses EncodePageAligned using up to
+// DecodePageAlignedParallel reverses EncodePageAlignedParallelStats using up to
 // parallelism workers (≤ 0 selects GOMAXPROCS). The frame scan and all
 // validation run up front on the calling goroutine; only the per-page
 // payload decodes fan out, so fetchOld must be safe for concurrent calls
@@ -135,15 +134,7 @@ func DecodePageAlignedParallel(stream []byte, fetchOld func(index uint64) []byte
 	}
 	parallelism = resolveParallelism(parallelism, len(frames))
 	if parallelism <= 1 {
-		pages := make(map[uint64][]byte, len(frames))
-		for _, f := range frames {
-			decoded, err := decodeFrame(f, fetchOld)
-			if err != nil {
-				return nil, err
-			}
-			pages[f.idx] = decoded
-		}
-		return pages, nil
+		return decodeFrames(frames, fetchOld)
 	}
 
 	decoded := make([][]byte, len(frames))

@@ -9,6 +9,12 @@ import (
 	"aic/internal/numeric"
 )
 
+// encodePA is the page-aligned stream of updates at workers encoders.
+func encodePA(updates []PageUpdate, blockSize, workers int) []byte {
+	out, _ := EncodePageAlignedParallelStats(updates, blockSize, workers)
+	return out
+}
+
 // randomUpdates builds a page set with a randomized hot/raw mix: light-edit
 // hot pages (delta pays off), rewritten hot pages (raw fallback), and new
 // pages without a previous version.
@@ -43,7 +49,7 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 	for _, pageSize := range []int{128, 512, 4096} {
 		for _, n := range []int{0, 1, 2, 5, 33, 128} {
 			updates, _ := randomUpdates(rng, n, pageSize)
-			serial, serialStats := EncodePageAlignedStats(updates, DefaultBlockSize)
+			serial, serialStats := EncodePageAlignedParallelStats(updates, DefaultBlockSize, 1)
 			for _, workers := range []int{1, 2, 8} {
 				parallel, parallelStats := EncodePageAlignedParallelStats(updates, DefaultBlockSize, workers)
 				if !bytes.Equal(serial, parallel) {
@@ -62,11 +68,11 @@ func TestParallelEncodeMatchesSerial(t *testing.T) {
 func TestParallelEncodeDefaultParallelism(t *testing.T) {
 	rng := numeric.NewRNG(78)
 	updates, _ := randomUpdates(rng, 40, 1024)
-	serial := EncodePageAligned(updates, DefaultBlockSize)
-	if got := EncodePageAlignedParallel(updates, DefaultBlockSize, 0); !bytes.Equal(serial, got) {
+	serial := encodePA(updates, DefaultBlockSize, 1)
+	if got := encodePA(updates, DefaultBlockSize, 0); !bytes.Equal(serial, got) {
 		t.Fatal("GOMAXPROCS-parallel stream differs from serial")
 	}
-	if got := EncodePageAlignedParallel(updates, DefaultBlockSize, 100); !bytes.Equal(serial, got) {
+	if got := encodePA(updates, DefaultBlockSize, 100); !bytes.Equal(serial, got) {
 		t.Fatal("over-provisioned parallel stream differs from serial")
 	}
 }
@@ -75,7 +81,7 @@ func TestParallelDecodeMatchesSerial(t *testing.T) {
 	rng := numeric.NewRNG(79)
 	updates, olds := randomUpdates(rng, 50, 2048)
 	fetch := func(idx uint64) []byte { return olds[idx] }
-	stream := EncodePageAligned(updates, DefaultBlockSize)
+	stream := encodePA(updates, DefaultBlockSize, 1)
 	want, err := DecodePageAligned(stream, fetch)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +108,7 @@ func TestParallelDecodeMissingOldVersion(t *testing.T) {
 	rng.Bytes(old)
 	edited := append([]byte(nil), old...)
 	edited[3] ^= 0xFF
-	stream := EncodePageAligned([]PageUpdate{{Index: 9, Old: old, New: edited}}, DefaultBlockSize)
+	stream := encodePA([]PageUpdate{{Index: 9, Old: old, New: edited}}, DefaultBlockSize, 1)
 	if _, err := DecodePageAlignedParallel(stream, func(uint64) []byte { return nil }, 4); err == nil {
 		t.Fatal("decode without the previous version must fail")
 	}
@@ -164,7 +170,7 @@ func TestStatsReflectEmittedModes(t *testing.T) {
 		{Index: 1, Old: rewrittenOld, New: rewrittenNew}, // raw fallback → raw
 		{Index: 2, Old: nil, New: freshNew},              // no previous version → raw
 	}
-	_, st := EncodePageAlignedStats(updates, DefaultBlockSize)
+	_, st := EncodePageAlignedParallelStats(updates, DefaultBlockSize, 1)
 	if st.HotPages != 1 || st.RawPages != 2 {
 		t.Fatalf("stats must count emitted modes: hot=%d raw=%d, want 1/2", st.HotPages, st.RawPages)
 	}

@@ -84,7 +84,7 @@ func Fig2(seed uint64, benchmarks ...string) ([]Fig2Series, error) {
 				}
 				updates = append(updates, delta.PageUpdate{Index: idx, Old: old, New: as.Page(idx)})
 			}
-			_, st := delta.EncodePageAlignedStats(updates, 0)
+			_, st := delta.EncodePageAlignedParallelStats(updates, 0, 1)
 			dl := sys.CompressTime(int64(st.InputBytes+oldBytes), int64(st.OutputBytes))
 			series.Points = append(series.Points, Fig2Point{
 				Time:    float64(t),

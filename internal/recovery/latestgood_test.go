@@ -220,8 +220,8 @@ func TestRecoverPartialPrefersLeastWorkLost(t *testing.T) {
 func TestRestoreLatestGoodRewindsPastWrongSizePage(t *testing.T) {
 	for _, n := range []int{600, 100} { // page size 512
 		chain, images := buildStoredChain(t)
-		bad := &ckpt.Checkpoint{Seq: 2, Kind: ckpt.IncrementalDelta, PageSize: 512,
-			Payload: delta.EncodePageAligned([]delta.PageUpdate{{Index: 0, New: make([]byte, n)}}, 0)}
+		payload, _ := delta.EncodePageAlignedParallelStats([]delta.PageUpdate{{Index: 0, New: make([]byte, n)}}, 0, 1)
+		bad := &ckpt.Checkpoint{Seq: 2, Kind: ckpt.IncrementalDelta, PageSize: 512, Payload: payload}
 		chain[2].Data = bad.Encode()
 		as, rep, err := RestoreLatestGood(chain)
 		if err != nil {

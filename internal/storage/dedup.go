@@ -270,7 +270,7 @@ func (fs *FSStore) EnableDedup(ctx context.Context, cfg DedupConfig) error {
 			continue // Scrub's problem; an unlistable chain holds no committed refs
 		}
 		for _, el := range view.elems {
-			data, err := fs.fsys.ReadFile(filepath.Join(fs.procDir(proc), ckptFile(el.seq)))
+			data, err := fs.fsys.ReadFile(ElemPath(fs.root, proc, el.seq))
 			if err != nil || !isRecipe(data) {
 				continue
 			}
@@ -423,7 +423,7 @@ func (fs *FSStore) dedupRelease(dead []recipeRefs) {
 // recipe, returns its reference footprint. Used by removal paths to know
 // what to release after the removal commits.
 func (fs *FSStore) readRecipeRefs(proc string, seq int) (recipeRefs, bool) {
-	data, err := fs.fsys.ReadFile(filepath.Join(fs.procDir(proc), ckptFile(seq)))
+	data, err := fs.fsys.ReadFile(ElemPath(fs.root, proc, seq))
 	if err != nil || !isRecipe(data) {
 		return recipeRefs{}, false
 	}

@@ -307,6 +307,13 @@ func (fs *FSStore) procDir(proc string) string {
 
 func ckptFile(seq int) string { return fmt.Sprintf("ckpt-%08d.aic", seq) }
 
+// ElemPath is the file that holds seq of proc's chain in the FSStore rooted
+// at root. Fault injectors use it to damage an element beneath every
+// integrity layer.
+func ElemPath(root, proc string, seq int) string {
+	return filepath.Join(root, ProcDirName(proc), ckptFile(seq))
+}
+
 // List returns the process names with chains in the store, sorted. Names
 // round-trip exactly: directory names are ProcDirName escapings, inverted
 // here, so a stored name comes back with its original spelling. Foreign
@@ -447,7 +454,7 @@ func (fs *FSStore) read(ctx context.Context, proc string, wanted func(seq int) b
 // the exact payload bytes; a lost file, or a recipe whose chunks are
 // damaged or gone, reports ok=false — what Get classifies as missing.
 func (fs *FSStore) readElem(proc string, seq int) ([]byte, bool) {
-	data, err := fs.fsys.ReadFile(filepath.Join(fs.procDir(proc), ckptFile(seq)))
+	data, err := fs.fsys.ReadFile(ElemPath(fs.root, proc, seq))
 	if err != nil {
 		return nil, false
 	}
