@@ -125,7 +125,7 @@ func (o Options) lambda() [3]float64 {
 }
 
 func (o Options) system() storage.System {
-	return storage.BenchSystem(o.Scale, int64(workload.ReferenceFootprintPages)*4096)
+	return exp.BenchSystem(o.Scale)
 }
 
 // Interval is one measured checkpoint interval of a run.
@@ -200,10 +200,9 @@ func RunBenchmark(name string, opts Options) (*Report, error) {
 // profiling pre-run SIC requires.
 func runProgram(prog workload.Program, fresh func() (workload.Program, error), opts Options) (*Report, error) {
 	lambda := opts.lambda()
-	sys := opts.system()
 	cfg := core.Config{
 		Policy:        core.PolicyKind(opts.Policy),
-		System:        sys,
+		System:        opts.system(),
 		Lambda:        lambda,
 		Seed:          opts.Seed,
 		Compressor:    core.CompressorKind(opts.Compressor),
@@ -211,31 +210,11 @@ func runProgram(prog workload.Program, fresh func() (workload.Program, error), o
 		FullEvery:     opts.FullCheckpointEvery,
 	}
 	if opts.FixedInterval <= 0 {
-		switch opts.Policy {
-		case SIC:
-			profProg, err := fresh()
-			if err != nil {
-				return nil, err
-			}
-			prof, err := core.Profile(profProg, core.Config{
-				System: sys, Lambda: lambda, Compressor: cfg.Compressor,
-			}, prog.BaseTime()/20)
-			if err != nil {
-				return nil, fmt.Errorf("aic: profiling: %w", err)
-			}
-			w, err := core.OptimalSICInterval(prof, 1, prog.BaseTime())
-			if err != nil {
-				return nil, err
-			}
-			cfg.FixedInterval = w
-		case Moody:
-			mp := core.MoodyFullParams(sys, int64(prog.FootprintPages()*4096), lambda)
-			w, err := core.OptimalMoodyInterval(mp, 1, 10*prog.BaseTime())
-			if err != nil {
-				return nil, err
-			}
-			cfg.FixedInterval = w
+		w, err := core.StaticInterval(cfg, prog, fresh)
+		if err != nil {
+			return nil, fmt.Errorf("aic: %w", err)
 		}
+		cfg.FixedInterval = w
 	}
 	res, err := core.NewRuntime(prog, cfg).Run()
 	if err != nil {
@@ -246,17 +225,22 @@ func runProgram(prog workload.Program, fresh func() (workload.Program, error), o
 
 // Validate cross-checks a report's Eq. (1) NET² against the independent
 // event-driven Monte Carlo simulator on the same interval trace, returning
-// both estimates.
+// both estimates over the checkpoint costs alone (the Monte Carlo replays
+// no bookkeeping overhead). A Moody report is refused: its NET² comes from
+// the Moody period model, not from the concurrent L2L3 chain the Monte
+// Carlo walks.
 func (r *Report) Validate(trials int, seed uint64) (analytic, empirical float64, err error) {
 	if r.run == nil || len(r.run.Intervals) == 0 {
 		return 0, 0, fmt.Errorf("aic: report has no interval trace")
 	}
-	ivs := sim.FromRecords(r.run.Intervals)
-	analytic, err = sim.AnalyticNET2(ivs, r.lambda)
+	if r.Policy == Moody {
+		return 0, 0, fmt.Errorf("aic: a Moody report's NET² comes from the Moody period model, which the Monte Carlo does not replay")
+	}
+	_, analytic, err = core.TraceNET2(r.run.Intervals, r.lambda)
 	if err != nil {
 		return 0, 0, err
 	}
-	mc, err := sim.MonteCarloNET2(ivs, r.lambda, trials, seed)
+	mc, err := sim.MonteCarloNET2(r.run.Intervals, r.lambda, trials, seed)
 	if err != nil {
 		return 0, 0, err
 	}

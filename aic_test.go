@@ -85,9 +85,24 @@ func TestReportValidate(t *testing.T) {
 	if math.Abs(analytic-empirical)/analytic > 0.05 {
 		t.Fatalf("analytic %v vs empirical %v diverge", analytic, empirical)
 	}
+	// Pinned to 12 significant digits (loose enough for fused multiply-add).
+	for _, c := range []struct{ got, want float64 }{{analytic, 1.05116271097}, {empirical, 1.05077031169}} {
+		if math.Abs(c.got-c.want) > 1e-11*c.want {
+			t.Errorf("validate = %.12g, pinned at %.12g", c.got, c.want)
+		}
+	}
 	empty := &Report{}
 	if _, _, err := empty.Validate(10, 1); err == nil {
 		t.Fatal("empty report validated")
+	}
+	// Moody's NET² comes from its period model, which the Monte Carlo
+	// does not replay: there is nothing to cross-check.
+	moody, err := RunBenchmark("sphinx3", Options{Policy: Moody})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := moody.Validate(10, 1); err == nil {
+		t.Fatal("Moody report validated against the L2L3 Monte Carlo")
 	}
 }
 

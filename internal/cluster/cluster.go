@@ -14,8 +14,8 @@ import (
 	"math"
 
 	"aic/internal/ckpt"
+	"aic/internal/core"
 	"aic/internal/memsim"
-	"aic/internal/sim"
 	"aic/internal/storage"
 	"aic/internal/workload"
 )
@@ -39,7 +39,7 @@ type Config struct {
 // ProcessResult carries one process's recorded intervals and NET².
 type ProcessResult struct {
 	Name      string
-	Intervals []sim.IntervalCosts
+	Intervals []core.IntervalRecord
 	NET2      float64
 	// MeanQueueDelay is the average time checkpoint jobs waited for the
 	// shared core.
@@ -61,7 +61,7 @@ type procState struct {
 	work         float64
 	lastCkpt     float64
 	remoteBusyAt float64 // work-time when this process's last remote job completes
-	records      []sim.IntervalCosts
+	records      []core.IntervalRecord
 	queueDelays  []float64
 }
 
@@ -70,10 +70,7 @@ type ckptJob struct {
 	proc    int
 	submit  float64 // wall time the job was submitted
 	service float64 // dl + remote transfer
-	c1      float64
-	w       float64
-	dl      float64
-	ds      float64
+	rec     core.IntervalRecord
 }
 
 type jobQueue []ckptJob
@@ -135,11 +132,10 @@ func Run(cfg Config) (*Result, error) {
 			// submit): queueing delay is part of the concurrent window.
 			wait := start - head.submit
 			ps.queueDelays = append(ps.queueDelays, wait)
-			c2 := head.c1 + wait + head.dl + head.ds/cfg.System.RAID5.BandwidthBps
-			c3 := head.c1 + wait + head.service
-			ps.records = append(ps.records, sim.IntervalCosts{
-				W: head.w, C1: head.c1, C2: c2, C3: c3, R2: c2, R3: c3,
-			})
+			rec := head.rec
+			rec.C2 = rec.C1 + wait + rec.DL + rec.DS/cfg.System.RAID5.BandwidthBps
+			rec.C3 = rec.C1 + wait + head.service
+			ps.records = append(ps.records, rec)
 			ps.remoteBusyAt = end
 		}
 	}
@@ -171,19 +167,13 @@ func Run(cfg Config) (*Result, error) {
 			// job has completed (single chain per process).
 			if ps.work-ps.lastCkpt >= cfg.Interval && wall >= ps.remoteBusyAt {
 				c, st := ps.builder.DeltaCheckpoint(ps.as)
-				raw := int64(st.InputBytes + len(c.CPUState))
-				c1 := cfg.System.LocalDisk.TransferTime(raw)
-				dl := cfg.System.CompressTime(int64(st.InputBytes+st.HotPages*ps.as.PageSize()), int64(c.Size()))
-				ds := float64(c.Size())
-				service := dl + cfg.System.Remote.TransferTime(int64(ds))
+				rec := core.CheckpointCosts(cfg.System, c, st, ps.as.PageSize())
+				rec.W = ps.work - ps.lastCkpt
 				heap.Push(&queue, ckptJob{
 					proc:    i,
-					submit:  wall + c1,
-					service: service,
-					c1:      c1,
-					w:       ps.work - ps.lastCkpt,
-					dl:      dl,
-					ds:      ds,
+					submit:  wall + rec.C1,
+					service: rec.DL + cfg.System.Remote.TransferTime(int64(rec.DS)),
+					rec:     rec,
 				})
 				ps.lastCkpt = ps.work
 				// Exactly one outstanding remote job per process: the next
@@ -203,7 +193,7 @@ func Run(cfg Config) (*Result, error) {
 	for i, ps := range procs {
 		pr := ProcessResult{Name: fmt.Sprintf("%s-%d", ps.prog.Name(), i), Intervals: ps.records}
 		if len(ps.records) > 0 {
-			n, err := sim.AnalyticNET2(ps.records, cfg.Lambda)
+			n, _, err := core.TraceNET2(ps.records, cfg.Lambda)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: proc %d: %w", i, err)
 			}

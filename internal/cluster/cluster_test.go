@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"testing"
 
 	"aic/internal/failure"
@@ -76,6 +77,12 @@ func TestSharingInflatesNET2(t *testing.T) {
 	}
 	if sweep[8] <= sweep[1] {
 		t.Fatalf("SF 8 (%v) not above SF 1 (%v)", sweep[8], sweep[1])
+	}
+	// Pinned to 12 significant digits (loose enough for fused multiply-add).
+	for sf, want := range map[int]float64{1: 1.04861039039, 4: 1.3174971371, 8: 1.81262495338} {
+		if math.Abs(sweep[sf]-want) > 1e-11*want {
+			t.Errorf("SF %d NET² = %.12g, pinned at %.12g", sf, sweep[sf], want)
+		}
 	}
 }
 

@@ -84,15 +84,6 @@ type Config struct {
 	// Lambda is the per-level failure rate used for decisions and NET²
 	// evaluation (the experiments use λ = 1e-3 split by Coastal shares).
 	Lambda [3]float64
-	// DecisionPeriod is the AIC decision granularity (default 1 s).
-	DecisionPeriod float64
-	// SampleBufferPages bounds the hot-page Sample Buffer (default 2048
-	// pages = the paper's 8 MB).
-	SampleBufferPages int
-	// BlockSize is the delta codec granularity (default 64).
-	BlockSize int
-	// CPUStateBytes sizes the uncompressed CPU-state blob (default 4096).
-	CPUStateBytes int
 	// FixedInterval overrides the policy's checkpoint interval; 0 derives
 	// it (SIC/Moody: from a profiling pre-run via the models; AIC uses it
 	// only while bootstrapping the predictor).
@@ -101,48 +92,31 @@ type Config struct {
 	// one (N > 0), bounding the restore chain as Section II.A suggests;
 	// 0 keeps only the initial full checkpoint.
 	FullEvery int
-	// WMin/WMax bound the decider's work-span search (defaults 1 s and the
-	// program base time).
-	WMin, WMax float64
-	// DecisionOverhead is the fixed cost in seconds charged to the
-	// computation core per AIC decision, beyond the metric computation
-	// (default 200 µs: predictor evaluation + Newton–Raphson).
-	DecisionOverhead float64
-	// MaxMetricPages bounds how many sampled hot pages have JD/DI computed
-	// per decision (default 64), keeping the per-second metric cost within
-	// the paper's ≤ 2.6% overhead envelope.
-	MaxMetricPages int
 	// Seed drives nothing directly in core (workloads carry their own
 	// RNGs) but is recorded with results.
 	Seed uint64
 }
 
-func (c *Config) setDefaults(base float64) {
-	if c.DecisionPeriod <= 0 {
-		c.DecisionPeriod = 1
-	}
-	if c.SampleBufferPages <= 0 {
-		c.SampleBufferPages = 2048
-	}
-	if c.CPUStateBytes <= 0 {
-		c.CPUStateBytes = 4096
-	}
-	if c.WMin <= 0 {
-		c.WMin = 1
-	}
-	if c.WMax <= 0 {
-		c.WMax = base
-	}
-	if c.DecisionOverhead <= 0 {
-		c.DecisionOverhead = 200e-6
-	}
-	if c.MaxMetricPages <= 0 {
-		c.MaxMetricPages = 64
-	}
-}
+// The runtime's fixed settings. The decider's work-span search runs from
+// wMin up to the program's base time.
+const (
+	decisionPeriod    = 1.0    // AIC decision granularity (s)
+	sampleBufferPages = 2048   // hot-page Sample Buffer bound: the paper's 8 MB
+	cpuStateBytes     = 4096   // uncompressed CPU-state blob
+	wMin              = 1.0    // shortest work span the decider considers (s)
+	decisionOverhead  = 200e-6 // predictor evaluation + Newton–Raphson, per decision (s)
+	// maxMetricPages bounds how many sampled hot pages have JD/DI computed
+	// per decision, keeping the per-second metric cost within the paper's
+	// ≤ 2.6% overhead envelope.
+	maxMetricPages = 64
+)
 
 // IntervalRecord captures one checkpoint interval's measurements — the
 // c1(i), dl(i), ds(i) traces of Section V plus the decision diagnostics.
+// It is the one interval record of every simulator: the Runtime, the
+// coordinated MPI job (internal/mpi), the shared-core node
+// (internal/cluster) and the Monte Carlo reference (internal/sim) all
+// produce or replay it, and TraceNET2 scores it.
 type IntervalRecord struct {
 	Index int
 	// Start and End are the interval's work-time span (end of previous c1
@@ -157,7 +131,8 @@ type IntervalRecord struct {
 	DL float64
 	DS float64
 	// C2 and C3 are the level-2/3 completion latencies measured from
-	// checkpoint start: c_k = c1 + dl + ds/B_k.
+	// checkpoint start: c_k = c1 + dl + ds/B_k. They are also the level's
+	// recovery times (r_k = c_k).
 	C2, C3 float64
 	// RawBytes is the uncompressed incremental checkpoint size.
 	RawBytes int
@@ -263,38 +238,49 @@ func (r *RunResult) MeanParams(lambda [3]float64) model.Params {
 	return p
 }
 
-// NET2 evaluates Eq. (1): the normalized expected turnaround time of the
-// measured run under the non-static L2L3 concurrent model, Σ T_int(i) / t,
-// with each interval's measured parameters and the per-interval AIC
-// bookkeeping overhead folded in. Moody runs are evaluated under the Moody
-// period model instead.
+// NET2 evaluates Eq. (1) on the measured run: TraceNET2 with the
+// per-interval AIC bookkeeping overhead folded in. Moody runs are evaluated
+// under the Moody period model instead.
 func (r *RunResult) NET2(lambda [3]float64) (float64, error) {
-	if len(r.Intervals) == 0 {
-		return 1, nil
-	}
-	if r.Policy == PolicyMoody {
+	if r.Policy == PolicyMoody && len(r.Intervals) > 0 {
 		return r.moodyNET2(lambda)
 	}
-	var total, work float64
+	n, _, err := TraceNET2(r.Intervals, lambda)
+	return n, err
+}
+
+// TraceNET2 evaluates Eq. (1), the normalized expected turnaround time
+// Σ T_int(i) / Σ work(i), over a measured interval trace under the
+// non-static L2L3 concurrent model: each interval's chain takes its own
+// measured parameters and its predecessor's for the grey states. It returns
+// NET² twice: with each interval's bookkeeping Overhead charged (a run's
+// figure), and over the checkpoint costs alone (what the Monte Carlo in
+// internal/sim replays). An empty trace scores 1.
+func TraceNET2(recs []IntervalRecord, lambda [3]float64) (net2, costsOnly float64, err error) {
+	if len(recs) == 0 {
+		return 1, 1, nil
+	}
+	var total, costs, work float64
 	// The initial checkpoint is pre-staged with job submission: the first
 	// interval has no previous transfer window to re-run, only the initial
 	// chain's recovery times.
-	prev := r.Intervals[0].Params(lambda)
+	prev := recs[0].Params(lambda)
 	prev.C = [3]float64{prev.C[0], prev.C[0], prev.C[0]}
-	for _, rec := range r.Intervals {
+	for i, rec := range recs {
 		cur := rec.Params(lambda)
 		iv, err := model.EvalL2L3Dynamic(rec.W, cur, prev)
 		if err != nil {
-			return 0, fmt.Errorf("core: interval %d: %w", rec.Index, err)
+			return 0, 0, fmt.Errorf("core: interval %d: %w", i, err)
 		}
 		total += iv.ExpectedTime + rec.Overhead
+		costs += iv.ExpectedTime
 		work += iv.Work
 		prev = cur
 	}
 	if work <= 0 {
-		return math.Inf(1), nil
+		return math.Inf(1), math.Inf(1), nil
 	}
-	return total / work, nil
+	return total / work, costs / work, nil
 }
 
 func (r *RunResult) moodyNET2(lambda [3]float64) (float64, error) {

@@ -43,29 +43,25 @@ type Runtime struct {
 	lastCkptWork float64 // work time when the last checkpoint's c1 ended
 	prevXferWin  float64 // previous interval's c3 − c1 (concurrent window)
 	prevParams   model.Params
-	havePrev     bool
 
 	lastWStar   float64
 	lastNRIters int
 	lastPred    [3]float64
 
-	prevRawPayload []byte     // previous raw incremental payload (whole-image comparator)
-	lastMeasured   [3]float64 // last measured (c1, dl, ds) for the naive-predictor ablation
-	measuredCount  int
+	prevRawPayload []byte // previous raw incremental payload (whole-image comparator)
 
 	result RunResult
 }
 
 // NewRuntime wires a runtime for the program under the config.
 func NewRuntime(prog workload.Program, cfg Config) *Runtime {
-	cfg.setDefaults(prog.BaseTime())
 	as := memsim.New(0)
 	rt := &Runtime{
 		cfg:     cfg,
 		prog:    prog,
 		as:      as,
-		builder: ckpt.NewBuilder(as.PageSize(), cfg.BlockSize, cfg.CPUStateBytes),
-		sb:      sampler.New(cfg.SampleBufferPages, cfg.FixedTg),
+		builder: ckpt.NewBuilder(as.PageSize(), 0, cpuStateBytes),
+		sb:      sampler.New(sampleBufferPages, cfg.FixedTg),
 		predC1:  predictor.NewOnline(4, 3, 0.5),
 		predDL:  predictor.NewOnline(4, 3, 0.5),
 		predDS:  predictor.NewOnline(4, 3, 0.5),
@@ -100,18 +96,10 @@ func (rt *Runtime) Run() (*RunResult, error) {
 	// starts), so it charges no wall time and leaves the checkpointing
 	// core free.
 	full := rt.builder.FullCheckpoint(rt.as)
-	fullBytes := full.Size()
-	rt.result.FullCheckpointBytes = fullBytes
-	c1 := rt.cfg.System.LocalDisk.TransferTime(int64(fullBytes))
+	rt.result.FullCheckpointBytes = full.Size()
 	rt.emit(full)
 	rt.sb.Reset()
-	rt.prevXferWin = 0
-	rt.prevParams = model.Params{
-		Lambda: rt.cfg.Lambda,
-		C:      [3]float64{c1, c1 + rt.cfg.System.RAID5.TransferTime(int64(fullBytes)), c1 + rt.cfg.System.Remote.TransferTime(int64(fullBytes))},
-	}
-	rt.prevParams.R = rt.prevParams.C
-	rt.havePrev = true
+	rt.prevParams = MoodyFullParams(rt.cfg.System, int64(full.Size()), rt.cfg.Lambda)
 
 	interval := rt.cfg.FixedInterval
 	if interval <= 0 {
@@ -119,9 +107,8 @@ func (rt *Runtime) Run() (*RunResult, error) {
 	}
 	rt.result.Interval = interval
 
-	dt := rt.cfg.DecisionPeriod
 	for rt.workNow < base {
-		step := math.Min(dt, base-rt.workNow)
+		step := math.Min(decisionPeriod, base-rt.workNow)
 		rt.prog.Step(rt.as, rt.workNow, step)
 		rt.workNow += step
 		rt.wallNow += step
@@ -154,7 +141,7 @@ func (rt *Runtime) Run() (*RunResult, error) {
 // sets) and the predictor needs its four samples quickly; the transfer
 // window alone spaces the later intervals.
 func (rt *Runtime) defaultInterval() float64 {
-	return 5 * rt.cfg.DecisionPeriod
+	return 5 * decisionPeriod
 }
 
 // elapsedWork returns the work seconds since the last checkpoint completed.
@@ -194,7 +181,7 @@ func (rt *Runtime) decideAIC(bootstrapInterval float64) (bool, error) {
 	}
 	if !rt.predC1.Ready() || !rt.predDL.Ready() || !rt.predDS.Ready() {
 		// Bootstrap phase: fixed interval until four samples exist.
-		rt.charge(rt.cfg.DecisionOverhead)
+		rt.charge(decisionOverhead)
 		return rt.elapsedWork() >= bootstrapInterval, nil
 	}
 	win := rt.prevXferWin
@@ -221,11 +208,11 @@ func (rt *Runtime) decideAIC(bootstrapInterval float64) (bool, error) {
 		}
 		return iv.NET2()
 	}
-	wStar, objStar, iters := numeric.MinimizeEVT(obj, rt.cfg.WMin, rt.cfg.WMax, 200)
+	wStar, objStar, iters := numeric.MinimizeEVT(obj, wMin, rt.prog.BaseTime(), 200)
 	c1, dl, ds := rt.clampPrediction(m, rt.predC1.Predict(m), rt.predDL.Predict(m), rt.predDS.Predict(m))
 	rt.lastPred = [3]float64{c1, dl, ds}
 	rt.lastWStar, rt.lastNRIters = wStar, iters
-	rt.charge(rt.cfg.DecisionOverhead)
+	rt.charge(decisionOverhead)
 	if wStar <= rt.effectiveW() {
 		return true, nil
 	}
@@ -238,14 +225,16 @@ func (rt *Runtime) decideAIC(bootstrapInterval float64) (bool, error) {
 // decideNaive is the predictor ablation: the last measured (c1, dl, ds)
 // are used as constants — no metric features, no cost-vs-span coupling.
 func (rt *Runtime) decideNaive(bootstrapInterval float64) (bool, error) {
-	rt.charge(rt.cfg.DecisionOverhead)
-	if rt.measuredCount < 1 {
+	rt.charge(decisionOverhead)
+	n := len(rt.result.Intervals)
+	if n < 1 {
 		return rt.elapsedWork() >= bootstrapInterval, nil
 	}
-	cur := rt.assembleParams(rt.lastMeasured[0], rt.lastMeasured[1], rt.lastMeasured[2])
-	wStar, _, iters := model.OptimalWorkSpanDynamic(cur, rt.prevParams, rt.cfg.WMin, rt.cfg.WMax)
+	last := rt.result.Intervals[n-1]
+	cur := rt.assembleParams(last.C1, last.DL, last.DS)
+	wStar, _, iters := model.OptimalWorkSpanDynamic(cur, rt.prevParams, wMin, rt.prog.BaseTime())
 	rt.lastWStar, rt.lastNRIters = wStar, iters
-	rt.lastPred = rt.lastMeasured
+	rt.lastPred = [3]float64{last.C1, last.DL, last.DS}
 	return wStar <= rt.effectiveW(), nil
 }
 
@@ -257,7 +246,7 @@ func (rt *Runtime) decideNaive(bootstrapInterval float64) (bool, error) {
 // samples; these caps keep the decider's inputs sane without biasing
 // converged predictions.
 func (rt *Runtime) clampPrediction(m predictor.Metrics, c1, dl, ds float64) (float64, float64, float64) {
-	rawCap := m.DP*float64(rt.as.PageSize()) + float64(rt.cfg.CPUStateBytes) + 64
+	rawCap := m.DP*float64(rt.as.PageSize()) + cpuStateBytes + 64
 	if ds > rawCap {
 		ds = rawCap
 	}
@@ -279,7 +268,7 @@ func (rt *Runtime) charge(sec float64) {
 
 // metrics gathers the predictor's feature vector at the current decision
 // point, charging the metric-computation cost to the computation core. At
-// most MaxMetricPages samples are examined, spread evenly over the buffer.
+// most maxMetricPages samples are examined, spread evenly over the buffer.
 func (rt *Runtime) metrics() predictor.Metrics {
 	m := predictor.Metrics{
 		DP: float64(rt.as.DirtyCount()),
@@ -290,8 +279,8 @@ func (rt *Runtime) metrics() predictor.Metrics {
 		return m
 	}
 	stride := 1
-	if max := rt.cfg.MaxMetricPages; len(samples) > max {
-		stride = (len(samples) + max - 1) / max
+	if len(samples) > maxMetricPages {
+		stride = (len(samples) + maxMetricPages - 1) / maxMetricPages
 	}
 	var jd, di float64
 	n := 0
@@ -340,85 +329,56 @@ func (rt *Runtime) assembleParams(c1, dl, ds float64) model.Params {
 // feeds the predictor.
 func (rt *Runtime) checkpoint() error {
 	m := rt.metrics() // metrics at the actual checkpoint moment
-	start, end := rt.lastCkptWork, rt.workNow
-	w := math.Max(rt.cfg.WMin, rt.effectiveW())
 	dirty := rt.as.DirtyCount()
 
-	var c1, dl, ds float64
-	var rawBytes int
-	var tookFull bool
-	switch rt.cfg.Policy {
-	case PolicyMoody:
-		// Periodic full checkpoint, no compression, written sequentially:
-		// the process blocks for the full multi-level latency.
+	var rec IntervalRecord
+	switch {
+	case rt.fullDue():
+		// Full checkpoint, no compression: Moody's every one, and for
+		// SIC/AIC every FullEvery-th, bounding the restore chain (Section
+		// II.A: a restart needs the last full checkpoint plus all
+		// incrementals after it).
 		full := rt.builder.FullCheckpoint(rt.as)
-		rawBytes = full.Size()
-		ds = float64(rawBytes)
-		c1 = rt.cfg.System.LocalDisk.TransferTime(int64(rawBytes))
+		rec.RawBytes = full.Size()
+		rec.DS = float64(rec.RawBytes)
+		rec.C1 = rt.cfg.System.LocalDisk.TransferTime(int64(rec.RawBytes))
 		rt.emit(full)
-	case PolicySIC, PolicyAIC:
-		// Periodic full checkpoint bounds the restore chain (Section II.A:
-		// a restart needs the last full checkpoint plus all incrementals
-		// after it).
-		if n := rt.cfg.FullEvery; n > 0 && len(rt.result.Intervals) > 0 && (len(rt.result.Intervals)+1)%n == 0 {
-			full := rt.builder.FullCheckpoint(rt.as)
-			rawBytes = full.Size()
-			ds = float64(rawBytes)
-			dl = 0
-			rt.emit(full)
-			tookFull = true
-			break
-		}
+	case rt.cfg.Compressor == CompressorWhole:
 		// Incremental checkpoint to local disk (process halted for c1),
 		// then delta compression + remote send on the checkpointing core
-		// (concurrent: no wall time). The compression input covers the new
-		// checkpoint plus the prior versions it differences against.
-		switch rt.cfg.Compressor {
-		case CompressorWhole:
-			inc := rt.builder.IncrementalCheckpoint(rt.as)
-			raw := inc.Payload
-			stream := delta.Encode(rt.prevRawPayload, raw, 1024)
-			rawBytes = len(raw) + len(inc.CPUState)
-			ds = float64(len(stream) + len(inc.CPUState))
-			dl = rt.cfg.System.CompressTime(int64(len(raw)+len(rt.prevRawPayload)), int64(ds))
-			rt.prevRawPayload = raw
-			rt.emit(inc)
-		case CompressorXOR:
-			inc, st := rt.builder.XORCheckpoint(rt.as)
-			rawBytes = st.InputBytes + len(inc.CPUState)
-			ds = float64(inc.Size())
-			dl = rt.cfg.System.CompressTime(int64(st.InputBytes+st.HotPages*rt.as.PageSize()), int64(ds))
-			rt.emit(inc)
-		default: // CompressorPA
-			inc, st := rt.builder.DeltaCheckpoint(rt.as)
-			rawBytes = st.InputBytes + len(inc.CPUState)
-			ds = float64(inc.Size())
-			dl = rt.cfg.System.CompressTime(int64(st.InputBytes+st.HotPages*rt.as.PageSize()), int64(ds))
-			rt.emit(inc)
+		// (concurrent: no wall time). Whole-file compression differences
+		// the new payload against the whole previous one.
+		inc := rt.builder.IncrementalCheckpoint(rt.as)
+		raw := inc.Payload
+		stream := delta.Encode(rt.prevRawPayload, raw, 1024)
+		rec.RawBytes = len(raw) + len(inc.CPUState)
+		rec.DS = float64(len(stream) + len(inc.CPUState))
+		rec.DL = rt.cfg.System.CompressTime(int64(len(raw)+len(rt.prevRawPayload)), int64(rec.DS))
+		rec.C1 = rt.cfg.System.LocalDisk.TransferTime(int64(rec.RawBytes))
+		rt.prevRawPayload = raw
+		rt.emit(inc)
+	default:
+		// Page-level delta (or XOR) compression: the input covers the new
+		// checkpoint plus the prior versions of its hot pages.
+		var inc *ckpt.Checkpoint
+		var st delta.Stats
+		if rt.cfg.Compressor == CompressorXOR {
+			inc, st = rt.builder.XORCheckpoint(rt.as)
+		} else {
+			inc, st = rt.builder.DeltaCheckpoint(rt.as)
 		}
-		c1 = rt.cfg.System.LocalDisk.TransferTime(int64(rawBytes))
+		rec = CheckpointCosts(rt.cfg.System, inc, st, rt.as.PageSize())
+		rt.emit(inc)
 	}
-	if tookFull {
-		c1 = rt.cfg.System.LocalDisk.TransferTime(int64(rawBytes))
-	}
+	c1, dl, ds := rec.C1, rec.DL, rec.DS
 
-	rec := IntervalRecord{
-		Index:      len(rt.result.Intervals),
-		Start:      start,
-		End:        end,
-		W:          w,
-		C1:         c1,
-		DL:         dl,
-		DS:         ds,
-		RawBytes:   rawBytes,
-		DirtyPages: dirty,
-		Overhead:   rt.overhead,
-		WStar:      rt.lastWStar,
-		NRIters:    rt.lastNRIters,
-		PredC1:     rt.lastPred[0],
-		PredDL:     rt.lastPred[1],
-		PredDS:     rt.lastPred[2],
-	}
+	rec.Index = len(rt.result.Intervals)
+	rec.Start, rec.End = rt.lastCkptWork, rt.workNow
+	rec.W = math.Max(wMin, rt.effectiveW())
+	rec.DirtyPages = dirty
+	rec.Overhead = rt.overhead
+	rec.WStar, rec.NRIters = rt.lastWStar, rt.lastNRIters
+	rec.PredC1, rec.PredDL, rec.PredDS = rt.lastPred[0], rt.lastPred[1], rt.lastPred[2]
 	cur := rt.assembleParams(c1, dl, ds)
 	rec.C2, rec.C3 = cur.C[1], cur.C[2]
 	rt.result.Intervals = append(rt.result.Intervals, rec)
@@ -428,26 +388,50 @@ func (rt *Runtime) checkpoint() error {
 
 	if rt.cfg.Policy == PolicyMoody {
 		// Sequential model: the process also blocks for the remote send.
-		remote := rt.cfg.System.Remote.TransferTime(int64(rawBytes))
+		remote := rt.cfg.System.Remote.TransferTime(int64(rec.RawBytes))
 		rt.wallNow += remote
 		rt.prevXferWin = 0
 	} else {
-		xfer := dl + rt.cfg.System.Remote.TransferTime(int64(ds))
-		rt.prevXferWin = xfer
+		rt.prevXferWin = dl + rt.cfg.System.Remote.TransferTime(int64(ds))
 	}
 
 	// Predictor feedback (AIC learns online; harmless for SIC).
 	rt.predC1.Observe(m, c1)
 	rt.predDL.Observe(m, dl)
 	rt.predDS.Observe(m, ds)
-	rt.lastMeasured = [3]float64{c1, dl, ds}
-	rt.measuredCount++
 
 	rt.prevParams = cur
 	rt.lastCkptWork = rt.workNow
 	rt.overhead = 0
 	rt.sb.Reset()
 	return nil
+}
+
+// fullDue reports whether this checkpoint is a full one: always under
+// Moody, and every FullEvery-th one under SIC/AIC.
+func (rt *Runtime) fullDue() bool {
+	if rt.cfg.Policy == PolicyMoody {
+		return true
+	}
+	n, taken := rt.cfg.FullEvery, len(rt.result.Intervals)
+	return n > 0 && taken > 0 && (taken+1)%n == 0
+}
+
+// CheckpointCosts is the one cost model every simulator prices a
+// page-level delta (or XOR) checkpoint with: c1 writes the raw dirty input
+// and the CPU blob to local disk, dl compresses that input together with
+// the hot pages' previous versions into the stored size, and ds is the
+// stored size. It returns them in a record with RawBytes set; the caller
+// fills in the rest.
+func CheckpointCosts(sys storage.System, c *ckpt.Checkpoint, st delta.Stats, pageSize int) IntervalRecord {
+	raw := st.InputBytes + len(c.CPUState)
+	size := c.Size()
+	return IntervalRecord{
+		C1:       sys.LocalDisk.TransferTime(int64(raw)),
+		DL:       sys.CompressTime(int64(st.InputBytes+st.HotPages*pageSize), int64(size)),
+		DS:       float64(size),
+		RawBytes: raw,
+	}
 }
 
 // emit hands a produced checkpoint to the configured sinks (the local disk
@@ -472,6 +456,31 @@ func Profile(prog workload.Program, cfg Config, interval float64) (model.Params,
 		return model.Params{}, err
 	}
 	return res.MeanParams(cfg.Lambda), nil
+}
+
+// StaticInterval derives the fixed checkpoint interval SIC and Moody need,
+// the way Section V.A prescribes: SIC profiles a fresh instance of the
+// program (built by fresh) at a twentieth of its base time and optimizes
+// the static L2L3 model on the average costs; Moody optimizes its own model
+// on full checkpoints of the footprint. AIC needs none and gets 0.
+func StaticInterval(cfg Config, prog workload.Program, fresh func() (workload.Program, error)) (float64, error) {
+	base := prog.BaseTime()
+	switch cfg.Policy {
+	case PolicySIC:
+		profProg, err := fresh()
+		if err != nil {
+			return 0, err
+		}
+		prof, err := Profile(profProg, Config{System: cfg.System, Lambda: cfg.Lambda, Compressor: cfg.Compressor}, base/20)
+		if err != nil {
+			return 0, fmt.Errorf("core: profiling %s: %w", prog.Name(), err)
+		}
+		return OptimalSICInterval(prof, 1, base)
+	case PolicyMoody:
+		mp := MoodyFullParams(cfg.System, int64(prog.FootprintPages()*4096), cfg.Lambda)
+		return OptimalMoodyInterval(mp, 1, 10*base)
+	}
+	return 0, nil
 }
 
 // OptimalSICInterval derives SIC's fixed checkpoint interval from profiled

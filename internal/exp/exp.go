@@ -35,7 +35,8 @@ func BenchSystem(scale float64) storage.System {
 // intervals the way Section V.A prescribes (SIC/Moody profile offline; AIC
 // needs nothing).
 func runPolicy(name string, policy core.PolicyKind, sys storage.System, lambda [3]float64, seed uint64, compressor core.CompressorKind) (*core.RunResult, error) {
-	prog, err := workload.ByName(name, seed)
+	fresh := func() (workload.Program, error) { return workload.ByName(name, seed) }
+	prog, err := fresh()
 	if err != nil {
 		return nil, err
 	}
@@ -46,25 +47,8 @@ func runPolicy(name string, policy core.PolicyKind, sys storage.System, lambda [
 		Seed:       seed,
 		Compressor: compressor,
 	}
-	switch policy {
-	case core.PolicySIC:
-		profProg, _ := workload.ByName(name, seed)
-		prof, err := core.Profile(profProg, core.Config{System: sys, Lambda: lambda, Compressor: compressor}, prog.BaseTime()/20)
-		if err != nil {
-			return nil, fmt.Errorf("profiling %s: %w", name, err)
-		}
-		w, err := core.OptimalSICInterval(prof, 1, prog.BaseTime())
-		if err != nil {
-			return nil, fmt.Errorf("SIC interval for %s: %w", name, err)
-		}
-		cfg.FixedInterval = w
-	case core.PolicyMoody:
-		mp := core.MoodyFullParams(sys, int64(prog.FootprintPages()*4096), lambda)
-		w, err := core.OptimalMoodyInterval(mp, 1, 10*prog.BaseTime())
-		if err != nil {
-			return nil, fmt.Errorf("Moody interval for %s: %w", name, err)
-		}
-		cfg.FixedInterval = w
+	if cfg.FixedInterval, err = core.StaticInterval(cfg, prog, fresh); err != nil {
+		return nil, fmt.Errorf("%v interval for %s: %w", policy, name, err)
 	}
 	return core.NewRuntime(prog, cfg).Run()
 }

@@ -106,7 +106,7 @@ func WeibullSensitivity(seed uint64, shapes []float64, trials int) ([]WeibullRow
 		trials = 20
 	}
 	rates := [3]float64{4e-3, 8e-3, 3e-3}
-	sys := storage.BenchSystem(1, int64(workload.ReferenceFootprintPages)*4096)
+	sys := BenchSystem(1)
 	prog := func(s uint64) *workload.Synthetic {
 		return workload.NewSynthetic("wsens", 150, 256, s, []workload.Phase{
 			{Duration: 10, Rate: 40, RegionLo: 0, RegionHi: 256, Pattern: workload.Random, Mode: workload.Scramble, Fraction: 0.4},

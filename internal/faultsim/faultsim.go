@@ -38,8 +38,6 @@ type Config struct {
 	// Interval is the checkpoint interval in work seconds (fixed; the
 	// fidelity validator does not need the adaptive decider).
 	Interval float64
-	// DecisionPeriod is the execution step granularity (default 1 s).
-	DecisionPeriod float64
 	// MaxFailures stops injecting after this many failures (0 = unlimited).
 	MaxFailures int
 }
@@ -89,9 +87,6 @@ func Run(prog workload.Stateful, cfg Config, events EventSource, mgr *recovery.M
 	if cfg.Interval <= 0 {
 		return nil, fmt.Errorf("faultsim: non-positive checkpoint interval")
 	}
-	if cfg.DecisionPeriod <= 0 {
-		cfg.DecisionPeriod = 1
-	}
 	base := prog.BaseTime()
 	res := &Result{BaseTime: base}
 
@@ -137,7 +132,7 @@ func Run(prog workload.Stateful, cfg Config, events EventSource, mgr *recovery.M
 	nextFailure, haveFailure := events.Next(wall)
 
 	for work < base {
-		step := cfg.DecisionPeriod
+		step := 1.0 // execution step granularity (s)
 		if work+step > base {
 			step = base - work
 		}

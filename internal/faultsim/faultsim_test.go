@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"math"
 	"testing"
 
 	"aic/internal/failure"
@@ -44,6 +45,10 @@ func TestNoFailuresMatchesReference(t *testing.T) {
 	}
 	if res.WallTime <= res.BaseTime {
 		t.Fatal("wall time must include checkpoint halts")
+	}
+	// Pinned to 12 significant digits (loose enough for fused multiply-add).
+	if want := 125.324356267; math.Abs(res.WallTime-want) > 1e-11*want {
+		t.Fatalf("wall time %.12g, pinned at %.12g", res.WallTime, want)
 	}
 	if res.Checkpoints < 120/15 {
 		t.Fatalf("only %d checkpoints", res.Checkpoints)

@@ -19,11 +19,11 @@ import (
 	"math"
 
 	"aic/internal/ckpt"
+	"aic/internal/core"
 	"aic/internal/memsim"
 	"aic/internal/model"
 	"aic/internal/numeric"
 	"aic/internal/predictor"
-	"aic/internal/sim"
 	"aic/internal/storage"
 	"aic/internal/workload"
 )
@@ -55,34 +55,23 @@ type Config struct {
 	// rate is Ranks times it (any rank failure fails the job).
 	LambdaPerRank [3]float64
 	// Interval is the fixed checkpoint interval (CoordinatedSIC) or the
-	// bootstrap interval (CoordinatedAIC). 0 derives a default.
+	// bootstrap interval (CoordinatedAIC). 0 selects 5 s.
 	Interval float64
-	// CoordinationCost is the barrier/message-drain time added to every
-	// coordinated local checkpoint (the paper's note that c1 for MPI
-	// includes coordinated-checkpointing time). Default 0.2 s.
-	CoordinationCost float64
 	// Seed derives per-rank workload seeds.
 	Seed uint64
 	// NewProgram builds rank i's workload.
 	NewProgram func(rank int, seed uint64) workload.Program
-	// WMin/WMax bound the adaptive decider's search.
-	WMin, WMax float64
 }
 
-func (c *Config) setDefaults(base float64) {
-	if c.CoordinationCost <= 0 {
-		c.CoordinationCost = 0.2
-	}
-	if c.Interval <= 0 {
-		c.Interval = 5
-	}
-	if c.WMin <= 0 {
-		c.WMin = 1
-	}
-	if c.WMax <= 0 {
-		c.WMax = base
-	}
-}
+const (
+	// coordinationCost is the barrier/message-drain time added to every
+	// coordinated local checkpoint (the paper's note that c1 for MPI
+	// includes coordinated-checkpointing time).
+	coordinationCost = 0.2
+	// wMin is the shortest work span the adaptive decider considers; the
+	// search runs up to the slowest rank's base time.
+	wMin = 1.0
+)
 
 // JobLambda returns the job-level failure rates.
 func (c Config) JobLambda() [3]float64 {
@@ -101,7 +90,6 @@ type rank struct {
 	predC1  *predictor.Online
 	predDL  *predictor.Online
 	predDS  *predictor.Online
-	lastM   predictor.Metrics
 }
 
 // Result reports a coordinated run.
@@ -110,7 +98,7 @@ type Result struct {
 	Ranks     int
 	BaseTime  float64
 	WallTime  float64 // includes the coordinated halts
-	Intervals []sim.IntervalCosts
+	Intervals []core.IntervalRecord
 	NET2      float64
 }
 
@@ -142,7 +130,9 @@ func Run(cfg Config) (*Result, error) {
 		r.builder.FullCheckpoint(as) // pre-staged initial image
 		ranks[i] = r
 	}
-	cfg.setDefaults(base)
+	if cfg.Interval <= 0 {
+		cfg.Interval = 5
+	}
 	lambda := cfg.JobLambda()
 
 	res := &Result{Policy: cfg.Policy, Ranks: cfg.Ranks, BaseTime: base}
@@ -150,8 +140,6 @@ func Run(cfg Config) (*Result, error) {
 	wall := 0.0
 	lastCkpt := 0.0
 	prevWindow := 0.0
-	prevParams := model.Params{Lambda: lambda}
-	havePrev := false
 
 	// metricsOf gathers rank r's predictor features at the current moment.
 	metricsOf := func(r *rank) predictor.Metrics {
@@ -179,87 +167,34 @@ func Run(cfg Config) (*Result, error) {
 	// predictJob aggregates rank predictions into job-level params: the
 	// barrier waits for the slowest rank at every stage.
 	predictJob := func() model.Params {
-		var c1, win float64
-		b2 := cfg.System.RAID5.BandwidthBps
-		b3 := cfg.System.Remote.BandwidthBps
-		var c2win float64
+		var job slowest
 		for _, r := range ranks {
 			m := metricsOf(r)
-			r.lastM = m
 			rawCap := m.DP*float64(r.as.PageSize()) + 4096
-			pc1 := math.Min(r.predC1.Predict(m), cfg.System.LocalDisk.TransferTime(int64(rawCap)))
-			pdl := math.Min(r.predDL.Predict(m), cfg.System.CompressTime(int64(rawCap), int64(rawCap)))
-			pds := math.Min(r.predDS.Predict(m), rawCap)
-			if pc1 > c1 {
-				c1 = pc1
-			}
-			w3 := pdl
-			w2 := pdl
-			if b3 > 0 {
-				w3 += pds / b3
-			}
-			if b2 > 0 {
-				w2 += pds / b2
-			}
-			if w3 > win {
-				win = w3
-			}
-			if w2 > c2win {
-				c2win = w2
-			}
+			job.add(cfg.System,
+				math.Min(r.predC1.Predict(m), cfg.System.LocalDisk.TransferTime(int64(rawCap))),
+				math.Min(r.predDL.Predict(m), cfg.System.CompressTime(int64(rawCap), int64(rawCap))),
+				math.Min(r.predDS.Predict(m), rawCap))
 		}
-		c1 += cfg.CoordinationCost
-		p := model.Params{Lambda: lambda}
-		p.C = [3]float64{c1, c1 + c2win, c1 + win}
-		p.R = p.C
-		return p
+		return job.record().Params(lambda)
 	}
 
 	takeCheckpoint := func() {
-		var c1Max, winMax, c2winMax float64
-		var dsSum float64
+		var job slowest
 		for _, r := range ranks {
 			m := metricsOf(r)
 			c, st := r.builder.DeltaCheckpoint(r.as)
-			raw := int64(st.InputBytes + len(c.CPUState))
-			rc1 := cfg.System.LocalDisk.TransferTime(raw)
-			rdl := cfg.System.CompressTime(int64(st.InputBytes+st.HotPages*r.as.PageSize()), int64(c.Size()))
-			rds := float64(c.Size())
-			if rc1 > c1Max {
-				c1Max = rc1
-			}
-			w3 := rdl + cfg.System.Remote.TransferTime(int64(rds)) - cfg.System.Remote.LatencySec
-			if b := cfg.System.Remote.BandwidthBps; b > 0 {
-				w3 = rdl + rds/b
-			}
-			if w3 > winMax {
-				winMax = w3
-			}
-			w2 := rdl
-			if b := cfg.System.RAID5.BandwidthBps; b > 0 {
-				w2 += rds / b
-			}
-			if w2 > c2winMax {
-				c2winMax = w2
-			}
-			dsSum += rds
-			r.predC1.Observe(m, rc1)
-			r.predDL.Observe(m, rdl)
-			r.predDS.Observe(m, rds)
+			rc := core.CheckpointCosts(cfg.System, c, st, r.as.PageSize())
+			job.add(cfg.System, rc.C1, rc.DL, rc.DS)
+			r.predC1.Observe(m, rc.C1)
+			r.predDL.Observe(m, rc.DL)
+			r.predDS.Observe(m, rc.DS)
 		}
-		c1 := c1Max + cfg.CoordinationCost
-		iv := sim.IntervalCosts{
-			W:  math.Max(cfg.WMin, (work-lastCkpt)-prevWindow),
-			C1: c1,
-			C2: c1 + c2winMax,
-			C3: c1 + winMax,
-		}
-		iv.R2, iv.R3 = iv.C2, iv.C3
+		iv := job.record()
+		iv.W = math.Max(wMin, (work-lastCkpt)-prevWindow)
 		res.Intervals = append(res.Intervals, iv)
-		wall += c1 // every rank halts for the coordinated local checkpoint
-		prevWindow = winMax
-		prevParams = model.Params{Lambda: lambda, C: [3]float64{iv.C1, iv.C2, iv.C3}, R: [3]float64{iv.C1, iv.C2, iv.C3}}
-		havePrev = true
+		wall += iv.C1 // every rank halts for the coordinated local checkpoint
+		prevWindow = job.w3
 		lastCkpt = work
 	}
 
@@ -297,8 +232,8 @@ func Run(cfg Config) (*Result, error) {
 		default:
 			cur := predictJob()
 			prev := cur
-			if havePrev {
-				prev = prevParams
+			if n := len(res.Intervals); n > 0 {
+				prev = res.Intervals[n-1].Params(lambda)
 			}
 			obj := func(w float64) float64 {
 				ivm, err := model.EvalL2L3Dynamic(w, cur, prev)
@@ -307,7 +242,7 @@ func Run(cfg Config) (*Result, error) {
 				}
 				return ivm.NET2()
 			}
-			wStar, objStar, _ := numeric.MinimizeEVT(obj, cfg.WMin, cfg.WMax, 200)
+			wStar, objStar, _ := numeric.MinimizeEVT(obj, wMin, base, 200)
 			take = wStar <= effW || obj(effW) <= objStar*1.001
 		}
 		if take {
@@ -325,10 +260,41 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.WallTime = wall
 
-	n, err := sim.AnalyticNET2(res.Intervals, lambda)
+	n, _, err := core.TraceNET2(res.Intervals, lambda)
 	if err != nil {
 		return nil, err
 	}
 	res.NET2 = n
 	return res, nil
+}
+
+// slowest accumulates the per-rank stage maxima a coordinated checkpoint
+// waits for: the local checkpoint c1 and the level-2/3 transfer windows
+// dl + ds/B_k that follow it.
+type slowest struct{ c1, w2, w3 float64 }
+
+func (s *slowest) add(sys storage.System, c1, dl, ds float64) {
+	w2, w3 := dl, dl
+	if b := sys.RAID5.BandwidthBps; b > 0 {
+		w2 += ds / b
+	}
+	if b := sys.Remote.BandwidthBps; b > 0 {
+		w3 += ds / b
+	}
+	if c1 > s.c1 {
+		s.c1 = c1
+	}
+	if w2 > s.w2 {
+		s.w2 = w2
+	}
+	if w3 > s.w3 {
+		s.w3 = w3
+	}
+}
+
+// record returns the job-level latencies: the slowest rank's, with the
+// coordination cost on the local checkpoint.
+func (s slowest) record() core.IntervalRecord {
+	c1 := s.c1 + coordinationCost
+	return core.IntervalRecord{C1: c1, C2: c1 + s.w2, C3: c1 + s.w3}
 }

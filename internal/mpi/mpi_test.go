@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"testing"
 
 	"aic/internal/failure"
@@ -20,6 +21,16 @@ func testConfig(policy Policy, ranks int) Config {
 		NewProgram: func(rank int, seed uint64) workload.Program {
 			return workload.Sphinx3(seed)
 		},
+	}
+}
+
+// pinned fails unless got equals a value captured from an earlier run of
+// the same configuration, to 12 significant digits: tighter than any
+// rendered table, loose enough for fused multiply-add on other platforms.
+func pinned(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Abs(got-want) > 1e-11*math.Abs(want) {
+		t.Errorf("%s = %.12g, pinned at %.12g", what, got, want)
 	}
 }
 
@@ -68,6 +79,8 @@ func TestCoordinatedRunBasics(t *testing.T) {
 	if res.WallTime <= res.BaseTime {
 		t.Fatal("coordinated halts must add wall time")
 	}
+	pinned(t, "coordinated-SIC NET²", res.NET2, 1.06345762943)
+	pinned(t, "coordinated-SIC wall time", res.WallTime, 776.127893333)
 	for i, iv := range res.Intervals {
 		// Every coordinated c1 carries the coordination cost.
 		if iv.C1 < 0.2 {
@@ -106,6 +119,7 @@ func TestCoordinatedAICCompetitive(t *testing.T) {
 	if aic.NET2 < 1 {
 		t.Fatalf("AIC NET² = %v", aic.NET2)
 	}
+	pinned(t, "coordinated-AIC NET²", aic.NET2, 1.0620591915)
 	// The adaptive extension must at least stay in SIC's neighbourhood
 	// (within 5%) — the paper's deferred design, implemented here, has the
 	// same degenerate regime at 1× as single-process AIC.

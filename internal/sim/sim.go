@@ -1,9 +1,10 @@
 // Package sim is the discrete-event Monte Carlo cross-validator for the
-// analytic models: it replays a job's measured per-interval checkpoint
-// costs under explicit exponential failure arrivals, walking the concurrent
-// L2L3 recovery semantics (Section III) with an implementation independent
-// of the markov package's linear-system solver. Agreement between the two
-// is the repository's strongest correctness evidence for Eq. (1).
+// analytic models: it replays a job's measured interval trace
+// (core.IntervalRecord) under explicit exponential failure arrivals,
+// walking the concurrent L2L3 recovery semantics (Section III) with an
+// implementation independent of the markov package's linear-system solver.
+// Agreement with core.TraceNET2 on the same trace is the repository's
+// strongest correctness evidence for Eq. (1).
 package sim
 
 import (
@@ -14,36 +15,11 @@ import (
 	"aic/internal/numeric"
 )
 
-// IntervalCosts are the realized costs of one checkpoint interval.
-type IntervalCosts struct {
-	W  float64 // model work span
-	C1 float64 // local checkpoint latency (blocking)
-	C2 float64 // level-2 completion latency from checkpoint start
-	C3 float64 // level-3 completion latency from checkpoint start
-	R2 float64 // level-2 recovery time
-	R3 float64 // level-3 recovery time
-}
-
-// FromRecords converts a measured run's interval records.
-func FromRecords(recs []core.IntervalRecord) []IntervalCosts {
-	out := make([]IntervalCosts, len(recs))
-	for i, r := range recs {
-		out[i] = IntervalCosts{W: r.W, C1: r.C1, C2: r.C2, C3: r.C3, R2: r.C2, R3: r.C3}
-	}
-	return out
-}
-
 // segments mirrors model.clampSegments for one interval's costs.
-func (iv IntervalCosts) segments() (phaseBoth, phaseOne, full float64) {
+func segments(iv core.IntervalRecord) (phaseBoth, phaseOne, full float64) {
 	lo := math.Max(iv.C1, math.Min(iv.C2, iv.C3))
 	hi := math.Max(lo, math.Max(iv.C2, iv.C3))
 	return lo - iv.C1, hi - lo, hi - iv.C1
-}
-
-// Work returns the base execution progress the interval accomplishes.
-func (iv IntervalCosts) Work() float64 {
-	_, _, full := iv.segments()
-	return iv.W + full
 }
 
 // failureDraw samples the time to the next failure and its class.
@@ -92,12 +68,13 @@ const (
 // simulateInterval walks one interval to completion under failures,
 // returning the elapsed wall time. prevFull is the previous interval's
 // concurrent window (the S5 rerun length); prevR2/prevR3 its recovery
-// times. The walk mirrors the L2L3 chain of Fig. 8 state by state.
-func simulateInterval(iv IntervalCosts, prevFull, prevR2, prevR3 float64, fd *failureDraw) float64 {
-	phaseBoth, phaseOne, full := iv.segments()
+// times. Each level recovers in its checkpoint latency (r_k = c_k). The
+// walk mirrors the L2L3 chain of Fig. 8 state by state.
+func simulateInterval(iv core.IntervalRecord, prevFull, prevR2, prevR3 float64, fd *failureDraw) float64 {
+	phaseBoth, phaseOne, full := segments(iv)
 	dur := map[phase]float64{
 		phS1: iv.W + iv.C1, phS2: phaseBoth, phS3: phaseOne,
-		phS6: iv.R2, phS7: full, phR2p: prevR2, phR3p: prevR3, phS5: prevFull,
+		phS6: iv.C2, phS7: full, phR2p: prevR2, phR3p: prevR3, phS5: prevFull,
 	}
 	succ := map[phase]phase{
 		phS2: phS3, phS6: phS7, phR2p: phS5, phR3p: phS5, phS5: phS1,
@@ -151,14 +128,13 @@ type Result struct {
 	Work     float64 // base work accomplished (denominator of NET²)
 	NET2     float64
 	NET2Err  float64 // standard error of the NET² estimate
-	P95Time  float64
 }
 
 // MonteCarloNET2 replays the interval sequence trials times under the given
 // failure rates and returns the empirical NET² (mean turnaround over base
 // work). The very first interval recovers from the job's pre-staged initial
 // checkpoint, whose recovery times are taken from the first interval.
-func MonteCarloNET2(ivs []IntervalCosts, lambda [3]float64, trials int, seed uint64) (Result, error) {
+func MonteCarloNET2(ivs []core.IntervalRecord, lambda [3]float64, trials int, seed uint64) (Result, error) {
 	if len(ivs) == 0 {
 		return Result{}, fmt.Errorf("sim: no intervals")
 	}
@@ -168,18 +144,19 @@ func MonteCarloNET2(ivs []IntervalCosts, lambda [3]float64, trials int, seed uin
 	rng := numeric.NewRNG(seed)
 	var work float64
 	for _, iv := range ivs {
-		work += iv.Work()
+		_, _, full := segments(iv)
+		work += iv.W + full
 	}
 	times := make([]float64, trials)
 	var mean numeric.KahanSum
 	for t := 0; t < trials; t++ {
 		fd := newFailureDraw(rng.Split(), lambda)
 		var total numeric.KahanSum
-		prevFull, prevR2, prevR3 := 0.0, ivs[0].R2, ivs[0].R3
+		prevFull, prevR2, prevR3 := 0.0, ivs[0].C2, ivs[0].C3
 		for _, iv := range ivs {
 			total.Add(simulateInterval(iv, prevFull, prevR2, prevR3, fd))
-			_, _, full := iv.segments()
-			prevFull, prevR2, prevR3 = full, iv.R2, iv.R3
+			_, _, full := segments(iv)
+			prevFull, prevR2, prevR3 = full, iv.C2, iv.C3
 		}
 		times[t] = total.Value()
 		mean.Add(times[t])
@@ -200,44 +177,5 @@ func MonteCarloNET2(ivs []IntervalCosts, lambda [3]float64, trials int, seed uin
 			res.NET2Err = math.Sqrt(sq.Value()/float64(trials-1)) / math.Sqrt(float64(trials)) / work
 		}
 	}
-	res.P95Time = percentile(times, 0.95)
 	return res, nil
-}
-
-func percentile(xs []float64, q float64) float64 {
-	sorted := append([]float64(nil), xs...)
-	// insertion-free: simple sort
-	for i := 1; i < len(sorted); i++ {
-		for j := i; j > 0 && sorted[j] < sorted[j-1]; j-- {
-			sorted[j], sorted[j-1] = sorted[j-1], sorted[j]
-		}
-	}
-	idx := int(math.Ceil(q * float64(len(sorted)-1)))
-	return sorted[idx]
-}
-
-// AnalyticNET2 computes Eq. (1) over the same interval costs via the Markov
-// chains, for direct comparison with MonteCarloNET2. It mirrors
-// core.RunResult.NET2 but operates on IntervalCosts so the two estimators
-// consume identical inputs.
-func AnalyticNET2(ivs []IntervalCosts, lambda [3]float64) (float64, error) {
-	if len(ivs) == 0 {
-		return 1, nil
-	}
-	var total, work float64
-	prevP := initialPrev(ivs[0], lambda)
-	for i, iv := range ivs {
-		cur := paramsOf(iv, lambda)
-		t, err := analyticInterval(iv.W, cur, prevP)
-		if err != nil {
-			return 0, fmt.Errorf("sim: interval %d: %w", i, err)
-		}
-		total += t
-		work += iv.Work()
-		prevP = cur
-	}
-	if work <= 0 {
-		return math.Inf(1), nil
-	}
-	return total / work, nil
 }

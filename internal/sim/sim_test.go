@@ -11,20 +11,37 @@ import (
 )
 
 func TestIntervalCostsSegmentsAndWork(t *testing.T) {
-	iv := IntervalCosts{W: 10, C1: 1, C2: 5, C3: 11}
-	both, one, full := iv.segments()
+	iv := core.IntervalRecord{W: 10, C1: 1, C2: 5, C3: 11}
+	both, one, full := segments(iv)
 	if both != 4 || one != 6 || full != 10 {
 		t.Fatalf("segments: %v %v %v", both, one, full)
 	}
-	if iv.Work() != 20 {
-		t.Fatalf("work = %v", iv.Work())
+	if iv.W+full != 20 {
+		t.Fatalf("work = %v", iv.W+full)
+	}
+}
+
+// analyticNET2 is Eq. (1) over the checkpoint costs alone, the value the
+// Monte Carlo estimates.
+func analyticNET2(ivs []core.IntervalRecord, lambda [3]float64) (float64, error) {
+	_, n, err := core.TraceNET2(ivs, lambda)
+	return n, err
+}
+
+// pinned fails unless got equals a value captured from an earlier run of
+// the same configuration, to 12 significant digits: tighter than any
+// rendered table, loose enough for fused multiply-add on other platforms.
+func pinned(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Abs(got-want) > 1e-11*math.Abs(want) {
+		t.Errorf("%s = %.12g, pinned at %.12g", what, got, want)
 	}
 }
 
 func TestNoFailuresReproducesDeterministicTime(t *testing.T) {
-	ivs := []IntervalCosts{
-		{W: 10, C1: 1, C2: 2, C3: 8, R2: 2, R3: 8},
-		{W: 20, C1: 1, C2: 3, C3: 9, R2: 3, R3: 9},
+	ivs := []core.IntervalRecord{
+		{W: 10, C1: 1, C2: 2, C3: 8},
+		{W: 20, C1: 1, C2: 3, C3: 9},
 	}
 	res, err := MonteCarloNET2(ivs, [3]float64{}, 10, 1)
 	if err != nil {
@@ -42,19 +59,16 @@ func TestNoFailuresReproducesDeterministicTime(t *testing.T) {
 	if math.Abs(res.NET2-want/wantWork) > 1e-12 {
 		t.Fatalf("NET² %v", res.NET2)
 	}
-	if res.P95Time != res.MeanTime {
-		t.Fatal("deterministic runs must have P95 == mean")
-	}
 }
 
 func TestErrors(t *testing.T) {
 	if _, err := MonteCarloNET2(nil, [3]float64{}, 10, 1); err == nil {
 		t.Fatal("empty intervals accepted")
 	}
-	if _, err := MonteCarloNET2([]IntervalCosts{{W: 1}}, [3]float64{}, 0, 1); err == nil {
+	if _, err := MonteCarloNET2([]core.IntervalRecord{{W: 1}}, [3]float64{}, 0, 1); err == nil {
 		t.Fatal("zero trials accepted")
 	}
-	if n, err := AnalyticNET2(nil, [3]float64{}); err != nil || n != 1 {
+	if n, err := analyticNET2(nil, [3]float64{}); err != nil || n != 1 {
 		t.Fatalf("empty analytic: %v %v", n, err)
 	}
 }
@@ -66,13 +80,13 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 		t.Skip("statistical test")
 	}
 	lambda := [3]float64{2e-4, 1.2e-3, 2e-4}
-	ivs := []IntervalCosts{
-		{W: 40, C1: 2, C2: 8, C3: 60, R2: 8, R3: 60},
-		{W: 25, C1: 1.5, C2: 6, C3: 45, R2: 6, R3: 45},
-		{W: 60, C1: 3, C2: 10, C3: 90, R2: 10, R3: 90},
-		{W: 10, C1: 1, C2: 4, C3: 20, R2: 4, R3: 20},
+	ivs := []core.IntervalRecord{
+		{W: 40, C1: 2, C2: 8, C3: 60},
+		{W: 25, C1: 1.5, C2: 6, C3: 45},
+		{W: 60, C1: 3, C2: 10, C3: 90},
+		{W: 10, C1: 1, C2: 4, C3: 20},
 	}
-	analytic, err := AnalyticNET2(ivs, lambda)
+	analytic, err := analyticNET2(ivs, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +105,10 @@ func TestDegenerateOrderingAgreement(t *testing.T) {
 		t.Skip("statistical test")
 	}
 	lambda := [3]float64{5e-4, 5e-4, 5e-4}
-	ivs := []IntervalCosts{
-		{W: 30, C1: 2, C2: 25, C3: 10, R2: 25, R3: 10},
+	ivs := []core.IntervalRecord{
+		{W: 30, C1: 2, C2: 25, C3: 10},
 	}
-	analytic, err := AnalyticNET2(ivs, lambda)
+	analytic, err := analyticNET2(ivs, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,8 +135,8 @@ func TestEndToEndTraceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivs := FromRecords(res.Intervals)
-	analytic, err := AnalyticNET2(ivs, lambda)
+	ivs := res.Intervals
+	analytic, err := analyticNET2(ivs, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,10 +156,13 @@ func TestEndToEndTraceValidation(t *testing.T) {
 	if coreN < analytic-1e-9 || coreN > analytic*1.05 {
 		t.Fatalf("core NET² %v vs analytic %v", coreN, analytic)
 	}
+	pinned(t, "analytic NET²", analytic, 1.0511635343)
+	pinned(t, "Monte Carlo NET²", mc.NET2, 1.05109274855)
+	pinned(t, "core NET²", coreN, 1.05212550545)
 }
 
 func TestMonteCarloDeterministicSeed(t *testing.T) {
-	ivs := []IntervalCosts{{W: 10, C1: 1, C2: 2, C3: 5, R2: 2, R3: 5}}
+	ivs := []core.IntervalRecord{{W: 10, C1: 1, C2: 2, C3: 5}}
 	lambda := [3]float64{1e-3, 1e-3, 1e-3}
 	a, _ := MonteCarloNET2(ivs, lambda, 5000, 3)
 	b, _ := MonteCarloNET2(ivs, lambda, 5000, 3)
@@ -155,8 +172,8 @@ func TestMonteCarloDeterministicSeed(t *testing.T) {
 }
 
 func TestHigherFailureRateRaisesNET2(t *testing.T) {
-	ivs := []IntervalCosts{
-		{W: 40, C1: 2, C2: 8, C3: 60, R2: 8, R3: 60},
+	ivs := []core.IntervalRecord{
+		{W: 40, C1: 2, C2: 8, C3: 60},
 	}
 	lo, _ := MonteCarloNET2(ivs, [3]float64{1e-4, 1e-4, 1e-4}, 20000, 5)
 	hi, _ := MonteCarloNET2(ivs, [3]float64{1e-3, 1e-3, 1e-3}, 20000, 5)
@@ -165,17 +182,8 @@ func TestHigherFailureRateRaisesNET2(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	if p := percentile([]float64{3, 1, 2}, 0.95); p != 3 {
-		t.Fatalf("p95 of 3 values = %v", p)
-	}
-	if p := percentile([]float64{5}, 0.95); p != 5 {
-		t.Fatal("singleton percentile")
-	}
-}
-
 func TestStandardErrorShrinksWithTrials(t *testing.T) {
-	ivs := []IntervalCosts{{W: 40, C1: 2, C2: 8, C3: 60, R2: 8, R3: 60}}
+	ivs := []core.IntervalRecord{{W: 40, C1: 2, C2: 8, C3: 60}}
 	lambda := [3]float64{1e-3, 1e-3, 1e-3}
 	small, _ := MonteCarloNET2(ivs, lambda, 500, 5)
 	large, _ := MonteCarloNET2(ivs, lambda, 20000, 5)
@@ -186,7 +194,7 @@ func TestStandardErrorShrinksWithTrials(t *testing.T) {
 		t.Fatalf("SE must shrink with trials: %v vs %v", small.NET2Err, large.NET2Err)
 	}
 	// The analytic value lies within a few SEs of the estimate.
-	analytic, err := AnalyticNET2(ivs, lambda)
+	analytic, err := analyticNET2(ivs, lambda)
 	if err != nil {
 		t.Fatal(err)
 	}
