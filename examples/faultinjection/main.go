@@ -148,12 +148,11 @@ func report(res *faultsim.Result, imageOK bool) {
 		res.PerLevel[0], res.PerLevel[1], res.PerLevel[2])
 	for i, info := range res.Recoveries {
 		fmt.Printf("  recovery %d: level %d, %d checkpoints, %.2f MiB read in %.1f s\n",
-			i+1, info.SourceLevel, info.Checkpoints, float64(info.Bytes)/(1<<20), info.ReadTime)
+			i+1, info.SourceLevel, len(info.Restored), float64(info.Bytes)/(1<<20), info.ReadTime)
 	}
 	fmt.Printf("  re-executed %.0f s of lost work\n", res.ReworkTime)
-	if imageOK {
-		fmt.Println("  final memory image identical to the undisturbed reference ✓")
-	} else {
-		fmt.Println("  !! final memory image DIFFERS from the reference")
+	if !imageOK {
+		log.Fatal("final memory image DIFFERS from the reference")
 	}
+	fmt.Println("  final memory image identical to the undisturbed reference ✓")
 }

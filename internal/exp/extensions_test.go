@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -51,12 +52,17 @@ func TestWeibullSensitivityShapes(t *testing.T) {
 	if len(rows) != 2 || rows[0].Shape != 0 || rows[1].Shape != 0.7 {
 		t.Fatalf("rows: %+v", rows)
 	}
-	for _, r := range rows {
+	// Mean wall times, pinned to 12 significant digits.
+	pinned := []float64{227.145834083, 229.036974858}
+	for i, r := range rows {
 		if r.MeanWall < 150 {
 			t.Fatalf("wall %v below base time", r.MeanWall)
 		}
 		if r.Trials != 10 {
 			t.Fatalf("trials %d", r.Trials)
+		}
+		if math.Abs(r.MeanWall-pinned[i]) > 1e-11*pinned[i] {
+			t.Fatalf("shape %v: mean wall %.12g, pinned at %.12g", r.Shape, r.MeanWall, pinned[i])
 		}
 	}
 }

@@ -2,15 +2,16 @@
 // program under incremental+delta checkpointing with *real* failure
 // injection — failures destroy the live process (and, for total-node
 // failures, the local store), recovery replays the surviving checkpoint
-// chain, the program's execution state is restored from the checkpoint's
-// CPU-state blob, and the lost work is genuinely re-executed page write by
-// page write. Its headline guarantee, exercised by the tests: a run
-// interrupted by any number of failures finishes with a memory image
-// byte-identical to an undisturbed run of the same program.
+// chain, the program's execution state is restored from the CPU-state blob
+// of the prefix actually replayed, and the lost work is genuinely
+// re-executed page write by page write. Its headline guarantee, exercised
+// by the tests: a run interrupted by any number of failures finishes with a
+// memory image byte-identical to an undisturbed run of the same program.
 //
 // (Performance questions — expected turnaround, NET² — belong to the
-// analytic models and the cost-replay simulator in internal/sim; this
-// package answers the correctness question those models presuppose.)
+// analytic models and the cost-replay core.Runtime, with internal/sim as
+// its Monte Carlo reference; this package answers the correctness question
+// those models presuppose.)
 package faultsim
 
 import (
@@ -101,7 +102,7 @@ func Run(prog workload.Stateful, cfg Config, events EventSource, mgr *recovery.M
 	takeFull := func() error {
 		builder.SetCPUState(PackCPUState(prog, work))
 		c := builder.FullCheckpoint(as)
-		if _, err := mgr.Store(ctx, c, 1); err != nil {
+		if err := mgr.Store(ctx, c); err != nil {
 			return err
 		}
 		wall += cfg.System.LocalDisk.TransferTime(int64(c.Size()))
@@ -112,7 +113,7 @@ func Run(prog workload.Stateful, cfg Config, events EventSource, mgr *recovery.M
 	takeDelta := func() error {
 		builder.SetCPUState(PackCPUState(prog, work))
 		c, st := builder.DeltaCheckpoint(as)
-		if _, err := mgr.Store(ctx, c, 1); err != nil {
+		if err := mgr.Store(ctx, c); err != nil {
 			return err
 		}
 		wall += cfg.System.LocalDisk.TransferTime(int64(st.InputBytes))
@@ -124,7 +125,7 @@ func Run(prog workload.Stateful, cfg Config, events EventSource, mgr *recovery.M
 	// The initial full checkpoint establishes the chain (pre-staged: no
 	// wall cost, mirroring the runtime's job-submission staging).
 	builder.SetCPUState(PackCPUState(prog, work))
-	if _, err := mgr.Store(ctx, builder.FullCheckpoint(as), 1); err != nil {
+	if err := mgr.Store(ctx, builder.FullCheckpoint(as)); err != nil {
 		return nil, err
 	}
 	res.Checkpoints++
@@ -154,11 +155,7 @@ func Run(prog workload.Stateful, cfg Config, events EventSource, mgr *recovery.M
 			if err != nil {
 				return nil, err
 			}
-			blob, _, err := mgr.LatestCPUState(ctx, nextFailure.Level)
-			if err != nil {
-				return nil, err
-			}
-			ckptWork, progState, err := ParseCPUState(blob)
+			ckptWork, progState, err := ParseCPUState(info.CPUState)
 			if err != nil {
 				return nil, err
 			}

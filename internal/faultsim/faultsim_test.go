@@ -31,6 +31,10 @@ func sys() storage.System {
 	return storage.BenchSystem(1, int64(workload.ReferenceFootprintPages)*4096)
 }
 
+// near compares a value with its pin to 12 significant digits (loose enough
+// for fused multiply-add).
+func near(got, want float64) bool { return math.Abs(got-want) <= 1e-11*want }
+
 func TestNoFailuresMatchesReference(t *testing.T) {
 	res, err := Run(shortProgram(7), Config{System: sys(), Interval: 15},
 		failure.NewInjector(numeric.NewRNG(1), [3]float64{}), newManager())
@@ -46,8 +50,7 @@ func TestNoFailuresMatchesReference(t *testing.T) {
 	if res.WallTime <= res.BaseTime {
 		t.Fatal("wall time must include checkpoint halts")
 	}
-	// Pinned to 12 significant digits (loose enough for fused multiply-add).
-	if want := 125.324356267; math.Abs(res.WallTime-want) > 1e-11*want {
+	if want := 125.324356267; !near(res.WallTime, want) {
 		t.Fatalf("wall time %.12g, pinned at %.12g", res.WallTime, want)
 	}
 	if res.Checkpoints < 120/15 {
@@ -59,6 +62,14 @@ func TestNoFailuresMatchesReference(t *testing.T) {
 // memory image byte-identical to an undisturbed run.
 func TestFaultInjectedRunMatchesReference(t *testing.T) {
 	reference := FinalImage(shortProgram(9))
+	// Wall and rework times, pinned to 12 significant digits.
+	pinned := map[uint64][2]float64{
+		1: {173.949775896, 43.6202150445},
+		2: {178.251692555, 49.9485359067},
+		3: {168.487541819, 38.6792507196},
+		4: {165.535708671, 35.7821850495},
+		5: {171.764999784, 40.675638747},
+	}
 	for _, seed := range []uint64{1, 2, 3, 4, 5} {
 		mgr := newManager()
 		inj := failure.NewInjector(numeric.NewRNG(seed), [3]float64{8e-3, 1.6e-2, 6e-3})
@@ -77,6 +88,9 @@ func TestFaultInjectedRunMatchesReference(t *testing.T) {
 		}
 		if res.WallTime < res.BaseTime+res.ReworkTime {
 			t.Fatalf("seed %d: wall %v < base+rework %v", seed, res.WallTime, res.BaseTime+res.ReworkTime)
+		}
+		if want := pinned[seed]; !near(res.WallTime, want[0]) || !near(res.ReworkTime, want[1]) {
+			t.Fatalf("seed %d: wall %.12g rework %.12g, pinned at %.12g %.12g", seed, res.WallTime, res.ReworkTime, want[0], want[1])
 		}
 	}
 }
@@ -100,6 +114,9 @@ func TestTotalNodeFailureRecoversRemotely(t *testing.T) {
 	}
 	if !res.Image.Equal(reference) {
 		t.Fatal("image differs after remote recoveries")
+	}
+	if want := 138.041342778; !near(res.WallTime, want) {
+		t.Fatalf("wall time %.12g, pinned at %.12g", res.WallTime, want)
 	}
 }
 

@@ -35,6 +35,9 @@ type GoodReport struct {
 	// index into the chain key's placement, see ReplicaSet); -1 when the
 	// replayed prefix draws on several, and for single-chain restores.
 	Replica int
+	// ReplicaBytes splits Bytes by the replica each replayed element was
+	// read from (key -1 for single-chain restores).
+	ReplicaBytes map[int]int64
 }
 
 // Element is one chain element ready to replay: the sequence number it was
@@ -75,7 +78,7 @@ func replayLatestGood(elems []Element) (*memsim.AddressSpace, *GoodReport, error
 	}
 	// Anchor at the newest intact full checkpoint: any earlier anchor's run
 	// is cut short at (or before) this one, so later always wins.
-	rep := &GoodReport{}
+	rep := &GoodReport{ReplicaBytes: make(map[int]int64)}
 	anchor := -1
 	for i, e := range elems {
 		if e.Ckpt == nil {
@@ -117,6 +120,7 @@ func replayLatestGood(elems []Element) (*memsim.AddressSpace, *GoodReport, error
 		if i >= anchor && i <= end {
 			rep.Restored = append(rep.Restored, e.Seq)
 			rep.Bytes += int64(len(e.Data))
+			rep.ReplicaBytes[e.Replica] += int64(len(e.Data))
 			if e.Replica != rep.Replica {
 				rep.Replica = -1
 			}

@@ -1,6 +1,8 @@
 package recovery
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"aic/internal/ckpt"
@@ -159,7 +161,7 @@ func TestRecoverFallsBackToLatestGoodPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Partial || info.SourceLevel != 1 || info.Checkpoints != 3 {
+	if len(info.Discarded) == 0 || info.SourceLevel != 1 || len(info.Restored) != 3 {
 		t.Fatalf("info = %+v", info)
 	}
 	if len(info.Discarded) != 1 || info.Discarded[0] != 3 {
@@ -170,12 +172,80 @@ func TestRecoverFallsBackToLatestGoodPrefix(t *testing.T) {
 	}
 	// The CPU state the resumed process loads must match the restored
 	// image's checkpoint, not the corrupt tail.
-	_, seq, err := m.LatestCPUState(ctx, failure.Transient)
+	if !bytes.Equal(info.CPUState, cpuStateOf(t, chain[2])) {
+		t.Fatal("CPU state is not seq 2's")
+	}
+}
+
+// cpuStateOf decodes a stored element's CPU-state blob.
+func cpuStateOf(t *testing.T, s storage.Stored) []byte {
+	t.Helper()
+	c, err := ckpt.Decode(s.Data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seq != 2 {
-		t.Fatalf("CPU state from seq %d, want 2", seq)
+	return c.CPUState
+}
+
+// TestRecoverCPUStateMatchesReplayedPrefix: a torn seq 2 ahead of an intact
+// seq 3 rewinds the restore to seq 1, so the resumed process must load seq
+// 1's CPU state — not that of the newest element that still decodes.
+func TestRecoverCPUStateMatchesReplayedPrefix(t *testing.T) {
+	chain, images := buildStoredChain(t)
+	m, local, _, _ := newManager()
+	for _, s := range chain {
+		if s.Seq == 2 {
+			s.Data = s.Data[:len(s.Data)/2]
+		}
+		if err := local.Put(ctx, "p0", s.Seq, s.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	as, info, err := m.Recover(ctx, failure.Transient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.LastSeq != 1 || !reflect.DeepEqual(info.Discarded, []int{2, 3}) || !as.Equal(images[1]) {
+		t.Fatalf("restored through seq %d, discarded %v; want seq 1's image, [2 3]", info.LastSeq, info.Discarded)
+	}
+	if !bytes.Equal(info.CPUState, cpuStateOf(t, chain[1])) {
+		t.Fatal("resumed CPU state is not that of the replayed prefix's last seq")
+	}
+}
+
+// TestRecoverUnionsLevels: the levels are one replica set in cost order, so
+// a seq torn on L1 is read from L2 rather than rewinding the restore — the
+// facades' guarantee — and each level's share is priced at its own speed.
+func TestRecoverUnionsLevels(t *testing.T) {
+	chain, images := buildStoredChain(t)
+	m, local, raid, _ := newManager()
+	var localBytes int64
+	for _, s := range chain {
+		data := s.Data
+		if s.Seq == 2 {
+			data = data[:len(data)/2]
+		} else {
+			localBytes += int64(len(data))
+		}
+		if err := local.Put(ctx, "p0", s.Seq, data); err != nil {
+			t.Fatal(err)
+		}
+		if s.Seq >= 2 {
+			if err := raid.Put(ctx, "p0", s.Seq, s.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	as, info, err := m.Recover(ctx, failure.Transient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.LastSeq != 3 || len(info.Discarded) != 0 || info.SourceLevel != 2 || !as.Equal(images[3]) {
+		t.Fatalf("restored through seq %d from level %d, discarded %v; want seq 3 from level 2", info.LastSeq, info.SourceLevel, info.Discarded)
+	}
+	want := local.Target().TransferTime(localBytes) + raid.Target().TransferTime(int64(len(chain[2].Data)))
+	if info.ReadTime != want {
+		t.Fatalf("read time %v, want %v (L1's seqs 0, 1, 3 plus L2's seq 2)", info.ReadTime, want)
 	}
 }
 
@@ -206,7 +276,7 @@ func TestRecoverPartialPrefersLeastWorkLost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.Partial || info.SourceLevel != 2 {
+	if len(info.Discarded) == 0 || info.SourceLevel != 2 {
 		t.Fatalf("info = %+v, want partial recovery from level 2", info)
 	}
 	if !as.Equal(images[2]) {

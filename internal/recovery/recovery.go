@@ -1,9 +1,11 @@
-// Package recovery orchestrates multi-level checkpoint recovery: it owns a
-// process's checkpoint chains at the three levels (node-local disk, RAID-5
-// peer group, remote storage), applies each failure class's destruction
-// semantics, selects the cheapest surviving level able to recover the
-// failure, and replays the chain back into a process image — the runtime
-// counterpart of the Markov models' recovery states.
+// Package recovery restores checkpoint chains. Manager orchestrates
+// multi-level recovery: it owns a process's checkpoint chains at the three
+// levels (node-local disk, RAID-5 peer group, remote storage), applies each
+// failure class's destruction semantics, and restores the process image
+// from the levels able to recover the failure — the runtime counterpart of
+// the Markov models' recovery states. Those levels are read as one replica
+// set in cost order, through ReplicaSet, the verified per-seq restore both
+// facades use, so there is one restore rule.
 //
 // The manager programs exclusively against the storage.Store contract, so a
 // "level" can be an in-memory model store, a durable directory, a networked
@@ -32,23 +34,16 @@ func NewManager(proc string, local, raid, remote storage.Store) *Manager {
 	return &Manager{proc: proc, levels: [3]storage.Store{local, raid, remote}}
 }
 
-// Store places an encoded checkpoint at every level at and above minLevel
-// (1-based), returning the modelled write time per level (zero for levels
-// below minLevel). The paper's L2/L3 writes inherently include L1, so the
-// usual call is Store(ctx, c, 1).
-func (m *Manager) Store(ctx context.Context, c *ckpt.Checkpoint, minLevel int) ([3]float64, error) {
-	var times [3]float64
+// Store places an encoded checkpoint at every level: the paper's L2 and L3
+// writes inherently include L1.
+func (m *Manager) Store(ctx context.Context, c *ckpt.Checkpoint) error {
 	data := c.Encode()
-	for lv := 0; lv < 3; lv++ {
-		if lv+1 < minLevel {
-			continue
+	for lv, ls := range m.levels {
+		if err := ls.Put(ctx, m.proc, c.Seq, data); err != nil {
+			return fmt.Errorf("recovery: level %d: %w", lv+1, err)
 		}
-		if err := m.levels[lv].Put(ctx, m.proc, c.Seq, data); err != nil {
-			return times, fmt.Errorf("recovery: level %d: %w", lv+1, err)
-		}
-		times[lv] = m.levels[lv].Target().TransferTime(int64(len(data)))
 	}
-	return times, nil
+	return nil
 }
 
 // ApplyFailure destroys the state the failure class takes with it: a total
@@ -61,134 +56,45 @@ func (m *Manager) ApplyFailure(ctx context.Context, lv failure.Level) {
 	}
 }
 
-// Info reports what a recovery used.
+// Info reports what a recovery used: the replayed prefix's report (its
+// CPUState is the execution state the resumed process loads), the deepest
+// level any replayed element was read from, and the modelled time to read
+// each contributing level's share of the replayed bytes, summed.
 type Info struct {
-	SourceLevel int     // 1..3
-	Checkpoints int     // chain length replayed
-	Bytes       int64   // bytes read from the source level
-	ReadTime    float64 // modelled transfer time for the chain
-	// Partial is set when the source chain was damaged and only its newest
-	// intact full-anchored prefix was replayed; Discarded lists the seqs
-	// given up.
-	Partial   bool
-	Discarded []int
+	*GoodReport
+	SourceLevel int // 1..3
+	ReadTime    float64
 }
 
-// chain fetches a level's readable chain, treating fetch errors and missing
-// elements as damage the caller handles (an unreachable or corrupt level
-// simply yields what it can).
-func (m *Manager) chain(ctx context.Context, level int) []storage.Stored {
-	chain, _, err := m.levels[level-1].Get(ctx, m.proc)
-	if err != nil {
-		return nil
-	}
-	return chain
-}
+// levelNames names the levels as replicas of one replica set.
+var levelNames = [3]string{"L1", "L2", "L3"}
 
-// Recover restores the process image after a failure of the given class:
-// the source is the lowest surviving level whose index is at least the
-// failure level (a higher-level checkpoint can recover all lower-level
-// failures; lower levels may have been destroyed or out of reach of the
-// replacement node). When no level holds a fully intact chain, it falls
-// back to the newest intact full-anchored prefix across the eligible
-// levels — preferring the prefix that loses the least work — rather than
-// declaring the process unrecoverable.
+// Recover restores the process image after a failure of the given class.
+// The levels at and above the failure level are a replica set in placement
+// order, which is also cost order (a higher-level checkpoint can recover
+// every lower-level failure; lower levels may be destroyed or out of the
+// replacement node's reach), so the restore is ReplicaSet's: the newest
+// intact anchor, then the longest verifiable run after it, each seq read
+// from the cheapest level whose copy verifies. A damaged chain rewinds to
+// its newest intact prefix rather than declaring the process unrecoverable.
 func (m *Manager) Recover(ctx context.Context, lv failure.Level) (*memsim.AddressSpace, Info, error) {
-	start := int(lv)
-	if start < 1 {
-		start = 1
-	}
-	for level := start; level <= 3; level++ {
-		chain := m.chain(ctx, level)
-		if len(chain) == 0 {
-			continue
-		}
-		as, info, err := m.replay(chain, level)
-		if err != nil {
-			// A damaged chain at this level falls through to the next.
-			continue
-		}
-		return as, info, nil
-	}
-	// Second pass: every eligible chain is damaged or empty. Take the
-	// best surviving prefix (highest restored seq; cheapest level on ties,
-	// which the ascending scan gives us for free).
-	var (
-		bestAS    *memsim.AddressSpace
-		bestRep   *GoodReport
-		bestLevel int
-	)
-	for level := start; level <= 3; level++ {
-		chain := m.chain(ctx, level)
-		if len(chain) == 0 {
-			continue
-		}
-		as, rep, err := RestoreLatestGood(chain)
-		if err != nil {
-			continue
-		}
-		if bestRep == nil || rep.LastSeq > bestRep.LastSeq {
-			bestAS, bestRep, bestLevel = as, rep, level
-		}
-	}
-	if bestRep != nil {
-		info := Info{
-			SourceLevel: bestLevel,
-			Checkpoints: len(bestRep.Restored),
-			Bytes:       bestRep.Bytes,
-			ReadTime:    m.levels[bestLevel-1].Target().TransferTime(bestRep.Bytes),
-			Partial:     true,
-			Discarded:   bestRep.Discarded,
-		}
-		return bestAS, info, nil
-	}
-	return nil, Info{}, fmt.Errorf("recovery: no surviving checkpoint chain can recover a %v failure of %s", lv, m.proc)
-}
-
-func (m *Manager) replay(chain []storage.Stored, level int) (*memsim.AddressSpace, Info, error) {
-	decoded := make([]*ckpt.Checkpoint, len(chain))
-	var bytes int64
-	for i, s := range chain {
-		c, err := ckpt.Decode(s.Data)
-		if err != nil {
-			return nil, Info{}, fmt.Errorf("recovery: seq %d: %w", s.Seq, err)
-		}
-		decoded[i] = c
-		bytes += int64(len(s.Data))
-	}
-	as, err := ckpt.Restore(decoded)
+	start := max(int(lv), 1) - 1
+	names, levels := levelNames[start:], m.levels[start:]
+	set := ReplicaSet{Fan: new(storage.FanOut), Place: func(string) ([]string, []storage.Store, error) {
+		return names, levels, nil
+	}}
+	as, rep, err := set.Restore(ctx, m.proc)
 	if err != nil {
-		return nil, Info{}, err
+		return nil, Info{}, fmt.Errorf("recovery: no surviving checkpoint chain can recover a %v failure of %s: %w", lv, m.proc, err)
 	}
-	info := Info{
-		SourceLevel: level,
-		Checkpoints: len(decoded),
-		Bytes:       bytes,
-		ReadTime:    m.levels[level-1].Target().TransferTime(bytes),
+	info := Info{GoodReport: rep}
+	for r, ls := range levels {
+		if n, read := rep.ReplicaBytes[r]; read {
+			info.SourceLevel = start + r + 1
+			info.ReadTime += ls.Target().TransferTime(n)
+		}
 	}
 	return as, info, nil
-}
-
-// LatestCPUState returns the CPU-state blob of the most recent checkpoint
-// at the lowest level holding one — the execution state a restored process
-// resumes from. A corrupt tail does not disqualify a level: the walk backs
-// up to the newest decodable element before falling through.
-func (m *Manager) LatestCPUState(ctx context.Context, lv failure.Level) ([]byte, int, error) {
-	start := int(lv)
-	if start < 1 {
-		start = 1
-	}
-	for level := start; level <= 3; level++ {
-		chain := m.chain(ctx, level)
-		for i := len(chain) - 1; i >= 0; i-- {
-			c, err := ckpt.Decode(chain[i].Data)
-			if err != nil {
-				continue
-			}
-			return c.CPUState, c.Seq, nil
-		}
-	}
-	return nil, 0, fmt.Errorf("recovery: no checkpoint holds CPU state for %s", m.proc)
 }
 
 // Reset wipes the process's chains at every level — used when a recovery
@@ -196,13 +102,5 @@ func (m *Manager) LatestCPUState(ctx context.Context, lv failure.Level) ([]byte,
 func (m *Manager) Reset(ctx context.Context) {
 	for _, ls := range m.levels {
 		_ = ls.Delete(ctx, m.proc)
-	}
-}
-
-// Truncate drops checkpoints preceding fullSeq at every level (housekeeping
-// after a periodic full checkpoint bounds the restore chain).
-func (m *Manager) Truncate(ctx context.Context, fullSeq int) {
-	for _, ls := range m.levels {
-		_ = ls.Truncate(ctx, m.proc, fullSeq)
 	}
 }

@@ -41,7 +41,7 @@ func buildProcess(t *testing.T, m *Manager) (*memsim.AddressSpace, *ckpt.Builder
 		as.Write(i, 0, buf, 0)
 	}
 	full := b.FullCheckpoint(as)
-	if _, err := m.Store(ctx, full, 1); err != nil {
+	if err := m.Store(ctx, full); err != nil {
 		t.Fatal(err)
 	}
 	for step := 1; step <= 3; step++ {
@@ -50,7 +50,7 @@ func buildProcess(t *testing.T, m *Manager) (*memsim.AddressSpace, *ckpt.Builder
 			as.Write(uint64((step*3+i)%16), (i*96)%400, buf[:64], float64(step))
 		}
 		c, _ := b.DeltaCheckpoint(as)
-		if _, err := m.Store(ctx, c, 1); err != nil {
+		if err := m.Store(ctx, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -73,7 +73,7 @@ func TestRecoverFromEachLevel(t *testing.T) {
 		if info.SourceLevel != wantLevel {
 			t.Fatalf("%v: recovered from level %d, want %d", lv, info.SourceLevel, wantLevel)
 		}
-		if info.Checkpoints != 4 || info.Bytes <= 0 || info.ReadTime <= 0 {
+		if len(info.Restored) != 4 || info.Bytes <= 0 || info.ReadTime <= 0 {
 			t.Fatalf("%v: info = %+v", lv, info)
 		}
 	}
@@ -143,10 +143,11 @@ func TestRecoverNoChains(t *testing.T) {
 func TestLatestCPUState(t *testing.T) {
 	m, _, _, _ := newManager()
 	_, b := buildProcess(t, m)
-	blob, seq, err := m.LatestCPUState(ctx, failure.Transient)
+	_, info, err := m.Recover(ctx, failure.Transient)
 	if err != nil {
 		t.Fatal(err)
 	}
+	blob, seq := info.CPUState, info.LastSeq
 	if seq != b.Seq()-1 {
 		t.Fatalf("seq = %d, want %d", seq, b.Seq()-1)
 	}
@@ -154,35 +155,7 @@ func TestLatestCPUState(t *testing.T) {
 		t.Fatalf("blob %d bytes", len(blob))
 	}
 	m.ApplyFailure(ctx, failure.TotalNode)
-	if _, _, err := m.LatestCPUState(ctx, failure.TotalNode); err != nil {
+	if _, _, err := m.Recover(ctx, failure.TotalNode); err != nil {
 		t.Fatalf("remote CPU state unavailable: %v", err)
-	}
-}
-
-func TestStoreMinLevel(t *testing.T) {
-	m, local, raid, remote := newManager()
-	as := memsim.New(512)
-	as.Write(0, 0, []byte{1}, 0)
-	b := ckpt.NewBuilder(512, 0, 0)
-	c := b.FullCheckpoint(as)
-	times, err := m.Store(ctx, c, 2) // only L2 and L3
-	if err != nil {
-		t.Fatal(err)
-	}
-	if times[0] != 0 || times[1] <= 0 || times[2] <= 0 {
-		t.Fatalf("times = %v", times)
-	}
-	if len(chainOf(t, local, "p0")) != 0 || len(chainOf(t, raid, "p0")) != 1 || len(chainOf(t, remote, "p0")) != 1 {
-		t.Fatal("minLevel not honored")
-	}
-}
-
-func TestTruncate(t *testing.T) {
-	m, local, _, _ := newManager()
-	buildProcess(t, m) // seqs 0..3
-	m.Truncate(ctx, 2)
-	chain := chainOf(t, local, "p0")
-	if len(chain) != 2 || chain[0].Seq != 2 {
-		t.Fatalf("chain after truncate: %+v", chain)
 	}
 }
