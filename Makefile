@@ -30,6 +30,8 @@ race: ## full suite under the race detector, shuffled, as CI runs it
 	$(GO) test -race -shuffle=on ./...
 
 fuzz-smoke: ## short runs of every fuzz target, as CI runs them
+	$(GO) test -run=^$$ -fuzz=^FuzzDecode$$ -fuzztime=20s ./internal/delta
+	$(GO) test -run=^$$ -fuzz=FuzzDecodePageAligned -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedParallel -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedFastPath -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzChunker -fuzztime=20s ./internal/delta

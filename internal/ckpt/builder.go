@@ -255,6 +255,11 @@ func (e *ElementError) Unwrap() error { return e.Err }
 // incrementals in sequence order — into a fresh address space. Every page
 // an element carries must decode to exactly the chain's page size; an
 // element that fails to replay is reported as an *ElementError.
+//
+// The replay writes every page into a buffer from its one pagePool and
+// installs it by ownership once the whole element has decoded, so the
+// image shares no bytes with the chain and a replayed step costs decode
+// work, not an allocation per page.
 func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("ckpt: empty restore chain")
@@ -263,6 +268,7 @@ func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 		return nil, fmt.Errorf("ckpt: restore chain must begin with a full checkpoint, got %v", chain[0].Kind)
 	}
 	as := memsim.New(chain[0].PageSize)
+	pool := &pagePool{as: as}
 	for i, c := range chain {
 		if i > 0 {
 			if c.Kind == Full {
@@ -275,41 +281,81 @@ func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 		if c.PageSize != as.PageSize() {
 			return nil, fmt.Errorf("ckpt: page size changed mid-chain at %d", i)
 		}
-		var err error
-		switch c.Kind {
-		case Full, Incremental:
-			err = installRawPages(as, c.Payload)
-		case IncrementalDelta:
-			err = installDeltaPages(as, c.Payload)
-		default:
-			err = fmt.Errorf("%w: kind %v", ErrBadCheckpoint, c.Kind)
-		}
-		if err != nil {
+		if err := pool.replay(c); err != nil {
 			return nil, &ElementError{Elem: i, Err: err}
-		}
-		for _, idx := range c.Freed {
-			as.Free(idx)
 		}
 	}
 	as.ResetDirty()
 	return as, nil
 }
 
-// installDeltaPages decodes a page-aligned delta stream against the image
-// replayed so far and installs each decoded page by ownership: a raw page
-// is the decoder's one copy out of the payload, a delta page its fresh
-// output. Page fetches are pure reads of the image, so the payload decodes
-// on all cores before any page is installed.
-func installDeltaPages(as *memsim.AddressSpace, payload []byte) error {
-	pages, err := delta.DecodePageAlignedParallel(payload, as.Page, 0)
+// pagePool is a replay's page supply. A page an element displaces — by
+// installing over it, or by naming it in Freed — is unmapped, so nothing
+// reads it any more: it joins the free list and a later element decodes
+// into it. When an element needs more pages than the list holds, the
+// shortfall comes from one slab, so the anchor is one allocation. A slab
+// stays reachable while any of its pages is mapped.
+type pagePool struct {
+	as   *memsim.AddressSpace
+	free [][]byte
+}
+
+// take returns n page buffers, recycled ones first.
+func (p *pagePool) take(n int) [][]byte {
+	bufs := make([][]byte, n)
+	k := copy(bufs, p.free[max(0, len(p.free)-n):])
+	p.free = p.free[:len(p.free)-k]
+	if short := n - k; short > 0 {
+		ps := p.as.PageSize()
+		slab := make([]byte, short*ps)
+		for i := range short {
+			bufs[k+i] = slab[i*ps : (i+1)*ps : (i+1)*ps]
+		}
+	}
+	return bufs
+}
+
+// recycle puts the buffer of the page mapped at idx, if any, on the free
+// list; the caller replaces or unmaps that page next.
+func (p *pagePool) recycle(idx uint64) {
+	if page := p.as.Page(idx); page != nil {
+		p.free = append(p.free, page)
+	}
+}
+
+// replay decodes element c into pool buffers — a raw page copied, a delta
+// or XOR page decoded against the image so far, whose page fetches are pure
+// reads, so the payload decodes on all cores — then installs every page,
+// recycling the ones it displaces, and unmaps c's freed pages, recycling
+// them too.
+func (p *pagePool) replay(c *Checkpoint) error {
+	var pages []delta.Page
+	var err error
+	switch c.Kind {
+	case Full, Incremental:
+		if pages, err = rawPages(c.Payload, p.as.PageSize()); err == nil {
+			for i, buf := range p.take(len(pages)) {
+				pages[i].Data = append(buf[:0], pages[i].Data...)
+			}
+		}
+	case IncrementalDelta:
+		pages, err = delta.DecodePageAlignedInto(c.Payload, p.as.Page, 0, p.take)
+	default:
+		err = fmt.Errorf("%w: kind %v", ErrBadCheckpoint, c.Kind)
+	}
 	if err != nil {
 		return err
 	}
-	for idx, content := range pages {
-		if len(content) != as.PageSize() {
-			return fmt.Errorf("%w: page %d decodes to %d bytes, page size %d", ErrBadCheckpoint, idx, len(content), as.PageSize())
+	for _, pg := range pages {
+		if len(pg.Data) != p.as.PageSize() {
+			return fmt.Errorf("%w: page %d decodes to %d bytes, page size %d", ErrBadCheckpoint, pg.Index, len(pg.Data), p.as.PageSize())
 		}
-		as.Install(idx, content, 0)
+		p.recycle(pg.Index)
+		p.as.Install(pg.Index, pg.Data, 0)
+	}
+	for _, idx := range c.Freed {
+		p.recycle(idx)
+		p.as.Free(idx)
 	}
 	return nil
 }

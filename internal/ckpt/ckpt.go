@@ -6,12 +6,12 @@
 package ckpt
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 
+	"aic/internal/delta"
 	"aic/internal/memsim"
 )
 
@@ -256,29 +256,39 @@ func (c *Checkpoint) rawPagesFrame(as *memsim.AddressSpace, idxs []uint64) {
 	c.seal(out, n)
 }
 
-// installRawPages parses a raw page list and installs each page into as,
-// copied once out of the payload.
-func installRawPages(as *memsim.AddressSpace, payload []byte) error {
+// rawPages parses a raw page list — the count, then each index and its
+// page — for pages of pageSize bytes. It is the one validation rule for raw
+// lists: the count must fit in the payload (checked before anything is
+// sized by it), indexes must be strictly ascending (both builders emit them
+// so; a duplicate or a reordering can only be corruption), and no bytes may
+// trail the last page. Each page's Data aliases payload.
+func rawPages(payload []byte, pageSize int) ([]delta.Page, error) {
 	count, n := binary.Uvarint(payload)
 	if n <= 0 {
-		return fmt.Errorf("%w: missing page count", ErrBadCheckpoint)
+		return nil, fmt.Errorf("%w: missing page count", ErrBadCheckpoint)
 	}
 	payload = payload[n:]
-	pageSize := as.PageSize()
-	for i := uint64(0); i < count; i++ {
+	if count > uint64(len(payload)/(pageSize+1)) { // each page is ≥ one index byte and its bytes
+		return nil, fmt.Errorf("%w: %d pages cannot fit in %d payload bytes", ErrBadCheckpoint, count, len(payload))
+	}
+	pages := make([]delta.Page, count)
+	for i := range pages {
 		idx, n := binary.Uvarint(payload)
 		if n <= 0 {
-			return fmt.Errorf("%w: bad page index", ErrBadCheckpoint)
+			return nil, fmt.Errorf("%w: bad page index", ErrBadCheckpoint)
+		}
+		if i > 0 && idx <= pages[i-1].Index {
+			return nil, fmt.Errorf("%w: page index %d after %d breaks ascending order", ErrBadCheckpoint, idx, pages[i-1].Index)
 		}
 		payload = payload[n:]
 		if len(payload) < pageSize {
-			return fmt.Errorf("%w: short page %d", ErrBadCheckpoint, idx)
+			return nil, fmt.Errorf("%w: short page %d", ErrBadCheckpoint, idx)
 		}
-		as.Install(idx, bytes.Clone(payload[:pageSize]), 0)
+		pages[i] = delta.Page{Index: idx, Data: payload[:pageSize:pageSize]}
 		payload = payload[pageSize:]
 	}
 	if len(payload) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(payload))
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(payload))
 	}
-	return nil
+	return pages, nil
 }

@@ -358,7 +358,13 @@ func diffPrefixLen(a, b []byte) int {
 
 // Decode reconstructs the target from source and a delta stream produced by
 // Encode. It validates all offsets and the declared target length.
-func Decode(source, delta []byte) ([]byte, error) {
+func Decode(source, delta []byte) ([]byte, error) { return decodeInto(nil, source, delta) }
+
+// decodeInto is Decode writing the target into dst's backing array when the
+// declared length fits its capacity, and into a new buffer otherwise. It
+// never reads dst, so dst may hold anything, but it must not overlap
+// source: a COPY op reads source while the output is being written.
+func decodeInto(dst, source, delta []byte) ([]byte, error) {
 	targetLen, n := binary.Uvarint(delta)
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: missing target length", ErrCorrupt)
@@ -367,13 +373,12 @@ func Decode(source, delta []byte) ([]byte, error) {
 	if targetLen > MaxDecodeTarget {
 		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, targetLen, MaxDecodeTarget)
 	}
-	// Cap the pre-allocation: a corrupt header must not drive a huge
-	// allocation before validation fails.
-	capHint := targetLen
-	if capHint > 1<<20 {
-		capHint = 1 << 20
+	out := dst[:0]
+	if out == nil || uint64(cap(out)) < targetLen { // Decode returns a non-nil slice, even when empty
+		// Cap the pre-allocation: a corrupt header must not drive a huge
+		// allocation before validation fails.
+		out = make([]byte, 0, min(targetLen, 1<<20))
 	}
-	out := make([]byte, 0, capHint)
 	for {
 		if len(delta) == 0 {
 			return nil, fmt.Errorf("%w: missing end marker", ErrCorrupt)
@@ -475,7 +480,11 @@ func EncodeXOR(source, target []byte) ([]byte, error) {
 }
 
 // DecodeXOR reverses EncodeXOR given the same source image.
-func DecodeXOR(source, stream []byte) ([]byte, error) {
+func DecodeXOR(source, stream []byte) ([]byte, error) { return decodeXORInto(nil, source, stream) }
+
+// decodeXORInto is DecodeXOR writing the target into dst's backing array
+// when it fits, as decodeInto does; dst must not overlap source.
+func decodeXORInto(dst, source, stream []byte) ([]byte, error) {
 	total, n := binary.Uvarint(stream)
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: missing length", ErrCorrupt)
@@ -484,7 +493,10 @@ func DecodeXOR(source, stream []byte) ([]byte, error) {
 		return nil, ErrLengthMismatch
 	}
 	stream = stream[n:]
-	out := make([]byte, 0, total)
+	out := dst[:0]
+	if out == nil || uint64(cap(out)) < total {
+		out = make([]byte, 0, total)
+	}
 	for uint64(len(out)) < total {
 		zrun, n := binary.Uvarint(stream)
 		if n <= 0 {

@@ -3,6 +3,7 @@ package delta
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 )
 
@@ -29,8 +30,18 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("decoded %d bytes, header declares %d", len(out), declared)
 			}
 		}
+		// Decoding into a garbage-filled buffer must agree on acceptance
+		// and on every byte.
+		into, ierr := decodeInto(garbage(len(src)), src, stream)
+		if (err == nil) != (ierr == nil) || !bytes.Equal(out, into) {
+			t.Fatalf("decodeInto disagrees with Decode: err=%v, into err=%v", err, ierr)
+		}
 	})
 }
+
+// garbage returns a buffer of n bytes that are not zero, so a decoder that
+// read its output buffer before writing it would be caught.
+func garbage(n int) []byte { return bytes.Repeat([]byte{0xE7}, n) }
 
 func FuzzRoundTrip(f *testing.F) {
 	f.Add([]byte("source"), []byte("target"), uint8(8))
@@ -169,8 +180,10 @@ func FuzzPageAlignedFastPath(f *testing.F) {
 	})
 }
 
-// FuzzDecodePageAligned feeds arbitrary streams to both decoders: neither
-// may panic, and they must agree on acceptance and content.
+// FuzzDecodePageAligned feeds arbitrary streams to the serial and parallel
+// map-returning decoders and to DecodePageAlignedInto fed garbage-filled
+// buffers: none may panic, and they must agree on acceptance and content.
+// A page that fits its buffer must have been decoded into it.
 func FuzzDecodePageAligned(f *testing.F) {
 	good := encodePA([]PageUpdate{
 		{Index: 1, New: []byte("raw page")},
@@ -184,18 +197,35 @@ func FuzzDecodePageAligned(f *testing.F) {
 		fetch := func(uint64) []byte { return old }
 		want, serr := DecodePageAligned(stream, fetch)
 		got, perr := DecodePageAlignedParallel(stream, fetch, 4)
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("decoders disagree: serial err=%v, parallel err=%v", serr, perr)
+		var bufs [][]byte
+		take := func(n int) [][]byte {
+			bufs = make([][]byte, n)
+			for i := range bufs {
+				bufs[i] = garbage(i * 37 % 130) // some pages fit, some do not
+			}
+			return slices.Clone(bufs)
+		}
+		into, ierr := DecodePageAlignedInto(stream, fetch, 2, take)
+		if (serr == nil) != (perr == nil) || (serr == nil) != (ierr == nil) {
+			t.Fatalf("decoders disagree: serial err=%v, parallel err=%v, into err=%v", serr, perr, ierr)
 		}
 		if serr != nil {
 			return
 		}
-		if len(want) != len(got) {
-			t.Fatalf("decoders produced %d vs %d pages", len(want), len(got))
+		if len(want) != len(got) || len(want) != len(into) {
+			t.Fatalf("decoders produced %d, %d and %d pages", len(want), len(got), len(into))
 		}
 		for idx, page := range want {
 			if !bytes.Equal(got[idx], page) {
 				t.Fatalf("page %d differs between decoders", idx)
+			}
+		}
+		for i, p := range into {
+			if !bytes.Equal(p.Data, want[p.Index]) {
+				t.Fatalf("page %d differs from the map-returning decoders", p.Index)
+			}
+			if len(p.Data) > 0 && len(p.Data) <= cap(bufs[i]) && &p.Data[0] != &bufs[i][0] {
+				t.Fatalf("page %d fits its buffer but was decoded elsewhere", p.Index)
 			}
 		}
 	})

@@ -190,12 +190,13 @@ func scanPageFrames(stream []byte) ([]pageFrame, error) {
 	return frames, nil
 }
 
-// decodeFrame materializes one page from its frame. It is shared by the
-// serial and parallel decoders.
-func decodeFrame(f pageFrame, fetchOld func(index uint64) []byte) ([]byte, error) {
+// decodeFrameInto materializes one page from its frame into dst's backing
+// array when the page fits there (into a new buffer otherwise). dst is
+// never read and must not overlap any page fetchOld returns.
+func decodeFrameInto(dst []byte, f pageFrame, fetchOld func(index uint64) []byte) ([]byte, error) {
 	switch f.mode {
 	case PageRaw:
-		return append([]byte(nil), f.payload...), nil
+		return append(dst[:0], f.payload...), nil
 	case PageDelta, PageXOR:
 		old := fetchOld(f.idx)
 		if old == nil {
@@ -204,9 +205,9 @@ func decodeFrame(f pageFrame, fetchOld func(index uint64) []byte) ([]byte, error
 		var decoded []byte
 		var err error
 		if f.mode == PageDelta {
-			decoded, err = Decode(old, f.payload)
+			decoded, err = decodeInto(dst, old, f.payload)
 		} else {
-			decoded, err = DecodeXOR(old, f.payload)
+			decoded, err = decodeXORInto(dst, old, f.payload)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("page %d: %w", f.idx, err)
@@ -220,27 +221,10 @@ func decodeFrame(f pageFrame, fetchOld func(index uint64) []byte) ([]byte, error
 // DecodePageAligned reverses EncodePageAlignedParallelStats. fetchOld must return the
 // previous version of a page stored in delta mode; returning nil reports
 // the page as unavailable and fails decoding. Streams whose page indexes
-// are not strictly ascending are rejected as corrupt.
+// are not strictly ascending are rejected as corrupt. It is
+// DecodePageAlignedInto on one worker, each page in a new buffer.
 func DecodePageAligned(stream []byte, fetchOld func(index uint64) []byte) (map[uint64][]byte, error) {
-	frames, err := scanPageFrames(stream)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFrames(frames, fetchOld)
-}
-
-// decodeFrames decodes scanned frames one after another: the serial
-// decoder, and the parallel one at one worker.
-func decodeFrames(frames []pageFrame, fetchOld func(index uint64) []byte) (map[uint64][]byte, error) {
-	pages := make(map[uint64][]byte, len(frames))
-	for _, f := range frames {
-		decoded, err := decodeFrame(f, fetchOld)
-		if err != nil {
-			return nil, err
-		}
-		pages[f.idx] = decoded
-	}
-	return pages, nil
+	return DecodePageAlignedParallel(stream, fetchOld, 1)
 }
 
 // Stats summarizes a compression operation for the predictor feedback loop

@@ -123,45 +123,97 @@ type pageHead struct {
 }
 
 // DecodePageAlignedParallel reverses EncodePageAlignedParallelStats using up to
-// parallelism workers (≤ 0 selects GOMAXPROCS). The frame scan and all
-// validation run up front on the calling goroutine; only the per-page
-// payload decodes fan out, so fetchOld must be safe for concurrent calls
-// (a pure read of previous checkpoint state qualifies).
+// parallelism workers (≤ 0 selects GOMAXPROCS): DecodePageAlignedInto with
+// each page in a new buffer, returned as a map from page index to content.
+// fetchOld must be safe for concurrent calls (a pure read of previous
+// checkpoint state qualifies).
 func DecodePageAlignedParallel(stream []byte, fetchOld func(index uint64) []byte, parallelism int) (map[uint64][]byte, error) {
+	decoded, err := DecodePageAlignedInto(stream, fetchOld, parallelism, func(n int) [][]byte { return make([][]byte, n) })
+	if err != nil {
+		return nil, err
+	}
+	pages := make(map[uint64][]byte, len(decoded))
+	for _, p := range decoded {
+		pages[p.Index] = p.Data
+	}
+	return pages, nil
+}
+
+// Page is one decoded page of a page-aligned stream.
+type Page struct {
+	Index uint64
+	Data  []byte
+}
+
+// DecodePageAlignedInto is the one page-aligned decoder: it reverses
+// EncodePageAlignedParallelStats into buffers the caller supplies, and
+// returns the pages in stream order (ascending index). Once the stream's
+// framing validates, take(n) is called once and must return n buffers; page
+// i is decoded into buffer i's backing array when it fits the buffer's
+// capacity, and into a new buffer otherwise. A buffer's contents are never
+// read, but no buffer may overlap a page fetchOld can return: a delta op
+// reads the previous version while the page is being written.
+//
+// The frame scan and all framing validation run up front on the calling
+// goroutine; only the per-page decodes fan out, across up to parallelism
+// workers (≤ 0 selects GOMAXPROCS, 1 decodes on the calling goroutine
+// alone), so fetchOld must be safe for concurrent calls. When pages fail,
+// the error of the first failing page in stream order is returned.
+func DecodePageAlignedInto(stream []byte, fetchOld func(index uint64) []byte, parallelism int, take func(n int) [][]byte) ([]Page, error) {
 	frames, err := scanPageFrames(stream)
 	if err != nil {
 		return nil, err
 	}
-	parallelism = resolveParallelism(parallelism, len(frames))
-	if parallelism <= 1 {
-		return decodeFrames(frames, fetchOld)
+	d := &pageDecoder{frames: frames, bufs: take(len(frames)), pages: make([]Page, len(frames)), fetchOld: fetchOld, first: len(frames)}
+	workers := resolveParallelism(parallelism, len(frames))
+	d.wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go d.work()
 	}
-
-	decoded := make([][]byte, len(frames))
-	errs := make([]error, len(frames))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(frames) {
-					return
-				}
-				decoded[i], errs[i] = decodeFrame(frames[i], fetchOld)
-			}
-		}()
+	d.work() // the calling goroutine is the first worker
+	d.wg.Wait()
+	if d.err != nil {
+		return nil, d.err
 	}
-	wg.Wait()
+	return d.pages, nil
+}
 
-	pages := make(map[uint64][]byte, len(frames))
-	for i, f := range frames {
-		if errs[i] != nil {
-			return nil, errs[i]
+// pageDecoder is the state DecodePageAlignedInto's workers share, in one
+// allocation per stream.
+type pageDecoder struct {
+	frames   []pageFrame
+	bufs     [][]byte
+	pages    []Page
+	fetchOld func(index uint64) []byte
+	next     atomic.Int64
+	failed   atomic.Bool
+	wg       sync.WaitGroup // one count per worker, the calling goroutine's too
+	mu       sync.Mutex
+	first    int   // the lowest failing frame, under mu
+	err      error // its error, under mu
+}
+
+// work decodes frames until none is left or one has failed. Frames are
+// claimed in ascending order and every claimed frame is finished, so
+// stopping at a failure still decodes every frame before it: the first
+// failure in stream order is always found.
+func (d *pageDecoder) work() {
+	defer d.wg.Done()
+	for !d.failed.Load() {
+		i := int(d.next.Add(1)) - 1
+		if i >= len(d.frames) {
+			return
 		}
-		pages[f.idx] = decoded[i]
+		data, err := decodeFrameInto(d.bufs[i], d.frames[i], d.fetchOld)
+		if err != nil {
+			d.mu.Lock()
+			if i < d.first {
+				d.first, d.err = i, err
+			}
+			d.mu.Unlock()
+			d.failed.Store(true)
+			return
+		}
+		d.pages[i] = Page{Index: d.frames[i].idx, Data: data}
 	}
-	return pages, nil
 }

@@ -2,6 +2,8 @@ package recovery
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -303,5 +305,67 @@ func TestRestoreLatestGoodRewindsPastWrongSizePage(t *testing.T) {
 		if !as.Equal(images[1]) {
 			t.Fatalf("page of %d bytes: restore did not rewind to seq 1", n)
 		}
+	}
+}
+
+// TestRestoreLatestGoodRewindsPastBadRawList: a checksum-valid incremental
+// whose raw page list breaks the one validation rule for raw lists is
+// corrupt. ckpt.Restore reports it as an *ElementError wrapping
+// ErrBadCheckpoint — before any count in it sizes an allocation — and the
+// last-good-prefix restore rewinds past it.
+func TestRestoreLatestGoodRewindsPastBadRawList(t *testing.T) {
+	page := bytes.Repeat([]byte{0x5A}, 512) // buildStoredChain's page size
+	list := func(count uint64, entries ...any) []byte {
+		out := binary.AppendUvarint(nil, count)
+		for _, e := range entries {
+			switch e := e.(type) {
+			case int:
+				out = binary.AppendUvarint(out, uint64(e))
+			case []byte:
+				out = append(out, e...)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"count far beyond the payload", list(1<<40, 0, page)},
+		{"count one past the pages", list(2, 0, page)},
+		{"duplicate index", list(2, 3, page, 3, page)},
+		{"descending indexes", list(2, 5, page, 3, page)},
+		{"short page", list(1, 0, page[:100])},
+		{"trailing bytes", list(1, 0, page, []byte{0})},
+		{"missing count", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			chain, images := buildStoredChain(t)
+			bad := &ckpt.Checkpoint{Seq: 2, Kind: ckpt.Incremental, PageSize: 512, Payload: tc.payload}
+			chain[2].Data = bad.Encode()
+			var decoded []*ckpt.Checkpoint
+			for _, s := range chain {
+				c, err := ckpt.Decode(s.Data)
+				if err != nil {
+					t.Fatalf("seq %d does not pass Decode: %v", s.Seq, err)
+				}
+				decoded = append(decoded, c)
+			}
+			_, err := ckpt.Restore(decoded)
+			var elemErr *ckpt.ElementError
+			if !errors.As(err, &elemErr) || elemErr.Elem != 2 || !errors.Is(err, ckpt.ErrBadCheckpoint) {
+				t.Fatalf("Restore: err = %v, want ErrBadCheckpoint at element 2", err)
+			}
+			as, rep, err := RestoreLatestGood(chain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.LastSeq != 1 || !reflect.DeepEqual(rep.Corrupt, []int{2}) || !reflect.DeepEqual(rep.Discarded, []int{2, 3}) {
+				t.Fatalf("report = %+v", rep)
+			}
+			if !as.Equal(images[1]) {
+				t.Fatal("restore did not rewind to seq 1")
+			}
+		})
 	}
 }
