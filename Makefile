@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: help build lint test race fuzz-smoke chaos-smoke bench-smoke examples cover loc bench-e2e bench-e2e-smoke
+.PHONY: help build lint test race fuzz-smoke chaos-smoke bench-smoke examples sim-golden cover loc bench-e2e bench-e2e-smoke
 
 help: ## list targets
 	@awk -F':.*## ' '/^[a-z0-9-]+:.*## /{printf "  %-16s %s\n", $$1, $$2}' $(MAKEFILE_LIST)
@@ -47,10 +47,14 @@ chaos-smoke: ## the three chaos smoke steps CI runs, under the race detector: so
 	$(GO) test -race -short -run 'TestCompactionChaos' ./internal/chaos
 
 bench-smoke: ## one iteration of the codec and simulator benchmarks, as CI runs them, so they cannot rot
-	$(GO) test -run '^$$' -bench 'PageAligned|EncodeAllocs|RestoreChain|CheckpointWrite|AICRunSphinx3|MonteCarloValidation' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'PageAligned|EncodeAllocs|RestoreChain|CheckpointWrite|AICRunSphinx3|MonteCarloValidation|DeciderWorkSpanSearch' -benchtime 1x .
 
 examples: ## run every example end to end, as CI runs them; fails on the first non-zero exit
 	@set -e; for d in examples/*/; do echo "== $${d%/}"; $(GO) run ./$${d%/}; done
+
+sim-golden: ## simulator outputs (aicbench, deltabench, aicsim -trace, examples) byte-identical to REF=<rev>, timings masked
+	@test -n "$(REF)" || { echo "usage: make sim-golden REF=<rev>" >&2; exit 2; }
+	bash ci/sim-golden.sh $(REF)
 
 cover: ## coverage profile + per-function summary
 	$(GO) test -shuffle=on -coverprofile=coverage.out -coverpkg=./... ./...

@@ -415,7 +415,7 @@ func BenchmarkDeciderWorkSpanSearch(b *testing.B) {
 	cur := model.Coastal()
 	cur.Lambda = [3]float64{8.3e-5, 7.5e-4, 1.67e-5}
 	for i := 0; i < b.N; i++ {
-		model.OptimalWorkSpanDynamic(cur, cur, 1, 7200)
+		model.OptimalWorkSpanDynamic(func(float64) model.Params { return cur }, cur, 1, 7200)
 	}
 }
 

@@ -133,7 +133,7 @@ func Run(cfg Config) (*Result, error) {
 			wait := start - head.submit
 			ps.queueDelays = append(ps.queueDelays, wait)
 			rec := head.rec
-			rec.C2 = rec.C1 + wait + rec.DL + rec.DS/cfg.System.RAID5.BandwidthBps
+			rec.C2, _ = core.LevelCosts(cfg.System, rec.C1+wait, rec.DL, rec.DS)
 			rec.C3 = rec.C1 + wait + head.service
 			ps.records = append(ps.records, rec)
 			ps.remoteBusyAt = end

@@ -135,3 +135,29 @@ func TestHeterogeneousProcesses(t *testing.T) {
 		t.Fatalf("names: %v", names)
 	}
 }
+
+// A zero level-2 bandwidth is zero transfer time, as the simulators' one
+// level-cost rule counts it: the run scores a finite NET², and each level-2
+// latency is c1 plus the queue wait plus dl.
+func TestZeroL2BandwidthCountsAsZeroTime(t *testing.T) {
+	for _, sf := range []int{1, 3} {
+		cfg := testConfig(sf)
+		cfg.System.RAID5.BandwidthBps = 0
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("SF %d: %v", sf, err)
+		}
+		if math.IsInf(res.MeanNET2, 0) || math.IsNaN(res.MeanNET2) || res.MeanNET2 < 1 {
+			t.Fatalf("SF %d: NET² = %v", sf, res.MeanNET2)
+		}
+		for _, p := range res.Processes {
+			for i, iv := range p.Intervals {
+				// c3 = c1 + wait + dl + remote transfer of ds.
+				wait := iv.C3 - iv.C1 - iv.DL - cfg.System.Remote.TransferTime(int64(iv.DS))
+				if want := iv.C1 + wait + iv.DL; math.Abs(iv.C2-want) > 1e-9*want {
+					t.Fatalf("SF %d %s interval %d: c2 = %v, want c1 + wait + dl = %v", sf, p.Name, i, iv.C2, want)
+				}
+			}
+		}
+	}
+}

@@ -98,13 +98,17 @@ type Config struct {
 }
 
 // The runtime's fixed settings. The decider's work-span search runs from
-// wMin up to the program's base time.
+// WMin up to the program's base time; WMin also floors every recorded span.
 const (
 	decisionPeriod    = 1.0    // AIC decision granularity (s)
 	sampleBufferPages = 2048   // hot-page Sample Buffer bound: the paper's 8 MB
 	cpuStateBytes     = 4096   // uncompressed CPU-state blob
-	wMin              = 1.0    // shortest work span the decider considers (s)
+	WMin              = 1.0    // shortest work span the decider considers (s)
 	decisionOverhead  = 200e-6 // predictor evaluation + Newton–Raphson, per decision (s)
+	// BootstrapInterval is the interval used when none is configured: a
+	// handful of decision periods, so the predictors get their four
+	// samples quickly while early checkpoints are cheap (small dirty sets).
+	BootstrapInterval = 5 * decisionPeriod
 	// maxMetricPages bounds how many sampled hot pages have JD/DI computed
 	// per decision, keeping the per-second metric cost within the paper's
 	// ≤ 2.6% overhead envelope.

@@ -30,7 +30,7 @@ func TestPolicyKindString(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	if decisionPeriod != 1 || sampleBufferPages != 2048 ||
-		cpuStateBytes != 4096 || wMin != 1 ||
+		cpuStateBytes != 4096 || WMin != 1 || BootstrapInterval != 5 ||
 		maxMetricPages != 64 || decisionOverhead != 200e-6 {
 		t.Fatal("runtime settings changed")
 	}
@@ -333,29 +333,6 @@ func TestRunDeterminism(t *testing.T) {
 		if a.Intervals[i].DS != b.Intervals[i].DS {
 			t.Fatalf("interval %d differs", i)
 		}
-	}
-}
-
-func TestClampPredictionBounds(t *testing.T) {
-	rt := NewRuntime(workload.Sphinx3(7), Config{
-		Policy: PolicyAIC, System: benchSys(), Lambda: benchLambda(),
-	})
-	m := predictorMetricsForTest(100)
-	c1, dl, ds := rt.clampPrediction(m, 1e9, 1e9, 1e12)
-	rawCap := 100*4096.0 + 4096 + 64
-	if ds > rawCap {
-		t.Fatalf("ds %v above raw cap %v", ds, rawCap)
-	}
-	if dl > rt.cfg.System.CompressTime(int64(rawCap), int64(rawCap)) {
-		t.Fatalf("dl %v above compress cap", dl)
-	}
-	if c1 > rt.cfg.System.LocalDisk.TransferTime(int64(rawCap)) {
-		t.Fatalf("c1 %v above write cap", c1)
-	}
-	// Sane predictions pass through unchanged.
-	c1, dl, ds = rt.clampPrediction(m, 0.1, 0.2, 1000)
-	if c1 != 0.1 || dl != 0.2 || ds != 1000 {
-		t.Fatal("clamp must not disturb feasible predictions")
 	}
 }
 

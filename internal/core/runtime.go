@@ -8,7 +8,6 @@ import (
 	"aic/internal/delta"
 	"aic/internal/memsim"
 	"aic/internal/model"
-	"aic/internal/numeric"
 	"aic/internal/predictor"
 	"aic/internal/sampler"
 	"aic/internal/storage"
@@ -27,10 +26,7 @@ type Runtime struct {
 	as      *memsim.AddressSpace
 	builder *ckpt.Builder
 	sb      *sampler.Sampler
-
-	predC1 *predictor.Online
-	predDL *predictor.Online
-	predDS *predictor.Online
+	dec     *Decider
 
 	// Sinks receive the produced checkpoints; nil sinks discard them.
 	LocalSink  func(*ckpt.Checkpoint)
@@ -62,9 +58,7 @@ func NewRuntime(prog workload.Program, cfg Config) *Runtime {
 		as:      as,
 		builder: ckpt.NewBuilder(as.PageSize(), 0, cpuStateBytes),
 		sb:      sampler.New(sampleBufferPages, cfg.FixedTg),
-		predC1:  predictor.NewOnline(4, 3, 0.5),
-		predDL:  predictor.NewOnline(4, 3, 0.5),
-		predDS:  predictor.NewOnline(4, 3, 0.5),
+		dec:     NewDecider(cfg.System, as.PageSize(), 1),
 		result: RunResult{
 			Benchmark: prog.Name(),
 			Policy:    cfg.Policy,
@@ -103,7 +97,7 @@ func (rt *Runtime) Run() (*RunResult, error) {
 
 	interval := rt.cfg.FixedInterval
 	if interval <= 0 {
-		interval = rt.defaultInterval()
+		interval = BootstrapInterval
 	}
 	rt.result.Interval = interval
 
@@ -136,14 +130,6 @@ func (rt *Runtime) Run() (*RunResult, error) {
 	return &rt.result, nil
 }
 
-// defaultInterval derives the bootstrap interval when none is configured:
-// a handful of decision periods. Early checkpoints are cheap (small dirty
-// sets) and the predictor needs its four samples quickly; the transfer
-// window alone spaces the later intervals.
-func (rt *Runtime) defaultInterval() float64 {
-	return 5 * decisionPeriod
-}
-
 // elapsedWork returns the work seconds since the last checkpoint completed.
 func (rt *Runtime) elapsedWork() float64 { return rt.workNow - rt.lastCkptWork }
 
@@ -171,15 +157,14 @@ func (rt *Runtime) decide(interval float64) (bool, error) {
 // metrics, predict the interval's costs as a function of the candidate work
 // span (the regression carries t as a feature, so cost growth with interval
 // length is modelled, and the dirty-page count is extrapolated linearly up
-// to the footprint), locate w*_L via the EVT/Newton–Raphson search, and
-// checkpoint when w*_L is at or below the elapsed span — i.e. when the
-// predicted-cost-aware optimum says a better moment is not ahead.
+// to the footprint), and let the decider locate w*_L and rule on taking the
+// checkpoint now.
 func (rt *Runtime) decideAIC(bootstrapInterval float64) (bool, error) {
 	m := rt.metrics()
 	if rt.cfg.NaivePredictor {
 		return rt.decideNaive(bootstrapInterval)
 	}
-	if !rt.predC1.Ready() || !rt.predDL.Ready() || !rt.predDS.Ready() {
+	if !rt.dec.Ready() {
 		// Bootstrap phase: fixed interval until four samples exist.
 		rt.charge(decisionOverhead)
 		return rt.elapsedWork() >= bootstrapInterval, nil
@@ -196,34 +181,21 @@ func (rt *Runtime) decideAIC(bootstrapInterval float64) (bool, error) {
 		if dp > footprint {
 			dp = footprint
 		}
-		mc := predictor.Metrics{DP: dp, T: tc, JD: m.JD, DI: m.DI}
-		c1, dl, ds := rt.clampPrediction(mc,
-			rt.predC1.Predict(mc), rt.predDL.Predict(mc), rt.predDS.Predict(mc))
-		return rt.assembleParams(c1, dl, ds)
+		c1, dl, ds := rt.dec.Predict(0, predictor.Metrics{DP: dp, T: tc, JD: m.JD, DI: m.DI})
+		c2, c3 := LevelCosts(rt.cfg.System, c1, dl, ds)
+		return IntervalRecord{C1: c1, C2: c2, C3: c3}.Params(rt.cfg.Lambda)
 	}
-	obj := func(w float64) float64 {
-		iv, err := model.EvalL2L3Dynamic(w, predParams(w), rt.prevParams)
-		if err != nil {
-			return math.Inf(1)
-		}
-		return iv.NET2()
-	}
-	wStar, objStar, iters := numeric.MinimizeEVT(obj, wMin, rt.prog.BaseTime(), 200)
-	c1, dl, ds := rt.clampPrediction(m, rt.predC1.Predict(m), rt.predDL.Predict(m), rt.predDS.Predict(m))
+	take, ws := rt.dec.Decide(predParams, rt.prevParams, rt.prog.BaseTime(), rt.effectiveW())
+	c1, dl, ds := rt.dec.Predict(0, m)
 	rt.lastPred = [3]float64{c1, dl, ds}
-	rt.lastWStar, rt.lastNRIters = wStar, iters
+	rt.lastWStar, rt.lastNRIters = ws.W, ws.NRIters
 	rt.charge(decisionOverhead)
-	if wStar <= rt.effectiveW() {
-		return true, nil
-	}
-	// Tie-break toward checkpointing now: predictions get less reliable
-	// the further they extrapolate, so when taking the checkpoint at the
-	// current span is within a sliver of the predicted optimum, take it.
-	return obj(rt.effectiveW()) <= objStar*1.001, nil
+	return take, nil
 }
 
 // decideNaive is the predictor ablation: the last measured (c1, dl, ds)
-// are used as constants — no metric features, no cost-vs-span coupling.
+// are used as constants — no metric features, no cost-vs-span coupling —
+// and the checkpoint is taken once w*_L is at or below the elapsed span.
 func (rt *Runtime) decideNaive(bootstrapInterval float64) (bool, error) {
 	rt.charge(decisionOverhead)
 	n := len(rt.result.Intervals)
@@ -231,32 +203,11 @@ func (rt *Runtime) decideNaive(bootstrapInterval float64) (bool, error) {
 		return rt.elapsedWork() >= bootstrapInterval, nil
 	}
 	last := rt.result.Intervals[n-1]
-	cur := rt.assembleParams(last.C1, last.DL, last.DS)
-	wStar, _, iters := model.OptimalWorkSpanDynamic(cur, rt.prevParams, wMin, rt.prog.BaseTime())
-	rt.lastWStar, rt.lastNRIters = wStar, iters
+	cur := last.Params(rt.cfg.Lambda)
+	ws := model.OptimalWorkSpanDynamic(func(float64) model.Params { return cur }, rt.prevParams, WMin, rt.prog.BaseTime())
+	rt.lastWStar, rt.lastNRIters = ws.W, ws.NRIters
 	rt.lastPred = [3]float64{last.C1, last.DL, last.DS}
-	return wStar <= rt.effectiveW(), nil
-}
-
-// clampPrediction bounds the regression outputs by physical limits derived
-// from the current dirty set: a delta-compressed checkpoint can never
-// exceed the raw dirty bytes (plus the CPU blob), the compression latency
-// is bounded by compressing that worst case, and the local write by writing
-// it. Early stepwise fits extrapolate wildly outside their four bootstrap
-// samples; these caps keep the decider's inputs sane without biasing
-// converged predictions.
-func (rt *Runtime) clampPrediction(m predictor.Metrics, c1, dl, ds float64) (float64, float64, float64) {
-	rawCap := m.DP*float64(rt.as.PageSize()) + cpuStateBytes + 64
-	if ds > rawCap {
-		ds = rawCap
-	}
-	if maxDL := rt.cfg.System.CompressTime(int64(rawCap), int64(rawCap)); dl > maxDL {
-		dl = maxDL
-	}
-	if maxC1 := rt.cfg.System.LocalDisk.TransferTime(int64(rawCap)); c1 > maxC1 {
-		c1 = maxC1
-	}
-	return c1, dl, ds
+	return ws.W <= rt.effectiveW(), nil
 }
 
 // charge accounts computation-core bookkeeping time: it both extends the
@@ -270,59 +221,20 @@ func (rt *Runtime) charge(sec float64) {
 // point, charging the metric-computation cost to the computation core. At
 // most maxMetricPages samples are examined, spread evenly over the buffer.
 func (rt *Runtime) metrics() predictor.Metrics {
-	m := predictor.Metrics{
-		DP: float64(rt.as.DirtyCount()),
-		T:  rt.elapsedWork(),
-	}
 	samples := rt.sb.AtDecision()
-	if len(samples) == 0 {
-		return m
-	}
 	stride := 1
 	if len(samples) > maxMetricPages {
 		stride = (len(samples) + maxMetricPages - 1) / maxMetricPages
 	}
-	var jd, di float64
-	n := 0
+	pages := make([]uint64, 0, maxMetricPages)
 	for i := 0; i < len(samples); i += stride {
-		e := samples[i]
-		cur := rt.as.Page(e.Page)
-		old := rt.builder.PrevPage(e.Page)
-		if cur == nil || old == nil {
-			continue
-		}
-		jd += predictor.JaccardDistance(cur, old)
-		di += predictor.DivergenceIndex(cur)
-		n++
+		pages = append(pages, samples[i].Page)
 	}
-	if n > 0 {
-		m.JD = jd / float64(n)
-		m.DI = di / float64(n)
-	}
+	m, n := PageMetrics(rt.as, rt.builder, rt.elapsedWork(), pages, maxMetricPages)
 	if rt.cfg.System.MetricBps > 0 {
 		rt.charge(float64(n*rt.as.PageSize()) / rt.cfg.System.MetricBps)
 	}
 	return m
-}
-
-// assembleParams converts predicted/measured (c1, dl, ds) into model
-// Params: c2 = c1 + dl + ds/B2 and c3 = c1 + dl + ds/B3 (the paper states
-// c3 = ds/B2, an evident typo — compression must complete before the
-// level-3 send and B3 is the remote bandwidth; see EXPERIMENTS.md).
-func (rt *Runtime) assembleParams(c1, dl, ds float64) model.Params {
-	b2 := rt.cfg.System.RAID5.BandwidthBps
-	b3 := rt.cfg.System.Remote.BandwidthBps
-	p := model.Params{Lambda: rt.cfg.Lambda}
-	t2, t3 := 0.0, 0.0
-	if b2 > 0 {
-		t2 = ds / b2
-	}
-	if b3 > 0 {
-		t3 = ds / b3
-	}
-	p.C = [3]float64{c1, c1 + dl + t2, c1 + dl + t3}
-	p.R = p.C
-	return p
 }
 
 // checkpoint takes a checkpoint per the policy, records the interval, and
@@ -374,13 +286,12 @@ func (rt *Runtime) checkpoint() error {
 
 	rec.Index = len(rt.result.Intervals)
 	rec.Start, rec.End = rt.lastCkptWork, rt.workNow
-	rec.W = math.Max(wMin, rt.effectiveW())
+	rec.W = math.Max(WMin, rt.effectiveW())
 	rec.DirtyPages = dirty
 	rec.Overhead = rt.overhead
 	rec.WStar, rec.NRIters = rt.lastWStar, rt.lastNRIters
 	rec.PredC1, rec.PredDL, rec.PredDS = rt.lastPred[0], rt.lastPred[1], rt.lastPred[2]
-	cur := rt.assembleParams(c1, dl, ds)
-	rec.C2, rec.C3 = cur.C[1], cur.C[2]
+	rec.C2, rec.C3 = LevelCosts(rt.cfg.System, c1, dl, ds)
 	rt.result.Intervals = append(rt.result.Intervals, rec)
 
 	// Process halts for c1; compression/transfers overlap execution.
@@ -396,11 +307,9 @@ func (rt *Runtime) checkpoint() error {
 	}
 
 	// Predictor feedback (AIC learns online; harmless for SIC).
-	rt.predC1.Observe(m, c1)
-	rt.predDL.Observe(m, dl)
-	rt.predDS.Observe(m, ds)
+	rt.dec.Observe(0, m, c1, dl, ds)
 
-	rt.prevParams = cur
+	rt.prevParams = rec.Params(rt.cfg.Lambda)
 	rt.lastCkptWork = rt.workNow
 	rt.overhead = 0
 	rt.sb.Reset()

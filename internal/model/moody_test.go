@@ -188,7 +188,8 @@ func TestL2L3CloseToL1L2L3(t *testing.T) {
 func TestOptimalWorkSpanDynamic(t *testing.T) {
 	cur := Coastal()
 	cur.Lambda = [3]float64{8.3e-5, 7.5e-4, 1.67e-5}
-	w, net2, iters := OptimalWorkSpanDynamic(cur, cur, 1, 7200)
+	ws := OptimalWorkSpanDynamic(func(float64) Params { return cur }, cur, 1, 7200)
+	w, net2, iters := ws.W, ws.NET2, ws.NRIters
 	if w < 1 || w > 7200 {
 		t.Fatalf("w*_L = %v out of bounds", w)
 	}
@@ -197,6 +198,9 @@ func TestOptimalWorkSpanDynamic(t *testing.T) {
 	}
 	if iters > 200 {
 		t.Fatalf("NR iterations %d exceed paper bound", iters)
+	}
+	if ws.NET2At(w) != net2 {
+		t.Fatalf("NET2At(w*) = %v, search found %v", ws.NET2At(w), net2)
 	}
 	// Grid cross-check: the EVT+NR optimum should be no worse than a coarse
 	// scan by more than a small tolerance.

@@ -104,18 +104,30 @@ func OptimizeConcurrent(kind ConcurrentKind, p Params, wLo, wHi float64) (Concur
 	return ConcurrentResult{Kind: kind, W: w, NET2: net2}, nil
 }
 
+// WorkSpan is one w*_L search's outcome: w*_L, NET² there, the
+// Newton–Raphson iteration count, and the searched objective.
+type WorkSpan struct {
+	W, NET2 float64
+	NRIters int
+	NET2At  func(w float64) float64 // NET² of the interval at work span w
+}
+
 // OptimalWorkSpanDynamic computes the paper's per-decision local optimum
 // w*_L for the non-static L2L3 model (Section III.E): NET² at both search
 // boundaries and at the Newton–Raphson stationary point are compared per the
 // Extreme Value Theorem; the argmin is returned along with the NR iteration
-// count (bounded by 200 in the paper, and observed < 5 in practice).
-func OptimalWorkSpanDynamic(cur, prev Params, wLo, wHi float64) (wStar, net2 float64, nrIters int) {
+// count (bounded by 200 in the paper, and observed < 5 in practice). cur
+// gives the interval's params at each candidate span w — AIC's predicted
+// costs grow with it — and prev the previous interval's, for the grey
+// states. It is the one w*_L search every decider runs.
+func OptimalWorkSpanDynamic(cur func(w float64) Params, prev Params, wLo, wHi float64) WorkSpan {
 	obj := func(w float64) float64 {
-		iv, err := EvalL2L3Dynamic(w, cur, prev)
+		iv, err := EvalL2L3Dynamic(w, cur(w), prev)
 		if err != nil {
 			return math.Inf(1)
 		}
 		return iv.NET2()
 	}
-	return numeric.MinimizeEVT(obj, wLo, wHi, 200)
+	w, net2, iters := numeric.MinimizeEVT(obj, wLo, wHi, 200)
+	return WorkSpan{W: w, NET2: net2, NRIters: iters, NET2At: obj}
 }

@@ -9,9 +9,10 @@
 // compressions and remote transfers proceed concurrently on each node's
 // checkpointing core. A failure of any rank rolls the whole job back, so
 // the job-level failure rate is the sum over ranks. The adaptive decider
-// aggregates every rank's predicted costs (the job-level c_k is the max
-// over ranks, since the barrier waits for the slowest) and applies the same
-// EVT/Newton–Raphson search as single-process AIC.
+// is single-process AIC's core.Decider, one predictor triplet per rank: it
+// aggregates every rank's predicted costs (the job-level c_k is the max over
+// ranks, since the barrier waits for the slowest) and runs the same
+// EVT/Newton–Raphson search and take rule.
 package mpi
 
 import (
@@ -22,7 +23,6 @@ import (
 	"aic/internal/core"
 	"aic/internal/memsim"
 	"aic/internal/model"
-	"aic/internal/numeric"
 	"aic/internal/predictor"
 	"aic/internal/storage"
 	"aic/internal/workload"
@@ -55,7 +55,8 @@ type Config struct {
 	// rate is Ranks times it (any rank failure fails the job).
 	LambdaPerRank [3]float64
 	// Interval is the fixed checkpoint interval (CoordinatedSIC) or the
-	// bootstrap interval (CoordinatedAIC). 0 selects 5 s.
+	// bootstrap interval (CoordinatedAIC). 0 selects core.BootstrapInterval
+	// (5 s).
 	Interval float64
 	// Seed derives per-rank workload seeds.
 	Seed uint64
@@ -63,15 +64,10 @@ type Config struct {
 	NewProgram func(rank int, seed uint64) workload.Program
 }
 
-const (
-	// coordinationCost is the barrier/message-drain time added to every
-	// coordinated local checkpoint (the paper's note that c1 for MPI
-	// includes coordinated-checkpointing time).
-	coordinationCost = 0.2
-	// wMin is the shortest work span the adaptive decider considers; the
-	// search runs up to the slowest rank's base time.
-	wMin = 1.0
-)
+// coordinationCost is the barrier/message-drain time added to every
+// coordinated local checkpoint (the paper's note that c1 for MPI includes
+// coordinated-checkpointing time).
+const coordinationCost = 0.2
 
 // JobLambda returns the job-level failure rates.
 func (c Config) JobLambda() [3]float64 {
@@ -87,9 +83,6 @@ type rank struct {
 	prog    workload.Program
 	as      *memsim.AddressSpace
 	builder *ckpt.Builder
-	predC1  *predictor.Online
-	predDL  *predictor.Online
-	predDS  *predictor.Online
 }
 
 // Result reports a coordinated run.
@@ -118,21 +111,15 @@ func Run(cfg Config) (*Result, error) {
 			base = prog.BaseTime()
 		}
 		as := memsim.New(0)
-		r := &rank{
-			prog:    prog,
-			as:      as,
-			builder: ckpt.NewBuilder(as.PageSize(), 0, 4096),
-			predC1:  predictor.NewOnline(4, 3, 0.5),
-			predDL:  predictor.NewOnline(4, 3, 0.5),
-			predDS:  predictor.NewOnline(4, 3, 0.5),
-		}
+		r := &rank{prog: prog, as: as, builder: ckpt.NewBuilder(as.PageSize(), 0, 4096)}
 		prog.Init(as)
 		r.builder.FullCheckpoint(as) // pre-staged initial image
 		ranks[i] = r
 	}
 	if cfg.Interval <= 0 {
-		cfg.Interval = 5
+		cfg.Interval = core.BootstrapInterval
 	}
+	dec := core.NewDecider(cfg.System, ranks[0].as.PageSize(), cfg.Ranks)
 	lambda := cfg.JobLambda()
 
 	res := &Result{Policy: cfg.Policy, Ranks: cfg.Ranks, BaseTime: base}
@@ -141,70 +128,28 @@ func Run(cfg Config) (*Result, error) {
 	lastCkpt := 0.0
 	prevWindow := 0.0
 
-	// metricsOf gathers rank r's predictor features at the current moment.
+	// metricsOf gathers rank r's predictor features at the current moment,
+	// JD and DI over its first 16 dirty pages that have a previous version.
 	metricsOf := func(r *rank) predictor.Metrics {
-		m := predictor.Metrics{DP: float64(r.as.DirtyCount()), T: work - lastCkpt}
-		n := 0
-		var jd, di float64
-		for _, idx := range r.as.DirtyPages() {
-			if n >= 16 {
-				break
-			}
-			old := r.builder.PrevPage(idx)
-			if old == nil {
-				continue
-			}
-			jd += predictor.JaccardDistance(r.as.Page(idx), old)
-			di += predictor.DivergenceIndex(r.as.Page(idx))
-			n++
-		}
-		if n > 0 {
-			m.JD, m.DI = jd/float64(n), di/float64(n)
-		}
+		m, _ := core.PageMetrics(r.as, r.builder, work-lastCkpt, r.as.DirtyPages(), 16)
 		return m
-	}
-
-	// predictJob aggregates rank predictions into job-level params: the
-	// barrier waits for the slowest rank at every stage.
-	predictJob := func() model.Params {
-		var job slowest
-		for _, r := range ranks {
-			m := metricsOf(r)
-			rawCap := m.DP*float64(r.as.PageSize()) + 4096
-			job.add(cfg.System,
-				math.Min(r.predC1.Predict(m), cfg.System.LocalDisk.TransferTime(int64(rawCap))),
-				math.Min(r.predDL.Predict(m), cfg.System.CompressTime(int64(rawCap), int64(rawCap))),
-				math.Min(r.predDS.Predict(m), rawCap))
-		}
-		return job.record().Params(lambda)
 	}
 
 	takeCheckpoint := func() {
 		var job slowest
-		for _, r := range ranks {
+		for i, r := range ranks {
 			m := metricsOf(r)
 			c, st := r.builder.DeltaCheckpoint(r.as)
 			rc := core.CheckpointCosts(cfg.System, c, st, r.as.PageSize())
 			job.add(cfg.System, rc.C1, rc.DL, rc.DS)
-			r.predC1.Observe(m, rc.C1)
-			r.predDL.Observe(m, rc.DL)
-			r.predDS.Observe(m, rc.DS)
+			dec.Observe(i, m, rc.C1, rc.DL, rc.DS)
 		}
 		iv := job.record()
-		iv.W = math.Max(wMin, (work-lastCkpt)-prevWindow)
+		iv.W = math.Max(core.WMin, (work-lastCkpt)-prevWindow)
 		res.Intervals = append(res.Intervals, iv)
 		wall += iv.C1 // every rank halts for the coordinated local checkpoint
 		prevWindow = job.w3
 		lastCkpt = work
-	}
-
-	ready := func() bool {
-		for _, r := range ranks {
-			if !r.predC1.Ready() || !r.predDL.Ready() || !r.predDS.Ready() {
-				return false
-			}
-		}
-		return true
 	}
 
 	const dt = 1.0
@@ -227,23 +172,20 @@ func Run(cfg Config) (*Result, error) {
 		}
 		take := false
 		switch {
-		case cfg.Policy == CoordinatedSIC || !ready():
+		case cfg.Policy == CoordinatedSIC || !dec.Ready():
 			take = elapsed >= cfg.Interval
 		default:
-			cur := predictJob()
-			prev := cur
-			if n := len(res.Intervals); n > 0 {
-				prev = res.Intervals[n-1].Params(lambda)
+			// Job-level predictions: the barrier waits for the slowest
+			// rank at every stage. A ready decider has observed (and so
+			// recorded) at least one checkpoint.
+			var job slowest
+			for i, r := range ranks {
+				c1, dl, ds := dec.Predict(i, metricsOf(r))
+				job.add(cfg.System, c1, dl, ds)
 			}
-			obj := func(w float64) float64 {
-				ivm, err := model.EvalL2L3Dynamic(w, cur, prev)
-				if err != nil {
-					return math.Inf(1)
-				}
-				return ivm.NET2()
-			}
-			wStar, objStar, _ := numeric.MinimizeEVT(obj, wMin, base, 200)
-			take = wStar <= effW || obj(effW) <= objStar*1.001
+			cur := job.record().Params(lambda)
+			prev := res.Intervals[len(res.Intervals)-1].Params(lambda)
+			take, _ = dec.Decide(func(float64) model.Params { return cur }, prev, base, effW)
 		}
 		if take {
 			takeCheckpoint()
@@ -274,13 +216,7 @@ func Run(cfg Config) (*Result, error) {
 type slowest struct{ c1, w2, w3 float64 }
 
 func (s *slowest) add(sys storage.System, c1, dl, ds float64) {
-	w2, w3 := dl, dl
-	if b := sys.RAID5.BandwidthBps; b > 0 {
-		w2 += ds / b
-	}
-	if b := sys.Remote.BandwidthBps; b > 0 {
-		w3 += ds / b
-	}
+	w2, w3 := core.LevelCosts(sys, 0, dl, ds)
 	if c1 > s.c1 {
 		s.c1 = c1
 	}
