@@ -37,6 +37,7 @@ fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=FuzzChunker -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=20s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzServerPutProtocol -fuzztime=20s ./internal/remote
+	$(GO) test -run=^$$ -fuzz=FuzzGetSeqsReply -fuzztime=20s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzParseSchedule -fuzztime=20s ./internal/chaos
 	$(GO) test -run=^$$ -fuzz=FuzzParseRecipe -fuzztime=20s ./internal/storage
 	$(GO) test -run=^$$ -fuzz=FuzzFSStoreOps -fuzztime=20s ./internal/storage

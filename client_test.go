@@ -21,7 +21,7 @@ func ringStores(n int) map[string]Store {
 	out := make(map[string]Store, n)
 	for i := 0; i < n; i++ {
 		name := string(rune('a'+i)) + "-peer"
-		out[name] = storage.NewLevelStore(storage.Target{Name: name})
+		out[name] = storage.NewMemStore(storage.Target{Name: name})
 	}
 	return out
 }
@@ -106,7 +106,7 @@ func TestClientStripedCheckpointRestore(t *testing.T) {
 	// the flat stores while the namespace hides them.
 	stripes := 0
 	for _, st := range stores {
-		names, err := st.(*storage.LevelStore).List(ctx)
+		names, err := st.List(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestClientStripedCheckpointRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, st := range stores {
-		names, _ := st.(*storage.LevelStore).List(ctx)
+		names, _ := st.List(ctx)
 		if len(names) != 0 {
 			t.Fatalf("peer %s still holds %v after Remove", name, names)
 		}
@@ -251,7 +251,7 @@ func TestClientRebalanceAfterJoin(t *testing.T) {
 			}
 		}
 	}
-	joiner := storage.NewLevelStore(storage.Target{Name: "joiner"})
+	joiner := storage.NewMemStore(storage.Target{Name: "joiner"})
 	if err := c.AddStore("z-joiner", joiner); err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestClientAddPeerRebalanceOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	backing := storage.NewLevelStore(storage.Target{Name: "joiner"})
+	backing := storage.NewMemStore(storage.Target{Name: "joiner"})
 	srv := remote.NewServer(backing, remote.ServerConfig{})
 	go srv.Serve(ctx, ln)
 	t.Cleanup(func() { srv.Close() })
@@ -525,7 +525,7 @@ func probeRing(n int, tune func(i int, p *probeStore)) (map[string]Store, []*pro
 	probes := make([]*probeStore, n)
 	for i := range probes {
 		name := fmt.Sprintf("peer-%d", i)
-		probes[i] = &probeStore{Store: storage.NewLevelStore(storage.Target{Name: name}), name: name, log: log}
+		probes[i] = &probeStore{Store: storage.NewMemStore(storage.Target{Name: name}), name: name, log: log}
 		tune(i, probes[i])
 		stores[name] = probes[i]
 	}

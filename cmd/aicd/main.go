@@ -1,7 +1,7 @@
 // Command aicd is the checkpoint replication peer daemon: it listens for
-// the remote package's wire protocol and applies incoming operations to a
-// durable FSStore (or, with -mem, an in-memory store for experiments). A
-// group of aicd instances plus a client configured with
+// the remote package's wire protocol and applies incoming operations to an
+// FSStore on a directory (or, with -mem, on an in-memory filesystem, for
+// experiments). A group of aicd instances plus a client configured with
 // aic.WithReplication forms the paper's networked multi-level checkpoint
 // hierarchy: L1 stays on the writing node, and aicd peers play the L2/L3
 // partner-group and remote-storage roles.
@@ -60,7 +60,7 @@ import (
 func main() {
 	listen := flag.String("listen", ":9337", "address to accept replication connections on")
 	dir := flag.String("dir", "", "durable checkpoint store root (required unless -mem)")
-	mem := flag.Bool("mem", false, "serve an in-memory store instead of a directory (volatile; for experiments)")
+	mem := flag.Bool("mem", false, "serve a store over an in-memory filesystem instead of a directory (volatile; for experiments)")
 	idle := flag.Duration("idle", 2*time.Minute, "per-connection idle timeout")
 	quiet := flag.Bool("quiet", false, "suppress per-connection diagnostics")
 	metricsAddr := flag.String("metrics", "", "serve Prometheus /metrics and controller /control on this address (e.g. :9338; empty disables)")
@@ -68,24 +68,22 @@ func main() {
 	quotaBytes := flag.Int64("quota-bytes", 0, "per-tenant stored-byte quota; writes past it are rejected with a quota error (0 = unlimited)")
 	quotaChains := flag.Int("quota-chains", 0, "per-tenant chain-count quota (stripe chains excluded; 0 = unlimited)")
 	stagingMax := flag.Int64("staging-max", 0, "bound on in-flight transfer staging bytes; clients past it back off and retry (0 = default 256 MiB)")
-	dedup := flag.Bool("dedup", false, "store checkpoints as content-addressed chunks; identical content across procs/tenants is stored once (requires -dir)")
+	dedup := flag.Bool("dedup", false, "store checkpoints as content-addressed chunks; identical content across procs/tenants is stored once")
 	compactEvery := flag.Duration("compact-interval", 0, "run the online chain compactor this often (0 disables)")
 	compactMaxChain := flag.Int("compact-max-chain", compact.DefaultMaxChain, "chain length that triggers compaction")
 	compactKeep := flag.Int("compact-keep", compact.DefaultKeep, "newest chain elements a compaction keeps (the restore-rewind bound)")
 	flag.Parse()
 
-	var (
-		store storage.Store
-		err   error
-	)
+	var fs *storage.FSStore
 	switch {
 	case *mem:
-		store = storage.NewLevelStore(storage.Target{Name: "aicd-mem"})
+		fs = storage.NewMemStore(storage.Target{Name: "aicd-mem"})
 	case *dir == "":
 		fmt.Fprintln(os.Stderr, "aicd: -dir is required (or -mem for a volatile store)")
 		os.Exit(2)
 	default:
-		store, err = storage.NewFSStore(*dir, storage.Target{Name: "aicd"})
+		var err error
+		fs, err = storage.NewFSStore(*dir, storage.Target{Name: "aicd"})
 		if err != nil {
 			log.Fatalf("aicd: %v", err)
 		}
@@ -93,7 +91,7 @@ func main() {
 
 	// Quota admission wraps the raw store: every tenant namespace gets the
 	// same default limits, enforced before any replication byte lands.
-	raw := store
+	var store storage.Store = fs
 	var quota *storage.QuotaStore
 	if *quotaBytes > 0 || *quotaChains > 0 {
 		quota = storage.NewQuotaStore(store, storage.Quota{MaxBytes: *quotaBytes, MaxChains: *quotaChains})
@@ -120,9 +118,7 @@ func main() {
 	if *metricsAddr != "" {
 		reg = metrics.NewRegistry()
 		srv.SetMetrics(reg)
-		if fs, ok := raw.(*storage.FSStore); ok {
-			fs.SetMetrics(reg)
-		}
+		fs.SetMetrics(reg)
 		if quota != nil {
 			quota.SetMetrics(reg)
 		}
@@ -151,11 +147,6 @@ func main() {
 	}
 
 	if *dedup {
-		fs, ok := raw.(*storage.FSStore)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "aicd: -dedup requires a directory store (-dir)")
-			os.Exit(2)
-		}
 		if err := fs.EnableDedup(ctx, storage.DedupConfig{}); err != nil {
 			log.Fatalf("aicd: dedup: %v", err)
 		}
@@ -163,12 +154,7 @@ func main() {
 		log.Printf("aicd: content-addressed dedup on: %d chunks, ratio %.2f", st.Chunks, st.Ratio())
 	}
 	if *compactEvery > 0 {
-		cs, ok := raw.(compact.Store)
-		if !ok {
-			fmt.Fprintln(os.Stderr, "aicd: -compact-interval requires a store with anchor replacement")
-			os.Exit(2)
-		}
-		comp := compact.New(cs, compact.Config{MaxChain: *compactMaxChain, Keep: *compactKeep, Metrics: reg})
+		comp := compact.New(fs, compact.Config{MaxChain: *compactMaxChain, Keep: *compactKeep, Metrics: reg})
 		go func() {
 			if err := comp.Run(ctx, *compactEvery); err != nil && !errors.Is(err, context.Canceled) {
 				log.Printf("aicd: compactor: %v", err)

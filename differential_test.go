@@ -250,7 +250,7 @@ func TestDifferentialStaleSeqAck(t *testing.T) {
 			}
 		},
 		"dir": func(t *testing.T, peers []Store, reg *MetricsRegistry) (string, Store, func() error) {
-			local := storage.NewLevelStore(storage.Target{Name: "local"})
+			local := storage.NewMemStore(storage.Target{Name: "local"})
 			d, err := OpenCheckpointDir("", WithStore(local), WithReplication(Replication{Stores: peers}), WithMetrics(reg))
 			if err != nil {
 				t.Fatal(err)
@@ -276,7 +276,7 @@ func TestDifferentialStaleSeqAck(t *testing.T) {
 			t.Run(tc.name+"/"+facade, func(t *testing.T) {
 				peers := make([]Store, tc.peers)
 				for i := range peers {
-					peers[i] = storage.NewLevelStore(storage.Target{Name: fmt.Sprintf("peer-%d", i)})
+					peers[i] = storage.NewMemStore(storage.Target{Name: fmt.Sprintf("peer-%d", i)})
 				}
 				reg := NewMetricsRegistry()
 				key, local, write := open(t, peers, reg)
@@ -365,11 +365,16 @@ func TestDifferentialCompactionPreservesRestore(t *testing.T) {
 }
 
 func TestDedupRequiresDirectoryStore(t *testing.T) {
-	ls := storage.NewLevelStore(storage.Target{Name: "mem"})
+	mem := storage.NewMemStore(storage.Target{Name: "mem"})
+	// A store with anchor replacement that is not a *storage.FSStore.
+	ls := struct {
+		storage.Store
+		storage.AnchorReplacer
+	}{mem, mem}
 	if _, err := OpenCheckpointDir("", WithStore(ls), WithDedup(smallDedup())); err == nil {
 		t.Fatal("WithDedup over a non-directory store must fail to open")
 	}
-	// LevelStore supports anchor replacement, so compaction alone is fine.
+	// It supports anchor replacement, so compaction alone is fine.
 	d, err := OpenCheckpointDir("", WithStore(ls), WithCompaction(CompactionConfig{}))
 	if err != nil {
 		t.Fatal(err)
@@ -408,7 +413,7 @@ func (s seqSet) add(key string, seqs ...int) {
 
 func newDamageStore(name string) *damageStore {
 	return &damageStore{
-		Store: storage.NewLevelStore(storage.Target{Name: name}),
+		Store: storage.NewMemStore(storage.Target{Name: name}),
 		drop:  seqSet{}, flip: seqSet{},
 		gets: map[string]int{}, listings: map[string]int{}, asked: map[string]map[int]int{},
 	}
@@ -678,9 +683,9 @@ func TestReplicaSetReadBytesMatchReplayedBytes(t *testing.T) {
 	_, chain := buildBigProcessChain(t)
 	trio := func() []Store {
 		return []Store{
-			storage.NewLevelStore(storage.Target{Name: "r0"}),
-			storage.NewLevelStore(storage.Target{Name: "r1"}),
-			storage.NewLevelStore(storage.Target{Name: "r2"}),
+			storage.NewMemStore(storage.Target{Name: "r0"}),
+			storage.NewMemStore(storage.Target{Name: "r1"}),
+			storage.NewMemStore(storage.Target{Name: "r2"}),
 		}
 	}
 	facades := map[string]func(t *testing.T, reg *MetricsRegistry) func() (*Image, *RestoreReport, error){

@@ -104,9 +104,9 @@ func facadeDemo() error {
 
 func newManager(sys storage.System) *recovery.Manager {
 	return recovery.NewManager("rank0",
-		storage.NewLevelStore(sys.LocalDisk),
-		storage.NewLevelStore(sys.RAID5),
-		storage.NewLevelStore(sys.Remote))
+		storage.NewMemStore(sys.LocalDisk),
+		storage.NewMemStore(sys.RAID5),
+		storage.NewMemStore(sys.Remote))
 }
 
 func program() *workload.Synthetic {

@@ -73,27 +73,25 @@ type CompactionChaosResult struct {
 // flakyPeer is a replication peer that can be killed and revived: while
 // dead every operation fails, the way a crashed aicd looks to the client.
 type flakyPeer struct {
-	*storage.LevelStore
+	*storage.FSStore
 	down atomic.Bool
 }
 
 var errPeerDown = errors.New("chaos: peer is down")
 
-// Put fails while the peer is down, else delegates to the level store.
-//
-//aiclint:ignore durableflow chaos harness peer: volatility is the fault being injected; durability is the property the harness verifies elsewhere
+// Put fails while the peer is down, else delegates to the memory store.
 func (f *flakyPeer) Put(ctx context.Context, proc string, seq int, data []byte) error {
 	if f.down.Load() {
 		return errPeerDown
 	}
-	return f.LevelStore.Put(ctx, proc, seq, data)
+	return f.FSStore.Put(ctx, proc, seq, data)
 }
 
 func (f *flakyPeer) Truncate(ctx context.Context, proc string, fullSeq int) error {
 	if f.down.Load() {
 		return errPeerDown
 	}
-	return f.LevelStore.Truncate(ctx, proc, fullSeq)
+	return f.FSStore.Truncate(ctx, proc, fullSeq)
 }
 
 // RunCompactionChaos drives the online compactor through the production
@@ -118,7 +116,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 	if err != nil {
 		return nil, err
 	}
-	peer := &flakyPeer{LevelStore: storage.NewLevelStore(storage.Target{Name: "chaos-peer"})}
+	peer := &flakyPeer{FSStore: storage.NewMemStore(storage.Target{Name: "chaos-peer"})}
 	dir, err := aic.OpenCheckpointDir("",
 		aic.WithStore(fs),
 		aic.WithDedup(aic.DedupConfig{MinChunk: 64, AvgChunk: 256, MaxChunk: 1024, MinPayload: 1}),

@@ -84,7 +84,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	if err != nil {
 		return nil, err
 	}
-	peer := storage.NewLevelStore(storage.Target{Name: "peer"})
+	peer := storage.NewMemStore(storage.Target{Name: "peer"})
 	reg := aic.NewMetricsRegistry()
 	dir, err := aic.OpenCheckpointDir("",
 		aic.WithStore(local),

@@ -34,8 +34,8 @@ import (
 )
 
 // Store is what the compactor needs from a checkpoint store: the base
-// contract plus the anchor flip. *storage.FSStore and *storage.LevelStore
-// both qualify.
+// contract plus the anchor flip. *storage.FSStore, on disk or in memory,
+// qualifies.
 type Store interface {
 	storage.Store
 	storage.AnchorReplacer

@@ -173,9 +173,9 @@ func TestCompactNoopBelowThreshold(t *testing.T) {
 	}
 }
 
-func TestCompactLevelStore(t *testing.T) {
+func TestCompactMemStore(t *testing.T) {
 	ctx := context.Background()
-	ls := storage.NewLevelStore(storage.Target{Name: "mem"})
+	ls := storage.NewMemStore(storage.Target{Name: "mem"})
 	w := newChainWriter(3)
 	w.grow(ctx, t, ls, "p", 20)
 	before, _ := restoreState(t, ctx, ls, "p")
@@ -190,7 +190,7 @@ func TestCompactLevelStore(t *testing.T) {
 	}
 	after, _ := restoreState(t, ctx, ls, "p")
 	if !before.Equal(after) {
-		t.Fatal("LevelStore compaction changed restore state")
+		t.Fatal("memory-store compaction changed restore state")
 	}
 }
 
@@ -252,7 +252,7 @@ func (cs *corruptingStore) Get(ctx context.Context, proc string) ([]storage.Stor
 // abort the fold — compaction never launders damage into a fresh anchor.
 func TestCompactSkipsDamagedPrefix(t *testing.T) {
 	ctx := context.Background()
-	ls := storage.NewLevelStore(storage.Target{Name: "mem"})
+	ls := storage.NewMemStore(storage.Target{Name: "mem"})
 	w := newChainWriter(5)
 	w.grow(ctx, t, ls, "p", 20)
 	// Seq 9 sits inside the would-be folded prefix.

@@ -114,9 +114,9 @@ func WeibullSensitivity(seed uint64, shapes []float64, trials int) ([]WeibullRow
 	}
 	newManager := func() *recovery.Manager {
 		return recovery.NewManager("p",
-			storage.NewLevelStore(sys.LocalDisk),
-			storage.NewLevelStore(sys.RAID5),
-			storage.NewLevelStore(sys.Remote))
+			storage.NewMemStore(sys.LocalDisk),
+			storage.NewMemStore(sys.RAID5),
+			storage.NewMemStore(sys.Remote))
 	}
 	run := func(src faultsim.EventSource) (float64, float64, error) {
 		res, err := faultsim.Run(prog(seed), faultsim.Config{System: sys, Interval: 20, MaxFailures: 10}, src, newManager())

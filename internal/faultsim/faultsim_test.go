@@ -13,9 +13,9 @@ import (
 
 func newManager() *recovery.Manager {
 	return recovery.NewManager("p0",
-		storage.NewLevelStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps}),
-		storage.NewLevelStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps}),
-		storage.NewLevelStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps}),
+		storage.NewMemStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps}),
+		storage.NewMemStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps}),
+		storage.NewMemStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps}),
 	)
 }
 

@@ -144,9 +144,9 @@ func TestRestoreLatestGoodPrefersNewestAnchor(t *testing.T) {
 // failing the process.
 func TestRecoverFallsBackToLatestGoodPrefix(t *testing.T) {
 	chain, images := buildStoredChain(t)
-	local := storage.NewLevelStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps})
-	raid := storage.NewLevelStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps})
-	remote := storage.NewLevelStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps})
+	local := storage.NewMemStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps})
+	raid := storage.NewMemStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps})
+	remote := storage.NewMemStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps})
 	m := NewManager("p0", local, raid, remote)
 	// Local holds the chain with a corrupt tail; RAID and remote are empty
 	// (their failure classes destroyed them).
@@ -255,9 +255,9 @@ func TestRecoverUnionsLevels(t *testing.T) {
 // beats a shorter one at a cheaper level.
 func TestRecoverPartialPrefersLeastWorkLost(t *testing.T) {
 	chain, images := buildStoredChain(t)
-	local := storage.NewLevelStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps})
-	raid := storage.NewLevelStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps})
-	remote := storage.NewLevelStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps})
+	local := storage.NewMemStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps})
+	raid := storage.NewMemStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps})
+	remote := storage.NewMemStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps})
 	m := NewManager("p0", local, raid, remote)
 	for i, s := range chain {
 		localData, raidData := s.Data, s.Data

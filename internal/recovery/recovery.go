@@ -8,9 +8,10 @@
 // facades use, so there is one restore rule.
 //
 // The manager programs exclusively against the storage.Store contract, so a
-// "level" can be an in-memory model store, a durable directory, a networked
-// peer reached over the replication protocol, or a quorum group — recovery
-// logic is identical across all of them.
+// "level" can be a store over the in-memory storage.MemFS (the simulators'
+// levels), a durable directory, a networked peer reached over the
+// replication protocol, or a quorum group — recovery logic is identical
+// across all of them.
 package recovery
 
 import (

@@ -23,10 +23,10 @@ func chainOf(t *testing.T, s storage.Store, proc string) []storage.Stored {
 	return chain
 }
 
-func newManager() (*Manager, *storage.LevelStore, *storage.LevelStore, *storage.LevelStore) {
-	local := storage.NewLevelStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps})
-	raid := storage.NewLevelStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps})
-	remote := storage.NewLevelStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps})
+func newManager() (*Manager, *storage.FSStore, *storage.FSStore, *storage.FSStore) {
+	local := storage.NewMemStore(storage.Target{Name: "local", BandwidthBps: 100 * storage.MBps})
+	raid := storage.NewMemStore(storage.Target{Name: "raid", BandwidthBps: 400 * storage.MBps})
+	remote := storage.NewMemStore(storage.Target{Name: "remote", BandwidthBps: 2 * storage.MBps})
 	return NewManager("p0", local, raid, remote), local, raid, remote
 }
 

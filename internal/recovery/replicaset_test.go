@@ -31,9 +31,9 @@ func fixedSet(stores ...storage.Store) ReplicaSet {
 
 // holding builds a store holding the given elements of chain, each passed
 // through damage (nil keeps it intact).
-func holding(t *testing.T, name string, chain []storage.Stored, keep func(i int) bool, damage func(i int, data []byte) []byte) *storage.LevelStore {
+func holding(t *testing.T, name string, chain []storage.Stored, keep func(i int) bool, damage func(i int, data []byte) []byte) *storage.FSStore {
 	t.Helper()
-	st := storage.NewLevelStore(storage.Target{Name: name})
+	st := storage.NewMemStore(storage.Target{Name: name})
 	for i, s := range chain {
 		if !keep(i) {
 			continue
@@ -81,7 +81,7 @@ func TestReplicaSetRestoreSurvivorsOnly(t *testing.T) {
 	survivor := holding(t, "survivor", chain, all, nil)
 	// Two peers dark, one empty, one survivor: the restore must still land,
 	// and name the survivor as the one replica it read.
-	empty := storage.NewLevelStore(storage.Target{Name: "empty"})
+	empty := storage.NewMemStore(storage.Target{Name: "empty"})
 	as, rep, err := fixedSet(darkStore{}, empty, survivor, darkStore{}).Restore(ctx, "p0")
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestReplicaSetRestoreAllDarkOrEmpty(t *testing.T) {
 	if _, _, err := fixedSet().Restore(ctx, "p0"); err == nil {
 		t.Fatal("restore with no stores succeeded")
 	}
-	empty := storage.NewLevelStore(storage.Target{Name: "empty"})
+	empty := storage.NewMemStore(storage.Target{Name: "empty"})
 	if _, _, err := fixedSet(empty).Restore(ctx, "p0"); err == nil {
 		t.Fatal("restore of a chain no replica holds succeeded")
 	}

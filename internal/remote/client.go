@@ -467,9 +467,9 @@ func (r *RemoteStore) Get(ctx context.Context, proc string) ([]storage.Stored, [
 
 // GetSeqs implements storage.SeqGetter: one round trip carrying the listing
 // and only the wanted bodies. A partial answer is outside input: a reply
-// without the Only echo, an element that was not wanted or not listed, or a
-// listing out of order, fails the call as this peer's — no retry would make
-// it honest.
+// without the Only echo, an element or missing seq that was not wanted or
+// not listed, or a listing out of order, fails the call as this peer's — no
+// retry would make it honest.
 func (r *RemoteStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []storage.Stored, []int, error) {
 	hdr, chain, err := r.get(ctx, "get_seqs", proc, true, want)
 	if err != nil {
@@ -514,8 +514,9 @@ func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want 
 }
 
 // checkPartial vets a partial read's answer: the Only echo, listed strictly
-// ascending, and every element wanted, listed and sent once, in sequence
-// order.
+// ascending, and every element and every missing seq wanted, listed and
+// named once, each list in sequence order — a missing seq is a wanted seq
+// whose body the peer could not read, so it is never also sent.
 func checkPartial(hdr chainMsg, chain []storage.Stored, want []int) error {
 	if !hdr.Only {
 		return errors.New("reply is not a partial read")
@@ -534,17 +535,31 @@ func checkPartial(hdr chainMsg, chain []storage.Stored, want []int) error {
 	for _, seq := range want {
 		wanted[seq] = true
 	}
-	for i, el := range chain {
-		switch {
-		case !wanted[el.Seq]:
-			return fmt.Errorf("seq %d sent but not requested", el.Seq)
-		case !inListing[el.Seq]:
-			return fmt.Errorf("seq %d sent but not listed", el.Seq)
-		case i > 0 && el.Seq <= chain[i-1].Seq:
-			return fmt.Errorf("seq %d sent out of order or twice", el.Seq)
+	named := make(map[int]bool, len(chain)+len(hdr.Missing))
+	vet := func(what string, seqs []int) error {
+		for i, seq := range seqs {
+			switch {
+			case !wanted[seq]:
+				return fmt.Errorf("seq %d %s but not requested", seq, what)
+			case !inListing[seq]:
+				return fmt.Errorf("seq %d %s but not listed", seq, what)
+			case i > 0 && seq <= seqs[i-1]:
+				return fmt.Errorf("seq %d %s out of order or twice", seq, what)
+			case named[seq]:
+				return fmt.Errorf("seq %d both sent and missing", seq)
+			}
+			named[seq] = true
 		}
+		return nil
 	}
-	return nil
+	sent := make([]int, len(chain))
+	for i, el := range chain {
+		sent[i] = el.Seq
+	}
+	if err := vet("sent", sent); err != nil {
+		return err
+	}
+	return vet("missing", hdr.Missing)
 }
 
 // List implements storage.Store.

@@ -104,7 +104,7 @@ func TestReplicationDifferentFrameAtHeldSeqIsNotAcked(t *testing.T) {
 	if crc32.Checksum(other, crcTable) != crc32.Checksum(chain[2].Data, crcTable) {
 		t.Fatal("frames no longer share their whole-object CRC-32C; this test lost its point")
 	}
-	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	back := storage.NewMemStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, back), testConfig())
 	defer rs.Close()
 	for _, el := range chain {
@@ -205,7 +205,7 @@ func (c *readCounter) reset() (gets int, wants [][]int) {
 // The retry goes to a second server over the same store, as after a peer
 // restart.
 func TestReplicationStaleSeqProbeFetchesOneElement(t *testing.T) {
-	back := &readCounter{Store: storage.NewLevelStore(storage.Target{Name: "peer"})}
+	back := &readCounter{Store: storage.NewMemStore(storage.Target{Name: "peer"})}
 	data := func(seq int) []byte { return bytes.Repeat([]byte{byte('a' + seq)}, 300) }
 	first := NewStore(startServer(t, back), testConfig())
 	for seq := 0; seq < 3; seq++ {

@@ -1,0 +1,126 @@
+package remote
+
+import (
+	"context"
+	"encoding/json"
+	"net"
+	"sync"
+	"testing"
+
+	"aic/internal/storage"
+)
+
+// pipePeer is a Dialer whose every connection is a net.Pipe to a scripted
+// peer: it answers the hello, reads one kindGet and replies with hdr as the
+// kindChain payload verbatim, then each record of elems as a kindElem frame
+// (a record is one length byte and that many payload bytes), and hangs up.
+type pipePeer struct {
+	hdr, elems []byte
+	wg         sync.WaitGroup
+}
+
+func (p *pipePeer) DialContext(context.Context, string, string) (net.Conn, error) {
+	client, server := net.Pipe()
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		defer server.Close()
+		if _, _, err := readFrame(server, DefaultMaxFrame); err != nil {
+			return
+		}
+		if writeJSON(server, kindHelloOK, helloMsg{Version: protocolVersion}) != nil {
+			return
+		}
+		if kind, _, err := readFrame(server, DefaultMaxFrame); err != nil || kind != kindGet {
+			return
+		}
+		if writeFrame(server, kindChain, p.hdr) != nil {
+			return
+		}
+		for rest := p.elems; len(rest) > 0; {
+			n := min(int(rest[0]), len(rest)-1)
+			if writeFrame(server, kindElem, rest[1:1+n]) != nil {
+				return
+			}
+			rest = rest[1+n:]
+		}
+	}()
+	return client, nil
+}
+
+// elemRecords encodes elements as pipePeer records.
+func elemRecords(chain ...storage.Stored) []byte {
+	var out []byte
+	for _, el := range chain {
+		p := elemFrame(el.Seq, el.Data)
+		out = append(append(out, byte(len(p))), p...)
+	}
+	return out
+}
+
+// FuzzGetSeqsReply feeds RemoteStore.GetSeqs a peer's arbitrary answer — a
+// fuzzed chainMsg header and fuzzed element frames — and requires that the
+// call returns without panicking, and that an accepted answer keeps the
+// SeqGetter contract: the listing strictly ascending, and the bodies and the
+// missing seqs each ascending, unique, wanted, listed and disjoint.
+func FuzzGetSeqsReply(f *testing.F) {
+	hdr := func(m chainMsg) []byte {
+		b, err := json.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	el := func(seq int) storage.Stored { return storage.Stored{Seq: seq, Data: []byte{byte(seq), 0xcc}} }
+	const want13 = 1<<1 | 1<<3
+	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 1, 2, 3}}), elemRecords(el(1), el(3)), uint8(want13))
+	f.Add(hdr(chainMsg{Only: true, Count: 1, Listed: []int{0, 1, 2, 3}, Missing: []int{3}}), elemRecords(el(1)), uint8(want13))
+	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 1, 2, 3}, Missing: []int{3}}), elemRecords(el(1), el(3)), uint8(want13))
+	f.Add(hdr(chainMsg{Only: true, Listed: []int{0, 1, 2, 3}, Missing: []int{3, 1}}), []byte(nil), uint8(want13))
+	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 2, 1, 3}}), elemRecords(el(3), el(1)), uint8(0xff))
+	f.Add(hdr(chainMsg{Count: 4}), elemRecords(el(0), el(1), el(2), el(3)), uint8(0xff))
+	f.Add([]byte(`{"count":3,"only":true,"listed":[1]}`), []byte{2, 0x80, 0x80, 1}, uint8(2))
+	f.Fuzz(func(t *testing.T, hdr, elems []byte, wantBits uint8) {
+		var want []int
+		wanted := map[int]bool{}
+		for seq := 0; seq < 8; seq++ {
+			if wantBits&(1<<seq) != 0 {
+				want = append(want, seq)
+				wanted[seq] = true
+			}
+		}
+		peer := &pipePeer{hdr: hdr, elems: elems}
+		cfg := testConfig()
+		cfg.Retries = -1
+		cfg.Dialer = peer
+		rs := NewStore("fuzz-peer", cfg)
+		listed, chain, missing, err := rs.GetSeqs(context.Background(), "p", want)
+		rs.Close()
+		peer.wg.Wait()
+		if err != nil {
+			return
+		}
+		inListing := map[int]bool{}
+		for i, seq := range listed {
+			if i > 0 && seq <= listed[i-1] {
+				t.Fatalf("accepted listing %v: not strictly ascending", listed)
+			}
+			inListing[seq] = true
+		}
+		named := map[int]bool{}
+		vet := func(what string, seqs []int) {
+			for i, seq := range seqs {
+				if !wanted[seq] || !inListing[seq] || named[seq] || i > 0 && seq <= seqs[i-1] {
+					t.Fatalf("accepted %s seqs %v (listed %v, want %v, missing %v)", what, seqs, listed, want, missing)
+				}
+				named[seq] = true
+			}
+		}
+		sent := make([]int, len(chain))
+		for i, el := range chain {
+			sent[i] = el.Seq
+		}
+		vet("sent", sent)
+		vet("missing", missing)
+	})
+}

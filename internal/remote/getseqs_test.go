@@ -94,7 +94,7 @@ func scriptedPeer(t *testing.T, reply func(req getMsg) (chainMsg, []storage.Stor
 // whether the peer's store has the refinement or lacks it (the server
 // filters), and ships no unwanted bodies either way.
 func TestReplicationGetSeqsOverWire(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	back := storage.NewMemStore(storage.Target{Name: "peer"})
 	body := bytes.Repeat([]byte("b"), 4096)
 	for seq := 0; seq < 5; seq++ {
 		if err := back.Put(ctx, "p", seq, append([]byte{byte(seq)}, body...)); err != nil {
@@ -135,12 +135,14 @@ func TestReplicationGetSeqsOverWire(t *testing.T) {
 }
 
 // A partial answer is outside input: anything but the Only echo over wanted,
-// listed elements sent once in order, under a strictly ascending listing,
+// listed elements and missing seqs, each named once and in order, under a
+// strictly ascending listing,
 // fails the call as the peer's — at once, without retrying a peer that
 // answered.
 func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 	el := func(seq int) storage.Stored { return storage.Stored{Seq: seq, Data: []byte{byte(seq)}} }
 	only := func(listed ...int) chainMsg { return chainMsg{Only: true, Listed: listed} }
+	lost := func(hdr chainMsg, missing ...int) chainMsg { hdr.Missing = missing; return hdr }
 	want := []int{1, 3}
 	for _, tc := range []struct {
 		name  string
@@ -149,6 +151,7 @@ func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 		ok    bool
 	}{
 		{"honest", only(0, 1, 2, 3), []storage.Stored{el(1), el(3)}, true},
+		{"honest with a missing body", lost(only(0, 1, 2, 3), 3), []storage.Stored{el(1)}, true},
 		{"element not requested", only(0, 1, 2, 3), []storage.Stored{el(1), el(2)}, false},
 		{"element not listed", only(0, 1, 2), []storage.Stored{el(1), el(3)}, false},
 		{"listing out of order", only(0, 2, 1, 3), []storage.Stored{el(1), el(3)}, false},
@@ -156,6 +159,11 @@ func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 		{"element sent twice", only(0, 1, 2, 3), []storage.Stored{el(1), el(1)}, false},
 		{"elements out of order", only(0, 1, 2, 3), []storage.Stored{el(3), el(1)}, false},
 		{"whole chain without the only echo", chainMsg{}, []storage.Stored{el(0), el(1), el(2), el(3)}, false},
+		{"missing seq not requested", lost(only(0, 1, 2, 3), 2), []storage.Stored{el(1), el(3)}, false},
+		{"missing seq not listed", lost(only(0, 1, 2), 3), []storage.Stored{el(1)}, false},
+		{"missing seq also sent", lost(only(0, 1, 2, 3), 3), []storage.Stored{el(1), el(3)}, false},
+		{"missing seq repeats", lost(only(0, 1, 2, 3), 1, 1), nil, false},
+		{"missing seqs go backwards", lost(only(0, 1, 2, 3), 3, 1), nil, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr, gets := scriptedPeer(t, func(req getMsg) (chainMsg, []storage.Stored) {
@@ -166,10 +174,10 @@ func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 			})
 			rs := NewStore(addr, testConfig())
 			defer rs.Close()
-			listed, chain, _, err := rs.GetSeqs(ctx, "p", want)
+			listed, chain, missing, err := rs.GetSeqs(ctx, "p", want)
 			if tc.ok {
-				if err != nil || !reflect.DeepEqual(listed, tc.hdr.Listed) || !reflect.DeepEqual(chain, tc.chain) {
-					t.Fatalf("honest reply: %v %v %v", listed, chain, err)
+				if err != nil || !reflect.DeepEqual(listed, tc.hdr.Listed) || !reflect.DeepEqual(chain, tc.chain) || !reflect.DeepEqual(missing, tc.hdr.Missing) {
+					t.Fatalf("honest reply: %v %v %v %v", listed, chain, missing, err)
 				}
 				return
 			}

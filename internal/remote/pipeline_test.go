@@ -82,7 +82,7 @@ func (c *writeCountConn) Write(p []byte) (int, error) {
 // a Put spanning many chunks must issue far fewer Write calls than chunks,
 // while the peer still receives the object intact.
 func TestPutPipelinesWindowBursts(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	addr := startServer(t, backing)
 	counter := &writeCountDialer{}
 	cfg := testConfig() // ChunkSize 128, Window 2

@@ -97,7 +97,7 @@ func TestFrameRejectsCorruption(t *testing.T) {
 
 func TestRemoteStoreRoundTrip(t *testing.T) {
 	chain, images := buildChain(t)
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, backing), testConfig())
 	defer rs.Close()
 
@@ -157,7 +157,7 @@ func TestRemoteStoreRoundTrip(t *testing.T) {
 }
 
 func TestRemotePutIdempotent(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, backing), testConfig())
 	defer rs.Close()
 
@@ -189,7 +189,7 @@ func TestRemotePutIdempotent(t *testing.T) {
 // only commit record — but a chain deleted through it must still be
 // rebuildable: re-Put, not acked, and not refused as a conflict.
 func TestDeleteInvalidatesCommittedCache(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, backing), testConfig())
 	defer rs.Close()
 
@@ -225,7 +225,7 @@ func TestDeleteInvalidatesCommittedCache(t *testing.T) {
 // A truncation through the server leaves no memory of the dropped seqs: the
 // store, which no longer lists them, decides what a re-Put gets.
 func TestTruncateInvalidatesCommittedCache(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, backing), testConfig())
 	defer rs.Close()
 
@@ -250,7 +250,7 @@ func TestTruncateInvalidatesCommittedCache(t *testing.T) {
 }
 
 func TestRemoteStaleSeqSentinel(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	rs := NewStore(startServer(t, backing), testConfig())
 	defer rs.Close()
 	if err := rs.Put(ctx, "p0", 5, []byte("newer")); err != nil {
@@ -282,7 +282,7 @@ func TestPeerDarkAfterRetryBudget(t *testing.T) {
 }
 
 func TestSlowPeerStillCompletes(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "slow"})
+	backing := storage.NewMemStore(storage.Target{Name: "slow"})
 	addr := startServer(t, backing)
 	cfg := testConfig()
 	cfg.Dialer = &FaultDialer{Plan: func(int) Fault { return Fault{WriteDelay: 2 * time.Millisecond} }}
@@ -298,7 +298,7 @@ func TestSlowPeerStillCompletes(t *testing.T) {
 }
 
 func TestSlowPeerDeadlineExceeded(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "stuck"})
+	backing := storage.NewMemStore(storage.Target{Name: "stuck"})
 	addr := startServer(t, backing)
 	cfg := testConfig()
 	cfg.OpTimeout = 30 * time.Millisecond
@@ -313,7 +313,7 @@ func TestSlowPeerDeadlineExceeded(t *testing.T) {
 }
 
 func TestHelloVersionMismatch(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	addr := startServer(t, backing)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestPutResumesAtEveryCutPoint(t *testing.T) {
 	counter := &countingDialer{}
 	cleanCfg := testConfig()
 	cleanCfg.Dialer = counter
-	cleanStore := storage.NewLevelStore(storage.Target{Name: "clean"})
+	cleanStore := storage.NewMemStore(storage.Target{Name: "clean"})
 	cleanClient := NewStore(startServer(t, cleanStore), cleanCfg)
 	if err := cleanClient.Put(ctx, "p0", 0, data); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestPutResumesAtEveryCutPoint(t *testing.T) {
 	for cut := int64(1); cut < total; cut++ {
 		cut := cut
 		t.Run(fmt.Sprintf("cut=%d", cut), func(t *testing.T) {
-			backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+			backing := storage.NewMemStore(storage.Target{Name: "peer"})
 			addr := startServer(t, backing)
 			cfg := testConfig()
 			fd := &FaultDialer{Plan: func(conn int) Fault {
@@ -119,7 +119,7 @@ func TestPutResumesAtEveryCutPoint(t *testing.T) {
 // smaller than a full restart would need.
 func TestResumeContinuesAtStagedOffset(t *testing.T) {
 	data := bytes.Repeat([]byte{7}, 8<<10) // 8 KiB, 64 chunks
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	addr := startServer(t, backing)
 
 	counter := &countingDialer{}
@@ -167,7 +167,7 @@ func TestResumeNeverCommitsAnotherFramesBytes(t *testing.T) {
 	if len(a) != len(b) || bytes.Equal(a, b) {
 		t.Fatal("want two distinct frames of one size")
 	}
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	addr := startServer(t, backing)
 
 	// A raw connection stages all of A and drops without committing.

@@ -13,14 +13,15 @@ import (
 	"aic/internal/storage"
 )
 
+// maxObject bounds a single staged checkpoint object.
+const maxObject = 1 << 30
+
 // ServerConfig tunes a replication server.
 type ServerConfig struct {
 	// IdleTimeout is the per-frame read deadline; a peer silent for longer
 	// is disconnected (its staged partial transfers survive for resume).
 	// Zero selects 2 minutes; negative disables the deadline.
 	IdleTimeout time.Duration
-	// MaxObject bounds a single staged checkpoint object (0 selects 1 GiB).
-	MaxObject int64
 	// MaxStagingBytes bounds the sum of declared sizes across all partial
 	// transfers (0 selects 256 MiB). A PutBegin that would take the pool
 	// past the bound is refused with a backpressure error the client
@@ -35,9 +36,6 @@ type ServerConfig struct {
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.MaxObject <= 0 {
-		c.MaxObject = 1 << 30
 	}
 	if c.MaxStagingBytes <= 0 {
 		c.MaxStagingBytes = 256 << 20
@@ -481,8 +479,8 @@ func (s *Server) beginPut(name string, m putBeginMsg) (key objKey, st *staging, 
 	if m.Seq < 0 || m.Size < 0 {
 		return key, nil, reply, fmt.Errorf("remote: malformed put-begin %+v", m)
 	}
-	if m.Size > s.cfg.MaxObject {
-		return key, nil, reply, fmt.Errorf("remote: object of %d bytes exceeds limit %d", m.Size, s.cfg.MaxObject)
+	if m.Size > maxObject {
+		return key, nil, reply, fmt.Errorf("remote: object of %d bytes exceeds limit %d", m.Size, maxObject)
 	}
 	if m.Size > s.cfg.MaxStagingBytes {
 		// Terminal, not backpressure: an object larger than the whole pool

@@ -14,7 +14,7 @@ import (
 // refuses NUL-bearing (and otherwise invalid) proc names at PutBegin, and
 // the sentinel survives the wire round trip.
 func TestNulProcRejectedOverWire(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{})
+	back := storage.NewMemStore(storage.Target{})
 	addr := startServer(t, back)
 	r := NewStore(addr, testConfig())
 	defer r.Close()
@@ -39,7 +39,7 @@ func TestNulProcRejectedOverWire(t *testing.T) {
 // TestStagingKeysDistinguishProcSeq pins that (proc, seq) pairs whose old
 // string encodings could collide stage and commit independently.
 func TestStagingKeysDistinguishProcSeq(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{})
+	back := storage.NewMemStore(storage.Target{})
 	addr := startServer(t, back)
 	r := NewStore(addr, testConfig())
 	defer r.Close()

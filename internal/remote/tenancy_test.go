@@ -32,7 +32,7 @@ func startServerCfg(t *testing.T, store storage.Store, cfg ServerConfig) (*Serve
 // the namespacing layer composed — the wire decomposition must be the
 // identity on ComposeKey∘ParseKey.
 func TestV2TenantKeys(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	back := storage.NewMemStore(storage.Target{Name: "peer"})
 	_, addr := startServerCfg(t, back, ServerConfig{})
 	rs := NewStore(addr, testConfig())
 	defer rs.Close()
@@ -82,7 +82,7 @@ func TestServerRefusesRequestsBeforeHello(t *testing.T) {
 		{"hello v2", &helloMsg{Version: 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			back := storage.NewLevelStore(storage.Target{Name: "peer"})
+			back := storage.NewMemStore(storage.Target{Name: "peer"})
 			_, addr := startServerCfg(t, back, ServerConfig{})
 			conn, err := net.Dial("tcp", addr)
 			if err != nil {
@@ -126,7 +126,7 @@ func TestServerRefusesRequestsBeforeHello(t *testing.T) {
 // TestQuotaOverWire maps a server-side quota rejection back onto the
 // storage.ErrQuotaExceeded sentinel at the client: terminal, no retries.
 func TestQuotaOverWire(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	back := storage.NewMemStore(storage.Target{Name: "peer"})
 	qs := storage.NewQuotaStore(back, storage.Quota{MaxBytes: 64})
 	_, addr := startServerCfg(t, qs, ServerConfig{})
 	rs := NewStore(addr, testConfig())
@@ -151,7 +151,7 @@ func TestQuotaOverWire(t *testing.T) {
 // reservations admit against declared sizes, oversize objects are terminal
 // (they could never stage), and releases return reservation.
 func TestBackpressureAdmission(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	back := storage.NewMemStore(storage.Target{Name: "peer"})
 	s := NewServer(back, ServerConfig{MaxStagingBytes: 100})
 
 	begin := func(proc string, size int64) error {
@@ -179,7 +179,7 @@ func TestBackpressureAdmission(t *testing.T) {
 // refused for backpressure is retried with backoff and succeeds once the
 // server's staging pool drains.
 func TestBackpressureRetry(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	back := storage.NewMemStore(storage.Target{Name: "peer"})
 	srv, addr := startServerCfg(t, back, ServerConfig{MaxStagingBytes: 100})
 
 	// Pin most of the pool with a dangling partial transfer.
@@ -208,7 +208,7 @@ func TestBackpressureRetry(t *testing.T) {
 // TestMigrationPutOverWire pins that the migrate flag crosses the wire: a
 // rebalance copy lands on a peer whose tenant is already at quota.
 func TestMigrationPutOverWire(t *testing.T) {
-	back := storage.NewLevelStore(storage.Target{Name: "peer"})
+	back := storage.NewMemStore(storage.Target{Name: "peer"})
 	qs := storage.NewQuotaStore(back, storage.Quota{MaxBytes: 64})
 	_, addr := startServerCfg(t, qs, ServerConfig{})
 	rs := NewStore(addr, testConfig())

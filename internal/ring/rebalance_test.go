@@ -14,7 +14,7 @@ import (
 )
 
 // testFleet is a set of named in-memory peer stores.
-type testFleet map[string]*storage.LevelStore
+type testFleet map[string]*storage.FSStore
 
 func (f testFleet) store(peer string) storage.Store {
 	st, ok := f[peer]
@@ -43,7 +43,7 @@ func (f testFleet) seed(t *testing.T, r *Ring, keys []string, replicas, seqs int
 func newFleet(peers []string) testFleet {
 	f := testFleet{}
 	for _, p := range peers {
-		f[p] = storage.NewLevelStore(storage.Target{Name: p})
+		f[p] = storage.NewMemStore(storage.Target{Name: p})
 	}
 	return f
 }

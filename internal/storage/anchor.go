@@ -16,15 +16,12 @@ var ErrCompactRaced = errors.New("storage: compaction raced a chain mutation")
 
 // AnchorReplacer is the optional Store refinement the online compactor
 // needs: atomically replace a chain's prefix with an equivalent full
-// checkpoint. FSStore and LevelStore implement it.
+// checkpoint. FSStore implements it.
 type AnchorReplacer interface {
 	ReplaceAnchor(ctx context.Context, proc string, anchorSeq int, full []byte, drop []int) error
 }
 
-var (
-	_ AnchorReplacer = (*FSStore)(nil)
-	_ AnchorReplacer = (*LevelStore)(nil)
-)
+var _ AnchorReplacer = (*FSStore)(nil)
 
 // ReplaceAnchor is the compactor's flip: overwrite the element at
 // anchorSeq with full — a checkpoint that must restore to exactly the
@@ -112,51 +109,4 @@ func (fs *FSStore) ReplaceAnchor(ctx context.Context, proc string, anchorSeq int
 		names = append(names, ckptFile(seq))
 	}
 	return fs.removeCommitted(st, proc, names, next, dead)
-}
-
-// ReplaceAnchor implements AnchorReplacer for the in-memory store, with
-// the same raced-mutation contract as FSStore's.
-func (ls *LevelStore) ReplaceAnchor(ctx context.Context, proc string, anchorSeq int, full []byte, drop []int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := ValidateProcName(proc); err != nil {
-		return err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	chain := ls.chains[proc]
-	at := -1
-	below := map[int]bool{}
-	for i, s := range chain {
-		if s.Seq == anchorSeq {
-			at = i
-		}
-		if s.Seq < anchorSeq {
-			below[s.Seq] = true
-		}
-	}
-	if at < 0 {
-		return fmt.Errorf("%w: seq %d no longer in %s's chain", ErrCompactRaced, anchorSeq, proc)
-	}
-	if len(drop) != len(below) {
-		return fmt.Errorf("%w: %s has %d elements below %d, compactor saw %d", ErrCompactRaced, proc, len(below), anchorSeq, len(drop))
-	}
-	for _, seq := range drop {
-		if !below[seq] {
-			return fmt.Errorf("%w: seq %d not below anchor in %s's chain", ErrCompactRaced, seq, proc)
-		}
-	}
-	var kept []Stored
-	for _, s := range chain {
-		if s.Seq < anchorSeq {
-			continue
-		}
-		if s.Seq == anchorSeq {
-			s = Stored{Seq: anchorSeq, Data: append([]byte(nil), full...)}
-		}
-		kept = append(kept, s)
-	}
-	ls.chains[proc] = kept
-	return nil
 }

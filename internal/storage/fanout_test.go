@@ -47,7 +47,7 @@ func flakyTrio() ([]string, []Store, []*flakyStore) {
 	stores := make([]Store, 3)
 	peers := make([]*flakyStore, 3)
 	for i := range peers {
-		peers[i] = &flakyStore{Store: NewLevelStore(Target{Name: fmt.Sprintf("peer%d", i), BandwidthBps: 100})}
+		peers[i] = &flakyStore{Store: NewMemStore(Target{Name: fmt.Sprintf("peer%d", i), BandwidthBps: 100})}
 		stores[i] = peers[i]
 	}
 	return names, stores, peers
@@ -84,7 +84,7 @@ func TestReplicatedGetPicksBestReplica(t *testing.T) {
 
 func TestReplicaSetFetchIsIndexAlignedAndCounted(t *testing.T) {
 	ctx := context.Background()
-	held := NewLevelStore(Target{Name: "held"})
+	held := NewMemStore(Target{Name: "held"})
 	held.Put(ctx, "p", 0, []byte("x"))
 	reg := metrics.NewRegistry()
 	var fan FanOut
@@ -180,7 +180,7 @@ func TestReplicatedListUnion(t *testing.T) {
 // lost ack) rejects the Put as stale, and PutVerified counts that as an ack.
 func TestReplicatedStaleSeqCountsAsAck(t *testing.T) {
 	ctx := context.Background()
-	replica := NewLevelStore(Target{})
+	replica := NewMemStore(Target{})
 	replica.Put(ctx, "p", 0, []byte("full"))
 	if err := PutVerified(ctx, replica, "p", 0, []byte("full")); err != nil {
 		t.Fatalf("re-replication of an already-held seq failed: %v", err)
@@ -191,7 +191,7 @@ func TestReplicatedStaleSeqCountsAsAck(t *testing.T) {
 // a chain that moved past it — stored nothing, so it stays a failure.
 func TestReplicatedStaleSeqDivergedChainIsNotAck(t *testing.T) {
 	ctx := context.Background()
-	sameSeq, moved := NewLevelStore(Target{}), NewLevelStore(Target{})
+	sameSeq, moved := NewMemStore(Target{}), NewMemStore(Target{})
 	sameSeq.Put(ctx, "p", 0, []byte("diverged"))
 	moved.Put(ctx, "p", 5, []byte("newer"))
 	for name, replica := range map[string]Store{"same seq": sameSeq, "moved on": moved} {
@@ -202,7 +202,7 @@ func TestReplicatedStaleSeqDivergedChainIsNotAck(t *testing.T) {
 }
 
 func TestFanOutRunJoinsAndReportsInPeerOrder(t *testing.T) {
-	mem := func(name string) Store { return NewLevelStore(Target{Name: name}) }
+	mem := func(name string) Store { return NewMemStore(Target{Name: name}) }
 	peers := []Store{mem("a"), nil, mem("c"), mem("d")}
 	var fan FanOut // the zero value reports nothing and must still work
 	var returned atomic.Int32

@@ -13,11 +13,12 @@ import (
 )
 
 // FSStore is a file-backed checkpoint store: each checkpoint becomes one
-// file under root/<proc>/, so checkpoint data survives the simulating
-// process itself. It satisfies the Store contract (the in-memory stores
-// remain the default for simulation; FSStore backs the Process facade when
-// durability is wanted, and the aicd replication daemon when a peer serves
-// its store over the network).
+// file under root/<proc>/. It is the package's one Store engine: over OSFS
+// checkpoint data survives the simulating process itself (it backs the
+// Process facade when durability is wanted, and the aicd replication
+// daemon when a peer serves its store over the network); over MemFS
+// (NewMemStore) it is the in-memory level of the simulators, the tests and
+// aicd -mem, under the same contract.
 //
 // A name in the directory is a commit: the chain is the set of checkpoint
 // files in the proc's directory, and there is no separate manifest. Put

@@ -209,9 +209,9 @@ func TestProcNameRejected(t *testing.T) {
 			if _, err := fs.Bytes(tc.proc); !errors.Is(err, ErrBadProcName) {
 				t.Fatalf("Bytes(%q) = %v, want ErrBadProcName", tc.proc, err)
 			}
-			ls := NewLevelStore(Target{})
+			ls := NewMemStore(Target{})
 			if err := ls.Put(ctx, tc.proc, 0, []byte{1}); !errors.Is(err, ErrBadProcName) {
-				t.Fatalf("LevelStore.Put(%q) = %v, want ErrBadProcName", tc.proc, err)
+				t.Fatalf("memory store Put(%q) = %v, want ErrBadProcName", tc.proc, err)
 			}
 			// The store root stayed empty: the rejected name never touched disk.
 			entries, err := os.ReadDir(fs.root)

@@ -12,7 +12,7 @@ import (
 
 func TestQuotaExactlyAtLimit(t *testing.T) {
 	ctx := context.Background()
-	qs := NewQuotaStore(NewLevelStore(Target{Name: "mem"}), Quota{MaxBytes: 100})
+	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{MaxBytes: 100})
 
 	// 60 + 40 lands exactly on the limit: admitted.
 	if err := qs.Put(ctx, "acme@db", 1, make([]byte, 60)); err != nil {
@@ -33,7 +33,7 @@ func TestQuotaExactlyAtLimit(t *testing.T) {
 
 func TestQuotaShrinkBelowUsage(t *testing.T) {
 	ctx := context.Background()
-	qs := NewQuotaStore(NewLevelStore(Target{Name: "mem"}), Quota{})
+	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{})
 
 	if err := qs.Put(ctx, "acme@db", 1, make([]byte, 500)); err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestQuotaConcurrentRace(t *testing.T) {
 	// 20 writers race 100-byte Puts into a 1000-byte quota: exactly 10 can
 	// win, and joint admission must never overshoot.
 	ctx := context.Background()
-	qs := NewQuotaStore(NewLevelStore(Target{Name: "mem"}), Quota{MaxBytes: 1000})
+	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{MaxBytes: 1000})
 	reg := metrics.NewRegistry()
 	qs.SetMetrics(reg)
 
@@ -104,7 +104,7 @@ func TestQuotaConcurrentRace(t *testing.T) {
 
 func TestQuotaChainsLimit(t *testing.T) {
 	ctx := context.Background()
-	qs := NewQuotaStore(NewLevelStore(Target{Name: "mem"}), Quota{MaxChains: 2})
+	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{MaxChains: 2})
 
 	if err := qs.Put(ctx, "acme@a", 1, []byte("x")); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestQuotaChainsLimit(t *testing.T) {
 
 func TestQuotaSeedsFromExistingStore(t *testing.T) {
 	ctx := context.Background()
-	inner := NewLevelStore(Target{Name: "mem"})
+	inner := NewMemStore(Target{Name: "mem"})
 	if err := inner.Put(ctx, "acme@db", 1, make([]byte, 80)); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestQuotaSeedsFromExistingStore(t *testing.T) {
 
 func TestQuotaTruncateReturnsBytes(t *testing.T) {
 	ctx := context.Background()
-	qs := NewQuotaStore(NewLevelStore(Target{Name: "mem"}), Quota{MaxBytes: 100})
+	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{MaxBytes: 100})
 
 	if err := qs.Put(ctx, "acme@db", 1, make([]byte, 70)); err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestQuotaTruncateReturnsBytes(t *testing.T) {
 
 func TestQuotaFailedPutReleasesReservation(t *testing.T) {
 	ctx := context.Background()
-	inner := NewLevelStore(Target{Name: "mem"})
+	inner := NewMemStore(Target{Name: "mem"})
 	qs := NewQuotaStore(inner, Quota{MaxBytes: 100})
 
 	if err := qs.Put(ctx, "acme@db", 5, make([]byte, 50)); err != nil {
@@ -201,7 +201,7 @@ func TestQuotaFailedPutReleasesReservation(t *testing.T) {
 // accounted, so ordinary Puts afterwards see the true usage.
 func TestQuotaMigrationBypassesAdmission(t *testing.T) {
 	ctx := context.Background()
-	qs := NewQuotaStore(NewLevelStore(Target{Name: "mem"}), Quota{MaxBytes: 100, MaxChains: 1})
+	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{MaxBytes: 100, MaxChains: 1})
 
 	if err := qs.Put(ctx, "acme@db", 0, make([]byte, 90)); err != nil {
 		t.Fatal(err)

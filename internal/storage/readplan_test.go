@@ -15,7 +15,7 @@ import (
 )
 
 // planStore is one replica of the read-plan property test: stored copies in
-// a LevelStore, seqs it lists without a readable body, and a dark switch. It
+// a memory store, seqs it lists without a readable body, and a dark switch. It
 // has no GetSeqs of its own, so ReadSeqs reads it through the Get fallback;
 // it counts its whole reads and how often each seq's body was asked for.
 type planStore struct {
@@ -78,7 +78,7 @@ func TestReplicaSetReadMatchesUnion(t *testing.T) {
 			if rng.Intn(20) == 0 {
 				continue // placement names a replica nothing backs
 			}
-			ps := &planStore{Store: NewLevelStore(Target{}), dark: rng.Intn(7) == 0, asked: map[int]int{}}
+			ps := &planStore{Store: NewMemStore(Target{}), dark: rng.Intn(7) == 0, asked: map[int]int{}}
 			for seq := 0; seq < 10; seq++ {
 				switch r := rng.Intn(20); {
 				case r < 10:
@@ -133,13 +133,13 @@ func TestReplicaSetReadMatchesUnion(t *testing.T) {
 // never sees two reads at once, whatever sets it is on.
 func TestReplicaSetReadBatchOneCallPerPeer(t *testing.T) {
 	ctx := context.Background()
-	shared := &countingReads{Store: NewLevelStore(Target{})}
+	shared := &countingReads{Store: NewMemStore(Target{})}
 	for key := 0; key < 4; key++ {
 		shared.Store.Put(ctx, fmt.Sprint(key), 0, []byte("x"))
 	}
 	var reads []ChainRead
 	for key := 0; key < 4; key++ {
-		other := NewLevelStore(Target{})
+		other := NewMemStore(Target{})
 		other.Put(ctx, fmt.Sprint(key), 0, []byte("x"))
 		// shared is first on half the sets and second on the others.
 		rd := ChainRead{Key: fmt.Sprint(key), Names: []string{"shared", fmt.Sprint("other", key)}, Peers: []Store{shared, other}}
@@ -212,7 +212,7 @@ func TestReplicaSetGetSeqsMatchesFilteredGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	level := NewLevelStore(Target{})
+	level := NewMemStore(Target{})
 	for seq := 0; seq < 5; seq++ {
 		for _, st := range []Store{fs, level} {
 			if err := st.Put(ctx, Qualify("acme", "p"), seq, []byte{byte(seq)}); err != nil {

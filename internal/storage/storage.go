@@ -2,18 +2,10 @@
 // networked system: the node-local disk, the RAID-5 group of peer nodes
 // (level 2) and the remote Lustre-like distributed file system (level 3).
 // L2/L3 are bandwidth/latency models — exactly the "simulated components" of
-// the paper's own testbed (Fig. 10) — plus in-memory stores with the failure
-// semantics each level survives.
+// the paper's own testbed (Fig. 10). Every level holds its chains in one
+// store engine, FSStore: on a directory, or on the in-memory MemFS
+// (NewMemStore) for the simulators' levels.
 package storage
-
-import (
-	"context"
-	"fmt"
-	"sort"
-	"sync"
-
-	"aic/internal/ckpt"
-)
 
 // Byte-rate units.
 const (
@@ -136,165 +128,8 @@ func (s System) CompressTime(in, out int64) float64 {
 	return t
 }
 
-// Stored is one checkpoint held by a level store.
+// Stored is one checkpoint held by a store.
 type Stored struct {
 	Seq  int
 	Data []byte
-}
-
-// LevelStore holds the checkpoint chains of processes at one level, with
-// Wipe modelling the failure class that destroys this level's data (e.g., a
-// total node failure erases the local disk). It satisfies Store and is safe
-// for concurrent use, so it also serves as the in-memory backend of the
-// remote replication daemon.
-type LevelStore struct {
-	target Target
-	mu     sync.Mutex
-	chains map[string][]Stored
-}
-
-// NewLevelStore creates an empty store backed by the given target.
-func NewLevelStore(target Target) *LevelStore {
-	return &LevelStore{target: target, chains: make(map[string][]Stored)}
-}
-
-// Target returns the store's bandwidth model.
-func (ls *LevelStore) Target() Target { return ls.target }
-
-// Put appends a checkpoint for proc. Checkpoints must arrive in ascending
-// sequence order. Proc names are validated even though a map key cannot
-// traverse anywhere: the in-memory store models the durable ones, and a
-// name the FSStore would reject must not silently work here.
-//
-//aiclint:ignore durableflow deliberately volatile: the in-memory level models bandwidth tiers for simulation; FSStore carries the durable contract
-func (ls *LevelStore) Put(ctx context.Context, proc string, seq int, data []byte) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if err := ValidateProcName(proc); err != nil {
-		return err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	chain := ls.chains[proc]
-	if len(chain) > 0 && seq <= chain[len(chain)-1].Seq {
-		return fmt.Errorf("storage: %s: %w: seq %d not after %d", proc, ErrStaleSeq, seq, chain[len(chain)-1].Seq)
-	}
-	ls.chains[proc] = append(chain, Stored{Seq: seq, Data: append([]byte(nil), data...)})
-	return nil
-}
-
-// Get returns proc's stored checkpoints in sequence order. An in-memory
-// store never loses individual elements, so missing is always nil.
-func (ls *LevelStore) Get(ctx context.Context, proc string) ([]Stored, []int, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	out := append([]Stored(nil), ls.chains[proc]...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out, nil, nil
-}
-
-// GetSeqs implements SeqGetter.
-func (ls *LevelStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []Stored, []int, error) {
-	chain, _, err := ls.Get(ctx, proc)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	listed, kept, _ := FilterSeqs(chain, nil, want)
-	return listed, kept, nil, nil
-}
-
-// List returns the process names with chains, sorted.
-func (ls *LevelStore) List(ctx context.Context) ([]string, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	procs := make([]string, 0, len(ls.chains))
-	for p := range ls.chains {
-		procs = append(procs, p)
-	}
-	sort.Strings(procs)
-	return procs, nil
-}
-
-// Bytes returns the total stored bytes for proc.
-func (ls *LevelStore) Bytes(proc string) int64 {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	var n int64
-	for _, s := range ls.chains[proc] {
-		n += int64(len(s.Data))
-	}
-	return n
-}
-
-// Truncate drops checkpoints older than the chain suffix starting at the
-// most recent full checkpoint, identified by the caller via fullSeq — the
-// paper's "generate a full checkpoint periodically to limit cumulative
-// overhead" housekeeping.
-func (ls *LevelStore) Truncate(ctx context.Context, proc string, fullSeq int) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	chain := ls.chains[proc]
-	keep := chain[:0]
-	for _, s := range chain {
-		if s.Seq >= fullSeq {
-			keep = append(keep, s)
-		}
-	}
-	ls.chains[proc] = keep
-	return nil
-}
-
-// Scrub verifies each stored element's frame integrity (ckpt.Decode checks
-// the CRC-32C trailer and the embedded sequence number); with repair set,
-// corrupt elements are dropped from the chain.
-func (ls *LevelStore) Scrub(ctx context.Context, proc string, repair bool) (*ScrubReport, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	rep := &ScrubReport{Proc: proc}
-	chain := ls.chains[proc]
-	keep := make([]Stored, 0, len(chain))
-	for _, s := range chain {
-		if c, err := ckpt.Decode(s.Data); err != nil || c.Seq != s.Seq {
-			rep.Corrupt = append(rep.Corrupt, s.Seq)
-			continue
-		}
-		keep = append(keep, s)
-	}
-	sort.Ints(rep.Corrupt)
-	if repair && len(rep.Corrupt) > 0 {
-		ls.chains[proc] = keep
-		rep.Repaired = true
-	}
-	return rep, nil
-}
-
-// Wipe destroys all data (the level's covering failure occurred).
-func (ls *LevelStore) Wipe() {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	ls.chains = make(map[string][]Stored)
-}
-
-// Delete destroys one process's chain.
-func (ls *LevelStore) Delete(ctx context.Context, proc string) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	delete(ls.chains, proc)
-	return nil
 }

@@ -84,9 +84,9 @@ func mustChain(t *testing.T, s Store, proc string) []Stored {
 	return chain
 }
 
-func TestLevelStorePutChain(t *testing.T) {
+func TestMemStorePutChain(t *testing.T) {
 	ctx := context.Background()
-	ls := NewLevelStore(Target{BandwidthBps: 10})
+	ls := NewMemStore(Target{BandwidthBps: 10})
 	if err := ls.Put(ctx, "p", 0, []byte("aaaa")); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestLevelStorePutChain(t *testing.T) {
 	if len(chain) != 2 || chain[0].Seq != 0 || chain[1].Seq != 1 {
 		t.Fatalf("chain = %v", chain)
 	}
-	if ls.Bytes("p") != 6 {
-		t.Fatalf("bytes = %d", ls.Bytes("p"))
+	if n, err := ls.Bytes("p"); n != 6 || err != nil {
+		t.Fatalf("bytes = %d, %v", n, err)
 	}
 	// The modelled write cost comes from the target.
 	if sec := ls.Target().TransferTime(2); math.Abs(sec-0.2) > 1e-12 {
@@ -120,9 +120,9 @@ func TestLevelStorePutChain(t *testing.T) {
 	}
 }
 
-func TestLevelStoreTruncate(t *testing.T) {
+func TestMemStoreTruncate(t *testing.T) {
 	ctx := context.Background()
-	ls := NewLevelStore(Target{BandwidthBps: 1})
+	ls := NewMemStore(Target{BandwidthBps: 1})
 	for seq := 0; seq < 6; seq++ {
 		ls.Put(ctx, "p", seq, []byte{byte(seq)})
 	}
@@ -133,27 +133,17 @@ func TestLevelStoreTruncate(t *testing.T) {
 	if len(chain) != 2 || chain[0].Seq != 4 {
 		t.Fatalf("chain after truncate = %v", chain)
 	}
-}
-
-func TestLevelStoreWipe(t *testing.T) {
-	ctx := context.Background()
-	ls := NewLevelStore(Target{BandwidthBps: 1})
-	ls.Put(ctx, "a", 0, []byte{1})
-	ls.Put(ctx, "b", 0, []byte{2})
-	if err := ls.Delete(ctx, "a"); err != nil {
+	ls.Put(ctx, "q", 0, []byte{2})
+	if err := ls.Delete(ctx, "p"); err != nil {
 		t.Fatal(err)
 	}
-	if len(mustChain(t, ls, "a")) != 0 || len(mustChain(t, ls, "b")) != 1 {
+	if len(mustChain(t, ls, "p")) != 0 || len(mustChain(t, ls, "q")) != 1 {
 		t.Fatal("Delete")
-	}
-	ls.Wipe()
-	if len(mustChain(t, ls, "b")) != 0 {
-		t.Fatal("Wipe")
 	}
 }
 
-func TestLevelStoreContextCancelled(t *testing.T) {
-	ls := NewLevelStore(Target{})
+func TestMemStoreContextCancelled(t *testing.T) {
+	ls := NewMemStore(Target{})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if err := ls.Put(ctx, "p", 0, []byte{1}); err == nil {
@@ -193,9 +183,9 @@ func TestBenchSystemCalibration(t *testing.T) {
 	}
 }
 
-func TestLevelStoreTargetAccessor(t *testing.T) {
+func TestMemStoreTargetAccessor(t *testing.T) {
 	tg := Target{Name: "x", BandwidthBps: 5}
-	if NewLevelStore(tg).Target() != tg {
+	if NewMemStore(tg).Target() != tg {
 		t.Fatal("Target accessor")
 	}
 }

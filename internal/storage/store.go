@@ -12,9 +12,10 @@ import (
 var ErrStaleSeq = errors.New("stale checkpoint sequence")
 
 // Store is the single contract every checkpoint destination satisfies — the
-// in-memory level stores that model the paper's three levels, the durable
-// node-local FSStore, the networked RemoteStore speaking the replication
-// protocol, and the policy wrappers over any of them. It is the only store
+// FSStore engine (durable and node-local on a directory, or the in-memory
+// level that models one of the paper's three levels on MemFS), the
+// networked RemoteStore speaking the replication protocol, and the policy
+// wrappers over any of them. It is the only store
 // type that crosses package boundaries: recovery, the aic facade and the
 // commands all program against it, so a chain can move between a local
 // directory and a peer group without the caller changing.
@@ -70,11 +71,8 @@ type SeqGetter interface {
 	GetSeqs(ctx context.Context, key string, want []int) (listed []int, chain []Stored, missing []int, err error)
 }
 
-// Compile-time checks: every store in the package satisfies the contract.
+// Compile-time checks: the package's store satisfies the contract.
 var (
-	_ Store = (*LevelStore)(nil)
-	_ Store = (*FSStore)(nil)
-
-	_ SeqGetter = (*LevelStore)(nil)
+	_ Store     = (*FSStore)(nil)
 	_ SeqGetter = (*FSStore)(nil)
 )

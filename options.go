@@ -197,8 +197,7 @@ func WithDedup(cfg DedupConfig) Option {
 // chunks the folded prefix referenced are garbage-collected. Drive it via
 // CheckpointDir.Compact for one pass or CheckpointDir.RunCompaction for
 // the background loop. Requires a store implementing anchor replacement
-// (the directory store and storage.LevelStore both do);
-// OpenCheckpointDir fails otherwise.
+// (every *storage.FSStore does); OpenCheckpointDir fails otherwise.
 func WithCompaction(cfg CompactionConfig) Option {
 	return func(c *config) { cc := cfg; c.compaction = &cc }
 }

@@ -99,11 +99,11 @@ func TestNewProcessWithParallelism(t *testing.T) {
 	}
 }
 
-// startPeer runs a replication server over a LevelStore and returns its
+// startPeer runs a replication server over a memory store and returns its
 // address, the server and its backing store.
-func startPeer(t *testing.T) (string, *remote.Server, *storage.LevelStore) {
+func startPeer(t *testing.T) (string, *remote.Server, *storage.FSStore) {
 	t.Helper()
-	backing := storage.NewLevelStore(storage.Target{Name: "peer"})
+	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestCheckpointDirReplication(t *testing.T) {
 }
 
 func TestCheckpointDirWithStore(t *testing.T) {
-	backing := storage.NewLevelStore(storage.Target{Name: "mem"})
+	backing := storage.NewMemStore(storage.Target{Name: "mem"})
 	dir, err := aic.OpenCheckpointDir("", aic.WithStore(backing))
 	if err != nil {
 		t.Fatal(err)
@@ -223,8 +223,8 @@ func TestCheckpointDirWithStore(t *testing.T) {
 }
 
 func TestCheckpointDirHousekeepingReachesPeers(t *testing.T) {
-	s1 := storage.NewLevelStore(storage.Target{Name: "a"})
-	s2 := storage.NewLevelStore(storage.Target{Name: "b"})
+	s1 := storage.NewMemStore(storage.Target{Name: "a"})
+	s2 := storage.NewMemStore(storage.Target{Name: "b"})
 	dir, err := aic.OpenCheckpointDir(t.TempDir(), aic.WithReplication(aic.Replication{
 		Stores: []aic.Store{s1, s2},
 	}))
@@ -243,7 +243,7 @@ func TestCheckpointDirHousekeepingReachesPeers(t *testing.T) {
 	if err := dir.Truncate(context.Background(), "p", 2); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range []*storage.LevelStore{s1, s2} {
+	for i, s := range []*storage.FSStore{s1, s2} {
 		chain, _, err := s.Get(t.Context(), "p")
 		if err != nil || len(chain) != 1 || chain[0].Seq != 2 {
 			t.Fatalf("peer %d after truncate: chain = %v, %v", i, chain, err)
@@ -253,7 +253,7 @@ func TestCheckpointDirHousekeepingReachesPeers(t *testing.T) {
 	if err := dir.Remove(context.Background(), "p"); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range []*storage.LevelStore{s1, s2} {
+	for i, s := range []*storage.FSStore{s1, s2} {
 		if procs, _ := s.List(t.Context()); len(procs) != 0 {
 			t.Fatalf("peer %d still lists %v after remove", i, procs)
 		}
@@ -261,9 +261,9 @@ func TestCheckpointDirHousekeepingReachesPeers(t *testing.T) {
 }
 
 func TestReplicationQuorumDefaultsToMajority(t *testing.T) {
-	s1 := storage.NewLevelStore(storage.Target{Name: "a"})
-	s2 := storage.NewLevelStore(storage.Target{Name: "b"})
-	s3 := storage.NewLevelStore(storage.Target{Name: "c"})
+	s1 := storage.NewMemStore(storage.Target{Name: "a"})
+	s2 := storage.NewMemStore(storage.Target{Name: "b"})
+	s3 := storage.NewMemStore(storage.Target{Name: "c"})
 	dir, err := aic.OpenCheckpointDir(t.TempDir(), aic.WithReplication(aic.Replication{
 		Stores: []aic.Store{s1, s2, s3},
 	}))
@@ -274,7 +274,7 @@ func TestReplicationQuorumDefaultsToMajority(t *testing.T) {
 	if err := dir.Append(context.Background(), "p", 0, []byte("onlyseq")); err == nil {
 		// Raw bytes are fine for the stores; the append must reach all
 		// three in-memory peers.
-		for i, s := range []*storage.LevelStore{s1, s2, s3} {
+		for i, s := range []*storage.FSStore{s1, s2, s3} {
 			if chain, _, _ := s.Get(t.Context(), "p"); len(chain) != 1 {
 				t.Fatalf("peer %d missed the append", i)
 			}
@@ -287,7 +287,7 @@ func TestReplicationQuorumDefaultsToMajority(t *testing.T) {
 // darkablePeer is an in-memory replica whose Puts, Truncates and Deletes
 // fail while dark.
 type darkablePeer struct {
-	*storage.LevelStore
+	*storage.FSStore
 	dark bool
 }
 
@@ -297,21 +297,21 @@ func (p *darkablePeer) Put(ctx context.Context, proc string, seq int, data []byt
 	if p.dark {
 		return errPeerDown
 	}
-	return p.LevelStore.Put(ctx, proc, seq, data)
+	return p.FSStore.Put(ctx, proc, seq, data)
 }
 
 func (p *darkablePeer) Truncate(ctx context.Context, proc string, fullSeq int) error {
 	if p.dark {
 		return errPeerDown
 	}
-	return p.LevelStore.Truncate(ctx, proc, fullSeq)
+	return p.FSStore.Truncate(ctx, proc, fullSeq)
 }
 
 func (p *darkablePeer) Delete(ctx context.Context, proc string) error {
 	if p.dark {
 		return errPeerDown
 	}
-	return p.LevelStore.Delete(ctx, proc)
+	return p.FSStore.Delete(ctx, proc)
 }
 
 // openDarkableTrio opens a directory facade replicating to three darkable
@@ -322,7 +322,7 @@ func openDarkableTrio(t *testing.T, quorum int, opts ...aic.Option) (*aic.Checkp
 	peers := make([]*darkablePeer, 3)
 	stores := make([]aic.Store, 3)
 	for i := range peers {
-		peers[i] = &darkablePeer{LevelStore: storage.NewLevelStore(storage.Target{Name: fmt.Sprintf("peer%d", i)})}
+		peers[i] = &darkablePeer{FSStore: storage.NewMemStore(storage.Target{Name: fmt.Sprintf("peer%d", i)})}
 		stores[i] = peers[i]
 	}
 	dir, err := aic.OpenCheckpointDir(t.TempDir(), append(opts, aic.WithReplication(aic.Replication{Stores: stores, Quorum: quorum}))...)
@@ -349,12 +349,12 @@ func TestCheckpointDirPeerQuorum(t *testing.T) {
 		{"healthy", func([]*darkablePeer) {}, -1, nil},
 		{"one dark peer", func(p []*darkablePeer) { p[2].dark = true }, -1, nil},
 		{"two dark peers", func(p []*darkablePeer) { p[1].dark, p[2].dark = true, true }, 1, errPeerDown},
-		{"identical retry", func(p []*darkablePeer) { p[0].LevelStore.Put(ctx, "p", 0, data) }, -1, nil},
+		{"identical retry", func(p []*darkablePeer) { p[0].FSStore.Put(ctx, "p", 0, data) }, -1, nil},
 		{"diverged chains", func(p []*darkablePeer) {
 			// Different bytes at the seq, and a higher last seq: both peers
 			// reject the Put without storing it, so neither may count.
-			p[0].LevelStore.Put(ctx, "p", 0, []byte("diverged"))
-			p[1].LevelStore.Put(ctx, "p", 5, []byte("newer"))
+			p[0].FSStore.Put(ctx, "p", 0, []byte("diverged"))
+			p[1].FSStore.Put(ctx, "p", 5, []byte("newer"))
 		}, 1, storage.ErrStaleSeq},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -397,7 +397,7 @@ func TestCheckpointDirPeerQuorum(t *testing.T) {
 		{"local fails append, quorum missed", 2, func(d *aic.CheckpointDir) error { return d.Append(ctx, "p", 2, []byte("two")) }, []int{0, 1, 2}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			local := &darkablePeer{LevelStore: storage.NewLevelStore(storage.Target{Name: "local"})}
+			local := &darkablePeer{FSStore: storage.NewMemStore(storage.Target{Name: "local"})}
 			dir, peers := openDarkableTrio(t, 2, aic.WithStore(local))
 			for seq, data := range []string{"zero", "one"} {
 				if err := dir.Append(ctx, "p", seq, []byte(data)); err != nil {
@@ -426,7 +426,7 @@ func TestCheckpointDirPeerQuorum(t *testing.T) {
 }
 
 func TestOpenCheckpointDirValidatesReplication(t *testing.T) {
-	mem := func() aic.Store { return storage.NewLevelStore(storage.Target{}) }
+	mem := func() aic.Store { return storage.NewMemStore(storage.Target{}) }
 	for _, tc := range []struct {
 		repl aic.Replication
 		want string
@@ -455,7 +455,7 @@ func TestNewClientValidatesWriteQuorum(t *testing.T) {
 	ring := func(n int) map[string]aic.Store {
 		out := make(map[string]aic.Store, n)
 		for i := 0; i < n; i++ {
-			out[fmt.Sprintf("peer-%d", i)] = storage.NewLevelStore(storage.Target{})
+			out[fmt.Sprintf("peer-%d", i)] = storage.NewMemStore(storage.Target{})
 		}
 		return out
 	}
