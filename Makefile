@@ -35,6 +35,7 @@ fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedParallel -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedFastPath -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzChunker -fuzztime=20s ./internal/delta
+	$(GO) test -run=^$$ -fuzz=FuzzDecodeStriped -fuzztime=20s ./internal/ckpt
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=20s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzServerPutProtocol -fuzztime=20s ./internal/remote
 	$(GO) test -run=^$$ -fuzz=FuzzGetSeqsReply -fuzztime=20s ./internal/remote

@@ -622,12 +622,13 @@ func BenchmarkCheckpointWrite(b *testing.B) {
 }
 
 // BenchmarkRestoreChain times restore-to-image below the network: decode
-// and replay, plus stripe reassembly for the cold shape.
+// and replay, from the stripe parts for the cold shape.
 //   - hot: an 8 MiB anchor and 15 deltas of 256 lightly edited pages,
 //     replayed through recovery.RestoreLatestGood;
 //   - cold: a 16 MiB anchor and 7 raw 4 MiB deltas, every element split
-//     into 2 stripes, each stripe decoded, the element reassembled and
-//     decoded, then the chain replayed by ckpt.Restore.
+//     into 2 stripes, each stripe decoded, the element decoded from its
+//     parts by ckpt.DecodeStriped without joining them, then the chain
+//     replayed by ckpt.Restore straight from the parts.
 func BenchmarkRestoreChain(b *testing.B) {
 	size := func(chain [][]byte) (n int64) {
 		for _, el := range chain {
@@ -680,7 +681,7 @@ func BenchmarkRestoreChain(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				if _, decoded[j], err = ckpt.DecodeStriped(man, parts); err != nil {
+				if decoded[j], err = ckpt.DecodeStriped(man, parts); err != nil {
 					b.Fatal(err)
 				}
 			}

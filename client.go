@@ -49,7 +49,8 @@ type ClientConfig struct {
 	// across StripeCount peers (0 disables striping).
 	StripeThreshold int
 	// StripeCount is how many stripes a large checkpoint splits into
-	// (default = Replicas, minimum 2).
+	// (default = Replicas, minimum 2); NewClient rejects more than 1024,
+	// the most a restore accepts.
 	StripeCount int
 	// DialTimeout, OpTimeout and Retries tune each peer client's
 	// robustness envelope; zero values select the remote-package defaults.
@@ -98,6 +99,9 @@ type Client struct {
 // first operation.
 func NewClient(cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
+	if err := ckpt.CheckStripeCount(cfg.StripeCount); err != nil {
+		return nil, fmt.Errorf("aic: %w", err)
+	}
 	set, err := newReplicaSet(false, cfg.WriteQuorum, cfg.Replicas, remote.Config{DialTimeout: cfg.DialTimeout,
 		OpTimeout: cfg.OpTimeout, Retries: cfg.Retries, JitterSeed: cfg.JitterSeed, Metrics: cfg.Metrics})
 	if err != nil {
@@ -359,9 +363,13 @@ func (ns *Namespace) Chain(ctx context.Context, proc string) ([][]byte, error) {
 	}
 	out := make([][]byte, len(elems))
 	for i, e := range elems {
-		out[i] = e.Data
-		if e.Ckpt == nil {
+		switch {
+		case e.Ckpt == nil:
 			damaged = append(damaged, e.Seq)
+		case e.Data == nil: // striped: the parts join into the stored object
+			out[i] = e.Ckpt.Encode()
+		default:
+			out[i] = e.Data
 		}
 	}
 	if len(damaged) > 0 {

@@ -331,15 +331,16 @@ func (p *pagePool) recycle(idx uint64) {
 func (p *pagePool) replay(c *Checkpoint) error {
 	var pages []delta.Page
 	var err error
+	r := c.payload()
 	switch c.Kind {
 	case Full, Incremental:
-		if pages, err = rawPages(c.Payload, p.as.PageSize()); err == nil {
+		if pages, err = rawPages(&r, p.as.PageSize()); err == nil {
 			for i, buf := range p.take(len(pages)) {
 				pages[i].Data = append(buf[:0], pages[i].Data...)
 			}
 		}
 	case IncrementalDelta:
-		pages, err = delta.DecodePageAlignedInto(c.Payload, p.as.Page, 0, p.take)
+		pages, err = delta.DecodePiecesInto(&r, p.as.Page, 0, p.take)
 	default:
 		err = fmt.Errorf("%w: kind %v", ErrBadCheckpoint, c.Kind)
 	}

@@ -2,10 +2,13 @@
 // AIC reproduction: full checkpoints, incremental checkpoints (dirty pages
 // only), and delta-compressed incremental checkpoints (Xdelta3-PA applied to
 // hot pages). A process restarts from the last full checkpoint plus all
-// subsequent incrementals, exactly as Section II.A describes.
+// subsequent incrementals, exactly as Section II.A describes. A checkpoint
+// striped across ring peers is decoded and replayed straight from its
+// stripe parts, without being joined (DecodeStriped).
 package ckpt
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -25,9 +28,10 @@ const (
 	IncrementalDelta Kind = 3 // dirty pages, hot ones delta-compressed
 	// Stripe carries an opaque slice of a larger encoded checkpoint (or the
 	// manifest describing the split): large objects are striped across ring
-	// peers and reassembled before restore. Stripe frames pass Decode — so
-	// store scrubs see intact, CRC-guarded elements, not foreign bytes — but
-	// Restore rejects them: a stripe is not replayable until reassembled.
+	// peers, and DecodeStriped decodes the object from its parts. Stripe
+	// frames pass Decode — so store scrubs see intact, CRC-guarded
+	// elements, not foreign bytes — but Restore rejects them: a stripe is
+	// replayable only as part of its set.
 	Stripe Kind = 4
 )
 
@@ -65,27 +69,42 @@ type Checkpoint struct {
 	PageSize int
 	CPUState []byte
 	Freed    []uint64 // pages unmapped since the previous checkpoint
-	Payload  []byte   // raw page list or page-aligned delta stream
+	// Payload is the raw page list or page-aligned delta stream; nil for a
+	// checkpoint DecodeStriped returns, whose payload stays in its parts.
+	Payload []byte
 
-	frame []byte // the encoding, when written at construction
+	frame []byte   // the encoding, when written at construction
+	parts [][]byte // a striped checkpoint's encoding, in its stripe parts
+	spans [][]byte // its payload, in the same parts
+}
+
+// payload returns a reader of c's payload: Payload, or a striped
+// checkpoint's spans.
+func (c *Checkpoint) payload() delta.Pieces {
+	return delta.NewPieces(c.Payload, c.spans...)
 }
 
 // Size returns the serialized size in bytes, the quantity that drives every
 // bandwidth cost in the models (checkpoint size ≈ ds). It is computed from
 // the header fields, without encoding.
 func (c *Checkpoint) Size() int {
-	return c.headerLen(len(c.Payload)) + len(c.Payload) + 4
+	r := c.payload()
+	return c.headerLen(r.Len()) + r.Len() + 4
 }
 
 // Encode serializes the checkpoint. The stream ends with a CRC-32C of
 // everything before it, so silent corruption in any storage level is
 // detected at decode time (and the recovery manager falls through to the
 // next level). A checkpoint written at construction returns its frame,
-// which the caller must not modify; any other is encoded afresh into a new
-// slice on every call.
+// which the caller must not modify; one DecodeStriped returned joins its
+// stripe parts — the stored object, byte for byte — into a new slice; any
+// other is encoded afresh into a new slice on every call.
 func (c *Checkpoint) Encode() []byte {
 	if c.frame != nil {
 		return c.frame
+	}
+	if c.parts != nil {
+		return bytes.Join(c.parts, nil)
 	}
 	out := append(c.appendHeader(make([]byte, 0, c.Size()), len(c.Payload)), c.Payload...)
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
@@ -154,26 +173,32 @@ func Decode(data []byte) (*Checkpoint, error) {
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(trailer) {
 		return nil, ErrChecksum
 	}
-	return decodeBody(body)
+	r := delta.NewPieces(body)
+	c, err := decodeHeader(&r)
+	if err != nil {
+		return nil, err
+	}
+	c.Payload = body[len(body)-r.Len() : len(body) : len(body)]
+	return c, nil
 }
 
-// decodeBody parses a frame body — everything before the CRC trailer, which
-// the caller has already checked against it.
-func decodeBody(data []byte) (*Checkpoint, error) {
-	if len(data) < len(magic)+1 || string(data[:8]) != string(magic[:]) {
+// decodeHeader parses a frame body's header — the body is everything before
+// the CRC trailer, which the caller has already checked — from r, and
+// leaves r at the payload, which it checks fills the rest of the body.
+func decodeHeader(r *delta.Pieces) (*Checkpoint, error) {
+	head, ok := r.Next(len(magic) + 1)
+	if !ok || string(head[:8]) != string(magic[:]) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
-	c := &Checkpoint{Kind: Kind(data[8])}
+	c := &Checkpoint{Kind: Kind(head[8])}
 	if c.Kind != Full && c.Kind != Incremental && c.Kind != IncrementalDelta && c.Kind != Stripe {
-		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadCheckpoint, data[8])
+		return nil, fmt.Errorf("%w: unknown kind %d", ErrBadCheckpoint, head[8])
 	}
-	p := data[9:]
 	next := func() (uint64, error) {
-		v, n := binary.Uvarint(p)
-		if n <= 0 {
+		v, ok := r.Uvarint()
+		if !ok {
 			return 0, fmt.Errorf("%w: truncated varint", ErrBadCheckpoint)
 		}
-		p = p[n:]
 		return v, nil
 	}
 	seq, err := next()
@@ -190,16 +215,16 @@ func decodeBody(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cpuLen > uint64(len(p)) {
+	if cpuLen > uint64(r.Len()) {
 		return nil, fmt.Errorf("%w: cpu state overflows", ErrBadCheckpoint)
 	}
-	c.CPUState = append([]byte(nil), p[:cpuLen]...)
-	p = p[cpuLen:]
+	cpu, _ := r.Next(int(cpuLen))
+	c.CPUState = append([]byte(nil), cpu...)
 	nFreed, err := next()
 	if err != nil {
 		return nil, err
 	}
-	if nFreed > uint64(len(p)) { // each index is ≥ 1 byte
+	if nFreed > uint64(r.Len()) { // each index is ≥ 1 byte
 		return nil, fmt.Errorf("%w: freed list overflows", ErrBadCheckpoint)
 	}
 	c.Freed = make([]uint64, nFreed)
@@ -214,10 +239,9 @@ func decodeBody(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	if payLen != uint64(len(p)) {
-		return nil, fmt.Errorf("%w: payload length %d, have %d", ErrBadCheckpoint, payLen, len(p))
+	if payLen != uint64(r.Len()) {
+		return nil, fmt.Errorf("%w: payload length %d, have %d", ErrBadCheckpoint, payLen, r.Len())
 	}
-	c.Payload = p[:len(p):len(p)]
 	return c, nil
 }
 
@@ -261,34 +285,33 @@ func (c *Checkpoint) rawPagesFrame(as *memsim.AddressSpace, idxs []uint64) {
 // lists: the count must fit in the payload (checked before anything is
 // sized by it), indexes must be strictly ascending (both builders emit them
 // so; a duplicate or a reordering can only be corruption), and no bytes may
-// trail the last page. Each page's Data aliases payload.
-func rawPages(payload []byte, pageSize int) ([]delta.Page, error) {
-	count, n := binary.Uvarint(payload)
-	if n <= 0 {
+// trail the last page. Each page's Data aliases the payload r reads, unless
+// it crosses a piece boundary.
+func rawPages(r *delta.Pieces, pageSize int) ([]delta.Page, error) {
+	count, ok := r.Uvarint()
+	if !ok {
 		return nil, fmt.Errorf("%w: missing page count", ErrBadCheckpoint)
 	}
-	payload = payload[n:]
-	if count > uint64(len(payload)/(pageSize+1)) { // each page is ≥ one index byte and its bytes
-		return nil, fmt.Errorf("%w: %d pages cannot fit in %d payload bytes", ErrBadCheckpoint, count, len(payload))
+	if count > uint64(r.Len()/(pageSize+1)) { // each page is ≥ one index byte and its bytes
+		return nil, fmt.Errorf("%w: %d pages cannot fit in %d payload bytes", ErrBadCheckpoint, count, r.Len())
 	}
 	pages := make([]delta.Page, count)
 	for i := range pages {
-		idx, n := binary.Uvarint(payload)
-		if n <= 0 {
+		idx, ok := r.Uvarint()
+		if !ok {
 			return nil, fmt.Errorf("%w: bad page index", ErrBadCheckpoint)
 		}
 		if i > 0 && idx <= pages[i-1].Index {
 			return nil, fmt.Errorf("%w: page index %d after %d breaks ascending order", ErrBadCheckpoint, idx, pages[i-1].Index)
 		}
-		payload = payload[n:]
-		if len(payload) < pageSize {
+		data, ok := r.Next(pageSize)
+		if !ok {
 			return nil, fmt.Errorf("%w: short page %d", ErrBadCheckpoint, idx)
 		}
-		pages[i] = delta.Page{Index: idx, Data: payload[:pageSize:pageSize]}
-		payload = payload[pageSize:]
+		pages[i] = delta.Page{Index: idx, Data: data}
 	}
-	if len(payload) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, len(payload))
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, r.Len())
 	}
 	return pages, nil
 }

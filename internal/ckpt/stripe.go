@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
+
+	"aic/internal/delta"
 )
 
 // StripeFrame is the decoded form of a Stripe-kind checkpoint element.
@@ -13,6 +16,10 @@ import (
 // the base key records how to reassemble them. Both travel as ordinary
 // checkpoint frames (magic, CRC trailer), so every storage layer — scrub
 // included — handles them like any other element.
+//
+// A StripeFrame comes from DecodeStripe: DecodeStriped accepts no other,
+// because it trusts the part's CRC-32C that DecodeStripe derived from the
+// checked trailer.
 type StripeFrame struct {
 	Seq      int
 	Manifest bool  // true: reassembly descriptor at the base key
@@ -26,9 +33,35 @@ type StripeFrame struct {
 	// two well-formed frames apart. A stripe set mixed from two frames of
 	// one seq and size is caught by that trailer check (DecodeStriped), not
 	// by a Sum that differs.
-	Sum  uint32
-	Part []byte // this stripe's slice (parts only), aliasing the decoded frame
+	Sum uint32
+	// Part is this stripe's slice (parts only), aliasing the decoded frame.
+	// Do not modify it after DecodeStripe: DecodeStriped checks the object
+	// by the CRC-32C DecodeStripe derived from it, not by reading it again.
+	Part []byte
+
+	crc     uint32 // CRC-32C of Part, derived from the checked trailer
+	decoded bool   // set by DecodeStripe
 }
+
+// maxStripes bounds a stripe set's Count. A restore names one stripe key
+// per index before it reads any part, so a manifest's Count must not size
+// anything unchecked.
+const maxStripes = 1024
+
+// CheckStripeCount reports whether an object may be split into count
+// stripes: at least 2 (one stripe is just the object) and at most
+// maxStripes, the most DecodeStripe accepts.
+func CheckStripeCount(count int) error {
+	if count < 2 || count > maxStripes {
+		return fmt.Errorf("ckpt: stripe count %d (want 2 to %d)", count, maxStripes)
+	}
+	return nil
+}
+
+// frameResidue is the CRC-32C of every well-formed frame: a body followed by
+// its own CRC-32C, little-endian. For a fixed body, the CRC-32C of body ‖ t
+// equals it exactly when t is the body's CRC-32C.
+var frameResidue = crc32.Checksum(make([]byte, 4), crcTable) // the empty body's frame
 
 // stripe header records, stored in the frame's CPUState field.
 const (
@@ -69,6 +102,11 @@ func IsStripe(data []byte) bool {
 }
 
 // DecodeStripe parses a Stripe-kind frame (CRC-verified like any element).
+// From the checked trailer it derives the part's own CRC-32C, with no pass
+// over the part: the trailer is the CRC of header ‖ part, so the part's is
+// the trailer XOR the header's CRC shifted over len(part) bytes. A Count
+// above the object's Total, or above maxStripes, is rejected: SplitStripes
+// writes neither.
 func DecodeStripe(data []byte) (*StripeFrame, error) {
 	c, err := Decode(data)
 	if err != nil {
@@ -107,11 +145,18 @@ func DecodeStripe(data []byte) (*StripeFrame, error) {
 	if err != nil {
 		return nil, err
 	}
+	if count == 0 || count > maxStripes || count > total || total > math.MaxInt64 {
+		return nil, fmt.Errorf("%w: stripe header (count %d, total %d)", ErrBadCheckpoint, count, total)
+	}
+	header := data[:len(data)-4-len(c.Payload)]
+	trailer := binary.LittleEndian.Uint32(data[len(data)-4:])
 	sf := &StripeFrame{
 		Seq:   c.Seq,
 		Index: int(index), Count: int(count),
 		Total: int64(total), Sum: uint32(sum),
-		Part: c.Payload,
+		Part:    c.Payload,
+		crc:     trailer ^ crc32Combine(crc32.Checksum(header, crcTable), 0, len(c.Payload)),
+		decoded: true,
 	}
 	switch rec {
 	case stripeRecManifest:
@@ -120,87 +165,113 @@ func DecodeStripe(data []byte) (*StripeFrame, error) {
 			return nil, fmt.Errorf("%w: stripe manifest carries a payload", ErrBadCheckpoint)
 		}
 	case stripeRecPart:
-		if sf.Index < 0 || sf.Count <= 0 || sf.Index >= sf.Count {
-			return nil, fmt.Errorf("%w: stripe %d of %d", ErrBadCheckpoint, sf.Index, sf.Count)
+		if index >= count {
+			return nil, fmt.Errorf("%w: stripe %d of %d", ErrBadCheckpoint, index, count)
 		}
 	default:
 		return nil, fmt.Errorf("%w: unknown stripe record %d", ErrBadCheckpoint, rec)
-	}
-	if sf.Count <= 0 || sf.Total < 0 {
-		return nil, fmt.Errorf("%w: stripe header (count %d, total %d)", ErrBadCheckpoint, sf.Count, sf.Total)
 	}
 	return sf, nil
 }
 
 // ReassembleStripes concatenates the parts of one seq's stripe set (given
-// in any order) and verifies the result against the manifest. Every part
-// must be present exactly once and agree on the geometry. The object need
-// not be a checkpoint frame; DecodeStriped is the restore path's entry.
+// in any order) and verifies the result against the manifest's Sum, with a
+// CRC pass over the joined object. Every part must be present exactly once
+// and agree on the geometry. The object need not be a checkpoint frame;
+// DecodeStriped is the restore path's entry.
 func ReassembleStripes(man *StripeFrame, parts []*StripeFrame) ([]byte, error) {
-	out, _, err := assemble(man, parts)
-	return out, err
-}
-
-// DecodeStriped reassembles one seq's stripe set and decodes the object as
-// a checkpoint frame, with one CRC pass over its bytes: the CRC of the body
-// is checked against the frame's trailer, and the same CRC extended over
-// the trailer against the manifest's Sum. The Checkpoint's Payload aliases
-// data, the one buffer the parts are copied into (Decode's contract).
-func DecodeStriped(man *StripeFrame, parts []*StripeFrame) (data []byte, c *Checkpoint, err error) {
-	data, body, err := assemble(man, parts)
+	_, pieces, err := orderStripes(man, parts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	if len(data) < len(magic)+1+4 {
-		return nil, nil, fmt.Errorf("%w: reassembled object of %d bytes is not a frame", ErrBadCheckpoint, len(data))
+	out := bytes.Join(pieces, nil) // sized once, and not zeroed before the copy
+	if got := crc32.Checksum(out, crcTable); got != man.Sum {
+		return nil, fmt.Errorf("%w: reassembled object CRC %08x, manifest says %08x", ErrChecksum, got, man.Sum)
 	}
-	if body != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return nil, nil, fmt.Errorf("%w: reassembled frame fails its trailer", ErrChecksum)
-	}
-	if c, err = decodeBody(data[:len(data)-4]); err != nil {
-		return nil, nil, err
-	}
-	return data, c, nil
+	return out, nil
 }
 
-// assemble is the reassembly both entries share. It checks the parts
-// against the manifest, copies them in order into one buffer of the
-// manifest's size, and runs the one CRC pass: body is the CRC-32C of all but
-// the last 4 bytes (what a frame's trailer covers), and body extended over
-// those 4 bytes must equal the manifest's Sum.
-func assemble(man *StripeFrame, parts []*StripeFrame) (out []byte, body uint32, err error) {
+// DecodeStriped decodes one seq's stripe set as a checkpoint frame without
+// joining it. Its CRC check reads no byte: the part CRCs DecodeStripe
+// derived fold (crc32Combine) into the object's CRC-32C, which must equal
+// both the manifest's Sum and the frame residue — the second holds exactly
+// when the frame's trailer matches its body. The header is parsed across
+// the parts, and the Checkpoint's payload stays in them (its Payload is
+// nil): Restore replays it where it lies, and Encode joins the parts. The
+// parts must come from DecodeStripe and stay unmodified while the
+// Checkpoint is in use.
+func DecodeStriped(man *StripeFrame, parts []*StripeFrame) (*Checkpoint, error) {
+	ordered, pieces, err := orderStripes(man, parts)
+	if err != nil {
+		return nil, err
+	}
+	if man.Total < int64(len(magic)+1+4) {
+		return nil, fmt.Errorf("%w: reassembled object of %d bytes is not a frame", ErrBadCheckpoint, man.Total)
+	}
+	var sum uint32
+	for i, p := range ordered {
+		if !p.decoded {
+			return nil, fmt.Errorf("%w: stripe %d did not come from DecodeStripe", ErrBadCheckpoint, i)
+		}
+		sum = crc32Combine(sum, p.crc, len(p.Part))
+	}
+	if sum != man.Sum {
+		return nil, fmt.Errorf("%w: reassembled object CRC %08x, manifest says %08x", ErrChecksum, sum, man.Sum)
+	}
+	if sum != frameResidue {
+		return nil, fmt.Errorf("%w: reassembled frame fails its trailer", ErrChecksum)
+	}
+	r := delta.NewPieces(nil, trimEnd(pieces, 4)...)
+	c, err := decodeHeader(&r)
+	if err != nil {
+		return nil, err
+	}
+	c.parts, c.spans = pieces, r.Rest()
+	return c, nil
+}
+
+// trimEnd returns pieces without their last n bytes (n ≤ their length), in a
+// new list aliasing them.
+func trimEnd(pieces [][]byte, n int) [][]byte {
+	out := append([][]byte(nil), pieces...)
+	for i := len(out) - 1; n > 0; i-- {
+		cut := min(n, len(out[i]))
+		out[i] = out[i][:len(out[i])-cut]
+		n -= cut
+	}
+	return out
+}
+
+// orderStripes checks the parts of a stripe set against its manifest —
+// every part present exactly once, agreeing on the geometry, their sizes
+// adding up to Total — and returns them, and their Parts, in index order.
+func orderStripes(man *StripeFrame, parts []*StripeFrame) (ordered []*StripeFrame, pieces [][]byte, err error) {
 	if !man.Manifest {
-		return nil, 0, fmt.Errorf("%w: reassembly needs a manifest frame", ErrBadCheckpoint)
+		return nil, nil, fmt.Errorf("%w: reassembly needs a manifest frame", ErrBadCheckpoint)
 	}
 	if len(parts) != man.Count {
-		return nil, 0, fmt.Errorf("%w: have %d of %d stripes", ErrBadCheckpoint, len(parts), man.Count)
+		return nil, nil, fmt.Errorf("%w: have %d of %d stripes", ErrBadCheckpoint, len(parts), man.Count)
 	}
-	ordered := make([]*StripeFrame, man.Count)
+	ordered = make([]*StripeFrame, man.Count)
 	for _, p := range parts {
 		if p.Manifest || p.Count != man.Count || p.Seq != man.Seq || p.Total != man.Total || p.Sum != man.Sum {
-			return nil, 0, fmt.Errorf("%w: stripe disagrees with manifest", ErrBadCheckpoint)
+			return nil, nil, fmt.Errorf("%w: stripe disagrees with manifest", ErrBadCheckpoint)
 		}
 		if p.Index < 0 || p.Index >= man.Count || ordered[p.Index] != nil {
-			return nil, 0, fmt.Errorf("%w: duplicate or out-of-range stripe %d", ErrBadCheckpoint, p.Index)
+			return nil, nil, fmt.Errorf("%w: duplicate or out-of-range stripe %d", ErrBadCheckpoint, p.Index)
 		}
 		ordered[p.Index] = p
 	}
 	var total int64
-	pieces := make([][]byte, man.Count)
+	pieces = make([][]byte, man.Count)
 	for i, p := range ordered {
 		pieces[i] = p.Part
 		total += int64(len(p.Part))
 	}
 	if total != man.Total {
-		return nil, 0, fmt.Errorf("%w: reassembled %d bytes, manifest says %d", ErrBadCheckpoint, total, man.Total)
+		return nil, nil, fmt.Errorf("%w: reassembled %d bytes, manifest says %d", ErrBadCheckpoint, total, man.Total)
 	}
-	out = bytes.Join(pieces, nil) // sized once, and not zeroed before the copy
-	split := max(len(out)-4, 0)
-	body = crc32.Checksum(out[:split], crcTable)
-	if got := crc32.Update(body, crcTable, out[split:]); got != man.Sum {
-		return nil, 0, fmt.Errorf("%w: reassembled object CRC %08x, manifest says %08x", ErrChecksum, got, man.Sum)
-	}
-	return out, body, nil
+	return ordered, pieces, nil
 }
 
 // SplitStripes slices an encoded object into count near-equal parts, each
@@ -212,8 +283,8 @@ func assemble(man *StripeFrame, parts []*StripeFrame) (out []byte, body uint32, 
 // stripe frame: the object's Sum and every stripe trailer are combined
 // from the per-part CRCs.
 func SplitStripes(seq int, encoded []byte, count int) (manifest []byte, parts [][]byte, err error) {
-	if count < 2 {
-		return nil, nil, fmt.Errorf("ckpt: stripe count %d (want ≥ 2)", count)
+	if err := CheckStripeCount(count); err != nil {
+		return nil, nil, err
 	}
 	if len(encoded) < count {
 		return nil, nil, fmt.Errorf("ckpt: %d bytes cannot split into %d stripes", len(encoded), count)

@@ -138,7 +138,7 @@ func EncodePageAlignedXOR(updates []PageUpdate) []byte {
 }
 
 // pageFrame is one parsed (but not yet decoded) page entry of the
-// page-aligned stream; payload aliases the input stream.
+// page-aligned stream.
 type pageFrame struct {
 	idx     uint64
 	mode    byte
@@ -148,13 +148,13 @@ type pageFrame struct {
 // scanPageFrames splits a page-aligned stream into frames, validating the
 // framing: varint integrity, payload bounds, known modes, and strictly
 // ascending page indexes (both encoders emit ascending unique indexes, so
-// duplicates or reordering can only be corruption).
-func scanPageFrames(stream []byte) ([]pageFrame, error) {
-	count, n := binary.Uvarint(stream)
-	if n <= 0 {
+// duplicates or reordering can only be corruption). A frame's payload
+// aliases the stream, unless it crosses a piece boundary.
+func scanPageFrames(r *Pieces) ([]pageFrame, error) {
+	count, ok := r.Uvarint()
+	if !ok {
 		return nil, fmt.Errorf("%w: missing page count", ErrCorrupt)
 	}
-	stream = stream[n:]
 	capHint := count
 	if capHint > 1<<16 {
 		capHint = 1 << 16 // corrupt counts must not drive huge allocations
@@ -162,30 +162,27 @@ func scanPageFrames(stream []byte) ([]pageFrame, error) {
 	frames := make([]pageFrame, 0, capHint)
 	var prev uint64
 	for i := uint64(0); i < count; i++ {
-		idx, n := binary.Uvarint(stream)
-		if n <= 0 {
+		idx, ok := r.Uvarint()
+		if !ok {
 			return nil, fmt.Errorf("%w: bad page index", ErrCorrupt)
 		}
-		stream = stream[n:]
 		if i > 0 && idx <= prev {
 			return nil, fmt.Errorf("%w: page index %d after %d breaks ascending order", ErrCorrupt, idx, prev)
 		}
 		prev = idx
-		if len(stream) == 0 {
+		mode, ok := r.Byte()
+		if !ok {
 			return nil, fmt.Errorf("%w: missing page mode", ErrCorrupt)
 		}
-		mode := stream[0]
-		stream = stream[1:]
 		if mode != PageRaw && mode != PageDelta && mode != PageXOR {
 			return nil, fmt.Errorf("%w: unknown page mode %#x", ErrCorrupt, mode)
 		}
-		plen, n := binary.Uvarint(stream)
-		if n <= 0 || plen > uint64(len(stream[n:])) {
+		plen, ok := r.Uvarint()
+		if !ok || plen > uint64(r.Len()) {
 			return nil, fmt.Errorf("%w: bad payload length for page %d", ErrCorrupt, idx)
 		}
-		stream = stream[n:]
-		frames = append(frames, pageFrame{idx: idx, mode: mode, payload: stream[:plen]})
-		stream = stream[plen:]
+		payload, _ := r.Next(int(plen))
+		frames = append(frames, pageFrame{idx: idx, mode: mode, payload: payload})
 	}
 	return frames, nil
 }

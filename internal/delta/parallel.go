@@ -160,7 +160,15 @@ type Page struct {
 // alone), so fetchOld must be safe for concurrent calls. When pages fail,
 // the error of the first failing page in stream order is returned.
 func DecodePageAlignedInto(stream []byte, fetchOld func(index uint64) []byte, parallelism int, take func(n int) [][]byte) ([]Page, error) {
-	frames, err := scanPageFrames(stream)
+	r := NewPieces(stream)
+	return DecodePiecesInto(&r, fetchOld, parallelism, take)
+}
+
+// DecodePiecesInto is DecodePageAlignedInto over the stream r reads, held
+// in one piece or across several: a page's bytes are decoded where they lie
+// (see Pieces).
+func DecodePiecesInto(r *Pieces, fetchOld func(index uint64) []byte, parallelism int, take func(n int) [][]byte) ([]Page, error) {
+	frames, err := scanPageFrames(r)
 	if err != nil {
 		return nil, err
 	}

@@ -41,11 +41,14 @@ type GoodReport struct {
 }
 
 // Element is one chain element ready to replay: the sequence number it was
-// stored under, its bytes, the decoded frame (nil: no copy verified) and the
-// replica it was read from (-1 outside a replica-set read).
+// stored under, its bytes (nil for a striped element, decoded where its
+// parts lie: Ckpt.Encode joins them) and their stored size, the decoded
+// frame (nil: no copy verified) and the replica it was read from (-1
+// outside a replica-set read).
 type Element struct {
 	Seq     int
 	Data    []byte
+	Size    int64
 	Ckpt    *ckpt.Checkpoint
 	Replica int
 }
@@ -62,7 +65,7 @@ func RestoreLatestGood(chain []storage.Stored) (*memsim.AddressSpace, *GoodRepor
 	elems := make([]Element, len(chain))
 	for i, s := range chain {
 		c, _ := ckpt.Decode(s.Data) // a frame that fails to decode replays as corrupt
-		elems[i] = Element{Seq: s.Seq, Data: s.Data, Ckpt: c, Replica: -1}
+		elems[i] = Element{Seq: s.Seq, Data: s.Data, Size: int64(len(s.Data)), Ckpt: c, Replica: -1}
 	}
 	sort.SliceStable(elems, func(i, j int) bool { return elems[i].Seq < elems[j].Seq })
 	return replayLatestGood(elems)
@@ -119,8 +122,8 @@ func replayLatestGood(elems []Element) (*memsim.AddressSpace, *GoodReport, error
 	for i, e := range elems {
 		if i >= anchor && i <= end {
 			rep.Restored = append(rep.Restored, e.Seq)
-			rep.Bytes += int64(len(e.Data))
-			rep.ReplicaBytes[e.Replica] += int64(len(e.Data))
+			rep.Bytes += e.Size
+			rep.ReplicaBytes[e.Replica] += e.Size
 			if e.Replica != rep.Replica {
 				rep.Replica = -1
 			}

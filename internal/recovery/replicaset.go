@@ -46,10 +46,11 @@ func (rs ReplicaSet) read(ctx context.Context, keys []string, admit func(k int, 
 // Chain returns the per-seq union of key's chain across its replica set, in
 // sequence order: one Element for every seq some replica stores, read from
 // the first replica whose copy verifies (nil Ckpt: none did), striped
-// elements reassembled. missing lists the seqs replicas list but none
-// stores. The base chain is read first — a stripe manifest is admitted when
-// it decodes as a manifest under its own label — then every stripe key the
-// admitted manifests name, as one batch; each element is downloaded once.
+// elements decoded from their parts. missing lists the seqs replicas list
+// but none stores. The base chain is read first — a stripe manifest is
+// admitted when it decodes as a manifest under its own label — then every
+// stripe key the admitted manifests name, as one batch; each element is
+// downloaded once.
 func (rs ReplicaSet) Chain(ctx context.Context, key string) (elems []Element, missing []int, err error) {
 	found := make(map[int]Element) // by seq, for every seq some replica stores
 	manifests := make(map[int]*ckpt.StripeFrame)
@@ -110,7 +111,7 @@ func verify(key string, el storage.Stored) (Element, *ckpt.StripeFrame, error) {
 	if c.Seq != el.Seq {
 		return bad, nil, fmt.Errorf("recovery: %s seq %d holds the frame of seq %d", key, el.Seq, c.Seq)
 	}
-	return Element{Seq: el.Seq, Data: el.Data, Ckpt: c}, nil, nil
+	return Element{Seq: el.Seq, Data: el.Data, Size: int64(len(el.Data)), Ckpt: c}, nil, nil
 }
 
 // stripeParts reads every stripe key the admitted manifests name, as one
@@ -149,8 +150,10 @@ func (rs ReplicaSet) stripeParts(ctx context.Context, key string, merged []stora
 	return parts
 }
 
-// reassemble rebuilds a striped element from its manifest and the batch's
-// parts; one that cannot be rebuilt, or does not verify, has a nil Ckpt.
+// reassemble decodes a striped element from its manifest and the batch's
+// parts, where they lie: it carries no joined bytes (a nil Data), and its
+// Size is the manifest's Total. One that cannot be decoded, or does not
+// verify, has a nil Ckpt.
 func reassemble(key string, man *ckpt.StripeFrame, parts map[string]map[int]*ckpt.StripeFrame) Element {
 	bad := Element{Seq: man.Seq, Replica: -1}
 	held := make([]*ckpt.StripeFrame, man.Count)
@@ -159,11 +162,11 @@ func reassemble(key string, man *ckpt.StripeFrame, parts map[string]map[int]*ckp
 			return bad
 		}
 	}
-	data, c, err := ckpt.DecodeStriped(man, held)
+	c, err := ckpt.DecodeStriped(man, held)
 	if err != nil || c.Seq != man.Seq {
 		return bad
 	}
-	return Element{Seq: man.Seq, Data: data, Ckpt: c}
+	return Element{Seq: man.Seq, Size: man.Total, Ckpt: c}
 }
 
 // Restore replays Chain's union once, with RestoreLatestGood's rules; the

@@ -1,11 +1,13 @@
 package recovery
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strconv"
 	"testing"
 
+	"aic/internal/ckpt"
 	"aic/internal/storage"
 )
 
@@ -160,6 +162,58 @@ func TestReplicaSetLatestGoodUnion(t *testing.T) {
 			}
 			if !as.Equal(images[tc.lastSeq]) {
 				t.Fatalf("image differs from the reference at seq %d", tc.lastSeq)
+			}
+		})
+	}
+}
+
+// A striped element is decoded from its parts and counted at its stored
+// size, and a manifest whose Count is out of bounds — its CRC is valid, as
+// any peer can compute one — is rejected before any stripe key is named, so
+// the restore rewinds past its seq.
+func TestReplicaSetStripedAndForgedManifests(t *testing.T) {
+	chain, images := buildStoredChain(t)
+	for _, count := range []int{1025, 1 << 40} {
+		t.Run(strconv.Itoa(count), func(t *testing.T) {
+			st := storage.NewMemStore(storage.Target{Name: "a"})
+			put := func(key string, seq int, data []byte) {
+				if err := st.Put(ctx, key, seq, data); err != nil {
+					t.Fatal(err)
+				}
+			}
+			put("p0", 0, chain[0].Data)
+			put("p0", 1, chain[1].Data)
+			man, parts, err := ckpt.SplitStripes(2, chain[2].Data, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, p := range parts {
+				put("p0"+storage.StripeSep+storage.StripeLabel(i, len(parts)), 2, p)
+			}
+			put("p0", 2, man)
+			put("p0", 3, ckpt.EncodeStripeManifest(3, count, 1<<41, 0))
+
+			set := fixedSet(st)
+			elems, _, err := set.Chain(ctx, "p0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := elems[2]; e.Ckpt == nil || e.Data != nil || e.Size != int64(len(chain[2].Data)) || !bytes.Equal(e.Ckpt.Encode(), chain[2].Data) {
+				t.Fatalf("striped element = %+v, want it decoded from its parts at its stored size", e)
+			}
+			as, rep, err := set.Restore(ctx, "p0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want int64
+			for _, s := range chain[:3] {
+				want += int64(len(s.Data))
+			}
+			if rep.LastSeq != 2 || len(rep.Corrupt) != 1 || rep.Corrupt[0] != 3 || rep.Bytes != want || rep.ReplicaBytes[0] != want {
+				t.Fatalf("report = %+v, want seq 3 corrupt and %d bytes replayed through seq 2", rep, want)
+			}
+			if !as.Equal(images[2]) {
+				t.Fatal("image differs from the reference at seq 2")
 			}
 		})
 	}

@@ -475,3 +475,21 @@ func TestNewClientValidatesWriteQuorum(t *testing.T) {
 		t.Fatalf("quorum 3 of 3 replicas on a one-peer ring = %v, want it clamped to the ring", err)
 	}
 }
+
+// NewClient rejects a StripeCount above the most a restore accepts, rather
+// than writing stripe sets no restore can read back.
+func TestNewClientValidatesStripeCount(t *testing.T) {
+	stores := map[string]aic.Store{"peer": storage.NewMemStore(storage.Target{})}
+	const want = "aic: ckpt: stripe count 1025 (want 2 to 1024)"
+	if c, err := aic.NewClient(aic.ClientConfig{Stores: stores, StripeCount: 1025}); err == nil || err.Error() != want {
+		if c != nil {
+			c.Close()
+		}
+		t.Fatalf("NewClient with StripeCount 1025 = %v, want %q", err, want)
+	}
+	c, err := aic.NewClient(aic.ClientConfig{Stores: stores, StripeCount: 1024})
+	if err != nil {
+		t.Fatalf("NewClient with StripeCount 1024: %v", err)
+	}
+	c.Close()
+}
