@@ -18,6 +18,11 @@ const (
 	DefaultMaxChunk = 64 << 10 // 64 KiB
 )
 
+// MaxChunkCeiling is the hard ceiling on a chunk's length: Normalized
+// clamps Max to it, and a dedup recipe naming a longer chunk is rejected
+// before anything is sized by it.
+const MaxChunkCeiling = 1 << 20 // 1 MiB
+
 // chunkWindow is the rolling-hash window the boundary test looks at. It is
 // deliberately small: a boundary must depend on only the last few dozen
 // bytes so that streams with different prefixes re-converge quickly.
@@ -25,9 +30,9 @@ const chunkWindow = 48
 
 // ChunkConfig parameterizes the chunker. The zero value selects the
 // defaults above. Avg is rounded up to a power of two (the boundary test
-// is a mask comparison); Min is clamped to at least the hash window and
-// Max to at least 2·Min, so every chunk but the last satisfies
-// Min ≤ len ≤ Max.
+// is a mask comparison); Min is clamped to between the hash window and
+// half of MaxChunkCeiling, and Max to between 2·Min and MaxChunkCeiling,
+// so every chunk but the last satisfies Min ≤ len ≤ Max.
 type ChunkConfig struct {
 	Min, Avg, Max int
 }
@@ -47,18 +52,14 @@ func (c ChunkConfig) withDefaults() ChunkConfig {
 	if c.Max <= 0 {
 		c.Max = DefaultMaxChunk
 	}
-	if c.Min < chunkWindow {
-		c.Min = chunkWindow
-	}
+	c.Min = min(max(c.Min, chunkWindow), MaxChunkCeiling/2)
 	// Round Avg up to a power of two for the mask test.
 	avg := 1
 	for avg < c.Avg {
 		avg <<= 1
 	}
 	c.Avg = avg
-	if c.Max < 2*c.Min {
-		c.Max = 2 * c.Min
-	}
+	c.Max = min(max(c.Max, 2*c.Min), MaxChunkCeiling)
 	return c
 }
 

@@ -56,6 +56,24 @@ func TestChunksRoundTripAndBounds(t *testing.T) {
 	}
 }
 
+// TestNormalizedClampsToCeiling: no configuration yields a chunk longer
+// than MaxChunkCeiling, the length a dedup recipe is checked against.
+func TestNormalizedClampsToCeiling(t *testing.T) {
+	for _, cfg := range []ChunkConfig{
+		{Max: 1 << 30},
+		{Min: 1 << 30},
+		{Min: MaxChunkCeiling, Max: MaxChunkCeiling},
+	} {
+		norm := cfg.Normalized()
+		if norm.Max != MaxChunkCeiling || norm.Min > norm.Max/2 {
+			t.Fatalf("%+v normalized to %+v, want Max %d and Min ≤ Max/2", cfg, norm, MaxChunkCeiling)
+		}
+	}
+	if norm := (ChunkConfig{}).Normalized(); norm.Max != DefaultMaxChunk || norm.Min != DefaultMinChunk {
+		t.Fatalf("defaults moved: %+v", norm)
+	}
+}
+
 func TestChunksDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 64<<10)

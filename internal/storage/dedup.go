@@ -9,7 +9,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"aic/internal/delta"
 )
@@ -17,16 +20,19 @@ import (
 // Chunk-level content-addressed dedup for FSStore.
 //
 // With dedup enabled, a committed checkpoint's data file holds a *recipe*
-// instead of the payload: the payload's length and SHA-256, plus the
-// ordered (chunk-ID, length) list produced by the content-defined chunker
-// in internal/delta. Chunk bodies live once each under
+// instead of the payload: the payload's length, the ordered (length,
+// chunk-ID) list produced by the content-defined chunker in internal/delta,
+// and the SHA-256 of that list. Chunk bodies live once each under
 // <root>/chunks!/<sha256-hex>.chk, shared by every recipe — across seqs,
 // procs, tenants (tenancy is a key prefix over one flat store) and ring
 // replicas that land on the same store. Reads are dedup-agnostic: Get,
 // GetElem and Scrub detect the recipe magic and resolve it back to the
-// exact original bytes (verifying every chunk hash and the whole-payload
-// hash), so a store reopened without EnableDedup still restores
-// byte-identically.
+// exact original bytes (verifying every chunk body against its ID, and the
+// list hash), so a store reopened without EnableDedup still restores
+// byte-identically. Each byte is hashed once on either path: a chunk ID is
+// the SHA-256 of the chunk, and since every body is checked against its ID,
+// the list hash binds the payload as strongly as a payload hash would.
+// Chunks are hashed (and, on a read, fetched and placed) on every core.
 //
 // Refcounts live in memory only: the recipes are the one durable record of
 // which chunks are referenced, and EnableDedup rebuilds the counts from
@@ -58,7 +64,18 @@ const legacyIndexName = "index.json"
 // reserved at the FSStore boundary: a payload beginning with these bytes
 // must itself be a valid recipe (dedup-enabled stores always wrap payloads
 // above MinPayload, so the collision cannot arise from library traffic).
-var recipeMagic = [8]byte{'A', 'I', 'C', 'R', 'C', 'P', 'S', '1'}
+// An AICRCPS2 recipe's hash field is the list hash (see listHash).
+var recipeMagic = [8]byte{'A', 'I', 'C', 'R', 'C', 'P', 'S', '2'}
+
+// recipeMagicV1 marks the recipes stores wrote before the list hash: the
+// same layout, with the SHA-256 of the whole payload in the hash field.
+// They stay readable; nothing writes them.
+var recipeMagicV1 = [8]byte{'A', 'I', 'C', 'R', 'C', 'P', 'S', '1'}
+
+// recipeEntryMin is the fewest bytes one chunk entry takes: a one-byte
+// length uvarint and the chunk ID. It bounds a parsed recipe's chunk count
+// before anything is sized by it.
+const recipeEntryMin = 1 + sha256.Size
 
 // chunkID is a chunk's content address: the SHA-256 of its bytes.
 type chunkID [sha256.Size]byte
@@ -144,25 +161,50 @@ func parseChunkName(name string) (chunkID, bool) {
 	return id, true
 }
 
-// isRecipe reports whether a stored data file holds a recipe.
+// isRecipe reports whether a stored data file holds a recipe, in either
+// format.
 func isRecipe(data []byte) bool {
-	return len(data) >= len(recipeMagic) && string(data[:len(recipeMagic)]) == string(recipeMagic[:])
+	if len(data) < len(recipeMagic) {
+		return false
+	}
+	m := string(data[:len(recipeMagic)])
+	return m == string(recipeMagic[:]) || m == string(recipeMagicV1[:])
 }
 
-// encodeRecipe serializes a recipe: magic, payload length, payload
-// SHA-256, chunk count, per-chunk (length, ID) pairs, CRC-32C trailer.
-func encodeRecipe(total int, sum chunkID, lens []int, ids []chunkID) []byte {
-	out := make([]byte, 0, len(recipeMagic)+8+len(sum)+len(ids)*(len(sum)+3)+8)
+// encodeRecipe serializes an AICRCPS2 recipe: magic, payload length, list
+// hash, chunk count, per-chunk (length, ID) pairs, CRC-32C trailer.
+func encodeRecipe(lens []int, ids []chunkID) []byte {
+	total := 0
+	for _, l := range lens {
+		total += l
+	}
+	out := make([]byte, 0, len(recipeMagic)+8+sha256.Size+len(ids)*(sha256.Size+3)+8)
 	out = append(out, recipeMagic[:]...)
 	out = binary.AppendUvarint(out, uint64(total))
-	out = append(out, sum[:]...)
+	hashAt := len(out)
+	out = append(out, make([]byte, sha256.Size)...)
 	out = binary.AppendUvarint(out, uint64(len(ids)))
+	entriesAt := len(out)
 	for i, id := range ids {
 		out = binary.AppendUvarint(out, uint64(lens[i]))
 		out = append(out, id[:]...)
 	}
+	sum := listHash(out[len(recipeMagic):hashAt], out[entriesAt:])
+	copy(out[hashAt:], sum[:])
 	crc := crc32.Checksum(out, crcCastagnoli)
 	return binary.LittleEndian.AppendUint32(out, crc)
+}
+
+// listHash is an AICRCPS2 recipe's hash field: the SHA-256 of the payload
+// length uvarint followed by the entries, each a length uvarint and a chunk
+// ID, as the recipe encodes them.
+func listHash(totalField, entries []byte) chunkID {
+	h := sha256.New()
+	h.Write(totalField)
+	h.Write(entries)
+	var sum chunkID
+	h.Sum(sum[:0])
+	return sum
 }
 
 var crcCastagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -170,16 +212,19 @@ var crcCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 // parsedRecipe is a decoded recipe file.
 type parsedRecipe struct {
 	total int
-	sum   chunkID
+	sum   chunkID // the list hash, or an AICRCPS1 recipe's payload hash
+	v1    bool    // sum is the payload hash, checked once the payload is resolved
 	lens  []int
 	ids   []chunkID
 }
 
-func (r *parsedRecipe) refs() recipeRefs {
-	return recipeRefs{total: r.total, ids: append([]chunkID(nil), r.ids...)}
-}
+func (r *parsedRecipe) refs() recipeRefs { return recipeRefs{total: r.total, ids: r.ids} }
 
-// parseRecipe decodes a recipe file, verifying its CRC trailer.
+// parseRecipe decodes a recipe file, verifying its CRC trailer and, for an
+// AICRCPS2 recipe, its list hash. Nothing is sized by a count or length
+// the bytes cannot pay for: the chunk count is at most one per
+// recipeEntryMin bytes left, and every chunk length is at most
+// delta.MaxChunkCeiling, so total ≤ chunk count × ceiling.
 func parseRecipe(data []byte) (*parsedRecipe, error) {
 	if !isRecipe(data) || len(data) < len(recipeMagic)+sha256.Size+4+2 {
 		return nil, fmt.Errorf("storage: not a recipe")
@@ -189,19 +234,20 @@ func parseRecipe(data []byte) (*parsedRecipe, error) {
 		return nil, fmt.Errorf("storage: recipe checksum mismatch")
 	}
 	p := body[len(recipeMagic):]
-	next := func() (int, error) {
+	next := func() (uint64, error) {
 		v, n := binary.Uvarint(p)
 		if n <= 0 {
 			return 0, fmt.Errorf("storage: truncated recipe varint")
 		}
 		p = p[n:]
-		return int(v), nil
+		return v, nil
 	}
-	r := &parsedRecipe{}
-	var err error
-	if r.total, err = next(); err != nil {
+	r := &parsedRecipe{v1: string(data[:len(recipeMagicV1)]) == string(recipeMagicV1[:])}
+	total, err := next()
+	if err != nil {
 		return nil, err
 	}
+	totalField := body[len(recipeMagic) : len(body)-len(p)]
 	if len(p) < sha256.Size {
 		return nil, fmt.Errorf("storage: truncated recipe hash")
 	}
@@ -211,25 +257,35 @@ func parseRecipe(data []byte) (*parsedRecipe, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n < 0 || n > len(p) { // each entry is ≥ 1 byte
-		return nil, fmt.Errorf("storage: recipe chunk count overflows")
+	if n > uint64(len(p)/recipeEntryMin) {
+		return nil, fmt.Errorf("storage: recipe chunk count %d overflows its %d entry bytes", n, len(p))
 	}
+	entries := p
 	r.lens = make([]int, n)
 	r.ids = make([]chunkID, n)
-	sum := 0
-	for i := 0; i < n; i++ {
-		if r.lens[i], err = next(); err != nil {
+	var sum uint64
+	for i := range r.ids {
+		l, err := next()
+		if err != nil {
 			return nil, err
+		}
+		if l > delta.MaxChunkCeiling {
+			return nil, fmt.Errorf("storage: recipe chunk length %d above the %d-byte ceiling", l, delta.MaxChunkCeiling)
 		}
 		if len(p) < sha256.Size {
 			return nil, fmt.Errorf("storage: truncated recipe entry")
 		}
+		r.lens[i] = int(l)
 		copy(r.ids[i][:], p)
 		p = p[sha256.Size:]
-		sum += r.lens[i]
+		sum += l
 	}
-	if len(p) != 0 || sum != r.total {
+	if len(p) != 0 || sum != total {
 		return nil, fmt.Errorf("storage: recipe length mismatch")
+	}
+	r.total = int(total)
+	if !r.v1 && listHash(totalField, entries) != r.sum {
+		return nil, fmt.Errorf("storage: recipe list hash mismatch")
 	}
 	return r, nil
 }
@@ -346,11 +402,12 @@ func (fs *FSStore) dedupEncode(data []byte) ([]byte, func(), error) {
 	chunks := delta.Chunks(data, ix.cfg.chunkConfig())
 	lens := make([]int, len(chunks))
 	ids := make([]chunkID, len(chunks))
-	for i, c := range chunks {
+	_ = eachChunk(len(chunks), func(i int) error {
+		c := chunks[i]
 		lens[i] = c.Len
 		ids[i] = sha256.Sum256(data[c.Off : c.Off+c.Len])
-	}
-	sum := sha256.Sum256(data)
+		return nil
+	})
 
 	ix.lock()
 	defer ix.unlock()
@@ -394,7 +451,7 @@ func (fs *FSStore) dedupEncode(data []byte) ([]byte, func(), error) {
 	fs.observeDedup()
 	rr := recipeRefs{total: len(data), ids: ids}
 	release := func() { fs.dedupRelease([]recipeRefs{rr}) }
-	return encodeRecipe(len(data), sum, lens, ids), release, nil
+	return encodeRecipe(lens, ids), release, nil
 }
 
 // dedupRelease gives back the references of removed (or never-committed)
@@ -435,9 +492,9 @@ func (fs *FSStore) readRecipeRefs(proc string, seq int) (recipeRefs, bool) {
 }
 
 // resolveData maps a stored data file back to its logical payload: raw
-// files pass through, recipes are reassembled from their chunk bodies with
-// every chunk hash and the whole-payload hash verified. It needs no index
-// and no token — reads work on stores that never called EnableDedup.
+// files pass through, recipes are reassembled from their chunk bodies (see
+// resolveRecipe). It needs no index and no token — reads work on stores
+// that never called EnableDedup.
 func (fs *FSStore) resolveData(data []byte) ([]byte, error) {
 	if !isRecipe(data) {
 		return data, nil
@@ -446,21 +503,90 @@ func (fs *FSStore) resolveData(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, 0, r.total)
-	for i, id := range r.ids {
+	return fs.resolveRecipe(r)
+}
+
+// resolveRecipe reads every chunk body of a parsed recipe, checks it
+// against its length and ID, and places it at its offset in a payload
+// buffer sized once. parseRecipe has checked the list hash; an AICRCPS1
+// recipe's payload hash is checked here, over the placed payload.
+func (fs *FSStore) resolveRecipe(r *parsedRecipe) ([]byte, error) {
+	out := make([]byte, r.total)
+	offs := make([]int, len(r.lens))
+	for i, off := 0, 0; i < len(r.lens); i++ {
+		offs[i] = off
+		off += r.lens[i]
+	}
+	err := eachChunk(len(r.ids), func(i int) error {
+		id := r.ids[i]
 		b, err := fs.fsys.ReadFile(fs.chunkPath(id))
 		if err != nil {
-			return nil, fmt.Errorf("storage: chunk %s: %w", hex.EncodeToString(id[:4]), err)
+			return fmt.Errorf("storage: chunk %s: %w", hex.EncodeToString(id[:4]), err)
 		}
 		if len(b) != r.lens[i] || sha256.Sum256(b) != id {
-			return nil, fmt.Errorf("storage: chunk %s: content mismatch", hex.EncodeToString(id[:4]))
+			return fmt.Errorf("storage: chunk %s: content mismatch", hex.EncodeToString(id[:4]))
 		}
-		out = append(out, b...)
+		copy(out[offs[i]:], b)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if len(out) != r.total || sha256.Sum256(out) != r.sum {
+	if r.v1 && sha256.Sum256(out) != r.sum {
 		return nil, fmt.Errorf("storage: recipe payload hash mismatch")
 	}
 	return out, nil
+}
+
+// eachChunk runs fn(i) for every chunk index i in [0, n): the one way both
+// dedup paths hash chunks. It runs GOMAXPROCS workers, the calling
+// goroutine one of them, or only the caller for a single chunk or at
+// GOMAXPROCS 1. Indexes are claimed in ascending order and every claimed
+// one is finished, so after a failure no new index is claimed and the
+// error of the lowest failing index is returned.
+func eachChunk(n int, fn func(i int) error) error {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	var (
+		next   atomic.Int64
+		failed atomic.Bool
+		wg     sync.WaitGroup
+		mu     sync.Mutex
+		first  = n
+		ferr   error
+	)
+	work := func() {
+		defer wg.Done()
+		for !failed.Load() {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			if err := fn(i); err != nil {
+				mu.Lock()
+				if i < first {
+					first, ferr = i, err
+				}
+				mu.Unlock()
+				failed.Store(true)
+				return
+			}
+		}
+	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	wg.Wait()
+	return ferr
 }
 
 // GCChunks unlinks every chunk body no live recipe references — zero

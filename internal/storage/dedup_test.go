@@ -256,52 +256,6 @@ func TestDedupScrubClassifiesAndRepairsRecipes(t *testing.T) {
 	}
 }
 
-func TestDedupScrubDamagedChunkBody(t *testing.T) {
-	ctx := context.Background()
-	fs := newDedupFS(t)
-	payload := make([]byte, 8<<10)
-	rand.New(rand.NewSource(6)).Read(payload)
-	if err := fs.Put(ctx, "p", 0, frame(0, payload)); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt one chunk body: the recipe no longer resolves, so the
-	// element classifies corrupt (content-verified reads reject it).
-	entries, err := os.ReadDir(filepath.Join(fs.root, chunkDirName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipped := false
-	for _, e := range entries {
-		if _, ok := parseChunkName(e.Name()); !ok {
-			continue
-		}
-		p := filepath.Join(fs.root, chunkDirName, e.Name())
-		b, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b[0] ^= 0x01
-		if err := os.WriteFile(p, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		flipped = true
-		break
-	}
-	if !flipped {
-		t.Fatal("no chunk bodies found")
-	}
-	if _, ok, err := fs.GetElem(ctx, "p", 0); ok || err != nil {
-		t.Fatalf("damaged chunk read: ok=%v err=%v", ok, err)
-	}
-	rep, err := fs.Scrub(ctx, "p", true)
-	if err != nil || len(rep.Corrupt) != 1 {
-		t.Fatalf("scrub with damaged chunk: %v err=%v", rep, err)
-	}
-	if rep, err = fs.Scrub(ctx, "p", false); err != nil || !rep.Clean() {
-		t.Fatalf("post-repair scrub: %v err=%v", rep, err)
-	}
-}
-
 func TestDedupOrphanChunkReclaimedNotLive(t *testing.T) {
 	ctx := context.Background()
 	fs := newDedupFS(t)

@@ -5,14 +5,17 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+
+	"aic/internal/delta"
 )
 
-// FuzzParseRecipe feeds arbitrary bytes to the AICRCPS1 recipe parser. A
-// recipe is trusted metadata on the restore path — every chunk reference a
-// corrupted or truncated recipe smuggles through parsing becomes a wrong
-// restore — so the parser must never panic, must reject anything whose
-// CRC trailer does not match, and must only accept inputs whose parsed
-// form survives an encode→parse round trip intact.
+// FuzzParseRecipe feeds arbitrary bytes to the recipe parser (both
+// formats). A recipe is trusted metadata on the restore path — every chunk
+// reference a corrupted or truncated recipe smuggles through parsing
+// becomes a wrong restore — so the parser must never panic, must reject
+// anything whose CRC trailer does not match, must size nothing the bytes
+// do not pay for, and must only accept inputs whose parsed form survives an
+// encode→parse round trip intact.
 func FuzzParseRecipe(f *testing.F) {
 	id := func(b byte) chunkID {
 		var out chunkID
@@ -23,11 +26,13 @@ func FuzzParseRecipe(f *testing.F) {
 	}
 	sum := sha256.Sum256([]byte("payload"))
 
-	// Well-formed recipes: multi-chunk, single-chunk, empty payload.
-	valid := encodeRecipe(10, sum, []int{4, 6}, []chunkID{id(1), id(2)})
+	// Well-formed recipes: multi-chunk, single-chunk, empty payload, and
+	// the AICRCPS1 format.
+	valid := encodeRecipe([]int{4, 6}, []chunkID{id(1), id(2)})
 	f.Add(valid)
-	f.Add(encodeRecipe(5, sum, []int{5}, []chunkID{id(9)}))
-	f.Add(encodeRecipe(0, sum, nil, nil))
+	f.Add(encodeRecipe([]int{5}, []chunkID{id(9)}))
+	f.Add(encodeRecipe(nil, nil))
+	f.Add(encodeRecipeV1(10, sum, []int{4, 6}, []chunkID{id(1), id(2)}))
 
 	// Truncated chunk lists: cut mid-entry and cut before the trailer.
 	f.Add(valid[:len(valid)-5])
@@ -43,7 +48,7 @@ func FuzzParseRecipe(f *testing.F) {
 	// Oversized payload lens: a chunk count and per-chunk lengths far past
 	// the actual bytes present, with a freshly valid CRC so only the
 	// structural checks can reject it.
-	hostile := append([]byte(nil), recipeMagic[:]...)
+	hostile := append([]byte(nil), recipeMagicV1[:]...)
 	hostile = binary.AppendUvarint(hostile, 1<<40)
 	hostile = append(hostile, sum[:]...)
 	hostile = binary.AppendUvarint(hostile, 1<<30)
@@ -52,6 +57,13 @@ func FuzzParseRecipe(f *testing.F) {
 	hostile = append(hostile, hostileID[:]...)
 	hostile = binary.LittleEndian.AppendUint32(hostile, crc32.Checksum(hostile, crcCastagnoli))
 	f.Add(hostile)
+
+	// The recipes the bounds exist for: a chunk past the length ceiling, a
+	// length that overflows int, and a chunk count the entry bytes cannot
+	// hold.
+	for _, r := range hostileRecipes() {
+		f.Add(r.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := parseRecipe(data)
@@ -64,20 +76,23 @@ func FuzzParseRecipe(f *testing.F) {
 		}
 		total := 0
 		for _, l := range r.lens {
-			if l < 0 {
-				t.Fatalf("parsed negative chunk length %d", l)
+			if l < 0 || l > delta.MaxChunkCeiling {
+				t.Fatalf("parsed chunk length %d outside [0, %d]", l, delta.MaxChunkCeiling)
 			}
 			total += l
 		}
 		if total != r.total {
 			t.Fatalf("chunk lengths sum to %d, recipe claims %d", total, r.total)
 		}
+		if r.total > len(r.ids)*delta.MaxChunkCeiling || len(r.ids) > len(data)/recipeEntryMin {
+			t.Fatalf("%d input bytes sized %d chunks and a %d-byte payload", len(data), len(r.ids), r.total)
+		}
 		// ...and survive an encode→parse round trip field for field.
-		re, err := parseRecipe(encodeRecipe(r.total, r.sum, r.lens, r.ids))
+		re, err := parseRecipe(encodeRecipe(r.lens, r.ids))
 		if err != nil {
 			t.Fatalf("re-encoded recipe does not parse: %v", err)
 		}
-		if re.total != r.total || re.sum != r.sum || len(re.ids) != len(r.ids) {
+		if re.total != r.total || len(re.ids) != len(r.ids) {
 			t.Fatalf("round trip changed the recipe: %+v vs %+v", re, r)
 		}
 		for i := range r.ids {

@@ -81,11 +81,13 @@ func (m *MemFS) MkdirAll(path string, _ os.FileMode) error {
 	return nil
 }
 
-// ReadFile returns a copy of name's contents.
+// ReadFile returns a copy of name's contents, made outside the lock: a
+// file's data is never modified in place.
 func (m *MemFS) ReadFile(name string) ([]byte, error) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	switch e := m.lookup(filepath.Clean(name)); {
+	e := m.lookup(filepath.Clean(name))
+	m.mu.Unlock()
+	switch {
 	case e == nil:
 		return nil, pathErr("open", name, syscall.ENOENT)
 	case e.IsDir():

@@ -154,13 +154,16 @@ func (fs *FSStore) Scrub(ctx context.Context, proc string, repair bool) (*ScrubR
 		data, err := fs.fsys.ReadFile(filepath.Join(dir, name))
 		fst := fileState{size: len(data)}
 		if err == nil {
+			resolved := data
 			if isRecipe(data) {
-				if r, perr := parseRecipe(data); perr == nil {
+				var r *parsedRecipe
+				if r, err = parseRecipe(data); err == nil {
 					rr := r.refs()
 					fst.rcp = &rr
+					resolved, err = fs.resolveRecipe(r)
 				}
 			}
-			if resolved, rerr := fs.resolveData(data); rerr == nil {
+			if err == nil {
 				if c, derr := ckpt.Decode(resolved); derr == nil && c.Seq == seq {
 					fst.valid = true
 				}
