@@ -35,11 +35,6 @@ type Config struct {
 	// 50ms and 2s).
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// Window is the number of unacknowledged data frames Put keeps in
-	// flight (0 selects DefaultWindow).
-	Window int
-	// ChunkSize is the data-frame payload size (0 selects DefaultChunkSize).
-	ChunkSize int
 	// Dialer overrides how connections are made (fault injection); nil
 	// selects net.Dialer.
 	Dialer Dialer
@@ -48,11 +43,14 @@ type Config struct {
 	// the wall clock as before.
 	JitterSeed int64
 	// Metrics, when set, instruments the client against this registry with
-	// per-peer series (RTT, retries, window stalls, bytes in flight); see
-	// DESIGN.md §14.
+	// per-peer series (op durations, commit RTT, retries); see DESIGN.md
+	// §14.
 	Metrics *metrics.Registry
 	// rng drives backoff jitter; tests may pin it. Guarded by mu.
 	rng *rand.Rand
+	// chunkSize is the data-frame payload size (0 selects
+	// DefaultChunkSize); tests may pin it.
+	chunkSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -74,11 +72,8 @@ func (c Config) withDefaults() Config {
 	if c.BackoffMax <= 0 {
 		c.BackoffMax = 2 * time.Second
 	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if c.ChunkSize <= 0 {
-		c.ChunkSize = DefaultChunkSize
+	if c.chunkSize <= 0 {
+		c.chunkSize = DefaultChunkSize
 	}
 	if c.Dialer == nil {
 		c.Dialer = &net.Dialer{}
@@ -134,8 +129,8 @@ type RemoteStore struct {
 	br     *bufio.Reader
 	closed bool
 
-	// putBuf is the reused frame-encode scratch for Put's pipelined window
-	// bursts. Guarded by mu (held for the whole operation by do).
+	// putBuf is the reused frame-encode scratch for Put's bursts. Guarded
+	// by mu (held for the whole operation by do).
 	putBuf []byte
 }
 
@@ -272,13 +267,14 @@ func (r *RemoteStore) do(ctx context.Context, op func(conn net.Conn, br *bufio.R
 			r.conn.SetDeadline(time.Time{})
 			return nil
 		}
-		// Every error drops the connection, application-level ones included:
-		// an error frame can arrive mid-transfer (a windowed Put with acks
-		// still in flight), leaving replies buffered that the next operation
-		// would misread as its own. Reconnecting is cheap; a desynchronized
-		// session is not. The error itself stays terminal — the peer's
-		// answer will not change on retry — except for backpressure, which
-		// by contract drains as the server's staging pool empties.
+		// Every error drops the connection, application-level ones included.
+		// Every request gets one reply, but a failed op may have left part
+		// of it unread (a deadline mid-reply, a frame of the wrong kind),
+		// which the next operation would misread as its own. Reconnecting is
+		// cheap; a desynchronized session is not. The error itself stays
+		// terminal — the peer's answer will not change on retry — except
+		// for backpressure, which by contract drains as the server's
+		// staging pool empties.
 		r.dropLocked()
 		var re *remoteError
 		if errors.As(err, &re) && !re.transient() {
@@ -328,7 +324,7 @@ func expect(br *bufio.Reader, want byte) ([]byte, error) {
 	return payload, nil
 }
 
-// Put implements storage.Store: a resumable, windowed transfer. Each retry
+// Put implements storage.Store: a resumable transfer. Each retry
 // re-negotiates the offset, so bytes staged before a cut are not resent.
 //
 //aiclint:ignore durableflow the wire client cannot fsync the server's disk; durability lives behind the kindPutDone reply, which durableflow checks where the server emits it
@@ -354,49 +350,19 @@ func (r *RemoteStore) Put(ctx context.Context, proc string, seq int, data []byte
 		if off.Offset < 0 || off.Offset > int64(len(data)) {
 			return fmt.Errorf("remote: peer offers offset %d of %d", off.Offset, len(data))
 		}
-		// Stream chunks pipelined under the bounded in-flight window: fill
-		// the window with one buffered burst — a single Write for up to
-		// Window frames — then drain acks down to half the window before
-		// the next burst. The syscall and small-segment cost amortizes
-		// across each burst instead of accruing once per chunk, and the
-		// window invariant (at most Window unacked frames) is unchanged.
-		inflight := 0
-		acked := off.Offset
+		// Stream the rest in bursts of putBurst frames, one Write each, and
+		// read nothing until the commit: the server answers no data frame,
+		// so TCP's window is the transfer's only flow control.
 		for pos := off.Offset; pos < int64(len(data)); {
-			if inflight >= r.cfg.Window {
-				if r.met != nil {
-					r.met.windowStalls.Inc()
-				}
-				for inflight > r.cfg.Window/2 {
-					ackOff, err := readPutAck(br)
-					if err != nil {
-						return err
-					}
-					if ackOff > acked {
-						acked = ackOff
-					}
-					inflight--
-				}
-				if r.met != nil {
-					r.met.inflight.Set(float64(pos - acked))
-				}
-			}
 			burst := r.putBuf[:0]
-			for inflight < r.cfg.Window && pos < int64(len(data)) {
-				end := pos + int64(r.cfg.ChunkSize)
-				if end > int64(len(data)) {
-					end = int64(len(data))
-				}
+			for n := 0; n < putBurst && pos < int64(len(data)); n++ {
+				end := min(pos+int64(r.cfg.chunkSize), int64(len(data)))
 				burst = appendDataFrame(burst, pos, data[pos:end])
 				pos = end
-				inflight++
 			}
 			r.putBuf = burst
 			if _, err := conn.Write(burst); err != nil {
 				return err
-			}
-			if r.met != nil {
-				r.met.inflight.Set(float64(pos - acked))
 			}
 		}
 		var tc time.Time
@@ -406,27 +372,13 @@ func (r *RemoteStore) Put(ctx context.Context, proc string, seq int, data []byte
 		if err := writeFrame(conn, kindPutCommit, nil); err != nil {
 			return err
 		}
-		// Drain remaining acks; the commit answer ends the transfer.
-		for {
-			kind, payload, err := readFrame(br, DefaultMaxFrame)
-			if err != nil {
-				return err
-			}
-			switch kind {
-			case kindPutAck:
-				continue
-			case kindPutDone:
-				if r.met != nil {
-					r.met.commitRTT.Observe(time.Since(tc).Seconds())
-					r.met.inflight.Set(0)
-				}
-				return nil
-			case kindErr:
-				return asRemoteErr(payload)
-			default:
-				return fmt.Errorf("remote: unexpected frame 0x%02x during commit", kind)
-			}
+		if _, err := expect(br, kindPutDone); err != nil {
+			return err
 		}
+		if r.met != nil {
+			r.met.commitRTT.Observe(time.Since(tc).Seconds())
+		}
+		return nil
 	})
 }
 
@@ -444,19 +396,10 @@ func (r *RemoteStore) timedDo(ctx context.Context, op string, fn func(conn net.C
 	return err
 }
 
-func readPutAck(br *bufio.Reader) (int64, error) {
-	payload, err := expect(br, kindPutAck)
-	if err != nil {
-		return 0, err
-	}
-	var ack putAckMsg
-	if err := decodeJSON(payload, &ack); err != nil {
-		return 0, err
-	}
-	return ack.Offset, nil
-}
-
-// Get implements storage.Store.
+// Get implements storage.Store. The reply is outside input, vetted by
+// checkReply: elements out of order or sent twice, a seq both sent and
+// missing, or a partial read's Only echo fail the call as this peer's — no
+// retry would make it honest.
 func (r *RemoteStore) Get(ctx context.Context, proc string) ([]storage.Stored, []int, error) {
 	hdr, chain, err := r.get(ctx, "get", proc, false, nil)
 	if err != nil {
@@ -466,22 +409,19 @@ func (r *RemoteStore) Get(ctx context.Context, proc string) ([]storage.Stored, [
 }
 
 // GetSeqs implements storage.SeqGetter: one round trip carrying the listing
-// and only the wanted bodies. A partial answer is outside input: a reply
-// without the Only echo, an element or missing seq that was not wanted or
-// not listed, or a listing out of order, fails the call as this peer's — no
-// retry would make it honest.
+// and only the wanted bodies. The reply is vetted like Get's, and also
+// fails without the Only echo, with an element or missing seq that was not
+// wanted or not listed, or with a listing out of order.
 func (r *RemoteStore) GetSeqs(ctx context.Context, proc string, want []int) ([]int, []storage.Stored, []int, error) {
 	hdr, chain, err := r.get(ctx, "get_seqs", proc, true, want)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if err := checkPartial(hdr, chain, want); err != nil {
-		return nil, nil, nil, fmt.Errorf("remote: peer %s: partial read of %s: %w", r.addr, proc, err)
-	}
 	return hdr.Listed, chain, hdr.Missing, nil
 }
 
-// get runs one kindGet exchange: the reply header and its elements.
+// get runs one kindGet exchange, the reply header and its elements, and
+// vets the reply against the request (checkReply).
 func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want []int) (hdr chainMsg, chain []storage.Stored, err error) {
 	err = r.timedDo(ctx, op, func(conn net.Conn, br *bufio.Reader) error {
 		hdr, chain = chainMsg{}, nil
@@ -510,38 +450,51 @@ func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want 
 		}
 		return nil
 	})
+	if err == nil {
+		if err = checkReply(hdr, chain, only, want); err != nil {
+			err = fmt.Errorf("remote: peer %s: %s of %s: %w", r.addr, op, proc, err)
+		}
+	}
 	return hdr, chain, err
 }
 
-// checkPartial vets a partial read's answer: the Only echo, listed strictly
-// ascending, and every element and every missing seq wanted, listed and
-// named once, each list in sequence order — a missing seq is a wanted seq
-// whose body the peer could not read, so it is never also sent.
-func checkPartial(hdr chainMsg, chain []storage.Stored, want []int) error {
-	if !hdr.Only {
+// checkReply vets a Get reply against its request. Either read shape names
+// every element and every missing seq once, each list in sequence order —
+// a missing seq is one whose body the peer could not read, so it is never
+// also sent — and echoes Only exactly when the request was a partial read.
+// A partial read's answer also lists the chain strictly ascending, and
+// names only wanted, listed seqs.
+func checkReply(hdr chainMsg, chain []storage.Stored, only bool, want []int) error {
+	switch {
+	case only && !hdr.Only:
 		return errors.New("reply is not a partial read")
+	case !only && hdr.Only:
+		return errors.New("whole-chain reply echoes a partial read")
 	}
-	listed := hdr.Listed
-	for i := 1; i < len(listed); i++ {
-		if listed[i] <= listed[i-1] {
-			return fmt.Errorf("listing not strictly ascending at seq %d", listed[i])
+	var inListing, wanted map[int]bool
+	if only {
+		listed := hdr.Listed
+		for i := 1; i < len(listed); i++ {
+			if listed[i] <= listed[i-1] {
+				return fmt.Errorf("listing not strictly ascending at seq %d", listed[i])
+			}
 		}
-	}
-	inListing := make(map[int]bool, len(listed))
-	for _, seq := range listed {
-		inListing[seq] = true
-	}
-	wanted := make(map[int]bool, len(want))
-	for _, seq := range want {
-		wanted[seq] = true
+		inListing = make(map[int]bool, len(listed))
+		for _, seq := range listed {
+			inListing[seq] = true
+		}
+		wanted = make(map[int]bool, len(want))
+		for _, seq := range want {
+			wanted[seq] = true
+		}
 	}
 	named := make(map[int]bool, len(chain)+len(hdr.Missing))
 	vet := func(what string, seqs []int) error {
 		for i, seq := range seqs {
 			switch {
-			case !wanted[seq]:
+			case only && !wanted[seq]:
 				return fmt.Errorf("seq %d %s but not requested", seq, what)
-			case !inListing[seq]:
+			case only && !inListing[seq]:
 				return fmt.Errorf("seq %d %s but not listed", seq, what)
 			case i > 0 && seq <= seqs[i-1]:
 				return fmt.Errorf("seq %d %s out of order or twice", seq, what)

@@ -34,9 +34,6 @@ func TestServerFrameBufferReuseKeepsStagedBytes(t *testing.T) {
 	for _, span := range [][2]int{{0, cut}, {cut, len(data)}} {
 		off := span[0]
 		c.send(kindPutData, dataFrame(int64(off), data[off:span[1]]))
-		if kind, reply := c.reply(); kind != kindPutAck {
-			t.Fatalf("data at %d answered 0x%02x %s", off, kind, reply)
-		}
 	}
 	c.send(kindPutCommit, nil)
 	if kind, reply := c.reply(); kind != kindPutDone {

@@ -58,11 +58,14 @@ func elemRecords(chain ...storage.Stored) []byte {
 	return out
 }
 
-// FuzzGetSeqsReply feeds RemoteStore.GetSeqs a peer's arbitrary answer — a
-// fuzzed chainMsg header and fuzzed element frames — and requires that the
-// call returns without panicking, and that an accepted answer keeps the
-// SeqGetter contract: the listing strictly ascending, and the bodies and the
-// missing seqs each ascending, unique, wanted, listed and disjoint.
+// FuzzGetSeqsReply feeds RemoteStore.GetSeqs, and then RemoteStore.Get, a
+// peer's arbitrary answer — a fuzzed chainMsg header and fuzzed element
+// frames — and requires that each call returns without panicking, and that
+// an accepted answer keeps its contract. For GetSeqs (SeqGetter): the
+// listing strictly ascending, and the bodies and the missing seqs each
+// ascending, unique, wanted, listed and disjoint. For Get (Store): no Only
+// echo, and the bodies and the missing seqs each ascending, unique and
+// disjoint.
 func FuzzGetSeqsReply(f *testing.F) {
 	hdr := func(m chainMsg) []byte {
 		b, err := json.Marshal(m)
@@ -80,6 +83,7 @@ func FuzzGetSeqsReply(f *testing.F) {
 	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 2, 1, 3}}), elemRecords(el(3), el(1)), uint8(0xff))
 	f.Add(hdr(chainMsg{Count: 4}), elemRecords(el(0), el(1), el(2), el(3)), uint8(0xff))
 	f.Add([]byte(`{"count":3,"only":true,"listed":[1]}`), []byte{2, 0x80, 0x80, 1}, uint8(2))
+	f.Add(hdr(chainMsg{Count: 3, Missing: []int{1}}), elemRecords(el(0), el(1), el(2)), uint8(0))
 	f.Fuzz(func(t *testing.T, hdr, elems []byte, wantBits uint8) {
 		var want []int
 		wanted := map[int]bool{}
@@ -93,11 +97,48 @@ func FuzzGetSeqsReply(f *testing.F) {
 		cfg := testConfig()
 		cfg.Retries = -1
 		cfg.Dialer = peer
-		rs := NewStore("fuzz-peer", cfg)
-		listed, chain, missing, err := rs.GetSeqs(context.Background(), "p", want)
-		rs.Close()
-		peer.wg.Wait()
-		if err != nil {
+		// The peer hangs up after one reply, so each call gets its own client.
+		call := func(read func(rs *RemoteStore) error) error {
+			rs := NewStore("fuzz-peer", cfg)
+			err := read(rs)
+			rs.Close()
+			peer.wg.Wait()
+			return err
+		}
+		ascendingOnce := func(what string, seqs []int, named map[int]bool) {
+			for i, seq := range seqs {
+				if named[seq] || i > 0 && seq <= seqs[i-1] {
+					t.Fatalf("accepted %s seqs %v", what, seqs)
+				}
+				named[seq] = true
+			}
+		}
+
+		var whole []storage.Stored
+		var lost []int
+		if call(func(rs *RemoteStore) (err error) {
+			whole, lost, err = rs.Get(context.Background(), "p")
+			return err
+		}) == nil {
+			var m chainMsg
+			if json.Unmarshal(hdr, &m) == nil && m.Only {
+				t.Fatalf("Get accepted a reply with the Only echo: %s", hdr)
+			}
+			named := map[int]bool{}
+			sent := make([]int, len(whole))
+			for i, el := range whole {
+				sent[i] = el.Seq
+			}
+			ascendingOnce("whole-chain sent", sent, named)
+			ascendingOnce("whole-chain missing", lost, named)
+		}
+
+		var listed, missing []int
+		var chain []storage.Stored
+		if call(func(rs *RemoteStore) (err error) {
+			listed, chain, missing, err = rs.GetSeqs(context.Background(), "p", want)
+			return err
+		}) != nil {
 			return
 		}
 		inListing := map[int]bool{}

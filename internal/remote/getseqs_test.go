@@ -134,22 +134,30 @@ func TestReplicationGetSeqsOverWire(t *testing.T) {
 	}
 }
 
-// A partial answer is outside input: anything but the Only echo over wanted,
-// listed elements and missing seqs, each named once and in order, under a
-// strictly ascending listing,
-// fails the call as the peer's — at once, without retrying a peer that
-// answered.
+// A read's answer is outside input: anything but elements and missing seqs
+// each named once and in order — for a partial read, under the Only echo
+// and a strictly ascending listing, and all of them wanted and listed; for
+// a whole chain, without the echo — fails the call as the peer's, at once,
+// without retrying a peer that answered. Rows with whole set drive Get, the
+// others GetSeqs.
 func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 	el := func(seq int) storage.Stored { return storage.Stored{Seq: seq, Data: []byte{byte(seq)}} }
 	only := func(listed ...int) chainMsg { return chainMsg{Only: true, Listed: listed} }
 	lost := func(hdr chainMsg, missing ...int) chainMsg { hdr.Missing = missing; return hdr }
-	want := []int{1, 3}
-	for _, tc := range []struct {
+	els := func(seqs ...int) []storage.Stored {
+		var chain []storage.Stored
+		for _, seq := range seqs {
+			chain = append(chain, el(seq))
+		}
+		return chain
+	}
+	type row struct {
 		name  string
 		hdr   chainMsg
 		chain []storage.Stored
 		ok    bool
-	}{
+	}
+	partial := []row{
 		{"honest", only(0, 1, 2, 3), []storage.Stored{el(1), el(3)}, true},
 		{"honest with a missing body", lost(only(0, 1, 2, 3), 3), []storage.Stored{el(1)}, true},
 		{"element not requested", only(0, 1, 2, 3), []storage.Stored{el(1), el(2)}, false},
@@ -164,17 +172,38 @@ func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 		{"missing seq also sent", lost(only(0, 1, 2, 3), 3), []storage.Stored{el(1), el(3)}, false},
 		{"missing seq repeats", lost(only(0, 1, 2, 3), 1, 1), nil, false},
 		{"missing seqs go backwards", lost(only(0, 1, 2, 3), 3, 1), nil, false},
-	} {
+	}
+	whole := []row{
+		{"honest whole chain", chainMsg{}, els(0, 1, 2, 3), true},
+		{"honest whole chain with a missing body", lost(chainMsg{}, 2), els(0, 1, 3), true},
+		{"whole chain out of order", chainMsg{}, els(0, 2, 1, 3), false},
+		{"whole chain sends a seq twice", chainMsg{}, els(0, 1, 1, 2), false},
+		{"whole chain seq both sent and missing", lost(chainMsg{}, 1), els(0, 1, 2), false},
+		{"whole chain missing seqs go backwards", lost(chainMsg{}, 3, 1), els(0, 2), false},
+		{"whole chain with the only echo", only(0, 1, 2, 3), els(0, 1, 2, 3), false},
+	}
+	run := func(tc row, whole bool) {
 		t.Run(tc.name, func(t *testing.T) {
+			want := []int{1, 3}
+			if whole {
+				want = nil
+			}
 			addr, gets := scriptedPeer(t, func(req getMsg) (chainMsg, []storage.Stored) {
-				if !req.Only || !reflect.DeepEqual(req.Want, want) || req.Proc != "p" {
-					t.Errorf("request on the wire = %+v, want only=true and want=%v", req, want)
+				if req.Only == whole || !reflect.DeepEqual(req.Want, want) || req.Proc != "p" {
+					t.Errorf("request on the wire = %+v, want only=%t and want=%v", req, !whole, want)
 				}
 				return tc.hdr, tc.chain
 			})
 			rs := NewStore(addr, testConfig())
 			defer rs.Close()
-			listed, chain, missing, err := rs.GetSeqs(ctx, "p", want)
+			var listed, missing []int
+			var chain []storage.Stored
+			var err error
+			if whole {
+				chain, missing, err = rs.Get(ctx, "p")
+			} else {
+				listed, chain, missing, err = rs.GetSeqs(ctx, "p", want)
+			}
 			if tc.ok {
 				if err != nil || !reflect.DeepEqual(listed, tc.hdr.Listed) || !reflect.DeepEqual(chain, tc.chain) || !reflect.DeepEqual(missing, tc.hdr.Missing) {
 					t.Fatalf("honest reply: %v %v %v %v", listed, chain, missing, err)
@@ -188,5 +217,11 @@ func TestReplicationGetSeqsRejectsHostileReplies(t *testing.T) {
 				t.Fatalf("err = %v after %d Gets; want one terminal failure", err, gets.Load())
 			}
 		})
+	}
+	for _, tc := range partial {
+		run(tc, false)
+	}
+	for _, tc := range whole {
+		run(tc, true)
 	}
 }

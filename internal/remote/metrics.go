@@ -45,11 +45,9 @@ func (s *Server) SetMetrics(reg *metrics.Registry) {
 // clientMetrics is one RemoteStore's instrument set, labelled by peer
 // address. nil (metrics not enabled) makes every observation a no-op.
 type clientMetrics struct {
-	opDur        *metrics.HistogramVec // aic_remote_op_duration_seconds{peer,op}
-	commitRTT    *metrics.Histogram    // aic_remote_put_rtt_seconds{peer}
-	windowStalls *metrics.Counter      // aic_remote_window_stall_total{peer}
-	retries      *metrics.Counter      // aic_remote_retries_total{peer}
-	inflight     *metrics.Gauge        // aic_remote_inflight_bytes{peer}
+	opDur     *metrics.HistogramVec // aic_remote_op_duration_seconds{peer,op}
+	commitRTT *metrics.Histogram    // aic_remote_put_rtt_seconds{peer}
+	retries   *metrics.Counter      // aic_remote_retries_total{peer}
 }
 
 func newClientMetrics(reg *metrics.Registry, peer string) *clientMetrics {
@@ -60,13 +58,9 @@ func newClientMetrics(reg *metrics.Registry, peer string) *clientMetrics {
 		opDur: reg.HistogramVec("aic_remote_op_duration_seconds",
 			"Wall time of one client operation including retries.", nil, "peer", "op"),
 		commitRTT: reg.HistogramVec("aic_remote_put_rtt_seconds",
-			"Round trip from Put commit frame to the peer's durable ack.", nil, "peer").With(peer),
-		windowStalls: reg.CounterVec("aic_remote_window_stall_total",
-			"Put bursts that filled the in-flight window and had to drain acks.", "peer").With(peer),
+			"Round trip from Put commit frame to the peer's durable ack, including the peer draining data frames still in the socket.", nil, "peer").With(peer),
 		retries: reg.CounterVec("aic_remote_retries_total",
 			"Operation attempts after the first (transport-failure retries).", "peer").With(peer),
-		inflight: reg.GaugeVec("aic_remote_inflight_bytes",
-			"Put bytes sent and not yet acknowledged by the peer.", "peer").With(peer),
 	}
 }
 

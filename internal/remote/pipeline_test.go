@@ -11,7 +11,7 @@ import (
 )
 
 // TestAppendFrameMatchesWriteFrame pins the batched encoders to the wire
-// format byte-for-byte: a pipelined burst must be indistinguishable from the
+// format byte-for-byte: a burst must be indistinguishable from the
 // same frames written one Write each. The Get reply's encoder, writeChain,
 // has its own golden test (getreply_test.go).
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
@@ -78,15 +78,15 @@ func (c *writeCountConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestPutPipelinesWindowBursts proves the windowed transfer batches frames:
-// a Put spanning many chunks must issue far fewer Write calls than chunks,
-// while the peer still receives the object intact.
-func TestPutPipelinesWindowBursts(t *testing.T) {
+// TestPutWritesFixedBursts proves Put batches its data frames: a Put
+// spanning many chunks issues one Write per putBurst frames, plus one each
+// for the hello, the PutBegin and the commit, while the peer still receives
+// the object intact.
+func TestPutWritesFixedBursts(t *testing.T) {
 	backing := storage.NewMemStore(storage.Target{Name: "peer"})
 	addr := startServer(t, backing)
 	counter := &writeCountDialer{}
-	cfg := testConfig() // ChunkSize 128, Window 2
-	cfg.Window = 8
+	cfg := testConfig() // chunkSize 128
 	cfg.Dialer = counter
 	rs := NewStore(addr, cfg)
 	defer rs.Close()
@@ -98,13 +98,60 @@ func TestPutPipelinesWindowBursts(t *testing.T) {
 	counter.mu.Lock()
 	writes := counter.writes
 	counter.mu.Unlock()
-	// 64 chunks at window 8 fit in ≤ 15 bursts (one full-window burst, then
-	// half-window refills); hello, put-begin and commit add three more. The
-	// pre-pipelining client needed a Write per chunk.
-	if writes > 25 {
-		t.Fatalf("Put issued %d Write calls for 64 chunks; pipelining regressed", writes)
+	chunks := (len(data) + cfg.chunkSize - 1) / cfg.chunkSize
+	if bound := (chunks+putBurst-1)/putBurst + 3; writes > bound {
+		t.Fatalf("Put issued %d Write calls for %d chunks, want at most %d", writes, chunks, bound)
 	}
 	if got := mustGetBytes(t, backing, "p0", 0); !bytes.Equal(got, data) {
-		t.Fatal("peer bytes differ after pipelined put")
+		t.Fatal("peer bytes differ after a bursted put")
 	}
+}
+
+// TestReplicationPutIsSilentUntilCommit pins one reply per request: between
+// PutBegin's offset and the commit's answer the server writes nothing, so
+// the first frame the client reads after streaming a whole object and its
+// commit is kindPutDone.
+func TestReplicationPutIsSilentUntilCommit(t *testing.T) {
+	st, err := storage.NewFSStore(t.TempDir(), storage.Target{Name: "silent"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &putHarness{t: t, store: st, srv: NewServer(st, ServerConfig{})}
+	c := &putConn{h: h}
+	c.connect()
+	defer c.disconnect()
+
+	obj := fuzzObj(4)
+	c.send(kindPutBegin, mustJSON(t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+	if kind, reply := c.reply(); kind != kindPutOffset {
+		t.Fatalf("PutBegin answered 0x%02x %s", kind, reply)
+	}
+	// Read while sending: a server that answered data frames would
+	// otherwise block on the pipe and never reach the commit.
+	replies := make(chan []byte, 1)
+	go func() {
+		var kinds []byte
+		for {
+			kind, _, err := readFrame(c.conn, DefaultMaxFrame)
+			if err != nil {
+				break
+			}
+			kinds = append(kinds, kind)
+			if kind == kindPutDone || kind == kindErr {
+				break
+			}
+		}
+		replies <- kinds
+	}()
+	const chunk = 16
+	frames := 0
+	for off := 0; off < len(obj.data); off += chunk {
+		c.send(kindPutData, dataFrame(int64(off), obj.data[off:min(off+chunk, len(obj.data))]))
+		frames++
+	}
+	c.send(kindPutCommit, nil)
+	if got := <-replies; !bytes.Equal(got, []byte{kindPutDone}) {
+		t.Fatalf("after PutOffset, %d data frames and the commit, the server sent frames of kinds %x, want only PutDone", frames, got)
+	}
+	h.mustHold(&obj, "PutDone")
 }

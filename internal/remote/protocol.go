@@ -21,14 +21,16 @@
 // server refuses any other first frame, or any other version, and closes
 // the connection. There is one dialect: no downgrade, no capability list.
 //
-// Transfers are resumable: PutBegin names (proc, seq, size, crc) and the
-// server answers with the byte offset it already holds for that exact
-// object, so a client reconnecting after a cut resumes mid-object instead
-// of restarting. Data frames carry explicit offsets and are acknowledged
-// cumulatively; a bounded in-flight window provides backpressure. Commits
-// are idempotent — a retried Put of an object the server's store already
-// holds acks at its commit, on the stored bytes, instead of failing — which
-// makes client retry loops safe.
+// Every request gets exactly one reply. Transfers are resumable: PutBegin
+// names (proc, seq, size, crc) and the server answers with the byte offset
+// it already holds for that exact object, so a client reconnecting after a
+// cut resumes mid-object instead of restarting. Data frames carry explicit
+// offsets and get no reply: TCP's own flow control is the only one, and a
+// data frame the transfer cannot take ends the connection, keeping the
+// staged prefix for the resume. The commit's reply ends the transfer.
+// Commits are idempotent — a retried Put of an object the server's store
+// already holds acks at its commit, on the stored bytes, instead of
+// failing — which makes client retry loops safe.
 package remote
 
 import (
@@ -57,7 +59,6 @@ const (
 	kindHelloOK   byte = 0x41 // JSON helloMsg (server's version)
 	kindOK        byte = 0x42 // empty generic ack
 	kindPutOffset byte = 0x43 // JSON putOffsetMsg
-	kindPutAck    byte = 0x44 // JSON putAckMsg (cumulative)
 	kindPutDone   byte = 0x45 // empty
 	kindChain     byte = 0x46 // JSON chainMsg, followed by Count kindElem frames
 	kindElem      byte = 0x47 // uvarint seq ++ raw checkpoint bytes
@@ -68,9 +69,10 @@ const (
 
 // protocolVersion is the one dialect the server speaks and the client
 // offers; a hello naming any other version is refused. Version 3 made the
-// PutBegin object checksum CRC-32 (IEEE), so a peer from before that fails
-// at the hello instead of at its first commit.
-const protocolVersion = 3
+// PutBegin object checksum CRC-32 (IEEE); version 4 dropped the per-frame
+// put ack, so every request gets one reply. A peer from before either
+// fails at the hello instead of mid-transfer.
+const protocolVersion = 4
 
 // DefaultMaxFrame bounds a single frame on both sides (and therefore a
 // single stored checkpoint element, which Get returns in one kindElem frame).
@@ -79,8 +81,8 @@ const DefaultMaxFrame = 64 << 20
 // DefaultChunkSize is the data-frame payload size Put slices objects into.
 const DefaultChunkSize = 64 << 10
 
-// DefaultWindow is how many data frames may be unacknowledged in flight.
-const DefaultWindow = 8
+// putBurst is how many data frames Put encodes into one Write.
+const putBurst = 8
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -141,10 +143,6 @@ type putBeginMsg struct {
 
 type putOffsetMsg struct {
 	Offset int64 `json:"offset"` // resume point: bytes the server already staged
-}
-
-type putAckMsg struct {
-	Offset int64 `json:"offset"` // cumulative: staged bytes so far
 }
 
 type truncateMsg struct {

@@ -69,17 +69,28 @@ type putHarness struct {
 	store *storage.FSStore
 	srv   *Server
 	conns [2]*putConn
+	// staged models the server's staging pool: the transfer staged at each
+	// seq, as the requests so far have left it.
+	staged map[int]*stagedObj
+}
+
+// stagedObj is one modelled transfer: the object its PutBegin declared and
+// the bytes the server has taken for it.
+type stagedObj struct {
+	obj putObj
+	buf []byte
 }
 
 // putConn is the client end of one connection. It mirrors the state the
-// server keeps for the connection: the transfer open on it.
+// server keeps for the connection: the transfer open on it, which a Delete,
+// a Truncate or the other connection's PutBegin may have dropped from the
+// pool since, and which the other connection may share.
 type putConn struct {
 	h      *putHarness
 	conn   net.Conn
 	served chan struct{} // closed when the server's side of conn returns
 
-	open   *putObj // the transfer the connection has open
-	staged int64   // the server's staged offset of open
+	open *stagedObj // the transfer the connection has open
 }
 
 func newPutHarness(t *testing.T) *putHarness {
@@ -90,7 +101,8 @@ func newPutHarness(t *testing.T) *putHarness {
 	}
 	// A staging pool of a few objects, so interleaved cut transfers reach
 	// backpressure.
-	h := &putHarness{t: t, dir: dir, store: st, srv: NewServer(st, ServerConfig{MaxStagingBytes: 1 << 10})}
+	h := &putHarness{t: t, dir: dir, store: st, srv: NewServer(st, ServerConfig{MaxStagingBytes: 1 << 10}),
+		staged: make(map[int]*stagedObj)}
 	for i := range h.conns {
 		h.conns[i] = &putConn{h: h}
 		h.conns[i].connect()
@@ -129,6 +141,17 @@ func (c *putConn) disconnect() {
 	<-c.served
 }
 
+// ended waits for the server to end the connection, then reconnects.
+func (c *putConn) ended() {
+	select {
+	case <-c.served:
+	case <-time.After(10 * time.Second):
+		c.h.t.Fatal("the server kept the connection open")
+	}
+	c.disconnect()
+	c.connect()
+}
+
 func (c *putConn) send(kind byte, payload []byte) {
 	c.conn.SetDeadline(time.Now().Add(10 * time.Second))
 	if err := writeFrame(c.conn, kind, payload); err != nil {
@@ -136,7 +159,8 @@ func (c *putConn) send(kind byte, payload []byte) {
 	}
 }
 
-// reply reads the one frame the server answers every request with.
+// reply reads the one frame the server answers every request but a data
+// frame with.
 func (c *putConn) reply() (byte, []byte) {
 	kind, payload, err := readFrame(c.conn, DefaultMaxFrame)
 	if err != nil {
@@ -165,18 +189,46 @@ func (h *putHarness) mustHold(obj *putObj, ack string) {
 }
 
 // checkStaging is the staging invariant: the declared reservation is the
-// sum of the staged transfers' sizes, so it is 0 once none is staged.
+// sum of the staged transfers' sizes, so it is 0 once none is staged; and
+// the model's pool is the server's, seq for seq, staged byte for byte.
 func (h *putHarness) checkStaging() {
 	h.t.Helper()
 	h.srv.mu.Lock()
+	defer h.srv.mu.Unlock()
 	var sum int64
-	for _, st := range h.srv.staging {
+	for key, st := range h.srv.staging {
 		sum += st.size
+		if m := h.staged[key.seq]; m == nil || int64(len(m.obj.data)) != st.size || !bytes.Equal(m.buf, st.buf) {
+			modelled := "nothing"
+			if m != nil {
+				modelled = fmt.Sprintf("%d of %d bytes", len(m.buf), len(m.obj.data))
+			}
+			h.t.Fatalf("the server stages %d of %d bytes at seq %d, the model %s", len(st.buf), st.size, key.seq, modelled)
+		}
 	}
-	declared, n := h.srv.stagingDeclared, len(h.srv.staging)
-	h.srv.mu.Unlock()
-	if declared != sum {
-		h.t.Fatalf("staging pool declares %d bytes for %d staged transfers of %d bytes", declared, n, sum)
+	if len(h.staged) != len(h.srv.staging) {
+		h.t.Fatalf("the server stages %d transfers, the model %d", len(h.srv.staging), len(h.staged))
+	}
+	if declared := h.srv.stagingDeclared; declared != sum {
+		h.t.Fatalf("staging pool declares %d bytes for %d staged transfers of %d bytes", declared, len(h.srv.staging), sum)
+	}
+}
+
+// unstage drops st from the modelled pool, if it is still the transfer
+// staged at its seq.
+func (h *putHarness) unstage(st *stagedObj) {
+	if h.staged[st.obj.seq] == st {
+		delete(h.staged, st.obj.seq)
+	}
+}
+
+// forget drops the modelled transfers whose seq matches drop, as a Delete
+// or a Truncate the server answered OK does.
+func (h *putHarness) forget(drop func(seq int) bool) {
+	for seq := range h.staged {
+		if drop(seq) {
+			delete(h.staged, seq)
+		}
 	}
 }
 
@@ -196,15 +248,24 @@ func (h *putHarness) step(op, arg byte) {
 		if err := decodeJSON(payload, &off); err != nil {
 			h.t.Fatal(err)
 		}
-		if off.Offset < 0 || off.Offset > int64(len(obj.data)) {
-			h.t.Fatalf("PutBegin offers offset %d of %d", off.Offset, len(obj.data))
+		// The staged transfer resumes when it declared the same size and
+		// checksum; otherwise the begin replaced it with an empty one.
+		st := h.staged[obj.seq]
+		if st == nil || len(st.obj.data) != len(obj.data) || st.obj.crc != obj.crc {
+			st = &stagedObj{obj: obj}
+			h.staged[obj.seq] = st
 		}
-		c.open, c.staged = &obj, off.Offset
+		if off.Offset != int64(len(st.buf)) {
+			h.t.Fatalf("PutBegin of seq %d offers offset %d, staged %d", obj.seq, off.Offset, len(st.buf))
+		}
+		c.open = st
 	case opData:
+		st := c.open
+		var offset int
 		var chunk []byte
-		offset := c.staged
-		if c.open != nil {
-			rest := c.open.data[c.staged:]
+		if st != nil {
+			offset = len(st.buf)
+			rest := st.obj.data[offset:]
 			n := min(len(rest), []int{16, 64, 256, len(rest)}[arg&3])
 			chunk = append([]byte(nil), rest[:n]...)
 		}
@@ -217,39 +278,50 @@ func (h *putHarness) step(op, arg byte) {
 		if arg&8 != 0 {
 			offset++
 		}
-		c.send(kindPutData, dataFrame(offset, chunk))
-		kind, payload := c.reply()
-		if c.open == nil && kind != kindErr {
-			h.t.Fatalf("data outside a transfer answered 0x%02x", kind)
+		c.send(kindPutData, dataFrame(int64(offset), chunk))
+		// A data frame gets no reply. One the transfer cannot take ends the
+		// connection; the staged prefix stays.
+		if st == nil || offset != len(st.buf) || offset+len(chunk) > len(st.obj.data) {
+			c.ended()
+			return
 		}
-		if kind == kindPutAck {
-			var ack putAckMsg
-			if err := decodeJSON(payload, &ack); err != nil {
-				h.t.Fatal(err)
-			}
-			c.staged = ack.Offset
+		st.buf = append(st.buf, chunk...)
+		// Nothing answers the frame, so a List behind it on the connection
+		// marks it applied before the model is compared with the server —
+		// and its reply must be the first frame the server sends.
+		c.send(kindList, nil)
+		if kind, payload := c.reply(); kind != kindProcs {
+			h.t.Fatalf("List after a data frame answered 0x%02x %s", kind, payload)
 		}
 	case opCommit:
 		c.send(kindPutCommit, nil)
-		obj := c.open
+		st := c.open
 		c.open = nil
-		if kind, payload := c.reply(); kind == kindPutDone {
-			if obj == nil {
-				h.t.Fatalf("commit outside a transfer answered done")
-			}
-			h.mustHold(obj, "PutCommit answered done")
-		} else if kind != kindErr {
+		kind, payload := c.reply()
+		switch {
+		case kind == kindPutDone && st == nil:
+			h.t.Fatalf("commit outside a transfer answered done")
+		case kind == kindPutDone:
+			h.mustHold(&st.obj, "PutCommit answered done")
+			h.unstage(st)
+		case kind != kindErr:
 			h.t.Fatalf("commit answered 0x%02x %s", kind, payload)
+		case st != nil && len(st.buf) == len(st.obj.data) && objectCRC(st.buf) != st.obj.crc:
+			h.unstage(st) // poisoned: the next begin starts it over
 		}
 	case opCut:
 		c.disconnect()
 		c.connect()
 	case opDelete:
 		c.send(kindDelete, mustJSON(h.t, procMsg{Proc: fuzzProc}))
-		c.reply()
+		if kind, _ := c.reply(); kind == kindOK {
+			h.forget(func(int) bool { return true })
+		}
 	case opTruncate:
 		c.send(kindTruncate, mustJSON(h.t, truncateMsg{Proc: fuzzProc, FullSeq: int(arg % 6)}))
-		c.reply()
+		if kind, _ := c.reply(); kind == kindOK {
+			h.forget(func(seq int) bool { return seq < int(arg%6) })
+		}
 	case opFlipScrub:
 		path := filepath.Join(h.dir, storage.ProcDirName(fuzzProc), fmt.Sprintf("ckpt-%08d.aic", arg%5))
 		if fi, err := os.Stat(path); err == nil && fi.Size() > 0 {
@@ -304,12 +376,15 @@ func fuzzOps(pairs ...[2]byte) []byte {
 
 // FuzzServerPutProtocol drives one replication server through fuzz-chosen
 // sequences of put-protocol requests on two connections — begins, data,
-// commits, commits outside a transfer, cuts with resume, Delete, Truncate,
-// Scrub repairs of flipped elements, and connections that skip the hello —
-// and checks two invariants after every step: every ack (a commit answered
-// done) means the backing store lists that seq with exactly those bytes at
-// that moment, and the staging pool's declared bytes are the sum of the
-// staged transfers.
+// data the transfer cannot take, commits, commits outside a transfer, cuts
+// with resume, Delete, Truncate, Scrub repairs of flipped elements, and
+// connections that skip the hello — against a model of the staging pool.
+// A data frame gets no reply; one the model says the transfer cannot take
+// must end the connection. After every step it checks that every ack (a
+// commit answered done) means the backing store lists that seq with
+// exactly those bytes at that moment, that every PutBegin offers the
+// modelled staged offset, that the server's staging pool is the model's,
+// and that its declared bytes are the sum of the staged transfers.
 func FuzzServerPutProtocol(f *testing.F) {
 	all := byte(3)        // opData arg: the whole rest of the object
 	other := byte(numOps) // added to an op, runs it on the second connection

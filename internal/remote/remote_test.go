@@ -38,9 +38,8 @@ func testConfig() Config {
 		Retries:     3,
 		BackoffBase: time.Millisecond,
 		BackoffMax:  4 * time.Millisecond,
-		Window:      2,
-		ChunkSize:   128,
 		rng:         rand.New(rand.NewSource(1)),
+		chunkSize:   128,
 	}
 }
 

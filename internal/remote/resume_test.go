@@ -8,6 +8,7 @@ import (
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"aic/internal/ckpt"
 	"aic/internal/storage"
@@ -64,7 +65,7 @@ func (c *countingConn) Read(p []byte) (int, error) {
 // during commit and while the final ack is in flight — and requires the
 // retried Put to leave the peer holding the exact bytes.
 func TestPutResumesAtEveryCutPoint(t *testing.T) {
-	data := bytes.Repeat([]byte{0xa5, 0x5a, 0x01, 0xfe}, 288) // 1152 bytes, 9 chunks
+	data := bytes.Repeat([]byte{0xa5, 0x5a, 0x01, 0xfe}, 352) // 1408 bytes, 11 chunks
 
 	// Pass 1: measure a clean run's total traffic.
 	counter := &countingDialer{}
@@ -191,8 +192,14 @@ func TestResumeNeverCommitsAnotherFramesBytes(t *testing.T) {
 	if err := writeFrame(conn, kindPutData, dataFrame(0, a)); err != nil {
 		t.Fatal(err)
 	}
-	if staged, err := readPutAck(br); err != nil || staged != int64(len(a)) {
-		t.Fatalf("staged %d of %d bytes: %v", staged, len(a), err)
+	// A data frame gets no reply: a second PutBegin of A reads back what
+	// the server staged.
+	if err := writeJSON(conn, kindPutBegin, putBeginMsg{Proc: "p0", Size: int64(len(a)), CRC: objectCRC(a)}); err != nil {
+		t.Fatal(err)
+	}
+	var off putOffsetMsg
+	if payload, err := expect(br, kindPutOffset); err != nil || decodeJSON(payload, &off) != nil || off.Offset != int64(len(a)) {
+		t.Fatalf("staged %d of %d bytes: %v", off.Offset, len(a), err)
 	}
 	conn.Close()
 
@@ -204,4 +211,53 @@ func TestResumeNeverCommitsAnotherFramesBytes(t *testing.T) {
 	if got := mustGetBytes(t, backing, "p0", 0); !bytes.Equal(got, b) {
 		t.Fatalf("the store holds frame A's bytes after an acked Put of frame B")
 	}
+}
+
+// TestResumeAfterMisplacedDataFrame: a data frame that is not at the staged
+// offset ends the connection, as a malformed frame does, and keeps the
+// staged prefix — the reconnect's PutBegin offers it, and the Put completes
+// from there.
+func TestResumeAfterMisplacedDataFrame(t *testing.T) {
+	st, err := storage.NewFSStore(t.TempDir(), storage.Target{Name: "misplaced"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &putHarness{t: t, store: st, srv: NewServer(st, ServerConfig{})}
+	c := &putConn{h: h}
+	c.connect()
+	defer c.disconnect()
+
+	obj := fuzzObj(4)
+	begin := func() int64 {
+		t.Helper()
+		c.send(kindPutBegin, mustJSON(t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+		kind, payload := c.reply()
+		var off putOffsetMsg
+		if kind != kindPutOffset || decodeJSON(payload, &off) != nil {
+			t.Fatalf("PutBegin answered 0x%02x %s", kind, payload)
+		}
+		return off.Offset
+	}
+	const staged = 64
+	if off := begin(); off != 0 {
+		t.Fatalf("fresh PutBegin offers offset %d", off)
+	}
+	c.send(kindPutData, dataFrame(0, obj.data[:staged]))
+	c.send(kindPutData, dataFrame(staged+1, obj.data[staged+1:2*staged]))
+	select {
+	case <-c.served:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server kept the connection open after a misplaced data frame")
+	}
+	c.disconnect()
+	c.connect()
+	if off := begin(); off != staged {
+		t.Fatalf("the reconnect's PutBegin offers offset %d, want the staged %d", off, staged)
+	}
+	c.send(kindPutData, dataFrame(staged, obj.data[staged:]))
+	c.send(kindPutCommit, nil)
+	if kind, reply := c.reply(); kind != kindPutDone {
+		t.Fatalf("commit answered 0x%02x %s", kind, reply)
+	}
+	h.mustHold(&obj, "PutDone")
 }

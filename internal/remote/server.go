@@ -240,41 +240,26 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 			}
 
 		case kindPutData:
+			// A data frame gets no reply. One the transfer cannot take ends
+			// the connection, as a malformed frame does; the staged prefix
+			// stays for the client's resume.
 			if cur == nil {
-				if err := s.sendErr(conn, codeBadFrame, "data frame outside a transfer"); err != nil {
-					return err
-				}
-				continue
+				return errors.New("remote: data frame outside a transfer")
 			}
 			offset, chunk, err := splitDataFrame(payload)
 			if err != nil {
 				return err
 			}
 			s.mu.Lock()
-			switch {
-			case offset != int64(len(cur.buf)):
+			if staged := int64(len(cur.buf)); offset != staged || offset+int64(len(chunk)) > cur.size {
 				s.mu.Unlock()
-				if err := s.sendErr(conn, codeBadFrame,
-					fmt.Sprintf("data frame at offset %d, staged %d", offset, len(cur.buf))); err != nil {
-					return err
-				}
-				continue
-			case offset+int64(len(chunk)) > cur.size:
-				s.mu.Unlock()
-				if err := s.sendErr(conn, codeBadFrame, "data frame overruns declared size"); err != nil {
-					return err
-				}
-				continue
+				return fmt.Errorf("remote: data frame of %d bytes at offset %d, staged %d of %d", len(chunk), offset, staged, cur.size)
 			}
 			cur.buf = append(cur.buf, chunk...)
-			staged := int64(len(cur.buf))
 			if s.staging[curKey] == cur {
 				s.met.observeStaging(len(chunk)) // an orphaned transfer is not staged
 			}
 			s.mu.Unlock()
-			if err := writeJSON(conn, kindPutAck, putAckMsg{Offset: staged}); err != nil {
-				return err
-			}
 
 		case kindPutCommit:
 			if cur == nil {

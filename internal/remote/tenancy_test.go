@@ -80,6 +80,7 @@ func TestServerRefusesRequestsBeforeHello(t *testing.T) {
 		{"no hello", nil},
 		{"hello v1", &helloMsg{Version: 1}},
 		{"hello v2", &helloMsg{Version: 2}},
+		{"hello v3", &helloMsg{Version: 3}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			back := storage.NewMemStore(storage.Target{Name: "peer"})
