@@ -34,6 +34,7 @@ fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePageAligned -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedParallel -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedFastPath -fuzztime=20s ./internal/delta
+	$(GO) test -run=^$$ -fuzz=FuzzEncodeMatchesReference -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzChunker -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeStriped -fuzztime=20s ./internal/ckpt
 	$(GO) test -run=^$$ -fuzz=FuzzReadFrame -fuzztime=20s ./internal/remote

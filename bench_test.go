@@ -321,6 +321,33 @@ func BenchmarkPageAlignedEncodeHotEdit(b *testing.B) {
 	}
 }
 
+// BenchmarkPageAlignedEncodeRewritten tracks the page a delta cannot help:
+// 1,024 hot 4 KiB pages, each rewritten with unrelated data, the dirty set
+// the first delta step after a full checkpoint offers the codec. Every page
+// is searched against its old version, finds nothing and falls back to
+// raw, at 1 and 2 workers.
+func BenchmarkPageAlignedEncodeRewritten(b *testing.B) {
+	const pages = 1024
+	rng := numeric.NewRNG(6)
+	updates := make([]delta.PageUpdate, pages)
+	for i := range updates {
+		old, newPage := make([]byte, 4096), make([]byte, 4096)
+		rng.Bytes(old)
+		rng.Bytes(newPage)
+		updates[i] = delta.PageUpdate{Index: uint64(i), Old: old, New: newPage}
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.SetBytes(int64(pages) * 4096)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				delta.EncodePageAlignedParallelStats(updates, delta.DefaultBlockSize, workers)
+			}
+		})
+	}
+}
+
 // BenchmarkPageAlignedDecodeParallel is the restore-side counterpart: the
 // same dirty set, encoded once, decoded at 1/2/4/8 workers. Throughput is
 // relative to the decoded image size, as for the encoder.

@@ -252,9 +252,11 @@ func (e *ElementError) Error() string {
 func (e *ElementError) Unwrap() error { return e.Err }
 
 // Restore replays a checkpoint chain — one full checkpoint followed by its
-// incrementals in sequence order — into a fresh address space. Every page
-// an element carries must decode to exactly the chain's page size; an
-// element that fails to replay is reported as an *ElementError.
+// incrementals in sequence order — into a fresh address space. The chain's
+// page size, its full checkpoint's, must lie in 1 B to maxPageSize, and
+// every page an element carries must decode to exactly that size; an
+// element that fails to replay, an anchor of a bad page size included, is
+// reported as an *ElementError.
 //
 // The replay writes every page into a buffer from its one pagePool and
 // installs it by ownership once the whole element has decoded, so the
@@ -266,6 +268,9 @@ func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 	}
 	if chain[0].Kind != Full {
 		return nil, fmt.Errorf("ckpt: restore chain must begin with a full checkpoint, got %v", chain[0].Kind)
+	}
+	if ps := chain[0].PageSize; !pageSizeValid(Full, uint64(ps)) { // a negative size wraps past the bound
+		return nil, &ElementError{Elem: 0, Err: fmt.Errorf("%w: page size %d", ErrBadCheckpoint, ps)}
 	}
 	as := memsim.New(chain[0].PageSize)
 	pool := &pagePool{as: as}
@@ -279,7 +284,7 @@ func Restore(chain []*Checkpoint) (*memsim.AddressSpace, error) {
 			}
 		}
 		if c.PageSize != as.PageSize() {
-			return nil, fmt.Errorf("ckpt: page size changed mid-chain at %d", i)
+			return nil, &ElementError{Elem: i, Err: fmt.Errorf("%w: page size %d in a chain of %d", ErrBadCheckpoint, c.PageSize, as.PageSize())}
 		}
 		if err := pool.replay(c); err != nil {
 			return nil, &ElementError{Elem: i, Err: err}

@@ -55,6 +55,17 @@ var magic = [8]byte{'A', 'I', 'C', 'C', 'K', 'P', 'T', '1'}
 // ErrBadCheckpoint reports a malformed serialized checkpoint.
 var ErrBadCheckpoint = errors.New("ckpt: malformed checkpoint")
 
+// maxPageSize bounds the page size a checkpoint may declare: a replay sizes
+// its page buffers by it, so an unchecked header could demand any amount
+// of memory. Real page sizes are a few KiB.
+const maxPageSize = 1 << 20
+
+// pageSizeValid reports whether a frame of kind k may declare page size ps:
+// 1 B to maxPageSize, or 0 for a stripe frame, which carries no pages.
+func pageSizeValid(k Kind, ps uint64) bool {
+	return ps <= maxPageSize && (ps > 0 || k == Stripe)
+}
+
 // Checkpoint is one checkpoint instance. CPUState models the registers,
 // process linkage and descriptor blob that the paper notes is a minor,
 // uncompressed fraction of the file.
@@ -209,6 +220,9 @@ func decodeHeader(r *delta.Pieces) (*Checkpoint, error) {
 	ps, err := next()
 	if err != nil {
 		return nil, err
+	}
+	if !pageSizeValid(c.Kind, ps) {
+		return nil, fmt.Errorf("%w: page size %d", ErrBadCheckpoint, ps)
 	}
 	c.PageSize = int(ps)
 	cpuLen, err := next()

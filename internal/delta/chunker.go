@@ -103,7 +103,7 @@ func Chunks(data []byte, cfg ChunkConfig) []Chunk {
 				cut, natural = pos, true
 				break
 			}
-			h.roll(data[pos-chunkWindow], data[pos])
+			h = h.roll(data[pos-chunkWindow], data[pos])
 		}
 		out = append(out, Chunk{Off: start, Len: cut - start, Natural: natural})
 		start = cut

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 )
 
@@ -82,10 +83,11 @@ func newWeakHash(window []byte) weakHash {
 	return weakHash{a: s, b: n*s - t, n: n}
 }
 
-// roll slides the window one byte: out leaves, in enters.
-func (h *weakHash) roll(out, in byte) {
+// roll returns h slid one byte: out leaves the window, in enters.
+func (h weakHash) roll(out, in byte) weakHash {
 	h.a += uint32(in) - uint32(out)
 	h.b += h.a - h.n*uint32(out)
+	return h
 }
 
 func (h weakHash) sum() uint32 { return (h.b&0xffff)<<16 | (h.a & 0xffff) }
@@ -115,29 +117,70 @@ func strongHash(p []byte) uint64 {
 	return h
 }
 
-type sourceBlock struct {
-	strong uint64
-	offset int
-}
-
 // Encoder is a reusable delta encoder: it owns the weak-hash source index
 // and the output scratch buffer, so repeated encodes — the per-page hot
 // loop of the page-aligned wrapper — stop allocating once warm. The zero
 // value is ready to use. An Encoder is not safe for concurrent use; draw
 // one per goroutine from GetEncoder/PutEncoder instead.
+//
+// The index maps each weak hash to its lowest-offset source block, and
+// each block links to the next block of the same hash, so a chain ascends
+// in offset and match selection is deterministic. A presence filter stands
+// in front of the map: a rewritten page, whose every probe misses, pays a
+// bit test per byte instead of a map lookup.
 type Encoder struct {
-	heads map[uint32]int32 // weak hash → first candidate in chain
-	tails map[uint32]int32 // weak hash → last candidate (O(1) ordered insert)
-	chain []chainEntry     // arena of candidates, linked per weak hash
-	buf   []byte           // output scratch for Encode
+	heads  map[uint32]int32 // weak hash → first block of its chain
+	filter presence         // every weak hash in heads
+	chain  []chainEntry     // entry i is the source block at i·blockSize
+	buf    []byte           // output scratch for Encode
 }
 
-// chainEntry is one indexed source block; next links same-weak-hash
-// candidates in insertion (= ascending offset) order, so match selection is
-// deterministic and identical to a slice-based index.
+// chainEntry is one indexed source block: its strong hash and the next
+// block with the same weak hash (-1 ends the chain).
 type chainEntry struct {
-	blk  sourceBlock
-	next int32
+	strong uint64
+	next   int32
+}
+
+// presence is a filter over a set of weak hashes with no false negatives:
+// a clear bit proves a hash absent, a set bit only says it may be present.
+// A hash picks its bit by a multiplicative mix, since the hash's low half
+// is a byte sum whose values cluster, and the product's top bits depend on
+// every input bit.
+type presence struct {
+	bits  []uint64
+	shift uint // a hash's bit is w·presenceMul >> shift
+}
+
+const (
+	presenceMul         = 0x9E3779B1 // the mix: 2^32 over the golden ratio
+	presenceBitsPerHash = 32         // at most one absent hash in 32 finds its bit set
+)
+
+// reset empties the filter and sizes it for n hashes: the power of two of
+// at least presenceBitsPerHash·n bits, and one word at least. It reuses
+// the bits of earlier sizes.
+func (p *presence) reset(n int) {
+	logBits := min(32, max(6, bits.Len(uint(max(n, 1)*presenceBitsPerHash-1))))
+	p.shift = uint(32 - logBits)
+	words := 1 << (logBits - 6)
+	p.bits = slices.Grow(p.bits[:0], words)[:words]
+	clear(p.bits)
+}
+
+// bit is the filter bit of weak hash w. The mask changes nothing (shift
+// is at most 26); it spares the compiler the case of a shift past 31.
+func (p presence) bit(w uint32) uint32 { return w * presenceMul >> (p.shift & 31) }
+
+func (p *presence) add(w uint32) {
+	i := p.bit(w)
+	p.bits[i/64] |= 1 << (i % 64)
+}
+
+// mayHold reports whether w may have been added: false means it was not.
+func (p presence) mayHold(w uint32) bool {
+	i := p.bit(w)
+	return p.bits[i/64]&(1<<(i%64)) != 0
 }
 
 // encoderPool recycles Encoders across pages and goroutines; the parallel
@@ -153,28 +196,28 @@ func GetEncoder() *Encoder { return encoderPool.Get().(*Encoder) }
 func PutEncoder(e *Encoder) { encoderPool.Put(e) }
 
 // indexSource (re)builds the weak-hash index over source blocks, reusing
-// the maps and candidate arena of previous encodes.
+// the map, filter and candidate arena of previous encodes. Blocks are
+// walked from last to first and each is prepended to its hash's chain, so
+// a head is its hash's lowest offset and every chain ascends.
 func (e *Encoder) indexSource(source []byte, blockSize int) {
-	e.chain = e.chain[:0]
+	n := len(source) / blockSize
 	if e.heads == nil {
-		hint := len(source)/blockSize + 1
-		e.heads = make(map[uint32]int32, hint)
-		e.tails = make(map[uint32]int32, hint)
+		e.heads = make(map[uint32]int32, n+1)
 	} else {
 		clear(e.heads)
-		clear(e.tails)
 	}
-	for off := 0; off+blockSize <= len(source); off += blockSize {
-		blk := source[off : off+blockSize]
+	e.filter.reset(n)
+	e.chain = slices.Grow(e.chain[:0], n)[:n]
+	for i := n - 1; i >= 0; i-- {
+		blk := source[i*blockSize : (i+1)*blockSize]
 		w := newWeakHash(blk).sum()
-		id := int32(len(e.chain))
-		e.chain = append(e.chain, chainEntry{blk: sourceBlock{strong: strongHash(blk), offset: off}, next: -1})
-		if tail, ok := e.tails[w]; ok {
-			e.chain[tail].next = id
-		} else {
-			e.heads[w] = id
+		next, ok := e.heads[w]
+		if !ok {
+			next = -1
 		}
-		e.tails[w] = id
+		e.chain[i] = chainEntry{strong: strongHash(blk), next: next}
+		e.heads[w] = int32(i)
+		e.filter.add(w)
 	}
 }
 
@@ -225,21 +268,22 @@ func (e *Encoder) appendMatched(out, source, target []byte, lo, blockSize int) [
 	if len(e.chain) > 0 && len(target)-lo >= blockSize {
 		h := newWeakHash(target[pos : pos+blockSize])
 		for pos+blockSize <= len(target) {
+			pos, h = e.skipAbsent(h, target, pos, blockSize)
 			match := -1
 			if head, ok := e.heads[h.sum()]; ok {
 				win := target[pos : pos+blockSize]
 				sh := strongHash(win)
 				for id := head; id >= 0; id = e.chain[id].next {
-					c := e.chain[id].blk
-					if c.strong == sh && bytes.Equal(source[c.offset:c.offset+blockSize], win) {
-						match = c.offset
+					off := int(id) * blockSize
+					if e.chain[id].strong == sh && bytes.Equal(source[off:off+blockSize], win) {
+						match = off
 						break
 					}
 				}
 			}
 			if match < 0 {
 				if pos+blockSize < len(target) {
-					h.roll(target[pos], target[pos+blockSize])
+					h = h.roll(target[pos], target[pos+blockSize])
 				}
 				pos++
 				continue
@@ -265,6 +309,19 @@ func (e *Encoder) appendMatched(out, source, target []byte, lo, blockSize int) [
 	return appendLiteral(out, target[litStart:])
 }
 
+// skipAbsent rolls h, the weak hash of the window at pos, forward over
+// target for as long as the filter proves no source block has the
+// window's hash, and returns the window it stopped at and its hash: the
+// first window that may match, or the last window, which the caller
+// probes in full. It is appendMatched's miss path, kept apart so that its
+// state stays in registers.
+func (e *Encoder) skipAbsent(h weakHash, target []byte, pos, blockSize int) (int, weakHash) {
+	for filter := e.filter; pos+blockSize < len(target) && !filter.mayHold(h.sum()); pos++ {
+		h = h.roll(target[pos], target[pos+blockSize])
+	}
+	return pos, h
+}
+
 func appendCopy(out []byte, offset, length int) []byte {
 	out = append(out, opCopy)
 	out = binary.AppendUvarint(out, uint64(offset))
@@ -274,10 +331,24 @@ func appendCopy(out []byte, offset, length int) []byte {
 // appendLiteral emits lit, splitting literal stretches around long
 // same-byte runs and coding the runs with opRun (zeroed or constant-filled
 // regions are common in freshly allocated pages).
+//
+// The scan skips a word at a time: a run of runThreshold bytes starting
+// anywhere in [i, k], k = i+runThreshold-8, covers the whole word at k, so
+// when that word holds two byte values no such run starts there and the
+// scan resumes at k+1. A run straddling k+1 started in [i, k] (the scan
+// never leaves a long run straddling i), so it is short, and the
+// byte-at-a-time step from k+1 sees only its shorter tail: the runs
+// emitted are exactly the maximal ones of runThreshold or more.
 func appendLiteral(out, lit []byte) []byte {
 	start := 0
 	i := 0
 	for i < len(lit) {
+		if k := i + runThreshold - 8; k+8 <= len(lit) {
+			if w := binary.LittleEndian.Uint64(lit[k:]); w != bits.RotateLeft64(w, 8) {
+				i = k + 1
+				continue
+			}
+		}
 		j := i + 1
 		for j < len(lit) && lit[j] == lit[i] {
 			j++
@@ -306,7 +377,7 @@ func appendPlain(out, lit []byte) []byte {
 // Reset drops the Encoder's retained index and buffers, releasing memory
 // after encoding unusually large sources.
 func (e *Encoder) Reset() {
-	e.heads, e.tails, e.chain, e.buf = nil, nil, nil, nil
+	e.heads, e.filter, e.chain, e.buf = nil, presence{}, nil, nil
 }
 
 // commonPrefixLen returns the length of the longest common prefix of a and
