@@ -50,8 +50,8 @@ chaos-smoke: ## the three chaos smoke steps CI runs, under the race detector: so
 	$(GO) test -race -short -run 'TestCompactionChaos' ./internal/chaos
 
 bench-smoke: ## one iteration of the codec, dedup and simulator benchmarks, as CI runs them, so they cannot rot
-	$(GO) test -run '^$$' -bench 'PageAligned|EncodeAllocs|RestoreChain|CheckpointWrite|AICRunSphinx3|MonteCarloValidation|DeciderWorkSpanSearch' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'DedupResolve|DedupPut' -benchtime 1x ./internal/storage
+	$(GO) test -run '^$$' -bench 'PageAligned|EncodeAllocs|RestoreChain|CheckpointWrite|AICRunSphinx3|MonteCarloValidation|DeciderWorkSpanSearch' -benchtime 1x -benchmem .
+	$(GO) test -run '^$$' -bench 'DedupResolve|DedupPut' -benchtime 1x -benchmem ./internal/storage
 
 examples: ## run every example end to end, as CI runs them; fails on the first non-zero exit
 	@set -e; for d in examples/*/; do echo "== $${d%/}"; $(GO) run ./$${d%/}; done

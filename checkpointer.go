@@ -244,8 +244,7 @@ type CheckpointDir struct {
 	met  *dirMetrics         // nil unless instrumented
 	ctrl *control.Controller // nil unless opened WithAdaptiveControl
 
-	comp         *compact.Compactor // nil unless opened WithCompaction
-	compInterval time.Duration      // WithCompaction's Interval knob
+	comp *compact.Compactor // nil unless opened WithCompaction
 
 	// Adaptive-control knob positions (see adaptive.go). Atomics so the
 	// controller's actuator writes never contend with hot-path reads; the
@@ -361,15 +360,12 @@ func (d *CheckpointDir) Compact(ctx context.Context) (*CompactionReport, error) 
 }
 
 // RunCompaction drives Compact on a timer until ctx is cancelled,
-// returning ctx.Err(). A non-positive interval selects the
-// CompactionConfig's Interval (default one minute). Pass errors are
-// absorbed; the next tick retries. Requires WithCompaction at open.
+// returning ctx.Err(). A non-positive interval selects one minute. Pass
+// errors are absorbed; the next tick retries. Requires WithCompaction at
+// open.
 func (d *CheckpointDir) RunCompaction(ctx context.Context, interval time.Duration) error {
 	if d.comp == nil {
 		return fmt.Errorf("aic: compaction not configured; open WithCompaction")
-	}
-	if interval <= 0 {
-		interval = d.compInterval
 	}
 	return d.comp.Run(ctx, interval)
 }

@@ -18,7 +18,7 @@ type Builder struct {
 	cpuState    int
 	cpuBytes    []byte // caller-provided CPU state (overrides the synthetic blob)
 	seq         int
-	parallelism int               // delta-encode workers: 0 = GOMAXPROCS, 1 = serial
+	parallelism int               // delta-encode workers: ≤ 0 = GOMAXPROCS, 1 = serial
 	prevPages   map[uint64][]byte // pages stored in the previous checkpoint
 	prevMapped  map[uint64]bool   // full mapped set at the previous checkpoint
 	spare       [][]byte          // prevPages buffers finish refills
@@ -28,16 +28,12 @@ type Builder struct {
 type Option func(*Builder)
 
 // WithParallelism sets the number of workers DeltaCheckpoint's page-aligned
-// encoder fans pages across: 0 (the default) selects GOMAXPROCS — the
-// paper's model of compression saturating the node's spare cores — and 1
-// forces the serial path. Both paths emit byte-identical streams.
+// encoder fans pages across (par.Workers): n ≤ 0, the default, selects
+// GOMAXPROCS — the paper's model of compression saturating the node's
+// spare cores — and 1 forces the serial path. Both paths emit
+// byte-identical streams.
 func WithParallelism(n int) Option {
-	return func(b *Builder) {
-		if n < 0 {
-			n = 0
-		}
-		b.parallelism = n
-	}
+	return func(b *Builder) { b.parallelism = n }
 }
 
 // NewBuilder creates a builder. blockSize ≤ 0 selects the codec default;
@@ -65,9 +61,6 @@ func NewBuilder(pageSize, blockSize, cpuStateBytes int, opts ...Option) *Builder
 
 // Seq returns the sequence number the next checkpoint will carry.
 func (b *Builder) Seq() int { return b.seq }
-
-// Parallelism reports the configured worker knob (0 = GOMAXPROCS).
-func (b *Builder) Parallelism() int { return b.parallelism }
 
 // PrevPage returns the page's content as of the previous checkpoint, or nil
 // when the page was not part of it. Hot-page classification and JD

@@ -3,12 +3,14 @@ package ckpt
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"aic/internal/delta"
 	"aic/internal/memsim"
 	"aic/internal/numeric"
+	"aic/internal/par"
 )
 
 func TestKindString(t *testing.T) {
@@ -324,29 +326,32 @@ func TestChecksumErrorIsTyped(t *testing.T) {
 	}
 }
 
+// encodedChain drives a builder with the given worker knob over a fixed
+// write stream and returns its encoded full and delta checkpoints.
+func encodedChain(parallelism int) [][]byte {
+	rng := numeric.NewRNG(99)
+	as := memsim.New(0)
+	b := NewBuilder(as.PageSize(), 0, 64, WithParallelism(parallelism))
+	writeRandomPages(as, rng, []uint64{0, 1, 2, 3, 4, 5, 6, 7}, 0)
+	out := [][]byte{b.FullCheckpoint(as).Encode()}
+	for step := 1; step <= 4; step++ {
+		// Rewrite a moving subset: some lightly edited (hot), one fully
+		// rewritten (raw fallback), one fresh page.
+		as.Write(uint64(step%5), 7, []byte{byte(step), 0x5A}, float64(step))
+		as.Write(uint64(step%3), 900, []byte{0xF0 ^ byte(step)}, float64(step))
+		writeRandomPages(as, rng, []uint64{uint64(step % 7), uint64(20 + step)}, float64(step))
+		c, _ := b.DeltaCheckpoint(as)
+		out = append(out, c.Encode())
+	}
+	return out
+}
+
 // TestParallelismProducesIdenticalCheckpoints drives two builders over the
 // same write stream, one serial and one with the full worker pool, and
 // requires byte-identical delta checkpoints — the portability contract of
 // the parallel encode pipeline.
 func TestParallelismProducesIdenticalCheckpoints(t *testing.T) {
-	run := func(parallelism int) [][]byte {
-		rng := numeric.NewRNG(99)
-		as := memsim.New(0)
-		b := NewBuilder(as.PageSize(), 0, 64, WithParallelism(parallelism))
-		writeRandomPages(as, rng, []uint64{0, 1, 2, 3, 4, 5, 6, 7}, 0)
-		out := [][]byte{b.FullCheckpoint(as).Encode()}
-		for step := 1; step <= 4; step++ {
-			// Rewrite a moving subset: some lightly edited (hot), one fully
-			// rewritten (raw fallback), one fresh page.
-			as.Write(uint64(step%5), 7, []byte{byte(step), 0x5A}, float64(step))
-			as.Write(uint64(step%3), 900, []byte{0xF0 ^ byte(step)}, float64(step))
-			writeRandomPages(as, rng, []uint64{uint64(step % 7), uint64(20 + step)}, float64(step))
-			c, _ := b.DeltaCheckpoint(as)
-			out = append(out, c.Encode())
-		}
-		return out
-	}
-	serial, parallel := run(1), run(0)
+	serial, parallel := encodedChain(1), encodedChain(0)
 	if len(serial) != len(parallel) {
 		t.Fatalf("chain lengths differ: %d vs %d", len(serial), len(parallel))
 	}
@@ -369,16 +374,22 @@ func TestParallelismProducesIdenticalCheckpoints(t *testing.T) {
 	}
 }
 
+// TestSetParallelismClampsNegative: a negative worker knob is the default
+// (GOMAXPROCS) at a worker count of at least 1, and its builder, fanning
+// out on four procs, emits the serial builder's checkpoints byte for byte.
 func TestSetParallelismClampsNegative(t *testing.T) {
-	b := NewBuilder(0, 0, 0)
-	if b.Parallelism() != 0 {
-		t.Fatal("default parallelism must be 0 (GOMAXPROCS)")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if got, want := par.Workers(-3, 64), par.Workers(0, 64); got != want || got < 1 {
+		t.Fatalf("par.Workers(-3, 64) = %d, want the default %d", got, want)
 	}
-	if b := NewBuilder(0, 0, 0, WithParallelism(-3)); b.Parallelism() != 0 {
-		t.Fatal("negative parallelism must clamp to the default")
+	serial, negative := encodedChain(1), encodedChain(-3)
+	if len(serial) != len(negative) {
+		t.Fatalf("chain lengths differ: %d vs %d", len(serial), len(negative))
 	}
-	if b := NewBuilder(0, 0, 0, WithParallelism(4)); b.Parallelism() != 4 {
-		t.Fatal("explicit parallelism lost")
+	for i := range serial {
+		if !bytes.Equal(serial[i], negative[i]) {
+			t.Fatalf("checkpoint %d differs between serial and negative-knob builders", i)
+		}
 	}
 }
 

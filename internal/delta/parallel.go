@@ -3,35 +3,20 @@ package delta
 import (
 	"bytes"
 	"encoding/binary"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"aic/internal/par"
 )
 
 // This file is the concurrent half of the Xdelta3-PA pipeline: the paper's
 // design runs checkpoint compression on dedicated cores of a multicore node
 // (Section III), and because every page of the page-aligned stream is
-// delta-coded independently, the encode fans out embarrassingly. Workers
-// code each page's frame head (and a delta page's delta) into their arenas;
-// one assembler writes the stream in ascending index order, copying a raw
-// page's bytes once, straight from the update into the output — so the
-// stream is byte-identical whatever the worker count, and the serial encode
-// is the same assembler with its one worker run inline.
-
-// resolveParallelism normalizes a worker-count knob: n ≤ 0 selects
-// GOMAXPROCS, and the count never exceeds the number of work items.
-func resolveParallelism(n, items int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n > items {
-		n = items
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
+// delta-coded independently, the encode fans out embarrassingly, through
+// par.For like the decode. Workers code each page's frame head (and a delta
+// page's delta) into their arenas; one assembler writes the stream in
+// ascending index order, copying a raw page's bytes once, straight from the
+// update into the output — so the stream is byte-identical whatever the
+// worker count, and the serial encode is the same assembler with its one
+// worker run inline.
 
 // EncodePageAlignedParallelStats produces the Xdelta3-PA stream for the
 // given page updates: each hot page (Old present) is delta-compressed
@@ -57,35 +42,16 @@ func EncodePageAlignedParallelStats(updates []PageUpdate, blockSize, parallelism
 func EncodePageAlignedInto(updates []PageUpdate, blockSize, parallelism int, head func(n int) []byte, tail int) ([]byte, Stats) {
 	sorted := sortUpdates(updates)
 	heads := make([]pageHead, len(sorted))
-	parallelism = resolveParallelism(parallelism, len(sorted))
-	arenas := make([]*frameArena, parallelism)
-	var next atomic.Int64
-	work := func(ar *frameArena) {
-		e := GetEncoder()
-		defer PutEncoder(e)
-		var scratch []byte // reused head buffer; heads get arena copies
-		for {
-			i := int(next.Add(1)) - 1
-			if i >= len(sorted) {
-				return
-			}
-			scratch, heads[i].mode = appendPageHead(e, scratch[:0], sorted[i], blockSize)
-			heads[i].head = ar.copyFrame(scratch)
-		}
+	workers := make([]encodeWorker, par.Workers(parallelism, len(sorted)))
+	for w := range workers {
+		workers[w] = encodeWorker{arena: getArena(), enc: GetEncoder()}
 	}
-	var wg sync.WaitGroup
-	for w := range arenas {
-		arenas[w] = getArena()
-		if w > 0 {
-			wg.Add(1)
-			go func(ar *frameArena) {
-				defer wg.Done()
-				work(ar)
-			}(arenas[w])
-		}
-	}
-	work(arenas[0]) // the calling goroutine is the first worker
-	wg.Wait()
+	_ = par.For(len(workers), len(sorted), func(w, i int) error {
+		ew := &workers[w]
+		ew.scratch, heads[i].mode = appendPageHead(ew.enc, ew.scratch[:0], sorted[i], blockSize)
+		heads[i].head = ew.arena.copyFrame(ew.scratch)
+		return nil
+	})
 
 	// Assemble: the head, the count, then each page's head and — for a raw
 	// page — its bytes, in ascending index order, joined into one buffer.
@@ -108,11 +74,20 @@ func EncodePageAlignedInto(updates []PageUpdate, blockSize, parallelism int, hea
 	out := bytes.Join(append(pieces, make([]byte, tail)), nil)
 	// The heads are copied out; the arenas (and their chunks) can be
 	// recycled for the next encode run.
-	for _, ar := range arenas {
-		putArena(ar)
+	for _, ew := range workers {
+		putArena(ew.arena)
+		PutEncoder(ew.enc)
 	}
 	st.OutputBytes = n
 	return out[:len(out)-tail], st
+}
+
+// encodeWorker is one encode worker's state: the arena its pages' heads
+// are copied into, its encoder, and the head buffer it reuses.
+type encodeWorker struct {
+	arena   *frameArena
+	enc     *Encoder
+	scratch []byte
 }
 
 // pageHead is a worker's output for one page: the frame head
@@ -172,56 +147,17 @@ func DecodePiecesInto(r *Pieces, fetchOld func(index uint64) []byte, parallelism
 	if err != nil {
 		return nil, err
 	}
-	d := &pageDecoder{frames: frames, bufs: take(len(frames)), pages: make([]Page, len(frames)), fetchOld: fetchOld, first: len(frames)}
-	workers := resolveParallelism(parallelism, len(frames))
-	d.wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go d.work()
-	}
-	d.work() // the calling goroutine is the first worker
-	d.wg.Wait()
-	if d.err != nil {
-		return nil, d.err
-	}
-	return d.pages, nil
-}
-
-// pageDecoder is the state DecodePageAlignedInto's workers share, in one
-// allocation per stream.
-type pageDecoder struct {
-	frames   []pageFrame
-	bufs     [][]byte
-	pages    []Page
-	fetchOld func(index uint64) []byte
-	next     atomic.Int64
-	failed   atomic.Bool
-	wg       sync.WaitGroup // one count per worker, the calling goroutine's too
-	mu       sync.Mutex
-	first    int   // the lowest failing frame, under mu
-	err      error // its error, under mu
-}
-
-// work decodes frames until none is left or one has failed. Frames are
-// claimed in ascending order and every claimed frame is finished, so
-// stopping at a failure still decodes every frame before it: the first
-// failure in stream order is always found.
-func (d *pageDecoder) work() {
-	defer d.wg.Done()
-	for !d.failed.Load() {
-		i := int(d.next.Add(1)) - 1
-		if i >= len(d.frames) {
-			return
-		}
-		data, err := decodeFrameInto(d.bufs[i], d.frames[i], d.fetchOld)
+	bufs, pages := take(len(frames)), make([]Page, len(frames))
+	err = par.For(parallelism, len(frames), func(_, i int) error {
+		data, err := decodeFrameInto(bufs[i], frames[i], fetchOld)
 		if err != nil {
-			d.mu.Lock()
-			if i < d.first {
-				d.first, d.err = i, err
-			}
-			d.mu.Unlock()
-			d.failed.Store(true)
-			return
+			return err
 		}
-		d.pages[i] = Page{Index: d.frames[i].idx, Data: data}
+		pages[i] = Page{Index: frames[i].idx, Data: data}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return pages, nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"aic/internal/core"
 	"aic/internal/failure"
+	"aic/internal/par"
 )
 
 // PredictorAccuracyRow quantifies the online predictor's error on one
@@ -31,7 +32,7 @@ func PredictorAccuracy(seed uint64, benchmarks ...string) ([]PredictorAccuracyRo
 	sys := BenchSystem(1)
 	lambda := ExperimentLambda()
 	rows := make([]PredictorAccuracyRow, len(benchmarks))
-	err := forEach(len(benchmarks), func(i int) error {
+	err := par.For(0, len(benchmarks), func(_, i int) error {
 		res, err := runPolicy(benchmarks[i], core.PolicyAIC, sys, lambda, seed, core.CompressorPA)
 		if err != nil {
 			return err
@@ -88,7 +89,7 @@ func LambdaSensitivity(seed uint64, benchmark string, lambdas []float64) ([]Lamb
 	for i, l := range lambdas {
 		rows[i].Lambda = l
 	}
-	err := forEach(len(lambdas)*3, func(k int) error {
+	err := par.For(0, len(lambdas)*3, func(_, k int) error {
 		i, p := k/3, k%3
 		lambda := failure.SplitRate(lambdas[i], failure.CoastalProportions())
 		policy := []core.PolicyKind{core.PolicyAIC, core.PolicySIC, core.PolicyMoody}[p]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"aic/internal/core"
+	"aic/internal/par"
 	"aic/internal/trace"
 	"aic/internal/workload"
 )
@@ -40,7 +41,7 @@ func Table3(seed uint64) ([]Table3Row, error) {
 	lambda := ExperimentLambda()
 	names := BenchmarkNames()
 	rows := make([]Table3Row, len(names))
-	err := forEach(len(names), func(i int) error {
+	err := par.For(0, len(names), func(_, i int) error {
 		name := names[i]
 		prog, err := workload.ByName(name, seed)
 		if err != nil {
@@ -94,7 +95,7 @@ func Fig11(seed uint64) ([]Fig11Row, error) {
 	for i, name := range names {
 		rows[i].Benchmark = name
 	}
-	err := forEach(len(names)*len(policies), func(k int) error {
+	err := par.For(0, len(names)*len(policies), func(_, k int) error {
 		name := names[k/len(policies)]
 		policy := policies[k%len(policies)]
 		n, _, err := PolicyNET2(name, policy, sys, lambda, seed)
@@ -135,7 +136,7 @@ func Fig12(seed uint64, scales []float64) ([]Fig12Row, error) {
 	for i, scale := range scales {
 		rows[i].Scale = scale
 	}
-	err := forEach(len(scales), func(i int) error {
+	err := par.For(0, len(scales), func(_, i int) error {
 		sys := BenchSystem(scales[i])
 		var err error
 		if rows[i].AIC, _, err = PolicyNET2("milc", core.PolicyAIC, sys, lambda, seed); err != nil {

@@ -4,12 +4,18 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+
+	"aic/internal/par"
 )
+
+// The sweeps fan their cells out as par.For(0, cells, ...): every core,
+// capped at the cell count. These tests hold that call shape to what the
+// sweeps need of it.
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	const n = 100
 	var counts [n]int32
-	if err := forEach(n, func(i int) error {
+	if err := par.For(0, n, func(_, i int) error {
 		atomic.AddInt32(&counts[i], 1)
 		return nil
 	}); err != nil {
@@ -24,7 +30,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 
 func TestForEachPropagatesError(t *testing.T) {
 	boom := errors.New("boom")
-	err := forEach(50, func(i int) error {
+	err := par.For(0, 50, func(_, i int) error {
 		if i == 17 {
 			return boom
 		}
@@ -36,25 +42,25 @@ func TestForEachPropagatesError(t *testing.T) {
 }
 
 func TestForEachAllWorkersFailNoDeadlock(t *testing.T) {
-	// Every call fails: the producer must still drain and return.
-	err := forEach(500, func(i int) error { return errors.New("always") })
+	// Every call fails: every worker must still stop and the sweep return.
+	err := par.For(0, 500, func(_, i int) error { return errors.New("always") })
 	if err == nil {
 		t.Fatal("expected an error")
 	}
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := forEach(0, func(int) error { t.Fatal("called"); return nil }); err != nil {
+	if err := par.For(0, 0, func(int, int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := forEach(-3, func(int) error { return nil }); err != nil {
+	if err := par.For(0, -3, func(int, int) error { t.Fatal("called"); return nil }); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestForEachSingleItem(t *testing.T) {
 	ran := false
-	if err := forEach(1, func(i int) error { ran = true; return nil }); err != nil {
+	if err := par.For(0, 1, func(_, i int) error { ran = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if !ran {

@@ -9,12 +9,10 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"aic/internal/delta"
+	"aic/internal/par"
 )
 
 // Chunk-level content-addressed dedup for FSStore.
@@ -402,7 +400,7 @@ func (fs *FSStore) dedupEncode(data []byte) ([]byte, func(), error) {
 	chunks := delta.Chunks(data, ix.cfg.chunkConfig())
 	lens := make([]int, len(chunks))
 	ids := make([]chunkID, len(chunks))
-	_ = eachChunk(len(chunks), func(i int) error {
+	_ = par.For(0, len(chunks), func(_, i int) error {
 		c := chunks[i]
 		lens[i] = c.Len
 		ids[i] = sha256.Sum256(data[c.Off : c.Off+c.Len])
@@ -517,7 +515,7 @@ func (fs *FSStore) resolveRecipe(r *parsedRecipe) ([]byte, error) {
 		offs[i] = off
 		off += r.lens[i]
 	}
-	err := eachChunk(len(r.ids), func(i int) error {
+	err := par.For(0, len(r.ids), func(_, i int) error {
 		id := r.ids[i]
 		b, err := fs.fsys.ReadFile(fs.chunkPath(id))
 		if err != nil {
@@ -536,57 +534,6 @@ func (fs *FSStore) resolveRecipe(r *parsedRecipe) ([]byte, error) {
 		return nil, fmt.Errorf("storage: recipe payload hash mismatch")
 	}
 	return out, nil
-}
-
-// eachChunk runs fn(i) for every chunk index i in [0, n): the one way both
-// dedup paths hash chunks. It runs GOMAXPROCS workers, the calling
-// goroutine one of them, or only the caller for a single chunk or at
-// GOMAXPROCS 1. Indexes are claimed in ascending order and every claimed
-// one is finished, so after a failure no new index is claimed and the
-// error of the lowest failing index is returned.
-func eachChunk(n int, fn func(i int) error) error {
-	workers := min(runtime.GOMAXPROCS(0), n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		first  = n
-		ferr   error
-	)
-	work := func() {
-		defer wg.Done()
-		for !failed.Load() {
-			i := int(next.Add(1)) - 1
-			if i >= n {
-				return
-			}
-			if err := fn(i); err != nil {
-				mu.Lock()
-				if i < first {
-					first, ferr = i, err
-				}
-				mu.Unlock()
-				failed.Store(true)
-				return
-			}
-		}
-	}
-	wg.Add(workers)
-	for w := 1; w < workers; w++ {
-		go work()
-	}
-	work()
-	wg.Wait()
-	return ferr
 }
 
 // GCChunks unlinks every chunk body no live recipe references — zero

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -285,30 +286,42 @@ func TestDedupScrubDamagedChunkBody(t *testing.T) {
 	}
 }
 
-// TestEachChunkReportsLowestFailure: whatever the worker count, every
-// index runs once when nothing fails, and the lowest failing index's error
-// comes back when several fail.
+// TestEachChunkReportsLowestFailure: whatever the worker count, a recipe
+// read fetches every chunk once into place when nothing fails, and names
+// the lowest damaged chunk when several are missing.
 func TestEachChunkReportsLowestFailure(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			ran := make([]int, 100)
-			if err := eachChunk(len(ran), func(i int) error { ran[i]++; return nil }); err != nil {
+			ctx := context.Background()
+			fs := newDedupFS(t)
+			payload := make([]byte, 64<<10)
+			rand.New(rand.NewSource(15)).Read(payload)
+			want := frame(0, payload)
+			if err := fs.Put(ctx, "p", 0, want); err != nil {
 				t.Fatal(err)
 			}
-			for i, n := range ran {
-				if n != 1 {
-					t.Fatalf("procs %d: index %d ran %d times", procs, i, n)
+			_, r := recipeOf(t, fs, "p", 0)
+			if len(r.ids) < 16 {
+				t.Fatalf("procs %d: %d chunks, want several per worker", procs, len(r.ids))
+			}
+			got, err := fs.resolveRecipe(r)
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("procs %d: undamaged resolve: err %v, byte-identical %v", procs, err, bytes.Equal(got, want))
+			}
+
+			lo, hi := len(r.ids)/3, 2*len(r.ids)/3
+			if slices.Contains(r.ids[:hi], r.ids[hi]) || slices.Contains(r.ids[:lo], r.ids[lo]) {
+				t.Fatalf("procs %d: chunks %d and %d repeat earlier ones", procs, lo, hi)
+			}
+			for _, i := range []int{hi, lo} {
+				if err := os.Remove(fs.chunkPath(r.ids[i])); err != nil {
+					t.Fatal(err)
 				}
 			}
-			err := eachChunk(100, func(i int) error {
-				if i == 37 || i == 90 {
-					return fmt.Errorf("chunk %d", i)
-				}
-				return nil
-			})
-			if err == nil || err.Error() != "chunk 37" {
-				t.Fatalf("procs %d: got %v, want chunk 37", procs, err)
+			_, err = fs.resolveRecipe(r)
+			if wantID := hex.EncodeToString(r.ids[lo][:4]); err == nil || !strings.Contains(err.Error(), wantID) {
+				t.Fatalf("procs %d: got %v, want chunk %s (index %d)", procs, err, wantID, lo)
 			}
 		}()
 	}

@@ -117,9 +117,6 @@ type CompactionConfig struct {
 	// Keep is how many newest elements survive a compaction — the keep-k
 	// retention bound on restore rewind cost; 0 selects the default (8).
 	Keep int
-	// Interval is the period of the background loop RunCompaction drives
-	// when called with a non-positive interval; 0 selects one minute.
-	Interval time.Duration
 }
 
 // CompactionReport summarizes one compaction pass: chains examined,
@@ -283,7 +280,6 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 			Keep:     c.compaction.Keep,
 			Metrics:  c.metrics,
 		})
-		d.compInterval = c.compaction.Interval
 	}
 	for i, addr := range repl.Peers {
 		d.stores = append(d.stores, set.dial(strconv.Itoa(i), addr))
