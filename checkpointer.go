@@ -37,12 +37,7 @@ type CompressionStats struct {
 }
 
 // Ratio returns OutputBytes/InputBytes (lower is better); 0 when empty.
-func (s CompressionStats) Ratio() float64 {
-	if s.InputBytes == 0 {
-		return 0
-	}
-	return float64(s.OutputBytes) / float64(s.InputBytes)
-}
+func (s CompressionStats) Ratio() float64 { return delta.Stats(s).Ratio() }
 
 // NewProcess creates an empty process image. pageSize ≤ 0 selects 4096.
 // Options tune the checkpoint machinery (WithParallelism, notably).
@@ -96,12 +91,7 @@ func (p *Process) FullCheckpoint() []byte {
 // compression statistics.
 func (p *Process) DeltaCheckpoint() ([]byte, CompressionStats) {
 	c, st := p.builder.DeltaCheckpoint(p.as)
-	return c.Encode(), CompressionStats{
-		InputBytes:  st.InputBytes,
-		OutputBytes: st.OutputBytes,
-		HotPages:    st.HotPages,
-		RawPages:    st.RawPages,
-	}
+	return c.Encode(), CompressionStats(st)
 }
 
 // IncrementalCheckpoint captures the dirty pages uncompressed.

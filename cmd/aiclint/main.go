@@ -14,10 +14,10 @@
 //	facadedoc    the facade package documents every exported symbol,
 //	             leading with the symbol's name
 //
-// Four analyzers run over the whole program at once, on the
+// Five analyzers run over the whole program at once. Four use the
 // interprocedural engine (internal/analysis/interproc) — call graph,
 // effect summaries and lock sets propagated to a fixpoint across every
-// loaded package:
+// loaded package — and testonly needs only the loaded type information:
 //
 //	durableflow  a commit ack (nil sent on an error channel, remote
 //	             kindPutDone reply, `return nil` from a Store's Put) is
@@ -29,6 +29,9 @@
 //	             stopped; no time.After inside loops
 //	atomicfield  a field accessed via sync/atomic anywhere is accessed
 //	             that way everywhere (test files included)
+//	testonly     an exported function or method under internal/ has a
+//	             non-test use; interface methods and the ones fmt and
+//	             errors call dynamically are exempt
 //
 // A deliberate exception is suppressed in place with a reasoned directive:
 //
@@ -55,6 +58,7 @@ import (
 	"aic/internal/analysis/lockorder"
 	"aic/internal/analysis/metricnames"
 	"aic/internal/analysis/sentinelerr"
+	"aic/internal/analysis/testonly"
 )
 
 var suite = []*analysis.Analyzer{
@@ -69,6 +73,7 @@ var suite = []*analysis.Analyzer{
 	lockorder.Analyzer,
 	metricnames.Analyzer,
 	sentinelerr.Analyzer,
+	testonly.Analyzer,
 }
 
 func main() {

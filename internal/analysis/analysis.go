@@ -32,8 +32,9 @@ import (
 // An Analyzer describes one invariant checker. Exactly one of Run and
 // RunProgram is set: Run is invoked once per loaded package for
 // single-package syntax checks, RunProgram once per invocation with every
-// loaded package for interprocedural checks that need the whole call
-// graph (durableflow, lockorder, goroleak, atomicfield).
+// loaded package for checks that need the whole program: the
+// interprocedural ones over the call graph (durableflow, lockorder,
+// goroleak, atomicfield) and testonly's program-wide use scan.
 type Analyzer struct {
 	Name       string // short lower-case identifier, used in directives and output
 	Doc        string // one-paragraph description of the invariant enforced

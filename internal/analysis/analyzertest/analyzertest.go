@@ -30,6 +30,8 @@ var wantRe = regexp.MustCompile("// want `([^`]+)`")
 // packages importing each other — interprocedural analyzers need
 // cross-package fixtures, and all packages of one fixture are analyzed
 // together as one program.
+//
+//aiclint:ignore testonly the fixture harness every analyzer test drives; it exists for tests
 func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
 	cwd, err := os.Getwd()
@@ -52,6 +54,8 @@ func Run(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 // RunExpectClean loads the fixtures and requires the analyzer to report
 // nothing, disregarding want comments — used to prove a scoped analyzer
 // ignores packages outside its target list even when they violate the rule.
+//
+//aiclint:ignore testonly the fixture harness every analyzer test drives; it exists for tests
 func RunExpectClean(t *testing.T, a *analysis.Analyzer, fixtures ...string) {
 	t.Helper()
 	cwd, err := os.Getwd()

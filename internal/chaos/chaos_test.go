@@ -67,7 +67,7 @@ func TestChaosShort(t *testing.T) {
 // checkpoint on every replica at once, and the checker must flag the
 // sequence regression and report the failing seed.
 func TestChaosKnownBad(t *testing.T) {
-	cfg, sched := KnownBad()
+	cfg, sched := knownBad()
 	cfg.Dir = t.TempDir()
 	r, err := RunSchedule(context.Background(), cfg, sched)
 	if err != nil {
@@ -97,7 +97,7 @@ func TestChaosKnownBad(t *testing.T) {
 // TestChaosKnownBadReplay pins the replay path -schedule rides on: parsing
 // the printed schedule back and re-running it reproduces the violation.
 func TestChaosKnownBadReplay(t *testing.T) {
-	cfg, sched := KnownBad()
+	cfg, sched := knownBad()
 	cfg.Dir = t.TempDir()
 	parsed, err := ParseSchedule(sched.String())
 	if err != nil {
@@ -192,7 +192,7 @@ func TestChaosSmokeSeeds(t *testing.T) {
 // uses: the known-bad plan must stay failing after minimization and never
 // grow.
 func TestMinimizeKnownBad(t *testing.T) {
-	cfg, sched := KnownBad()
+	cfg, sched := knownBad()
 	cfg.Dir = t.TempDir()
 	minimal := Minimize(context.Background(), cfg, sched)
 	if len(minimal) == 0 || len(minimal) > len(sched) {

@@ -102,6 +102,8 @@ func (f *flakyPeer) Truncate(ctx context.Context, proc string, fullSeq int) erro
 // files; and Scrub(repair), RestoreLatestGood and Truncate run against the
 // live store. See CompactionChaosResult for the invariants pinned at every
 // restore probe and at the end of the run.
+//
+//aiclint:ignore testonly chaos scenario entry point, run by its soak test until ROADMAP item 7 ports the scenarios onto one Store driver
 func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*CompactionChaosResult, error) {
 	cfg = cfg.withDefaults()
 	res := &CompactionChaosResult{RunLog: RunLog{name: "compaction", at: fmt.Sprintf(" at seed=%d", cfg.Seed)}}

@@ -137,13 +137,13 @@ func Minimize(ctx context.Context, cfg Config, sched Schedule) Schedule {
 	return cur
 }
 
-// KnownBad returns the documented known-bad fixture: a schedule whose
+// knownBad returns the documented known-bad fixture: a schedule whose
 // flip-all event corrupts the newest quorum-committed checkpoint on every
 // replica at once — beyond the single-victim fault model the stack defends
 // — so the following crash must restore an older sequence and trip the
 // seq-regress invariant. The determinism test uses it to prove the checker
 // actually catches real regressions.
-func KnownBad() (Config, Schedule) {
+func knownBad() (Config, Schedule) {
 	cfg := Config{Seed: 0xbad, Steps: 14, CheckpointEvery: 3, FullEvery: 4, Pages: 24}
 	sched := Schedule{
 		{Step: 11, Kind: KindFlipAll, Peer: -1, N: 97, Bit: 3},

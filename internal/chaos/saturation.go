@@ -69,6 +69,8 @@ type SaturationResult struct {
 //
 // The controller is stepped manually (no wall-clock ticker), so the arc is
 // reproducible; the only real time in the run is the injected stall itself.
+//
+//aiclint:ignore testonly chaos scenario entry point, run by its soak test until ROADMAP item 7 ports the scenarios onto one Store driver
 func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult, error) {
 	cfg = cfg.withDefaults()
 	res := &SaturationResult{RunLog: RunLog{name: "saturation"}}

@@ -12,8 +12,9 @@ import (
 
 // referenceReplay replays chain the way Restore did before it owned a page
 // pool: a raw page list parsed page by page, a delta or XOR stream through
-// the map-returning delta.DecodePageAligned, every page copied in with
-// memsim.Write, then the element's freed pages unmapped.
+// the map-returning delta.DecodePageAlignedParallel on one worker, every
+// page copied in with memsim.Write, then the element's freed pages
+// unmapped.
 func referenceReplay(t *testing.T, chain []*Checkpoint) *memsim.AddressSpace {
 	t.Helper()
 	ref := memsim.New(chain[0].PageSize)
@@ -29,7 +30,7 @@ func referenceReplay(t *testing.T, chain []*Checkpoint) *memsim.AddressSpace {
 				p = p[n+c.PageSize:]
 			}
 		case IncrementalDelta:
-			pages, err := delta.DecodePageAligned(c.Payload, ref.Page)
+			pages, err := delta.DecodePageAlignedParallel(c.Payload, ref.Page, 1)
 			if err != nil {
 				t.Fatalf("reference replay of element %d: %v", i, err)
 			}

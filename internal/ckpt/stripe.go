@@ -77,6 +77,8 @@ func EncodeStripeManifest(seq, count int, total int64, sum uint32) []byte {
 
 // EncodeStripePart wraps stripe index of count (slice part of an object of
 // total bytes, whole-object CRC sum) as a storable frame.
+//
+//aiclint:ignore testonly test seam: builds the crafted stripe parts the DecodeStripe bound and cut tests feed in
 func EncodeStripePart(seq, index, count int, total int64, sum uint32, part []byte) []byte {
 	c := stripeHeader(seq, stripeRecPart, index, count, total, sum)
 	c.Payload = part
@@ -179,6 +181,8 @@ func DecodeStripe(data []byte) (*StripeFrame, error) {
 // CRC pass over the joined object. Every part must be present exactly once
 // and agree on the geometry. The object need not be a checkpoint frame;
 // DecodeStriped is the restore path's entry.
+//
+//aiclint:ignore testonly only bench calls it (its stripe_reassemble_ms); ROADMAP 1(f) moves bench onto the product path and deletes it
 func ReassembleStripes(man *StripeFrame, parts []*StripeFrame) ([]byte, error) {
 	_, pieces, err := orderStripes(man, parts)
 	if err != nil {

@@ -45,41 +45,6 @@ func (c *RegistryCollector) Collect() Signals {
 	return sig
 }
 
-// StaticCollector replays a fixed sequence of samples, then repeats the
-// last one — the table-test and chaos-scenario collector.
-type StaticCollector struct {
-	mu      sync.Mutex
-	samples []Signals
-	i       int
-}
-
-// NewStaticCollector builds a collector over the given samples; at least
-// one is required.
-func NewStaticCollector(samples ...Signals) *StaticCollector {
-	return &StaticCollector{samples: samples}
-}
-
-// Push appends further samples.
-func (c *StaticCollector) Push(samples ...Signals) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.samples = append(c.samples, samples...)
-}
-
-// Collect returns the next sample, repeating the final one once exhausted.
-func (c *StaticCollector) Collect() Signals {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.samples) == 0 {
-		return Signals{}
-	}
-	s := c.samples[c.i]
-	if c.i < len(c.samples)-1 {
-		c.i++
-	}
-	return s
-}
-
 // NopActuator records the last applied settings and otherwise does
 // nothing — the observe-only actuator cmd/aicd uses, and a test double.
 type NopActuator struct {
@@ -108,11 +73,4 @@ func (a *NopActuator) SetReplication(on bool) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.Replication = on
-}
-
-// Snapshot returns the last applied settings.
-func (a *NopActuator) Snapshot() (scale float64, parallelism int, replication bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.Scale, a.Parallelism, a.Replication
 }

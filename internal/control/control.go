@@ -256,13 +256,6 @@ func (c *Controller) Level() Level {
 	return c.level
 }
 
-// Last returns the most recent decision (zero before the first Step).
-func (c *Controller) Last() Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last
-}
-
 // State is the JSON shape the /control endpoint serves.
 type State struct {
 	Level     Level    `json:"level"`

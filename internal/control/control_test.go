@@ -57,13 +57,13 @@ func TestHysteresisLadder(t *testing.T) {
 	for i, s := range steps {
 		sigs[i] = s.sig
 	}
-	col := NewStaticCollector(sigs...)
+	col := newStaticCollector(sigs...)
 	act := &NopActuator{}
 	reg := metrics.NewRegistry()
 	c := New(testCfg(), col, act, reg)
 
-	if scale, par, repl := act.Snapshot(); scale != 1 || par != 0 || !repl {
-		t.Fatalf("constructor must apply LevelNormal, got scale=%v par=%d repl=%v", scale, par, repl)
+	if act.Scale != 1 || act.Parallelism != 0 || !act.Replication {
+		t.Fatalf("constructor must apply LevelNormal, got %+v", act)
 	}
 	for i, s := range steps {
 		d := c.Step()
@@ -73,8 +73,8 @@ func TestHysteresisLadder(t *testing.T) {
 		}
 	}
 	// After the full arc every knob is restored.
-	if scale, par, repl := act.Snapshot(); scale != 1 || par != 0 || !repl {
-		t.Fatalf("knobs not restored: scale=%v par=%d repl=%v", scale, par, repl)
+	if act.Scale != 1 || act.Parallelism != 0 || !act.Replication {
+		t.Fatalf("knobs not restored: %+v", act)
 	}
 	// The arc is visible in the controller's own metrics.
 	if v, _ := reg.Value("aic_control_sheds_total"); v != 3 {
@@ -92,7 +92,7 @@ func TestHysteresisLadder(t *testing.T) {
 // the band between the recover and saturate thresholds reset both streaks,
 // so alternating hot/mid or cool/mid sequences never move the ladder.
 func TestDeadBandPreventsOscillation(t *testing.T) {
-	col := NewStaticCollector(mid)
+	col := newStaticCollector(mid)
 	c := New(testCfg(), col, &NopActuator{}, nil)
 
 	// hot,mid,hot,mid,... never accumulates SaturateAfter=2 in a row.
@@ -134,7 +134,7 @@ func TestDeadBandPreventsOscillation(t *testing.T) {
 func TestMaxLevelCap(t *testing.T) {
 	cfg := testCfg()
 	cfg.MaxLevel = LevelSerialEncode
-	col := NewStaticCollector(hot)
+	col := newStaticCollector(hot)
 	act := &NopActuator{}
 	c := New(cfg, col, act, nil)
 	for i := 0; i < 30; i++ {
@@ -143,7 +143,7 @@ func TestMaxLevelCap(t *testing.T) {
 	if c.Level() != LevelSerialEncode {
 		t.Fatalf("level = %v, want serial-encode cap", c.Level())
 	}
-	if _, _, repl := act.Snapshot(); !repl {
+	if !act.Replication {
 		t.Fatal("capped ladder must never disable replication")
 	}
 }
@@ -181,4 +181,33 @@ func TestRegistryCollectorWindows(t *testing.T) {
 	if sig.FsyncP99 != 0 {
 		t.Fatalf("idle sample = %+v, want zero", sig)
 	}
+}
+
+// staticCollector replays a fixed sequence of samples, then repeats the
+// last one.
+type staticCollector struct {
+	samples []Signals
+	i       int
+}
+
+// newStaticCollector builds a collector over the given samples.
+func newStaticCollector(samples ...Signals) *staticCollector {
+	return &staticCollector{samples: samples}
+}
+
+// Push appends further samples.
+func (c *staticCollector) Push(samples ...Signals) {
+	c.samples = append(c.samples, samples...)
+}
+
+// Collect returns the next sample, repeating the final one once exhausted.
+func (c *staticCollector) Collect() Signals {
+	if len(c.samples) == 0 {
+		return Signals{}
+	}
+	s := c.samples[c.i]
+	if c.i < len(c.samples)-1 {
+		c.i++
+	}
+	return s
 }

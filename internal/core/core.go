@@ -185,19 +185,6 @@ func (r *RunResult) OverheadFrac() float64 {
 	return (r.WallTime - r.BaseTime) / r.BaseTime
 }
 
-// BookkeepingFrac returns only the predictor/decider/metric share of the
-// overhead ("mostly due to the AIC Predictor and Checkpoint Decider").
-func (r *RunResult) BookkeepingFrac() float64 {
-	if r.BaseTime == 0 {
-		return 0
-	}
-	var sum float64
-	for _, iv := range r.Intervals {
-		sum += iv.Overhead
-	}
-	return sum / r.BaseTime
-}
-
 // MeanRatio returns the mean compressed-to-raw checkpoint size ratio across
 // intervals (Table 3's compression ratio; lower is better).
 func (r *RunResult) MeanRatio() float64 {

@@ -76,9 +76,6 @@ func NewRuntime(prog workload.Program, cfg Config) *Runtime {
 	return rt
 }
 
-// AddressSpace exposes the simulated process memory (for restore tests).
-func (rt *Runtime) AddressSpace() *memsim.AddressSpace { return rt.as }
-
 // Run executes the program to completion and returns the measured trace.
 func (rt *Runtime) Run() (*RunResult, error) {
 	base := rt.prog.BaseTime()

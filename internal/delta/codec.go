@@ -374,12 +374,6 @@ func appendPlain(out, lit []byte) []byte {
 	return append(out, lit...)
 }
 
-// Reset drops the Encoder's retained index and buffers, releasing memory
-// after encoding unusually large sources.
-func (e *Encoder) Reset() {
-	e.heads, e.filter, e.chain, e.buf = nil, presence{}, nil, nil
-}
-
 // commonPrefixLen returns the length of the longest common prefix of a and
 // b, comparing eight bytes per step; the first differing word pinpoints the
 // mismatch via its trailing zero bits. It drives forward match extension,
@@ -550,11 +544,9 @@ func EncodeXOR(source, target []byte) ([]byte, error) {
 	return out, nil
 }
 
-// DecodeXOR reverses EncodeXOR given the same source image.
-func DecodeXOR(source, stream []byte) ([]byte, error) { return decodeXORInto(nil, source, stream) }
-
-// decodeXORInto is DecodeXOR writing the target into dst's backing array
-// when it fits, as decodeInto does; dst must not overlap source.
+// decodeXORInto reverses EncodeXOR given the same source image, writing
+// the target into dst's backing array when it fits, as decodeInto does;
+// dst must not overlap source.
 func decodeXORInto(dst, source, stream []byte) ([]byte, error) {
 	total, n := binary.Uvarint(stream)
 	if n <= 0 {

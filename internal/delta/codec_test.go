@@ -236,7 +236,7 @@ func TestXORRoundTrip(t *testing.T) {
 	if len(stream) > 128 {
 		t.Fatalf("XOR-RLE of 3 changed bytes is %d bytes", len(stream))
 	}
-	got, err := DecodeXOR(source, stream)
+	got, err := decodeXORInto(nil, source, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestXORRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, err := DecodeXOR(source, stream)
+		got, err := decodeXORInto(nil, source, stream)
 		if err != nil {
 			return false
 		}
@@ -273,7 +273,7 @@ func TestXORLengthMismatch(t *testing.T) {
 	if _, err := EncodeXOR([]byte("ab"), []byte("abc")); !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("err = %v", err)
 	}
-	if _, err := DecodeXOR([]byte("ab"), []byte{0x05}); err == nil {
+	if _, err := decodeXORInto(nil, []byte("ab"), []byte{0x05}); err == nil {
 		t.Fatal("mismatched decode accepted")
 	}
 }

@@ -99,7 +99,7 @@ func FuzzPageAlignedParallel(f *testing.F) {
 			t.Fatalf("parallel stream differs from serial (%d vs %d bytes)", len(parallel), len(serial))
 		}
 		fetch := func(idx uint64) []byte { return olds[idx] }
-		want, err := DecodePageAligned(serial, fetch)
+		want, err := DecodePageAlignedParallel(serial, fetch, 1)
 		if err != nil {
 			t.Fatalf("own encoding rejected: %v", err)
 		}
@@ -167,7 +167,7 @@ func FuzzPageAlignedFastPath(f *testing.F) {
 			}
 			return page
 		}
-		serial, serr := DecodePageAligned(stream, fetch)
+		serial, serr := DecodePageAlignedParallel(stream, fetch, 1)
 		parallel, perr := DecodePageAlignedParallel(stream, fetch, 2)
 		if serr != nil || perr != nil {
 			t.Fatalf("own page-aligned stream rejected: serial %v, parallel %v", serr, perr)
@@ -195,7 +195,7 @@ func FuzzDecodePageAligned(f *testing.F) {
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		old := bytes.Repeat([]byte{3}, 64)
 		fetch := func(uint64) []byte { return old }
-		want, serr := DecodePageAligned(stream, fetch)
+		want, serr := DecodePageAlignedParallel(stream, fetch, 1)
 		got, perr := DecodePageAlignedParallel(stream, fetch, 4)
 		var bufs [][]byte
 		take := func(n int) [][]byte {
@@ -244,7 +244,7 @@ func FuzzXORRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := DecodeXOR(src, stream)
+		got, err := decodeXORInto(nil, src, stream)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -215,15 +215,6 @@ func decodeFrameInto(dst []byte, f pageFrame, fetchOld func(index uint64) []byte
 	}
 }
 
-// DecodePageAligned reverses EncodePageAlignedParallelStats. fetchOld must return the
-// previous version of a page stored in delta mode; returning nil reports
-// the page as unavailable and fails decoding. Streams whose page indexes
-// are not strictly ascending are rejected as corrupt. It is
-// DecodePageAlignedInto on one worker, each page in a new buffer.
-func DecodePageAligned(stream []byte, fetchOld func(index uint64) []byte) (map[uint64][]byte, error) {
-	return DecodePageAlignedParallel(stream, fetchOld, 1)
-}
-
 // Stats summarizes a compression operation for the predictor feedback loop
 // and for the Table 3 / Fig. 2 experiments.
 type Stats struct {

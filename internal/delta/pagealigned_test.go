@@ -29,14 +29,14 @@ func TestPageAlignedRoundTrip(t *testing.T) {
 		{Index: 2, Old: old[2], New: mutate(old[2], 500, rng)}, // hot, heavy edit
 	}
 	stream := encodePA(updates, DefaultBlockSize, 1)
-	got, err := DecodePageAligned(stream, func(idx uint64) []byte {
+	got, err := DecodePageAlignedParallel(stream, func(idx uint64) []byte {
 		for _, u := range updates {
 			if u.Index == idx {
 				return u.Old
 			}
 		}
 		return nil
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestPageAlignedRewrittenPageFallsBackToRaw(t *testing.T) {
 	if len(stream) > testPageSize+32 {
 		t.Fatalf("rewritten page stream is %d bytes", len(stream))
 	}
-	got, err := DecodePageAligned(stream, func(uint64) []byte { return old })
+	got, err := DecodePageAlignedParallel(stream, func(uint64) []byte { return old }, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +104,14 @@ func TestPageAlignedMissingOldVersion(t *testing.T) {
 	rng := numeric.NewRNG(13)
 	old := makePages(rng, 1)[0]
 	stream := encodePA([]PageUpdate{{Index: 5, Old: old, New: mutate(old, 2, rng)}}, DefaultBlockSize, 1)
-	if _, err := DecodePageAligned(stream, func(uint64) []byte { return nil }); err == nil {
+	if _, err := DecodePageAlignedParallel(stream, func(uint64) []byte { return nil }, 1); err == nil {
 		t.Fatal("decode without old page must fail")
 	}
 }
 
 func TestPageAlignedEmpty(t *testing.T) {
 	stream := encodePA(nil, DefaultBlockSize, 1)
-	got, err := DecodePageAligned(stream, func(uint64) []byte { return nil })
+	got, err := DecodePageAlignedParallel(stream, func(uint64) []byte { return nil }, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestPageAlignedEmpty(t *testing.T) {
 
 func TestPageAlignedCorruptStream(t *testing.T) {
 	for _, bad := range [][]byte{{}, {0x01}, {0x01, 0x00}, {0x01, 0x00, 0x09}, {0x01, 0x00, PageRaw, 0x10}} {
-		if _, err := DecodePageAligned(bad, func(uint64) []byte { return nil }); err == nil {
+		if _, err := DecodePageAlignedParallel(bad, func(uint64) []byte { return nil }, 1); err == nil {
 			t.Fatalf("corrupt stream %v accepted", bad)
 		}
 	}
@@ -150,7 +150,7 @@ func TestPageAlignedRoundTripProperty(t *testing.T) {
 			updates[i] = u
 		}
 		stream := encodePA(updates, DefaultBlockSize, 1)
-		got, err := DecodePageAligned(stream, func(idx uint64) []byte { return olds[idx] })
+		got, err := DecodePageAlignedParallel(stream, func(idx uint64) []byte { return olds[idx] }, 1)
 		if err != nil {
 			return false
 		}

@@ -102,6 +102,8 @@ type pageHead struct {
 // each page in a new buffer, returned as a map from page index to content.
 // fetchOld must be safe for concurrent calls (a pure read of previous
 // checkpoint state qualifies).
+//
+//aiclint:ignore testonly only bench calls it (its delta.decode_ms); ROADMAP 1(f) moves bench onto the product path and deletes it
 func DecodePageAlignedParallel(stream []byte, fetchOld func(index uint64) []byte, parallelism int) (map[uint64][]byte, error) {
 	decoded, err := DecodePageAlignedInto(stream, fetchOld, parallelism, func(n int) [][]byte { return make([][]byte, n) })
 	if err != nil {

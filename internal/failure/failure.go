@@ -104,17 +104,3 @@ func (in *Injector) Next(now float64) (Event, bool) {
 	}
 	return Event{Time: t, Level: TotalNode}, true
 }
-
-// Schedule returns all failure events within [0, horizon) in time order.
-func (in *Injector) Schedule(horizon float64) []Event {
-	var out []Event
-	now := 0.0
-	for {
-		ev, ok := in.Next(now)
-		if !ok || ev.Time >= horizon {
-			return out
-		}
-		out = append(out, ev)
-		now = ev.Time
-	}
-}

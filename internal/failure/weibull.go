@@ -95,17 +95,3 @@ func (w *WeibullInjector) Next(now float64) (Event, bool) {
 	w.next[best] += w.draw(best)
 	return ev, true
 }
-
-// Schedule returns all events within [0, horizon) in time order.
-func (w *WeibullInjector) Schedule(horizon float64) []Event {
-	var out []Event
-	now := 0.0
-	for {
-		ev, ok := w.Next(now)
-		if !ok || ev.Time >= horizon {
-			return out
-		}
-		out = append(out, ev)
-		now = ev.Time
-	}
-}

@@ -124,7 +124,7 @@ func TestWeibullScheduleOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	evs := in.Schedule(5000)
+	evs := schedule(in, 5000)
 	if len(evs) < 50 {
 		t.Fatalf("only %d events", len(evs))
 	}

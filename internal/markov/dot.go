@@ -25,20 +25,18 @@ func (c *Chain) DOT(name string) string {
 		return fmt.Sprintf("s%d", id)
 	}
 	for s := range c.durations {
-		d := c.durations[s]
-		pSucc := c.survive(d)
+		pSucc, pFail := c.probabilities(s)
 		if c.succ[s] != math.MinInt32 {
 			fmt.Fprintf(&b, "  s%d -> %s [label=\"ok %.4g\"];\n", s, node(c.succ[s]), pSucc)
 		}
 		if c.totalRate > 0 {
-			pFail := -math.Expm1(-c.totalRate * d)
 			// Merge same-destination failure edges, as the paper's figures do.
 			byDest := map[int]float64{}
-			for j, r := range c.rates {
-				if r == 0 || c.fail[s][j] == math.MinInt32 {
+			for j, p := range pFail {
+				if c.rates[j] == 0 || c.fail[s][j] == math.MinInt32 {
 					continue
 				}
-				byDest[c.fail[s][j]] += (r / c.totalRate) * pFail
+				byDest[c.fail[s][j]] += p
 			}
 			dests := make([]int, 0, len(byDest))
 			for dst := range byDest {
@@ -55,10 +53,10 @@ func (c *Chain) DOT(name string) string {
 	return b.String()
 }
 
-// Probabilities returns, for state id, the success probability and the
+// probabilities returns, for state id, the success probability and the
 // per-class failure probabilities within the state's planned duration —
 // the edge annotations of the paper's Fig. 4.
-func (c *Chain) Probabilities(id int) (pSucc float64, pFail []float64) {
+func (c *Chain) probabilities(id int) (pSucc float64, pFail []float64) {
 	d := c.durations[id]
 	pSucc = c.survive(d)
 	pFail = make([]float64, len(c.rates))

@@ -48,12 +48,6 @@ func New(classRates []float64) *Chain {
 	}
 }
 
-// NumClasses returns the number of failure classes.
-func (c *Chain) NumClasses() int { return len(c.rates) }
-
-// NumStates returns the number of states added so far.
-func (c *Chain) NumStates() int { return len(c.durations) }
-
 // AddState appends a state with the given planned duration and returns its
 // id. Success and failure edges default to unset and must be assigned before
 // solving (failure edges only for classes with positive rate).
@@ -86,12 +80,6 @@ func (c *Chain) SetAllFailures(id, dest int) {
 		c.fail[id][j] = dest
 	}
 }
-
-// Name returns the state's label (for diagnostics).
-func (c *Chain) Name(id int) string { return c.names[id] }
-
-// Duration returns the state's planned duration.
-func (c *Chain) Duration(id int) float64 { return c.durations[id] }
 
 func (c *Chain) validate() error {
 	for s := range c.durations {
@@ -184,9 +172,10 @@ func (c *Chain) ExpectedTime(start int) (float64, error) {
 
 // Simulate runs the chain trials times by Monte Carlo from start and returns
 // the mean time to absorption. It is the cross-validation oracle for
-// ExpectedTime and is also used where analytic solving is inconvenient.
-// maxSteps bounds a single trial; exceeding it returns an error (a chain
-// that cannot absorb).
+// ExpectedTime. maxSteps bounds a single trial; exceeding it returns an
+// error (a chain that cannot absorb).
+//
+//aiclint:ignore testonly the Monte Carlo oracle the markov and model tests check ExpectedTime against
 func (c *Chain) Simulate(rng *numeric.RNG, start, trials, maxSteps int) (float64, error) {
 	if err := c.validate(); err != nil {
 		return 0, err

@@ -223,17 +223,6 @@ func TestAnalyticMatchesMonteCarloProperty(t *testing.T) {
 	}
 }
 
-func TestAccessors(t *testing.T) {
-	c := New([]float64{1, 2})
-	if c.NumClasses() != 2 {
-		t.Fatal("NumClasses")
-	}
-	id := c.AddState("alpha", 3.5)
-	if c.NumStates() != 1 || c.Name(id) != "alpha" || c.Duration(id) != 3.5 {
-		t.Fatal("accessors")
-	}
-}
-
 func TestDOTExport(t *testing.T) {
 	c := New([]float64{0.01, 0.02})
 	w := c.AddState("work", 10)
@@ -261,7 +250,7 @@ func TestProbabilitiesSumToOne(t *testing.T) {
 	s := c.AddState("s", 25)
 	c.SetSuccess(s, Done)
 	c.SetAllFailures(s, s)
-	pSucc, pFail := c.Probabilities(s)
+	pSucc, pFail := c.probabilities(s)
 	sum := pSucc
 	for _, p := range pFail {
 		sum += p
@@ -279,7 +268,7 @@ func TestProbabilitiesZeroRate(t *testing.T) {
 	c := New([]float64{0})
 	s := c.AddState("s", 5)
 	c.SetSuccess(s, Done)
-	pSucc, pFail := c.Probabilities(s)
+	pSucc, pFail := c.probabilities(s)
 	if pSucc != 1 || pFail[0] != 0 {
 		t.Fatalf("zero-rate probabilities: %v %v", pSucc, pFail)
 	}

@@ -26,7 +26,7 @@ type FirstWriteHook func(pageIndex uint64, now float64)
 type AddressSpace struct {
 	pageSize int
 	pages    map[uint64][]byte
-	dirty    map[uint64]float64 // page -> virtual arrival time of first write
+	dirty    map[uint64]struct{} // pages written since the last ResetDirty
 	hook     FirstWriteHook
 }
 
@@ -39,7 +39,7 @@ func New(pageSize int) *AddressSpace {
 	return &AddressSpace{
 		pageSize: pageSize,
 		pages:    make(map[uint64][]byte),
-		dirty:    make(map[uint64]float64),
+		dirty:    make(map[uint64]struct{}),
 	}
 }
 
@@ -48,15 +48,6 @@ func (as *AddressSpace) PageSize() int { return as.pageSize }
 
 // SetFirstWriteHook installs the write-barrier observer (may be nil).
 func (as *AddressSpace) SetFirstWriteHook(h FirstWriteHook) { as.hook = h }
-
-// Allocate maps a zeroed page at index. Allocation counts as a write (the
-// paper's incremental checkpointer saves newly allocated pages).
-func (as *AddressSpace) Allocate(index uint64, now float64) {
-	if _, ok := as.pages[index]; !ok {
-		as.pages[index] = make([]byte, as.pageSize)
-	}
-	as.touch(index, now)
-}
 
 // Free unmaps the page at index. Freed pages disappear from subsequent
 // checkpoints (Scenario 1's page C).
@@ -73,7 +64,7 @@ func (as *AddressSpace) Mapped(index uint64) bool {
 
 func (as *AddressSpace) touch(index uint64, now float64) {
 	if _, already := as.dirty[index]; !already {
-		as.dirty[index] = now
+		as.dirty[index] = struct{}{}
 		if as.hook != nil {
 			as.hook(index, now)
 		}
@@ -138,13 +129,6 @@ func (as *AddressSpace) DirtyPages() []uint64 {
 // DirtyCount returns the number of dirty pages (the predictor's DP metric).
 func (as *AddressSpace) DirtyCount() int { return len(as.dirty) }
 
-// ArrivalTime returns the virtual time of the page's first write in the
-// current interval; ok is false when the page is clean.
-func (as *AddressSpace) ArrivalTime(index uint64) (t float64, ok bool) {
-	t, ok = as.dirty[index]
-	return t, ok
-}
-
 // ResetDirty clears dirty tracking, re-protecting all pages — called at the
 // start of each checkpoint interval.
 func (as *AddressSpace) ResetDirty() {
@@ -163,23 +147,6 @@ func (as *AddressSpace) MappedPages() []uint64 {
 
 // NumPages returns the number of mapped pages.
 func (as *AddressSpace) NumPages() int { return len(as.pages) }
-
-// FootprintBytes returns the mapped memory footprint.
-func (as *AddressSpace) FootprintBytes() int64 {
-	return int64(len(as.pages)) * int64(as.pageSize)
-}
-
-// Image materializes the full address space as an index-ordered
-// concatenation of pages, used by the whole-image (non-page-aligned)
-// compression comparator and by restore verification.
-func (as *AddressSpace) Image() []byte {
-	idxs := as.MappedPages()
-	out := make([]byte, 0, len(idxs)*as.pageSize)
-	for _, idx := range idxs {
-		out = append(out, as.pages[idx]...)
-	}
-	return out
-}
 
 // Clone deep-copies the address space (dirty state and hook are not
 // cloned) — used to snapshot a process for restore testing.

@@ -20,16 +20,16 @@ func TestWriteAllocatesAndDirties(t *testing.T) {
 	if p[100] != 1 || p[101] != 2 || p[102] != 3 || p[99] != 0 {
 		t.Fatal("content")
 	}
-	at, ok := as.ArrivalTime(3)
-	if !ok || at != 5.0 {
-		t.Fatalf("arrival = %v %v", at, ok)
-	}
 }
 
 func TestFirstWriteHookFiresOncePerInterval(t *testing.T) {
 	as := New(0)
 	var fired []uint64
-	as.SetFirstWriteHook(func(idx uint64, now float64) { fired = append(fired, idx) })
+	var at []float64
+	as.SetFirstWriteHook(func(idx uint64, now float64) {
+		fired = append(fired, idx)
+		at = append(at, now)
+	})
 	as.Write(1, 0, []byte{1}, 0)
 	as.Write(1, 1, []byte{2}, 1)
 	as.Write(2, 0, []byte{3}, 2)
@@ -41,18 +41,21 @@ func TestFirstWriteHookFiresOncePerInterval(t *testing.T) {
 	if len(fired) != 3 {
 		t.Fatalf("hook did not re-fire after reset: %v", fired)
 	}
-	at, _ := as.ArrivalTime(1)
-	if at != 3 {
-		t.Fatalf("arrival after reset = %v", at)
+	if at[2] != 3 {
+		t.Fatalf("arrival after reset = %v", at[2])
 	}
 }
 
+// The write barrier reports a page's arrival at its first write in the
+// interval; later writes do not move it.
 func TestArrivalTimeKeepsFirstWrite(t *testing.T) {
 	as := New(0)
+	var at []float64
+	as.SetFirstWriteHook(func(_ uint64, now float64) { at = append(at, now) })
 	as.Write(9, 0, []byte{1}, 10)
 	as.Write(9, 1, []byte{1}, 20)
-	if at, _ := as.ArrivalTime(9); at != 10 {
-		t.Fatalf("arrival = %v, want first-write time", at)
+	if len(at) != 1 || at[0] != 10 {
+		t.Fatalf("arrivals = %v, want only the first-write time", at)
 	}
 }
 
@@ -67,14 +70,15 @@ func TestCrossPageWritePanics(t *testing.T) {
 }
 
 func TestAllocateFreeScenario1(t *testing.T) {
-	// Scenario 1 from the paper: pages A..G, allocate H/I, free C.
+	// Scenario 1 from the paper: pages A..G, allocate H/I, free C. A
+	// page is allocated by its first write.
 	as := New(0)
 	for i := uint64(0); i < 7; i++ { // A..G
-		as.Allocate(i, 0)
+		as.Write(i, 0, nil, 0)
 	}
 	as.ResetDirty()
-	as.Allocate(7, 1)                                // H
-	as.Allocate(8, 1)                                // I
+	as.Write(7, 0, nil, 1)                           // H
+	as.Write(8, 0, nil, 1)                           // I
 	for _, idx := range []uint64{0, 1, 3, 4, 7, 8} { // A B D E H I
 		as.Write(idx, 0, []byte{0xFF}, 1)
 	}
@@ -117,19 +121,6 @@ func TestPageCopyIsSnapshot(t *testing.T) {
 	}
 }
 
-func TestImageOrdering(t *testing.T) {
-	as := New(8)
-	as.Write(5, 0, []byte{5}, 0)
-	as.Write(1, 0, []byte{1}, 0)
-	img := as.Image()
-	if len(img) != 16 {
-		t.Fatalf("image len = %d", len(img))
-	}
-	if img[0] != 1 || img[8] != 5 {
-		t.Fatal("image must be index-ordered")
-	}
-}
-
 func TestCloneAndEqual(t *testing.T) {
 	as := New(0)
 	rng := numeric.NewRNG(1)
@@ -154,15 +145,6 @@ func TestCloneAndEqual(t *testing.T) {
 	other := New(64)
 	if as.Equal(other) {
 		t.Fatal("different page sizes must differ")
-	}
-}
-
-func TestFootprint(t *testing.T) {
-	as := New(4096)
-	as.Allocate(0, 0)
-	as.Allocate(1, 0)
-	if as.FootprintBytes() != 8192 {
-		t.Fatalf("footprint = %d", as.FootprintBytes())
 	}
 }
 
@@ -217,14 +199,5 @@ func TestNilHookIsFine(t *testing.T) {
 	as.Write(0, 0, []byte{1}, 0) // must not panic
 	if as.DirtyCount() != 1 {
 		t.Fatal("dirty tracking broken with nil hook")
-	}
-}
-
-func TestAllocateExistingPageKeepsContent(t *testing.T) {
-	as := New(0)
-	as.Write(3, 0, []byte{7, 7, 7}, 0)
-	as.Allocate(3, 1) // re-allocating must not zero the page
-	if as.Page(3)[0] != 7 {
-		t.Fatal("Allocate zeroed an existing page")
 	}
 }

@@ -179,14 +179,6 @@ func (c *Counter) Add(v float64) {
 	addFloat(&c.s.bits, v)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() float64 {
-	if c == nil || c.s == nil {
-		return 0
-	}
-	return math.Float64frombits(c.s.bits.Load())
-}
-
 // Gauge is a value that can go up and down.
 type Gauge struct{ s *series }
 
@@ -204,20 +196,6 @@ func (g *Gauge) Add(v float64) {
 		return
 	}
 	addFloat(&g.s.bits, v)
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value returns the current gauge reading.
-func (g *Gauge) Value() float64 {
-	if g == nil || g.s == nil {
-		return 0
-	}
-	return math.Float64frombits(g.s.bits.Load())
 }
 
 // Histogram counts observations into fixed buckets.
@@ -311,14 +289,6 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// Mean returns the snapshot's mean observation, or 0 when empty.
-func (s HistogramSnapshot) Mean() float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	return s.Sum / float64(s.Count)
 }
 
 // Counter registers (or finds) an unlabelled counter.

@@ -16,8 +16,8 @@ func TestCoastalProfile(t *testing.T) {
 	if p.R != p.C {
 		t.Fatal("r_k must equal c_k")
 	}
-	if math.Abs(p.TotalRate()-2.4e-6) > 1e-12 {
-		t.Fatalf("λ = %v", p.TotalRate())
+	if total := p.Lambda[0] + p.Lambda[1] + p.Lambda[2]; math.Abs(total-2.4e-6) > 1e-12 {
+		t.Fatalf("λ = %v", total)
 	}
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)

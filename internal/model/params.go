@@ -46,9 +46,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// TotalRate returns the system failure rate λ = Σ λ_k.
-func (p Params) TotalRate() float64 { return p.Lambda[0] + p.Lambda[1] + p.Lambda[2] }
-
 // ScaleMPI returns the profile under MPI system-size scaling (Section
 // III.D): the failure of any process fails the whole job, so every λ_k
 // scales with size; remote-storage bandwidth congests, so c3 (and r3) scale

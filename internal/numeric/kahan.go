@@ -21,9 +21,6 @@ func (k *KahanSum) Add(v float64) {
 // Value returns the compensated total.
 func (k *KahanSum) Value() float64 { return k.sum + k.c }
 
-// Reset clears the accumulator.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
 func abs(v float64) float64 {
 	if v < 0 {
 		return -v

@@ -82,11 +82,11 @@ func TestSolveLinearResidualProperty(t *testing.T) {
 			a[i] = make([]float64, n)
 			aCopy[i] = make([]float64, n)
 			for j := 0; j < n; j++ {
-				a[i][j] = r.NormFloat64()
+				a[i][j] = normal(r)
 			}
 			a[i][i] += float64(n) + 1 // diagonal dominance
 			copy(aCopy[i], a[i])
-			b[i] = r.NormFloat64()
+			b[i] = normal(r)
 			bCopy[i] = b[i]
 		}
 		x, err := SolveLinear(a, b)
@@ -129,11 +129,11 @@ func TestLeastSquaresOverdetermined(t *testing.T) {
 	x := make([][]float64, m)
 	y := make([]float64, m)
 	for i := 0; i < m; i++ {
-		x[i] = []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
+		x[i] = []float64{normal(r), normal(r), normal(r)}
 		for j := 0; j < p; j++ {
 			y[i] += truth[j] * x[i][j]
 		}
-		y[i] += 0.01 * r.NormFloat64()
+		y[i] += 0.01 * normal(r)
 	}
 	beta, err := LeastSquares(x, y)
 	if err != nil {
@@ -155,5 +155,17 @@ func TestLeastSquaresErrors(t *testing.T) {
 	}
 	if _, err := LeastSquares([][]float64{{1, 2}, {3}}, []float64{1, 2}); err == nil {
 		t.Fatal("expected error for ragged rows")
+	}
+}
+
+// normal returns a standard normal variate (Marsaglia polar method), for
+// test inputs.
+func normal(r *RNG) float64 {
+	for {
+		u := 2*r.Float64() - 1
+		v := 2*r.Float64() - 1
+		if s := u*u + v*v; s > 0 && s < 1 {
+			return u * math.Sqrt(-2*math.Log(s)/s)
+		}
 	}
 }

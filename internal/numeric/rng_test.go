@@ -3,7 +3,6 @@ package numeric
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -88,44 +87,6 @@ func TestRNGIntnBounds(t *testing.T) {
 	}
 	if len(seen) != 7 {
 		t.Fatalf("Intn(7) only produced %d distinct values", len(seen))
-	}
-}
-
-func TestRNGNormMoments(t *testing.T) {
-	r := NewRNG(17)
-	var sum, sq KahanSum
-	const n = 200000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum.Add(v)
-		sq.Add(v * v)
-	}
-	mean := sum.Value() / n
-	variance := sq.Value()/n - mean*mean
-	if math.Abs(mean) > 0.01 {
-		t.Fatalf("normal mean = %v", mean)
-	}
-	if math.Abs(variance-1) > 0.02 {
-		t.Fatalf("normal variance = %v", variance)
-	}
-}
-
-func TestRNGPermIsPermutation(t *testing.T) {
-	r := NewRNG(23)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

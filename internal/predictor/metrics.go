@@ -66,15 +66,6 @@ type Metrics struct {
 // 4 singles, 4 squares, and 6 pairwise products ({C1^γ·C2^ζ, 1 ≤ γ+ζ ≤ 2}).
 const NumCandidates = 14
 
-// CandidateNames labels the candidate features in Candidates() order.
-func CandidateNames() []string {
-	return []string{
-		"DP", "t", "JD", "DI",
-		"DP²", "t²", "JD²", "DI²",
-		"DP·t", "DP·JD", "DP·DI", "t·JD", "t·DI", "JD·DI",
-	}
-}
-
 // Candidates expands the base metrics into the full candidate vector that
 // stepwise regression selects from.
 func (m Metrics) Candidates() []float64 {

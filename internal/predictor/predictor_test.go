@@ -59,10 +59,36 @@ func TestMetricRanges(t *testing.T) {
 	}
 }
 
+// JD and DI grow with the fraction of a page scrambled: JD against the
+// page's previous version, DI within a constant page mixed with random
+// content.
+func TestJDAndDITrackScrambleFraction(t *testing.T) {
+	rng := numeric.NewRNG(7)
+	base := make([]byte, 4096)
+	rng.Bytes(base)
+	var jd, di []float64
+	for _, frac := range []float64{0, 0.1, 0.25, 0.5, 0.75, 1.0} {
+		cur := append([]byte(nil), base...)
+		n := int(frac * float64(len(cur)))
+		chunk := make([]byte, n)
+		rng.Bytes(chunk)
+		copy(cur, chunk)
+		jd = append(jd, JaccardDistance(cur, base))
+		intra := make([]byte, 4096)
+		copy(intra[:n], chunk)
+		di = append(di, DivergenceIndex(intra))
+	}
+	for i := 1; i < len(jd); i++ {
+		if jd[i] < jd[i-1]-1e-9 || di[i] < di[i-1]-1e-9 {
+			t.Fatalf("metrics not monotone in scramble fraction: jd=%v di=%v", jd, di)
+		}
+	}
+}
+
 func TestCandidatesShape(t *testing.T) {
 	m := Metrics{DP: 2, T: 3, JD: 0.5, DI: 0.25}
 	c := m.Candidates()
-	if len(c) != NumCandidates || len(CandidateNames()) != NumCandidates {
+	if len(c) != NumCandidates {
 		t.Fatalf("candidate count %d", len(c))
 	}
 	if c[0] != 2 || c[4] != 4 || c[8] != 6 || c[13] != 0.125 {
@@ -78,7 +104,7 @@ func TestFitStepwiseRecoversLinearTruth(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		m := Metrics{DP: rng.Float64() * 100, T: rng.Float64() * 50, JD: rng.Float64(), DI: rng.Float64()}
 		samples = append(samples, m)
-		targets = append(targets, 10+3*m.DP+2*m.T+0.01*rng.NormFloat64())
+		targets = append(targets, 10+3*m.DP+2*m.T+0.02*(rng.Float64()-0.5))
 	}
 	model, err := FitStepwise(samples, targets, 3, 0.5)
 	if err != nil {

@@ -192,9 +192,6 @@ func NewOnline(bootstrap, maxTerms int, learnRate float64) *Online {
 // Ready reports whether the stepwise model has been established.
 func (o *Online) Ready() bool { return o.model != nil }
 
-// Model exposes the fitted model (nil before bootstrap), for inspection.
-func (o *Online) Model() *Model { return o.model }
-
 // Observe feeds a measured (metrics, target) pair back into the predictor.
 // Pairs carrying NaN or ±Inf are dropped whole: one bad measurement must
 // not poison the bootstrap fit, the running mean, or the online weights.

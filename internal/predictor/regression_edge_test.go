@@ -153,8 +153,8 @@ func TestOnlineDropsNonFinitePairs(t *testing.T) {
 	if !o.Ready() {
 		t.Fatal("clean observations did not bootstrap the model")
 	}
-	if !allFinite(o.Model().Weights) {
-		t.Fatalf("bootstrapped weights non-finite: %v", o.Model().Weights)
+	if !allFinite(o.model.Weights) {
+		t.Fatalf("bootstrapped weights non-finite: %v", o.model.Weights)
 	}
 	if y := o.Predict(Metrics{DP: 5, T: 3}); math.IsNaN(y) || math.IsInf(y, 0) {
 		t.Fatalf("prediction non-finite: %v", y)

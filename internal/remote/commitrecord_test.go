@@ -160,7 +160,7 @@ func TestReplicationLostAckRetryAtQuota(t *testing.T) {
 	if err := rs.Put(ctx, "p0", 0, data); err != nil {
 		t.Fatalf("Put retried after its lost ack, at the tenant's byte quota: %v", err)
 	}
-	if fd.Dials() < 2 {
+	if fd.dials() < 2 {
 		t.Fatal("the ack was not cut: no retry")
 	}
 	if got, ok, err := storage.ReadElem(ctx, fs, "p0", 0); err != nil || !ok || !bytes.Equal(got, data) {

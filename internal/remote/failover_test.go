@@ -80,7 +80,7 @@ func TestReplicationSurvivesPeerDeathAndReset(t *testing.T) {
 	if err := put("p0", chain[0].Seq, chain[0].Data); err != nil {
 		t.Fatalf("replicating full checkpoint: %v", err)
 	}
-	if (resetCfg.Dialer.(*FaultDialer)).Dials() < 2 {
+	if (resetCfg.Dialer.(*FaultDialer)).dials() < 2 {
 		t.Fatal("peer 1's reset never fired; the scenario did not exercise resume")
 	}
 

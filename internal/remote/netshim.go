@@ -49,8 +49,8 @@ type FaultDialer struct {
 	queue []Fault
 }
 
-// Dials reports how many connections have been attempted.
-func (d *FaultDialer) Dials() int {
+// dials reports how many connections have been attempted.
+func (d *FaultDialer) dials() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.n

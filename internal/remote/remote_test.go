@@ -275,8 +275,8 @@ func TestPeerDarkAfterRetryBudget(t *testing.T) {
 		t.Fatalf("retry budget took %v; backoff not capped?", d)
 	}
 	fd := cfg.Dialer.(*FaultDialer)
-	if fd.Dials() != cfg.Retries+1 {
-		t.Fatalf("dial attempts = %d, want %d", fd.Dials(), cfg.Retries+1)
+	if fd.dials() != cfg.Retries+1 {
+		t.Fatalf("dial attempts = %d, want %d", fd.dials(), cfg.Retries+1)
 	}
 }
 

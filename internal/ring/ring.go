@@ -99,9 +99,6 @@ func New(peers []string, vnodes int) *Ring {
 // not mutate.
 func (r *Ring) Peers() []string { return r.peers }
 
-// Vnodes returns the per-peer virtual-node count.
-func (r *Ring) Vnodes() int { return r.vnodes }
-
 // Add returns a new ring with peer joined (r unchanged).
 func (r *Ring) Add(peer string) *Ring {
 	return New(append(append([]string(nil), r.peers...), peer), r.vnodes)
@@ -141,16 +138,6 @@ func (r *Ring) Place(key string, replicas int) []string {
 		}
 	}
 	return out
-}
-
-// Primary returns the first peer of key's replica set, or "" on an empty
-// ring.
-func (r *Ring) Primary(key string) string {
-	set := r.Place(key, 1)
-	if len(set) == 0 {
-		return ""
-	}
-	return set[0]
 }
 
 // Move is one chain relocation a membership change requires: the key must

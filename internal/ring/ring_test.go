@@ -19,6 +19,15 @@ func peersN(n int) []string {
 // cross-version drift in the hash or walk order fails loudly: placement
 // is part of the wire-compatibility surface (every client routes its own
 // writes).
+// primary returns the first peer of key's replica set, or "" on an empty
+// ring.
+func primary(r *Ring, key string) string {
+	if set := r.Place(key, 1); len(set) > 0 {
+		return set[0]
+	}
+	return ""
+}
+
 func TestPlacementGolden(t *testing.T) {
 	r := New(peersN(5), 64)
 	golden := map[string][]string{
@@ -79,8 +88,8 @@ func TestPlaceProperties(t *testing.T) {
 	if set := New(nil, 0).Place("k", 2); set != nil {
 		t.Fatalf("empty ring Place = %v", set)
 	}
-	if p := New([]string{"solo"}, 0).Primary("k"); p != "solo" {
-		t.Fatalf("single-peer Primary = %q", p)
+	if p := primary(New([]string{"solo"}, 0), "k"); p != "solo" {
+		t.Fatalf("single-peer primary = %q", p)
 	}
 }
 
@@ -96,7 +105,7 @@ func TestIncrementalMoves(t *testing.T) {
 	}
 	moved := 0
 	for _, k := range keys {
-		if old.Primary(k) != next.Primary(k) {
+		if primary(old, k) != primary(next, k) {
 			moved++
 		}
 	}
@@ -110,7 +119,7 @@ func TestBalance(t *testing.T) {
 	counts := map[string]int{}
 	const n = 4000
 	for i := 0; i < n; i++ {
-		counts[r.Primary(fmt.Sprintf("t%d@p%d", i%13, i))]++
+		counts[primary(r, fmt.Sprintf("t%d@p%d", i%13, i))]++
 	}
 	want := float64(n) / 8
 	for _, p := range r.Peers() {

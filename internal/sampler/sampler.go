@@ -22,7 +22,6 @@ type Sampler struct {
 	tg       float64
 	adaptive bool
 	entries  []Entry
-	dropped  int
 }
 
 // New creates a sampler holding at most capacityPages samples (the paper
@@ -41,20 +40,6 @@ func New(capacityPages int, initialTg float64) *Sampler {
 // ablation; the buffer still drops overflow samples).
 func (s *Sampler) SetAdaptive(on bool) { s.adaptive = on }
 
-// Tg returns the current grouping threshold.
-func (s *Sampler) Tg() float64 { return s.tg }
-
-// Len returns the number of buffered samples.
-func (s *Sampler) Len() int { return len(s.entries) }
-
-// Dropped returns how many group-leading pages could not be buffered since
-// the last Reset (space-overhead accounting).
-func (s *Sampler) Dropped() int { return s.dropped }
-
-// Samples returns the buffered entries in arrival order. The slice is owned
-// by the sampler; callers must not mutate it.
-func (s *Sampler) Samples() []Entry { return s.entries }
-
 // Observe records a hot-page first-write event. Arrival times must be
 // non-decreasing (they come from the interval's write barrier). Only a page
 // starting a new arrival group is buffered.
@@ -64,8 +49,7 @@ func (s *Sampler) Observe(page uint64, arrival float64) {
 	}
 	if len(s.entries) >= s.capacity {
 		if !s.adaptive {
-			s.dropped++
-			return
+			return // fixed Tg: the overflow sample is dropped
 		}
 		// SB full: keep doubling Tg — merging groups under the widening
 		// threshold and dropping the samples made redundant — until the
@@ -83,7 +67,6 @@ func (s *Sampler) Observe(page uint64, arrival float64) {
 			return // merged into the trailing group
 		}
 		if len(s.entries) >= s.capacity {
-			s.dropped++
 			return
 		}
 	}
@@ -127,5 +110,4 @@ func (s *Sampler) AtDecision() []Entry {
 // learned Tg.
 func (s *Sampler) Reset() {
 	s.entries = s.entries[:0]
-	s.dropped = 0
 }

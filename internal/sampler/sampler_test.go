@@ -7,8 +7,8 @@ import (
 
 func TestDefaults(t *testing.T) {
 	s := New(0, 0)
-	if s.capacity != 2048 || s.Tg() != DefaultTg {
-		t.Fatalf("defaults: cap=%d tg=%v", s.capacity, s.Tg())
+	if s.capacity != 2048 || s.tg != DefaultTg {
+		t.Fatalf("defaults: cap=%d tg=%v", s.capacity, s.tg)
 	}
 }
 
@@ -21,7 +21,7 @@ func TestGroupingByArrivalTime(t *testing.T) {
 	s.Observe(4, 1.5) // new group (1.5-0.0 > 1)
 	s.Observe(5, 2.0) // same group as 4
 	s.Observe(6, 3.0) // new group (3.0-1.5 > 1)
-	got := s.Samples()
+	got := s.entries
 	if len(got) != 3 || got[0].Page != 1 || got[1].Page != 4 || got[2].Page != 6 {
 		t.Fatalf("samples = %v", got)
 	}
@@ -32,21 +32,21 @@ func TestOverflowDoublesTgAndCompacts(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Observe(uint64(i), float64(i)*1.5) // each its own group
 	}
-	if s.Len() != 4 {
-		t.Fatalf("len = %d", s.Len())
+	if len(s.entries) != 4 {
+		t.Fatalf("len = %d", len(s.entries))
 	}
 	// Buffer full; next distinct-group observation must double Tg (1→2)
 	// and merge the 1.5-spaced groups (gap 1.5 ≤ 2).
 	s.Observe(99, 6.0)
-	if s.Tg() != 2.0 {
-		t.Fatalf("Tg = %v, want doubled", s.Tg())
+	if s.tg != 2.0 {
+		t.Fatalf("Tg = %v, want doubled", s.tg)
 	}
-	if s.Len() >= 4 {
-		t.Fatalf("compact did not shrink buffer: %d", s.Len())
+	if len(s.entries) >= 4 {
+		t.Fatalf("compact did not shrink buffer: %d", len(s.entries))
 	}
 	// Leader arrivals after compaction at Tg=2: 0, 3.0(page 2? arrivals
 	// 0,1.5,3,4.5 → keep 0, 3, then 4.5 merges? 4.5-3=1.5 ≤ 2 merge) → {0,3}
-	got := s.Samples()
+	got := s.entries
 	if got[0].Arrival != 0 || got[1].Arrival != 3.0 {
 		t.Fatalf("compacted = %v", got)
 	}
@@ -57,14 +57,14 @@ func TestAtDecisionHalvesWhenSparse(t *testing.T) {
 	s.Observe(1, 0)
 	// 1 < 8/2 → halve.
 	s.AtDecision()
-	if s.Tg() != 0.5 {
-		t.Fatalf("Tg = %v, want 0.5", s.Tg())
+	if s.tg != 0.5 {
+		t.Fatalf("Tg = %v, want 0.5", s.tg)
 	}
 	// Tg has a floor.
 	for i := 0; i < 100; i++ {
 		s.AtDecision()
 	}
-	if s.Tg() <= 0 {
+	if s.tg <= 0 {
 		t.Fatal("Tg must stay positive")
 	}
 }
@@ -73,11 +73,11 @@ func TestAtDecisionKeepsTgWhenHealthy(t *testing.T) {
 	s := New(4, 1.0)
 	s.Observe(1, 0)
 	s.Observe(2, 2)
-	before := s.Tg()
+	before := s.tg
 	if got := s.AtDecision(); len(got) != 2 {
 		t.Fatalf("decision samples = %v", got)
 	}
-	if s.Tg() != before {
+	if s.tg != before {
 		t.Fatal("Tg changed despite half-full buffer")
 	}
 }
@@ -87,12 +87,12 @@ func TestResetKeepsTg(t *testing.T) {
 	s.Observe(1, 0)
 	s.Observe(2, 5)
 	s.AtDecision() // may adjust Tg
-	tg := s.Tg()
+	tg := s.tg
 	s.Reset()
-	if s.Len() != 0 || s.Dropped() != 0 {
+	if len(s.entries) != 0 {
 		t.Fatal("reset did not clear")
 	}
-	if s.Tg() != tg {
+	if s.tg != tg {
 		t.Fatal("reset must retain learned Tg")
 	}
 }
@@ -102,10 +102,10 @@ func TestDroppedCounting(t *testing.T) {
 	s.SetAdaptive(false)
 	s.Observe(0, 0)
 	s.Observe(1, 100)
-	// Full and fixed-Tg: the overflow sample must be dropped (and counted).
+	// Full and fixed-Tg: the overflow sample must be dropped.
 	s.Observe(2, 200)
-	if s.Dropped() != 1 {
-		t.Fatalf("dropped = %d", s.Dropped())
+	if len(s.entries) != 2 || s.entries[1].Page != 1 {
+		t.Fatalf("entries = %v, want the overflow sample dropped", s.entries)
 	}
 }
 
@@ -117,14 +117,14 @@ func TestOverflowDoublesUntilSampleFits(t *testing.T) {
 	s.Observe(0, 0)
 	s.Observe(1, 100)
 	s.Observe(2, 200)
-	if s.Dropped() != 0 {
-		t.Fatalf("dropped = %d after adaptive overflow", s.Dropped())
+	if last := s.entries[len(s.entries)-1]; 200-last.Arrival > s.tg {
+		t.Fatalf("arrival 200 neither buffered nor merged: entries %v, tg %v", s.entries, s.tg)
 	}
-	if s.Len() > 2 {
-		t.Fatalf("len = %d exceeds capacity", s.Len())
+	if len(s.entries) > 2 {
+		t.Fatalf("len = %d exceeds capacity", len(s.entries))
 	}
-	if s.Tg() <= 2e-6 {
-		t.Fatalf("Tg = %v, want repeated doubling", s.Tg())
+	if s.tg <= 2e-6 {
+		t.Fatalf("Tg = %v, want repeated doubling", s.tg)
 	}
 }
 
@@ -133,20 +133,20 @@ func TestSmallCapacityTgAdapts(t *testing.T) {
 	// halving entirely while overflow doubling kept ratcheting Tg upward.
 	s := New(1, 1.0)
 	s.AtDecision() // empty buffer < half capacity → halve
-	if s.Tg() != 0.5 {
-		t.Fatalf("Tg = %v, want 0.5 after halving at capacity 1", s.Tg())
+	if s.tg != 0.5 {
+		t.Fatalf("Tg = %v, want 0.5 after halving at capacity 1", s.tg)
 	}
 	s.Observe(1, 0)
 	s.Observe(2, 10) // overflow: doubles until it merges, never panics
-	if s.Len() != 1 {
-		t.Fatalf("len = %d, want 1", s.Len())
+	if len(s.entries) != 1 {
+		t.Fatalf("len = %d, want 1", len(s.entries))
 	}
 	if got := s.AtDecision(); len(got) != 1 {
 		t.Fatalf("decision samples = %v", got)
 	}
 	// Buffer full (1 ≥ 1/2): Tg must not halve now.
-	if s.Tg() < 0.5 {
-		t.Fatalf("Tg = %v halved despite full buffer", s.Tg())
+	if s.tg < 0.5 {
+		t.Fatalf("Tg = %v halved despite full buffer", s.tg)
 	}
 }
 
@@ -159,11 +159,11 @@ func TestInvariantsProperty(t *testing.T) {
 		for i, g := range gaps {
 			now += float64(g) / 16
 			s.Observe(uint64(i), now)
-			if s.Len() > capacity {
+			if len(s.entries) > capacity {
 				return false
 			}
 		}
-		samples := s.Samples()
+		samples := s.entries
 		for i := 1; i < len(samples); i++ {
 			if samples[i].Arrival < samples[i-1].Arrival {
 				return false
@@ -187,9 +187,9 @@ func TestGroupSeparationProperty(t *testing.T) {
 			now += float64(g) / 64
 			s.Observe(uint64(i), now)
 		}
-		samples := s.Samples()
+		samples := s.entries
 		for i := 1; i < len(samples); i++ {
-			if samples[i].Arrival-samples[i-1].Arrival <= s.Tg() {
+			if samples[i].Arrival-samples[i-1].Arrival <= s.tg {
 				return false
 			}
 		}

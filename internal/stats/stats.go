@@ -1,14 +1,8 @@
-// Package stats provides small summary-statistics helpers used by the
-// experiment harness and the AIC predictor: means, deviations, percentiles
-// and series normalization.
+// Package stats provides the summary-statistics helper the experiment
+// harness and the AIC predictor share: a compensated mean.
 package stats
 
-import (
-	"math"
-	"sort"
-
-	"aic/internal/numeric"
-)
+import "aic/internal/numeric"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -20,100 +14,4 @@ func Mean(xs []float64) float64 {
 		k.Add(v)
 	}
 	return k.Value() / float64(len(xs))
-}
-
-// Variance returns the population variance of xs, or 0 when len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var k numeric.KahanSum
-	for _, v := range xs {
-		d := v - m
-		k.Add(d * d)
-	}
-	return k.Value() / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
-// Min returns the minimum of xs; it panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs; it panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, v := range xs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Percentile of empty slice")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
-// NormalizeByMean divides each element by the series mean, the
-// normalization used for Fig. 2 ("delta latency / mean latency over the
-// interval"). A zero-mean series is returned unchanged.
-func NormalizeByMean(xs []float64) []float64 {
-	m := Mean(xs)
-	out := make([]float64, len(xs))
-	if m == 0 {
-		copy(out, xs)
-		return out
-	}
-	for i, v := range xs {
-		out[i] = v / m
-	}
-	return out
-}
-
-// RelChange returns (a-b)/b, the relative change of a versus baseline b.
-func RelChange(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return (a - b) / b
 }

@@ -1,12 +1,6 @@
 package stats
 
-import (
-	"math"
-	"testing"
-	"testing/quick"
-)
-
-func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+import "testing"
 
 func TestMean(t *testing.T) {
 	if Mean(nil) != 0 {
@@ -14,97 +8,5 @@ func TestMean(t *testing.T) {
 	}
 	if Mean([]float64{2, 4, 6}) != 4 {
 		t.Fatal("Mean([2 4 6]) != 4")
-	}
-}
-
-func TestVarianceAndStdDev(t *testing.T) {
-	if Variance([]float64{5}) != 0 {
-		t.Fatal("variance of singleton must be 0")
-	}
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !almostEq(Variance(xs), 4, 1e-12) {
-		t.Fatalf("variance = %v, want 4", Variance(xs))
-	}
-	if !almostEq(StdDev(xs), 2, 1e-12) {
-		t.Fatalf("stddev = %v, want 2", StdDev(xs))
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if Min(xs) != -1 || Max(xs) != 7 {
-		t.Fatalf("min/max = %v/%v", Min(xs), Max(xs))
-	}
-}
-
-func TestMinPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Min(empty) did not panic")
-		}
-	}()
-	Min(nil)
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {100, 5}, {50, 3}, {25, 2}, {75, 4}, {10, 1.4},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEq(got, c.want, 1e-12) {
-			t.Fatalf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if Median(xs) != 3 {
-		t.Fatal("median")
-	}
-}
-
-func TestPercentileDoesNotMutate(t *testing.T) {
-	xs := []float64{3, 1, 2}
-	Percentile(xs, 50)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Fatalf("input mutated: %v", xs)
-	}
-}
-
-func TestNormalizeByMean(t *testing.T) {
-	out := NormalizeByMean([]float64{1, 2, 3})
-	if !almostEq(Mean(out), 1, 1e-12) {
-		t.Fatalf("normalized mean = %v", Mean(out))
-	}
-	zero := NormalizeByMean([]float64{0, 0})
-	if zero[0] != 0 || zero[1] != 0 {
-		t.Fatal("zero-mean series changed")
-	}
-}
-
-// Property: normalizing any non-degenerate series yields mean 1.
-func TestNormalizeByMeanProperty(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e6 {
-				continue
-			}
-			xs = append(xs, math.Abs(v)+1) // strictly positive
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		return almostEq(Mean(NormalizeByMean(xs)), 1, 1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRelChange(t *testing.T) {
-	if RelChange(3, 2) != 0.5 {
-		t.Fatal("RelChange(3,2)")
-	}
-	if RelChange(1, 0) != 0 {
-		t.Fatal("RelChange with zero baseline must be 0")
 	}
 }

@@ -15,7 +15,8 @@ import (
 // whether to shed load, truncate old chains, or surface the rejection.
 var ErrQuotaExceeded = errors.New("tenant quota exceeded")
 
-// Quota is one tenant's admission limits. Zero fields are unlimited.
+// Quota holds the admission limits every tenant gets. Zero fields are
+// unlimited.
 type Quota struct {
 	// MaxBytes caps the tenant's total stored checkpoint bytes, stripe
 	// chains included.
@@ -43,11 +44,12 @@ func (u *tenantUsage) chainCount() int {
 	return n
 }
 
-// QuotaStore wraps a Store with per-tenant byte/chain quotas and admission
-// control. Tenants are derived from the composed key (ParseKey), so the
-// wrapper slots between the replication server and its backing store
-// without changing the Store contract: a Put that would exceed the
-// tenant's quota fails with ErrQuotaExceeded before any inner I/O.
+// QuotaStore wraps a Store with per-tenant byte/chain admission control,
+// every tenant held to one Quota. Tenants are derived from the composed
+// key (ParseKey), so the wrapper slots between the replication server and
+// its backing store without changing the Store contract: a Put that would
+// exceed the tenant's quota fails with ErrQuotaExceeded before any inner
+// I/O.
 //
 // The ledger is seeded lazily per tenant from the inner store's contents,
 // then maintained incrementally. Reservation happens under the ledger lock
@@ -57,10 +59,10 @@ func (u *tenantUsage) chainCount() int {
 type QuotaStore struct {
 	inner Store
 
-	mu      sync.Mutex
-	def     Quota
-	tenants map[string]Quota        // per-tenant overrides
-	usage   map[string]*tenantUsage // tenant → ledger (nil until seeded)
+	quota Quota // every tenant's limits
+
+	mu    sync.Mutex
+	usage map[string]*tenantUsage // tenant → ledger (nil until seeded)
 
 	rejects *metrics.CounterVec // nil unless SetMetrics; nil-safe
 	used    *metrics.GaugeVec
@@ -71,13 +73,12 @@ var (
 	_ SeqGetter = (*QuotaStore)(nil)
 )
 
-// NewQuotaStore wraps inner with the given default per-tenant quota.
-func NewQuotaStore(inner Store, def Quota) *QuotaStore {
+// NewQuotaStore wraps inner, giving every tenant quota.
+func NewQuotaStore(inner Store, quota Quota) *QuotaStore {
 	return &QuotaStore{
-		inner:   inner,
-		def:     def,
-		tenants: make(map[string]Quota),
-		usage:   make(map[string]*tenantUsage),
+		inner: inner,
+		quota: quota,
+		usage: make(map[string]*tenantUsage),
 	}
 }
 
@@ -91,46 +92,6 @@ func (q *QuotaStore) SetMetrics(reg *metrics.Registry) {
 		"Puts refused by tenant quota admission control.", "tenant")
 	q.used = reg.GaugeVec("aic_tenant_usage_bytes",
 		"Stored checkpoint bytes per tenant, as accounted by admission control.", "tenant")
-}
-
-// SetQuota sets (or, with a zero Quota, clears back to the default) one
-// tenant's limits. Shrinking a quota below the tenant's current usage is
-// allowed: existing chains stay readable, and further Puts are refused
-// until usage drops beneath the new limit.
-func (q *QuotaStore) SetQuota(tenant string, quota Quota) error {
-	if err := ValidateTenantName(tenant); err != nil {
-		return err
-	}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if quota == (Quota{}) {
-		delete(q.tenants, tenant)
-	} else {
-		q.tenants[tenant] = quota
-	}
-	return nil
-}
-
-// QuotaFor returns the limits in force for tenant.
-func (q *QuotaStore) QuotaFor(tenant string) Quota {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if quota, ok := q.tenants[tenant]; ok {
-		return quota
-	}
-	return q.def
-}
-
-// Usage returns the tenant's accounted bytes and user-chain count. It does
-// not force a ledger seed: an untouched tenant reports zero.
-func (q *QuotaStore) Usage(tenant string) (bytes int64, chains int) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	u := q.usage[tenant]
-	if u == nil {
-		return 0, 0
-	}
-	return u.bytes, u.chainCount()
 }
 
 // byteSizer is the cheap per-chain size probe FSStore exposes; stores
@@ -201,7 +162,7 @@ func (q *QuotaStore) Put(ctx context.Context, name string, seq int, data []byte)
 	if err != nil {
 		return err
 	}
-	quota := q.QuotaFor(tenant)
+	quota := q.quota
 	// Migration copies (rebalance moving committed chains between peers)
 	// were admitted when first written; refusing them here would strand a
 	// committed checkpoint. They bypass the limits but stay accounted.

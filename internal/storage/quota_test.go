@@ -10,6 +10,18 @@ import (
 	"aic/internal/metrics"
 )
 
+// usageOf returns the tenant's accounted bytes and user-chain count,
+// zero for a tenant whose ledger is not seeded yet.
+func usageOf(q *QuotaStore, tenant string) (bytes int64, chains int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	u := q.usage[tenant]
+	if u == nil {
+		return 0, 0
+	}
+	return u.bytes, u.chainCount()
+}
+
 func TestQuotaExactlyAtLimit(t *testing.T) {
 	ctx := context.Background()
 	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{MaxBytes: 100})
@@ -26,21 +38,20 @@ func TestQuotaExactlyAtLimit(t *testing.T) {
 	if !errors.Is(err, ErrQuotaExceeded) {
 		t.Fatalf("over-limit Put = %v, want ErrQuotaExceeded", err)
 	}
-	if bytes, chains := qs.Usage("acme"); bytes != 100 || chains != 1 {
+	if bytes, chains := usageOf(qs, "acme"); bytes != 100 || chains != 1 {
 		t.Fatalf("Usage = (%d, %d), want (100, 1)", bytes, chains)
 	}
 }
 
 func TestQuotaShrinkBelowUsage(t *testing.T) {
+	// A daemon restarted with a smaller quota than the tenant already
+	// uses: the ledger seeds from the store's contents.
 	ctx := context.Background()
-	qs := NewQuotaStore(NewMemStore(Target{Name: "mem"}), Quota{})
-
-	if err := qs.Put(ctx, "acme@db", 1, make([]byte, 500)); err != nil {
+	inner := NewMemStore(Target{Name: "mem"})
+	if err := inner.Put(ctx, "acme@db", 1, make([]byte, 500)); err != nil {
 		t.Fatal(err)
 	}
-	if err := qs.SetQuota("acme", Quota{MaxBytes: 100}); err != nil {
-		t.Fatal(err)
-	}
+	qs := NewQuotaStore(inner, Quota{MaxBytes: 100})
 	// Existing data stays readable...
 	chain, _, err := qs.Get(ctx, "acme@db")
 	if err != nil || len(chain) != 1 {
@@ -91,7 +102,7 @@ func TestQuotaConcurrentRace(t *testing.T) {
 	if admitted != 10 || rejected != 10 {
 		t.Fatalf("admitted %d, rejected %d; want 10/10", admitted, rejected)
 	}
-	if bytes, _ := qs.Usage("acme"); bytes != 1000 {
+	if bytes, _ := usageOf(qs, "acme"); bytes != 1000 {
 		t.Fatalf("usage = %d, want exactly 1000", bytes)
 	}
 	if v, ok := reg.Value("aic_tenant_quota_rejects_total", "acme"); !ok || v != 10 {
@@ -149,7 +160,7 @@ func TestQuotaSeedsFromExistingStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The legacy chain seeded the default tenant's ledger, not acme's.
-	if bytes, _ := qs.Usage("acme"); bytes != 100 {
+	if bytes, _ := usageOf(qs, "acme"); bytes != 100 {
 		t.Fatalf("acme usage = %d, want 100", bytes)
 	}
 }
@@ -167,7 +178,7 @@ func TestQuotaTruncateReturnsBytes(t *testing.T) {
 	if err := qs.Truncate(ctx, "acme@db", 2); err != nil {
 		t.Fatal(err)
 	}
-	if bytes, _ := qs.Usage("acme"); bytes != 30 {
+	if bytes, _ := usageOf(qs, "acme"); bytes != 30 {
 		t.Fatalf("usage after truncate = %d, want 30", bytes)
 	}
 	if err := qs.Put(ctx, "acme@db", 3, make([]byte, 70)); err != nil {
@@ -187,7 +198,7 @@ func TestQuotaFailedPutReleasesReservation(t *testing.T) {
 	if err := qs.Put(ctx, "acme@db", 5, make([]byte, 50)); !errors.Is(err, ErrStaleSeq) {
 		t.Fatalf("stale Put = %v, want ErrStaleSeq", err)
 	}
-	if bytes, _ := qs.Usage("acme"); bytes != 50 {
+	if bytes, _ := usageOf(qs, "acme"); bytes != 50 {
 		t.Fatalf("usage after failed Put = %d, want 50", bytes)
 	}
 	if err := qs.Put(ctx, "acme@db", 6, make([]byte, 50)); err != nil {
@@ -214,7 +225,7 @@ func TestQuotaMigrationBypassesAdmission(t *testing.T) {
 	if err := qs.Put(WithMigration(ctx), "acme@web", 0, make([]byte, 20)); err != nil {
 		t.Fatalf("migration Put = %v, want nil", err)
 	}
-	if bytes, chains := qs.Usage("acme"); bytes != 110 || chains != 2 {
+	if bytes, chains := usageOf(qs, "acme"); bytes != 110 || chains != 2 {
 		t.Fatalf("Usage = (%d, %d), want (110, 2)", bytes, chains)
 	}
 	// The transient overshoot is visible to ordinary admission: new writes

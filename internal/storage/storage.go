@@ -101,20 +101,6 @@ func BenchSystem(sizeScale float64, footprintBytes int64) System {
 	return s.ScaleFootprint(float64(footprintBytes) / (1 << 30))
 }
 
-// ShareCheckpointCore divides the checkpointing core's resources (compression
-// throughput and remote send bandwidth) among sf processes, the paper's
-// worst-case sharing-factor model.
-func (s System) ShareCheckpointCore(sf float64) System {
-	if sf < 1 {
-		sf = 1
-	}
-	out := s
-	out.CompressBps /= sf
-	out.RAID5.BandwidthBps /= sf
-	out.Remote.BandwidthBps /= sf
-	return out
-}
-
 // CompressTime returns the modelled delta-compression latency for reading
 // in input bytes, compressing, and writing out output bytes via the local
 // disk — the paper's dl measurement ("time to read two checkpoints, conduct

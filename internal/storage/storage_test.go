@@ -50,19 +50,6 @@ func TestCoastalScaling(t *testing.T) {
 	}
 }
 
-func TestShareCheckpointCore(t *testing.T) {
-	s := Coastal(1).ShareCheckpointCore(4)
-	if math.Abs(s.CompressBps*4-Coastal(1).CompressBps) > 1 {
-		t.Fatal("compression rate must divide by SF")
-	}
-	if math.Abs(s.Remote.BandwidthBps*4-Coastal(1).Remote.BandwidthBps) > 1 {
-		t.Fatal("remote bandwidth must divide by SF")
-	}
-	if Coastal(1).ShareCheckpointCore(0.25).CompressBps != Coastal(1).CompressBps {
-		t.Fatal("SF < 1 must clamp")
-	}
-}
-
 func TestCompressTimeComponents(t *testing.T) {
 	s := System{
 		LocalDisk:   Target{BandwidthBps: 100, LatencySec: 0},

@@ -89,19 +89,6 @@ func Sphinx3(seed uint64) *Synthetic {
 	})
 }
 
-// All returns the six Table 3 benchmarks, seeded deterministically from
-// seed.
-func All(seed uint64) []Program {
-	return []Program{
-		Bzip2(seed + 1),
-		Sjeng(seed + 2),
-		Libquantum(seed + 3),
-		Milc(seed + 4),
-		Lbm(seed + 5),
-		Sphinx3(seed + 6),
-	}
-}
-
 // ByName returns the named benchmark or an error listing the valid names.
 func ByName(name string, seed uint64) (Program, error) {
 	switch name {

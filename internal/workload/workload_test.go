@@ -7,8 +7,17 @@ import (
 	"aic/internal/memsim"
 )
 
+// all returns the six Table 3 benchmarks, seeded deterministically from
+// seed.
+func all(seed uint64) []Program {
+	return []Program{
+		Bzip2(seed + 1), Sjeng(seed + 2), Libquantum(seed + 3),
+		Milc(seed + 4), Lbm(seed + 5), Sphinx3(seed + 6),
+	}
+}
+
 func TestAllBenchmarksConstruct(t *testing.T) {
-	progs := All(42)
+	progs := all(42)
 	if len(progs) != 6 {
 		t.Fatalf("got %d benchmarks", len(progs))
 	}
@@ -41,7 +50,7 @@ func TestBaseTimesMatchPaper(t *testing.T) {
 		"bzip2": 152, "sjeng": 661, "libquantum": 846,
 		"milc": 527, "lbm": 462, "sphinx3": 749,
 	}
-	for _, p := range All(1) {
+	for _, p := range all(1) {
 		if p.BaseTime() != want[p.Name()] {
 			t.Fatalf("%s base time %v, want %v", p.Name(), p.BaseTime(), want[p.Name()])
 		}
@@ -61,7 +70,7 @@ func TestInitMapsFootprint(t *testing.T) {
 }
 
 func TestStepProducesDirtyPages(t *testing.T) {
-	for _, p := range All(7) {
+	for _, p := range all(7) {
 		as := memsim.New(0)
 		p.Init(as)
 		as.ResetDirty()
