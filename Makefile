@@ -44,10 +44,11 @@ fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=FuzzParseRecipe -fuzztime=20s ./internal/storage
 	$(GO) test -run=^$$ -fuzz=FuzzFSStoreOps -fuzztime=20s ./internal/storage
 
-chaos-smoke: ## the three chaos smoke steps CI runs, under the race detector: soak seeds, ring churn, compaction chaos
+chaos-smoke: ## the four chaos smoke steps CI runs, under the race detector: soak seeds, ring churn, compaction chaos, saturation shed ladder
 	$(GO) test -race -run 'TestChaosShort|TestChaosSmokeSeeds|TestChaosKnownBad' ./internal/chaos
 	$(GO) test -race -run 'TestRingChurn' ./internal/chaos
 	$(GO) test -race -short -run 'TestCompactionChaos' ./internal/chaos
+	$(GO) test -race -run 'TestSaturationShedRecover' ./internal/chaos
 
 bench-smoke: ## one iteration of the codec, dedup and simulator benchmarks, as CI runs them, so they cannot rot
 	$(GO) test -run '^$$' -bench 'PageAligned|EncodeAllocs|RestoreChain|CheckpointWrite|AICRunSphinx3|MonteCarloValidation|DeciderWorkSpanSearch' -benchtime 1x -benchmem .

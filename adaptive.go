@@ -1,8 +1,6 @@
 package aic
 
 import (
-	"math"
-
 	"aic/internal/control"
 	"aic/internal/metrics"
 )
@@ -71,52 +69,28 @@ func (m *dirMetrics) observeAppend(degraded, shed bool) {
 	}
 }
 
-// The CheckpointDir is the adaptive controller's actuator: the three Set
-// methods below satisfy control.Actuator, storing knob positions in atomics
-// the hot paths (and the embedding application) consult lock-free.
-
-// SetIntervalScale implements the controller's interval knob. Schedulers
-// pacing checkpoints should multiply their configured interval by
-// IntervalScale each round; scales below 1 clamp to 1.
-func (d *CheckpointDir) SetIntervalScale(scale float64) {
-	if scale < 1 || math.IsNaN(scale) {
-		scale = 1
+// level is the shed-ladder rung the directory acts on: its controller's
+// level, or LevelNormal when it was opened without WithAdaptiveControl.
+func (d *CheckpointDir) level() control.Level {
+	if d.ctrl == nil {
+		return control.LevelNormal
 	}
-	d.intervalScale.Store(math.Float64bits(scale))
+	return d.ctrl.Level()
 }
 
-// IntervalScale returns the checkpoint-interval multiplier the controller
-// currently requests (1 when unset or at LevelNormal).
-func (d *CheckpointDir) IntervalScale() float64 {
-	bits := d.intervalScale.Load()
-	if bits == 0 {
-		return 1
-	}
-	return math.Float64frombits(bits)
-}
+// IntervalScale returns the checkpoint-interval multiplier the current shed
+// level implies (1 at ControlNormal). Schedulers pacing checkpoints should
+// multiply their configured interval by it each round.
+func (d *CheckpointDir) IntervalScale() float64 { return d.level().Settings().IntervalScale }
 
-// SetParallelism implements the controller's encode-parallelism cap: 0
-// restores the configured default, 1 forces the serial encoder. Appliers
-// drive Process.SetParallelism (or rebuild workers) from EncodeParallelism.
-func (d *CheckpointDir) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	d.parCap.Store(int32(n))
-}
-
-// EncodeParallelism returns the controller's current worker cap (0 = use
-// the configured default).
-func (d *CheckpointDir) EncodeParallelism() int { return int(d.parCap.Load()) }
-
-// SetReplication implements the controller's replication knob: disabled
-// sheds the peer fan-out, so Append commits locally and returns without
-// consulting the peer group.
-func (d *CheckpointDir) SetReplication(enabled bool) { d.replShed.Store(!enabled) }
+// EncodeParallelism returns the encode-worker cap the current shed level
+// implies (0 = use the configured default, 1 = serial). Appliers drive
+// Process.SetParallelism (or rebuild workers) from it.
+func (d *CheckpointDir) EncodeParallelism() int { return d.level().Settings().Parallelism }
 
 // ReplicationEnabled reports whether Appends currently fan out to the
-// peer group (always true until a controller sheds replication).
-func (d *CheckpointDir) ReplicationEnabled() bool { return !d.replShed.Load() }
+// peer group: true except while the controller is at ControlLocalOnly.
+func (d *CheckpointDir) ReplicationEnabled() bool { return d.level().Settings().Replication }
 
 // Metrics returns the registry the directory was opened with (nil without
 // WithMetrics/WithAdaptiveControl). Mount Metrics().Handler() at /metrics.

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"aic/internal/ckpt"
@@ -235,13 +234,6 @@ type CheckpointDir struct {
 	ctrl *control.Controller // nil unless opened WithAdaptiveControl
 
 	comp *compact.Compactor // nil unless opened WithCompaction
-
-	// Adaptive-control knob positions (see adaptive.go). Atomics so the
-	// controller's actuator writes never contend with hot-path reads; the
-	// zero values mean "all knobs at defaults, replication on".
-	intervalScale atomic.Uint64 // float bits; 0 reads as 1
-	parCap        atomic.Int32  // encode-worker cap; 0 = configured default
-	replShed      atomic.Bool   // true while the controller shed replication
 }
 
 // Append stores an encoded checkpoint under the process name. Sequence
@@ -257,16 +249,16 @@ type CheckpointDir struct {
 // wrapping ErrDegraded — the checkpoint is safe locally and callers may
 // continue in degraded local-only mode or treat the loss of redundancy as
 // fatal. A replica that already holds these very bytes at seq (a retry
-// after a lost ack) acks. While an adaptive controller has shed
-// replication (SetReplication(false)), the replica set shrinks to the local
-// store deliberately and Append succeeds local-only without an error; the
-// skip is counted in aic_ckptdir_append_shed_total.
+// after a lost ack) acks. While the adaptive controller is at
+// ControlLocalOnly (ReplicationEnabled reports false), the replica set
+// shrinks to the local store deliberately and Append succeeds local-only
+// without an error; the skip is counted in aic_ckptdir_append_shed_total.
 func (d *CheckpointDir) Append(ctx context.Context, proc string, seq int, encoded []byte) error {
 	if emb, err := ckpt.PeekSeq(encoded); err == nil && emb != seq {
 		return fmt.Errorf("aic: append %s: label seq %d but the checkpoint itself is seq %d (label with Process.Seq before the checkpoint, or Seq-1 after)", proc, seq, emb)
 	}
 	n := len(d.stores)
-	shed := n > 1 && d.replShed.Load()
+	shed := n > 1 && !d.ReplicationEnabled()
 	if shed {
 		n = 1
 	}

@@ -94,7 +94,7 @@ func main() {
 	var store storage.Store = fs
 	var quota *storage.QuotaStore
 	if *quotaBytes > 0 || *quotaChains > 0 {
-		quota = storage.NewQuotaStore(store, storage.Quota{MaxBytes: *quotaBytes, MaxChains: *quotaChains})
+		quota = storage.NewQuotaStore(fs, storage.Quota{MaxBytes: *quotaBytes, MaxChains: *quotaChains})
 		store = quota
 		log.Printf("aicd: per-tenant quota: %d bytes, %d chains (0 = unlimited)", *quotaBytes, *quotaChains)
 	}
@@ -123,10 +123,10 @@ func main() {
 			quota.SetMetrics(reg)
 		}
 		// The daemon's controller observes only: it classifies this peer's
-		// saturation for operators (and the /control endpoint) without
-		// actuating anything — interval and replication decisions belong to
-		// the writing node's CheckpointDir controller.
-		ctrl := control.New(control.Config{}, control.NewRegistryCollector(reg), &control.NopActuator{}, reg)
+		// saturation for operators (and the /control endpoint), and nothing
+		// here reads its level — interval and replication decisions belong
+		// to the writing node's CheckpointDir controller.
+		ctrl := control.New(control.Config{}, control.NewRegistryCollector(reg), reg)
 		go ctrl.Run(ctx, *controlEvery)
 
 		mux := http.NewServeMux()

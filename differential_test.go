@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"aic/internal/compact"
 	"aic/internal/storage"
 )
 
@@ -365,16 +366,13 @@ func TestDifferentialCompactionPreservesRestore(t *testing.T) {
 }
 
 func TestDedupRequiresDirectoryStore(t *testing.T) {
-	mem := storage.NewMemStore(storage.Target{Name: "mem"})
-	// A store with anchor replacement that is not a *storage.FSStore.
-	ls := struct {
-		storage.Store
-		storage.AnchorReplacer
-	}{mem, mem}
+	// A store with anchor replacement and chunk GC that is not a
+	// *storage.FSStore.
+	ls := struct{ compact.Store }{storage.NewMemStore(storage.Target{Name: "mem"})}
 	if _, err := OpenCheckpointDir("", WithStore(ls), WithDedup(smallDedup())); err == nil {
 		t.Fatal("WithDedup over a non-directory store must fail to open")
 	}
-	// It supports anchor replacement, so compaction alone is fine.
+	// It has what the compactor needs, so compaction alone is fine.
 	d, err := OpenCheckpointDir("", WithStore(ls), WithCompaction(CompactionConfig{}))
 	if err != nil {
 		t.Fatal(err)

@@ -2,10 +2,10 @@
 // whole-program analyzers. It builds a call graph over every loaded
 // package at once — direct calls resolved through the type checker,
 // interface method calls resolved against the method sets of every
-// concrete type the program defines (storage.Store, control.Actuator and
-// the FS shim being the motivating interfaces) — computes a per-function
-// summary (durability and network effects, shutdown edges, unexitable
-// spin loops, lock acquisitions), and propagates summaries bottom-up to a
+// concrete type the program defines (storage.Store and the FS shim being
+// the motivating interfaces) — computes a per-function summary
+// (durability and network effects, shutdown edges, unexitable spin loops,
+// lock acquisitions), and propagates summaries bottom-up to a
 // fixpoint. Analyzers then reason about a call site through its callee's
 // transitive summary: "this ack is preceded by a call that eventually
 // fsyncs", "this function eventually takes that lock".

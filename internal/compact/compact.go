@@ -34,16 +34,13 @@ import (
 )
 
 // Store is what the compactor needs from a checkpoint store: the base
-// contract plus the anchor flip. *storage.FSStore, on disk or in memory,
+// contract, the anchor flip, and the chunk GC that runs after each pass (a
+// no-op on a store without dedup). *storage.FSStore, on disk or in memory,
 // qualifies.
 type Store interface {
 	storage.Store
 	storage.AnchorReplacer
-}
-
-// chunkGC is the optional GC hook a dedup-enabled FSStore provides.
-type chunkGC interface {
-	GCChunks(ctx context.Context) (int, int64, error)
+	GCChunks(ctx context.Context) (removed int, reclaimed int64, err error)
 }
 
 // Config tunes the compactor. The zero value compacts chains longer than
@@ -176,13 +173,11 @@ func (c *Compactor) RunOnce(ctx context.Context) (*Report, error) {
 			}
 		}
 	}
-	if gc, ok := c.store.(chunkGC); ok {
-		n, b, err := gc.GCChunks(ctx)
-		if err != nil {
-			return rep, err
-		}
-		rep.ChunksReclaimed, rep.BytesReclaimed = n, b
+	n, b, err := c.store.GCChunks(ctx)
+	if err != nil {
+		return rep, err
 	}
+	rep.ChunksReclaimed, rep.BytesReclaimed = n, b
 	if c.met != nil {
 		c.met.dur.Observe(time.Since(t0).Seconds())
 	}

@@ -44,33 +44,3 @@ func (c *RegistryCollector) Collect() Signals {
 	}
 	return sig
 }
-
-// NopActuator records the last applied settings and otherwise does
-// nothing — the observe-only actuator cmd/aicd uses, and a test double.
-type NopActuator struct {
-	mu          sync.Mutex
-	Scale       float64
-	Parallelism int
-	Replication bool
-}
-
-// SetIntervalScale implements Actuator.
-func (a *NopActuator) SetIntervalScale(s float64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.Scale = s
-}
-
-// SetParallelism implements Actuator.
-func (a *NopActuator) SetParallelism(n int) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.Parallelism = n
-}
-
-// SetReplication implements Actuator.
-func (a *NopActuator) SetReplication(on bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.Replication = on
-}

@@ -1,4 +1,4 @@
-// Package control closes the observe→decide→actuate loop over the metrics
+// Package control closes the observe→decide loop over the metrics
 // the storage stack exports. The paper's per-process interval decider
 // (sampler.Tuner) adapts one process to its own dirty-page rate; this
 // package adapts the fleet to the storage tier as a whole: when fsync
@@ -6,15 +6,17 @@
 // interval, then lowers encode parallelism, then sheds the replication
 // factor — and walks each step back with hysteresis once headroom returns.
 //
-// The pipeline is three small pieces so each is testable alone:
+// The pipeline is two pieces, each testable alone:
 //
 //	Collector  — samples Signals (fsync p99) from a metrics.Registry
 //	             using windowed histogram deltas
 //	Controller — the saturation analyzer: classifies each sample into
 //	             saturated / healthy / neutral bands and runs the
 //	             shed-ladder state machine with streak-based hysteresis
-//	Actuator   — applies a shed Level to the running system (the aic
-//	             facade's CheckpointDir implements this)
+//
+// The controller's Level is the ladder's only state. Nothing is pushed
+// anywhere: whoever acts on the ladder (the aic facade's CheckpointDir)
+// reads the Level and derives its knob positions through Level.Settings.
 //
 // The Controller core is Step(), a pure state transition on one sample —
 // deterministic by construction, so the chaos harness and the table tests
@@ -44,19 +46,6 @@ type Collector interface {
 	Collect() Signals
 }
 
-// Actuator applies a shed level's knob settings to the running system.
-// Implementations must tolerate repeated application of the same values.
-type Actuator interface {
-	// SetIntervalScale widens (>1) or restores (1) the checkpoint
-	// interval multiplier schedulers consult.
-	SetIntervalScale(scale float64)
-	// SetParallelism caps the encode worker count; 0 restores the
-	// configured default.
-	SetParallelism(n int)
-	// SetReplication enables or sheds the peer fan-out.
-	SetReplication(enabled bool)
-}
-
 // Level is a rung on the shed ladder.
 type Level int
 
@@ -66,7 +55,7 @@ type Level int
 // replication is last because it spends durability.
 const (
 	LevelNormal       Level = iota // all knobs at configured defaults
-	LevelWideInterval              // checkpoint interval ×IntervalScale
+	LevelWideInterval              // checkpoint interval ×wideIntervalScale
 	LevelSerialEncode              // + encode parallelism capped at 1
 	LevelLocalOnly                 // + replication fan-out shed
 )
@@ -85,6 +74,42 @@ func (l Level) String() string {
 	return "unknown"
 }
 
+// Settings are the knob positions a Level implies.
+type Settings struct {
+	// IntervalScale is the checkpoint-interval multiplier schedulers
+	// apply: 1, or wideIntervalScale from LevelWideInterval up.
+	IntervalScale float64
+	// Parallelism caps the encode worker count: 0 keeps the configured
+	// default, 1 (from LevelSerialEncode up) forces the serial encoder.
+	Parallelism int
+	// Replication is false only at LevelLocalOnly, where appends skip the
+	// peer fan-out.
+	Replication bool
+}
+
+// Settings is the one rule from a ladder rung to its knob positions.
+func (l Level) Settings() Settings {
+	s := Settings{IntervalScale: 1, Replication: l < LevelLocalOnly}
+	if l >= LevelWideInterval {
+		s.IntervalScale = wideIntervalScale
+	}
+	if l >= LevelSerialEncode {
+		s.Parallelism = 1
+	}
+	return s
+}
+
+const (
+	// wideIntervalScale is the checkpoint-interval multiplier from
+	// LevelWideInterval up.
+	wideIntervalScale = 2
+	// recoverFactor defines the healthy band: a sample is healthy only
+	// when the fsync p99 is strictly below recoverFactor×the threshold.
+	// Samples between the bands hold the current level and reset both
+	// streaks, which is what prevents oscillation.
+	recoverFactor = 0.5
+)
+
 // Config tunes the saturation analyzer. The zero value selects the
 // documented defaults (DESIGN.md §14).
 type Config struct {
@@ -98,14 +123,6 @@ type Config struct {
 	// healthy samples. Default 6 — recovery is deliberately slower than
 	// shedding.
 	RecoverAfter int `json:"recover_after"`
-	// RecoverFactor defines the healthy band: a sample is healthy only
-	// when the fsync p99 is strictly below RecoverFactor×its threshold.
-	// Samples between the bands hold the current level and reset both
-	// streaks, which is what prevents oscillation. Default 0.5.
-	RecoverFactor float64 `json:"recover_factor"`
-	// IntervalScale is the widened checkpoint-interval multiplier applied
-	// from LevelWideInterval up. Default 2.
-	IntervalScale float64 `json:"interval_scale"`
 	// MaxLevel caps the ladder (e.g. LevelSerialEncode to never shed
 	// replication). Default LevelLocalOnly.
 	MaxLevel Level `json:"max_level"`
@@ -120,12 +137,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 6
-	}
-	if c.RecoverFactor <= 0 || c.RecoverFactor >= 1 {
-		c.RecoverFactor = 0.5
-	}
-	if c.IntervalScale <= 1 {
-		c.IntervalScale = 2
 	}
 	if c.MaxLevel <= 0 || c.MaxLevel > LevelLocalOnly {
 		c.MaxLevel = LevelLocalOnly
@@ -147,7 +158,6 @@ type Decision struct {
 type Controller struct {
 	cfg Config
 	col Collector
-	act Actuator
 
 	mu        sync.Mutex
 	level     Level
@@ -162,20 +172,18 @@ type Controller struct {
 	cRestores *metrics.Counter
 }
 
-// New builds a controller. reg may be nil (the controller then exports no
-// metrics about itself); col and act must be non-nil.
-func New(cfg Config, col Collector, act Actuator, reg *metrics.Registry) *Controller {
+// New builds a controller at LevelNormal. reg may be nil (the controller
+// then exports no metrics about itself); col must be non-nil.
+func New(cfg Config, col Collector, reg *metrics.Registry) *Controller {
 	c := &Controller{
 		cfg:       cfg.withDefaults(),
 		col:       col,
-		act:       act,
 		gLevel:    reg.Gauge("aic_control_shed_level", "Current shed-ladder level (0=normal..3=local-only)."),
-		gScale:    reg.Gauge("aic_control_interval_scale", "Checkpoint-interval multiplier the controller currently applies."),
+		gScale:    reg.Gauge("aic_control_interval_scale", "Checkpoint-interval multiplier the current shed level implies."),
 		gSat:      reg.Gauge("aic_control_saturated_state", "1 while the last sample was in the saturated band, else 0."),
 		cSheds:    reg.Counter("aic_control_sheds_total", "Shed-ladder escalations."),
 		cRestores: reg.Counter("aic_control_restores_total", "Shed-ladder de-escalations."),
 	}
-	c.gScale.Set(1)
 	c.apply(LevelNormal)
 	return c
 }
@@ -190,7 +198,7 @@ func (c *Controller) Step() Decision {
 	defer c.mu.Unlock()
 
 	saturated := sig.FsyncP99 >= c.cfg.FsyncP99Threshold
-	healthy := sig.FsyncP99 < c.cfg.RecoverFactor*c.cfg.FsyncP99Threshold
+	healthy := sig.FsyncP99 < recoverFactor*c.cfg.FsyncP99Threshold
 
 	d := Decision{Signals: sig, Saturated: saturated, Healthy: healthy}
 	switch {
@@ -230,23 +238,11 @@ func (c *Controller) Step() Decision {
 	return d
 }
 
-// apply pushes a level's knob settings through the actuator and mirrors
-// them in the controller's own gauges. Callers hold c.mu (or are the
-// constructor, before the controller is shared).
+// apply shows a new level on the controller's own gauges. Callers hold
+// c.mu (or are the constructor, before the controller is shared).
 func (c *Controller) apply(l Level) {
-	scale := 1.0
-	if l >= LevelWideInterval {
-		scale = c.cfg.IntervalScale
-	}
-	par := 0
-	if l >= LevelSerialEncode {
-		par = 1
-	}
-	c.act.SetIntervalScale(scale)
-	c.act.SetParallelism(par)
-	c.act.SetReplication(l < LevelLocalOnly)
 	c.gLevel.Set(float64(l))
-	c.gScale.Set(scale)
+	c.gScale.Set(l.Settings().IntervalScale)
 }
 
 // Level returns the current ladder position.

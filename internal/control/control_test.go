@@ -13,8 +13,6 @@ func testCfg() Config {
 		FsyncP99Threshold: 0.1,
 		SaturateAfter:     2,
 		RecoverAfter:      3,
-		RecoverFactor:     0.5,
-		IntervalScale:     2,
 	}
 }
 
@@ -58,12 +56,18 @@ func TestHysteresisLadder(t *testing.T) {
 		sigs[i] = s.sig
 	}
 	col := newStaticCollector(sigs...)
-	act := &NopActuator{}
 	reg := metrics.NewRegistry()
-	c := New(testCfg(), col, act, reg)
+	c := New(testCfg(), col, reg)
 
-	if act.Scale != 1 || act.Parallelism != 0 || !act.Replication {
-		t.Fatalf("constructor must apply LevelNormal, got %+v", act)
+	// The settings each rung implies: every rung keeps the sheds below it.
+	want := map[Level]Settings{
+		LevelNormal:       {IntervalScale: 1, Parallelism: 0, Replication: true},
+		LevelWideInterval: {IntervalScale: 2, Parallelism: 0, Replication: true},
+		LevelSerialEncode: {IntervalScale: 2, Parallelism: 1, Replication: true},
+		LevelLocalOnly:    {IntervalScale: 2, Parallelism: 1, Replication: false},
+	}
+	if got := c.Level().Settings(); c.Level() != LevelNormal || got != want[LevelNormal] {
+		t.Fatalf("new controller at %v with %+v, want normal with %+v", c.Level(), got, want[LevelNormal])
 	}
 	for i, s := range steps {
 		d := c.Step()
@@ -71,10 +75,12 @@ func TestHysteresisLadder(t *testing.T) {
 			t.Fatalf("step %d (%+v): level=%v changed=%v, want level=%v changed=%v",
 				i, s.sig, d.Level, d.Changed, s.want, s.changed)
 		}
-	}
-	// After the full arc every knob is restored.
-	if act.Scale != 1 || act.Parallelism != 0 || !act.Replication {
-		t.Fatalf("knobs not restored: %+v", act)
+		if got := c.Level().Settings(); got != want[s.want] {
+			t.Fatalf("step %d at %v: settings %+v, want %+v", i, s.want, got, want[s.want])
+		}
+		if v, _ := reg.Value("aic_control_interval_scale"); v != want[s.want].IntervalScale {
+			t.Fatalf("step %d at %v: interval_scale gauge %v, want %v", i, s.want, v, want[s.want].IntervalScale)
+		}
 	}
 	// The arc is visible in the controller's own metrics.
 	if v, _ := reg.Value("aic_control_sheds_total"); v != 3 {
@@ -93,7 +99,7 @@ func TestHysteresisLadder(t *testing.T) {
 // so alternating hot/mid or cool/mid sequences never move the ladder.
 func TestDeadBandPreventsOscillation(t *testing.T) {
 	col := newStaticCollector(mid)
-	c := New(testCfg(), col, &NopActuator{}, nil)
+	c := New(testCfg(), col, nil)
 
 	// hot,mid,hot,mid,... never accumulates SaturateAfter=2 in a row.
 	for i := 0; i < 10; i++ {
@@ -135,16 +141,15 @@ func TestMaxLevelCap(t *testing.T) {
 	cfg := testCfg()
 	cfg.MaxLevel = LevelSerialEncode
 	col := newStaticCollector(hot)
-	act := &NopActuator{}
-	c := New(cfg, col, act, nil)
+	c := New(cfg, col, nil)
 	for i := 0; i < 30; i++ {
 		c.Step()
+		if !c.Level().Settings().Replication {
+			t.Fatalf("step %d: capped ladder at %v disabled replication", i, c.Level())
+		}
 	}
 	if c.Level() != LevelSerialEncode {
 		t.Fatalf("level = %v, want serial-encode cap", c.Level())
-	}
-	if !act.Replication {
-		t.Fatal("capped ladder must never disable replication")
 	}
 }
 

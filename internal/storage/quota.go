@@ -44,20 +44,20 @@ func (u *tenantUsage) chainCount() int {
 	return n
 }
 
-// QuotaStore wraps a Store with per-tenant byte/chain admission control,
+// QuotaStore wraps an FSStore with per-tenant byte/chain admission control,
 // every tenant held to one Quota. Tenants are derived from the composed
 // key (ParseKey), so the wrapper slots between the replication server and
 // its backing store without changing the Store contract: a Put that would
 // exceed the tenant's quota fails with ErrQuotaExceeded before any inner
 // I/O.
 //
-// The ledger is seeded lazily per tenant from the inner store's contents,
-// then maintained incrementally. Reservation happens under the ledger lock
-// before the inner Put, so concurrent Puts racing the last bytes of a
-// quota can never jointly overshoot; a failed inner Put returns its
-// reservation.
+// The ledger is seeded lazily per tenant from the inner store's per-chain
+// Bytes, then maintained incrementally. Reservation happens under the
+// ledger lock before the inner Put, so concurrent Puts racing the last
+// bytes of a quota can never jointly overshoot; a failed inner Put
+// returns its reservation.
 type QuotaStore struct {
-	inner Store
+	inner *FSStore
 
 	quota Quota // every tenant's limits
 
@@ -74,7 +74,7 @@ var (
 )
 
 // NewQuotaStore wraps inner, giving every tenant quota.
-func NewQuotaStore(inner Store, quota Quota) *QuotaStore {
+func NewQuotaStore(inner *FSStore, quota Quota) *QuotaStore {
 	return &QuotaStore{
 		inner: inner,
 		quota: quota,
@@ -94,12 +94,6 @@ func (q *QuotaStore) SetMetrics(reg *metrics.Registry) {
 		"Stored checkpoint bytes per tenant, as accounted by admission control.", "tenant")
 }
 
-// byteSizer is the cheap per-chain size probe FSStore exposes; stores
-// without it pay a full Get during ledger seeding.
-type byteSizer interface {
-	Bytes(proc string) (int64, error)
-}
-
 // seedTenant loads the tenant's ledger from the inner store if it is not
 // resident yet. The inner scan runs outside the ledger lock; a concurrent
 // seeding of the same tenant is harmless (first install wins).
@@ -116,25 +110,13 @@ func (q *QuotaStore) seedTenant(ctx context.Context, tenant string) (*tenantUsag
 		return nil, err
 	}
 	u := &tenantUsage{perKey: make(map[string]int64)}
-	sizer, _ := q.inner.(byteSizer)
 	for _, name := range names {
 		if t, _, _ := ParseKey(name); t != tenant {
 			continue
 		}
-		var n int64
-		if sizer != nil {
-			n, err = sizer.Bytes(name)
-			if err != nil {
-				return nil, err
-			}
-		} else {
-			chain, _, err := q.inner.Get(ctx, name)
-			if err != nil {
-				return nil, err
-			}
-			for _, el := range chain {
-				n += int64(len(el.Data))
-			}
+		n, err := q.inner.Bytes(name)
+		if err != nil {
+			return nil, err
 		}
 		u.perKey[name] = n
 		u.bytes += n
@@ -203,23 +185,14 @@ func (q *QuotaStore) Put(ctx context.Context, name string, seq int, data []byte)
 
 // reledger refreshes one key's accounted bytes after a mutation whose
 // effect on stored bytes the wrapper cannot predict (Truncate, repair).
-func (q *QuotaStore) reledger(ctx context.Context, tenant, name string) {
+func (q *QuotaStore) reledger(tenant, name string) {
 	q.mu.Lock()
 	u := q.usage[tenant]
 	q.mu.Unlock()
 	if u == nil {
 		return // ledger not resident; next seed will see the new state
 	}
-	var n int64
-	if sizer, ok := q.inner.(byteSizer); ok {
-		if b, err := sizer.Bytes(name); err == nil {
-			n = b
-		}
-	} else if chain, _, err := q.inner.Get(ctx, name); err == nil {
-		for _, el := range chain {
-			n += int64(len(el.Data))
-		}
-	}
+	n, _ := q.inner.Bytes(name) // an unreadable chain accounts as empty
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	u.bytes += n - u.perKey[name]
@@ -254,7 +227,7 @@ func (q *QuotaStore) Truncate(ctx context.Context, name string, fullSeq int) err
 		return err
 	}
 	tenant, _, _ := ParseKey(name)
-	q.reledger(ctx, tenant, name)
+	q.reledger(tenant, name)
 	return nil
 }
 
@@ -267,7 +240,7 @@ func (q *QuotaStore) Scrub(ctx context.Context, name string, repair bool) (*Scru
 	}
 	if repair && rep.Repaired {
 		tenant, _, _ := ParseKey(name)
-		q.reledger(ctx, tenant, name)
+		q.reledger(tenant, name)
 	}
 	return rep, nil
 }
@@ -277,10 +250,9 @@ func (q *QuotaStore) Get(ctx context.Context, name string) ([]Stored, []int, err
 	return q.inner.Get(ctx, name)
 }
 
-// GetSeqs implements the partial read when the inner store does, else
-// filters its Get.
+// GetSeqs implements SeqGetter.
 func (q *QuotaStore) GetSeqs(ctx context.Context, name string, want []int) ([]int, []Stored, []int, error) {
-	return ReadSeqs(ctx, q.inner, name, want)
+	return q.inner.GetSeqs(ctx, name, want)
 }
 
 // List implements Store.

@@ -224,13 +224,13 @@ func TestReplicaSetGetSeqsMatchesFilteredGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []int{4, 1, 3, 9, 1}
-	for name, st := range map[string]Store{"fs": fs, "level": level} {
+	for name, st := range map[string]*FSStore{"fs": fs, "level": level} {
 		all, lost, err := st.Get(ctx, Qualify("acme", "p"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantListed, wantChain, wantMissing := FilterSeqs(all, lost, want)
-		for via, sg := range map[string]SeqGetter{"direct": st.(SeqGetter), "wrapped": NewQuotaStore(st, Quota{})} {
+		for via, sg := range map[string]SeqGetter{"direct": st, "wrapped": NewQuotaStore(st, Quota{})} {
 			listed, chain, missing, err := sg.GetSeqs(ctx, Qualify("acme", "p"), want)
 			if err != nil {
 				t.Fatal(err)

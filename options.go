@@ -194,18 +194,19 @@ func WithDedup(cfg DedupConfig) Option {
 // chunks the folded prefix referenced are garbage-collected. Drive it via
 // CheckpointDir.Compact for one pass or CheckpointDir.RunCompaction for
 // the background loop. Requires a store implementing anchor replacement
-// (every *storage.FSStore does); OpenCheckpointDir fails otherwise.
+// and chunk GC (every *storage.FSStore does); OpenCheckpointDir fails
+// otherwise.
 func WithCompaction(cfg CompactionConfig) Option {
 	return func(c *config) { cc := cfg; c.compaction = &cc }
 }
 
 // WithAdaptiveControl installs a saturation controller over the directory:
 // it watches fsync latency and walks the shed ladder (wider interval →
-// serial encode → local-only) with hysteresis.
-// The CheckpointDir itself is the actuator — see IntervalScale,
-// EncodeParallelism and the Append fan-out gate. Implies WithMetrics (a
-// private registry is created when none was supplied); the controller is
-// returned by CheckpointDir.Controller and must be driven via Step or Run.
+// serial encode → local-only) with hysteresis. The controller's level is
+// the ladder's one state: IntervalScale, EncodeParallelism and the Append
+// fan-out gate all read it. Implies WithMetrics (a private registry is
+// created when none was supplied); the controller is returned by
+// CheckpointDir.Controller and must be driven via Step or Run.
 func WithAdaptiveControl(cfg AdaptiveControlConfig) Option {
 	return func(c *config) { cc := cfg; c.adaptive = &cc }
 }
@@ -273,7 +274,7 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 	if c.compaction != nil {
 		cs, ok := local.(compact.Store)
 		if !ok {
-			return nil, fmt.Errorf("aic: WithCompaction requires a store with anchor replacement, got %T", local)
+			return nil, fmt.Errorf("aic: WithCompaction requires a store with anchor replacement and chunk GC, got %T", local)
 		}
 		d.comp = compact.New(cs, compact.Config{
 			MaxChain: c.compaction.MaxChain,
@@ -288,10 +289,8 @@ func OpenCheckpointDir(dir string, opts ...Option) (*CheckpointDir, error) {
 	for i := range d.stores[1:] {
 		d.names = append(d.names, strconv.Itoa(i))
 	}
-	// The directory is the controller's actuator, so the controller comes
-	// last, once the peers and metrics are wired.
 	if c.adaptive != nil {
-		d.ctrl = control.New(*c.adaptive, control.NewRegistryCollector(c.metrics), d, c.metrics)
+		d.ctrl = control.New(*c.adaptive, control.NewRegistryCollector(c.metrics), c.metrics)
 	}
 	return d, nil
 }
