@@ -31,6 +31,8 @@ race: ## full suite under the race detector, shuffled, as CI runs it
 
 fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=^FuzzDecode$$ -fuzztime=20s ./internal/delta
+	$(GO) test -run=^$$ -fuzz=^FuzzRoundTrip$$ -fuzztime=20s ./internal/delta
+	$(GO) test -run=^$$ -fuzz=FuzzXORRoundTrip -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzDecodePageAligned -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedParallel -fuzztime=20s ./internal/delta
 	$(GO) test -run=^$$ -fuzz=FuzzPageAlignedFastPath -fuzztime=20s ./internal/delta
@@ -44,7 +46,7 @@ fuzz-smoke: ## short runs of every fuzz target, as CI runs them
 	$(GO) test -run=^$$ -fuzz=FuzzParseRecipe -fuzztime=20s ./internal/storage
 	$(GO) test -run=^$$ -fuzz=FuzzFSStoreOps -fuzztime=20s ./internal/storage
 
-chaos-smoke: ## the four chaos smoke steps CI runs, under the race detector: soak seeds, ring churn, compaction chaos, saturation shed ladder
+chaos-smoke: ## the four chaos smoke steps CI runs, under the race detector: soak seeds, ring churn, compaction chaos, saturation shed and restore of replication
 	$(GO) test -race -run 'TestChaosShort|TestChaosSmokeSeeds|TestChaosKnownBad' ./internal/chaos
 	$(GO) test -race -run 'TestRingChurn' ./internal/chaos
 	$(GO) test -race -short -run 'TestCompactionChaos' ./internal/chaos

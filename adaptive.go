@@ -28,10 +28,8 @@ type ControlState = control.State
 
 // Shed-ladder levels, re-exported for callers inspecting Controller state.
 const (
-	ControlNormal       = control.LevelNormal
-	ControlWideInterval = control.LevelWideInterval
-	ControlSerialEncode = control.LevelSerialEncode
-	ControlLocalOnly    = control.LevelLocalOnly
+	ControlNormal    = control.LevelNormal
+	ControlLocalOnly = control.LevelLocalOnly
 )
 
 // dirMetrics is the CheckpointDir's instrument set; nil (metrics not
@@ -69,28 +67,12 @@ func (m *dirMetrics) observeAppend(degraded, shed bool) {
 	}
 }
 
-// level is the shed-ladder rung the directory acts on: its controller's
-// level, or LevelNormal when it was opened without WithAdaptiveControl.
-func (d *CheckpointDir) level() control.Level {
-	if d.ctrl == nil {
-		return control.LevelNormal
-	}
-	return d.ctrl.Level()
-}
-
-// IntervalScale returns the checkpoint-interval multiplier the current shed
-// level implies (1 at ControlNormal). Schedulers pacing checkpoints should
-// multiply their configured interval by it each round.
-func (d *CheckpointDir) IntervalScale() float64 { return d.level().Settings().IntervalScale }
-
-// EncodeParallelism returns the encode-worker cap the current shed level
-// implies (0 = use the configured default, 1 = serial). Appliers drive
-// Process.SetParallelism (or rebuild workers) from it.
-func (d *CheckpointDir) EncodeParallelism() int { return d.level().Settings().Parallelism }
-
 // ReplicationEnabled reports whether Appends currently fan out to the
-// peer group: true except while the controller is at ControlLocalOnly.
-func (d *CheckpointDir) ReplicationEnabled() bool { return d.level().Settings().Replication }
+// peer group: true except while the controller is at ControlLocalOnly. A
+// directory opened without WithAdaptiveControl reads level normal.
+func (d *CheckpointDir) ReplicationEnabled() bool {
+	return d.ctrl == nil || d.ctrl.Level() == control.LevelNormal
+}
 
 // Metrics returns the registry the directory was opened with (nil without
 // WithMetrics/WithAdaptiveControl). Mount Metrics().Handler() at /metrics.

@@ -53,12 +53,6 @@ func NewProcess(pageSize int, opts ...Option) *Process {
 // PageSize returns the image's page size.
 func (p *Process) PageSize() int { return p.as.PageSize() }
 
-// SetParallelism changes the delta-encoder worker count of a live process
-// (0 = GOMAXPROCS, 1 = serial). WithParallelism sets it at construction;
-// this is how an application applies the adaptive controller's
-// serial-encode rung (CheckpointDir.EncodeParallelism) afterwards.
-func (p *Process) SetParallelism(n int) { ckpt.WithParallelism(n)(p.builder) }
-
 // Write stores data into the page at index starting at offset, allocating
 // on demand. Writes must stay within one page.
 func (p *Process) Write(page uint64, offset int, data []byte) {

@@ -124,8 +124,8 @@ func main() {
 		}
 		// The daemon's controller observes only: it classifies this peer's
 		// saturation for operators (and the /control endpoint), and nothing
-		// here reads its level — interval and replication decisions belong
-		// to the writing node's CheckpointDir controller.
+		// here reads its level — the replication decision belongs to the
+		// writing node's CheckpointDir controller.
 		ctrl := control.New(control.Config{}, control.NewRegistryCollector(reg), reg)
 		go ctrl.Run(ctx, *controlEvery)
 

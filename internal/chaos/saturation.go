@@ -62,10 +62,10 @@ type SaturationResult struct {
 // the CheckpointDir. The arc it pins:
 //
 //  1. healthy traffic holds LevelNormal;
-//  2. a sustained fsync stall walks the shed ladder rung by rung to
-//     LevelLocalOnly, where Appends verifiably stop reaching the peer;
-//  3. when the stall clears, hysteresis walks every rung back to
-//     LevelNormal and the peer fan-out resumes.
+//  2. a sustained fsync stall sheds to LevelLocalOnly, where Appends
+//     verifiably stop reaching the peer;
+//  3. when the stall clears, hysteresis restores LevelNormal and the peer
+//     fan-out resumes.
 //
 // The controller is stepped manually (no wall-clock ticker), so the arc is
 // reproducible; the only real time in the run is the injected stall itself.
@@ -94,7 +94,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		aic.WithMetrics(reg),
 		aic.WithAdaptiveControl(aic.AdaptiveControlConfig{
 			FsyncP99Threshold: cfg.Threshold,
-			SaturateAfter:     2,
+			SaturateAfter:     6,
 			RecoverAfter:      2,
 		}))
 	if err != nil {
@@ -129,7 +129,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 
 	// Phase 2: sustained stall. Each round appends (so the sample window
 	// holds stalled fsyncs) and steps once; the ladder must reach
-	// LevelLocalOnly and stop there.
+	// LevelLocalOnly.
 	dfs.SetSyncDelay(cfg.SyncDelay)
 	for i := 0; i < cfg.MaxRounds && ctrl.Level() < control.LevelLocalOnly; i++ {
 		if err := append1(); err != nil {
@@ -143,14 +143,8 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	if lvl := ctrl.Level(); lvl != control.LevelLocalOnly {
 		res.violate(2, "shed-stuck", "ladder stuck at %v under sustained saturation", lvl)
 	}
-	if s := dir.IntervalScale(); s <= 1 {
-		res.violate(2, "shed-knobs", "interval scale %v while shed, want >1", s)
-	}
-	if p := dir.EncodeParallelism(); p != 1 {
-		res.violate(2, "shed-knobs", "encode parallelism %d while shed, want 1", p)
-	}
 	if dir.ReplicationEnabled() {
-		res.violate(2, "shed-knobs", "replication still enabled at local-only")
+		res.violate(2, "shed-replication", "replication still enabled at local-only")
 	}
 
 	// While shed, appends commit locally and verifiably skip the peer.
@@ -170,7 +164,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	}
 
 	// Phase 3: the stall clears. Idle samples read healthy (an empty fsync
-	// window is not saturation), so hysteresis walks the ladder back down.
+	// window is not saturation), so hysteresis restores replication.
 	dfs.SetSyncDelay(0)
 	for i := 0; i < cfg.MaxRounds && ctrl.Level() > control.LevelNormal; i++ {
 		if d := ctrl.Step(); d.Changed {
@@ -181,9 +175,8 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	if lvl := ctrl.Level(); lvl != control.LevelNormal {
 		res.violate(3, "recover-stuck", "ladder never recovered: level %v", lvl)
 	}
-	if !dir.ReplicationEnabled() || dir.IntervalScale() != 1 || dir.EncodeParallelism() != 0 {
-		res.violate(3, "recover-knobs", "knobs not restored: repl=%v scale=%v par=%d",
-			dir.ReplicationEnabled(), dir.IntervalScale(), dir.EncodeParallelism())
+	if !dir.ReplicationEnabled() {
+		res.violate(3, "recover-replication", "replication not restored at normal")
 	}
 
 	// Replication resumes: the first post-recovery append reaches the peer.
@@ -194,10 +187,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		res.violate(3, "resume", "post-recovery append did not reach the peer (ok=%v err=%v)", ok, gerr)
 	}
 
-	wantArc := []control.Level{
-		control.LevelWideInterval, control.LevelSerialEncode, control.LevelLocalOnly,
-		control.LevelSerialEncode, control.LevelWideInterval, control.LevelNormal,
-	}
+	wantArc := []control.Level{control.LevelLocalOnly, control.LevelNormal}
 	if !slices.Equal(res.ShedArc, wantArc) {
 		res.violate(4, "shed-arc", "shed arc %v, want %v", res.ShedArc, wantArc)
 	}
@@ -207,8 +197,8 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	}
 	res.MetricsText = reg.Text()
 	for _, want := range []string{
-		"aic_control_sheds_total 3",
-		"aic_control_restores_total 3",
+		"aic_control_sheds_total 1",
+		"aic_control_restores_total 1",
 		"aic_control_shed_level 0",
 		"aic_ckptdir_append_shed_total 2",
 	} {

@@ -26,7 +26,7 @@ func TestSaturationShedRecover(t *testing.T) {
 		"aic_fsstore_sync_duration_seconds_bucket",
 		"aic_fsstore_put_duration_seconds_count",
 		"aic_ckptdir_append_total",
-		"aic_control_interval_scale 1",
+		"aic_control_saturated_state 0",
 	} {
 		if !strings.Contains(res.MetricsText, series) {
 			t.Fatalf("/metrics missing %q in:\n%s", series, res.MetricsText)

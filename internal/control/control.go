@@ -1,10 +1,9 @@
 // Package control closes the observe→decide loop over the metrics
 // the storage stack exports. The paper's per-process interval decider
-// (sampler.Tuner) adapts one process to its own dirty-page rate; this
+// (core.Decider) adapts one process to its own dirty-page rate; this
 // package adapts the fleet to the storage tier as a whole: when fsync
-// latency saturates for long enough, the controller widens the checkpoint
-// interval, then lowers encode parallelism, then sheds the replication
-// factor — and walks each step back with hysteresis once headroom returns.
+// latency saturates for long enough, the controller sheds the replication
+// fan-out, and restores it with hysteresis once headroom returns.
 //
 // The pipeline is two pieces, each testable alone:
 //
@@ -16,7 +15,7 @@
 //
 // The controller's Level is the ladder's only state. Nothing is pushed
 // anywhere: whoever acts on the ladder (the aic facade's CheckpointDir)
-// reads the Level and derives its knob positions through Level.Settings.
+// reads the Level, and replicates only at LevelNormal.
 //
 // The Controller core is Step(), a pure state transition on one sample —
 // deterministic by construction, so the chaos harness and the table tests
@@ -49,66 +48,31 @@ type Collector interface {
 // Level is a rung on the shed ladder.
 type Level int
 
-// The shed ladder. Each rung keeps the cheaper sheds of the rungs below
-// it: widening the interval is nearly free (more work lost on a crash),
-// capping parallelism returns cores to the application, and dropping
-// replication is last because it spends durability.
+// The shed ladder has one rung above normal: dropping the replication
+// fan-out, which spends durability to take the peers' fsyncs off a
+// saturated tier. The checkpoint interval belongs to the decider
+// (core.Decider) and encode parallelism to the checkpointing core's fixed
+// share (aic.WithParallelism); the ladder owns neither.
 const (
-	LevelNormal       Level = iota // all knobs at configured defaults
-	LevelWideInterval              // checkpoint interval ×wideIntervalScale
-	LevelSerialEncode              // + encode parallelism capped at 1
-	LevelLocalOnly                 // + replication fan-out shed
+	LevelNormal    Level = iota // replication fans out to the peers
+	LevelLocalOnly              // replication fan-out shed
 )
 
 func (l Level) String() string {
 	switch l {
 	case LevelNormal:
 		return "normal"
-	case LevelWideInterval:
-		return "wide-interval"
-	case LevelSerialEncode:
-		return "serial-encode"
 	case LevelLocalOnly:
 		return "local-only"
 	}
 	return "unknown"
 }
 
-// Settings are the knob positions a Level implies.
-type Settings struct {
-	// IntervalScale is the checkpoint-interval multiplier schedulers
-	// apply: 1, or wideIntervalScale from LevelWideInterval up.
-	IntervalScale float64
-	// Parallelism caps the encode worker count: 0 keeps the configured
-	// default, 1 (from LevelSerialEncode up) forces the serial encoder.
-	Parallelism int
-	// Replication is false only at LevelLocalOnly, where appends skip the
-	// peer fan-out.
-	Replication bool
-}
-
-// Settings is the one rule from a ladder rung to its knob positions.
-func (l Level) Settings() Settings {
-	s := Settings{IntervalScale: 1, Replication: l < LevelLocalOnly}
-	if l >= LevelWideInterval {
-		s.IntervalScale = wideIntervalScale
-	}
-	if l >= LevelSerialEncode {
-		s.Parallelism = 1
-	}
-	return s
-}
-
-const (
-	// wideIntervalScale is the checkpoint-interval multiplier from
-	// LevelWideInterval up.
-	wideIntervalScale = 2
-	// recoverFactor defines the healthy band: a sample is healthy only
-	// when the fsync p99 is strictly below recoverFactor×the threshold.
-	// Samples between the bands hold the current level and reset both
-	// streaks, which is what prevents oscillation.
-	recoverFactor = 0.5
-)
+// recoverFactor defines the healthy band: a sample is healthy only when
+// the fsync p99 is strictly below recoverFactor×the threshold. Samples
+// between the bands hold the current level and reset both streaks, which
+// is what prevents oscillation.
+const recoverFactor = 0.5
 
 // Config tunes the saturation analyzer. The zero value selects the
 // documented defaults (DESIGN.md §14).
@@ -116,16 +80,13 @@ type Config struct {
 	// FsyncP99Threshold saturates the fsync signal at or above this many
 	// seconds. Default 0.05 (50ms — an order above a healthy local disk).
 	FsyncP99Threshold float64 `json:"fsync_p99_threshold_seconds"`
-	// SaturateAfter escalates one rung after this many consecutive
-	// saturated samples. Default 3.
+	// SaturateAfter sheds replication after this many consecutive
+	// saturated samples. Default 9 — shedding spends durability, so it
+	// asks for more evidence than restoring does.
 	SaturateAfter int `json:"saturate_after"`
-	// RecoverAfter de-escalates one rung after this many consecutive
-	// healthy samples. Default 6 — recovery is deliberately slower than
-	// shedding.
+	// RecoverAfter restores replication after this many consecutive
+	// healthy samples. Default 6.
 	RecoverAfter int `json:"recover_after"`
-	// MaxLevel caps the ladder (e.g. LevelSerialEncode to never shed
-	// replication). Default LevelLocalOnly.
-	MaxLevel Level `json:"max_level"`
 }
 
 func (c Config) withDefaults() Config {
@@ -133,13 +94,10 @@ func (c Config) withDefaults() Config {
 		c.FsyncP99Threshold = 0.05
 	}
 	if c.SaturateAfter <= 0 {
-		c.SaturateAfter = 3
+		c.SaturateAfter = 9
 	}
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 6
-	}
-	if c.MaxLevel <= 0 || c.MaxLevel > LevelLocalOnly {
-		c.MaxLevel = LevelLocalOnly
 	}
 	return c
 }
@@ -166,7 +124,6 @@ type Controller struct {
 	last      Decision
 
 	gLevel    *metrics.Gauge
-	gScale    *metrics.Gauge
 	gSat      *metrics.Gauge
 	cSheds    *metrics.Counter
 	cRestores *metrics.Counter
@@ -178,17 +135,16 @@ func New(cfg Config, col Collector, reg *metrics.Registry) *Controller {
 	c := &Controller{
 		cfg:       cfg.withDefaults(),
 		col:       col,
-		gLevel:    reg.Gauge("aic_control_shed_level", "Current shed-ladder level (0=normal..3=local-only)."),
-		gScale:    reg.Gauge("aic_control_interval_scale", "Checkpoint-interval multiplier the current shed level implies."),
+		gLevel:    reg.Gauge("aic_control_shed_level", "Current shed-ladder level (0=normal, 1=local-only)."),
 		gSat:      reg.Gauge("aic_control_saturated_state", "1 while the last sample was in the saturated band, else 0."),
 		cSheds:    reg.Counter("aic_control_sheds_total", "Shed-ladder escalations."),
 		cRestores: reg.Counter("aic_control_restores_total", "Shed-ladder de-escalations."),
 	}
-	c.apply(LevelNormal)
+	c.gLevel.Set(float64(LevelNormal))
 	return c
 }
 
-// Step takes one sample, classifies it and advances the ladder at most one
+// Step takes one sample, classifies it and moves the ladder at most one
 // rung. It is the deterministic core: same prior state + same sample →
 // same decision.
 func (c *Controller) Step() Decision {
@@ -205,21 +161,21 @@ func (c *Controller) Step() Decision {
 	case saturated:
 		c.okStreak = 0
 		c.satStreak++
-		if c.satStreak >= c.cfg.SaturateAfter && c.level < c.cfg.MaxLevel {
-			c.level++
+		if c.satStreak >= c.cfg.SaturateAfter && c.level == LevelNormal {
+			c.level = LevelLocalOnly
 			c.satStreak = 0
 			c.cSheds.Inc()
-			c.apply(c.level)
+			c.gLevel.Set(float64(c.level))
 			d.Changed = true
 		}
 	case healthy:
 		c.satStreak = 0
 		c.okStreak++
-		if c.okStreak >= c.cfg.RecoverAfter && c.level > LevelNormal {
-			c.level--
+		if c.okStreak >= c.cfg.RecoverAfter && c.level == LevelLocalOnly {
+			c.level = LevelNormal
 			c.okStreak = 0
 			c.cRestores.Inc()
-			c.apply(c.level)
+			c.gLevel.Set(float64(c.level))
 			d.Changed = true
 		}
 	default:
@@ -236,13 +192,6 @@ func (c *Controller) Step() Decision {
 	}
 	c.last = d
 	return d
-}
-
-// apply shows a new level on the controller's own gauges. Callers hold
-// c.mu (or are the constructor, before the controller is shared).
-func (c *Controller) apply(l Level) {
-	c.gLevel.Set(float64(l))
-	c.gScale.Set(l.Settings().IntervalScale)
 }
 
 // Level returns the current ladder position.

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"slices"
 	"testing"
 
 	"aic/internal/metrics"
@@ -22,9 +23,9 @@ var (
 	cool = Signals{FsyncP99: 0.01} // healthy
 )
 
-// TestHysteresisLadder drives the full saturate→shed→recover arc through
-// a scripted sample sequence and checks the ladder position after every
-// step — the satellite's table test.
+// TestHysteresisLadder drives the saturate→shed→recover arc through a
+// scripted sample sequence and checks the ladder position, and the
+// controller's own level gauge, after every step.
 func TestHysteresisLadder(t *testing.T) {
 	steps := []struct {
 		sig     Signals
@@ -33,41 +34,27 @@ func TestHysteresisLadder(t *testing.T) {
 	}{
 		{cool, LevelNormal, false}, // healthy at floor: no-op
 		{hot, LevelNormal, false},  // saturated ×1 — below SaturateAfter
-		{hot, LevelWideInterval, true},
-		{hot, LevelWideInterval, false}, // streak restarts after a shed
-		{hot, LevelSerialEncode, true},
-		{hot, LevelSerialEncode, false},
 		{hot, LevelLocalOnly, true},
-		{hot, LevelLocalOnly, false}, // MaxLevel: ladder pegged
+		{hot, LevelLocalOnly, false}, // top rung: the ladder is pegged
 		{hot, LevelLocalOnly, false},
 		{cool, LevelLocalOnly, false}, // healthy ×1
 		{cool, LevelLocalOnly, false}, // healthy ×2
-		{cool, LevelSerialEncode, true},
-		{cool, LevelSerialEncode, false},
-		{cool, LevelSerialEncode, false},
-		{cool, LevelWideInterval, true},
-		{cool, LevelWideInterval, false},
-		{cool, LevelWideInterval, false},
 		{cool, LevelNormal, true},
 		{cool, LevelNormal, false}, // at floor: healthy steps no-op
+		{hot, LevelNormal, false},  // the streak restarts after a restore
+		{hot, LevelLocalOnly, true},
+		{cool, LevelLocalOnly, false},
+		{cool, LevelLocalOnly, false},
+		{cool, LevelNormal, true},
 	}
 	sigs := make([]Signals, len(steps))
 	for i, s := range steps {
 		sigs[i] = s.sig
 	}
-	col := newStaticCollector(sigs...)
 	reg := metrics.NewRegistry()
-	c := New(testCfg(), col, reg)
-
-	// The settings each rung implies: every rung keeps the sheds below it.
-	want := map[Level]Settings{
-		LevelNormal:       {IntervalScale: 1, Parallelism: 0, Replication: true},
-		LevelWideInterval: {IntervalScale: 2, Parallelism: 0, Replication: true},
-		LevelSerialEncode: {IntervalScale: 2, Parallelism: 1, Replication: true},
-		LevelLocalOnly:    {IntervalScale: 2, Parallelism: 1, Replication: false},
-	}
-	if got := c.Level().Settings(); c.Level() != LevelNormal || got != want[LevelNormal] {
-		t.Fatalf("new controller at %v with %+v, want normal with %+v", c.Level(), got, want[LevelNormal])
+	c := New(testCfg(), newStaticCollector(sigs...), reg)
+	if c.Level() != LevelNormal {
+		t.Fatalf("new controller at %v, want normal", c.Level())
 	}
 	for i, s := range steps {
 		d := c.Step()
@@ -75,22 +62,16 @@ func TestHysteresisLadder(t *testing.T) {
 			t.Fatalf("step %d (%+v): level=%v changed=%v, want level=%v changed=%v",
 				i, s.sig, d.Level, d.Changed, s.want, s.changed)
 		}
-		if got := c.Level().Settings(); got != want[s.want] {
-			t.Fatalf("step %d at %v: settings %+v, want %+v", i, s.want, got, want[s.want])
-		}
-		if v, _ := reg.Value("aic_control_interval_scale"); v != want[s.want].IntervalScale {
-			t.Fatalf("step %d at %v: interval_scale gauge %v, want %v", i, s.want, v, want[s.want].IntervalScale)
+		if v, _ := reg.Value("aic_control_shed_level"); v != float64(s.want) {
+			t.Fatalf("step %d at %v: shed_level gauge %v", i, s.want, v)
 		}
 	}
 	// The arc is visible in the controller's own metrics.
-	if v, _ := reg.Value("aic_control_sheds_total"); v != 3 {
-		t.Fatalf("sheds_total = %v, want 3", v)
+	if v, _ := reg.Value("aic_control_sheds_total"); v != 2 {
+		t.Fatalf("sheds_total = %v, want 2", v)
 	}
-	if v, _ := reg.Value("aic_control_restores_total"); v != 3 {
-		t.Fatalf("restores_total = %v, want 3", v)
-	}
-	if v, _ := reg.Value("aic_control_shed_level"); v != 0 {
-		t.Fatalf("shed_level = %v, want 0", v)
+	if v, _ := reg.Value("aic_control_restores_total"); v != 2 {
+		t.Fatalf("restores_total = %v, want 2", v)
 	}
 }
 
@@ -120,8 +101,8 @@ func TestDeadBandPreventsOscillation(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		c.Step()
 	}
-	if c.Level() != LevelWideInterval {
-		t.Fatalf("setup failed: level = %v, want wide-interval", c.Level())
+	if c.Level() != LevelLocalOnly {
+		t.Fatalf("setup failed: level = %v, want local-only", c.Level())
 	}
 	for i := 0; i < 10; i++ {
 		col.Push(cool, mid)
@@ -131,25 +112,66 @@ func TestDeadBandPreventsOscillation(t *testing.T) {
 			t.Fatalf("step %d moved the ladder on an alternating cool/mid sequence", i)
 		}
 	}
-	if c.Level() != LevelWideInterval {
-		t.Fatalf("level = %v, want wide-interval (held)", c.Level())
+	if c.Level() != LevelLocalOnly {
+		t.Fatalf("level = %v, want local-only (held)", c.Level())
 	}
 }
 
-// TestMaxLevelCap verifies a capped ladder never sheds replication.
-func TestMaxLevelCap(t *testing.T) {
-	cfg := testCfg()
-	cfg.MaxLevel = LevelSerialEncode
-	col := newStaticCollector(hot)
-	c := New(cfg, col, nil)
-	for i := 0; i < 30; i++ {
+// Samples for the default config (threshold 50ms, healthy below 25ms).
+var (
+	defHot  = Signals{FsyncP99: 0.06} // saturated
+	defBand = Signals{FsyncP99: 0.03} // dead band
+	defCool = Signals{FsyncP99: 0.01} // healthy
+)
+
+// run is n consecutive copies of sig.
+func run(sig Signals, n int) []Signals {
+	out := make([]Signals, n)
+	for i := range out {
+		out[i] = sig
+	}
+	return out
+}
+
+// shedFlips steps a default-config controller through samples and returns
+// the 1-based samples after which Level() == LevelLocalOnly changed.
+func shedFlips(samples []Signals) []int {
+	c := New(Config{}, newStaticCollector(samples...), nil)
+	var flips []int
+	shed := false
+	for i := range samples {
 		c.Step()
-		if !c.Level().Settings().Replication {
-			t.Fatalf("step %d: capped ladder at %v disabled replication", i, c.Level())
+		if now := c.Level() == LevelLocalOnly; now != shed {
+			flips = append(flips, i+1)
+			shed = now
 		}
 	}
-	if c.Level() != LevelSerialEncode {
-		t.Fatalf("level = %v, want serial-encode cap", c.Level())
+	return flips
+}
+
+// TestShedTimingAtDefaults pins when replication sheds and comes back at
+// the default config, read only through Level() == LevelLocalOnly: a
+// steady saturated signal sheds at sample 9, a steady healthy one then
+// restores 6 samples later, and a dead-band sample restarts either count —
+// so saturated runs shorter than SaturateAfter never shed when dead-band
+// samples split them (DESIGN.md §14).
+func TestShedTimingAtDefaults(t *testing.T) {
+	split := slices.Concat(run(defHot, 3), run(defBand, 1))
+	for _, tc := range []struct {
+		name    string
+		samples []Signals
+		flips   []int
+	}{
+		{"steady-saturated", run(defHot, 12), []int{9}},
+		{"steady-healthy-restores", slices.Concat(run(defHot, 9), run(defCool, 8)), []int{9, 15}},
+		{"broken-healthy-holds", slices.Concat(run(defHot, 9), run(defCool, 5), run(defBand, 1), run(defCool, 5)), []int{9}},
+		{"split-saturated-holds", slices.Concat(split, split, split, run(defBand, 3)), nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := shedFlips(tc.samples); !slices.Equal(got, tc.flips) {
+				t.Fatalf("local-only flips at samples %v, want %v", got, tc.flips)
+			}
+		})
 	}
 }
 

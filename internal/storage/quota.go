@@ -192,9 +192,18 @@ func (q *QuotaStore) reledger(tenant, name string) {
 	if u == nil {
 		return // ledger not resident; next seed will see the new state
 	}
-	n, _ := q.inner.Bytes(name) // an unreadable chain accounts as empty
+	n, err := q.inner.Bytes(name)
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if err != nil {
+		// The chain's bytes are unknown, and booking them as zero would let
+		// the tenant overshoot: evict the ledger instead. The next Put
+		// re-seeds it, failing closed while the chain stays unreadable.
+		if q.usage[tenant] == u {
+			delete(q.usage, tenant)
+		}
+		return
+	}
 	u.bytes += n - u.perKey[name]
 	if n == 0 {
 		delete(u.perKey, name)

@@ -240,3 +240,52 @@ func TestQuotaMigrationBypassesAdmission(t *testing.T) {
 		t.Fatalf("Put after release = %v, want nil", err)
 	}
 }
+
+// TestQuotaReledgerUnreadableChain pins reledger's answer when the inner
+// store cannot report a chain's bytes (its invalidated view re-lists, and
+// the resync fsync fails): the tenant's ledger is evicted rather than the
+// chain booked as empty, so the next Put re-seeds from the store — refused
+// over quota once a transient fault clears, and failing closed while the
+// store stays down.
+func TestQuotaReledgerUnreadableChain(t *testing.T) {
+	ctx := context.Background()
+	for _, transient := range []bool{true, false} {
+		t.Run(fmt.Sprintf("transient=%v", transient), func(t *testing.T) {
+			fault := &FaultFS{Inner: NewMemFS(), Transient: transient}
+			inner, err := NewFSStoreFS("/", Target{Name: "mem"}, fault)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs := NewQuotaStore(inner, Quota{MaxBytes: 100})
+			if err := qs.Put(ctx, "acme@db", 1, make([]byte, 60)); err != nil {
+				t.Fatal(err)
+			}
+
+			st, err := inner.lockProc(ctx, "acme@db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.invalidate()
+			st.unlock()
+			fault.Arm(OpSyncDir, 1, 0)
+			qs.reledger("acme", "acme@db")
+			if u := qs.usage["acme"]; u != nil {
+				t.Fatalf("ledger still resident at %d bytes after an unreadable reledger", u.bytes)
+			}
+
+			err = qs.Put(ctx, "acme@db", 2, make([]byte, 50))
+			if transient {
+				if !errors.Is(err, ErrQuotaExceeded) {
+					t.Fatalf("Put over the re-seeded 60 bytes = %v, want ErrQuotaExceeded", err)
+				}
+				if bytes, _ := usageOf(qs, "acme"); bytes != 60 {
+					t.Fatalf("re-seeded usage = %d, want 60", bytes)
+				}
+				return
+			}
+			if !errors.Is(err, ErrCrashed) || qs.usage["acme"] != nil {
+				t.Fatalf("Put on a downed store = %v (ledger %v), want ErrCrashed and no ledger", err, qs.usage["acme"])
+			}
+		})
+	}
+}

@@ -201,10 +201,10 @@ func WithCompaction(cfg CompactionConfig) Option {
 }
 
 // WithAdaptiveControl installs a saturation controller over the directory:
-// it watches fsync latency and walks the shed ladder (wider interval →
-// serial encode → local-only) with hysteresis. The controller's level is
-// the ladder's one state: IntervalScale, EncodeParallelism and the Append
-// fan-out gate all read it. Implies WithMetrics (a private registry is
+// it watches fsync latency and, with hysteresis, sheds the replication
+// fan-out while the tier stays saturated (Appends go local-only) and
+// restores it once headroom returns. The controller's level is the shed's
+// one state: ReplicationEnabled and the Append fan-out gate both read it. Implies WithMetrics (a private registry is
 // created when none was supplied); the controller is returned by
 // CheckpointDir.Controller and must be driven via Step or Run.
 func WithAdaptiveControl(cfg AdaptiveControlConfig) Option {

@@ -74,8 +74,7 @@ func TestProgramSpecValidate(t *testing.T) {
 }
 
 func TestNewProcessWithParallelism(t *testing.T) {
-	// The option and the runtime setter configure the same knob, and the
-	// encoded stream is identical regardless of worker count.
+	// The encoded stream is identical regardless of worker count.
 	mk := func(opts ...aic.Option) *aic.Process {
 		p := aic.NewProcess(512, opts...)
 		for i := 0; i < 16; i++ {
@@ -89,11 +88,10 @@ func TestNewProcessWithParallelism(t *testing.T) {
 	}
 	serial := mk(aic.WithParallelism(1))
 	parallel := mk(aic.WithParallelism(4))
-	legacy := mk()
-	legacy.SetParallelism(4)
+	auto := mk()
 	d1, _ := serial.DeltaCheckpoint()
 	d2, _ := parallel.DeltaCheckpoint()
-	d3, _ := legacy.DeltaCheckpoint()
+	d3, _ := auto.DeltaCheckpoint()
 	if !bytes.Equal(d1, d2) || !bytes.Equal(d1, d3) {
 		t.Fatal("parallelism changed the encoded stream")
 	}
