@@ -24,7 +24,6 @@ import (
 type Process struct {
 	as      *memsim.AddressSpace
 	builder *ckpt.Builder
-	clock   float64
 }
 
 // CompressionStats summarizes one delta checkpoint.
@@ -56,16 +55,11 @@ func (p *Process) PageSize() int { return p.as.PageSize() }
 // Write stores data into the page at index starting at offset, allocating
 // on demand. Writes must stay within one page.
 func (p *Process) Write(page uint64, offset int, data []byte) {
-	p.as.Write(page, offset, data, p.clock)
+	p.as.Write(page, offset, data, 0)
 }
 
 // Free unmaps a page; it disappears from subsequent checkpoints.
 func (p *Process) Free(page uint64) { p.as.Free(page) }
-
-// Advance moves the process's virtual clock, which timestamps page-write
-// arrivals (used by AIC's hot-page sampling when a Runtime drives the
-// image; harmless otherwise).
-func (p *Process) Advance(dt float64) { p.clock += dt }
 
 // Pages returns the number of mapped pages.
 func (p *Process) Pages() int { return p.as.NumPages() }

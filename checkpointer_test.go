@@ -24,7 +24,6 @@ func TestProcessCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatal("checkpoint must clear dirty tracking")
 	}
 
-	p.Advance(1)
 	p.Write(0, 2, []byte("LLO!"))
 	p.Write(3, 0, []byte("new page"))
 	enc, st := p.DeltaCheckpoint()
@@ -36,7 +35,6 @@ func TestProcessCheckpointRestoreRoundTrip(t *testing.T) {
 		t.Fatalf("ratio %v", st.Ratio())
 	}
 
-	p.Advance(1)
 	p.Free(9)
 	p.Write(3, 8, []byte("again"))
 	chain = append(chain, p.IncrementalCheckpoint())

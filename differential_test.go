@@ -40,7 +40,6 @@ func buildBigProcessChain(t *testing.T) (*Process, [][]byte) {
 	}
 	chain := [][]byte{p.FullCheckpoint()}
 	for step := 0; step < 6; step++ {
-		p.Advance(1)
 		p.Write(uint64(step%8), (step*32)%512, []byte("mutation-of-this-step"))
 		enc, _ := p.DeltaCheckpoint()
 		chain = append(chain, enc)
@@ -323,7 +322,6 @@ func TestDifferentialCompactionPreservesRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	for step := 1; step <= 16; step++ {
-		p.Advance(1)
 		p.Write(uint64(step%8), (step*64)%512, []byte("delta bytes for this step"))
 		enc, _ := p.DeltaCheckpoint()
 		if err := d.Append(ctx, "proc", step, enc); err != nil {

@@ -15,7 +15,6 @@ func buildProcessChain(t *testing.T) (*Process, [][]byte) {
 	p.Write(1, 0, []byte("base page one"))
 	chain := [][]byte{p.FullCheckpoint()}
 	for step := 0; step < 3; step++ {
-		p.Advance(1)
 		p.Write(uint64(step%2), step*8, []byte("delta!"))
 		enc, _ := p.DeltaCheckpoint()
 		chain = append(chain, enc)

@@ -65,7 +65,6 @@ func facadeDemo() error {
 		return err
 	}
 	for _, update := range []string{"brave", "omega"} {
-		proc.Advance(1)
 		proc.Write(1, 0, []byte(update))
 		enc, st := proc.DeltaCheckpoint()
 		fmt.Printf("  delta seq=%d: %d bytes (ratio %.2f)\n", proc.Seq()-1, len(enc), st.Ratio())

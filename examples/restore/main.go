@@ -34,7 +34,6 @@ func main() {
 
 	// Three epochs of execution with delta checkpoints in between.
 	for epoch := 1; epoch <= 3; epoch++ {
-		proc.Advance(10)
 		for i := 0; i < 40; i++ {
 			page := uint64((epoch*13 + i*7) % 64)
 			proc.Write(page, (i*97)%4000, []byte{byte(epoch), byte(i), 0xEE})

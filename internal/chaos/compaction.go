@@ -19,36 +19,20 @@ import (
 // CompactionChaosConfig parameterizes one compaction-racing-faults run:
 // the online compactor folding chains while writers append, a replication
 // peer dies and revives, bit flips land in committed files, and Scrub,
-// RestoreLatestGood and Truncate all run concurrently. The zero value of
-// every field selects defaults sized for a sub-second run.
+// RestoreLatestGood and Truncate all run concurrently. A zero Steps selects
+// the default, sized for a sub-second run.
 type CompactionChaosConfig struct {
-	Seed     uint64
-	Procs    int    // concurrent writer chains (default 3)
-	Steps    int    // checkpoints each writer commits (default 60)
-	FullEach int    // a full checkpoint every FullEach steps (default 12)
-	MaxChain int    // compactor trigger length (default 10)
-	Keep     int    // compactor keep-k retention (default 4)
-	Dir      string // parent for the scratch store ("" = os temp)
+	Seed  uint64
+	Steps int // checkpoints each writer commits (default 60)
 }
 
-func (c CompactionChaosConfig) withDefaults() CompactionChaosConfig {
-	if c.Procs <= 0 {
-		c.Procs = 3
-	}
-	if c.Steps <= 0 {
-		c.Steps = 60
-	}
-	if c.FullEach <= 0 {
-		c.FullEach = 12
-	}
-	if c.MaxChain <= 0 {
-		c.MaxChain = 10
-	}
-	if c.Keep <= 0 {
-		c.Keep = 4
-	}
-	return c
-}
+// The compaction chaos run's fixed shape.
+const (
+	compactProcs    = 3  // concurrent writer chains
+	compactFullEach = 12 // a full checkpoint every compactFullEach steps
+	compactMaxChain = 10 // compactor trigger length
+	compactKeep     = 4  // compactor keep-k retention
+)
 
 // CompactionChaosResult reports one run. The invariants checked are the
 // compactor's whole contract under fire:
@@ -105,10 +89,12 @@ func (f *flakyPeer) Truncate(ctx context.Context, proc string, fullSeq int) erro
 //
 //aiclint:ignore testonly chaos scenario entry point, run by its soak test until ROADMAP item 7 ports the scenarios onto one Store driver
 func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*CompactionChaosResult, error) {
-	cfg = cfg.withDefaults()
+	if cfg.Steps <= 0 {
+		cfg.Steps = 60
+	}
 	res := &CompactionChaosResult{RunLog: RunLog{name: "compaction", at: fmt.Sprintf(" at seed=%d", cfg.Seed)}}
 
-	scratch, err := os.MkdirTemp(cfg.Dir, "aic-compaction-chaos-*")
+	scratch, err := os.MkdirTemp("", "aic-compaction-chaos-*")
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +108,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 	dir, err := aic.OpenCheckpointDir("",
 		aic.WithStore(fs),
 		aic.WithDedup(aic.DedupConfig{MinChunk: 64, AvgChunk: 256, MaxChunk: 1024, MinPayload: 1}),
-		aic.WithCompaction(aic.CompactionConfig{MaxChain: cfg.MaxChain, Keep: cfg.Keep}),
+		aic.WithCompaction(aic.CompactionConfig{MaxChain: compactMaxChain, Keep: compactKeep}),
 		aic.WithReplication(aic.Replication{Stores: []aic.Store{peer}, Quorum: 1}))
 	if err != nil {
 		return nil, err
@@ -131,8 +117,8 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 
 	const pageSize = 512
 	procName := func(i int) string { return fmt.Sprintf("victim-%d", i) }
-	ledgers := make(map[string]*ledger, cfg.Procs)
-	for i := 0; i < cfg.Procs; i++ {
+	ledgers := make(map[string]*ledger, compactProcs)
+	for i := 0; i < compactProcs; i++ {
 		ledgers[procName(i)] = newLedger(procName(i))
 	}
 
@@ -147,9 +133,9 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 	)
 
 	// Writers: each drives its own simulated process, committing a full
-	// every FullEach steps and deltas in between, and records the exact
+	// every compactFullEach steps and deltas in between, and records the exact
 	// state every acknowledged seq must restore to.
-	for i := 0; i < cfg.Procs; i++ {
+	for i := 0; i < compactProcs; i++ {
 		writers.Add(1)
 		go func(i int) {
 			defer writers.Done()
@@ -170,7 +156,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 				cpu := []byte(fmt.Sprintf("cpu/%s/%08d", proc, step))
 				b.SetCPUState(cpu)
 				var c *ckpt.Checkpoint
-				full := step%cfg.FullEach == 0
+				full := step%compactFullEach == 0
 				if full {
 					c = b.FullCheckpoint(as)
 				} else {
@@ -231,7 +217,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 				return
 			default:
 			}
-			proc := procName(rng.Intn(cfg.Procs))
+			proc := procName(rng.Intn(compactProcs))
 			switch round % 4 {
 			case 0: // peer churn
 				peer.down.Store(!peer.down.Load())
@@ -265,7 +251,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 				return
 			default:
 			}
-			proc := procName(rng.Intn(cfg.Procs))
+			proc := procName(rng.Intn(compactProcs))
 			chain, _, err := fs.Get(ctx, proc)
 			if err != nil || len(chain) == 0 {
 				continue
@@ -292,7 +278,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 	// uses) and append it. After that, with no more faults landing, every
 	// chain MUST repair clean, restore to the re-anchor exactly, and keep
 	// doing so through one more compaction + chunk-GC pass.
-	for i := 0; i < cfg.Procs; i++ {
+	for i := 0; i < compactProcs; i++ {
 		proc := procName(i)
 		led := ledgers[proc]
 		lastSeq, _, last := led.newest()
@@ -316,7 +302,7 @@ func RunCompactionChaos(ctx context.Context, cfg CompactionChaosConfig) (*Compac
 	if _, err := dir.Compact(ctx); err != nil {
 		res.violate(cfg.Steps, "compact-error", "final compaction: %v", err)
 	}
-	for i := 0; i < cfg.Procs; i++ {
+	for i := 0; i < compactProcs; i++ {
 		proc := procName(i)
 		rep, err := dir.Scrub(ctx, proc, false)
 		if err != nil {

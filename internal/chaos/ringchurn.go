@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -20,37 +19,20 @@ import (
 // RingChurnConfig parameterizes one ring-churn soak: a sharded multi-tenant
 // client (aic.Client) driving real TCP peers while the ring membership
 // churns — a peer joins, another is killed mid-rebalance and restarted —
-// and one "hog" tenant deliberately writes through its quota. The zero
-// value of every field selects a default sized for a seconds-long run.
+// and one "hog" tenant deliberately writes through its quota. The seed
+// picks the run; its size is fixed for a seconds-long run.
 type RingChurnConfig struct {
-	Seed       uint64
-	Peers      int       // initial ring peers (default 3)
-	Tenants    int       // well-behaved tenants (default 2)
-	Procs      int       // procs per tenant (default 3)
-	Rounds     int       // checkpoint rounds per proc (default 10)
-	QuotaBytes int64     // per-tenant per-peer byte quota (default 64 KiB)
-	Dir        string    // parent for the scratch directory ("" = os temp)
-	Log        io.Writer // optional live transcript sink
+	Seed uint64
 }
 
-func (c RingChurnConfig) withDefaults() RingChurnConfig {
-	if c.Peers <= 0 {
-		c.Peers = 3
-	}
-	if c.Tenants <= 0 {
-		c.Tenants = 2
-	}
-	if c.Procs <= 0 {
-		c.Procs = 3
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = 10
-	}
-	if c.QuotaBytes <= 0 {
-		c.QuotaBytes = 64 << 10
-	}
-	return c
-}
+// The ring-churn soak's size.
+const (
+	churnPeers      = 3        // initial ring peers
+	churnTenants    = 2        // well-behaved tenants
+	churnProcs      = 3        // procs per tenant
+	churnRounds     = 10       // checkpoint rounds per proc
+	churnQuotaBytes = 64 << 10 // per-tenant per-peer byte quota
+)
 
 // RingChurnResult reports one churn soak. The invariants checked are the
 // service's multi-tenant durability contract:
@@ -95,11 +77,10 @@ const hogTenant = "hog"
 //
 //aiclint:ignore testonly chaos scenario entry point, run by its soak test until ROADMAP item 7 ports the scenarios onto one Store driver
 func RunRingChurn(ctx context.Context, cfg RingChurnConfig) (*RingChurnResult, error) {
-	cfg = cfg.withDefaults()
 	res := &RingChurnResult{Seed: cfg.Seed, RunLog: RunLog{
-		name: "ringchurn", at: fmt.Sprintf(" at seed=%d", cfg.Seed), sink: cfg.Log,
+		name: "ringchurn", at: fmt.Sprintf(" at seed=%d", cfg.Seed),
 	}}
-	scratch, err := os.MkdirTemp(cfg.Dir, "aic-ringchurn-*")
+	scratch, err := os.MkdirTemp("", "aic-ringchurn-*")
 	if err != nil {
 		return nil, err
 	}
@@ -138,7 +119,7 @@ type churnRun struct {
 // dialed under a pinned jitter seed.
 func (r *churnRun) startMember(name string, idx int) (*remote.RemoteStore, error) {
 	n, err := startNode(r.ctx, name, filepath.Join(r.scratch, name), func(fs *storage.FSStore) storage.Store {
-		q := storage.NewQuotaStore(fs, storage.Quota{MaxBytes: r.cfg.QuotaBytes})
+		q := storage.NewQuotaStore(fs, storage.Quota{MaxBytes: churnQuotaBytes})
 		reg := metrics.NewRegistry()
 		q.SetMetrics(reg)
 		r.regs = append(r.regs, reg)
@@ -152,8 +133,8 @@ func (r *churnRun) startMember(name string, idx int) (*remote.RemoteStore, error
 }
 
 func (r *churnRun) setup() error {
-	stores := make(map[string]aic.Store, r.cfg.Peers)
-	for i := 0; i < r.cfg.Peers; i++ {
+	stores := make(map[string]aic.Store, churnPeers)
+	for i := 0; i < churnPeers; i++ {
 		name := fmt.Sprintf("peer%d", i)
 		rs, err := r.startMember(name, i)
 		if err != nil {
@@ -178,12 +159,12 @@ func (r *churnRun) setup() error {
 		return err
 	}
 	r.client = client
-	r.victim = r.rng.Intn(r.cfg.Peers)
+	r.victim = r.rng.Intn(churnPeers)
 
 	// Well-behaved tenants: modest footprints that stay far under quota.
-	for t := 0; t < r.cfg.Tenants; t++ {
+	for t := 0; t < churnTenants; t++ {
 		tenant := fmt.Sprintf("tenant%d", t)
-		for i := 0; i < r.cfg.Procs; i++ {
+		for i := 0; i < churnProcs; i++ {
 			r.procs = append(r.procs, &churnProc{
 				tenant: tenant,
 				name:   fmt.Sprintf("proc%d", i),
@@ -238,7 +219,6 @@ func (r *churnRun) checkpointOne(cp *churnProc, round int) (committed, degraded,
 	if round == 0 {
 		enc = cp.p.FullCheckpoint()
 	} else {
-		cp.p.Advance(1)
 		enc, _ = cp.p.DeltaCheckpoint()
 	}
 	err := r.client.Namespace(cp.tenant).Checkpoint(r.ctx, cp.name, round, enc)
@@ -281,15 +261,15 @@ func (r *churnRun) rebalance(round int, label string) *aic.RebalanceReport {
 }
 
 func (r *churnRun) run() {
-	killRound := r.cfg.Rounds / 3
-	restartRound := (2 * r.cfg.Rounds) / 3
-	for round := 0; round < r.cfg.Rounds; round++ {
+	killRound := churnRounds / 3
+	restartRound := (2 * churnRounds) / 3
+	for round := 0; round < churnRounds; round++ {
 		if round == killRound {
 			// Membership churn and a peer failure at once: a fresh peer joins
 			// and the victim dies before the rebalance can finish — moves that
 			// need the victim defer, and the protocol must hold its
 			// never-drop-a-committed-seq guarantee in that half-migrated state.
-			rs, err := r.startMember("joiner", r.cfg.Peers)
+			rs, err := r.startMember("joiner", churnPeers)
 			if err != nil {
 				r.res.violate(round, "harness", "joiner: %v", err)
 				return
@@ -350,9 +330,9 @@ func (r *churnRun) run() {
 func (r *churnRun) verify() {
 	// Placement convergence: one more round over the settled membership must
 	// find nothing to move and nothing deferred.
-	if rep := r.rebalance(r.cfg.Rounds, "settle"); rep != nil {
+	if rep := r.rebalance(churnRounds, "settle"); rep != nil {
 		if rep.Moves != 0 || len(rep.Deferred) != 0 {
-			r.res.violate(r.cfg.Rounds, "placement-converge",
+			r.res.violate(churnRounds, "placement-converge",
 				"settled ring still moved %d chains (deferred %d)", rep.Moves, len(rep.Deferred))
 		}
 	}
@@ -361,34 +341,34 @@ func (r *churnRun) verify() {
 		ns := r.client.Namespace(cp.tenant)
 		chain, err := ns.Chain(r.ctx, cp.name)
 		if err != nil {
-			r.res.violate(r.cfg.Rounds, "chain-read", "%s/%s: %v", cp.tenant, cp.name, err)
+			r.res.violate(churnRounds, "chain-read", "%s/%s: %v", cp.tenant, cp.name, err)
 			continue
 		}
 		if len(chain) != len(cp.frames) {
-			r.res.violate(r.cfg.Rounds, "chain-lost",
+			r.res.violate(churnRounds, "chain-lost",
 				"%s/%s: %d elements stored, %d committed", cp.tenant, cp.name, len(chain), len(cp.frames))
 			continue
 		}
 		for i := range chain {
 			if !bytes.Equal(chain[i], cp.frames[i]) {
-				r.res.violate(r.cfg.Rounds, "chain-bytes",
+				r.res.violate(churnRounds, "chain-bytes",
 					"%s/%s seq %d differs from the committed frame", cp.tenant, cp.name, i)
 			}
 		}
 		im, rep, err := ns.Restore(r.ctx, cp.name)
 		if err != nil {
-			r.res.violate(r.cfg.Rounds, "restore", "%s/%s: %v", cp.tenant, cp.name, err)
+			r.res.violate(churnRounds, "restore", "%s/%s: %v", cp.tenant, cp.name, err)
 			continue
 		}
 		if want := len(cp.frames) - 1; rep.LastSeq != want || len(rep.Discarded) != 0 {
-			r.res.violate(r.cfg.Rounds, "restore-seq",
+			r.res.violate(churnRounds, "restore-seq",
 				"%s/%s restored through seq %d (want %d), discarded %v", cp.tenant, cp.name, rep.LastSeq, want, rep.Discarded)
 		}
 		// The hog's live image ran ahead of its last committed frame (its
 		// writes after the quota cut were never checkpointed), so the
 		// image-identity check applies to well-behaved tenants only.
 		if !cp.stopped && !im.Matches(cp.p) {
-			r.res.violate(r.cfg.Rounds, "restore-bytes", "%s/%s restored image differs", cp.tenant, cp.name)
+			r.res.violate(churnRounds, "restore-bytes", "%s/%s restored image differs", cp.tenant, cp.name)
 		}
 	}
 
@@ -396,7 +376,7 @@ func (r *churnRun) verify() {
 	// the peers agrees; rebalancing was counted on the client registry.
 	hog := r.procs[len(r.procs)-1]
 	if !hog.stopped || r.res.QuotaRejects == 0 {
-		r.res.violate(r.cfg.Rounds, "quota-unenforced",
+		r.res.violate(churnRounds, "quota-unenforced",
 			"hog tenant was never terminally rejected (rejects=%d)", r.res.QuotaRejects)
 	}
 	var metricRejects float64
@@ -406,10 +386,10 @@ func (r *churnRun) verify() {
 		}
 	}
 	if metricRejects == 0 {
-		r.res.violate(r.cfg.Rounds, "quota-metric", "aic_tenant_quota_rejects_total{tenant=hog} never advanced")
+		r.res.violate(churnRounds, "quota-metric", "aic_tenant_quota_rejects_total{tenant=hog} never advanced")
 	}
 	if v, ok := r.reg.Value("aic_ring_rebalance_total"); !ok || int(v) != r.res.Rebalances {
-		r.res.violate(r.cfg.Rounds, "rebalance-metric",
+		r.res.violate(churnRounds, "rebalance-metric",
 			"aic_ring_rebalance_total = %v (ok=%v), ran %d rounds", v, ok, r.res.Rebalances)
 	}
 	sort.SliceStable(r.res.Violations, func(i, j int) bool {

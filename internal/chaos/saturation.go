@@ -14,35 +14,18 @@ import (
 	"aic/internal/storage"
 )
 
-// SaturationConfig parameterizes a saturation→shed→recover scenario run.
-// The zero value selects defaults sized for a sub-second test run.
-type SaturationConfig struct {
-	// SyncDelay is the fsync stall injected during the saturation phase;
-	// it must land well above Threshold's bucket. Default 20ms.
-	SyncDelay time.Duration
-	// Threshold is the controller's fsync-p99 saturation threshold.
-	// Default 10ms — half the injected stall.
-	Threshold float64
-	// MaxRounds bounds each phase's append/step loop, so a controller that
-	// never converges fails the scenario instead of spinning. Default 60.
-	MaxRounds int
-	// Dir is the parent for the scratch store ("" = os temp); the caller
-	// owns cleanup of non-empty values.
-	Dir string
-}
-
-func (c SaturationConfig) withDefaults() SaturationConfig {
-	if c.SyncDelay <= 0 {
-		c.SyncDelay = 20 * time.Millisecond
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = 0.01
-	}
-	if c.MaxRounds <= 0 {
-		c.MaxRounds = 60
-	}
-	return c
-}
+// The saturation scenario's fixed shape, sized for a sub-second run.
+const (
+	// satSyncDelay is the fsync stall injected during the saturation
+	// phase; it lands well above satThreshold's bucket.
+	satSyncDelay = 20 * time.Millisecond
+	// satThreshold is the controller's fsync-p99 saturation threshold, in
+	// seconds: half the injected stall.
+	satThreshold = 0.01
+	// satMaxRounds bounds each phase's append/step loop, so a controller
+	// that never converges fails the scenario instead of spinning.
+	satMaxRounds = 60
+)
 
 // SaturationResult reports the scenario: the shed arc the controller
 // walked, what replication did at the bottom of it, and the final
@@ -71,11 +54,10 @@ type SaturationResult struct {
 // reproducible; the only real time in the run is the injected stall itself.
 //
 //aiclint:ignore testonly chaos scenario entry point, run by its soak test until ROADMAP item 7 ports the scenarios onto one Store driver
-func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult, error) {
-	cfg = cfg.withDefaults()
+func RunSaturation(ctx context.Context) (*SaturationResult, error) {
 	res := &SaturationResult{RunLog: RunLog{name: "saturation"}}
 
-	scratch, err := os.MkdirTemp(cfg.Dir, "aic-saturation-*")
+	scratch, err := os.MkdirTemp("", "aic-saturation-*")
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +75,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 		aic.WithReplication(aic.Replication{Stores: []aic.Store{peer}, Quorum: 1}),
 		aic.WithMetrics(reg),
 		aic.WithAdaptiveControl(aic.AdaptiveControlConfig{
-			FsyncP99Threshold: cfg.Threshold,
+			FsyncP99Threshold: satThreshold,
 			SaturateAfter:     6,
 			RecoverAfter:      2,
 		}))
@@ -130,8 +112,8 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	// Phase 2: sustained stall. Each round appends (so the sample window
 	// holds stalled fsyncs) and steps once; the ladder must reach
 	// LevelLocalOnly.
-	dfs.SetSyncDelay(cfg.SyncDelay)
-	for i := 0; i < cfg.MaxRounds && ctrl.Level() < control.LevelLocalOnly; i++ {
+	dfs.SetSyncDelay(satSyncDelay)
+	for i := 0; i < satMaxRounds && ctrl.Level() < control.LevelLocalOnly; i++ {
 		if err := append1(); err != nil {
 			return nil, fmt.Errorf("saturated append: %w", err)
 		}
@@ -166,7 +148,7 @@ func RunSaturation(ctx context.Context, cfg SaturationConfig) (*SaturationResult
 	// Phase 3: the stall clears. Idle samples read healthy (an empty fsync
 	// window is not saturation), so hysteresis restores replication.
 	dfs.SetSyncDelay(0)
-	for i := 0; i < cfg.MaxRounds && ctrl.Level() > control.LevelNormal; i++ {
+	for i := 0; i < satMaxRounds && ctrl.Level() > control.LevelNormal; i++ {
 		if d := ctrl.Step(); d.Changed {
 			res.ShedArc = append(res.ShedArc, d.Level)
 			res.logf("restored to level=%v", d.Level)

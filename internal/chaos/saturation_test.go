@@ -10,7 +10,7 @@ import (
 // full saturate→shed→recover arc through the production stack, with the
 // shed and the hysteresis recovery visible in the /metrics exposition.
 func TestSaturationShedRecover(t *testing.T) {
-	res, err := RunSaturation(context.Background(), SaturationConfig{})
+	res, err := RunSaturation(context.Background())
 	if err != nil {
 		t.Fatalf("scenario infrastructure: %v", err)
 	}

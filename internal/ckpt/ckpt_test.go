@@ -374,10 +374,10 @@ func TestParallelismProducesIdenticalCheckpoints(t *testing.T) {
 	}
 }
 
-// TestSetParallelismClampsNegative: a negative worker knob is the default
+// TestNegativeParallelismClamps: a negative worker knob is the default
 // (GOMAXPROCS) at a worker count of at least 1, and its builder, fanning
 // out on four procs, emits the serial builder's checkpoints byte for byte.
-func TestSetParallelismClampsNegative(t *testing.T) {
+func TestNegativeParallelismClamps(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	if got, want := par.Workers(-3, 64), par.Workers(0, 64); got != want || got < 1 {
 		t.Fatalf("par.Workers(-3, 64) = %d, want the default %d", got, want)

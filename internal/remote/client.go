@@ -206,14 +206,14 @@ func (r *RemoteStore) ensureConnLocked(ctx context.Context) error {
 	return nil
 }
 
-// splitWire decomposes a flat store key into the addressing fields the
-// server validates part by part.
-func splitWire(name string) (proc, tenant, stripe string) {
-	tenant, proc, stripe = storage.ParseKey(name)
+// address decomposes a flat store key into the address the server
+// validates part by part.
+func address(name string) procMsg {
+	tenant, proc, stripe := storage.ParseKey(name)
 	if tenant == storage.DefaultTenant {
 		tenant = "" // omitted on the wire; the server defaults it
 	}
-	return proc, tenant, stripe
+	return procMsg{Proc: proc, Tenant: tenant, Stripe: stripe}
 }
 
 func asRemoteErr(payload []byte) error {
@@ -331,10 +331,11 @@ func expect(br *bufio.Reader, want byte) ([]byte, error) {
 func (r *RemoteStore) Put(ctx context.Context, proc string, seq int, data []byte) error {
 	crc := objectCRC(data)
 	return r.timedDo(ctx, "put", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := splitWire(proc)
 		if err := writeJSON(conn, kindPutBegin, putBeginMsg{
-			Proc: p, Tenant: tenant, Stripe: stripe,
-			Seq: seq, Size: int64(len(data)), CRC: crc,
+			procMsg: address(proc),
+			Seq:     seq,
+			Size:    int64(len(data)),
+			CRC:     crc,
 			Migrate: storage.IsMigration(ctx),
 		}); err != nil {
 			return err
@@ -425,9 +426,7 @@ func (r *RemoteStore) GetSeqs(ctx context.Context, proc string, want []int) ([]i
 func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want []int) (hdr chainMsg, chain []storage.Stored, err error) {
 	err = r.timedDo(ctx, op, func(conn net.Conn, br *bufio.Reader) error {
 		hdr, chain = chainMsg{}, nil
-		p, tenant, stripe := splitWire(proc)
-		msg := getMsg{procMsg: procMsg{Proc: p, Tenant: tenant, Stripe: stripe}, Only: only, Want: want}
-		if err := writeJSON(conn, kindGet, msg); err != nil {
+		if err := writeJSON(conn, kindGet, getMsg{procMsg: address(proc), Only: only, Want: want}); err != nil {
 			return err
 		}
 		payload, err := expect(br, kindChain)
@@ -515,70 +514,58 @@ func checkReply(hdr chainMsg, chain []storage.Stored, only bool, want []int) err
 	return vet("missing", hdr.Missing)
 }
 
-// List implements storage.Store.
-func (r *RemoteStore) List(ctx context.Context) (procs []string, err error) {
-	err = r.timedDo(ctx, "list", func(conn net.Conn, br *bufio.Reader) error {
-		if err := writeFrame(conn, kindList, nil); err != nil {
-			return err
+// call runs one request that gets one reply: msg goes out as a frame of
+// kind (an empty one when msg is nil), and the reply must be a want frame,
+// whose JSON payload decodes into a fresh R on every attempt. A kindOK
+// reply carries no payload.
+func call[R any](ctx context.Context, r *RemoteStore, op string, kind byte, msg any, want byte) (reply R, err error) {
+	err = r.timedDo(ctx, op, func(conn net.Conn, br *bufio.Reader) error {
+		reply = *new(R)
+		var err error
+		if msg == nil {
+			err = writeFrame(conn, kind, nil)
+		} else {
+			err = writeJSON(conn, kind, msg)
 		}
-		payload, err := expect(br, kindProcs)
 		if err != nil {
 			return err
 		}
-		var m procsMsg
-		if err := decodeJSON(payload, &m); err != nil {
+		payload, err := expect(br, want)
+		if err != nil || want == kindOK {
 			return err
 		}
-		procs = m.Procs
-		return nil
+		return decodeJSON(payload, &reply)
 	})
+	return reply, err
+}
+
+// List implements storage.Store.
+func (r *RemoteStore) List(ctx context.Context) ([]string, error) {
+	m, err := call[procsMsg](ctx, r, "list", kindList, nil, kindProcs)
 	if err != nil {
 		return nil, err
 	}
-	return procs, nil
+	return m.Procs, nil
 }
 
 // Delete implements storage.Store.
 func (r *RemoteStore) Delete(ctx context.Context, proc string) error {
-	return r.timedDo(ctx, "delete", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := splitWire(proc)
-		if err := writeJSON(conn, kindDelete, procMsg{Proc: p, Tenant: tenant, Stripe: stripe}); err != nil {
-			return err
-		}
-		_, err := expect(br, kindOK)
-		return err
-	})
+	_, err := call[struct{}](ctx, r, "delete", kindDelete, address(proc), kindOK)
+	return err
 }
 
 // Truncate implements storage.Store.
 func (r *RemoteStore) Truncate(ctx context.Context, proc string, fullSeq int) error {
-	return r.timedDo(ctx, "truncate", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := splitWire(proc)
-		if err := writeJSON(conn, kindTruncate, truncateMsg{Proc: p, Tenant: tenant, Stripe: stripe, FullSeq: fullSeq}); err != nil {
-			return err
-		}
-		_, err := expect(br, kindOK)
-		return err
-	})
+	_, err := call[struct{}](ctx, r, "truncate", kindTruncate, truncateMsg{procMsg: address(proc), FullSeq: fullSeq}, kindOK)
+	return err
 }
 
 // Scrub implements storage.Store: the scrub runs on the peer, against its
 // own durable state.
-func (r *RemoteStore) Scrub(ctx context.Context, proc string, repair bool) (rep *storage.ScrubReport, err error) {
-	err = r.timedDo(ctx, "scrub", func(conn net.Conn, br *bufio.Reader) error {
-		p, tenant, stripe := splitWire(proc)
-		if err := writeJSON(conn, kindScrub, scrubMsg{Proc: p, Tenant: tenant, Stripe: stripe, Repair: repair}); err != nil {
-			return err
-		}
-		payload, err := expect(br, kindScrubRep)
-		if err != nil {
-			return err
-		}
-		rep = new(storage.ScrubReport)
-		return decodeJSON(payload, rep)
-	})
+func (r *RemoteStore) Scrub(ctx context.Context, proc string, repair bool) (*storage.ScrubReport, error) {
+	rep, err := call[storage.ScrubReport](ctx, r, "scrub", kindScrub, scrubMsg{procMsg: address(proc), Repair: repair}, kindScrubRep)
 	if err != nil {
 		return nil, err
 	}
-	return rep, nil
+	return &rep, nil
 }

@@ -24,7 +24,7 @@ func TestServerFrameBufferReuseKeepsStagedBytes(t *testing.T) {
 
 	payload := append(bytes.Repeat([]byte{0x11}, 4000), bytes.Repeat([]byte{0xEE}, 4000)...)
 	data := (&ckpt.Checkpoint{Seq: 0, Kind: ckpt.Full, PageSize: 64, Payload: payload}).Encode()
-	c.send(kindPutBegin, mustJSON(t, putBeginMsg{Proc: fuzzProc, Seq: 0, Size: int64(len(data)), CRC: objectCRC(data)}))
+	c.send(kindPutBegin, mustJSON(t, putBeginMsg{procMsg: procMsg{Proc: fuzzProc}, Seq: 0, Size: int64(len(data)), CRC: objectCRC(data)}))
 	if kind, reply := c.reply(); kind != kindPutOffset {
 		t.Fatalf("PutBegin answered 0x%02x %s", kind, reply)
 	}

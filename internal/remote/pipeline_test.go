@@ -122,7 +122,7 @@ func TestReplicationPutIsSilentUntilCommit(t *testing.T) {
 	defer c.disconnect()
 
 	obj := fuzzObj(4)
-	c.send(kindPutBegin, mustJSON(t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+	c.send(kindPutBegin, mustJSON(t, putBeginMsg{procMsg: procMsg{Proc: fuzzProc}, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
 	if kind, reply := c.reply(); kind != kindPutOffset {
 		t.Fatalf("PutBegin answered 0x%02x %s", kind, reply)
 	}

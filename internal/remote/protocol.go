@@ -113,7 +113,10 @@ type helloMsg struct {
 }
 
 // procMsg names one chain: Tenant "" means the default namespace, Stripe
-// names a stripe chain of the proc. The server composes the flat store key.
+// names a stripe chain of the proc. It is the one address type: every
+// request that names a chain embeds it, and encoding/json flattens its
+// fields, first, into the request's object. The server composes the flat
+// store key (key).
 type procMsg struct {
 	Proc   string `json:"proc"`
 	Tenant string `json:"tenant,omitempty"`
@@ -129,12 +132,10 @@ type getMsg struct {
 }
 
 type putBeginMsg struct {
-	Proc   string `json:"proc"`
-	Tenant string `json:"tenant,omitempty"`
-	Stripe string `json:"stripe,omitempty"`
-	Seq    int    `json:"seq"`
-	Size   int64  `json:"size"`
-	CRC    uint32 `json:"crc"` // objectCRC of the whole object
+	procMsg
+	Seq  int    `json:"seq"`
+	Size int64  `json:"size"`
+	CRC  uint32 `json:"crc"` // objectCRC of the whole object
 	// Migrate marks a rebalance-migration copy of an already-committed
 	// element: the server exempts it from tenant quota admission (it was
 	// admitted when first written).
@@ -146,17 +147,13 @@ type putOffsetMsg struct {
 }
 
 type truncateMsg struct {
-	Proc    string `json:"proc"`
-	Tenant  string `json:"tenant,omitempty"`
-	Stripe  string `json:"stripe,omitempty"`
-	FullSeq int    `json:"fullSeq"`
+	procMsg
+	FullSeq int `json:"fullSeq"`
 }
 
 type scrubMsg struct {
-	Proc   string `json:"proc"`
-	Tenant string `json:"tenant,omitempty"`
-	Stripe string `json:"stripe,omitempty"`
-	Repair bool   `json:"repair"`
+	procMsg
+	Repair bool `json:"repair"`
 }
 
 type chainMsg struct {

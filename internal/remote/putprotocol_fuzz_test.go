@@ -238,7 +238,7 @@ func (h *putHarness) step(op, arg byte) {
 	switch op % numOps {
 	case opBegin:
 		obj := fuzzObj(arg)
-		c.send(kindPutBegin, mustJSON(h.t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+		c.send(kindPutBegin, mustJSON(h.t, putBeginMsg{procMsg: procMsg{Proc: fuzzProc}, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
 		c.open = nil
 		kind, payload := c.reply()
 		if kind != kindPutOffset {
@@ -318,7 +318,7 @@ func (h *putHarness) step(op, arg byte) {
 			h.forget(func(int) bool { return true })
 		}
 	case opTruncate:
-		c.send(kindTruncate, mustJSON(h.t, truncateMsg{Proc: fuzzProc, FullSeq: int(arg % 6)}))
+		c.send(kindTruncate, mustJSON(h.t, truncateMsg{procMsg: procMsg{Proc: fuzzProc}, FullSeq: int(arg % 6)}))
 		if kind, _ := c.reply(); kind == kindOK {
 			h.forget(func(seq int) bool { return seq < int(arg%6) })
 		}
@@ -329,7 +329,7 @@ func (h *putHarness) step(op, arg byte) {
 				h.t.Fatal(err)
 			}
 		}
-		c.send(kindScrub, mustJSON(h.t, scrubMsg{Proc: fuzzProc, Repair: true}))
+		c.send(kindScrub, mustJSON(h.t, scrubMsg{procMsg: procMsg{Proc: fuzzProc}, Repair: true}))
 		c.reply()
 	case opNoHello:
 		// The request is refused and the connection closed; the store keeps
@@ -338,7 +338,7 @@ func (h *putHarness) step(op, arg byte) {
 		c.disconnect()
 		c.dial()
 		obj := fuzzObj(arg)
-		c.send(kindPutBegin, mustJSON(h.t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+		c.send(kindPutBegin, mustJSON(h.t, putBeginMsg{procMsg: procMsg{Proc: fuzzProc}, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
 		if kind, payload := c.reply(); kind != kindErr {
 			h.t.Fatalf("PutBegin before the hello answered 0x%02x %s", kind, payload)
 		}

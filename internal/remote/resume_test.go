@@ -183,7 +183,7 @@ func TestResumeNeverCommitsAnotherFramesBytes(t *testing.T) {
 	if _, err := expect(br, kindHelloOK); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeJSON(conn, kindPutBegin, putBeginMsg{Proc: "p0", Size: int64(len(a)), CRC: objectCRC(a)}); err != nil {
+	if err := writeJSON(conn, kindPutBegin, putBeginMsg{procMsg: procMsg{Proc: "p0"}, Size: int64(len(a)), CRC: objectCRC(a)}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := expect(br, kindPutOffset); err != nil {
@@ -194,7 +194,7 @@ func TestResumeNeverCommitsAnotherFramesBytes(t *testing.T) {
 	}
 	// A data frame gets no reply: a second PutBegin of A reads back what
 	// the server staged.
-	if err := writeJSON(conn, kindPutBegin, putBeginMsg{Proc: "p0", Size: int64(len(a)), CRC: objectCRC(a)}); err != nil {
+	if err := writeJSON(conn, kindPutBegin, putBeginMsg{procMsg: procMsg{Proc: "p0"}, Size: int64(len(a)), CRC: objectCRC(a)}); err != nil {
 		t.Fatal(err)
 	}
 	var off putOffsetMsg
@@ -230,7 +230,7 @@ func TestResumeAfterMisplacedDataFrame(t *testing.T) {
 	obj := fuzzObj(4)
 	begin := func() int64 {
 		t.Helper()
-		c.send(kindPutBegin, mustJSON(t, putBeginMsg{Proc: fuzzProc, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
+		c.send(kindPutBegin, mustJSON(t, putBeginMsg{procMsg: procMsg{Proc: fuzzProc}, Seq: obj.seq, Size: int64(len(obj.data)), CRC: obj.crc}))
 		kind, payload := c.reply()
 		var off putOffsetMsg
 		if kind != kindPutOffset || decodeJSON(payload, &off) != nil {

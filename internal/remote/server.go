@@ -193,211 +193,174 @@ func (s *Server) Close() error {
 	return nil
 }
 
+// transfer is a connection's open Put: the object of its last PutBegin
+// and the staging it fills until the commit. Only PutBegin and PutCommit
+// change it.
+type transfer struct {
+	key objKey
+	st  *staging // nil outside a transfer
+}
+
 // serveConn runs the request loop for one connection; ctx is the server's
 // lifetime context from Serve. The first frame must be a hello naming
 // exactly protocolVersion: anything else is refused and the connection
 // closed, so every request the loop serves speaks the one dialect.
 //
-// Every frame is read into the connection's one read buffer, so each case
-// consumes its payload — decodes it, or copies a data frame's chunk into
-// the staging buffer — before the next read overwrites it.
+// A refused request — a bad address, a store error, a commit outside a
+// transfer — is answered here, with one error frame, and the connection
+// stays up; any other failure ends it.
+//
+// Every frame is read into the connection's one read buffer, so every
+// request consumes its payload — decodes it, or copies a data frame's
+// chunk into the staging buffer — before the next read overwrites it.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) error {
 	var rbuf []byte
 	if err := s.hello(conn, &rbuf); err != nil {
 		return err
 	}
-	var (
-		// curKey names the object of the connection's last PutBegin and
-		// cur is its transfer until the commit.
-		curKey objKey
-		cur    *staging
-	)
+	var put transfer
 	for {
 		kind, payload, err := s.readFrame(conn, &rbuf)
 		if err != nil {
 			return err
 		}
-		switch kind {
-		case kindPutBegin:
-			var m putBeginMsg
-			if err := decodeJSON(payload, &m); err != nil {
-				return err
-			}
-			var reply putOffsetMsg
-			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
-			if err == nil {
-				curKey, cur, reply, err = s.beginPut(name, m)
-			}
-			if err != nil {
-				cur = nil
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			if err := writeJSON(conn, kindPutOffset, reply); err != nil {
-				return err
-			}
-
-		case kindPutData:
-			// A data frame gets no reply. One the transfer cannot take ends
-			// the connection, as a malformed frame does; the staged prefix
-			// stays for the client's resume.
-			if cur == nil {
-				return errors.New("remote: data frame outside a transfer")
-			}
-			offset, chunk, err := splitDataFrame(payload)
-			if err != nil {
-				return err
-			}
-			s.mu.Lock()
-			if staged := int64(len(cur.buf)); offset != staged || offset+int64(len(chunk)) > cur.size {
-				s.mu.Unlock()
-				return fmt.Errorf("remote: data frame of %d bytes at offset %d, staged %d of %d", len(chunk), offset, staged, cur.size)
-			}
-			cur.buf = append(cur.buf, chunk...)
-			if s.staging[curKey] == cur {
-				s.met.observeStaging(len(chunk)) // an orphaned transfer is not staged
-			}
-			s.mu.Unlock()
-
-		case kindPutCommit:
-			if cur == nil {
-				// A client retries a Put from its PutBegin, never with a
-				// bare commit: the retry's commit is judged on its bytes.
-				if err := s.sendErr(conn, codeBadFrame, "commit outside a transfer"); err != nil {
-					return err
-				}
-				continue
-			}
-			err := s.commitPut(ctx, curKey, cur)
-			cur = nil
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			if err := writeFrame(conn, kindPutDone, nil); err != nil {
-				return err
-			}
-
-		case kindGet:
-			var m getMsg
-			if err := decodeJSON(payload, &m); err != nil {
-				return err
-			}
-			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			var reply chainMsg
-			var chain []storage.Stored
-			if m.Only {
-				reply.Only = true
-				reply.Listed, chain, reply.Missing, err = storage.ReadSeqs(ctx, s.store, name, m.Want)
-			} else {
-				chain, reply.Missing, err = s.store.Get(ctx, name)
-			}
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			reply.Count = len(chain)
-			hdr, err := json.Marshal(reply)
-			if err != nil {
-				return err
-			}
-			if err := writeChain(conn, hdr, chain); err != nil {
-				return err
-			}
-
-		case kindList:
-			procs, err := s.store.List(ctx)
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			if err := writeJSON(conn, kindProcs, procsMsg{Procs: procs}); err != nil {
-				return err
-			}
-
-		case kindDelete:
-			var m procMsg
-			if err := decodeJSON(payload, &m); err != nil {
-				return err
-			}
-			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			delErr := s.store.Delete(ctx, name)
-			if delErr == nil {
-				// The store no longer holds the chain: a staged transfer of
-				// it would otherwise resume into a chain that is gone.
-				s.forget(name, func(int) bool { return true })
-			}
-			if err := s.reply(conn, delErr); err != nil {
-				return err
-			}
-
-		case kindTruncate:
-			var m truncateMsg
-			if err := decodeJSON(payload, &m); err != nil {
-				return err
-			}
-			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			truncErr := s.store.Truncate(ctx, name, m.FullSeq)
-			if truncErr == nil {
-				s.forget(name, func(seq int) bool { return seq < m.FullSeq })
-			}
-			if err := s.reply(conn, truncErr); err != nil {
-				return err
-			}
-
-		case kindScrub:
-			var m scrubMsg
-			if err := decodeJSON(payload, &m); err != nil {
-				return err
-			}
-			name, err := wireKey(m.Proc, m.Tenant, m.Stripe)
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			rep, err := s.store.Scrub(ctx, name, m.Repair)
-			if err != nil {
-				if e := s.sendStoreErr(conn, err); e != nil {
-					return e
-				}
-				continue
-			}
-			if err := writeJSON(conn, kindScrubRep, rep); err != nil {
-				return err
-			}
-
-		default:
-			return fmt.Errorf("remote: unexpected frame 0x%02x", kind)
+		refused, err := s.serve(ctx, conn, &put, kind, payload)
+		if refused != nil && err == nil {
+			err = s.sendErr(conn, errCode(refused), refused.Error())
+		}
+		if err != nil {
+			return err
 		}
 	}
+}
+
+// chainRequest is a request that names one chain: its message embeds
+// procMsg, whose key resolves the address.
+type chainRequest interface{ key() (string, error) }
+
+// errNoTransfer refuses a PutCommit with no transfer open. A client retries
+// a Put from its PutBegin, never with a bare commit: the retry's commit is
+// judged on its bytes.
+var errNoTransfer = errors.New("commit outside a transfer")
+
+// serve answers one frame of the connection whose open transfer is put. It
+// returns the request's refusal, which serveConn answers, or the error that
+// ends the connection. The transfer frames come first: durableflow checks
+// the kindPutDone write against the calls before it in source order.
+func (s *Server) serve(ctx context.Context, conn net.Conn, put *transfer, kind byte, payload []byte) (refused, err error) {
+	var req chainRequest
+	switch kind {
+	case kindPutData:
+		// A data frame gets no reply. One the transfer cannot take ends
+		// the connection, as a malformed frame does; the staged prefix
+		// stays for the client's resume.
+		return nil, s.stage(*put, payload)
+	case kindPutCommit:
+		t := *put
+		*put = transfer{}
+		if t.st == nil {
+			return errNoTransfer, nil
+		}
+		if err := s.commitPut(ctx, t.key, t.st); err != nil {
+			return err, nil
+		}
+		return nil, writeFrame(conn, kindPutDone, nil)
+	case kindList:
+		procs, err := s.store.List(ctx)
+		if err != nil {
+			return err, nil
+		}
+		return nil, writeJSON(conn, kindProcs, procsMsg{Procs: procs})
+	case kindPutBegin:
+		*put = transfer{} // a new PutBegin ends the last transfer, refused or not
+		req = new(putBeginMsg)
+	case kindGet:
+		req = new(getMsg)
+	case kindDelete:
+		req = new(procMsg)
+	case kindTruncate:
+		req = new(truncateMsg)
+	case kindScrub:
+		req = new(scrubMsg)
+	default:
+		return nil, fmt.Errorf("remote: unexpected frame 0x%02x", kind)
+	}
+	if err := decodeJSON(payload, req); err != nil {
+		return nil, err
+	}
+	name, err := req.key()
+	if err != nil {
+		return err, nil
+	}
+	switch m := req.(type) {
+	case *putBeginMsg:
+		t, reply, err := s.beginPut(name, *m)
+		if err != nil {
+			return err, nil
+		}
+		*put = t
+		return nil, writeJSON(conn, kindPutOffset, reply)
+	case *getMsg:
+		var reply chainMsg
+		var chain []storage.Stored
+		if m.Only {
+			reply.Only = true
+			reply.Listed, chain, reply.Missing, err = storage.ReadSeqs(ctx, s.store, name, m.Want)
+		} else {
+			chain, reply.Missing, err = s.store.Get(ctx, name)
+		}
+		if err != nil {
+			return err, nil
+		}
+		reply.Count = len(chain)
+		hdr, err := json.Marshal(reply)
+		if err != nil {
+			return nil, err
+		}
+		return nil, writeChain(conn, hdr, chain)
+	case *procMsg: // kindDelete
+		if err := s.store.Delete(ctx, name); err != nil {
+			return err, nil
+		}
+		// The store no longer holds the chain: a staged transfer of it
+		// would otherwise resume into a chain that is gone.
+		s.forget(name, func(int) bool { return true })
+	case *truncateMsg:
+		if err := s.store.Truncate(ctx, name, m.FullSeq); err != nil {
+			return err, nil
+		}
+		s.forget(name, func(seq int) bool { return seq < m.FullSeq })
+	case *scrubMsg:
+		rep, err := s.store.Scrub(ctx, name, m.Repair)
+		if err != nil {
+			return err, nil
+		}
+		return nil, writeJSON(conn, kindScrubRep, rep)
+	}
+	return nil, writeFrame(conn, kindOK, nil)
+}
+
+// stage appends a data frame's chunk to the open transfer. A frame outside
+// a transfer, or not at its staged offset, or past its declared size, is an
+// error that ends the connection.
+func (s *Server) stage(put transfer, payload []byte) error {
+	if put.st == nil {
+		return errors.New("remote: data frame outside a transfer")
+	}
+	offset, chunk, err := splitDataFrame(payload)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if staged := int64(len(put.st.buf)); offset != staged || offset+int64(len(chunk)) > put.st.size {
+		return fmt.Errorf("remote: data frame of %d bytes at offset %d, staged %d of %d", len(chunk), offset, staged, put.st.size)
+	}
+	put.st.buf = append(put.st.buf, chunk...)
+	if s.staging[put.key] == put.st {
+		s.met.observeStaging(len(chunk)) // an orphaned transfer is not staged
+	}
+	return nil
 }
 
 // hello runs the opening exchange: one kindHello naming exactly
@@ -429,26 +392,27 @@ func (s *Server) readFrame(conn net.Conn, rbuf *[]byte) (byte, []byte, error) {
 	return readFrameInto(conn, DefaultMaxFrame, rbuf)
 }
 
-// wireKey validates a request's addressing fields and composes the flat
-// store key. The proc part must pass the user rule — the separators belong
-// to the server — and the tenant and stripe parts their own validation, so
-// one tenant cannot smuggle a name that addresses another tenant's chain.
-func wireKey(proc, tenant, stripe string) (string, error) {
-	if err := storage.ValidateUserProcName(proc); err != nil {
+// key validates the address and composes the flat store key. The proc
+// part must pass the user rule — the separators belong to the server — and
+// the tenant and stripe parts their own validation, so one tenant cannot
+// smuggle a name that addresses another tenant's chain.
+func (m procMsg) key() (string, error) {
+	if err := storage.ValidateUserProcName(m.Proc); err != nil {
 		return "", err
 	}
+	tenant := m.Tenant
 	if tenant == "" {
 		tenant = storage.DefaultTenant
 	}
 	if err := storage.ValidateTenantName(tenant); err != nil {
 		return "", err
 	}
-	if stripe != "" {
-		if _, _, ok := storage.ParseStripeLabel(stripe); !ok {
-			return "", fmt.Errorf("remote: %w: malformed stripe label %q", storage.ErrBadProcName, stripe)
+	if m.Stripe != "" {
+		if _, _, ok := storage.ParseStripeLabel(m.Stripe); !ok {
+			return "", fmt.Errorf("remote: %w: malformed stripe label %q", storage.ErrBadProcName, m.Stripe)
 		}
 	}
-	return storage.ComposeKey(tenant, proc, stripe), nil
+	return storage.ComposeKey(tenant, m.Proc, m.Stripe), nil
 }
 
 // errBackpressure reports a full staging pool; the client retries with
@@ -460,22 +424,23 @@ var errBackpressure = errors.New("remote: staging pool full")
 // resumes only when its size and objectCRC match the new declaration.
 // Whether the store already holds the object is judged on its bytes at
 // commit, never here.
-func (s *Server) beginPut(name string, m putBeginMsg) (key objKey, st *staging, reply putOffsetMsg, err error) {
+func (s *Server) beginPut(name string, m putBeginMsg) (transfer, putOffsetMsg, error) {
 	if m.Seq < 0 || m.Size < 0 {
-		return key, nil, reply, fmt.Errorf("remote: malformed put-begin %+v", m)
+		return transfer{}, putOffsetMsg{}, fmt.Errorf("remote: malformed put-begin {Proc:%s Tenant:%s Stripe:%s Seq:%d Size:%d CRC:%d Migrate:%t}",
+			m.Proc, m.Tenant, m.Stripe, m.Seq, m.Size, m.CRC, m.Migrate)
 	}
 	if m.Size > maxObject {
-		return key, nil, reply, fmt.Errorf("remote: object of %d bytes exceeds limit %d", m.Size, maxObject)
+		return transfer{}, putOffsetMsg{}, fmt.Errorf("remote: object of %d bytes exceeds limit %d", m.Size, maxObject)
 	}
 	if m.Size > s.cfg.MaxStagingBytes {
 		// Terminal, not backpressure: an object larger than the whole pool
 		// could never stage no matter how long the client waits.
-		return key, nil, reply, fmt.Errorf("remote: object of %d bytes exceeds staging pool %d", m.Size, s.cfg.MaxStagingBytes)
+		return transfer{}, putOffsetMsg{}, fmt.Errorf("remote: object of %d bytes exceeds staging pool %d", m.Size, s.cfg.MaxStagingBytes)
 	}
-	key = objKey{proc: name, seq: m.Seq}
+	key := objKey{proc: name, seq: m.Seq}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st = s.staging[key]
+	st := s.staging[key]
 	if st == nil || st.size != m.Size || st.crc != m.CRC {
 		prior := int64(0)
 		if st != nil {
@@ -484,7 +449,7 @@ func (s *Server) beginPut(name string, m putBeginMsg) (key objKey, st *staging, 
 		// Admit against the bounded staging pool before allocating: the
 		// entry this transfer replaces returns its own reservation first.
 		if s.stagingDeclared-prior+m.Size > s.cfg.MaxStagingBytes {
-			return key, nil, reply, fmt.Errorf("%w: %d of %d bytes reserved", errBackpressure, s.stagingDeclared, s.cfg.MaxStagingBytes)
+			return transfer{}, putOffsetMsg{}, fmt.Errorf("%w: %d of %d bytes reserved", errBackpressure, s.stagingDeclared, s.cfg.MaxStagingBytes)
 		}
 		if st != nil {
 			s.unstageLocked(key, st)
@@ -494,7 +459,7 @@ func (s *Server) beginPut(name string, m putBeginMsg) (key objKey, st *staging, 
 		s.staging[key] = st
 	}
 	st.migrate = st.migrate || m.Migrate
-	return key, st, putOffsetMsg{Offset: int64(len(st.buf))}, nil
+	return transfer{key, st}, putOffsetMsg{Offset: int64(len(st.buf))}, nil
 }
 
 // forget purges the staged transfers for proc whose sequence matches drop:
@@ -558,29 +523,22 @@ func (s *Server) commitPut(ctx context.Context, key objKey, st *staging) error {
 	return err
 }
 
-// reply sends kindOK or the mapped error frame.
-func (s *Server) reply(conn net.Conn, err error) error {
-	if err != nil {
-		return s.sendStoreErr(conn, err)
+// errCode maps a refusal onto its wire error code; the client maps the
+// codes back onto the store sentinels.
+func errCode(err error) string {
+	switch {
+	case errors.Is(err, storage.ErrStaleSeq):
+		return codeStaleSeq
+	case errors.Is(err, storage.ErrBadProcName):
+		return codeBadProc
+	case errors.Is(err, storage.ErrQuotaExceeded):
+		return codeQuota
+	case errors.Is(err, errBackpressure):
+		return codeBackpressure
+	case errors.Is(err, errNoTransfer):
+		return codeBadFrame
 	}
-	return writeFrame(conn, kindOK, nil)
-}
-
-// sendStoreErr reports a store-level failure to the client as an error
-// frame. The connection stays usable: an application error is not a
-// transport error.
-func (s *Server) sendStoreErr(conn net.Conn, err error) error {
-	code := codeInternal
-	if errors.Is(err, storage.ErrStaleSeq) {
-		code = codeStaleSeq
-	} else if errors.Is(err, storage.ErrBadProcName) {
-		code = codeBadProc
-	} else if errors.Is(err, storage.ErrQuotaExceeded) {
-		code = codeQuota
-	} else if errors.Is(err, errBackpressure) {
-		code = codeBackpressure
-	}
-	return s.sendErr(conn, code, err.Error())
+	return codeInternal
 }
 
 func (s *Server) sendErr(conn net.Conn, code, msg string) error {

@@ -96,7 +96,7 @@ func TestServerRefusesRequestsBeforeHello(t *testing.T) {
 				out = appendFrame(out, kindHello, mustJSON(t, tc.hello))
 			}
 			out = appendFrame(out, kindPutBegin, mustJSON(t, putBeginMsg{
-				Proc: "acme@web#bogus", Size: int64(len(data)), CRC: objectCRC(data)}))
+				procMsg: procMsg{Proc: "acme@web#bogus"}, Size: int64(len(data)), CRC: objectCRC(data)}))
 			out = appendDataFrame(out, 0, data)
 			out = appendFrame(out, kindPutCommit, nil)
 			conn.Write(out) // the server may close before it reads it all
@@ -156,7 +156,7 @@ func TestBackpressureAdmission(t *testing.T) {
 	s := NewServer(back, ServerConfig{MaxStagingBytes: 100})
 
 	begin := func(proc string, size int64) error {
-		_, _, _, err := s.beginPut(proc, putBeginMsg{Proc: proc, Size: size, Seq: 0})
+		_, _, err := s.beginPut(proc, putBeginMsg{Size: size})
 		return err
 	}
 	if err := begin("a", 80); err != nil {
@@ -184,7 +184,7 @@ func TestBackpressureRetry(t *testing.T) {
 	srv, addr := startServerCfg(t, back, ServerConfig{MaxStagingBytes: 100})
 
 	// Pin most of the pool with a dangling partial transfer.
-	if _, _, _, err := srv.beginPut("hog", putBeginMsg{Proc: "hog", Size: 90, Seq: 0}); err != nil {
+	if _, _, err := srv.beginPut("hog", putBeginMsg{Size: 90}); err != nil {
 		t.Fatal(err)
 	}
 	cfg := testConfig()

@@ -21,7 +21,6 @@ func ownershipChain(t *testing.T) (*Process, [][]byte) {
 	}
 	chain := [][]byte{p.FullCheckpoint()}
 	for step := 0; step < 3; step++ {
-		p.Advance(1)
 		for i := uint64(0); i < 8; i++ {
 			p.Write(i, step*16, []byte("edit"))
 		}
