@@ -28,10 +28,10 @@ type Builder struct {
 type Option func(*Builder)
 
 // WithParallelism sets the number of workers DeltaCheckpoint's page-aligned
-// encoder fans pages across (par.Workers): n ≤ 0, the default, selects
-// GOMAXPROCS — the paper's model of compression saturating the node's
-// spare cores — and 1 forces the serial path. Both paths emit
-// byte-identical streams.
+// encoder fans pages across, and every frame's CRC-32C trailer is computed
+// on (par.Workers): n ≤ 0, the default, selects GOMAXPROCS — the paper's
+// model of compression saturating the node's spare cores — and 1 forces
+// the serial path. Both paths emit byte-identical streams.
 func WithParallelism(n int) Option {
 	return func(b *Builder) { b.parallelism = n }
 }
@@ -149,7 +149,7 @@ func (b *Builder) FullCheckpoint(as *memsim.AddressSpace) *Checkpoint {
 		PageSize: b.pageSize,
 		CPUState: b.cpuBlob(),
 	}
-	c.rawPagesFrame(as, idxs)
+	c.rawPagesFrame(as, idxs, b.parallelism)
 	b.finish(as, c, idxs)
 	return c
 }
@@ -166,7 +166,7 @@ func (b *Builder) IncrementalCheckpoint(as *memsim.AddressSpace) *Checkpoint {
 		CPUState: b.cpuBlob(),
 		Freed:    b.freedSince(as),
 	}
-	c.rawPagesFrame(as, idxs)
+	c.rawPagesFrame(as, idxs, b.parallelism)
 	b.finish(as, c, idxs)
 	return c
 }
@@ -194,7 +194,7 @@ func (b *Builder) DeltaCheckpoint(as *memsim.AddressSpace) (*Checkpoint, delta.S
 	}
 	header := func(n int) []byte { return c.appendHeader(nil, n) }
 	frame, st := delta.EncodePageAlignedInto(updates, b.blockSize, b.parallelism, header, 4)
-	c.seal(frame, st.OutputBytes)
+	c.seal(frame, st.OutputBytes, b.parallelism)
 	b.finish(as, c, idxs)
 	return c, st
 }

@@ -16,6 +16,7 @@ import (
 
 	"aic/internal/delta"
 	"aic/internal/memsim"
+	"aic/internal/par"
 )
 
 // Kind is the checkpoint flavour.
@@ -150,11 +151,11 @@ func (c *Checkpoint) appendHeader(out []byte, n int) []byte {
 }
 
 // seal finishes a frame holding c's header and its n payload bytes, with
-// room for the trailer: one CRC pass appends the trailer, and the frame
-// becomes c's encoding, with Payload aliasing it.
-func (c *Checkpoint) seal(frame []byte, n int) {
+// room for the trailer: one CRC pass (checksum, on workers) appends the
+// trailer, and the frame becomes c's encoding, with Payload aliasing it.
+func (c *Checkpoint) seal(frame []byte, n, workers int) {
 	body := len(frame)
-	c.frame = binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame, crcTable))
+	c.frame = binary.LittleEndian.AppendUint32(frame, checksum(frame, workers))
 	c.Payload = frame[body-n : body : body]
 }
 
@@ -166,10 +167,36 @@ func uvarintLen(v uint64) int {
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// crcPiece is the piece size checksum splits a large frame into.
+const crcPiece = 1 << 20
+
+// checksum returns the CRC-32C of data. Data of two pieces or more is
+// checksummed piece by piece over par.For on workers (par.Workers: ≤ 0
+// selects GOMAXPROCS), and the piece CRCs fold in order (crc32Combine)
+// into the same value one pass gives; shorter data is one CRC call.
+func checksum(data []byte, workers int) uint32 {
+	if len(data) < 2*crcPiece {
+		return crc32.Checksum(data, crcTable)
+	}
+	piece := func(i int) []byte { return data[i*crcPiece : min((i+1)*crcPiece, len(data))] }
+	crcs := make([]uint32, (len(data)+crcPiece-1)/crcPiece)
+	par.For(workers, len(crcs), func(_, i int) error {
+		crcs[i] = crc32.Checksum(piece(i), crcTable)
+		return nil
+	})
+	var sum uint32
+	for i, crc := range crcs {
+		sum = crc32Combine(sum, crc, len(piece(i)))
+	}
+	return sum
+}
+
 // ErrChecksum reports a checkpoint whose integrity check failed.
 var ErrChecksum = errors.New("ckpt: checksum mismatch")
 
-// Decode parses a serialized checkpoint, verifying its CRC trailer.
+// Decode parses a serialized checkpoint, verifying its CRC trailer with
+// one pass over the frame, spread over every core for a large frame
+// (checksum).
 //
 // The returned Checkpoint's Payload aliases data: the caller must not
 // modify data while the Checkpoint is in use. CPUState and Freed are
@@ -181,7 +208,7 @@ func Decode(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(trailer) {
+	if checksum(body, 0) != binary.LittleEndian.Uint32(trailer) {
 		return nil, ErrChecksum
 	}
 	r := delta.NewPieces(body)
@@ -279,8 +306,8 @@ func PeekSeq(data []byte) (int, error) {
 
 // rawPagesFrame writes c's frame around the raw page list of idxs — the
 // count, then each index and its page — copying each page once, from as
-// into the frame.
-func (c *Checkpoint) rawPagesFrame(as *memsim.AddressSpace, idxs []uint64) {
+// into the frame, and seals it on workers.
+func (c *Checkpoint) rawPagesFrame(as *memsim.AddressSpace, idxs []uint64, workers int) {
 	n := uvarintLen(uint64(len(idxs)))
 	for _, idx := range idxs {
 		n += uvarintLen(idx) + len(as.Page(idx))
@@ -291,7 +318,7 @@ func (c *Checkpoint) rawPagesFrame(as *memsim.AddressSpace, idxs []uint64) {
 		out = binary.AppendUvarint(out, idx)
 		out = append(out, as.Page(idx)...)
 	}
-	c.seal(out, n)
+	c.seal(out, n, workers)
 }
 
 // rawPages parses a raw page list — the count, then each index and its

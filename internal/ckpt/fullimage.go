@@ -16,6 +16,6 @@ func FullFromImage(as *memsim.AddressSpace, seq int, cpuState []byte) *Checkpoin
 		PageSize: as.PageSize(),
 		CPUState: append([]byte(nil), cpuState...),
 	}
-	c.rawPagesFrame(as, as.MappedPages())
+	c.rawPagesFrame(as, as.MappedPages(), 0)
 	return c
 }

@@ -266,3 +266,19 @@ func TestCRC32Combine(t *testing.T) {
 		}
 	}
 }
+
+// TestChecksumMatchesOnePass: the piecewise CRC-32C that Decode and seal
+// compute on several workers equals one pass over the same bytes, around
+// every piece boundary and at every worker count, serial included.
+func TestChecksumMatchesOnePass(t *testing.T) {
+	buf := make([]byte, 5*crcPiece+3)
+	numeric.NewRNG(6).Bytes(buf)
+	for _, n := range []int{0, 1, crcPiece, 2*crcPiece - 1, 2 * crcPiece, 2*crcPiece + 1, 3 * crcPiece, len(buf)} {
+		want := crc32.Checksum(buf[:n], crcTable)
+		for _, workers := range []int{1, 2, 3, 0} {
+			if got := checksum(buf[:n], workers); got != want {
+				t.Fatalf("%d bytes on %d workers: %08x, one pass %08x", n, workers, got, want)
+			}
+		}
+	}
+}

@@ -24,8 +24,12 @@ type ReplicaSet struct {
 }
 
 // read reads keys from their replica sets as one batch (storage.FanOut.Read).
-// A key Place cannot resolve reads as no replica answering.
+// A key Place cannot resolve reads as no replica answering. The read is
+// sealed (storage.WithSealedRead): every admit decodes the body it is
+// handed, through ckpt.Decode or ckpt.DecodeStripe, and so checks it end
+// to end.
 func (rs ReplicaSet) read(ctx context.Context, keys []string, admit func(k int, el storage.Stored) bool) []storage.ChainResult {
+	ctx = storage.WithSealedRead(ctx)
 	out := make([]storage.ChainResult, len(keys))
 	var reads []storage.ChainRead
 	var placed []int // placed[j] is reads[j]'s index in keys

@@ -422,11 +422,15 @@ func (r *RemoteStore) GetSeqs(ctx context.Context, proc string, want []int) ([]i
 }
 
 // get runs one kindGet exchange, the reply header and its elements, and
-// vets the reply against the request (checkReply).
+// vets the reply against the request (checkReply). A ctx marked
+// storage.WithSealedRead asks for a sealed read, whose element frames'
+// CRC skips the bodies the caller checks end to end; an element of the
+// other kind fails the call.
 func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want []int) (hdr chainMsg, chain []storage.Stored, err error) {
+	sealed := storage.IsSealedRead(ctx)
 	err = r.timedDo(ctx, op, func(conn net.Conn, br *bufio.Reader) error {
 		hdr, chain = chainMsg{}, nil
-		if err := writeJSON(conn, kindGet, getMsg{procMsg: address(proc), Only: only, Want: want}); err != nil {
+		if err := writeJSON(conn, kindGet, getMsg{procMsg: address(proc), Only: only, Want: want, Sealed: sealed}); err != nil {
 			return err
 		}
 		payload, err := expect(br, kindChain)
@@ -437,7 +441,7 @@ func (r *RemoteStore) get(ctx context.Context, op, proc string, only bool, want 
 			return err
 		}
 		for i := 0; i < hdr.Count; i++ {
-			payload, err := expect(br, kindElem)
+			payload, err := expect(br, elemKind(sealed))
 			if err != nil {
 				return err
 			}

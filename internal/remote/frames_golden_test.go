@@ -20,13 +20,21 @@ type wireFrame struct {
 	payload string
 }
 
+// frameBytes encodes frames. A data frame's or a sealed element's CRC
+// covers its kind and its uvarint header field; any other frame's CRC
+// covers its kind and its whole payload.
 func frameBytes(frames ...wireFrame) []byte {
 	var out []byte
 	for _, f := range frames {
 		body := append([]byte{f.kind}, f.payload...)
+		covered := body
+		if f.kind == kindPutData || f.kind == kindElemSealed {
+			_, n := binary.Uvarint(body[1:])
+			covered = body[:1+n]
+		}
 		out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
 		out = append(out, body...)
-		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(covered, crc32.MakeTable(crc32.Castagnoli)))
 	}
 	return out
 }
@@ -45,7 +53,7 @@ func readRawFrame(r io.Reader) ([]byte, error) {
 	return append(hdr[:], rest...), nil
 }
 
-var helloFrame = wireFrame{kindHello, `{"v":4}`}
+var helloFrame = wireFrame{kindHello, `{"v":5}`}
 
 // recordingPeer answers every connection's hello, then refuses its one
 // request with an error frame, and hands the test every byte the client
@@ -65,7 +73,7 @@ func recordingPeer(t *testing.T) (addr string, written <-chan []byte) {
 				return
 			}
 			var got []byte
-			for _, reply := range []wireFrame{{kindHelloOK, `{"v":4}`}, {kindErr, `{"code":"bad-request","msg":"recorded"}`}} {
+			for _, reply := range []wireFrame{{kindHelloOK, `{"v":5}`}, {kindErr, `{"code":"bad-request","msg":"recorded"}`}} {
 				frame, err := readRawFrame(conn)
 				if err != nil {
 					break
@@ -105,6 +113,10 @@ func TestRequestFramesGolden(t *testing.T) {
 				_, _, err := rs.Get(ctx, "globex@db#s0of2")
 				return err
 			}, wireFrame{kindGet, `{"proc":"db","tenant":"globex","stripe":"s0of2"}`}},
+			{"get-sealed", func() error {
+				_, _, err := rs.Get(storage.WithSealedRead(ctx), "globex@db#s0of2")
+				return err
+			}, wireFrame{kindGet, `{"proc":"db","tenant":"globex","stripe":"s0of2","sealed":true}`}},
 			{"get-seqs", func() error {
 				_, _, _, err := rs.GetSeqs(ctx, "web", []int{2, 3})
 				return err
@@ -209,7 +221,7 @@ func TestRequestFramesGolden(t *testing.T) {
 					}
 					got = append(got, frame...)
 				}
-				want := frameBytes(append([]wireFrame{{kindHelloOK, `{"v":4}`}}, tc.want...)...)
+				want := frameBytes(append([]wireFrame{{kindHelloOK, `{"v":5}`}}, tc.want...)...)
 				if !bytes.Equal(got, want) {
 					t.Errorf("server wrote\n%q\nwant\n%q", got, want)
 				}

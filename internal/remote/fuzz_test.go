@@ -11,6 +11,12 @@ import (
 // directly on the network, so it must never panic and never allocate past
 // the configured frame cap no matter what a corrupt or hostile peer sends.
 // Valid frames must round-trip; everything else must come back as an error.
+//
+// It also asserts the CRC scope rule for every accepted kind: a data
+// frame's or a sealed element's CRC covers its kind and its uvarint header
+// field (the whole body when that field is malformed), any other frame's
+// its whole body. A flipped byte inside the covered span is rejected; a
+// flipped byte past it is accepted, as the same kind, carrying the flip.
 func FuzzReadFrame(f *testing.F) {
 	// Well-formed frames of each payload shape.
 	var valid bytes.Buffer
@@ -21,6 +27,12 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(valid.Bytes())
 	valid.Reset()
 	writeFrame(&valid, kindElem, elemFrame(7, []byte("checkpoint bytes")))
+	f.Add(valid.Bytes())
+	valid.Reset()
+	writeFrame(&valid, kindElemSealed, elemFrame(300, []byte("sealed checkpoint bytes")))
+	f.Add(valid.Bytes())
+	valid.Reset()
+	writeFrame(&valid, kindElemSealed, []byte{0x80, 0x80}) // malformed seq: the CRC covers it all
 	f.Add(valid.Bytes())
 
 	// Hostile length prefixes: huge, zero, and just past the cap.
@@ -47,11 +59,16 @@ func FuzzReadFrame(f *testing.F) {
 		if len(payload) > cap {
 			t.Fatalf("payload %d bytes exceeds frame cap %d", len(payload), cap)
 		}
-		// An accepted frame re-encodes to a frame the parser accepts again
-		// with identical content (the CRC pins the bytes).
+		// An accepted frame re-encodes to exactly the bytes accepted, which
+		// the parser accepts again with identical content.
+		n := 1 + len(payload)
+		raw := append([]byte(nil), data[:4+n+4]...)
 		var buf bytes.Buffer
 		if err := writeFrame(&buf, kind, payload); err != nil {
 			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), raw) {
+			t.Fatalf("kind 0x%02x re-encodes to other bytes than the frame accepted", kind)
 		}
 		kind2, payload2, err := readFrame(&buf, cap)
 		if err != nil {
@@ -61,12 +78,42 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatalf("frame did not round-trip: kind %02x/%02x, %d/%d payload bytes",
 				kind, kind2, len(payload), len(payload2))
 		}
+		// The scope rule, spelled out: the span of the body (kind ++
+		// payload) the CRC covers.
+		covered := n
+		if kind == kindPutData || kind == kindElemSealed {
+			if _, un := binary.Uvarint(payload); un > 0 {
+				covered = 1 + un
+			}
+		}
+		// Flip the kind, the first bytes after it, the last covered byte,
+		// and the first and last bytes past the span.
+		flips := []int{covered - 1}
+		for i := 0; i < min(covered, 12); i++ {
+			flips = append(flips, i)
+		}
+		if covered < n {
+			flips = append(flips, covered, n-1)
+		}
+		for _, i := range flips {
+			raw[4+i] ^= 0x01
+			kind3, payload3, err := readFrame(bytes.NewReader(raw), cap)
+			switch {
+			case i < covered && err == nil:
+				t.Fatalf("kind 0x%02x: a flipped byte %d of %d covered was accepted", kind, i, covered)
+			case i >= covered && err != nil:
+				t.Fatalf("kind 0x%02x: a flipped byte %d past the %d covered was rejected: %v", kind, i, covered, err)
+			case i >= covered && (kind3 != kind || !bytes.Equal(payload3, raw[5:4+n])):
+				t.Fatalf("kind 0x%02x: a flipped byte %d past the span came back as kind 0x%02x, other bytes", kind, i, kind3)
+			}
+			raw[4+i] ^= 0x01
+		}
 		// The payload sub-parsers must not panic on arbitrary accepted
 		// payloads either.
 		switch kind {
 		case kindPutData:
 			splitDataFrame(payload)
-		case kindElem:
+		case kindElem, kindElemSealed:
 			splitElemFrame(payload)
 		}
 	})

@@ -12,10 +12,12 @@ import (
 
 // pipePeer is a Dialer whose every connection is a net.Pipe to a scripted
 // peer: it answers the hello, reads one kindGet and replies with hdr as the
-// kindChain payload verbatim, then each record of elems as a kindElem frame
-// (a record is one length byte and that many payload bytes), and hangs up.
+// kindChain payload verbatim, then each record of elems as an element frame
+// of kind elem (a record is one length byte and that many payload bytes),
+// and hangs up.
 type pipePeer struct {
 	hdr, elems []byte
+	elem       byte
 	wg         sync.WaitGroup
 }
 
@@ -39,7 +41,7 @@ func (p *pipePeer) DialContext(context.Context, string, string) (net.Conn, error
 		}
 		for rest := p.elems; len(rest) > 0; {
 			n := min(int(rest[0]), len(rest)-1)
-			if writeFrame(server, kindElem, rest[1:1+n]) != nil {
+			if writeFrame(server, p.elem, rest[1:1+n]) != nil {
 				return
 			}
 			rest = rest[1+n:]
@@ -60,12 +62,13 @@ func elemRecords(chain ...storage.Stored) []byte {
 
 // FuzzGetSeqsReply feeds RemoteStore.GetSeqs, and then RemoteStore.Get, a
 // peer's arbitrary answer — a fuzzed chainMsg header and fuzzed element
-// frames — and requires that each call returns without panicking, and that
-// an accepted answer keeps its contract. For GetSeqs (SeqGetter): the
-// listing strictly ascending, and the bodies and the missing seqs each
-// ascending, unique, wanted, listed and disjoint. For Get (Store): no Only
-// echo, and the bodies and the missing seqs each ascending, unique and
-// disjoint.
+// frames, sealed or not, to a read that is sealed or not — and requires
+// that each call returns without panicking, and that an accepted answer
+// keeps its contract. For both: an element is of the kind the read asked
+// for. For GetSeqs (SeqGetter): the listing strictly ascending, and the
+// bodies and the missing seqs each ascending, unique, wanted, listed and
+// disjoint. For Get (Store): no Only echo, and the bodies and the missing
+// seqs each ascending, unique and disjoint.
 func FuzzGetSeqsReply(f *testing.F) {
 	hdr := func(m chainMsg) []byte {
 		b, err := json.Marshal(m)
@@ -76,15 +79,20 @@ func FuzzGetSeqsReply(f *testing.F) {
 	}
 	el := func(seq int) storage.Stored { return storage.Stored{Seq: seq, Data: []byte{byte(seq), 0xcc}} }
 	const want13 = 1<<1 | 1<<3
-	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 1, 2, 3}}), elemRecords(el(1), el(3)), uint8(want13))
-	f.Add(hdr(chainMsg{Only: true, Count: 1, Listed: []int{0, 1, 2, 3}, Missing: []int{3}}), elemRecords(el(1)), uint8(want13))
-	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 1, 2, 3}, Missing: []int{3}}), elemRecords(el(1), el(3)), uint8(want13))
-	f.Add(hdr(chainMsg{Only: true, Listed: []int{0, 1, 2, 3}, Missing: []int{3, 1}}), []byte(nil), uint8(want13))
-	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 2, 1, 3}}), elemRecords(el(3), el(1)), uint8(0xff))
-	f.Add(hdr(chainMsg{Count: 4}), elemRecords(el(0), el(1), el(2), el(3)), uint8(0xff))
-	f.Add([]byte(`{"count":3,"only":true,"listed":[1]}`), []byte{2, 0x80, 0x80, 1}, uint8(2))
-	f.Add(hdr(chainMsg{Count: 3, Missing: []int{1}}), elemRecords(el(0), el(1), el(2)), uint8(0))
-	f.Fuzz(func(t *testing.T, hdr, elems []byte, wantBits uint8) {
+	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 1, 2, 3}}), elemRecords(el(1), el(3)), uint8(want13), false, false)
+	f.Add(hdr(chainMsg{Only: true, Count: 1, Listed: []int{0, 1, 2, 3}, Missing: []int{3}}), elemRecords(el(1)), uint8(want13), false, false)
+	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 1, 2, 3}, Missing: []int{3}}), elemRecords(el(1), el(3)), uint8(want13), false, false)
+	f.Add(hdr(chainMsg{Only: true, Listed: []int{0, 1, 2, 3}, Missing: []int{3, 1}}), []byte(nil), uint8(want13), false, false)
+	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 2, 1, 3}}), elemRecords(el(3), el(1)), uint8(0xff), false, false)
+	f.Add(hdr(chainMsg{Count: 4}), elemRecords(el(0), el(1), el(2), el(3)), uint8(0xff), false, false)
+	f.Add([]byte(`{"count":3,"only":true,"listed":[1]}`), []byte{2, 0x80, 0x80, 1}, uint8(2), false, false)
+	f.Add(hdr(chainMsg{Count: 3, Missing: []int{1}}), elemRecords(el(0), el(1), el(2)), uint8(0), false, false)
+	// Sealed replies: to a sealed read, and to one that is not, and a
+	// plain reply to a sealed read.
+	f.Add(hdr(chainMsg{Only: true, Count: 2, Listed: []int{0, 1, 2, 3}}), elemRecords(el(1), el(3)), uint8(want13), true, true)
+	f.Add(hdr(chainMsg{Count: 4}), elemRecords(el(0), el(1), el(2), el(3)), uint8(0xff), false, true)
+	f.Add(hdr(chainMsg{Count: 4}), elemRecords(el(0), el(1), el(2), el(3)), uint8(0xff), true, false)
+	f.Fuzz(func(t *testing.T, hdr, elems []byte, wantBits uint8, sealedRead, sealedReply bool) {
 		var want []int
 		wanted := map[int]bool{}
 		for seq := 0; seq < 8; seq++ {
@@ -93,7 +101,17 @@ func FuzzGetSeqsReply(f *testing.F) {
 				wanted[seq] = true
 			}
 		}
-		peer := &pipePeer{hdr: hdr, elems: elems}
+		peer := &pipePeer{hdr: hdr, elems: elems, elem: elemKind(sealedReply)}
+		read := context.Background()
+		if sealedRead {
+			read = storage.WithSealedRead(read)
+		}
+		// A reply's elements are of the kind its read asked for.
+		kindsMatch := func(n int) {
+			if n > 0 && sealedRead != sealedReply {
+				t.Fatalf("accepted %d elements of kind 0x%02x for a read sealed=%t", n, peer.elem, sealedRead)
+			}
+		}
 		cfg := testConfig()
 		cfg.Retries = -1
 		cfg.Dialer = peer
@@ -117,9 +135,10 @@ func FuzzGetSeqsReply(f *testing.F) {
 		var whole []storage.Stored
 		var lost []int
 		if call(func(rs *RemoteStore) (err error) {
-			whole, lost, err = rs.Get(context.Background(), "p")
+			whole, lost, err = rs.Get(read, "p")
 			return err
 		}) == nil {
+			kindsMatch(len(whole))
 			var m chainMsg
 			if json.Unmarshal(hdr, &m) == nil && m.Only {
 				t.Fatalf("Get accepted a reply with the Only echo: %s", hdr)
@@ -136,11 +155,12 @@ func FuzzGetSeqsReply(f *testing.F) {
 		var listed, missing []int
 		var chain []storage.Stored
 		if call(func(rs *RemoteStore) (err error) {
-			listed, chain, missing, err = rs.GetSeqs(context.Background(), "p", want)
+			listed, chain, missing, err = rs.GetSeqs(read, "p", want)
 			return err
 		}) != nil {
 			return
 		}
+		kindsMatch(len(chain))
 		inListing := map[int]bool{}
 		for i, seq := range listed {
 			if i > 0 && seq <= listed[i-1] {

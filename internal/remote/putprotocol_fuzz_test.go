@@ -189,8 +189,9 @@ func (h *putHarness) mustHold(obj *putObj, ack string) {
 }
 
 // checkStaging is the staging invariant: the declared reservation is the
-// sum of the staged transfers' sizes, so it is 0 once none is staged; and
-// the model's pool is the server's, seq for seq, staged byte for byte.
+// sum of the staged transfers' sizes, so it is 0 once none is staged; the
+// model's pool is the server's, seq for seq, staged byte for byte; and each
+// transfer's running checksum is the objectCRC of its staged bytes.
 func (h *putHarness) checkStaging() {
 	h.t.Helper()
 	h.srv.mu.Lock()
@@ -198,6 +199,9 @@ func (h *putHarness) checkStaging() {
 	var sum int64
 	for key, st := range h.srv.staging {
 		sum += st.size
+		if st.sum != objectCRC(st.buf) {
+			h.t.Fatalf("seq %d stages %d bytes of objectCRC %08x, but its running checksum reads %08x", key.seq, len(st.buf), objectCRC(st.buf), st.sum)
+		}
 		if m := h.staged[key.seq]; m == nil || int64(len(m.obj.data)) != st.size || !bytes.Equal(m.buf, st.buf) {
 			modelled := "nothing"
 			if m != nil {
@@ -297,6 +301,13 @@ func (h *putHarness) step(op, arg byte) {
 		c.send(kindPutCommit, nil)
 		st := c.open
 		c.open = nil
+		if st != nil && len(st.buf) == len(st.obj.data) && objectCRC(st.buf) != st.obj.crc {
+			// Damaged in flight: the commit ends the connection and drops
+			// the staging, so the retry starts the object over.
+			h.unstage(st)
+			c.ended()
+			return
+		}
 		kind, payload := c.reply()
 		switch {
 		case kind == kindPutDone && st == nil:
@@ -306,8 +317,6 @@ func (h *putHarness) step(op, arg byte) {
 			h.unstage(st)
 		case kind != kindErr:
 			h.t.Fatalf("commit answered 0x%02x %s", kind, payload)
-		case st != nil && len(st.buf) == len(st.obj.data) && objectCRC(st.buf) != st.obj.crc:
-			h.unstage(st) // poisoned: the next begin starts it over
 		}
 	case opCut:
 		c.disconnect()
@@ -380,11 +389,13 @@ func fuzzOps(pairs ...[2]byte) []byte {
 // with resume, Delete, Truncate, Scrub repairs of flipped elements, and
 // connections that skip the hello — against a model of the staging pool.
 // A data frame gets no reply; one the model says the transfer cannot take
-// must end the connection. After every step it checks that every ack (a
-// commit answered done) means the backing store lists that seq with
-// exactly those bytes at that moment, that every PutBegin offers the
-// modelled staged offset, that the server's staging pool is the model's,
-// and that its declared bytes are the sum of the staged transfers.
+// must end the connection, and so must a commit of bytes that fail their
+// declared checksum, which also drops the staging. After every step it
+// checks that every ack (a commit answered done) means the backing store
+// lists that seq with exactly those bytes at that moment, that every
+// PutBegin offers the modelled staged offset, that the server's staging
+// pool is the model's, with each running checksum that of its bytes, and
+// that its declared bytes are the sum of the staged transfers.
 func FuzzServerPutProtocol(f *testing.F) {
 	all := byte(3)        // opData arg: the whole rest of the object
 	other := byte(numOps) // added to an op, runs it on the second connection
@@ -413,7 +424,8 @@ func FuzzServerPutProtocol(f *testing.F) {
 	// A cut mid-transfer, the resume, and a second commit with no transfer open.
 	f.Add(fuzzOps([2]byte{opBegin, 0}, [2]byte{opData, 0}, [2]byte{opCut, 0},
 		[2]byte{opBegin, 0}, [2]byte{opData, all}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0}))
-	// Corrupted data fails its commit; a bare second commit must not ack it.
+	// Corrupted data fails its commit, which ends the connection and drops
+	// the staging; a bare second commit must not ack it.
 	f.Add(fuzzOps([2]byte{opBegin, 1}, [2]byte{opData, all | 4}, [2]byte{opCommit, 0}, [2]byte{opCommit, 0}))
 	// One connection's Delete orphans the other's open transfer, whose
 	// commit must not release the transfer the first connection stages next.

@@ -48,8 +48,9 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // staged offset instead of resending from zero.
 type staging struct {
 	size    int64
-	crc     uint32
+	crc     uint32 // the declared objectCRC
 	buf     []byte // len(buf) == staged bytes so far
+	sum     uint32 // objectCRC of buf, updated as each chunk is staged
 	migrate bool   // rebalance copy: exempt from quota admission at commit
 }
 
@@ -261,8 +262,8 @@ func (s *Server) serve(ctx context.Context, conn net.Conn, put *transfer, kind b
 		if t.st == nil {
 			return errNoTransfer, nil
 		}
-		if err := s.commitPut(ctx, t.key, t.st); err != nil {
-			return err, nil
+		if refused, err := s.commitPut(ctx, t.key, t.st); refused != nil || err != nil {
+			return refused, err
 		}
 		return nil, writeFrame(conn, kindPutDone, nil)
 	case kindList:
@@ -317,7 +318,7 @@ func (s *Server) serve(ctx context.Context, conn net.Conn, put *transfer, kind b
 		if err != nil {
 			return nil, err
 		}
-		return nil, writeChain(conn, hdr, chain)
+		return nil, writeChain(conn, hdr, chain, elemKind(m.Sealed))
 	case *procMsg: // kindDelete
 		if err := s.store.Delete(ctx, name); err != nil {
 			return err, nil
@@ -340,9 +341,10 @@ func (s *Server) serve(ctx context.Context, conn net.Conn, put *transfer, kind b
 	return nil, writeFrame(conn, kindOK, nil)
 }
 
-// stage appends a data frame's chunk to the open transfer. A frame outside
-// a transfer, or not at its staged offset, or past its declared size, is an
-// error that ends the connection.
+// stage appends a data frame's chunk to the open transfer, and folds it
+// into the transfer's running objectCRC, which the commit checks. A frame
+// outside a transfer, or not at its staged offset, or past its declared
+// size, is an error that ends the connection.
 func (s *Server) stage(put transfer, payload []byte) error {
 	if put.st == nil {
 		return errors.New("remote: data frame outside a transfer")
@@ -357,6 +359,7 @@ func (s *Server) stage(put transfer, payload []byte) error {
 		return fmt.Errorf("remote: data frame of %d bytes at offset %d, staged %d of %d", len(chunk), offset, staged, put.st.size)
 	}
 	put.st.buf = append(put.st.buf, chunk...)
+	put.st.sum = updateObjectCRC(put.st.sum, chunk)
 	if s.staging[put.key] == put.st {
 		s.met.observeStaging(len(chunk)) // an orphaned transfer is not staged
 	}
@@ -488,17 +491,21 @@ func (s *Server) unstageLocked(key objKey, st *staging) {
 	delete(s.staging, key)
 }
 
-// commitPut verifies the staged object and makes it durable.
-func (s *Server) commitPut(ctx context.Context, key objKey, st *staging) error {
+// commitPut verifies the staged object and makes it durable. It returns
+// the commit's refusal, or the error that ends the connection: staged
+// bytes that fail the declared objectCRC were damaged in flight — the data
+// frames' CRC does not cover their chunks — so the staging is dropped, and
+// the client's retry resends the object from offset 0.
+func (s *Server) commitPut(ctx context.Context, key objKey, st *staging) (refused, err error) {
 	s.mu.Lock()
 	if int64(len(st.buf)) != st.size {
 		s.mu.Unlock()
-		return fmt.Errorf("remote: commit of incomplete transfer: %d of %d bytes", len(st.buf), st.size)
+		return fmt.Errorf("remote: commit of incomplete transfer: %d of %d bytes", len(st.buf), st.size), nil
 	}
-	if got := objectCRC(st.buf); got != st.crc {
-		s.unstageLocked(key, st) // poisoned; force a fresh transfer
+	if st.sum != st.crc {
+		s.unstageLocked(key, st)
 		s.mu.Unlock()
-		return fmt.Errorf("remote: staged object CRC mismatch: %08x != %08x", got, st.crc)
+		return nil, fmt.Errorf("remote: staged object CRC mismatch: %08x != %08x", st.sum, st.crc)
 	}
 	buf := st.buf
 	migrate := st.migrate
@@ -507,20 +514,20 @@ func (s *Server) commitPut(ctx context.Context, key objKey, st *staging) error {
 	if migrate {
 		ctx = storage.WithMigration(ctx)
 	}
-	err := s.store.Put(ctx, key.proc, key.seq, buf)
-	if err != nil && storage.HoldsIdentical(ctx, s.store, key.proc, key.seq, buf) {
+	refused = s.store.Put(ctx, key.proc, key.seq, buf)
+	if refused != nil && storage.HoldsIdentical(ctx, s.store, key.proc, key.seq, buf) {
 		// A duplicate of an object the store already holds (a retry after
 		// a lost ack, or after this server restarted) commits idempotently,
 		// whatever refused it: ErrStaleSeq, or a quota the first copy used.
-		err = nil
+		refused = nil
 	}
 	s.mu.Lock()
-	if err == nil {
+	if refused == nil {
 		s.unstageLocked(key, st)
 		s.met.observeCommit()
 	}
 	s.mu.Unlock()
-	return err
+	return refused, nil
 }
 
 // errCode maps a refusal onto its wire error code; the client maps the

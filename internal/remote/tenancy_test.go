@@ -81,6 +81,7 @@ func TestServerRefusesRequestsBeforeHello(t *testing.T) {
 		{"hello v1", &helloMsg{Version: 1}},
 		{"hello v2", &helloMsg{Version: 2}},
 		{"hello v3", &helloMsg{Version: 3}},
+		{"hello v4", &helloMsg{Version: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			back := storage.NewMemStore(storage.Target{Name: "peer"})

@@ -20,3 +20,21 @@ func IsMigration(ctx context.Context) bool {
 	v, _ := ctx.Value(migrationCtxKey{}).(bool)
 	return v
 }
+
+type sealedReadCtxKey struct{}
+
+// WithSealedRead marks ctx as a read whose caller checks every body it
+// admits end to end — decodes it, checking the checkpoint frame's own
+// CRC-32C trailer — so a transport may leave the bodies out of its own
+// per-frame checksum: a remote peer then checksums each restored byte once,
+// at the caller, instead of once per hop. A caller that moves or compares
+// bytes without decoding them must not mark its ctx.
+func WithSealedRead(ctx context.Context) context.Context {
+	return context.WithValue(ctx, sealedReadCtxKey{}, true)
+}
+
+// IsSealedRead reports whether ctx was marked by WithSealedRead.
+func IsSealedRead(ctx context.Context) bool {
+	v, _ := ctx.Value(sealedReadCtxKey{}).(bool)
+	return v
+}
