@@ -21,6 +21,8 @@ import (
 // element, so it is NOT committed. Match with errors.Is.
 var ErrNoQuorum = errors.New("aic: write quorum not reached")
 
+var errClientClosed = errors.New("aic: client is closed")
+
 // ClientConfig configures a ring-aware multi-tenant checkpoint client —
 // the service-shaped successor to OpenCheckpointDir. The client places
 // every (tenant, proc) chain on a consistent-hash ring of aicd peers,
@@ -167,6 +169,9 @@ func (c *Client) AddStore(name string, st Store) error {
 func (c *Client) join(name string, st func() Store) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return errClientClosed
+	}
 	if _, dup := c.stores[name]; dup {
 		return fmt.Errorf("aic: ring already contains %q", name)
 	}
@@ -180,13 +185,23 @@ func (c *Client) join(name string, st func() Store) error {
 // full replication on the new membership before dropping the peer's data.
 func (c *Client) RemovePeer(name string) error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	if c.closed {
+		c.mu.Unlock()
+		return errClientClosed
+	}
 	if _, ok := c.stores[name]; !ok { // stores holds exactly the ring's members
+		c.mu.Unlock()
 		return fmt.Errorf("aic: ring does not contain %q", name)
 	}
 	c.ring = c.ring.Remove(name)
-	c.set.hangUp(name)
 	delete(c.stores, name)
+	rs := c.set.hangUp(name)
+	c.mu.Unlock()
+	// A close waits out the peer's operation in flight — a whole dial
+	// timeout when the peer is dark — so it runs after c.mu is released.
+	if rs != nil {
+		rs.Close()
+	}
 	return nil
 }
 
@@ -233,8 +248,11 @@ func (c *Client) Rebalance(ctx context.Context) (*RebalanceReport, error) {
 // Close releases every peer connection. Further operations fail.
 func (c *Client) Close() error {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.closed = true
+	c.mu.Unlock()
+	// Once closed, join and RemovePeer leave the dialed peers alone, so
+	// they are closed — each waiting out its operation in flight — without
+	// c.mu.
 	return c.set.close()
 }
 
@@ -276,7 +294,7 @@ func (c *Client) snapshot(pick func(*ring.Ring) []string) ([]string, []storage.S
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
-		return nil, nil, fmt.Errorf("aic: client is closed")
+		return nil, nil, errClientClosed
 	}
 	peers := pick(c.ring)
 	stores := make([]storage.Store, len(peers))

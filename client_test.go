@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -734,4 +735,104 @@ func TestClientCancelledCheckpointJoinsEveryPeer(t *testing.T) {
 	}
 	// Every peer was still unwinding when the ctx fired; all have returned.
 	assertJoined(t, probes, log, 3)
+}
+
+// TestPeerDarkRemovePeerKeepsRingResponsive removes a peer that accepted
+// TCP but never answers the hello while a checkpoint to it is in flight.
+// The in-flight dial holds the peer client's lock for the whole dial
+// timeout, so closing that client waits as long; the ring must keep
+// answering meanwhile, which it cannot if the close runs under the
+// client's own lock.
+func TestPeerDarkRemovePeerKeepsRingResponsive(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for more accepts than the one dial attempt the test causes, so
+	// the accept loop never blocks and exits once the listener closes.
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn // held open, never answered
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		for {
+			select {
+			case conn := <-accepted:
+				conn.Close()
+			default:
+				return
+			}
+		}
+	})
+	dark := ln.Addr().String()
+
+	c := newTestClient(t, ClientConfig{
+		Peers: []string{dark}, Stores: ringStores(2), Replicas: 3, JitterSeed: 3,
+		DialTimeout: 3 * time.Second, Retries: -1,
+	})
+	_, chain := buildProcessChain(t)
+	ckptDone := make(chan error, 1)
+	go func() { ckptDone <- c.Namespace("acme").Checkpoint(context.Background(), "web", 0, chain[0]) }()
+	select {
+	case conn := <-accepted:
+		accepted <- conn
+	case <-time.After(5 * time.Second):
+		t.Fatal("the checkpoint never dialed the dark peer")
+	}
+
+	removed := make(chan error, 1)
+	go func() { removed <- c.RemovePeer(dark) }()
+	for gone := false; !gone; {
+		got := make(chan []string, 1)
+		go func() { got <- c.Peers() }()
+		select {
+		case peers := <-got:
+			gone = !slices.Contains(peers, dark)
+			time.Sleep(time.Millisecond)
+		case <-time.After(time.Second):
+			t.Fatal("Peers() blocked for 1s while RemovePeer closed a dark peer")
+		}
+	}
+	if err := <-removed; err != nil {
+		t.Fatalf("RemovePeer: %v", err)
+	}
+	if err := <-ckptDone; err == nil {
+		t.Fatal("checkpoint to a dark replica reported no error")
+	}
+}
+
+// TestClientCloseRefusesMembershipChanges closes the client while other
+// goroutines join and remove peers. Close closes the dialed peers without
+// holding the client's lock, so once it has begun, AddPeer and RemovePeer
+// must be refused rather than touch the peer set it is closing.
+func TestClientCloseRefusesMembershipChanges(t *testing.T) {
+	c, err := NewClient(ClientConfig{Peers: []string{"127.0.0.1:1", "127.0.0.1:2"}, Stores: ringStores(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func(addr string) {
+			defer wg.Done()
+			if c.AddPeer(addr) == nil {
+				c.RemovePeer(addr)
+			}
+		}(fmt.Sprintf("127.0.0.1:%d", 10+i))
+	}
+	c.Close()
+	wg.Wait()
+	if err := c.AddPeer("127.0.0.1:99"); err == nil {
+		t.Error("AddPeer after Close accepted")
+	}
+	if err := c.RemovePeer("127.0.0.1:1"); err == nil {
+		t.Error("RemovePeer after Close accepted")
+	}
 }

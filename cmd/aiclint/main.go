@@ -7,18 +7,19 @@
 //	             fsyncs temp files before renaming them into place
 //	sentinelerr  error sentinels are compared with errors.Is, never ==
 //	ctxflow      contexts are threaded from callers, not minted mid-stack
-//	lockio       no file or network I/O while holding a mutex
 //	detrand      simulation packages stay seed-deterministic
 //	metricnames  metric registrations keep the stable, unit-suffixed
 //	             snake_case surface DESIGN.md §14 documents
 //	facadedoc    the facade package documents every exported symbol,
 //	             leading with the symbol's name
 //
-// Five analyzers run over the whole program at once. Four use the
+// Six analyzers run over the whole program at once. Five use the
 // interprocedural engine (internal/analysis/interproc) — call graph,
 // effect summaries and lock sets propagated to a fixpoint across every
 // loaded package — and testonly needs only the loaded type information:
 //
+//	lockio       no file or network I/O while holding a mutex, in the
+//	             locking function or in any callee it reaches
 //	durableflow  a commit ack (nil sent on an error channel, remote
 //	             kindPutDone reply, `return nil` from a Store's Put) is
 //	             dominated by fsync+rename+dir-fsync, and every Store

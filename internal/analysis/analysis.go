@@ -34,7 +34,7 @@ import (
 // single-package syntax checks, RunProgram once per invocation with every
 // loaded package for checks that need the whole program: the
 // interprocedural ones over the call graph (durableflow, lockorder,
-// goroleak, atomicfield) and testonly's program-wide use scan.
+// lockio, goroleak, atomicfield) and testonly's program-wide use scan.
 type Analyzer struct {
 	Name       string // short lower-case identifier, used in directives and output
 	Doc        string // one-paragraph description of the invariant enforced
@@ -75,7 +75,7 @@ type ProgramPass struct {
 	// Shared is a scratch cache living for one Run invocation, shared by
 	// every program analyzer in the suite. The interprocedural engine
 	// stores its call graph and effect summaries here under a private key,
-	// so four analyzers pay for one program build.
+	// so five analyzers pay for one program build.
 	Shared map[any]any
 	diags  *[]Diagnostic
 }

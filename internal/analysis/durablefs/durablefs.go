@@ -18,13 +18,6 @@ import (
 // fixtures.
 var TargetSuffixes = []string{"internal/storage"}
 
-// osFuncs are the direct filesystem entry points that bypass the shim.
-var osFuncs = []string{
-	"Create", "CreateTemp", "Open", "OpenFile", "WriteFile", "ReadFile",
-	"Rename", "Remove", "RemoveAll", "Mkdir", "MkdirAll", "MkdirTemp",
-	"ReadDir", "Truncate", "Link", "Symlink", "Chtimes",
-}
-
 // Analyzer is the durablefs pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "durablefs",
@@ -105,7 +98,7 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl, fsIface *types.Interface) 
 		if obj == nil {
 			return true
 		}
-		if !shim && analysis.IsPkgFunc(obj, "os", osFuncs...) {
+		if !shim && analysis.IsPkgFunc(obj, "os", analysis.OSFileFuncs...) {
 			pass.Reportf(call.Pos(), "direct os.%s bypasses the FS shim; route it through the package's FS so fault injection covers it", obj.Name())
 			return true
 		}

@@ -30,6 +30,10 @@ func readsBypassShim(path string) ([]byte, error) {
 	return os.ReadFile(path) // want `direct os\.ReadFile bypasses the FS shim`
 }
 
+func statBypassesShim(path string) (os.FileInfo, error) {
+	return os.Stat(path) // want `direct os\.Stat bypasses the FS shim`
+}
+
 func renameWithoutSync(fsys FS, path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := fsys.WriteFile(tmp, data, 0o644); err != nil {

@@ -27,6 +27,17 @@ func CalleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	return nil
 }
 
+// OSFileFuncs are the package-level os functions that touch the file
+// system: durablefs holds storage to reaching them through the FS shim,
+// and the interprocedural engine counts them as I/O. Pure process-state
+// accessors (Getenv, Getpid, ...) are deliberately absent.
+var OSFileFuncs = []string{
+	"Create", "CreateTemp", "Open", "OpenFile", "WriteFile", "ReadFile",
+	"Rename", "Remove", "RemoveAll", "Mkdir", "MkdirAll", "MkdirTemp",
+	"ReadDir", "Truncate", "Link", "Symlink", "Chtimes", "Stat", "Lstat",
+	"ReadLink",
+}
+
 // IsPkgFunc reports whether obj is a package-level function of pkgPath
 // named one of names (any name when names is empty).
 func IsPkgFunc(obj types.Object, pkgPath string, names ...string) bool {

@@ -32,6 +32,9 @@ const (
 	// (return/break/goto/panic) and no channel operation — a goroutine
 	// running it can never be stopped.
 	EffSpin
+	// EffIO: file or network I/O, as IOCall classifies it — what lockio
+	// forbids under a held mutex.
+	EffIO
 )
 
 // String renders the set for diagnostics, in declaration order.
@@ -42,7 +45,7 @@ func (e Effect) String() string {
 	}{
 		{EffFsync, "fsync"}, {EffDirSync, "dir-fsync"}, {EffRename, "rename"},
 		{EffNetWrite, "net-write"}, {EffChanRecv, "chan-recv"},
-		{EffCtxDone, "ctx-done"}, {EffSpin, "spin"},
+		{EffCtxDone, "ctx-done"}, {EffSpin, "spin"}, {EffIO, "io"},
 	}
 	out := ""
 	for _, n := range names {
@@ -75,26 +78,30 @@ func directEffect(info *types.Info, call *ast.CallExpr) Effect {
 	if obj == nil {
 		return 0
 	}
+	var eff Effect
+	if _, ok := IOCall(info, call); ok {
+		eff = EffIO
+	}
 	if analysis.IsPkgFunc(obj, "os", "Rename") {
-		return EffRename
+		return eff | EffRename
 	}
 	named := analysis.RecvNamed(obj)
 	if named == nil || named.Obj().Pkg() == nil {
-		return 0
+		return eff
 	}
 	pkgPath := named.Obj().Pkg().Path()
 	typeName := named.Obj().Name()
 	switch {
 	case pkgPath == "os" && typeName == "File" && obj.Name() == "Sync":
-		return EffFsync
+		return eff | EffFsync
 	case pkgPath == "net":
 		// Writes on net.Conn (and the concrete conn types) ship bytes to a
 		// peer; reads and closes are not durability-relevant.
 		if obj.Name() == "Write" || obj.Name() == "ReadFrom" {
-			return EffNetWrite
+			return eff | EffNetWrite
 		}
 	case pkgPath == "context" && typeName == "Context" && obj.Name() == "Done":
-		return EffCtxDone
+		return eff | EffCtxDone
 	}
 	// The storage FS shim: every implementation (OSFS, FaultFS, metered)
 	// carries the contract, so the interface call itself is the effect.
@@ -102,15 +109,47 @@ func directEffect(info *types.Info, call *ast.CallExpr) Effect {
 		if analysis.PathHasSuffix(pkgPath, []string{"internal/storage"}) || analysis.IsTestdataPath(pkgPath) {
 			switch obj.Name() {
 			case "SyncFile":
-				return EffFsync
+				return eff | EffFsync
 			case "SyncDir":
-				return EffDirSync
+				return eff | EffDirSync
 			case "Rename":
-				return EffRename
+				return eff | EffRename
 			}
 		}
 	}
-	return 0
+	return eff
+}
+
+// IOCall classifies a call as file or network I/O and describes it for
+// diagnostics: the os file-system functions (analysis.OSFileFuncs),
+// anything in net and os/exec, methods on their types, and calls through
+// any FS or Store interface — the storage shims, I/O by contract.
+func IOCall(info *types.Info, call *ast.CallExpr) (string, bool) {
+	obj := analysis.CalleeObj(info, call)
+	if obj == nil {
+		return "", false
+	}
+	if analysis.IsPkgFunc(obj, "os", analysis.OSFileFuncs...) {
+		return "os." + obj.Name(), true
+	}
+	if analysis.IsPkgFunc(obj, "net") || analysis.IsPkgFunc(obj, "os/exec") {
+		return "net/exec call " + obj.Name(), true
+	}
+	named := analysis.RecvNamed(obj)
+	if named == nil || named.Obj().Pkg() == nil {
+		return "", false
+	}
+	switch named.Obj().Pkg().Path() {
+	case "os", "net", "os/exec":
+		return named.Obj().Name() + "." + obj.Name(), true
+	}
+	if _, isIface := named.Underlying().(*types.Interface); isIface {
+		switch named.Obj().Name() {
+		case "FS", "Store":
+			return named.Obj().Name() + "." + obj.Name(), true
+		}
+	}
+	return "", false
 }
 
 // syntaxEffects derives the effects visible in the body's syntax alone:
@@ -198,7 +237,7 @@ func forEscapes(loop *ast.ForStmt) bool {
 // effectFixpoint propagates Direct effects bottom-up until stable:
 // Summary(f) = Direct(f) ∪ ⋃ Summary(callees of f).
 func (p *Program) effectFixpoint() {
-	funcs := p.sortedFuncs()
+	funcs := p.DeclOrder()
 	for _, fi := range funcs {
 		fi.Summary = fi.Direct
 	}

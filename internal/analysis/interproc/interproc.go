@@ -4,11 +4,13 @@
 // interface method calls resolved against the method sets of every
 // concrete type the program defines (storage.Store and the FS shim being
 // the motivating interfaces) — computes a per-function summary
-// (durability and network effects, shutdown edges, unexitable spin loops,
-// lock acquisitions), and propagates summaries bottom-up to a
-// fixpoint. Analyzers then reason about a call site through its callee's
-// transitive summary: "this ack is preceded by a call that eventually
-// fsyncs", "this function eventually takes that lock".
+// (durability and network effects, file and network I/O, shutdown edges,
+// unexitable spin loops, lock acquisitions), and propagates summaries
+// bottom-up to a fixpoint. Analyzers then reason about a call site through
+// its callee's transitive summary: "this ack is preceded by a call that
+// eventually fsyncs", "this function eventually takes that lock", "this
+// call under a held lock eventually does I/O". WalkHeld is the one
+// held-lock walk the lock analyzers share.
 //
 // Approximations, chosen to keep the engine sound for the invariants it
 // serves rather than in general:
@@ -253,20 +255,9 @@ func (p *Program) implementations(m *types.Func) []*types.Func {
 	return impls
 }
 
-// sortedFuncs returns the graph nodes in a deterministic order so the
-// fixpoints and their witnesses are reproducible run to run.
-func (p *Program) sortedFuncs() []*FuncInfo {
-	out := make([]*FuncInfo, 0, len(p.Funcs))
-	for _, fi := range p.Funcs {
-		out = append(out, fi)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Obj.Pos() < out[j].Obj.Pos() })
-	return out
-}
-
 // DeclOrder returns the graph nodes in package/file/declaration order —
-// the stable iteration order analyzers use so diagnostics come out
-// deterministically.
+// the stable iteration order the fixpoints and analyzers use, so
+// witnesses and diagnostics come out the same run to run.
 func (p *Program) DeclOrder() []*FuncInfo {
 	var out []*FuncInfo
 	for _, pkg := range p.Pkgs {

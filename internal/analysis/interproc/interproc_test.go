@@ -54,6 +54,9 @@ func TestEffectSummaries(t *testing.T) {
 		{"(*Disk).Put", EffFsync | EffDirSync | EffRename, true},
 		// Through the Store interface, across packages.
 		{"(*Svc).Commit", EffFsync | EffDirSync | EffRename, true},
+		// I/O by contract: the Store call, and the FS shim calls behind it
+		// in the other package.
+		{"(*Svc).Commit", EffIO, true},
 		{"svc.Spin", EffSpin, false},
 		{"svc.SpinCaller", EffSpin, false},
 	}

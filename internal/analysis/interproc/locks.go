@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 )
 
@@ -13,16 +14,16 @@ import (
 // choice for order graphs: two instances of the same field locked in both
 // orders is itself a design worth flagging.
 type LockOp struct {
-	ID       string // e.g. "storage.procState.mu", "remote.Server.lnMu", "pkg.globalMu"
-	Op       string // Lock, RLock, Unlock, RUnlock
-	Deferred bool
+	ID   string // e.g. "storage.procState.mu", "remote.Server.lnMu", "pkg.globalMu"
+	Op   string // Lock, RLock, Unlock, RUnlock
+	Expr string // the mutex expression as written, e.g. "s.mu"
 }
 
-// MutexOp classifies call as a mutex operation and returns the lock's
+// mutexOp classifies call as a mutex operation and returns the lock's
 // global identity. It matches Lock/RLock/Unlock/RUnlock with a
 // sync.Mutex/RWMutex receiver, reached directly, through a field, or
 // through an embedded mutex.
-func MutexOp(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
+func mutexOp(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return LockOp{}, false
@@ -44,7 +45,46 @@ func MutexOp(info *types.Info, call *ast.CallExpr) (LockOp, bool) {
 	if id == "" {
 		return LockOp{}, false
 	}
-	return LockOp{ID: id, Op: sel.Sel.Name}, true
+	return LockOp{ID: id, Op: sel.Sel.Name, Expr: types.ExprString(sel.X)}, true
+}
+
+// WalkHeld replays fi's call sites in source order against the locks fi
+// holds at each. A Lock or RLock opens a held region and the matching
+// Unlock closes it; a deferred Unlock pins its lock until fi returns.
+// Other deferred calls run while the held set unwinds, and calls under a
+// go statement run without it, so neither is visited. visit sees every
+// remaining call made while at least one lock is held, with op, the
+// call's own mutex operation (zero when it is none), and held, the locks
+// held just before the call, outermost first; held is only valid during
+// the visit.
+func WalkHeld(fi *FuncInfo, visit func(call Call, op LockOp, held []LockOp)) {
+	var held []LockOp
+	pinned := map[string]bool{}
+	for _, call := range fi.Calls {
+		if call.Go {
+			continue
+		}
+		op, _ := mutexOp(fi.Pkg.Info, call.Site)
+		if call.Deferred {
+			if op.Op == "Unlock" || op.Op == "RUnlock" {
+				pinned[op.ID] = true
+			}
+			continue
+		}
+		if len(held) > 0 {
+			visit(call, op, held)
+		}
+		switch op.Op {
+		case "Lock", "RLock":
+			if !slices.ContainsFunc(held, func(h LockOp) bool { return h.ID == op.ID }) {
+				held = append(held, op)
+			}
+		case "Unlock", "RUnlock":
+			if !pinned[op.ID] {
+				held = slices.DeleteFunc(held, func(h LockOp) bool { return h.ID == op.ID })
+			}
+		}
+	}
 }
 
 func isSyncMutexMethod(fn *types.Func) bool {
@@ -121,14 +161,14 @@ func typeID(named *types.Named) string {
 // lockFixpoint computes each function's transitive may-acquire set with
 // one deterministic witness per lock.
 func (p *Program) lockFixpoint() {
-	funcs := p.sortedFuncs()
+	funcs := p.DeclOrder()
 	for _, fi := range funcs {
 		fi.Acquires = map[string]LockWitness{}
 		for _, call := range fi.Calls {
 			if call.Go || call.Deferred {
 				continue
 			}
-			if op, ok := MutexOp(fi.Pkg.Info, call.Site); ok && (op.Op == "Lock" || op.Op == "RLock") {
+			if op, ok := mutexOp(fi.Pkg.Info, call.Site); ok && (op.Op == "Lock" || op.Op == "RLock") {
 				if _, seen := fi.Acquires[op.ID]; !seen {
 					fi.Acquires[op.ID] = LockWitness{Pos: call.Pos}
 				}

@@ -1,178 +1,46 @@
 // Package lockio flags file and network I/O performed while a sync.Mutex
 // or sync.RWMutex is provably held — the bug class where a state lock
-// serializes every peer behind one disk read or dark-peer timeout. The
-// check is intra-procedural and source-order: a Lock() opens a held
-// region, the matching Unlock() closes it, a deferred Unlock holds to the
-// end of the function, and any I/O call inside a held region is reported.
-// I/O means calls into os, net and os/exec, methods on their types, and
-// calls through the storage FS and Store interfaces.
+// serializes every peer behind one disk read or dark-peer timeout. It runs
+// on the interprocedural engine: interproc.WalkHeld replays each
+// function's held set in source order, and a call inside a held region is
+// reported when it is I/O itself (interproc.IOCall) or when a callee it
+// may reach performs I/O (the EffIO summary bit), so I/O one helper below
+// the lock is caught where the lock is held. A goroutine spawned under the
+// lock does not hold it, so calls under go are not checked; calls through
+// function values stay opaque, as everywhere in the engine.
 package lockio
 
 import (
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-
 	"aic/internal/analysis"
+	"aic/internal/analysis/interproc"
 )
 
 // Analyzer is the lockio pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "lockio",
-	Doc:  "do not perform file or network I/O while holding a mutex",
-	Run:  run,
+	Name:       "lockio",
+	Doc:        "do not perform file or network I/O while holding a mutex",
+	RunProgram: run,
 }
 
-// osIOFuncs are the package-level os functions counted as I/O. Pure
-// process-state accessors (Getenv, Getpid, ...) are deliberately absent.
-var osIOFuncs = []string{
-	"Create", "CreateTemp", "Open", "OpenFile", "WriteFile", "ReadFile",
-	"Rename", "Remove", "RemoveAll", "Mkdir", "MkdirAll", "MkdirTemp",
-	"ReadDir", "Truncate", "Link", "Symlink", "Chtimes", "Stat", "Lstat",
-	"ReadLink",
-}
-
-type eventKind int
-
-const (
-	evLock eventKind = iota
-	evUnlock
-	evDeferUnlock
-	evIO
-)
-
-type event struct {
-	kind eventKind
-	key  string // mutex expression, e.g. "s.mu"
-	pos  token.Pos
-	desc string // callee description for evIO
-}
-
-func run(pass *analysis.Pass) error {
-	for _, file := range pass.Files {
-		if analysis.IsTestFile(pass.Fset, file.Pos()) {
+func run(pass *analysis.ProgramPass) error {
+	prog := interproc.Of(pass)
+	for _, fi := range prog.DeclOrder() {
+		if analysis.IsTestFile(prog.Fset, fi.Decl.Pos()) {
 			continue
 		}
-		for _, decl := range file.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if ok && fn.Body != nil {
-				checkFunc(pass, fn)
+		info := fi.Pkg.Info
+		interproc.WalkHeld(fi, func(call interproc.Call, _ interproc.LockOp, held []interproc.LockOp) {
+			if desc, ok := interproc.IOCall(info, call.Site); ok {
+				pass.Reportf(call.Pos, "%s while %s is held; move the I/O outside the critical section", desc, held[0].Expr)
+				return
 			}
-		}
+			for _, tgt := range call.Targets {
+				if prog.SummaryOf(tgt)&interproc.EffIO != 0 {
+					pass.Reportf(call.Pos, "%s does I/O while %s is held; move the I/O outside the critical section", interproc.FuncName(tgt), held[0].Expr)
+					return
+				}
+			}
+		})
 	}
 	return nil
-}
-
-func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
-	deferred := map[token.Pos]bool{}
-	var events []event
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			deferred[n.Call.Pos()] = true
-		case *ast.CallExpr:
-			if key, op, ok := mutexOp(pass.TypesInfo, n); ok {
-				kind := evLock
-				if op == "Unlock" || op == "RUnlock" {
-					kind = evUnlock
-					if deferred[n.Pos()] {
-						kind = evDeferUnlock
-					}
-				}
-				events = append(events, event{kind: kind, key: key, pos: n.Pos()})
-			} else if desc, ok := ioCall(pass.TypesInfo, n); ok && !deferred[n.Pos()] {
-				events = append(events, event{kind: evIO, pos: n.Pos(), desc: desc})
-			}
-		}
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	held := map[string]bool{}
-	pinned := map[string]bool{} // deferred unlock: held until return
-	for _, ev := range events {
-		switch ev.kind {
-		case evLock:
-			held[ev.key] = true
-		case evUnlock:
-			if !pinned[ev.key] {
-				delete(held, ev.key)
-			}
-		case evDeferUnlock:
-			pinned[ev.key] = true
-		case evIO:
-			if len(held) > 0 {
-				keys := make([]string, 0, len(held))
-				for k := range held {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				pass.Reportf(ev.pos, "%s while %s is held; move the I/O outside the critical section", ev.desc, keys[0])
-			}
-		}
-	}
-}
-
-// mutexOp matches X.Lock/RLock/Unlock/RUnlock where X is a sync.Mutex or
-// sync.RWMutex (possibly behind a pointer), returning the mutex expression
-// and the operation name.
-func mutexOp(info *types.Info, call *ast.CallExpr) (key, op string, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", false
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", "", false
-	}
-	selection, isSelection := info.Selections[sel]
-	if !isSelection {
-		return "", "", false
-	}
-	t := selection.Recv()
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
-		return "", "", false
-	}
-	switch named.Obj().Name() {
-	case "Mutex", "RWMutex":
-		return types.ExprString(sel.X), sel.Sel.Name, true
-	}
-	return "", "", false
-}
-
-// ioCall classifies a call as file/network I/O, returning a description.
-func ioCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	obj := analysis.CalleeObj(info, call)
-	if obj == nil {
-		return "", false
-	}
-	if analysis.IsPkgFunc(obj, "os", osIOFuncs...) {
-		return "os." + obj.Name(), true
-	}
-	if analysis.IsPkgFunc(obj, "net") || analysis.IsPkgFunc(obj, "os/exec") {
-		return "net/exec call " + obj.Name(), true
-	}
-	named := analysis.RecvNamed(obj)
-	if named == nil || named.Obj().Pkg() == nil {
-		return "", false
-	}
-	switch named.Obj().Pkg().Path() {
-	case "os", "net", "os/exec":
-		return named.Obj().Name() + "." + obj.Name(), true
-	}
-	// Calls through the storage shims: the FS filesystem interface and the
-	// Store checkpoint-store interface are I/O by contract.
-	if _, isIface := named.Underlying().(*types.Interface); isIface {
-		switch named.Obj().Name() {
-		case "FS", "Store":
-			return named.Obj().Name() + "." + obj.Name(), true
-		}
-	}
-	return "", false
 }

@@ -7,5 +7,5 @@ import (
 )
 
 func TestLockIO(t *testing.T) {
-	analyzertest.Run(t, Analyzer, "lockbad", "lockok")
+	analyzertest.Run(t, Analyzer, "lockbad", "lockok", "lockdeep")
 }

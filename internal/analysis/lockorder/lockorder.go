@@ -8,13 +8,13 @@
 //
 // Locks are identified by declaration (every FSStore.mu is one node),
 // the conservative abstraction for order graphs. Within one function the
-// held set is simulated in source order with deferred unlocks pinned to
-// the end, exactly as lockio does; an edge A→B is recorded when B is
-// acquired — directly, or anywhere inside a callee, resolved through the
-// engine's call graph including interface fan-out — while A is held.
+// held set is interproc.WalkHeld's, the one walk lockio shares: source
+// order, deferred unlocks pinned to the end. An edge A→B is recorded when
+// B is acquired — directly, or anywhere inside a callee, resolved through
+// the engine's call graph including interface fan-out — while A is held.
 // Acquisitions inside go statements are concurrent with the spawner, and
 // deferred calls run while the held set unwinds; neither establishes an
-// order, so both are excluded. Self-edges (re-acquiring the same
+// order, and WalkHeld visits neither. Self-edges (re-acquiring the same
 // declaration) are also excluded: instances of one field lock legally
 // nest in instance order the abstraction cannot see.
 package lockorder
@@ -50,13 +50,7 @@ func run(pass *analysis.ProgramPass) error {
 	edges := map[[2]string]edge{}
 	var order [][2]string
 
-	funcs := make([]*interproc.FuncInfo, 0, len(prog.Funcs))
-	for _, fi := range prog.Funcs {
-		funcs = append(funcs, fi)
-	}
-	sort.Slice(funcs, func(i, j int) bool { return funcs[i].Obj.Pos() < funcs[j].Obj.Pos() })
-
-	for _, fi := range funcs {
+	for _, fi := range prog.DeclOrder() {
 		if analysis.IsTestFile(prog.Fset, fi.Decl.Pos()) {
 			continue
 		}
@@ -74,55 +68,18 @@ func run(pass *analysis.ProgramPass) error {
 	return nil
 }
 
-// collectEdges simulates one function's held set in source order.
+// collectEdges records an edge from every lock fi holds to each lock it
+// acquires meanwhile, directly or anywhere inside a callee.
 func collectEdges(prog *interproc.Program, fi *interproc.FuncInfo, emit func(edge)) {
-	info := fi.Pkg.Info
-	held := map[string]bool{}
-	pinned := map[string]bool{}
-	var heldOrder []string // acquisition order, for deterministic edge emission
-
-	heldLocks := func() []string {
-		out := make([]string, 0, len(held))
-		for _, id := range heldOrder {
-			if held[id] {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-
-	for _, call := range fi.Calls {
-		if call.Go {
-			continue
-		}
-		if op, ok := interproc.MutexOp(info, call.Site); ok {
-			switch op.Op {
-			case "Lock", "RLock":
-				if call.Deferred {
-					continue
-				}
-				for _, h := range heldLocks() {
-					if h != op.ID {
-						emit(edge{from: h, to: op.ID, pos: call.Pos, fn: interproc.FuncName(fi.Obj)})
-					}
-				}
-				if !held[op.ID] {
-					held[op.ID] = true
-					heldOrder = append(heldOrder, op.ID)
-				}
-			case "Unlock", "RUnlock":
-				if call.Deferred {
-					pinned[op.ID] = true
-					continue
-				}
-				if !pinned[op.ID] {
-					delete(held, op.ID)
+	fn := interproc.FuncName(fi.Obj)
+	interproc.WalkHeld(fi, func(call interproc.Call, op interproc.LockOp, held []interproc.LockOp) {
+		if op.Op == "Lock" || op.Op == "RLock" {
+			for _, h := range held {
+				if h.ID != op.ID {
+					emit(edge{from: h.ID, to: op.ID, pos: call.Pos, fn: fn})
 				}
 			}
-			continue
-		}
-		if call.Deferred || len(call.Targets) == 0 || len(held) == 0 {
-			continue
+			return
 		}
 		for _, tgt := range call.Targets {
 			ti, ok := prog.Funcs[tgt]
@@ -136,16 +93,16 @@ func collectEdges(prog *interproc.Program, fi *interproc.FuncInfo, emit func(edg
 			sort.Strings(ids)
 			for _, id := range ids {
 				w := ti.Acquires[id]
-				for _, h := range heldLocks() {
-					if h == id {
+				for _, h := range held {
+					if h.ID == id {
 						continue
 					}
 					via := append([]string{interproc.FuncName(tgt)}, w.Via...)
-					emit(edge{from: h, to: id, pos: call.Pos, fn: interproc.FuncName(fi.Obj), via: via})
+					emit(edge{from: h.ID, to: id, pos: call.Pos, fn: fn, via: via})
 				}
 			}
 		}
-	}
+	})
 }
 
 // cycles finds every elementary acquisition-order cycle, deduplicated by

@@ -157,21 +157,27 @@ func NewStore(addr string, cfg Config) *RemoteStore {
 // target is the zero value.
 func (r *RemoteStore) Target() storage.Target { return storage.Target{} }
 
-// Close drops the connection. Further operations fail.
+// Close drops the connection. Further operations fail. It waits for an
+// operation in flight to return, and closes the connection after
+// releasing r.mu.
 func (r *RemoteStore) Close() error {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.closed = true
-	return r.dropLocked()
+	conn := r.conn
+	r.conn, r.br = nil, nil
+	r.mu.Unlock()
+	if conn == nil {
+		return nil
+	}
+	return conn.Close()
 }
 
-func (r *RemoteStore) dropLocked() error {
-	var err error
+// dropLocked closes and forgets the connection after a failed operation.
+func (r *RemoteStore) dropLocked() {
 	if r.conn != nil {
-		err = r.conn.Close()
+		r.conn.Close()
 		r.conn, r.br = nil, nil
 	}
-	return err
 }
 
 // ensureConnLocked dials and runs the hello exchange if no connection is
@@ -229,7 +235,7 @@ func asRemoteErr(payload []byte) error {
 // connection (see below), transport failures retry, application errors
 // return immediately.
 //
-//aiclint:ignore lockio r.mu is the connection-ownership lock; the single conn is only usable while held
+//aiclint:ignore lockio r.mu is the connection-ownership lock; the single conn is only usable while held, so the dial in ensureConnLocked and the close in dropLocked, one call down, run under it too
 func (r *RemoteStore) do(ctx context.Context, op func(conn net.Conn, br *bufio.Reader) error) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -24,7 +24,9 @@ type replicaSet struct {
 	fan     storage.FanOut // counts every fan-out; the facades read through it too
 
 	// remotes are the peers dial made, by name; dialed counts every dial
-	// over the set's lifetime. Callers serialize dial, hangUp and close.
+	// over the set's lifetime. Callers serialize dial, hangUp and close,
+	// and close the peer hangUp returns after releasing any lock they
+	// hold: a close waits out the peer's operation in flight.
 	remotes map[string]*remote.RemoteStore
 	dialed  int
 }
@@ -70,12 +72,12 @@ func peerConfig(env remote.Config, n int) remote.Config {
 	return env
 }
 
-// hangUp closes the peer dialed under name, if any.
-func (s *replicaSet) hangUp(name string) {
-	if rs, ok := s.remotes[name]; ok {
-		rs.Close()
-		delete(s.remotes, name)
-	}
+// hangUp forgets the peer dialed under name and returns it for the caller
+// to close, or nil if name was not dialed.
+func (s *replicaSet) hangUp(name string) *remote.RemoteStore {
+	rs := s.remotes[name]
+	delete(s.remotes, name)
+	return rs
 }
 
 // close closes every dialed peer and returns the first error.
